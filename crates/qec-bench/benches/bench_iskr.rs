@@ -1,12 +1,12 @@
 //! End-to-end expansion benchmarks at the paper's workload sizes
 //! (top-30/100/500), driven through the [`Expander`] trait the serving
-//! facade dispatches on, plus the exact-ΔF baseline for contrast and the
-//! strategy-generic parallel per-cluster fan-out.
+//! facade dispatches on, plus the exact-ΔF baseline for contrast and a
+//! whole-query (every cluster) expansion.
 
 use qec_bench::{synth_arena, ArenaSpec, Harness};
 use qec_core::{
-    expand_clusters_with, ExactDeltaF, ExpandedQuery, Expander, FMeasureConfig, Iskr, IskrConfig,
-    IskrScratch, QecInstance,
+    ExactDeltaF, ExpandedQuery, Expander, FMeasureConfig, Iskr, IskrConfig, IskrScratch,
+    QecInstance,
 };
 use std::hint::black_box;
 
@@ -34,20 +34,17 @@ fn main() {
         black_box(exact.expand(black_box(&inst)))
     });
 
-    // Whole-query expansion: every cluster of a top-500 arena. The
-    // parallel case uses the machine's core count; on a single-core box it
-    // degrades to the sequential path (spawning threads there only adds
-    // overhead, which the strategy-generic fan-out avoids by design).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("# cores available: {cores}");
+    // Whole-query expansion: every cluster of a top-500 arena, one after
+    // another on one warmed scratch (the pooled fan-out of the same loop
+    // is timed by `bench_serving` and the repo benchmark's
+    // `core.pool_dispatch_*` rows).
     let (arena, clusters) = synth_arena(&ArenaSpec::top(500, 11));
+    let (mut scratch, mut out) = (IskrScratch::new(), ExpandedQuery::default());
     h.bench("expand_all/arena500/sequential", || {
-        black_box(expand_clusters_with(&arena, &clusters, &iskr, 1))
-    });
-    h.bench(&format!("expand_all/arena500/threads{cores}"), || {
-        black_box(expand_clusters_with(&arena, &clusters, &iskr, cores))
+        for c in &clusters {
+            iskr.expand_into(&QecInstance::new(&arena, c.clone()), &mut scratch, &mut out);
+        }
+        black_box(out.quality)
     });
 
     h.finish();

@@ -160,12 +160,12 @@ fn main() {
     let test_mode = h.test_mode();
     let spec = corpus_spec(test_mode);
     let queries: Vec<String> = (0..POOL).map(|r| format!("w{r}")).collect();
-    // Per-request admission is the subject; the worker pool is disabled so
-    // each accepted request costs exactly one client thread.
+    // Per-request admission is the subject: single requests below the
+    // fan-out threshold are served on their client thread, so each
+    // accepted request costs exactly one thread.
     let engine = EngineBuilder::from_corpus(synth_corpus(&spec))
         .cache_capacity(POOL * 2)
         .max_in_flight(SLOTS)
-        .pool_enabled(false)
         .build();
 
     // Warm every key (single client: never sheds) and snapshot the clean

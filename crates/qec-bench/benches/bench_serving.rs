@@ -1,25 +1,20 @@
 //! Batched serving over the persistent work-stealing pool vs per-request
 //! serving: warm Zipf replay throughput × batch size × skew.
 //!
-//! Three serving modes replay the **identical warmed request stream**
-//! (every key pre-built into the shared cache, so the comparison isolates
-//! dispatch + expansion — the steady-state serving cost):
+//! One engine serves the **identical warmed request stream** (every key
+//! pre-built into the shared cache, so the comparison isolates dispatch +
+//! expansion — the steady-state serving cost) in two modes:
 //!
 //! * `seq_expand` — one `expand` per request, sequential per-cluster
-//!   expansion (`fanout_min_clusters = MAX`, pool disabled): the
-//!   single-thread baseline.
-//! * `scoped_spawn` — one `expand` per request, per-cluster fan-out over
-//!   **freshly scoped threads** (`fanout_min_clusters = 1`, pool
-//!   disabled): PR 3's serving shape, paying thread spawn/join per
-//!   request.
+//!   expansion on the calling thread (`k_clusters` is below the fan-out
+//!   threshold): the single-thread baseline.
 //! * `batch=N/pooled` — `expand_batch_into` in chunks of `N` over the
 //!   **persistent pool**: one flat task set per chunk, worker threads
 //!   spawned once at engine build.
 //!
 //! The suite asserts, in `--test` smoke mode too, that batched pooled
 //! responses are **bit-identical** to sequential serving of the same
-//! stream; in timed mode it additionally asserts the acceptance claim
-//! that pooled batches of ≥ 8 beat per-request scoped-spawn serving.
+//! stream.
 //!
 //! Set `QEC_BENCH_SERVING_JSON=/path/file.json` to write the grid as a
 //! JSON array (see `BENCH_serving.json` at the repo root).
@@ -29,7 +24,7 @@ use std::hint::black_box;
 use qec_bench::harness::Harness;
 use qec_bench::synth::{synth_corpus, CorpusSpec, ZipfSampler};
 use qec_cluster::SplitMix64;
-use qec_engine::{EngineBuilder, EngineConfig, ExpandRequest, ExpandResponse, QecEngine};
+use qec_engine::{EngineBuilder, ExpandRequest, ExpandResponse, QecEngine};
 
 /// Shared query pool: head ranks of the synthetic Zipf vocabulary, so
 /// every query retrieves a dense, clusterable result set.
@@ -55,39 +50,9 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
     }
 }
 
-/// Serving worker parallelism of the pooled and scoped shapes. Pinned
-/// (rather than auto-probed) so both modes pay for the same concurrency
-/// everywhere — including single-core CI runners, where the scoped mode
-/// still spawns `min(WORKERS, k)` threads per request exactly as a
-/// parallel serving config would.
+/// Worker threads of the pooled shape. Pinned (rather than auto-probed)
+/// so the grid means the same thing on every machine.
 const WORKERS: usize = 4;
-
-/// The three serving shapes under test.
-fn engines(spec: &CorpusSpec) -> (QecEngine, QecEngine, QecEngine) {
-    let pooled = EngineBuilder::from_corpus(synth_corpus(spec))
-        .cache_capacity(POOL * 2)
-        .pool_threads(WORKERS)
-        .build();
-    assert_eq!(pooled.pool_threads(), WORKERS);
-    let scoped = EngineBuilder::from_corpus(synth_corpus(spec))
-        .config(EngineConfig {
-            fanout_min_clusters: 1,
-            fanout_threads: WORKERS,
-            ..EngineConfig::default()
-        })
-        .cache_capacity(POOL * 2)
-        .pool_enabled(false)
-        .build();
-    let seq = EngineBuilder::from_corpus(synth_corpus(spec))
-        .config(EngineConfig {
-            fanout_min_clusters: usize::MAX,
-            ..EngineConfig::default()
-        })
-        .cache_capacity(POOL * 2)
-        .pool_enabled(false)
-        .build();
-    (pooled, scoped, seq)
-}
 
 fn request(query: &str) -> ExpandRequest<'_> {
     ExpandRequest {
@@ -151,10 +116,11 @@ fn main() {
     let test_mode = h.test_mode();
     let spec = corpus_spec(test_mode);
     let queries: Vec<String> = (0..POOL).map(|r| format!("w{r}")).collect();
-    let (pooled, scoped, seq) = engines(&spec);
-    for e in [&pooled, &scoped, &seq] {
-        warm(e, &queries);
-    }
+    let engine = EngineBuilder::from_corpus(synth_corpus(&spec))
+        .cache_capacity(POOL * 2)
+        .pool_threads(WORKERS)
+        .build();
+    warm(&engine, &queries);
 
     // Parity first, in every mode: batched pooled serving must be
     // bit-identical to sequential serving of the same stream.
@@ -165,19 +131,19 @@ fn main() {
             for chunk in picks.chunks(batch) {
                 let reqs: Vec<ExpandRequest<'_>> =
                     chunk.iter().map(|&p| request(&queries[p])).collect();
-                pooled.expand_batch_into(&reqs, &mut out);
+                engine.expand_batch_into(&reqs, &mut out);
                 for (resp, &p) in out.iter().zip(chunk) {
-                    let want = seq.expand(&request(&queries[p]));
+                    let want = engine.expand(&request(&queries[p]));
                     assert!(
                         resp.clusters() == want.clusters(),
                         "batch={batch}: batched response diverged from sequential for {:?}",
                         queries[p]
                     );
                     assert!(resp.stats.arena_cache_hit, "warm replay must hit");
-                    seq.recycle(want);
+                    engine.recycle(want);
                 }
                 for r in out.drain(..) {
-                    pooled.recycle(r);
+                    engine.recycle(r);
                 }
             }
         }
@@ -194,15 +160,12 @@ fn main() {
     for &zipf_s in zipf_grid {
         let picks = stream(zipf_s);
         h.bench(&format!("zipf={zipf_s}/seq_expand"), || {
-            serve_sequentially(&seq, &queries, &picks)
-        });
-        h.bench(&format!("zipf={zipf_s}/scoped_spawn"), || {
-            serve_sequentially(&scoped, &queries, &picks)
+            serve_sequentially(&engine, &queries, &picks)
         });
         let mut out = Vec::new();
         for &batch in batch_grid {
             h.bench(&format!("zipf={zipf_s}/batch={batch}/pooled"), || {
-                serve_batched(&pooled, &queries, &picks, batch, &mut out)
+                serve_batched(&engine, &queries, &picks, batch, &mut out)
             });
         }
 
@@ -212,36 +175,21 @@ fn main() {
                     .map(|ns| ns / STREAM as f64)
                     .unwrap_or(f64::NAN)
             };
-            let scoped_ns = per_req(&format!("zipf={zipf_s}/scoped_spawn"));
+            let seq_ns = per_req(&format!("zipf={zipf_s}/seq_expand"));
             outcomes.push(Outcome {
                 zipf_s,
                 mode: "seq_expand".into(),
                 batch: 1,
-                ns_per_request: per_req(&format!("zipf={zipf_s}/seq_expand")),
-            });
-            outcomes.push(Outcome {
-                zipf_s,
-                mode: "scoped_spawn".into(),
-                batch: 1,
-                ns_per_request: scoped_ns,
+                ns_per_request: seq_ns,
             });
             for &batch in batch_grid {
                 let ns = per_req(&format!("zipf={zipf_s}/batch={batch}/pooled"));
                 println!(
-                    "serving/summary zipf={zipf_s} batch={batch}: {:.1} µs/req pooled vs {:.1} µs/req scoped ({:.2}x)",
+                    "serving/summary zipf={zipf_s} batch={batch}: {:.1} µs/req pooled vs {:.1} µs/req sequential ({:.2}x)",
                     ns / 1_000.0,
-                    scoped_ns / 1_000.0,
-                    scoped_ns / ns,
+                    seq_ns / 1_000.0,
+                    seq_ns / ns,
                 );
-                // The acceptance claim: batched pooled serving beats
-                // per-request scoped-spawn serving at batch ≥ 8.
-                if batch >= 8 {
-                    assert!(
-                        ns < scoped_ns,
-                        "batch={batch} pooled ({ns:.0} ns/req) must beat scoped spawn \
-                         ({scoped_ns:.0} ns/req) at zipf {zipf_s}"
-                    );
-                }
                 outcomes.push(Outcome {
                     zipf_s,
                     mode: "pooled".into(),

@@ -107,8 +107,8 @@ impl ArenaSpec {
 /// except for `leaks` stray absences. Elimination sets are therefore
 /// concentrated on one cluster plus noise, so a move's delta affects only
 /// the keywords discriminating the same sense — the §3 maintenance regime.
-/// The output is the (arena, clusters-as-bitsets) pair that
-/// `expand_clusters` consumes.
+/// The output is the (arena, clusters-as-bitsets) pair a per-cluster
+/// `QecInstance` is built from.
 pub fn synth_arena(spec: &ArenaSpec) -> (ExpansionArena, Vec<ResultSet>) {
     let mut rng = SplitMix64::seed_from_u64(spec.seed);
     let n = spec.arena_size;

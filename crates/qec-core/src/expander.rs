@@ -30,8 +30,8 @@ use crate::problem::QecInstance;
 /// A pluggable per-cluster expansion strategy.
 ///
 /// `Sync` is a supertrait so trait objects can be shared across the
-/// scoped-thread fan-out of [`crate::parallel::expand_clusters_with`];
-/// strategies are plain configuration data, so this costs nothing.
+/// tasks of a [`WorkerPool`](crate::pool::WorkerPool) fan-out; strategies
+/// are plain configuration data, so this costs nothing.
 pub trait Expander: Sync {
     /// Short stable identifier (used in benchmark case names and serving
     /// stats).

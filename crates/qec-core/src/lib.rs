@@ -22,12 +22,13 @@
 //!   through the kernels' `*_cancellable` entry points; a tripped deadline
 //!   yields `None` rather than a torn result, which is what lets the
 //!   serving layer degrade a response to its finished prefix.
-//! * [`parallel`] — fan-out of independent per-cluster expansions
-//!   (the offline-build substitute for rayon), generic over [`Expander`],
-//!   with both a scoped-thread backend and a persistent-pool backend.
-//! * [`pool`] — the long-lived work-stealing [`WorkerPool`] behind the
-//!   pooled backend: per-worker deques with steal-on-empty, an injector
-//!   queue, park/unpark idling, and a zero-allocation indexed batch mode.
+//! * [`parallel`] — the shared state a pooled fan-out of independent
+//!   per-cluster expansions needs: [`ScratchPool`] (warmed per-task
+//!   scratches) and [`DisjointSlots`] (one output slot per task index).
+//! * [`pool`] — the long-lived work-stealing [`WorkerPool`] every fan-out
+//!   runs on (the offline-build substitute for rayon): per-worker deques
+//!   with steal-on-empty, an injector queue, park/unpark idling, and a
+//!   zero-allocation indexed batch mode.
 //! * [`scatter`] — scatter/gather primitives for shard-partitioned
 //!   serving: indexed per-slot scatter over the pool plus a reusable
 //!   k-way merge scratch for gathering per-shard sorted lists.
@@ -62,11 +63,7 @@ pub use fmeasure::{
 };
 pub use iskr::{iskr, iskr_into, iskr_into_cancellable, ExpandedQuery, IskrConfig, IskrScratch};
 pub use metrics::{fmeasure, overall_score, query_quality, uniform_weights, QueryQuality};
-pub use parallel::{
-    expand_clusters, expand_clusters_pooled, expand_clusters_with, expand_clusters_with_threads,
-    expand_shared_clusters_pooled, expand_shared_clusters_pooled_cancellable,
-    expand_shared_clusters_pooled_into, expand_shared_clusters_with, DisjointSlots, ScratchPool,
-};
+pub use parallel::{DisjointSlots, ScratchPool};
 pub use pebc::{pebc, pebc_into, pebc_into_cancellable, PebcConfig};
 pub use pool::{default_parallelism, WorkerPool};
 pub use problem::{ArenaConfig, CandId, Candidate, ExpansionArena, QecInstance, SetSlot};

@@ -1,146 +1,21 @@
-//! Parallel expansion of independent per-cluster instances.
+//! Shared state for pool-driven expansion of independent per-cluster
+//! instances.
 //!
 //! The paper expands each cluster of the original result list separately;
 //! the instances share the (immutable) arena and nothing else, so they
-//! parallelise embarrassingly. Two execution backends share the same
-//! deterministic contract (output order matches input order; results are
-//! bit-identical to the sequential algorithm at any worker count):
-//!
-//! * **Scoped threads** — [`expand_clusters_with`] /
-//!   [`expand_shared_clusters_with`] spawn a `std::thread::scope` per
-//!   call. Simple and dependency-free, but every call pays thread
-//!   spawn/join; this is the fallback for pool-less callers.
-//! * **Persistent pool** — [`expand_clusters_pooled`] /
-//!   [`expand_shared_clusters_pooled`] /
-//!   [`expand_shared_clusters_pooled_into`] schedule the clusters as one
-//!   task set on a long-lived [`WorkerPool`], drawing per-task
-//!   [`IskrScratch`]es from a [`ScratchPool`] so warmed steady-state
-//!   dispatch performs no heap allocation (the `_into` variant writes
-//!   into caller-owned output slots and is what the engine's batched
-//!   serving path builds on).
-//!
-//! In the scoped backend, clusters are dealt to workers in strides
-//! (worker `w` takes clusters `w, w + t, w + 2t, …`), which balances the
-//! common skew where the first clusters are the big ones; in the pooled
-//! backend, span splitting and stealing rebalance dynamically.
+//! parallelise embarrassingly. The fan-out itself is one
+//! [`WorkerPool::run_indexed`](crate::pool::WorkerPool::run_indexed) batch
+//! (the engine's flat per-(request, cluster) task set); this module holds
+//! the two pieces such a batch needs: [`ScratchPool`], so every task runs
+//! on a warmed scratch, and [`DisjointSlots`], so every task writes its
+//! own output slot without synchronisation. Results are bit-identical to
+//! the sequential algorithm at any worker count, and output order matches
+//! input order.
 
 use std::cell::UnsafeCell;
 use std::sync::{Mutex, MutexGuard};
 
-use crate::bitset::ResultSet;
-use crate::expander::{Expander, Iskr};
-use crate::iskr::{ExpandedQuery, IskrConfig, IskrScratch};
-use crate::pool::{default_parallelism, WorkerPool};
-use crate::problem::{ExpansionArena, QecInstance};
-
-/// Expands every cluster with ISKR, using up to
-/// [`default_parallelism`] worker threads (probed once per process, not
-/// per call).
-pub fn expand_clusters(
-    arena: &ExpansionArena,
-    clusters: &[ResultSet],
-    config: &IskrConfig,
-) -> Vec<ExpandedQuery> {
-    expand_clusters_with_threads(arena, clusters, config, default_parallelism())
-}
-
-/// Expands every cluster with ISKR on exactly `threads` workers (clamped to
-/// the cluster count; `0` is treated as `1`).
-pub fn expand_clusters_with_threads(
-    arena: &ExpansionArena,
-    clusters: &[ResultSet],
-    config: &IskrConfig,
-    threads: usize,
-) -> Vec<ExpandedQuery> {
-    expand_clusters_with(arena, clusters, &Iskr(config.clone()), threads)
-}
-
-/// Expands every cluster through any [`Expander`] strategy on exactly
-/// `threads` workers (clamped to the cluster count; `0` is treated as `1`).
-/// Output order matches input order at every thread count, and one worker
-/// degrades to the exact sequential algorithm.
-pub fn expand_clusters_with(
-    arena: &ExpansionArena,
-    clusters: &[ResultSet],
-    expander: &dyn Expander,
-    threads: usize,
-) -> Vec<ExpandedQuery> {
-    expand_striped(clusters.len(), threads, expander, &|i| {
-        QecInstance::new(arena, clusters[i].clone())
-    })
-}
-
-/// Expands precomputed `(cluster, universe)` pairs borrowed from shared,
-/// immutable pipeline state — the fan-out path a serving cache hit takes at
-/// big `k`, where the pairs live inside an `Arc`-shared cache entry and
-/// must not be cloned or moved. Identical scheduling and output guarantees
-/// as [`expand_clusters_with`]; each pair must satisfy the
-/// [`QecInstance::from_shared_parts`] complement invariant.
-pub fn expand_shared_clusters_with<'a>(
-    arena: &'a ExpansionArena,
-    parts: &'a [(&'a ResultSet, &'a ResultSet)],
-    expander: &dyn Expander,
-    threads: usize,
-) -> Vec<ExpandedQuery> {
-    expand_striped(parts.len(), threads, expander, &|i| {
-        QecInstance::from_shared_parts(arena, parts[i].0, parts[i].1)
-    })
-}
-
-/// The shared scheduling skeleton: `make(i)` builds the `i`-th instance on
-/// whichever worker the stripe lands on.
-fn expand_striped<'a, F>(
-    n: usize,
-    threads: usize,
-    expander: &dyn Expander,
-    make: &F,
-) -> Vec<ExpandedQuery>
-where
-    F: Fn(usize) -> QecInstance<'a> + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    let mut out: Vec<Option<ExpandedQuery>> = vec![None; n];
-
-    if threads == 1 {
-        let mut scratch = IskrScratch::new();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(expand_one(&make(i), expander, &mut scratch));
-        }
-    } else {
-        // Hand each worker a strided view of the output slots; the stripes
-        // are disjoint, so no synchronisation beyond the scope join.
-        let slots: Vec<(usize, &mut Option<ExpandedQuery>)> = out.iter_mut().enumerate().collect();
-        let mut stripes: Vec<Vec<(usize, &mut Option<ExpandedQuery>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, slot) in slots {
-            stripes[i % threads].push((i, slot));
-        }
-        std::thread::scope(|scope| {
-            for stripe in stripes {
-                scope.spawn(move || {
-                    let mut scratch = IskrScratch::new();
-                    for (i, slot) in stripe {
-                        *slot = Some(expand_one(&make(i), expander, &mut scratch));
-                    }
-                });
-            }
-        });
-    }
-
-    out.into_iter()
-        .map(|q| q.expect("every cluster expanded"))
-        .collect()
-}
-
-fn expand_one(
-    inst: &QecInstance<'_>,
-    expander: &dyn Expander,
-    scratch: &mut IskrScratch,
-) -> ExpandedQuery {
-    let mut out = ExpandedQuery::default();
-    expander.expand_into(inst, scratch, &mut out);
-    out
-}
+use crate::iskr::IskrScratch;
 
 /// A shared pool of reusable scratch values for pool-backed work: tasks
 /// acquire a scratch, run, and release it, so a long-lived serving
@@ -194,7 +69,8 @@ impl<T: Default> ScratchPool<T> {
 
 /// Output slots written by disjoint indices from many pool workers. A thin
 /// `UnsafeCell` wrapper: soundness rests on the scheduler's guarantee that
-/// every index is claimed exactly once ([`WorkerPool::run_indexed`]), so
+/// every index is claimed exactly once
+/// ([`WorkerPool::run_indexed`](crate::pool::WorkerPool::run_indexed)), so
 /// no two tasks ever touch the same slot. Public so pool-driven serving
 /// code (the engine's batched flat task set) can reuse it instead of
 /// re-deriving the aliasing argument.
@@ -227,121 +103,16 @@ impl<'a, T> DisjointSlots<'a, T> {
     }
 }
 
-/// [`expand_clusters_with`], but scheduled on a persistent [`WorkerPool`]
-/// instead of freshly scoped threads — the serving backend. Identical
-/// output at any pool size.
-pub fn expand_clusters_pooled(
-    pool: &WorkerPool,
-    scratches: &ScratchPool,
-    arena: &ExpansionArena,
-    clusters: &[ResultSet],
-    expander: &dyn Expander,
-) -> Vec<ExpandedQuery> {
-    let mut out = vec![ExpandedQuery::default(); clusters.len()];
-    expand_pooled_into(pool, scratches, expander, &mut out, &|i| {
-        QecInstance::new(arena, clusters[i].clone())
-    });
-    out
-}
-
-/// [`expand_shared_clusters_with`], but scheduled on a persistent
-/// [`WorkerPool`] — the big-`k` serving fan-out once an engine owns a
-/// pool. Identical output at any pool size.
-pub fn expand_shared_clusters_pooled(
-    pool: &WorkerPool,
-    scratches: &ScratchPool,
-    arena: &ExpansionArena,
-    parts: &[(&ResultSet, &ResultSet)],
-    expander: &dyn Expander,
-) -> Vec<ExpandedQuery> {
-    let mut out = vec![ExpandedQuery::default(); parts.len()];
-    expand_shared_clusters_pooled_into(pool, scratches, arena, parts, expander, &mut out);
-    out
-}
-
-/// [`expand_shared_clusters_pooled`] writing into caller-owned slots —
-/// the allocation-free core the engine's batched serving path reuses its
-/// warmed output buffers through. `out.len()` must equal `parts.len()`;
-/// slot `i` is overwritten with cluster `i`'s expansion.
-pub fn expand_shared_clusters_pooled_into(
-    pool: &WorkerPool,
-    scratches: &ScratchPool,
-    arena: &ExpansionArena,
-    parts: &[(&ResultSet, &ResultSet)],
-    expander: &dyn Expander,
-    out: &mut [ExpandedQuery],
-) {
-    assert_eq!(out.len(), parts.len(), "one output slot per cluster");
-    expand_pooled_into(pool, scratches, expander, out, &|i| {
-        QecInstance::from_shared_parts(arena, parts[i].0, parts[i].1)
-    });
-}
-
-/// [`expand_shared_clusters_pooled_into`] with cooperative cancellation —
-/// the degradable serving fan-out. Cluster `i`'s completion is recorded in
-/// `done[i]`: `true` means `out[i]` holds its full expansion (bit-identical
-/// to the uncancelled run), `false` means the token tripped before that
-/// cluster finished and `out[i]` must be ignored (no torn results — see
-/// [`crate::cancel`]). A tripped token short-circuits still-pending
-/// clusters without running their kernels. With an inert token this is
-/// exactly [`expand_shared_clusters_pooled_into`] plus a `done` fill.
-#[allow(clippy::too_many_arguments)]
-pub fn expand_shared_clusters_pooled_cancellable(
-    pool: &WorkerPool,
-    scratches: &ScratchPool,
-    arena: &ExpansionArena,
-    parts: &[(&ResultSet, &ResultSet)],
-    expander: &dyn Expander,
-    out: &mut [ExpandedQuery],
-    done: &mut [bool],
-    cancel: &crate::cancel::CancelToken,
-) {
-    assert_eq!(out.len(), parts.len(), "one output slot per cluster");
-    assert_eq!(done.len(), parts.len(), "one done flag per cluster");
-    let n = parts.len();
-    let slots = DisjointSlots::new(out);
-    let flags = DisjointSlots::new(done);
-    pool.run_indexed(n, &|i| {
-        // SAFETY: `run_indexed` hands each index to exactly one task.
-        let (slot, flag) = unsafe { (slots.get(i), flags.get(i)) };
-        if cancel.is_cancelled() {
-            *flag = false;
-            return;
-        }
-        let mut scratch = scratches.acquire();
-        let inst = QecInstance::from_shared_parts(arena, parts[i].0, parts[i].1);
-        *flag = expander.expand_cancellable(&inst, &mut scratch, slot, cancel);
-        scratches.release(scratch);
-    });
-}
-
-/// The pooled scheduling skeleton: `make(i)` builds the `i`-th instance on
-/// whichever worker claims the index.
-fn expand_pooled_into<'a, F>(
-    pool: &WorkerPool,
-    scratches: &ScratchPool,
-    expander: &dyn Expander,
-    out: &mut [ExpandedQuery],
-    make: &F,
-) where
-    F: Fn(usize) -> QecInstance<'a> + Sync,
-{
-    let n = out.len();
-    let slots = DisjointSlots::new(out);
-    pool.run_indexed(n, &|i| {
-        let mut scratch = scratches.acquire();
-        // SAFETY: `run_indexed` hands each index to exactly one task.
-        let slot = unsafe { slots.get(i) };
-        expander.expand_into(&make(i), &mut scratch, slot);
-        scratches.release(scratch);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iskr::iskr;
-    use crate::problem::Candidate;
+    use crate::bitset::ResultSet;
+    use crate::cancel::CancelToken;
+    use crate::expander::{Expander, Iskr, Pebc};
+    use crate::iskr::{ExpandedQuery, IskrConfig};
+    use crate::pebc::PebcConfig;
+    use crate::pool::{default_parallelism, WorkerPool};
+    use crate::problem::{Candidate, ExpansionArena, QecInstance};
     use qec_text::TermId;
 
     fn arena_with_clusters(n: usize, n_clusters: usize) -> (ExpansionArena, Vec<ResultSet>) {
@@ -368,32 +139,78 @@ mod tests {
         (arena, clusters)
     }
 
+    type Make<'a, 'm> = &'m (dyn Fn(usize) -> QecInstance<'a> + Sync);
+
+    /// The reference every fan-out must reproduce: a plain loop of
+    /// [`Expander::expand_into`] over one scratch.
+    fn sequential(n: usize, expander: &dyn Expander, make: Make) -> Vec<Option<ExpandedQuery>> {
+        let mut scratch = IskrScratch::new();
+        (0..n)
+            .map(|i| {
+                let mut out = ExpandedQuery::default();
+                expander.expand_into(&make(i), &mut scratch, &mut out);
+                Some(out)
+            })
+            .collect()
+    }
+
+    /// The same instances as one indexed batch on `threads` workers: task
+    /// `i` expands on a pooled scratch into slot `i`, which stays `None`
+    /// when `cancel` trips first.
+    fn fan_out(
+        threads: usize,
+        n: usize,
+        expander: &dyn Expander,
+        cancel: &CancelToken,
+        make: Make,
+    ) -> Vec<Option<ExpandedQuery>> {
+        let scratches = ScratchPool::new();
+        let mut out = vec![None; n];
+        let slots = DisjointSlots::new(&mut out);
+        WorkerPool::new(threads).run_indexed(n, &|i| {
+            let (mut scratch, mut q) = (scratches.acquire(), ExpandedQuery::default());
+            if expander.expand_cancellable(&make(i), &mut scratch, &mut q, cancel) {
+                // SAFETY: `run_indexed` hands each index to exactly one task.
+                *unsafe { slots.get(i) } = Some(q);
+            }
+            scratches.release(scratch);
+        });
+        out
+    }
+
     #[test]
     fn parallel_matches_sequential_at_any_thread_count() {
         let (arena, clusters) = arena_with_clusters(96, 6);
-        let config = IskrConfig::default();
-        let sequential: Vec<ExpandedQuery> = clusters
-            .iter()
-            .map(|c| iskr(&QecInstance::new(&arena, c.clone()), &config))
-            .collect();
+        let strategy = Iskr(IskrConfig::default());
+        let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
+        let reference = sequential(6, &strategy, &make);
         for threads in [1, 2, 3, 8, 64] {
-            let parallel = expand_clusters_with_threads(&arena, &clusters, &config, threads);
-            assert_eq!(parallel, sequential, "threads = {threads}");
+            let parallel = fan_out(threads, 6, &strategy, &CancelToken::none(), &make);
+            assert_eq!(parallel, reference, "threads = {threads}");
         }
     }
 
     #[test]
     fn auto_thread_count_runs() {
         let (arena, clusters) = arena_with_clusters(64, 4);
-        let out = expand_clusters(&arena, &clusters, &IskrConfig::default());
-        assert_eq!(out.len(), 4);
+        let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
+        let strategy = Iskr(IskrConfig::default());
+        let out = fan_out(
+            default_parallelism(),
+            4,
+            &strategy,
+            &CancelToken::none(),
+            &make,
+        );
+        assert!(out.iter().all(Option::is_some));
     }
 
     #[test]
     fn empty_cluster_list() {
-        let (arena, _) = arena_with_clusters(32, 2);
-        let out = expand_clusters(&arena, &[], &IskrConfig::default());
-        assert!(out.is_empty());
+        let (arena, clusters) = arena_with_clusters(32, 2);
+        let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
+        let strategy = Iskr(IskrConfig::default());
+        assert!(fan_out(2, 0, &strategy, &CancelToken::none(), &make).is_empty());
     }
 
     #[test]
@@ -401,70 +218,43 @@ mod tests {
         let (arena, clusters) = arena_with_clusters(96, 6);
         let full = ResultSet::full(arena.size());
         let universes: Vec<ResultSet> = clusters.iter().map(|c| full.and_not(c)).collect();
-        let parts: Vec<(&ResultSet, &ResultSet)> = clusters.iter().zip(&universes).collect();
         let strategy = Iskr(IskrConfig::default());
-        let owned = expand_clusters_with(&arena, &clusters, &strategy, 4);
+        let owned = sequential(6, &strategy, &|i| {
+            QecInstance::new(&arena, clusters[i].clone())
+        });
+        let shared = |i: usize| QecInstance::from_shared_parts(&arena, &clusters[i], &universes[i]);
         for threads in [1, 4, 16] {
-            assert_eq!(
-                expand_shared_clusters_with(&arena, &parts, &strategy, threads),
-                owned,
-                "threads = {threads}"
-            );
+            let out = fan_out(threads, 6, &strategy, &CancelToken::none(), &shared);
+            assert_eq!(out, owned, "threads = {threads}");
         }
     }
 
     #[test]
     fn cancellable_pooled_fanout_matches_when_inert_and_degrades_when_tripped() {
-        use crate::cancel::CancelToken;
-        use crate::pool::WorkerPool;
         let (arena, clusters) = arena_with_clusters(96, 6);
-        let full = ResultSet::full(arena.size());
-        let universes: Vec<ResultSet> = clusters.iter().map(|c| full.and_not(c)).collect();
-        let parts: Vec<(&ResultSet, &ResultSet)> = clusters.iter().zip(&universes).collect();
         let strategy = Iskr(IskrConfig::default());
-        let pool = WorkerPool::new(3);
-        let scratches = ScratchPool::new();
+        let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
+        let inert = fan_out(3, 6, &strategy, &CancelToken::none(), &make);
+        assert_eq!(inert, sequential(6, &strategy, &make));
 
-        let expected = expand_shared_clusters_pooled(&pool, &scratches, &arena, &parts, &strategy);
-        let mut out = vec![ExpandedQuery::default(); parts.len()];
-        let mut done = vec![false; parts.len()];
-        expand_shared_clusters_pooled_cancellable(
-            &pool,
-            &scratches,
-            &arena,
-            &parts,
-            &strategy,
-            &mut out,
-            &mut done,
-            &CancelToken::none(),
-        );
-        assert!(done.iter().all(|&d| d), "inert token completes everything");
-        assert_eq!(out, expected);
-
-        // A pre-tripped token completes nothing and writes nothing.
         let (token, signal) = CancelToken::manual();
         signal.cancel();
-        let stale: Vec<ExpandedQuery> = out.clone();
-        expand_shared_clusters_pooled_cancellable(
-            &pool, &scratches, &arena, &parts, &strategy, &mut out, &mut done, &token,
+        let tripped = fan_out(3, 6, &strategy, &token, &make);
+        assert!(
+            tripped.iter().all(Option::is_none),
+            "tripped token completes nothing"
         );
-        assert!(done.iter().all(|&d| !d), "tripped token completes nothing");
-        assert_eq!(out, stale, "cancelled tasks leave slots untouched");
     }
 
     #[test]
     fn strategy_generic_fanout_matches_sequential() {
-        use crate::expander::{Expander, Pebc};
-        use crate::pebc::PebcConfig;
         let (arena, clusters) = arena_with_clusters(96, 6);
         let strategy = Pebc(PebcConfig::default());
-        let sequential: Vec<ExpandedQuery> = clusters
-            .iter()
-            .map(|c| strategy.expand(&QecInstance::new(&arena, c.clone())))
-            .collect();
+        let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
+        let reference = sequential(6, &strategy, &make);
         for threads in [1, 3, 16] {
-            let parallel = expand_clusters_with(&arena, &clusters, &strategy, threads);
-            assert_eq!(parallel, sequential, "threads = {threads}");
+            let parallel = fan_out(threads, 6, &strategy, &CancelToken::none(), &make);
+            assert_eq!(parallel, reference, "threads = {threads}");
         }
     }
 }

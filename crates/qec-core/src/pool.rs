@@ -3,12 +3,12 @@
 //!
 //! Why a pool
 //! ----------
-//! The scoped fan-out in [`crate::parallel`] spawns fresh OS threads on
-//! every call: tens of microseconds of spawn/join cost per request, paid
-//! again and again on a serving path whose whole per-cluster expansion
-//! often costs less than the spawn. A [`WorkerPool`] pays the spawn cost
-//! **once** at engine construction; steady-state dispatch is a deque push
-//! and (at most) a condvar wake.
+//! A `std::thread::scope` fan-out spawns fresh OS threads on every call:
+//! tens of microseconds of spawn/join cost per request, paid again and
+//! again on a serving path whose whole per-cluster expansion often costs
+//! less than the spawn. A [`WorkerPool`] pays the spawn cost **once** at
+//! engine construction; steady-state dispatch is a deque push and (at
+//! most) a condvar wake.
 //!
 //! Structure
 //! ---------
@@ -56,8 +56,8 @@ use std::thread::JoinHandle;
 /// The machine's available parallelism, probed **once** per process and
 /// cached — `std::thread::available_parallelism` inspects cgroup and
 /// affinity state on every call, which is not something to pay on a
-/// serving path (or even per engine build). Both the scoped fan-out's
-/// auto thread count and the engine's pool-size default share this value.
+/// serving path (or even per engine build). The engine's pool-size
+/// default reads this value.
 pub fn default_parallelism() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| {

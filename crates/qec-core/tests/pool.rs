@@ -1,16 +1,15 @@
 //! Integration tests of the persistent work-stealing pool: steal
 //! fairness, clean drop-shutdown, and no task lost under concurrent
-//! submission — plus the pooled expansion entry points' parity with the
-//! scoped-thread backend.
+//! submission — plus a pooled expansion fan-out's parity with a sequential
+//! `Expander::expand_into` loop.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qec_core::{
-    expand_clusters_pooled, expand_clusters_with, expand_shared_clusters_pooled,
-    expand_shared_clusters_with, Candidate, ExpansionArena, Iskr, IskrConfig, Pebc, ResultSet,
-    ScratchPool, WorkerPool,
+    Candidate, DisjointSlots, ExpandedQuery, Expander, ExpansionArena, Iskr, IskrConfig, Pebc,
+    QecInstance, ResultSet, ScratchPool, WorkerPool,
 };
 use qec_text::TermId;
 
@@ -157,7 +156,7 @@ fn spawned_job_panic_does_not_kill_the_pool() {
 }
 
 /// Deterministic structured arena + contiguous clusters (the shape the
-/// scoped-backend unit tests use).
+/// `parallel` unit tests use).
 fn arena_with_clusters(n: usize, n_clusters: usize) -> (ExpansionArena, Vec<ResultSet>) {
     let candidates: Vec<Candidate> = (0..24u32)
         .map(|i| Candidate {
@@ -180,36 +179,66 @@ fn arena_with_clusters(n: usize, n_clusters: usize) -> (ExpansionArena, Vec<Resu
     (arena, clusters)
 }
 
+type Make<'a, 'm> = &'m (dyn Fn(usize) -> QecInstance<'a> + Sync);
+
+/// The reference: a sequential `Expander::expand_into` loop.
+fn sequential(n: usize, expander: &dyn Expander, make: Make) -> Vec<ExpandedQuery> {
+    (0..n).map(|i| expander.expand(&make(i))).collect()
+}
+
+/// The same instances as one indexed batch: task `i` draws a pooled
+/// scratch and writes slot `i`.
+fn pooled(
+    pool: &WorkerPool,
+    scratches: &ScratchPool,
+    n: usize,
+    expander: &dyn Expander,
+    make: Make,
+) -> Vec<ExpandedQuery> {
+    let mut out = vec![ExpandedQuery::default(); n];
+    let slots = DisjointSlots::new(&mut out);
+    pool.run_indexed(n, &|i| {
+        let mut scratch = scratches.acquire();
+        // SAFETY: `run_indexed` hands each index to exactly one task.
+        expander.expand_into(&make(i), &mut scratch, unsafe { slots.get(i) });
+        scratches.release(scratch);
+    });
+    out
+}
+
 #[test]
-fn pooled_expansion_matches_scoped_backend_bit_for_bit() {
+fn pooled_expansion_matches_sequential_bit_for_bit() {
     let (arena, clusters) = arena_with_clusters(96, 6);
+    let make = |i: usize| QecInstance::new(&arena, clusters[i].clone());
     for strategy in [
-        &Iskr(IskrConfig::default()) as &dyn qec_core::Expander,
+        &Iskr(IskrConfig::default()) as &dyn Expander,
         &Pebc(Default::default()),
     ] {
-        let scoped = expand_clusters_with(&arena, &clusters, strategy, 4);
+        let want = sequential(6, strategy, &make);
         for threads in [1, 2, 8] {
-            let pool = WorkerPool::new(threads);
-            let scratches = ScratchPool::new();
-            let pooled = expand_clusters_pooled(&pool, &scratches, &arena, &clusters, strategy);
-            assert_eq!(pooled, scoped, "{} threads = {threads}", strategy.name());
+            let got = pooled(
+                &WorkerPool::new(threads),
+                &ScratchPool::new(),
+                6,
+                strategy,
+                &make,
+            );
+            assert_eq!(got, want, "{} threads = {threads}", strategy.name());
         }
     }
 }
 
 #[test]
-fn pooled_shared_parts_match_scoped_backend() {
+fn pooled_shared_parts_match_sequential() {
     let (arena, clusters) = arena_with_clusters(96, 6);
     let full = ResultSet::full(arena.size());
     let universes: Vec<ResultSet> = clusters.iter().map(|c| full.and_not(c)).collect();
-    let parts: Vec<(&ResultSet, &ResultSet)> = clusters.iter().zip(&universes).collect();
+    let make = |i: usize| QecInstance::from_shared_parts(&arena, &clusters[i], &universes[i]);
     let strategy = Iskr(IskrConfig::default());
-    let scoped = expand_shared_clusters_with(&arena, &parts, &strategy, 4);
-    let pool = WorkerPool::new(3);
-    let scratches = ScratchPool::new();
+    let want = sequential(6, &strategy, &make);
+    let (pool, scratches) = (WorkerPool::new(3), ScratchPool::new());
     // Repeated runs reuse the same warmed scratch pool.
     for _ in 0..3 {
-        let pooled = expand_shared_clusters_pooled(&pool, &scratches, &arena, &parts, &strategy);
-        assert_eq!(pooled, scoped);
+        assert_eq!(pooled(&pool, &scratches, 6, &strategy, &make), want);
     }
 }

@@ -66,11 +66,6 @@ pub struct AdmissionConfig {
 /// ([`QecEngine::expand_batch`](crate::QecEngine::expand_batch)).
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Build a pool at all. `false` falls back to the per-call
-    /// scoped-thread fan-out (and a pool-less `expand_batch` serves its
-    /// requests sequentially) — the baseline `bench_serving` measures
-    /// against.
-    pub enabled: bool,
     /// Worker threads; `0` resolves
     /// [`qec_core::default_parallelism`] once at engine build.
     pub threads: usize,
@@ -84,7 +79,6 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             threads: 0,
             batch_max: 64,
         }
@@ -96,11 +90,12 @@ impl Default for PoolConfig {
 /// engine carries a shard set; the flat path ignores it entirely.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Interchangeable replica engines per shard. Replicas share the
-    /// shard's corpus clone (the analyzer is `Arc`-shared, so this is
-    /// cheap) and scatter rotates across the healthy ones. `1` means no
-    /// replication: a shard whose only replica exhausts its retries is
-    /// omitted from the response.
+    /// Interchangeable replicas per shard. A replica is a health slot
+    /// (breaker, latency EWMA, counters) over the shard's one `Arc`-shared
+    /// corpus slice — adding replicas copies no corpus — and scatter
+    /// rotates across the healthy ones. `1` means no replication: a shard
+    /// whose only replica exhausts its retries is omitted from the
+    /// response.
     pub replicas: usize,
     /// Retries after a shard task's first failed attempt before the shard
     /// is omitted. Each retry waits a capped-exponential
@@ -171,22 +166,16 @@ pub struct EngineConfig {
     pub admission: AdmissionConfig,
     /// Replication + failover of the sharded scatter path.
     pub replication: ReplicationConfig,
-    /// Requests with at least this many non-empty clusters expand through
-    /// the per-cluster fan-out (the persistent pool when one is
-    /// configured, otherwise the scoped-thread
-    /// [`qec_core::expand_shared_clusters_with`]) instead of the
-    /// sequential loop. The single-request fan-out trades the
-    /// zero-allocation discipline for per-cluster parallelism, which wins
-    /// at big `k` on cache hits where expansion is the whole request;
-    /// batched requests always take the (allocation-free) pooled flat
-    /// task set when a pool exists. `usize::MAX` keeps every
-    /// single request sequential.
+    /// A single request asking for at least this many clusters
+    /// (`k_clusters`) is served as a batch of one: its per-cluster
+    /// expansions run as one flat task set on the worker pool — the same
+    /// allocation-free, cancellable path
+    /// [`expand_batch`](crate::QecEngine::expand_batch) takes — instead of
+    /// the sequential loop on the calling thread. Parallelism wins at big
+    /// `k` on cache hits, where expansion is the whole request; responses
+    /// are bit-identical either way. `usize::MAX` keeps every single
+    /// request sequential.
     pub fanout_min_clusters: usize,
-    /// Worker count of the scoped-thread fan-out fallback (spawned per
-    /// request when the pool is disabled and a request reaches
-    /// `fanout_min_clusters`); `0` resolves
-    /// [`qec_core::default_parallelism`] once at engine build.
-    pub fanout_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -202,7 +191,6 @@ impl Default for EngineConfig {
             admission: AdmissionConfig::default(),
             replication: ReplicationConfig::default(),
             fanout_min_clusters: 8,
-            fanout_threads: 0,
         }
     }
 }

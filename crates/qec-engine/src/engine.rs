@@ -22,27 +22,23 @@
 //! `zero_alloc_engine` integration test arms a counting allocator around
 //! exactly this loop). A miss pays the full retrieve → rank → cluster →
 //! arena rebuild and publishes the result for every other session.
-//! Requests with at least [`EngineConfig::fanout_min_clusters`] non-empty
-//! clusters trade the zero-allocation discipline for the scoped-thread
-//! per-cluster fan-out instead.
+//! A single request asking for at least
+//! [`EngineConfig::fanout_min_clusters`] clusters is served as a batch of
+//! one, so its per-cluster expansions spread across the worker pool on
+//! the same allocation-free path.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use qec_cluster::{doc_tf_vector, Clusterer, KMeansClusterer, SparseVec};
 use qec_core::{
-    default_parallelism, expand_shared_clusters_pooled_into, expand_shared_clusters_with, Backoff,
-    CancelSignal, CancelToken, CircuitBreaker, DisjointSlots, ExactDeltaF, ExpandedQuery, Expander,
-    ExpansionArena, Iskr, IskrScratch, MergeScratch, Pebc, QecInstance, ResultSet, ScratchPool,
-    WorkerPool,
+    default_parallelism, CancelToken, DisjointSlots, ExactDeltaF, ExpandedQuery, Expander,
+    ExpansionArena, Iskr, IskrScratch, Pebc, QecInstance, ResultSet, ScratchPool, WorkerPool,
 };
-use qec_index::{
-    Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher,
-    TfIdfRanker,
-};
+use qec_index::{Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, SearchScratch};
 use qec_snapshot::{SnapshotError, SnapshotSummary};
 use qec_text::TermId;
 
@@ -53,7 +49,8 @@ use crate::boot::BootStats;
 use crate::cache::{
     BuildTicket, CacheProbe, CacheStats, CachedCluster, CachedPipeline, KeyRef, SharedArenaCache,
 };
-use crate::config::{EngineConfig, ReplicationConfig};
+use crate::config::EngineConfig;
+use crate::shard::{retrieve_ranked, ShardSet};
 
 /// Flat-task outcome markers (see [`BatchScratch::task_state`]).
 const TASK_CANCELLED: u8 = 0;
@@ -142,686 +139,6 @@ struct BatchScratch {
     task_state: Vec<u8>,
 }
 
-/// The scatter half of a sharded deployment: N doc-partitioned shard
-/// groups (each a set of interchangeable replica engines) plus the
-/// counters and failover policy the gather side needs. Held by the gather
-/// [`QecEngine`]; assembled by `ShardedEngineBuilder` (see
-/// [`crate::shard`]).
-pub(crate) struct ShardSet {
-    /// One replica group per contiguous-`DocId` shard, in shard order.
-    pub(crate) shards: Vec<ShardReplicas>,
-    /// Global `DocId` of each shard's local doc 0 (`bases[i] =
-    /// Σ len(shard < i)`): the offset translation applied to scattered
-    /// hits before the merge.
-    pub(crate) bases: Vec<u32>,
-    /// Retry / hedge / breaker policy of the scatter path.
-    pub(crate) replication: ReplicationConfig,
-}
-
-/// One shard's interchangeable replicas plus its rotation cursor and
-/// shard-level counters.
-pub(crate) struct ShardReplicas {
-    /// The replica engines, all over the same corpus slice. Each is
-    /// independently servable (its responses then rank by shard-local
-    /// statistics); the gather scatter path uses only their corpora and
-    /// retrieval scratches. `Arc`d because hedged/retried attempts run as
-    /// fire-and-forget pool jobs that may outlive the request that
-    /// spawned them.
-    pub(crate) replicas: Vec<ReplicaSlot>,
-    /// Rotation cursor: each scatter starts its replica selection at the
-    /// next position, spreading load across healthy replicas.
-    rotation: AtomicUsize,
-    /// Scattered retrievals resolved by this shard (one per request that
-    /// got this shard's list, however many attempts that took).
-    pub(crate) retrievals: AtomicU64,
-    /// Hedged duplicate tasks dispatched for this shard.
-    pub(crate) hedges: AtomicU64,
-    /// Requests that gave up on this shard (every replica failed,
-    /// breaker-refused, or out of retry budget) and served partial.
-    pub(crate) omissions: AtomicU64,
-}
-
-/// One replica engine plus its health state: circuit breaker, latency
-/// EWMA (feeds the adaptive hedge delay), and attempt counters.
-pub(crate) struct ReplicaSlot {
-    pub(crate) engine: Arc<QecEngine>,
-    /// Consecutive-failure breaker; open replicas are skipped by
-    /// selection until a half-open probe heals them.
-    pub(crate) breaker: CircuitBreaker,
-    /// EWMA of successful attempt latency, stored as `f64` bits (`0.0` =
-    /// no samples yet).
-    ewma_nanos: AtomicU64,
-    /// Successful retrieval attempts served by this replica.
-    pub(crate) retrievals: AtomicU64,
-    /// Failed retrieval attempts (panics and injected faults).
-    pub(crate) failures: AtomicU64,
-}
-
-/// EWMA smoothing factor for per-replica latency.
-const EWMA_ALPHA: f64 = 0.2;
-/// Bounds of the adaptive hedge delay (≈3× EWMA mean, clamped).
-const MIN_HEDGE: Duration = Duration::from_micros(200);
-const MAX_HEDGE: Duration = Duration::from_millis(100);
-/// Hedge delay before any latency sample exists.
-const DEFAULT_HEDGE: Duration = Duration::from_millis(2);
-/// Backoff delays double per retry up to `retry_base ×` this cap.
-const BACKOFF_CAP_FACTOR: u32 = 16;
-
-impl ReplicaSlot {
-    fn new(engine: QecEngine, replication: &ReplicationConfig) -> Self {
-        Self {
-            engine: Arc::new(engine),
-            breaker: CircuitBreaker::new(
-                replication.breaker_threshold,
-                replication.breaker_cooldown,
-            ),
-            ewma_nanos: AtomicU64::new(0),
-            retrievals: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-        }
-    }
-
-    /// Folds a successful attempt's latency into the EWMA (CAS loop —
-    /// concurrent observers both land, last writer's blend wins the race
-    /// harmlessly).
-    fn observe_latency(&self, nanos: u64) {
-        let mut cur = self.ewma_nanos.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(cur);
-            let new = if old == 0.0 {
-                nanos as f64
-            } else {
-                old + EWMA_ALPHA * (nanos as f64 - old)
-            };
-            match self.ewma_nanos.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The replica's observed mean attempt latency (zero before any
-    /// sample).
-    pub(crate) fn mean_latency(&self) -> Duration {
-        Duration::from_nanos(f64::from_bits(self.ewma_nanos.load(Ordering::Relaxed)) as u64)
-    }
-
-    /// How long a task on this replica may run before a hedged duplicate
-    /// is dispatched: the configured override, or ~3× the replica's EWMA
-    /// mean — roughly the tail beyond p95 for well-behaved latency
-    /// distributions — clamped to sane bounds.
-    fn hedge_delay(&self, replication: &ReplicationConfig) -> Duration {
-        if let Some(d) = replication.hedge_after {
-            return d;
-        }
-        let mean = self.mean_latency();
-        if mean.is_zero() {
-            DEFAULT_HEDGE
-        } else {
-            (mean * 3).clamp(MIN_HEDGE, MAX_HEDGE)
-        }
-    }
-}
-
-impl ShardSet {
-    /// Wraps per-shard replica groups (in shard order), deriving each
-    /// shard's global `DocId` base from the cumulative corpus sizes.
-    /// Every group must hold at least one replica, and a shard's replicas
-    /// must all cover the same corpus slice.
-    pub(crate) fn new(groups: Vec<Vec<QecEngine>>, replication: ReplicationConfig) -> Self {
-        let mut bases = Vec::with_capacity(groups.len());
-        let mut base = 0u32;
-        for group in &groups {
-            bases.push(base);
-            base += group
-                .first()
-                .expect("every shard needs at least one replica")
-                .corpus()
-                .num_docs() as u32;
-        }
-        let shards = groups
-            .into_iter()
-            .map(|group| ShardReplicas {
-                replicas: group
-                    .into_iter()
-                    .map(|e| ReplicaSlot::new(e, &replication))
-                    .collect(),
-                rotation: AtomicUsize::new(0),
-                retrievals: AtomicU64::new(0),
-                hedges: AtomicU64::new(0),
-                omissions: AtomicU64::new(0),
-            })
-            .collect();
-        Self {
-            shards,
-            bases,
-            replication,
-        }
-    }
-}
-
-/// Failpoint site covering one shard's retrieval attempts regardless of
-/// replica — how a chaos test takes a *whole shard* down.
-#[cfg(feature = "failpoints")]
-fn shard_site(shard: usize) -> &'static str {
-    const SITES: [&str; 8] = [
-        "shard.retrieve.0",
-        "shard.retrieve.1",
-        "shard.retrieve.2",
-        "shard.retrieve.3",
-        "shard.retrieve.4",
-        "shard.retrieve.5",
-        "shard.retrieve.6",
-        "shard.retrieve.7",
-    ];
-    SITES.get(shard).copied().unwrap_or("shard.retrieve.rest")
-}
-
-/// Failpoint site covering one replica *position* across all shards —
-/// how a chaos test kills or stalls "replica 0 of every shard" (the
-/// moral equivalent of one failed machine in a striped deployment).
-#[cfg(feature = "failpoints")]
-fn replica_site(replica: usize) -> &'static str {
-    const SITES: [&str; 4] = [
-        "shard.replica.retrieve.0",
-        "shard.replica.retrieve.1",
-        "shard.replica.retrieve.2",
-        "shard.replica.retrieve.3",
-    ];
-    SITES
-        .get(replica)
-        .copied()
-        .unwrap_or("shard.replica.retrieve.rest")
-}
-
-/// The read-only half of one scatter, shared by every attempt job of the
-/// request: owned copies of the query (pool jobs are `'static` — they may
-/// outlive the request as cancelled losers) plus the completion channel
-/// back to the coordinator.
-struct ScatterShared {
-    terms: Vec<TermId>,
-    idfs: Vec<f64>,
-    semantics: QuerySemantics,
-    top_k: usize,
-    completions: Mutex<Vec<Completion>>,
-    arrived: Condvar,
-}
-
-/// One attempt's report back to the scatter coordinator.
-struct Completion {
-    shard: u32,
-    replica: u32,
-    /// `Ok(hits)` on success; `Err(true)` when the attempt was cancelled
-    /// before it started (its shard already resolved); `Err(false)` on
-    /// failure (panic or injected fault).
-    outcome: Result<Vec<Hit>, bool>,
-    /// Wall-clock nanoseconds the successful attempt took (EWMA input).
-    nanos: u64,
-}
-
-/// The coordinator's per-shard progress while a scatter is in flight.
-struct ShardProgress {
-    /// The shard's globally-offset top-K list once a replica delivered it.
-    done: Option<Vec<Hit>>,
-    /// The shard gave up: every replica failed, was breaker-refused, or
-    /// the retry budget / deadline ran out.
-    omitted: bool,
-    /// Attempts currently dispatched and unreported.
-    in_flight: u32,
-    /// Retries dispatched so far (hedges don't count).
-    retries: usize,
-    /// A hedged duplicate was dispatched (at most one per shard).
-    hedged: bool,
-    /// Bitmask of replica indices already attempted — the hedge target
-    /// must be an *untried* replica. (Indices ≥ 64 never mark the mask;
-    /// hedging may then re-pick a tried replica, which is harmless.)
-    tried: u64,
-    /// Next replica index the selection scan starts from.
-    cursor: usize,
-    /// When to dispatch the hedged duplicate (set at dispatch; `None`
-    /// when hedging is off, spent, or moot).
-    hedge_at: Option<Instant>,
-    /// When to dispatch the next retry (set when all attempts failed).
-    retry_at: Option<Instant>,
-    backoff: Backoff,
-    /// Cancellation handles of the shard's outstanding attempts; fired
-    /// when the shard resolves so queued losers bail without running.
-    cancels: Vec<CancelSignal>,
-}
-
-fn replica_bit(replica: usize) -> u64 {
-    1u64.checked_shl(replica as u32).unwrap_or(0)
-}
-
-/// One retrieval attempt against one replica: the per-shard half of the
-/// old scatter closure, behind a panic boundary so a poisoned replica
-/// reports `Err` instead of tearing down its worker. Checks the legacy
-/// whole-scatter site, the per-shard site, and the per-replica site (in
-/// that order) so chaos tests can target any granularity. Scores with the
-/// **gather** corpus's idf (`idfs`), which is what keeps merged rankings
-/// bit-identical to the flat engine regardless of which replica answers.
-#[allow(clippy::too_many_arguments)]
-fn replica_attempt(
-    engine: &QecEngine,
-    base: u32,
-    shard: usize,
-    replica: usize,
-    terms: &[TermId],
-    idfs: &[f64],
-    semantics: QuerySemantics,
-    top_k: usize,
-) -> Result<Vec<Hit>, ()> {
-    #[cfg(not(feature = "failpoints"))]
-    let _ = (shard, replica);
-    catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(feature = "failpoints")]
-        {
-            if qec_failpoint::check("shard.retrieve").is_err()
-                || qec_failpoint::check(shard_site(shard)).is_err()
-                || qec_failpoint::check(replica_site(replica)).is_err()
-            {
-                return Err(());
-            }
-        }
-        let mut search = engine.build_scratches.acquire();
-        let searcher = Searcher::new(&engine.corpus);
-        match semantics {
-            QuerySemantics::And => searcher.and_query_into(terms, &mut search),
-            QuerySemantics::Or => searcher.or_query_into(terms, &mut search),
-        }
-        let mut hits = Vec::new();
-        TfIdfRanker::new(&engine.corpus).rank_with_idf_into(
-            search.results(),
-            terms,
-            idfs,
-            top_k,
-            &mut hits,
-        );
-        engine.build_scratches.release(search);
-        let base = DocId(base);
-        for hit in hits.iter_mut() {
-            hit.doc = DocId(hit.doc.0 + base.0);
-        }
-        Ok(hits)
-    }))
-    .unwrap_or(Err(()))
-}
-
-impl ShardSet {
-    /// Picks the next admitted replica of shard `si` (rotation order from
-    /// `sp.cursor`, skipping open breakers — and already-tried replicas
-    /// when `untried_only`) and dispatches one attempt for it as a
-    /// fire-and-forget pool job. Returns `false` when no replica is
-    /// admissible.
-    fn dispatch_attempt(
-        &self,
-        pool: &WorkerPool,
-        shared: &Arc<ScatterShared>,
-        si: usize,
-        sp: &mut ShardProgress,
-        untried_only: bool,
-    ) -> bool {
-        let shard = &self.shards[si];
-        let n = shard.replicas.len();
-        let now = Instant::now();
-        let mut picked = None;
-        for off in 0..n {
-            let ri = (sp.cursor + off) % n;
-            if untried_only && sp.tried & replica_bit(ri) != 0 {
-                continue;
-            }
-            if shard.replicas[ri].breaker.try_admit(now) {
-                picked = Some(ri);
-                break;
-            }
-        }
-        let Some(ri) = picked else {
-            return false;
-        };
-        sp.cursor = (ri + 1) % n;
-        sp.tried |= replica_bit(ri);
-        sp.in_flight += 1;
-        sp.hedge_at =
-            (!sp.hedged && n > 1).then(|| now + shard.replicas[ri].hedge_delay(&self.replication));
-        let (token, signal) = CancelToken::manual();
-        sp.cancels.push(signal);
-        let engine = Arc::clone(&shard.replicas[ri].engine);
-        let base = self.bases[si];
-        let sh = Arc::clone(shared);
-        pool.spawn(Box::new(move || {
-            // A queued loser whose shard already resolved bails here; an
-            // attempt already *running* when its shard resolves runs to
-            // completion and reports as a late duplicate instead (the
-            // retrieval kernels are not interruptible mid-flight).
-            let (outcome, nanos) = if token.is_cancelled() {
-                (Err(true), 0)
-            } else {
-                let t0 = Instant::now();
-                let result = replica_attempt(
-                    &engine,
-                    base,
-                    si,
-                    ri,
-                    &sh.terms,
-                    &sh.idfs,
-                    sh.semantics,
-                    sh.top_k,
-                );
-                let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                (result.map_err(|()| false), nanos)
-            };
-            let mut queue = sh.completions.lock().unwrap_or_else(|e| e.into_inner());
-            queue.push(Completion {
-                shard: si as u32,
-                replica: ri as u32,
-                outcome,
-                nanos,
-            });
-            drop(queue);
-            sh.arrived.notify_all();
-        }));
-        true
-    }
-
-    /// The pooled scatter coordinator: dispatches one attempt per shard,
-    /// then reacts to completions and timers (retry backoff, hedge
-    /// delays) until every shard either delivered its list or was
-    /// explicitly omitted. Runs on the submitting thread; attempts are
-    /// fire-and-forget pool jobs, so a stalled replica never wedges a
-    /// worker the coordinator is waiting on.
-    ///
-    /// The request's `deadline` bounds retry *scheduling* (a backoff wait
-    /// that would outlive it omits the shard instead), but never truncates
-    /// an attempt already in flight — a deadline-shaped result here would
-    /// get cached and served to requests with laxer deadlines.
-    fn scatter_pooled(
-        &self,
-        pool: &WorkerPool,
-        terms: &[TermId],
-        idfs: &[f64],
-        semantics: QuerySemantics,
-        top_k: usize,
-        deadline: Option<Instant>,
-    ) -> (Vec<Vec<Hit>>, Vec<u32>) {
-        let n = self.shards.len();
-        let replication = &self.replication;
-        let shared = Arc::new(ScatterShared {
-            terms: terms.to_vec(),
-            idfs: idfs.to_vec(),
-            semantics,
-            top_k,
-            completions: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-        });
-        let mut progress: Vec<ShardProgress> = (0..n)
-            .map(|si| {
-                let replicas = self.shards[si].replicas.len();
-                ShardProgress {
-                    done: None,
-                    omitted: false,
-                    in_flight: 0,
-                    retries: 0,
-                    hedged: false,
-                    tried: 0,
-                    cursor: self.shards[si].rotation.fetch_add(1, Ordering::Relaxed) % replicas,
-                    hedge_at: None,
-                    retry_at: None,
-                    backoff: Backoff::new(
-                        replication.retry_base,
-                        replication.retry_base.saturating_mul(BACKOFF_CAP_FACTOR),
-                        0x9E37_79B9_7F4A_7C15u64.wrapping_mul(si as u64 + 1),
-                    ),
-                    cancels: Vec::new(),
-                }
-            })
-            .collect();
-        let mut unresolved = n;
-        for (si, sp) in progress.iter_mut().enumerate() {
-            if !self.dispatch_attempt(pool, &shared, si, sp, false) {
-                // Every replica breaker-refused at dispatch: omitted
-                // outright (the breakers' cooldowns outlast any sane
-                // request deadline).
-                Self::omit(&self.shards[si], sp, &mut unresolved);
-            }
-        }
-        while unresolved > 0 {
-            // Fire due timers and find the earliest pending one.
-            let now = Instant::now();
-            let mut wake: Option<Instant> = None;
-            for (si, sp) in progress.iter_mut().enumerate() {
-                if sp.done.is_some() || sp.omitted {
-                    continue;
-                }
-                if let Some(at) = sp.retry_at {
-                    if at <= now {
-                        sp.retry_at = None;
-                        sp.retries += 1;
-                        if !self.dispatch_attempt(pool, &shared, si, sp, false) {
-                            Self::omit(&self.shards[si], sp, &mut unresolved);
-                            continue;
-                        }
-                    } else {
-                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
-                    }
-                }
-                if let Some(at) = sp.hedge_at {
-                    if sp.hedged || sp.in_flight != 1 {
-                        sp.hedge_at = None;
-                    } else if at <= now {
-                        sp.hedge_at = None;
-                        if self.dispatch_attempt(pool, &shared, si, sp, true) {
-                            sp.hedged = true;
-                            self.shards[si].hedges.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
-                    }
-                }
-            }
-            if unresolved == 0 {
-                break;
-            }
-            // Wait for completions (or the next timer). The lock is held
-            // from the emptiness check into the wait, so a completion
-            // arriving in between cannot be missed.
-            let mut queue = shared.completions.lock().unwrap_or_else(|e| e.into_inner());
-            if queue.is_empty() {
-                queue = match wake {
-                    Some(at) if at > now => {
-                        shared
-                            .arrived
-                            .wait_timeout(queue, at - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                    }
-                    // A timer is already due: loop back and fire it.
-                    Some(_) => queue,
-                    None => shared
-                        .arrived
-                        .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner()),
-                };
-            }
-            let batch = std::mem::take(&mut *queue);
-            drop(queue);
-            for c in batch {
-                self.absorb_completion(c, &mut progress, &mut unresolved, deadline);
-            }
-        }
-        let mut lists = Vec::new();
-        let mut omitted = Vec::new();
-        for (si, sp) in progress.into_iter().enumerate() {
-            match sp.done {
-                Some(hits) => lists.push(hits),
-                None => {
-                    debug_assert!(sp.omitted);
-                    omitted.push(si as u32);
-                }
-            }
-        }
-        (lists, omitted)
-    }
-
-    /// Folds one attempt report into the coordinator state: updates the
-    /// replica's breaker/EWMA/counters, resolves the shard on first
-    /// success (late duplicates are checked for bit-parity and dropped),
-    /// and schedules a retry — or omits the shard — when its last
-    /// in-flight attempt failed.
-    fn absorb_completion(
-        &self,
-        c: Completion,
-        progress: &mut [ShardProgress],
-        unresolved: &mut usize,
-        deadline: Option<Instant>,
-    ) {
-        let si = c.shard as usize;
-        let sp = &mut progress[si];
-        let shard = &self.shards[si];
-        let slot = &shard.replicas[c.replica as usize];
-        sp.in_flight -= 1;
-        match c.outcome {
-            Ok(hits) => {
-                slot.breaker.record_success();
-                slot.observe_latency(c.nanos);
-                slot.retrievals.fetch_add(1, Ordering::Relaxed);
-                if let Some(first) = &sp.done {
-                    // A hedge's loser finished anyway: both replicas hold
-                    // the same corpus slice and scored with the same
-                    // global idf, so their lists must agree bit for bit.
-                    debug_assert_eq!(
-                        first, &hits,
-                        "replicas of one shard returned diverging rankings"
-                    );
-                } else if !sp.omitted {
-                    sp.done = Some(hits);
-                    shard.retrievals.fetch_add(1, Ordering::Relaxed);
-                    *unresolved -= 1;
-                    for sig in sp.cancels.drain(..) {
-                        sig.cancel();
-                    }
-                }
-            }
-            Err(skipped) => {
-                if !skipped {
-                    slot.breaker.record_failure(Instant::now());
-                    slot.failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if sp.done.is_none() && !sp.omitted && sp.in_flight == 0 && sp.retry_at.is_none() {
-                    if sp.retries >= self.replication.retry_max {
-                        Self::omit(shard, sp, unresolved);
-                    } else {
-                        let now = Instant::now();
-                        match sp.backoff.next_before(now, deadline) {
-                            Some(delay) => sp.retry_at = Some(now + delay),
-                            // The backoff wait alone would outlive the
-                            // request's deadline: give the shard up now
-                            // instead of sleeping into a guaranteed miss.
-                            None => Self::omit(shard, sp, unresolved),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn omit(shard: &ShardReplicas, sp: &mut ShardProgress, unresolved: &mut usize) {
-        sp.omitted = true;
-        shard.omissions.fetch_add(1, Ordering::Relaxed);
-        *unresolved -= 1;
-        for sig in sp.cancels.drain(..) {
-            sig.cancel();
-        }
-    }
-
-    /// The pool-less scatter: shards served one after another on the
-    /// calling thread with the same rotation / breaker / retry policy,
-    /// but no hedging (there is no second thread to hedge onto) and
-    /// backoff waits slept inline.
-    fn scatter_sequential(
-        &self,
-        terms: &[TermId],
-        idfs: &[f64],
-        semantics: QuerySemantics,
-        top_k: usize,
-        deadline: Option<Instant>,
-    ) -> (Vec<Vec<Hit>>, Vec<u32>) {
-        let replication = &self.replication;
-        let mut lists = Vec::new();
-        let mut omitted = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let n = shard.replicas.len();
-            let start = shard.rotation.fetch_add(1, Ordering::Relaxed) % n;
-            let mut backoff = Backoff::new(
-                replication.retry_base,
-                replication.retry_base.saturating_mul(BACKOFF_CAP_FACTOR),
-                0x9E37_79B9_7F4A_7C15u64.wrapping_mul(si as u64 + 1),
-            );
-            let mut resolved = false;
-            for attempt in 0..=replication.retry_max {
-                let now = Instant::now();
-                let Some(ri) = (0..n)
-                    .map(|off| (start + attempt + off) % n)
-                    .find(|&ri| shard.replicas[ri].breaker.try_admit(now))
-                else {
-                    break;
-                };
-                let slot = &shard.replicas[ri];
-                let t0 = Instant::now();
-                match replica_attempt(
-                    &slot.engine,
-                    self.bases[si],
-                    si,
-                    ri,
-                    terms,
-                    idfs,
-                    semantics,
-                    top_k,
-                ) {
-                    Ok(hits) => {
-                        slot.breaker.record_success();
-                        slot.observe_latency(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                        slot.retrievals.fetch_add(1, Ordering::Relaxed);
-                        shard.retrievals.fetch_add(1, Ordering::Relaxed);
-                        lists.push(hits);
-                        resolved = true;
-                        break;
-                    }
-                    Err(()) => {
-                        slot.breaker.record_failure(Instant::now());
-                        slot.failures.fetch_add(1, Ordering::Relaxed);
-                        if attempt == replication.retry_max {
-                            break;
-                        }
-                        match backoff.next_before(Instant::now(), deadline) {
-                            Some(delay) => std::thread::sleep(delay),
-                            None => break,
-                        }
-                    }
-                }
-            }
-            if !resolved {
-                shard.omissions.fetch_add(1, Ordering::Relaxed);
-                omitted.push(si as u32);
-            }
-        }
-        (lists, omitted)
-    }
-}
-
-/// Strict total order of the global ranking: score descending, `DocId`
-/// ascending on ties (scores are finite, doc ids unique). The k-way gather
-/// merge and the shard-side selection both order by exactly this, which is
-/// what makes merged shard rankings bit-identical to the flat sort in
-/// [`TfIdfRanker::rank`].
-fn hit_before(a: &Hit, b: &Hit) -> bool {
-    a.score > b.score || (a.score == b.score && a.doc < b.doc)
-}
-
 /// The unified serving facade over retrieve → rank → cluster → expand.
 ///
 /// Shared by reference across threads: `expand` takes `&self`; sessions
@@ -835,22 +152,15 @@ pub struct QecEngine {
     exact: ExactDeltaF,
     pebc: Pebc,
     cache: SharedArenaCache,
-    /// Worker count for the scoped-thread fan-out fallback, resolved once
-    /// at build time from the process-wide [`default_parallelism`] cache
-    /// (`available_parallelism` probes cgroup/affinity state per call —
-    /// not something to pay on the serving hot path).
-    fanout_threads: usize,
-    /// The persistent work-stealing pool serving fan-outs and batches;
-    /// `None` falls back to scoped threads / sequential batches. `Arc`d so
-    /// a sharded deployment runs every shard engine and the gather engine
-    /// on **one** pool instead of oversubscribing the machine N+1 times.
-    pool: Option<Arc<WorkerPool>>,
+    /// The persistent work-stealing pool serving fan-outs, batches and —
+    /// on a gather engine — every scattered shard retrieval.
+    pool: WorkerPool,
     /// Doc-partitioned shard set — present only on the **gather** engine
     /// assembled by `ShardedEngineBuilder`. When set, cold pipeline builds
-    /// scatter retrieval + ranking across the shard engines and merge the
-    /// per-shard top-k lists; everything downstream (clustering, arena,
-    /// expansion) runs on the gather side against the full corpus, which
-    /// this engine still owns (so term statistics stay global).
+    /// scatter retrieval + ranking across the shards' corpus slices and
+    /// merge the per-shard top-k lists; everything downstream (clustering,
+    /// arena, expansion) runs on the gather side against the full corpus,
+    /// which this engine still owns (so term statistics stay global).
     shards: Option<ShardSet>,
     /// Shared expansion scratches for pool tasks.
     scratches: ScratchPool,
@@ -994,6 +304,15 @@ impl QecEngine {
     ///   The engine stays serviceable either way.
     #[must_use = "dropping the Result silently discards sheds and failures; handle the EngineError"]
     pub fn try_expand(&self, req: &ExpandRequest<'_>) -> Result<ExpandResponse, EngineError> {
+        if req.k_clusters >= self.config.fanout_min_clusters {
+            // Big k: a chunk of one, so the per-cluster expansions spread
+            // across the pool (bit-identical to the loop below).
+            let mut buf = lock(&self.result_bufs).pop().unwrap_or_default();
+            self.serve_chunk_pooled(std::slice::from_ref(req), &mut buf);
+            let result = buf.pop().expect("one result per request");
+            lock(&self.result_bufs).push(buf);
+            return result;
+        }
         let now = Instant::now();
         let deadline = req.effective_deadline(now);
         if deadline.is_some_and(|d| d <= now) {
@@ -1023,10 +342,9 @@ impl QecEngine {
         lock(&self.responses).push(resp);
     }
 
-    /// Worker threads of the persistent pool (`0` when the pool is
-    /// disabled and serving falls back to scoped threads).
+    /// Worker threads of the persistent pool (at least one).
     pub fn pool_threads(&self) -> usize {
-        self.pool.as_deref().map_or(0, WorkerPool::threads)
+        self.pool.threads()
     }
 
     /// The shard set when this is the gather engine of a sharded
@@ -1112,10 +430,7 @@ impl QecEngine {
     ///   allocator around exactly this loop.
     ///
     /// Slices longer than [`PoolConfig::batch_max`](crate::config::PoolConfig::batch_max)
-    /// are served in chunks of that many requests. Without a pool
-    /// ([`PoolConfig::enabled`](crate::config::PoolConfig::enabled) =
-    /// `false`) requests are served sequentially — the shared cache still
-    /// collapses identical keys within the batch to one build.
+    /// are served in chunks of that many requests.
     pub fn expand_batch_into(&self, reqs: &[ExpandRequest<'_>], out: &mut Vec<ExpandResponse>) {
         out.clear();
         let mut buf = lock(&self.result_bufs).pop().unwrap_or_default();
@@ -1151,21 +466,12 @@ impl QecEngine {
         out: &mut Vec<Result<ExpandResponse, EngineError>>,
     ) {
         out.clear();
-        match self.pool.as_deref() {
-            Some(pool) => {
-                let chunk_max = match self.config.pool.batch_max {
-                    0 => reqs.len().max(1),
-                    max => max,
-                };
-                for chunk in reqs.chunks(chunk_max) {
-                    self.serve_chunk_pooled(pool, chunk, out);
-                }
-            }
-            None => {
-                for req in reqs {
-                    out.push(self.try_expand(req));
-                }
-            }
+        let chunk_max = match self.config.pool.batch_max {
+            0 => reqs.len().max(1),
+            max => max,
+        };
+        for chunk in reqs.chunks(chunk_max) {
+            self.serve_chunk_pooled(chunk, out);
         }
     }
 
@@ -1175,7 +481,6 @@ impl QecEngine {
     /// fill per-request `Result`s in request order.
     fn serve_chunk_pooled(
         &self,
-        pool: &WorkerPool,
         reqs: &[ExpandRequest<'_>],
         out: &mut Vec<Result<ExpandResponse, EngineError>>,
     ) {
@@ -1397,7 +702,7 @@ impl QecEngine {
             if cold.len() >= 2 && self.shards.is_none() {
                 let n = cold.len();
                 let slots = DisjointSlots::new(&mut cold[..]);
-                pool.run_indexed(n, &|i| {
+                self.pool.run_indexed(n, &|i| {
                     // SAFETY: `run_indexed` hands each index to exactly
                     // one task, so slot `i` is never aliased.
                     do_build(unsafe { slots.get(i) });
@@ -1458,7 +763,7 @@ impl QecEngine {
         b.task_state.clear();
         b.task_state.resize(total, TASK_CANCELLED);
 
-        if total >= 2 {
+        if total > 0 {
             // The batched hot path: every cluster of every request as one
             // flat task set across the pool, scratches drawn from the
             // shared scratch pool on whichever worker claims each task.
@@ -1481,10 +786,11 @@ impl QecEngine {
             let tokens: &[CancelToken] = tokens;
             let slots = DisjointSlots::new(&mut outs[..total]);
             let states = DisjointSlots::new(&mut task_state[..total]);
-            pool.run_indexed(total, &|t| {
+            let task = |t: usize| {
                 let r = task_req[t] as usize;
-                // SAFETY: `run_indexed` hands each index to exactly one
-                // task, so slots `t` are never aliased.
+                // SAFETY: each index runs exactly once (`run_indexed`'s
+                // contract; the lone inline call below), so slots `t` are
+                // never aliased.
                 let (slot, state) = unsafe { (slots.get(t), states.get(t)) };
                 let token = &tokens[r];
                 if token.is_cancelled() {
@@ -1516,41 +822,13 @@ impl QecEngine {
                     // the scratch; the slot is ignored at fill time.
                     Err(_) => TASK_PANICKED,
                 };
-            });
-        } else if total == 1 {
-            let BatchScratch {
-                groups,
-                group_of,
-                task_req,
-                outs,
-                tokens,
-                task_state,
-                sessions,
-                ..
-            } = b;
-            let r = task_req[0] as usize;
-            let token = &tokens[r];
-            task_state[0] = if token.is_cancelled() {
-                TASK_CANCELLED
-            } else {
-                let p = pipeline_of(groups, group_of, r);
-                let cc = &p.clusters[0];
-                let inst = QecInstance::from_shared_parts(&p.arena, &cc.cluster, &cc.universe);
-                let s = &mut sessions[r];
-                let out0 = &mut outs[0];
-                let expander = self.expander_for(reqs[r].strategy);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "failpoints")]
-                    if qec_failpoint::check("engine.expand_task").is_err() {
-                        panic!("injected expand-task fault");
-                    }
-                    expander.expand_cancellable(&inst, &mut s.iskr, out0, token)
-                })) {
-                    Ok(true) => TASK_OK,
-                    Ok(false) => TASK_CANCELLED,
-                    Err(_) => TASK_PANICKED,
-                }
             };
+            if total == 1 {
+                // Nothing to spread: run the lone task on this thread.
+                task(0);
+            } else {
+                self.pool.run_indexed(total, &task);
+            }
         }
 
         // Fill per-request results in request order (cheap copies; done on
@@ -1692,85 +970,28 @@ impl QecEngine {
         let arena = &pipeline.arena;
         let k = pipeline.clusters.len();
         resp.begin(k);
-        let use_fanout = k >= self.config.fanout_min_clusters;
-        let completed = if let Some(pool) = self.pool.as_deref().filter(|_| use_fanout) {
-            // Big k: per-cluster fan-out through the persistent pool.
-            // Allocates (parts/output bookkeeping) but wins wall-clock
-            // when expansion dominates the request — the common case on
-            // cache hits.
-            let parts: Vec<(&ResultSet, &ResultSet)> = pipeline
-                .clusters
-                .iter()
-                .map(|cc| (&cc.cluster, &cc.universe))
-                .collect();
-            let mut outs = vec![ExpandedQuery::default(); parts.len()];
-            let completed = if token.is_active() {
-                let mut done = vec![false; parts.len()];
-                qec_core::expand_shared_clusters_pooled_cancellable(
-                    pool,
-                    &self.scratches,
-                    arena,
-                    &parts,
-                    expander,
-                    &mut outs,
-                    &mut done,
-                    &token,
-                );
-                done.iter().take_while(|&&d| d).count()
-            } else {
-                expand_shared_clusters_pooled_into(
-                    pool,
-                    &self.scratches,
-                    arena,
-                    &parts,
-                    expander,
-                    &mut outs,
-                );
-                k
-            };
-            for (c, out) in outs.iter().enumerate().take(completed) {
-                fill_slot(resp.slot(c), &pipeline.clusters[c], &pipeline, out, req);
+        let mut completed = 0;
+        for (i, cc) in pipeline.clusters.iter().enumerate() {
+            if token.is_cancelled() {
+                break;
             }
-            completed
-        } else if use_fanout && !token.is_active() {
-            // Pool-less big k: freshly scoped threads. (An *active* token
-            // takes the sequential loop below instead — prefix semantics
-            // beat fan-out parallelism once a deadline is in play.)
-            let parts: Vec<(&ResultSet, &ResultSet)> = pipeline
-                .clusters
-                .iter()
-                .map(|cc| (&cc.cluster, &cc.universe))
-                .collect();
-            let outs = expand_shared_clusters_with(arena, &parts, expander, self.fanout_threads);
-            for (i, (cc, out)) in pipeline.clusters.iter().zip(&outs).enumerate() {
-                fill_slot(resp.slot(i), cc, &pipeline, out, req);
-            }
-            k
-        } else {
-            let mut completed = 0;
-            for (i, cc) in pipeline.clusters.iter().enumerate() {
-                if token.is_cancelled() {
-                    break;
+            let inst = QecInstance::from_shared_parts(arena, &cc.cluster, &cc.universe);
+            let finished = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "failpoints")]
+                if qec_failpoint::check("engine.expand_task").is_err() {
+                    panic!("injected expand-task fault");
                 }
-                let inst = QecInstance::from_shared_parts(arena, &cc.cluster, &cc.universe);
-                let finished = catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "failpoints")]
-                    if qec_failpoint::check("engine.expand_task").is_err() {
-                        panic!("injected expand-task fault");
-                    }
-                    expander.expand_cancellable(&inst, &mut s.iskr, &mut s.expanded, &token)
-                }));
-                match finished {
-                    Ok(true) => {
-                        fill_slot(resp.slot(i), cc, &pipeline, &s.expanded, req);
-                        completed = i + 1;
-                    }
-                    Ok(false) => break,
-                    Err(_) => return Err(EngineError::ExpansionFailed),
+                expander.expand_cancellable(&inst, &mut s.iskr, &mut s.expanded, &token)
+            }));
+            match finished {
+                Ok(true) => {
+                    fill_slot(resp.slot(i), cc, &pipeline, &s.expanded, req);
+                    completed = i + 1;
                 }
+                Ok(false) => break,
+                Err(_) => return Err(EngineError::ExpansionFailed),
             }
-            completed
-        };
+        }
         resp.retain_live(completed);
         resp.set_omitted(&pipeline.omitted_shards);
         resp.stats = ExpandStats {
@@ -1816,10 +1037,11 @@ impl QecEngine {
     /// publishes it to the shared cache. All miss-path allocations happen
     /// here and in the cache insert.
     ///
-    /// When this engine gathers a [`ShardSet`], retrieval + ranking
-    /// scatter across the shards (see [`scatter_retrieve`]
-    /// (Self::scatter_retrieve)); the downstream pipeline — vectors,
-    /// clustering, arena — runs unchanged on the gather engine's full
+    /// Retrieval + ranking is one kernel ([`retrieve_ranked`]) scored with
+    /// this corpus's idfs: run here over the whole corpus, or — when this
+    /// engine gathers a [`ShardSet`] — scattered over the shards' slices
+    /// and merged ([`ShardSet::retrieve`]). The downstream pipeline —
+    /// vectors, clustering, arena — runs unchanged on this engine's full
     /// corpus, which speaks global [`DocId`]s. A scatter that had to give
     /// up on some shards builds an explicitly partial pipeline (its
     /// `omitted_shards` name them); one that lost **every** shard returns
@@ -1832,24 +1054,34 @@ impl QecEngine {
         search: &mut SearchScratch,
     ) -> Result<CachedPipeline, EngineError> {
         let corpus = &self.corpus;
+        let idfs: Vec<f64> = terms.iter().map(|&t| corpus.index().idf(t)).collect();
         let (hits, omitted_shards): (Vec<Hit>, Vec<u32>) = match &self.shards {
             Some(shard_set) => {
-                let (hits, omitted) = self.scatter_retrieve(shard_set, req, terms);
-                if omitted.len() == shard_set.shards.len() {
+                let deadline = req.effective_deadline(Instant::now());
+                let (hits, omitted) = shard_set.retrieve(
+                    &self.pool,
+                    terms,
+                    &idfs,
+                    req.semantics,
+                    req.top_k,
+                    deadline,
+                );
+                if omitted.len() == shard_set.num_shards() {
                     return Err(EngineError::BuildFailed);
                 }
                 (hits, omitted)
             }
             None => {
-                let searcher = Searcher::new(corpus);
-                match req.semantics {
-                    QuerySemantics::And => searcher.and_query_into(terms, search),
-                    QuerySemantics::Or => searcher.or_query_into(terms, search),
-                }
-                let mut hits = TfIdfRanker::new(corpus).rank(search.results(), terms);
-                if req.top_k > 0 {
-                    hits.truncate(req.top_k);
-                }
+                let mut hits = Vec::new();
+                retrieve_ranked(
+                    corpus,
+                    terms,
+                    &idfs,
+                    req.semantics,
+                    req.top_k,
+                    search,
+                    &mut hits,
+                );
                 (hits, Vec::new())
             }
         };
@@ -1887,47 +1119,6 @@ impl QecEngine {
             clusters,
             omitted_shards,
         })
-    }
-
-    /// Sharded retrieval + ranking with failover: scatters one
-    /// retrieve/rank attempt per shard (each against a rotation-picked
-    /// replica), retries / hedges / omits per the engine's
-    /// [`ReplicationConfig`], and k-way merges the delivered per-shard
-    /// top-K lists into one globally ranked prefix. The second return
-    /// value names the shards that had to be given up (ascending).
-    ///
-    /// Bit-parity with the single-engine path holds over the delivered
-    /// shards because (a) every replica scores with the **gather**
-    /// corpus's idf (global document frequencies, computed here once per
-    /// query term), accumulating tf·idf contributions in the same
-    /// terms-slice order as [`TfIdfRanker::rank`]; (b) the comparator
-    /// (score desc, `DocId` asc) is a total order, so per-shard exact
-    /// top-K plus a k-way merge reproduces the global sort's prefix
-    /// exactly; and (c) shard-local doc ids translate to global ones by
-    /// adding the shard's base offset, which preserves each shard's
-    /// ascending order. Replicas of one shard hold identical corpus
-    /// slices, so *which* replica answers cannot change the bits.
-    fn scatter_retrieve(
-        &self,
-        shard_set: &ShardSet,
-        req: &ExpandRequest<'_>,
-        terms: &[TermId],
-    ) -> (Vec<Hit>, Vec<u32>) {
-        let index = self.corpus.index();
-        let idfs: Vec<f64> = terms.iter().map(|&t| index.idf(t)).collect();
-        let deadline = req.effective_deadline(Instant::now());
-        let (lists, omitted) = match self.pool.as_deref() {
-            Some(pool) => {
-                shard_set.scatter_pooled(pool, terms, &idfs, req.semantics, req.top_k, deadline)
-            }
-            None => shard_set.scatter_sequential(terms, &idfs, req.semantics, req.top_k, deadline),
-        };
-        let mut merged = Vec::new();
-        {
-            let slices: Vec<&[Hit]> = lists.iter().map(|l| l.as_slice()).collect();
-            MergeScratch::new().merge_into(&slices, hit_before, req.top_k, &mut merged);
-        }
-        (merged, omitted)
     }
 }
 
@@ -1991,10 +1182,6 @@ pub struct EngineBuilder {
     source: Source,
     config: EngineConfig,
     clusterer: Option<Box<dyn Clusterer>>,
-    /// A pool to serve on instead of spawning a private one — how every
-    /// engine of a [`ShardedEngine`](crate::ShardedEngine) shares one set
-    /// of workers. Ignored when `config.pool.enabled` is false.
-    shared_pool: Option<Arc<WorkerPool>>,
     /// Shards for this engine to gather (set only on a
     /// [`ShardedEngine`](crate::ShardedEngine)'s gather engine).
     shards: Option<ShardSet>,
@@ -2023,25 +1210,20 @@ impl EngineBuilder {
     /// Builder over an empty corpus; add documents with
     /// [`document`](Self::document).
     pub fn new() -> Self {
-        Self {
-            source: Source::Building(CorpusBuilder::new()),
-            config: EngineConfig::default(),
-            clusterer: None,
-            shared_pool: None,
-            shards: None,
-            snapshot: None,
-            boot_seed: None,
-        }
+        Self::over(Source::Building(CorpusBuilder::new()))
     }
 
     /// Builder over an already-built corpus (e.g. a loaded snapshot or a
     /// synthetic benchmark corpus).
     pub fn from_corpus(corpus: Corpus) -> Self {
+        Self::over(Source::Prebuilt(corpus))
+    }
+
+    fn over(source: Source) -> Self {
         Self {
-            source: Source::Prebuilt(corpus),
+            source,
             config: EngineConfig::default(),
             clusterer: None,
-            shared_pool: None,
             shards: None,
             snapshot: None,
             boot_seed: None,
@@ -2133,35 +1315,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables the persistent worker pool entirely (disabled:
-    /// fan-outs fall back to per-call scoped threads and batches serve
-    /// sequentially).
-    pub fn pool_enabled(mut self, enabled: bool) -> Self {
-        self.config.pool.enabled = enabled;
-        self
-    }
-
     /// Sets the maximum requests served per inner
     /// [`expand_batch`](QecEngine::expand_batch) chunk (`0` = unbounded).
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.config.pool.batch_max = batch_max;
-        self
-    }
-
-    /// Sets the scoped-thread worker count of the pool-less fan-out
-    /// fallback (`0`, the default, resolves the machine's parallelism
-    /// once at build).
-    pub fn fanout_threads(mut self, threads: usize) -> Self {
-        self.config.fanout_threads = threads;
-        self
-    }
-
-    /// Serves on `pool` instead of spawning a private one (respected only
-    /// while `config.pool.enabled` holds). How a [`ShardedEngine`]
-    /// (crate::ShardedEngine) runs every shard and its gather engine on
-    /// one set of workers.
-    pub(crate) fn shared_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.shared_pool = Some(pool);
         self
     }
 
@@ -2208,7 +1365,7 @@ impl EngineBuilder {
     }
 
     /// Freezes the corpus (if building) and assembles the engine,
-    /// spawning the worker pool when enabled (or adopting the shared one).
+    /// spawning its worker pool.
     pub fn build(self) -> QecEngine {
         // Resolve the corpus: a registered snapshot is tried first; any
         // failure falls back to the in-memory source. A seeded BootStats
@@ -2243,17 +1400,9 @@ impl EngineBuilder {
         let clusterer = self
             .clusterer
             .unwrap_or_else(|| Box::new(KMeansClusterer(config.kmeans.clone())));
-        // One process-wide parallelism probe feeds both the scoped-thread
-        // fallback and the pool-size default.
-        let parallelism = default_parallelism();
-        let shared_pool = self.shared_pool;
-        let pool = config.pool.enabled.then(|| {
-            shared_pool.unwrap_or_else(|| {
-                Arc::new(WorkerPool::new(match config.pool.threads {
-                    0 => parallelism,
-                    t => t,
-                }))
-            })
+        let pool = WorkerPool::new(match config.pool.threads {
+            0 => default_parallelism(),
+            t => t,
         });
         QecEngine {
             iskr: Iskr(config.iskr.clone()),
@@ -2261,10 +1410,6 @@ impl EngineBuilder {
             pebc: Pebc(config.pebc.clone()),
             cache: SharedArenaCache::with_budget(config.cache.capacity, config.cache.max_bytes)
                 .with_failure_ttl(config.cache.failure_ttl),
-            fanout_threads: match config.fanout_threads {
-                0 => parallelism,
-                t => t,
-            },
             pool,
             shards: self.shards,
             scratches: ScratchPool::new(),

@@ -48,14 +48,14 @@
 //! Parallel work runs on a **persistent work-stealing
 //! [`WorkerPool`](qec_core::WorkerPool)** spawned once at engine build
 //! ([`EngineBuilder::pool_threads`], default: the machine's parallelism
-//! probed once per process) instead of per-request `thread::scope`
-//! spawns; disable it ([`EngineBuilder::pool_enabled`]) to fall back to
-//! the scoped-thread path. [`expand_batch`] serves many requests per
-//! call: the batch is **grouped by analysed cache key** (N identical cold
+//! probed once per process); every engine has one. [`expand_batch`]
+//! serves many requests per call: the batch is **grouped by analysed cache key** (N identical cold
 //! queries build one pipeline), every group's per-cluster expansions are
 //! scheduled as **one flat task set** across the pool, and a warmed
 //! batch/[`recycle`] loop is allocation-free end to end (see
-//! `tests/zero_alloc_batch.rs`). Member lists are served through each
+//! `tests/zero_alloc_batch.rs`). A single request asking for at least
+//! [`EngineConfig::fanout_min_clusters`] clusters takes the same path as a
+//! batch of one. Member lists are served through each
 //! cached cluster's `RankIndex` sidecar, so rank-paginated requests
 //! ([`ExpandRequest::member_offset`] / [`ExpandRequest::member_limit`])
 //! jump straight to the requested page.
@@ -64,13 +64,15 @@
 //!
 //! [`ShardedEngine`] (built with [`ShardedEngineBuilder`]) partitions the
 //! corpus into N contiguous-doc-id shards behind the **same API, served
-//! bit-identically**: cold retrieval scatters per-shard ranking (global
-//! idf, exact top-K) across one shared pool and k-way merges the global
+//! bit-identically**: cold retrieval scatters the flat engine's own
+//! retrieve + rank kernel (global idf, exact top-K) over the shards'
+//! corpus slices on the engine's pool and k-way merges the global
 //! ranking; everything else — cache, batching, deadlines, degradation —
 //! is the single engine's machinery. With
-//! [`replicas(n)`](ShardedEngineBuilder::replicas) each shard gets `n`
-//! interchangeable engines and the scatter path adds retry, hedging, and
-//! per-replica circuit breakers. See the [`shard`] module docs.
+//! [`replicas(n)`](ShardedEngineBuilder::replicas) each shard's one slice
+//! sits behind `n` interchangeable replica slots and the scatter path
+//! adds retry, hedging, and per-replica circuit breakers. See the
+//! [`shard`] module docs.
 //!
 //! # Snapshot boot
 //!

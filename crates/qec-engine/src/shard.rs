@@ -1,19 +1,20 @@
 //! Doc-partitioned scatter/gather serving.
 //!
 //! A [`ShardedEngine`] splits one corpus into `N` contiguous-
-//! [`DocId`](qec_index::DocId) shards and serves the same request/response API as a single
+//! [`DocId`] shards and serves the same request/response API as a single
 //! [`QecEngine`], bit-identically. Internally it is one **gather engine**
 //! over the full corpus whose cold retrieval path scatters one
-//! retrieve+rank task per shard across one shared
-//! [`WorkerPool`], then k-way merges the per-shard
-//! top-K lists into the global ranking:
+//! retrieve+rank task per shard across the engine's
+//! [`WorkerPool`] — the same kernel the flat engine runs over its whole
+//! corpus — then k-way merges the per-shard top-K lists into the global
+//! ranking:
 //!
 //! ```text
 //!                 ┌────────────────────────────┐
 //!   request ────▶ │ gather engine (full corpus)│
 //!                 │  admission · cache · batch │
 //!                 └─────┬──────────────────────┘
-//!            cold miss  │ scatter (shared WorkerPool)
+//!            cold miss  │ scatter (the engine's WorkerPool)
 //!          ┌────────────┼────────────┐
 //!          ▼            ▼            ▼
 //!     ┌─────────┐  ┌─────────┐  ┌─────────┐
@@ -36,9 +37,11 @@
 //!
 //! Replication and failover
 //! ------------------------
-//! [`replicas(n)`](ShardedEngineBuilder::replicas) gives each shard `n`
-//! interchangeable replica engines over the same corpus slice (cheap: the
-//! analyzer is `Arc`-shared). Scatter rotates across healthy replicas,
+//! A shard is one `Arc`-shared corpus slice plus warmed retrieval
+//! scratches; [`replicas(n)`](ShardedEngineBuilder::replicas) points `n`
+//! interchangeable replica slots (breaker, latency EWMA, counters) at
+//! that one slice, so replication copies no corpus and builds no engine.
+//! Scatter rotates across healthy replicas,
 //! and failures meet three escalating defenses — **retry** on a sibling
 //! replica with deadline-aware capped exponential backoff, a **hedged**
 //! duplicate dispatched when a task outlives its replica's expected
@@ -52,20 +55,29 @@
 //! behaviours through injected faults.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use qec_cluster::Clusterer;
-use qec_core::{default_parallelism, BreakerState, WorkerPool};
-use qec_index::{Corpus, CorpusBuilder, DocumentSpec};
+use qec_core::{
+    Backoff, BreakerState, CancelSignal, CancelToken, CircuitBreaker, MergeScratch, ScratchPool,
+    WorkerPool,
+};
+use qec_index::{
+    Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher,
+    TfIdfRanker,
+};
 use qec_snapshot::{SnapshotError, SnapshotSummary};
+use qec_text::TermId;
 
 use crate::api::{EngineError, ExpandRequest, ExpandResponse};
 use crate::boot::{expected_shard_len, shard_snapshot_name, BootStats, FULL_SNAPSHOT};
 use crate::cache::CacheStats;
-use crate::config::EngineConfig;
-use crate::engine::{EngineBuilder, QecEngine, ShardSet};
+use crate::config::{EngineConfig, ReplicationConfig};
+use crate::engine::{EngineBuilder, QecEngine};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
 /// retrieval scattered across shards. Build with
@@ -73,11 +85,9 @@ use crate::engine::{EngineBuilder, QecEngine, ShardSet};
 /// architecture.
 pub struct ShardedEngine {
     /// The gather engine; holds the [`ShardSet`] when `num_shards > 1`
-    /// or replication is on.
+    /// or replication is on (one unreplicated shard is the plain
+    /// single-engine path — no shard set is attached).
     inner: QecEngine,
-    /// Shard count the builder validated (`1` with a single replica means
-    /// the plain single-engine path — no shard set is attached).
-    num_shards: usize,
 }
 
 impl ShardedEngine {
@@ -100,11 +110,11 @@ impl ShardedEngine {
     /// Number of shards serving the scatter stage (`1` when sharding is
     /// effectively disabled and requests take the single-engine path).
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.inner.shard_set().map_or(1, ShardSet::num_shards)
     }
 
-    /// Worker threads of the one shared pool (0 when pooling is
-    /// disabled).
+    /// Worker threads of the gather engine's pool, which also runs every
+    /// scattered retrieval.
     pub fn pool_threads(&self) -> usize {
         self.inner.pool_threads()
     }
@@ -140,10 +150,10 @@ impl ShardedEngine {
         std::fs::create_dir_all(dir)?;
         let mut summaries = vec![self.inner.save_snapshot(dir.join(FULL_SNAPSHOT))?];
         if let Some(set) = self.inner.shard_set() {
-            let n = set.shards.len();
-            for (i, shard) in set.shards.iter().enumerate() {
+            let n = set.num_shards();
+            for i in 0..n {
                 summaries.push(qec_snapshot::save_corpus(
-                    shard.replicas[0].engine.corpus(),
+                    set.corpus(i),
                     &dir.join(shard_snapshot_name(i, n)),
                 )?);
             }
@@ -155,28 +165,8 @@ impl ShardedEngine {
     /// [`ShardStats`] per shard (each carrying one [`ReplicaStats`] per
     /// replica).
     pub fn stats(&self) -> ShardedStats {
-        use std::sync::atomic::Ordering::Relaxed;
         let shards = match self.inner.shard_set() {
-            Some(set) => set
-                .shards
-                .iter()
-                .map(|shard| ShardStats {
-                    docs: shard.replicas[0].engine.corpus().num_docs(),
-                    scattered_retrievals: shard.retrievals.load(Relaxed),
-                    hedges: shard.hedges.load(Relaxed),
-                    omissions: shard.omissions.load(Relaxed),
-                    replicas: shard
-                        .replicas
-                        .iter()
-                        .map(|slot| ReplicaStats {
-                            retrievals: slot.retrievals.load(Relaxed),
-                            failures: slot.failures.load(Relaxed),
-                            breaker: slot.breaker.state(),
-                            mean_latency: slot.mean_latency(),
-                        })
-                        .collect(),
-                })
-                .collect(),
+            Some(set) => set.stats(),
             None => vec![ShardStats {
                 docs: self.inner.corpus().num_docs(),
                 scattered_retrievals: 0,
@@ -290,7 +280,7 @@ pub struct ReplicaStats {
 pub struct ShardedStats {
     /// The gather engine's shared-cache snapshot ([`CacheStats`]).
     pub gather_cache: CacheStats,
-    /// One entry per shard, in [`DocId`](qec_index::DocId) order (shard 0
+    /// One entry per shard, in [`DocId`] order (shard 0
     /// holds the lowest global doc ids).
     pub shards: Vec<ShardStats>,
 }
@@ -335,17 +325,17 @@ impl std::error::Error for ShardedBuildError {}
 /// | knob | default | effect |
 /// |------|---------|--------|
 /// | [`num_shards`](Self::num_shards) | `1` | contiguous doc-id partitions; `1` serves the plain single-engine path |
-/// | [`replicas`](Self::replicas) | `1` | interchangeable engines per shard; `>1` enables failover |
+/// | [`replicas`](Self::replicas) | `1` | interchangeable replica slots per shard, all over the shard's one corpus slice; `>1` enables failover |
 /// | [`retry_max`](Self::retry_max) | `2` | failed-attempt retries (sibling replica, capped backoff) before a shard is omitted |
 /// | [`hedge_after`](Self::hedge_after) | `None` (adaptive) | delay before a hedged duplicate races a slow attempt |
 /// | [`breaker_threshold`](Self::breaker_threshold) | `3` | consecutive failures that open a replica's circuit breaker (`0` = never) |
 /// | [`breaker_cooldown`](Self::breaker_cooldown) | `250ms` | open-breaker wait before one half-open probe |
 /// | [`config`](Self::config) | [`EngineConfig::default`] | the gather engine's full configuration |
-/// | [`cache_capacity`](Self::cache_capacity) / [`cache_enabled`](Self::cache_enabled) | `EngineConfig` defaults | the **gather** cache — shard engines never cache (their caches are disabled at build) |
+/// | [`cache_capacity`](Self::cache_capacity) / [`cache_enabled`](Self::cache_enabled) | `EngineConfig` defaults | the **gather** cache — pipelines are cached once, after the merge |
 /// | [`max_in_flight`](Self::max_in_flight) | `0` (off) | admission control, enforced once at the gather front door |
-/// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the **one** shared [`WorkerPool`] all scatter tasks run on |
+/// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the gather engine's [`WorkerPool`], which all scatter tasks run on |
 /// | [`batch_max`](Self::batch_max) | `64` | gather-side batch chunking, unchanged |
-/// | [`clusterer`](Self::clusterer) | cosine k-means | applies to the gather engine only (shards never cluster) |
+/// | [`clusterer`](Self::clusterer) | cosine k-means | runs on the gather side (shards only retrieve and rank) |
 #[must_use = "builder setters return the updated builder; finish with build() or build_shared()"]
 pub struct ShardedEngineBuilder {
     source: Source,
@@ -425,7 +415,7 @@ impl ShardedEngineBuilder {
 
     /// Sets the replica count per shard (`0` is treated as `1`). See the
     /// [module docs](self#replication-and-failover) and
-    /// [`ReplicationConfig`](crate::config::ReplicationConfig).
+    /// [`ReplicationConfig`].
     pub fn replicas(mut self, n: usize) -> Self {
         self.config.replication.replicas = n.max(1);
         self
@@ -516,18 +506,10 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets the shared pool's thread count (see
+    /// Sets the pool's thread count (see
     /// [`EngineBuilder::pool_threads`]).
     pub fn pool_threads(mut self, threads: usize) -> Self {
         self.config.pool.threads = threads;
-        self
-    }
-
-    /// Enables or disables pooling entirely (see
-    /// [`EngineBuilder::pool_enabled`]); without a pool, scatter tasks run
-    /// sequentially on the requesting thread.
-    pub fn pool_enabled(mut self, enabled: bool) -> Self {
-        self.config.pool.enabled = enabled;
         self
     }
 
@@ -538,8 +520,8 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Replaces the gather engine's clusterer (shard engines retrieve and
-    /// rank only — they never cluster).
+    /// Replaces the gather engine's clusterer (shards retrieve and rank
+    /// only — they never cluster).
     pub fn clusterer(mut self, clusterer: Box<dyn Clusterer>) -> Self {
         self.clusterer = Some(clusterer);
         self
@@ -555,11 +537,10 @@ impl ShardedEngineBuilder {
             .unwrap_or_else(|e| panic!("ShardedEngineBuilder::build: {e}"))
     }
 
-    /// Freezes the corpus, validates the topology, partitions it, and
-    /// assembles the engine: one shared [`WorkerPool`] (when pooling is
-    /// enabled), [`replicas`](Self::replicas) retrieval engines per shard
-    /// (cache, admission, and private pools disabled), and the gather
-    /// engine over the full corpus.
+    /// Freezes the corpus, validates the topology, cuts one corpus slice
+    /// per shard (each behind [`replicas`](Self::replicas) replica slots),
+    /// and moves the full corpus into the gather engine — no corpus is
+    /// deep-cloned along the way.
     ///
     /// # Errors
     /// [`ShardedBuildError::ZeroShards`] for `num_shards(0)`;
@@ -606,34 +587,14 @@ impl ShardedEngineBuilder {
                 docs: corpus.num_docs(),
             });
         }
-        let replicas = self.config.replication.replicas.max(1);
-        let mut gather = EngineBuilder::from_corpus(corpus.clone()).config(self.config.clone());
-        if let Some(clusterer) = self.clusterer {
-            gather = gather.clusterer(clusterer);
-        }
-        if num_shards > 1 || replicas > 1 {
-            // One pool for everything: the gather engine's fan-outs and
-            // every scattered retrieval task run on the same workers.
-            if self.config.pool.enabled {
-                let threads = match self.config.pool.threads {
-                    0 => default_parallelism(),
-                    t => t,
-                };
-                gather = gather.shared_pool(Arc::new(WorkerPool::new(threads)));
-            }
-            // Shard engines are retrieval substrates, not front doors:
-            // no cache (pipelines are cached globally by the gather
-            // engine), no admission (enforced once, upstream), no private
-            // pool (scatter already parallelizes across shards).
-            let mut shard_config = self.config.clone();
-            shard_config.cache.enabled = false;
-            shard_config.admission.max_in_flight = 0;
-            shard_config.pool.enabled = false;
+        // The slices are cut from `&corpus` first; the corpus itself then
+        // moves into the gather engine.
+        let shards = (num_shards > 1 || self.config.replication.replicas > 1).then(|| {
             // Shard sub-corpora: per-shard snapshot files when a loaded
             // full snapshot vouches for their generation, the gather
             // corpus's split otherwise (and for every shard whose file
             // was refused).
-            let subs = match (&self.snapshot_dir, &full_summary) {
+            let slices = match (&self.snapshot_dir, &full_summary) {
                 (Some(dir), Some(full)) => {
                     load_shard_corpora(dir, full, &corpus, num_shards, &mut boot)
                 }
@@ -642,26 +603,17 @@ impl ShardedEngineBuilder {
                     corpus.split(num_shards)
                 }
             };
-            let groups: Vec<Vec<QecEngine>> = subs
-                .into_iter()
-                .map(|sub| {
-                    // Replicas of one shard share the sub-corpus clone
-                    // (the analyzer inside is Arc-shared, so each extra
-                    // replica costs one index build, not one corpus).
-                    (0..replicas)
-                        .map(|_| {
-                            EngineBuilder::from_corpus(sub.clone())
-                                .config(shard_config.clone())
-                                .build()
-                        })
-                        .collect()
-                })
-                .collect();
-            gather = gather.shards(ShardSet::new(groups, self.config.replication.clone()));
+            ShardSet::new(slices, self.config.replication.clone())
+        });
+        let mut gather = EngineBuilder::from_corpus(corpus).config(self.config);
+        if let Some(clusterer) = self.clusterer {
+            gather = gather.clusterer(clusterer);
+        }
+        if let Some(shards) = shards {
+            gather = gather.shards(shards);
         }
         Ok(ShardedEngine {
             inner: gather.boot_seed(boot).build(),
-            num_shards,
         })
     }
 
@@ -732,5 +684,698 @@ fn load_shard_corpora(
             .zip(split)
             .map(|(restored, fresh)| restored.unwrap_or(fresh))
             .collect()
+    }
+}
+
+/// The scatter half of a sharded deployment: N doc-partitioned shard
+/// groups (each one corpus slice behind a set of interchangeable replica
+/// slots) plus the counters and failover policy the gather side needs.
+/// Held by the gather [`QecEngine`]; assembled by [`ShardedEngineBuilder`].
+pub(crate) struct ShardSet {
+    /// One replica group per contiguous-`DocId` shard, in shard order.
+    shards: Vec<ShardReplicas>,
+    /// Global `DocId` of each shard's local doc 0 (`bases[i] =
+    /// Σ len(shard < i)`): the offset translation applied to scattered
+    /// hits before the merge.
+    bases: Vec<u32>,
+    /// Retry / hedge / breaker policy of the scatter path.
+    replication: ReplicationConfig,
+}
+
+/// What a shard *is*: its slice of the corpus plus warmed retrieval
+/// scratches. One per shard, however many replicas point at it.
+struct ShardSlice {
+    corpus: Corpus,
+    scratches: ScratchPool<SearchScratch>,
+}
+
+/// One shard's interchangeable replicas plus its rotation cursor and
+/// shard-level counters.
+struct ShardReplicas {
+    replicas: Vec<ReplicaSlot>,
+    /// Rotation cursor: each scatter starts its replica selection at the
+    /// next position, spreading load across healthy replicas.
+    rotation: AtomicUsize,
+    /// Scattered retrievals resolved by this shard (one per request that
+    /// got this shard's list, however many attempts that took).
+    retrievals: AtomicU64,
+    /// Hedged duplicate tasks dispatched for this shard.
+    hedges: AtomicU64,
+    /// Requests that gave up on this shard (every replica failed,
+    /// breaker-refused, or out of retry budget) and served partial.
+    omissions: AtomicU64,
+}
+
+/// One replica: a pointer at its shard's slice plus its own health state
+/// — circuit breaker, latency EWMA (feeds the adaptive hedge delay), and
+/// attempt counters.
+struct ReplicaSlot {
+    /// The shard's one slice, shared by every replica of the shard.
+    /// `Arc`d because hedged/retried attempts run as fire-and-forget pool
+    /// jobs that may outlive the request that spawned them.
+    slice: Arc<ShardSlice>,
+    /// Consecutive-failure breaker; open replicas are skipped by
+    /// selection until a half-open probe heals them.
+    breaker: CircuitBreaker,
+    /// EWMA of successful attempt latency, stored as `f64` bits (`0.0` =
+    /// no samples yet).
+    ewma_nanos: AtomicU64,
+    /// Successful retrieval attempts served by this replica.
+    retrievals: AtomicU64,
+    /// Failed retrieval attempts (panics and injected faults).
+    failures: AtomicU64,
+}
+
+/// EWMA smoothing factor for per-replica latency.
+const EWMA_ALPHA: f64 = 0.2;
+/// Bounds of the adaptive hedge delay (≈3× EWMA mean, clamped).
+const MIN_HEDGE: Duration = Duration::from_micros(200);
+const MAX_HEDGE: Duration = Duration::from_millis(100);
+/// Hedge delay before any latency sample exists.
+const DEFAULT_HEDGE: Duration = Duration::from_millis(2);
+/// Backoff delays double per retry up to `retry_base ×` this cap.
+const BACKOFF_CAP_FACTOR: u32 = 16;
+
+impl ReplicaSlot {
+    fn new(slice: Arc<ShardSlice>, replication: &ReplicationConfig) -> Self {
+        Self {
+            slice,
+            breaker: CircuitBreaker::new(
+                replication.breaker_threshold,
+                replication.breaker_cooldown,
+            ),
+            ewma_nanos: AtomicU64::new(0),
+            retrievals: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+        }
+    }
+
+    /// Folds a successful attempt's latency into the EWMA (CAS loop —
+    /// concurrent observers both land, last writer's blend wins the race
+    /// harmlessly).
+    fn observe_latency(&self, nanos: u64) {
+        let mut cur = self.ewma_nanos.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let new = if old == 0.0 {
+                nanos as f64
+            } else {
+                old + EWMA_ALPHA * (nanos as f64 - old)
+            };
+            match self.ewma_nanos.compare_exchange_weak(
+                cur,
+                new.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// The replica's observed mean attempt latency (zero before any
+    /// sample).
+    fn mean_latency(&self) -> Duration {
+        Duration::from_nanos(f64::from_bits(self.ewma_nanos.load(Ordering::Relaxed)) as u64)
+    }
+
+    /// How long a task on this replica may run before a hedged duplicate
+    /// is dispatched: the configured override, or ~3× the replica's EWMA
+    /// mean — roughly the tail beyond p95 for well-behaved latency
+    /// distributions — clamped to sane bounds.
+    fn hedge_delay(&self, replication: &ReplicationConfig) -> Duration {
+        if let Some(d) = replication.hedge_after {
+            return d;
+        }
+        let mean = self.mean_latency();
+        if mean.is_zero() {
+            DEFAULT_HEDGE
+        } else {
+            (mean * 3).clamp(MIN_HEDGE, MAX_HEDGE)
+        }
+    }
+}
+
+impl ShardSet {
+    /// Wraps the per-shard corpus slices (in shard order) behind
+    /// `replication.replicas` replica slots each, deriving every shard's
+    /// global `DocId` base from the cumulative slice sizes.
+    fn new(slices: Vec<Corpus>, replication: ReplicationConfig) -> Self {
+        let mut bases = Vec::with_capacity(slices.len());
+        let mut base = 0u32;
+        let shards = slices
+            .into_iter()
+            .map(|corpus| {
+                bases.push(base);
+                base += corpus.num_docs() as u32;
+                let slice = Arc::new(ShardSlice {
+                    corpus,
+                    scratches: ScratchPool::new(),
+                });
+                ShardReplicas {
+                    replicas: (0..replication.replicas.max(1))
+                        .map(|_| ReplicaSlot::new(Arc::clone(&slice), &replication))
+                        .collect(),
+                    rotation: AtomicUsize::new(0),
+                    retrievals: AtomicU64::new(0),
+                    hedges: AtomicU64::new(0),
+                    omissions: AtomicU64::new(0),
+                }
+            })
+            .collect();
+        Self {
+            shards,
+            bases,
+            replication,
+        }
+    }
+
+    /// Number of shards in the set.
+    pub(crate) fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard `i`'s corpus slice.
+    fn corpus(&self, i: usize) -> &Corpus {
+        &self.shards[i].replicas[0].slice.corpus
+    }
+
+    /// Per-shard placement, retrieval and replica-health counters.
+    fn stats(&self) -> Vec<ShardStats> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| ShardStats {
+                docs: self.corpus(i).num_docs(),
+                scattered_retrievals: shard.retrievals.load(Ordering::Relaxed),
+                hedges: shard.hedges.load(Ordering::Relaxed),
+                omissions: shard.omissions.load(Ordering::Relaxed),
+                replicas: shard
+                    .replicas
+                    .iter()
+                    .map(|slot| ReplicaStats {
+                        retrievals: slot.retrievals.load(Ordering::Relaxed),
+                        failures: slot.failures.load(Ordering::Relaxed),
+                        breaker: slot.breaker.state(),
+                        mean_latency: slot.mean_latency(),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// Failpoint site covering one shard's retrieval attempts regardless of
+/// replica — how a chaos test takes a *whole shard* down.
+#[cfg(feature = "failpoints")]
+fn shard_site(shard: usize) -> &'static str {
+    const SITES: [&str; 8] = [
+        "shard.retrieve.0",
+        "shard.retrieve.1",
+        "shard.retrieve.2",
+        "shard.retrieve.3",
+        "shard.retrieve.4",
+        "shard.retrieve.5",
+        "shard.retrieve.6",
+        "shard.retrieve.7",
+    ];
+    SITES.get(shard).copied().unwrap_or("shard.retrieve.rest")
+}
+
+/// Failpoint site covering one replica *position* across all shards —
+/// how a chaos test kills or stalls "replica 0 of every shard" (the
+/// moral equivalent of one failed machine in a striped deployment).
+#[cfg(feature = "failpoints")]
+fn replica_site(replica: usize) -> &'static str {
+    const SITES: [&str; 4] = [
+        "shard.replica.retrieve.0",
+        "shard.replica.retrieve.1",
+        "shard.replica.retrieve.2",
+        "shard.replica.retrieve.3",
+    ];
+    SITES
+        .get(replica)
+        .copied()
+        .unwrap_or("shard.replica.retrieve.rest")
+}
+
+/// The read-only half of one scatter, shared by every attempt job of the
+/// request: owned copies of the query (pool jobs are `'static` — they may
+/// outlive the request as cancelled losers) plus the completion channel
+/// back to the coordinator.
+struct ScatterShared {
+    terms: Vec<TermId>,
+    idfs: Vec<f64>,
+    semantics: QuerySemantics,
+    top_k: usize,
+    completions: Mutex<Vec<Completion>>,
+    arrived: Condvar,
+}
+
+/// One attempt's report back to the scatter coordinator.
+struct Completion {
+    shard: u32,
+    replica: u32,
+    /// `Ok(hits)` on success; `Err(true)` when the attempt was cancelled
+    /// before it started (its shard already resolved); `Err(false)` on
+    /// failure (panic or injected fault).
+    outcome: Result<Vec<Hit>, bool>,
+    /// Wall-clock nanoseconds the successful attempt took (EWMA input).
+    nanos: u64,
+}
+
+/// The coordinator's per-shard progress while a scatter is in flight.
+struct ShardProgress {
+    /// The shard's globally-offset top-K list once a replica delivered it.
+    done: Option<Vec<Hit>>,
+    /// The shard gave up: every replica failed, was breaker-refused, or
+    /// the retry budget / deadline ran out.
+    omitted: bool,
+    /// Attempts currently dispatched and unreported.
+    in_flight: u32,
+    /// Retries dispatched so far (hedges don't count).
+    retries: usize,
+    /// A hedged duplicate was dispatched (at most one per shard).
+    hedged: bool,
+    /// Bitmask of replica indices already attempted — the hedge target
+    /// must be an *untried* replica. (Indices ≥ 64 never mark the mask;
+    /// hedging may then re-pick a tried replica, which is harmless.)
+    tried: u64,
+    /// Next replica index the selection scan starts from.
+    cursor: usize,
+    /// When to dispatch the hedged duplicate (set at dispatch; `None`
+    /// when hedging is off, spent, or moot).
+    hedge_at: Option<Instant>,
+    /// When to dispatch the next retry (set when all attempts failed).
+    retry_at: Option<Instant>,
+    backoff: Backoff,
+    /// Cancellation handles of the shard's outstanding attempts; fired
+    /// when the shard resolves so queued losers bail without running.
+    cancels: Vec<CancelSignal>,
+}
+
+fn replica_bit(replica: usize) -> u64 {
+    1u64.checked_shl(replica as u32).unwrap_or(0)
+}
+
+/// The one retrieve + rank kernel of every serving path: evaluates `terms`
+/// under `semantics` over `corpus` into `search`, scores the matches with
+/// the **caller-supplied** `idfs` (one per term) and writes the best
+/// `top_k` hits (`0` = all) into `out`, ordered by [`hit_before`]. The
+/// flat engine calls it over its whole corpus with that corpus's own idfs;
+/// a shard replica calls it over its slice with the gather corpus's — the
+/// flat engine is the one-shard case of the same code.
+pub(crate) fn retrieve_ranked(
+    corpus: &Corpus,
+    terms: &[TermId],
+    idfs: &[f64],
+    semantics: QuerySemantics,
+    top_k: usize,
+    search: &mut SearchScratch,
+    out: &mut Vec<Hit>,
+) {
+    let searcher = Searcher::new(corpus);
+    match semantics {
+        QuerySemantics::And => searcher.and_query_into(terms, search),
+        QuerySemantics::Or => searcher.or_query_into(terms, search),
+    }
+    TfIdfRanker::new(corpus).rank_with_idf_into(search.results(), terms, idfs, top_k, out);
+}
+
+/// One retrieval attempt against one replica, behind a panic boundary so
+/// a poisoned replica reports `Err` instead of tearing down its worker.
+/// Checks the legacy whole-scatter site, the per-shard site, and the
+/// per-replica site (in that order) so chaos tests can target any
+/// granularity. Scores with the **gather** corpus's idf (`idfs`), which is
+/// what keeps merged rankings bit-identical to the flat engine regardless
+/// of which replica answers.
+fn replica_attempt(
+    slice: &ShardSlice,
+    base: u32,
+    shard: usize,
+    replica: usize,
+    query: &ScatterShared,
+) -> Result<Vec<Hit>, ()> {
+    #[cfg(not(feature = "failpoints"))]
+    let _ = (shard, replica);
+    catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "failpoints")]
+        {
+            if qec_failpoint::check("shard.retrieve").is_err()
+                || qec_failpoint::check(shard_site(shard)).is_err()
+                || qec_failpoint::check(replica_site(replica)).is_err()
+            {
+                return Err(());
+            }
+        }
+        let mut search = slice.scratches.acquire();
+        let mut hits = Vec::new();
+        retrieve_ranked(
+            &slice.corpus,
+            &query.terms,
+            &query.idfs,
+            query.semantics,
+            query.top_k,
+            &mut search,
+            &mut hits,
+        );
+        slice.scratches.release(search);
+        for hit in hits.iter_mut() {
+            hit.doc = DocId(hit.doc.0 + base);
+        }
+        Ok(hits)
+    }))
+    .unwrap_or(Err(()))
+}
+
+impl ShardSet {
+    /// Picks the next admitted replica of shard `si` (rotation order from
+    /// `sp.cursor`, skipping open breakers — and already-tried replicas
+    /// when `untried_only`) and dispatches one attempt for it as a
+    /// fire-and-forget pool job. Returns `false` when no replica is
+    /// admissible.
+    fn dispatch_attempt(
+        &self,
+        pool: &WorkerPool,
+        shared: &Arc<ScatterShared>,
+        si: usize,
+        sp: &mut ShardProgress,
+        untried_only: bool,
+    ) -> bool {
+        let shard = &self.shards[si];
+        let n = shard.replicas.len();
+        let now = Instant::now();
+        let mut picked = None;
+        for off in 0..n {
+            let ri = (sp.cursor + off) % n;
+            if untried_only && sp.tried & replica_bit(ri) != 0 {
+                continue;
+            }
+            if shard.replicas[ri].breaker.try_admit(now) {
+                picked = Some(ri);
+                break;
+            }
+        }
+        let Some(ri) = picked else {
+            return false;
+        };
+        sp.cursor = (ri + 1) % n;
+        sp.tried |= replica_bit(ri);
+        sp.in_flight += 1;
+        sp.hedge_at =
+            (!sp.hedged && n > 1).then(|| now + shard.replicas[ri].hedge_delay(&self.replication));
+        let (token, signal) = CancelToken::manual();
+        sp.cancels.push(signal);
+        let slice = Arc::clone(&shard.replicas[ri].slice);
+        let base = self.bases[si];
+        let sh = Arc::clone(shared);
+        pool.spawn(Box::new(move || {
+            // A queued loser whose shard already resolved bails here; an
+            // attempt already *running* when its shard resolves runs to
+            // completion and reports as a late duplicate instead (the
+            // retrieval kernels are not interruptible mid-flight).
+            let (outcome, nanos) = if token.is_cancelled() {
+                (Err(true), 0)
+            } else {
+                let t0 = Instant::now();
+                let result = replica_attempt(&slice, base, si, ri, &sh);
+                let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                (result.map_err(|()| false), nanos)
+            };
+            let mut queue = sh.completions.lock().unwrap_or_else(|e| e.into_inner());
+            queue.push(Completion {
+                shard: si as u32,
+                replica: ri as u32,
+                outcome,
+                nanos,
+            });
+            drop(queue);
+            sh.arrived.notify_all();
+        }));
+        true
+    }
+
+    /// Sharded retrieval + ranking with failover: scatters one
+    /// [`retrieve_ranked`] attempt per shard (each against a
+    /// rotation-picked replica), retries / hedges / omits per the
+    /// [`ReplicationConfig`], and k-way merges the delivered per-shard
+    /// top-K lists into one globally ranked prefix. The second return
+    /// value names the shards that had to be given up (ascending).
+    ///
+    /// Bit-parity with the flat path holds over the delivered shards
+    /// because (a) every replica scores with the caller's `idfs` — the
+    /// **gather** corpus's global document frequencies — in the same
+    /// terms-slice order; (b) [`hit_before`] is a total order, so per-shard
+    /// exact top-K plus a k-way merge reproduces the global sort's prefix
+    /// exactly; and (c) shard-local doc ids translate to global ones by
+    /// adding the shard's base offset, which preserves each shard's
+    /// ascending order. Replicas of one shard read the same slice, so
+    /// *which* replica answers cannot change the bits.
+    ///
+    /// The coordinator runs on the submitting thread: it dispatches one
+    /// attempt per shard, then reacts to completions and timers (retry
+    /// backoff, hedge delays) until every shard either delivered its list
+    /// or was explicitly omitted. Attempts are fire-and-forget pool jobs,
+    /// so a stalled replica never wedges a worker the coordinator is
+    /// waiting on.
+    ///
+    /// The request's `deadline` bounds retry *scheduling* (a backoff wait
+    /// that would outlive it omits the shard instead), but never truncates
+    /// an attempt already in flight — a deadline-shaped result here would
+    /// get cached and served to requests with laxer deadlines.
+    pub(crate) fn retrieve(
+        &self,
+        pool: &WorkerPool,
+        terms: &[TermId],
+        idfs: &[f64],
+        semantics: QuerySemantics,
+        top_k: usize,
+        deadline: Option<Instant>,
+    ) -> (Vec<Hit>, Vec<u32>) {
+        let n = self.shards.len();
+        let replication = &self.replication;
+        let shared = Arc::new(ScatterShared {
+            terms: terms.to_vec(),
+            idfs: idfs.to_vec(),
+            semantics,
+            top_k,
+            completions: Mutex::new(Vec::new()),
+            arrived: Condvar::new(),
+        });
+        let mut progress: Vec<ShardProgress> = (0..n)
+            .map(|si| {
+                let replicas = self.shards[si].replicas.len();
+                ShardProgress {
+                    done: None,
+                    omitted: false,
+                    in_flight: 0,
+                    retries: 0,
+                    hedged: false,
+                    tried: 0,
+                    cursor: self.shards[si].rotation.fetch_add(1, Ordering::Relaxed) % replicas,
+                    hedge_at: None,
+                    retry_at: None,
+                    backoff: Backoff::new(
+                        replication.retry_base,
+                        replication.retry_base.saturating_mul(BACKOFF_CAP_FACTOR),
+                        0x9E37_79B9_7F4A_7C15u64.wrapping_mul(si as u64 + 1),
+                    ),
+                    cancels: Vec::new(),
+                }
+            })
+            .collect();
+        let mut unresolved = n;
+        for (si, sp) in progress.iter_mut().enumerate() {
+            if !self.dispatch_attempt(pool, &shared, si, sp, false) {
+                // Every replica breaker-refused at dispatch: omitted
+                // outright (the breakers' cooldowns outlast any sane
+                // request deadline).
+                Self::omit(&self.shards[si], sp, &mut unresolved);
+            }
+        }
+        while unresolved > 0 {
+            // Fire due timers and find the earliest pending one.
+            let now = Instant::now();
+            let mut wake: Option<Instant> = None;
+            for (si, sp) in progress.iter_mut().enumerate() {
+                if sp.done.is_some() || sp.omitted {
+                    continue;
+                }
+                if let Some(at) = sp.retry_at {
+                    if at <= now {
+                        sp.retry_at = None;
+                        sp.retries += 1;
+                        if !self.dispatch_attempt(pool, &shared, si, sp, false) {
+                            Self::omit(&self.shards[si], sp, &mut unresolved);
+                            continue;
+                        }
+                    } else {
+                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
+                    }
+                }
+                if let Some(at) = sp.hedge_at {
+                    if sp.hedged || sp.in_flight != 1 {
+                        sp.hedge_at = None;
+                    } else if at <= now {
+                        sp.hedge_at = None;
+                        if self.dispatch_attempt(pool, &shared, si, sp, true) {
+                            sp.hedged = true;
+                            self.shards[si].hedges.fetch_add(1, Ordering::Relaxed);
+                        }
+                    } else {
+                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
+                    }
+                }
+            }
+            if unresolved == 0 {
+                break;
+            }
+            // Wait for completions (or the next timer). The lock is held
+            // from the emptiness check into the wait, so a completion
+            // arriving in between cannot be missed.
+            let mut queue = shared.completions.lock().unwrap_or_else(|e| e.into_inner());
+            if queue.is_empty() {
+                queue = match wake {
+                    Some(at) if at > now => {
+                        shared
+                            .arrived
+                            .wait_timeout(queue, at - now)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0
+                    }
+                    // A timer is already due: loop back and fire it.
+                    Some(_) => queue,
+                    None => shared
+                        .arrived
+                        .wait(queue)
+                        .unwrap_or_else(|e| e.into_inner()),
+                };
+            }
+            let batch = std::mem::take(&mut *queue);
+            drop(queue);
+            for c in batch {
+                self.absorb_completion(c, &mut progress, &mut unresolved, deadline);
+            }
+        }
+        let mut lists: Vec<&[Hit]> = Vec::new();
+        let mut omitted = Vec::new();
+        for (si, sp) in progress.iter().enumerate() {
+            match &sp.done {
+                Some(hits) => lists.push(hits),
+                None => {
+                    debug_assert!(sp.omitted);
+                    omitted.push(si as u32);
+                }
+            }
+        }
+        let mut merged = Vec::new();
+        MergeScratch::new().merge_into(&lists, hit_before, top_k, &mut merged);
+        (merged, omitted)
+    }
+
+    /// Folds one attempt report into the coordinator state: updates the
+    /// replica's breaker/EWMA/counters, resolves the shard on first
+    /// success (late duplicates are checked for bit-parity and dropped),
+    /// and schedules a retry — or omits the shard — when its last
+    /// in-flight attempt failed.
+    fn absorb_completion(
+        &self,
+        c: Completion,
+        progress: &mut [ShardProgress],
+        unresolved: &mut usize,
+        deadline: Option<Instant>,
+    ) {
+        let si = c.shard as usize;
+        let sp = &mut progress[si];
+        let shard = &self.shards[si];
+        let slot = &shard.replicas[c.replica as usize];
+        sp.in_flight -= 1;
+        match c.outcome {
+            Ok(hits) => {
+                slot.breaker.record_success();
+                slot.observe_latency(c.nanos);
+                slot.retrievals.fetch_add(1, Ordering::Relaxed);
+                if let Some(first) = &sp.done {
+                    // A hedge's loser finished anyway: both replicas hold
+                    // the same corpus slice and scored with the same
+                    // global idf, so their lists must agree bit for bit.
+                    debug_assert_eq!(
+                        first, &hits,
+                        "replicas of one shard returned diverging rankings"
+                    );
+                } else if !sp.omitted {
+                    sp.done = Some(hits);
+                    shard.retrievals.fetch_add(1, Ordering::Relaxed);
+                    *unresolved -= 1;
+                    for sig in sp.cancels.drain(..) {
+                        sig.cancel();
+                    }
+                }
+            }
+            Err(skipped) => {
+                if !skipped {
+                    slot.breaker.record_failure(Instant::now());
+                    slot.failures.fetch_add(1, Ordering::Relaxed);
+                }
+                if sp.done.is_none() && !sp.omitted && sp.in_flight == 0 && sp.retry_at.is_none() {
+                    if sp.retries >= self.replication.retry_max {
+                        Self::omit(shard, sp, unresolved);
+                    } else {
+                        let now = Instant::now();
+                        match sp.backoff.next_before(now, deadline) {
+                            Some(delay) => sp.retry_at = Some(now + delay),
+                            // The backoff wait alone would outlive the
+                            // request's deadline: give the shard up now
+                            // instead of sleeping into a guaranteed miss.
+                            None => Self::omit(shard, sp, unresolved),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn omit(shard: &ShardReplicas, sp: &mut ShardProgress, unresolved: &mut usize) {
+        sp.omitted = true;
+        shard.omissions.fetch_add(1, Ordering::Relaxed);
+        *unresolved -= 1;
+        for sig in sp.cancels.drain(..) {
+            sig.cancel();
+        }
+    }
+}
+
+/// Strict total order of the global ranking: score descending, `DocId`
+/// ascending on ties (scores are finite, doc ids unique). The k-way gather
+/// merge and the shard-side selection both order by exactly this, which is
+/// what makes merged shard rankings bit-identical to the reference full
+/// sort, [`TfIdfRanker::rank`].
+fn hit_before(a: &Hit, b: &Hit) -> bool {
+    a.score > b.score || (a.score == b.score && a.doc < b.doc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicas_of_a_shard_share_one_corpus_slice() {
+        let engine = ShardedEngineBuilder::new()
+            .documents((0..12).map(|i| DocumentSpec::text("", format!("apple w{i}"))))
+            .num_shards(2)
+            .replicas(3)
+            .build();
+        let set = engine.inner.shard_set().expect("sharded build");
+        assert_eq!(set.num_shards(), 2);
+        for shard in &set.shards {
+            assert_eq!(shard.replicas.len(), 3);
+            let first = &shard.replicas[0].slice;
+            assert!(shard.replicas.iter().all(|r| Arc::ptr_eq(&r.slice, first)));
+            // The replicas are the slice's only holders at rest: `replicas(3)`
+            // built one slice per shard, not one per replica.
+            assert_eq!(Arc::strong_count(first), 3);
+        }
+        assert_eq!((0..2).map(|i| set.corpus(i).num_docs()).sum::<usize>(), 12);
     }
 }

@@ -198,25 +198,6 @@ fn batch_max_chunking_preserves_results() {
 }
 
 #[test]
-fn pool_less_engine_serves_batches_sequentially_with_same_results() {
-    let reqs = workload();
-    let pooled = engine().expand_batch(&reqs);
-    let unpooled_engine = EngineBuilder::new()
-        .documents(corpus_docs())
-        .pool_enabled(false)
-        .build();
-    assert_eq!(unpooled_engine.pool_threads(), 0);
-    let unpooled = unpooled_engine.expand_batch(&reqs);
-    for (i, (a, b)) in unpooled.iter().zip(&pooled).enumerate() {
-        assert_eq!(
-            a.clusters(),
-            b.clusters(),
-            "request {i} diverged without a pool"
-        );
-    }
-}
-
-#[test]
 fn cache_disabled_batches_rebuild_every_request_like_sequential() {
     // With the cache disabled, "every request rebuilds" is the contract:
     // batching must not collapse duplicate keys into one build, and no

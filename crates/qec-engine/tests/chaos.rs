@@ -13,8 +13,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use qec_engine::{
-    ClusterExpansion, DocumentSpec, EngineBuilder, EngineError, ExpandRequest, ExpandResponse,
-    QecEngine,
+    ClusterExpansion, DocumentSpec, EngineBuilder, EngineConfig, EngineError, ExpandRequest,
+    ExpandResponse, QecEngine,
 };
 use qec_failpoint::{arm, arm_times, FailAction};
 
@@ -188,6 +188,29 @@ fn panicked_expansion_task_fails_exactly_one_request() {
             "request {i} after fault"
         );
     }
+}
+
+#[test]
+fn panicked_fanned_out_single_request_fails_then_serves_clean() {
+    // `fanout_min_clusters: 1` sends every single `try_expand` through the
+    // pooled flat task set — the same fault boundary as a batch member.
+    let _s = serial();
+    let engine = EngineBuilder::new()
+        .documents(corpus_docs())
+        .config(EngineConfig {
+            fanout_min_clusters: 1,
+            ..EngineConfig::default()
+        })
+        .build();
+    let req = &workload()[0];
+    let clean = essence(&engine.expand(req));
+
+    let faulted = {
+        let _g = arm_times("engine.expand_task", FailAction::Panic, 1);
+        engine.try_expand(req)
+    };
+    assert_eq!(faulted.unwrap_err(), EngineError::ExpansionFailed);
+    assert_eq!(essence(&engine.try_expand(req).unwrap()), clean);
 }
 
 #[test]

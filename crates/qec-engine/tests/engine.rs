@@ -4,7 +4,7 @@ use qec_engine::{
     Clusterer, DocumentSpec, EngineBuilder, EngineConfig, ExpandRequest, ExpandStrategy, QecEngine,
     QuerySemantics,
 };
-use qec_index::CorpusBuilder;
+use qec_index::{CorpusBuilder, DocId, Searcher, TfIdfRanker};
 
 /// The two-sense corpus of the paper's Example 1.1 spirit.
 fn two_sense_engine() -> QecEngine {
@@ -191,6 +191,51 @@ fn top_k_truncates_the_arena() {
     assert_eq!(resp.stats.results, 3);
     let total: usize = resp.clusters().iter().map(|c| c.docs.len()).sum();
     assert_eq!(total, 3);
+}
+
+/// The serving kernel (merge-join scoring + exact top-K) must serve
+/// exactly the prefix of the reference ranking (`TfIdfRanker::rank`:
+/// per-doc scoring + full sort). One cluster keeps the served docs in
+/// arena order, which is rank order.
+#[test]
+fn served_docs_are_the_reference_ranking_prefix() {
+    let engine = EngineBuilder::new()
+        .documents((0..48).map(|i| {
+            // Varying tf and length, with score ties across the i % 12 classes.
+            let body = format!(
+                "{} {} filler{}",
+                "apple ".repeat(1 + i % 4),
+                "store ".repeat(i % 3),
+                i % 12
+            );
+            DocumentSpec::text("", body)
+        }))
+        .build();
+    let corpus = engine.corpus();
+    let terms = corpus.query_terms("apple store");
+    for semantics in [QuerySemantics::And, QuerySemantics::Or] {
+        let matches = Searcher::new(corpus).search(&terms, semantics);
+        let reference: Vec<DocId> = TfIdfRanker::new(corpus)
+            .rank(&matches, &terms)
+            .iter()
+            .map(|h| h.doc)
+            .collect();
+        assert!(reference.len() > 30, "{semantics:?}: corpus too small");
+        for top_k in [0, 1, 30, reference.len() + 5] {
+            let resp = engine.expand(&ExpandRequest {
+                semantics,
+                k_clusters: 1,
+                top_k,
+                ..ExpandRequest::new("apple store")
+            });
+            let want = match top_k {
+                0 => &reference[..],
+                k => &reference[..k.min(reference.len())],
+            };
+            assert_eq!(resp.clusters().len(), 1);
+            assert_eq!(resp.clusters()[0].docs, want, "{semantics:?} top_k={top_k}");
+        }
+    }
 }
 
 #[test]

@@ -305,8 +305,8 @@ fn analysed_key_normalization() {
 }
 
 /// The big-`k` fan-out path (`fanout_min_clusters`) produces responses
-/// bit-identical to the sequential zero-alloc loop, on cold and warmed
-/// requests alike.
+/// bit-identical to the sequential loop, on cold, warmed and degraded
+/// (pre-tripped token) requests alike.
 #[test]
 fn fanout_path_matches_sequential() {
     let docs = || {
@@ -341,6 +341,17 @@ fn fanout_path_matches_sequential() {
         let warm = fanned.expand(&r);
         assert!(warm.stats.arena_cache_hit);
         assert_eq!(warm.clusters(), want.clusters(), "warm fan-out, k={k}");
+
+        // A pre-tripped token degrades both paths to the same (empty)
+        // prefix of the full response.
+        let (cancel, trip) = qec_engine::CancelToken::manual();
+        trip.cancel();
+        let tripped = ExpandRequest { cancel, ..r };
+        let want = sequential.expand(&tripped);
+        let got = fanned.expand(&tripped);
+        assert!(want.stats.degraded && got.stats.degraded, "k={k}");
+        assert_eq!(got.clusters(), want.clusters(), "degraded fan-out, k={k}");
+        assert_eq!(got.stats.clusters, want.stats.clusters);
     }
 }
 

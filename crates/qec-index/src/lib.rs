@@ -27,5 +27,5 @@ pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{FrozenPartsError, FrozenPostings, InvertedIndex, Posting};
 pub use postings::{intersect_sorted_into, DocBitmap, PostingsView};
-pub use rank::{rank_and_query, Hit, TfIdfRanker};
+pub use rank::{Hit, TfIdfRanker};
 pub use search::{QuerySemantics, SearchScratch, Searcher};

@@ -9,7 +9,6 @@
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::search::{QuerySemantics, Searcher};
 use qec_text::TermId;
 
 /// A retrieved document with its ranking score.
@@ -45,7 +44,10 @@ impl<'c> TfIdfRanker<'c> {
     }
 
     /// Ranks `docs` for `terms`, highest score first. Ties break by `DocId`
-    /// so output is deterministic.
+    /// so output is deterministic. The **reference** ranking — per-document
+    /// scoring plus a full sort — that
+    /// [`rank_with_idf_into`](Self::rank_with_idf_into), the kernel every
+    /// serving path runs, must reproduce bit for bit.
     pub fn rank(&self, docs: &[DocId], terms: &[TermId]) -> Vec<Hit> {
         let mut hits: Vec<Hit> = docs
             .iter()
@@ -63,14 +65,7 @@ impl<'c> TfIdfRanker<'c> {
         hits
     }
 
-    /// Ranks and truncates to the best `k`.
-    pub fn top_k(&self, docs: &[DocId], terms: &[TermId], k: usize) -> Vec<Hit> {
-        let mut hits = self.rank(docs, terms);
-        hits.truncate(k);
-        hits
-    }
-
-    /// Shard-side ranking kernel: scores `docs` (ascending `DocId`, as
+    /// The serving ranking kernel: scores `docs` (ascending `DocId`, as
     /// produced by the searcher) for `terms` with **caller-supplied idf**
     /// values — one per query term — and writes the best `top_k` hits into
     /// `out` (all of them, fully sorted, when `top_k == 0`).
@@ -137,19 +132,12 @@ impl<'c> TfIdfRanker<'c> {
     }
 }
 
-/// One-call helper: AND-retrieve `query` and return ranked hits (all of
-/// them; truncate at the call site if needed).
-pub fn rank_and_query(corpus: &Corpus, query: &str) -> Vec<Hit> {
-    let terms = corpus.query_terms(query);
-    let docs = Searcher::new(corpus).search(&terms, QuerySemantics::And);
-    TfIdfRanker::new(corpus).rank(&docs, &terms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::CorpusBuilder;
     use crate::doc::DocumentSpec;
+    use crate::search::{QuerySemantics, Searcher};
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
@@ -199,7 +187,14 @@ mod tests {
         let c = corpus();
         let java = c.keyword_term("java").unwrap();
         let docs: Vec<DocId> = Searcher::new(&c).and_query(&[java]);
-        let top1 = TfIdfRanker::new(&c).top_k(&docs, &[java], 1);
+        let mut top1 = Vec::new();
+        TfIdfRanker::new(&c).rank_with_idf_into(
+            &docs,
+            &[java],
+            &[c.index().idf(java)],
+            1,
+            &mut top1,
+        );
         assert_eq!(top1.len(), 1);
         assert_eq!(top1[0].doc, DocId(0));
     }
@@ -255,7 +250,9 @@ mod tests {
     #[test]
     fn rank_and_query_end_to_end() {
         let c = corpus();
-        let hits = rank_and_query(&c, "java island");
+        let terms = c.query_terms("java island");
+        let docs = Searcher::new(&c).search(&terms, QuerySemantics::And);
+        let hits = TfIdfRanker::new(&c).rank(&docs, &terms);
         let docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
         assert_eq!(docs.len(), 2);
         assert!(docs.contains(&DocId(0)) && docs.contains(&DocId(3)));
