@@ -1,11 +1,14 @@
-//! Clustering benchmarks over the seeded synthetic generators: TF-vector
-//! extraction and cosine k-means at the paper's result-list sizes
-//! (top-30/100/500), driven through the [`Clusterer`] trait the serving
-//! facade uses, plus the arena generator itself (the cost of synthesising
-//! one benchmark instance).
+//! The cold-build kernels over the seeded synthetic generators, at the
+//! paper's result-list sizes (top-30/100/500): TF-vector extraction,
+//! cosine k-means driven through the [`Clusterer`] trait the serving
+//! facade uses (`k8`, plus the serving default `top100/k5`), and
+//! [`ExpansionArena::build`] as the engine calls it (ranked weights,
+//! default [`ArenaConfig`]). Plus the arena generator itself (the cost of
+//! synthesising one benchmark instance).
 
 use qec_bench::{synth_arena, synth_corpus, ArenaSpec, CorpusSpec, Harness};
 use qec_cluster::{doc_tf_vector, Clusterer, KMeansClusterer, KMeansConfig, SparseVec};
+use qec_core::{ArenaConfig, ExpansionArena};
 use qec_index::DocId;
 use std::hint::black_box;
 
@@ -38,6 +41,25 @@ fn main() {
         let vectors: Vec<SparseVec> = docs.iter().map(|&d| doc_tf_vector(&corpus, d)).collect();
         h.bench(&format!("kmeans/top{n}/k8"), || {
             black_box(clusterer.cluster(black_box(&vectors), 8))
+        });
+        if n == 100 {
+            h.bench("kmeans/top100/k5", || {
+                black_box(clusterer.cluster(black_box(&vectors), 5))
+            });
+        }
+
+        // Rank-decaying scores stand in for the retrieval ranking.
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64).sqrt()).collect();
+        let config = ArenaConfig::default();
+        h.bench(&format!("arena_build/top{n}"), || {
+            let arena = ExpansionArena::build(
+                black_box(&corpus),
+                black_box(&docs),
+                Some(&weights),
+                &[],
+                &config,
+            );
+            black_box(arena.num_candidates())
         });
     }
 

@@ -1,9 +1,9 @@
 //! Deterministic cosine k-means with k-means++ seeding.
 //!
 //! This is the clustering method the paper adopts (appendix §C). The
-//! distance is `1 − cosine(x, centroid)`; centroids are the (renormalised)
-//! mean of member vectors. All randomness flows from the caller-supplied
-//! seed, so experiments are reproducible run-to-run.
+//! distance is `1 − cosine(x, centroid)`; centroids are the mean of member
+//! vectors. All randomness flows from the caller-supplied seed, so
+//! experiments are reproducible run-to-run.
 //!
 //! Robustness details that matter for the workloads here:
 //!
@@ -17,10 +17,42 @@
 //!   convergence (the assignment later drops genuinely empty clusters).
 //! * **Zero vectors** — results with no terms (possible in adversarial
 //!   tests) have undefined cosine; they are assigned to cluster 0.
+//!
+//! # Layout and the float-order contract
+//!
+//! A run works in a request-local dense space: the input dimensions are
+//! remapped once, order-preserving, to `0..D`; the points are one CSR
+//! matrix with their norms computed once (`Points`); the `k` centroids
+//! are one dense `k × D` buffer whose norms are refreshed when a row is
+//! written (`Centroids`). A similarity is then a gather-dot over the
+//! point's entries, and the update step a scatter-add into one reused
+//! `k × D` sums buffer.
+//!
+//! The result is **bit-identical** to the sparse-merge k-means this
+//! replaced (kept as the test-only `reference` module, which the
+//! differential tests compare against), because every `f64` comes from
+//! the same operations in the same order:
+//!
+//! * **Gather-dot order** — the dot product walks the point's ascending
+//!   dims, adding `w · c[d]`: the merge's products in the merge's order for
+//!   shared dims, and an exact `+0.0` for dims the centroid lacks.
+//! * **Point-order sums** — a cluster's sum is accumulated point by point
+//!   in input order from `0.0`, the chain of sparse additions; its mean is
+//!   `sum · (1.0 / count)`.
+//! * **Norms** — `sqrt(Σ w²)` over ascending dims; a dense row's zeros add
+//!   an exact `+0.0`. The cosine is `(dot / (na · nb)).clamp(0.0, 1.0)`.
+//! * **Partially updated centroids in the reseed** — the update writes
+//!   centroids in cluster order, and the farthest-point search of an
+//!   emptied cluster `c` reads the rows (and norms) of clusters `< c`
+//!   already updated in this iteration and of clusters `> c` not yet.
+//!
+//! So nothing here may reorder float work: no SIMD horizontal sums, no
+//! fused multiply-add, no cached similarities for "unchanged" centroids,
+//! no local ids that are not order-preserving.
 
 use crate::assign::ClusterAssignment;
 use crate::rng::SplitMix64;
-use crate::vector::{cosine_similarity, SparseVec};
+use crate::vector::SparseVec;
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -48,97 +80,271 @@ impl Default for KMeansConfig {
 ///
 /// When `vectors.len() <= k`, every item gets its own cluster (matching the
 /// paper's treatment of k as an upper bound on granularity).
+///
+/// Working memory is two dense `k × D` `f64` buffers (centroids and sums),
+/// `D` being the number of distinct dimensions in `vectors`: 16·k·D bytes,
+/// and each iteration's update touches all of it. At the serving shape
+/// (`k = 5`, a few thousand distinct terms) that is well under a megabyte;
+/// `k` in the thousands over tens of thousands of terms is gigabytes, and
+/// nothing here or in the engine caps `k` — a caller exposing `k` to
+/// untrusted input must.
 pub fn kmeans(vectors: &[SparseVec], config: &KMeansConfig) -> ClusterAssignment {
+    lloyd(vectors, config).0
+}
+
+/// [`kmeans`], also returning how many Lloyd iterations ran.
+fn lloyd(vectors: &[SparseVec], config: &KMeansConfig) -> (ClusterAssignment, usize) {
     let n = vectors.len();
     if n == 0 {
-        return ClusterAssignment::from_membership(&[]);
+        return (ClusterAssignment::from_membership(&[]), 0);
     }
     let k = config.k.max(1);
     if n <= k {
         let membership: Vec<u32> = (0..n as u32).collect();
-        return ClusterAssignment::from_membership(&membership);
+        return (ClusterAssignment::from_membership(&membership), 0);
     }
 
+    let points = Points::new(vectors);
     let mut rng = SplitMix64::seed_from_u64(config.seed);
-    let mut centroids = seed_plus_plus(vectors, k, &mut rng);
+    let mut centroids = seed_plus_plus(&points, k, &mut rng);
     let mut membership = vec![0u32; n];
+    let mut sums = vec![0.0; k * points.dims];
+    let mut counts = vec![0usize; k];
+    // End state of the previous iteration, kept only when it reseeded.
+    let mut after_reseed: Option<(Vec<u32>, Vec<f64>)> = None;
+    let mut iters = 0;
 
-    for _ in 0..config.max_iters {
+    while iters < config.max_iters {
+        iters += 1;
+
         // Assignment step.
         let mut changed = false;
-        for (i, v) in vectors.iter().enumerate() {
-            let best = nearest_centroid(v, &centroids);
-            if membership[i] != best {
-                membership[i] = best;
+        for (i, slot) in membership.iter_mut().enumerate() {
+            let best = centroids.nearest(&points, i);
+            if *slot != best {
+                *slot = best;
                 changed = true;
             }
         }
 
-        // Update step: centroid = normalised mean of members.
-        let mut sums: Vec<SparseVec> = vec![SparseVec::zero(); k];
-        let mut counts = vec![0usize; k];
-        for (i, v) in vectors.iter().enumerate() {
-            sums[membership[i] as usize].add_assign(v);
-            counts[membership[i] as usize] += 1;
+        // Update step: centroid = mean of members.
+        sums.fill(0.0);
+        counts.fill(0);
+        for (i, &c) in membership.iter().enumerate() {
+            let (idx, val) = points.row(i);
+            let sum = &mut sums[c as usize * points.dims..][..points.dims];
+            for (&d, &w) in idx.iter().zip(val) {
+                sum[d as usize] += w;
+            }
+            counts[c as usize] += 1;
         }
+        let mut reseeded = false;
         for c in 0..k {
             if counts[c] == 0 {
                 // Reseed an empty cluster with the point least similar to
-                // its current assignment's centroid.
-                let farthest = (0..n)
-                    .min_by(|&a, &b| {
-                        let sa = cosine_similarity(&vectors[a], &centroids[membership[a] as usize]);
-                        let sb = cosine_similarity(&vectors[b], &centroids[membership[b] as usize]);
-                        sa.partial_cmp(&sb).expect("similarities are finite")
-                    })
-                    .expect("n > 0");
-                centroids[c] = vectors[farthest].clone();
+                // its current assignment's centroid (the first such point).
+                let mut farthest = 0;
+                let mut least = f64::INFINITY;
+                for (i, &m) in membership.iter().enumerate() {
+                    let sim = centroids.similarity(&points, i, m as usize);
+                    if sim < least {
+                        least = sim;
+                        farthest = i;
+                    }
+                }
+                centroids.set_point(c, &points, farthest);
                 membership[farthest] = c as u32;
                 changed = true;
+                reseeded = true;
             } else {
-                let mut mean = sums[c].clone();
-                mean.scale(1.0 / counts[c] as f64);
-                centroids[c] = mean;
+                let sum = &sums[c * points.dims..][..points.dims];
+                centroids.set_mean(c, sum, 1.0 / counts[c] as f64);
             }
         }
 
         if !changed {
             break;
         }
-    }
-
-    ClusterAssignment::from_membership(&membership)
-}
-
-/// Index of the centroid most cosine-similar to `v`; ties break on lower
-/// index. Zero vectors go to centroid 0.
-fn nearest_centroid(v: &SparseVec, centroids: &[SparseVec]) -> u32 {
-    if v.is_zero() {
-        return 0;
-    }
-    let mut best = 0u32;
-    let mut best_sim = -1.0;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let sim = cosine_similarity(v, centroid);
-        if sim > best_sim {
-            best_sim = sim;
-            best = c as u32;
+        // Fewer distinct vectors than `k`: every iteration empties the same
+        // clusters, reseeds them with the same points, and the next
+        // assignment sends those points straight back. An iteration is a
+        // function of the state it starts from, so once two consecutive
+        // iterations end in the same state every later one does too, and
+        // stopping here returns what running out `max_iters` would. Only
+        // reseeding iterations can repeat (without a reseed, `changed`
+        // means membership moved), so reseed-free runs never pay for this.
+        if reseeded {
+            if after_reseed
+                .as_ref()
+                .is_some_and(|(m, rows)| *m == membership && *rows == centroids.rows)
+            {
+                break;
+            }
+            after_reseed = Some((membership.clone(), centroids.rows.clone()));
+        } else {
+            after_reseed = None;
         }
     }
-    best
+
+    (ClusterAssignment::from_membership(&membership), iters)
+}
+
+/// The input vectors as one CSR matrix over the request-local dense
+/// dimension space `0..dims`.
+struct Points {
+    /// Row `i` is `idx[indptr[i]..indptr[i + 1]]` (same range of `val`).
+    indptr: Vec<usize>,
+    /// Local dimension of each entry, ascending within a row.
+    idx: Vec<u32>,
+    /// Weight of each entry.
+    val: Vec<f64>,
+    /// Euclidean norm of each row.
+    norms: Vec<f64>,
+    /// Number of distinct input dimensions, `D`.
+    dims: usize,
+}
+
+impl Points {
+    fn new(vectors: &[SparseVec]) -> Self {
+        let nnz: usize = vectors.iter().map(SparseVec::nnz).sum();
+        assert!(u32::try_from(nnz).is_ok(), "fewer than 2^32 entries");
+        // One `input dim << 32 | entry position` key per entry: sorted, the
+        // keys list the entries by ascending input dim, so a dim's local id
+        // is the number of distinct dims before it (order-preserving) and
+        // the low half says which CSR slot gets it.
+        let mut keys: Vec<u64> = Vec::with_capacity(nnz);
+        let mut val = Vec::with_capacity(nnz);
+        let mut indptr = Vec::with_capacity(vectors.len() + 1);
+        indptr.push(0);
+        for v in vectors {
+            for &(d, w) in v.entries() {
+                keys.push(u64::from(d) << 32 | keys.len() as u64);
+                val.push(w);
+            }
+            indptr.push(val.len());
+        }
+        keys.sort_unstable();
+        let mut idx = vec![0u32; nnz];
+        let mut dims = 0;
+        let mut last = None;
+        for key in keys {
+            let d = (key >> 32) as u32;
+            if last != Some(d) {
+                last = Some(d);
+                dims += 1;
+            }
+            idx[key as u32 as usize] = dims as u32 - 1;
+        }
+        Self {
+            indptr,
+            idx,
+            val,
+            norms: vectors.iter().map(SparseVec::norm).collect(),
+            dims,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// `(local dims, weights)` of point `i`.
+    fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let range = self.indptr[i]..self.indptr[i + 1];
+        (&self.idx[range.clone()], &self.val[range])
+    }
+}
+
+/// `k` centroids as one dense row-major `k × dims` buffer.
+struct Centroids {
+    rows: Vec<f64>,
+    /// Euclidean norm of each row, refreshed whenever the row is written.
+    norms: Vec<f64>,
+    dims: usize,
+}
+
+impl Centroids {
+    fn new(k: usize, dims: usize) -> Self {
+        Self {
+            rows: vec![0.0; k * dims],
+            norms: vec![0.0; k],
+            dims,
+        }
+    }
+
+    fn row_mut(&mut self, c: usize) -> &mut [f64] {
+        &mut self.rows[c * self.dims..][..self.dims]
+    }
+
+    /// Centroid `c` becomes a copy of point `i`.
+    fn set_point(&mut self, c: usize, points: &Points, i: usize) {
+        let (idx, val) = points.row(i);
+        let row = self.row_mut(c);
+        row.fill(0.0);
+        for (&d, &w) in idx.iter().zip(val) {
+            row[d as usize] = w;
+        }
+        self.norms[c] = points.norms[i];
+    }
+
+    /// Centroid `c` becomes `sum · factor`.
+    fn set_mean(&mut self, c: usize, sum: &[f64], factor: f64) {
+        let row = self.row_mut(c);
+        let mut sq = 0.0;
+        for (out, &s) in row.iter_mut().zip(sum) {
+            let w = s * factor;
+            *out = w;
+            sq += w * w;
+        }
+        self.norms[c] = sq.sqrt();
+    }
+
+    /// Cosine similarity of point `i` and centroid `c`, in `[0, 1]`; 0 when
+    /// either is the zero vector.
+    fn similarity(&self, points: &Points, i: usize, c: usize) -> f64 {
+        let na = points.norms[i];
+        let nb = self.norms[c];
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
+        }
+        let (idx, val) = points.row(i);
+        let row = &self.rows[c * self.dims..][..self.dims];
+        let mut dot = 0.0;
+        for (&d, &w) in idx.iter().zip(val) {
+            dot += w * row[d as usize];
+        }
+        (dot / (na * nb)).clamp(0.0, 1.0)
+    }
+
+    /// Index of the centroid most cosine-similar to point `i`; ties break
+    /// on lower index. Zero vectors go to centroid 0.
+    fn nearest(&self, points: &Points, i: usize) -> u32 {
+        if points.indptr[i] == points.indptr[i + 1] {
+            return 0;
+        }
+        let mut best = 0u32;
+        let mut best_sim = -1.0;
+        for c in 0..self.norms.len() {
+            let sim = self.similarity(points, i, c);
+            if sim > best_sim {
+                best_sim = sim;
+                best = c as u32;
+            }
+        }
+        best
+    }
 }
 
 /// k-means++ seeding with cosine distance `1 − sim`.
-fn seed_plus_plus(vectors: &[SparseVec], k: usize, rng: &mut SplitMix64) -> Vec<SparseVec> {
-    let n = vectors.len();
-    let first = rng.below(n);
-    let mut centroids: Vec<SparseVec> = vec![vectors[first].clone()];
-    let mut min_dist: Vec<f64> = vectors
-        .iter()
-        .map(|v| 1.0 - cosine_similarity(v, &centroids[0]))
+fn seed_plus_plus(points: &Points, k: usize, rng: &mut SplitMix64) -> Centroids {
+    let n = points.len();
+    let mut centroids = Centroids::new(k, points.dims);
+    centroids.set_point(0, points, rng.below(n));
+    let mut min_dist: Vec<f64> = (0..n)
+        .map(|i| 1.0 - centroids.similarity(points, i, 0))
         .collect();
 
-    while centroids.len() < k {
+    for c in 1..k {
         let total: f64 = min_dist.iter().map(|d| d * d).sum();
         let chosen = if total <= f64::EPSILON {
             // All points coincide with existing centroids; pick uniformly.
@@ -155,16 +361,19 @@ fn seed_plus_plus(vectors: &[SparseVec], k: usize, rng: &mut SplitMix64) -> Vec<
             }
             pick
         };
-        centroids.push(vectors[chosen].clone());
-        for (i, v) in vectors.iter().enumerate() {
-            let d = 1.0 - cosine_similarity(v, centroids.last().expect("just pushed"));
-            if d < min_dist[i] {
-                min_dist[i] = d;
+        centroids.set_point(c, points, chosen);
+        for (i, min) in min_dist.iter_mut().enumerate() {
+            let d = 1.0 - centroids.similarity(points, i, c);
+            if d < *min {
+                *min = d;
             }
         }
     }
     centroids
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -311,6 +520,135 @@ mod tests {
             );
             assert!(a.num_clusters() <= k, "k={k} produced {}", a.num_clusters());
             assert!(a.num_clusters() >= 1);
+        }
+    }
+
+    /// Random sparse inputs for the differential test. `vocab` small →
+    /// heavily overlapping dims; `disjoint` → every vector on dims of its
+    /// own; `dup_rate` → share of vectors copied from an earlier one;
+    /// `zero_rate` → share of empty vectors; `integral` → tf-like weights.
+    struct Shape {
+        n: usize,
+        vocab: u32,
+        nnz: usize,
+        disjoint: bool,
+        dup_rate: f64,
+        zero_rate: f64,
+        integral: bool,
+    }
+
+    fn random_vectors(shape: &Shape, rng: &mut SplitMix64) -> Vec<SparseVec> {
+        let mut out: Vec<SparseVec> = Vec::with_capacity(shape.n);
+        for i in 0..shape.n {
+            if !out.is_empty() && rng.f64() < shape.dup_rate {
+                let copy = out[rng.below(out.len())].clone();
+                out.push(copy);
+                continue;
+            }
+            if rng.f64() < shape.zero_rate {
+                out.push(SparseVec::zero());
+                continue;
+            }
+            let base = if shape.disjoint {
+                i as u32 * shape.vocab
+            } else {
+                0
+            };
+            let entries = (0..1 + rng.below(shape.nnz))
+                .map(|_| {
+                    let dim = base + rng.below(shape.vocab as usize) as u32;
+                    let w = if shape.integral {
+                        1.0 + rng.below(4) as f64
+                    } else {
+                        rng.f64_below(10.0)
+                    };
+                    (dim, w)
+                })
+                .collect();
+            out.push(SparseVec::from_entries(entries));
+        }
+        out
+    }
+
+    #[test]
+    fn dense_kernel_matches_the_sparse_reference_on_random_inputs() {
+        let mut rng = SplitMix64::seed_from_u64(0x14_d1ff);
+        let mut reseeding_cases = 0;
+        let mut multi_iteration_cases = 0;
+        for case in 0..240 {
+            let k_choice = case % 5;
+            // `k = n − 1` makes the reference quadratic in n; keep most of
+            // those small and let the rest range to 200.
+            let n_max = if k_choice == 4 && case % 20 != 4 {
+                24
+            } else {
+                200
+            };
+            let k_fixed = [1, 2, 5, 8][k_choice.min(3)];
+            let n = if k_choice == 4 {
+                3 + rng.below(n_max - 2)
+            } else {
+                k_fixed + 1 + rng.below(n_max - k_fixed)
+            };
+            let k = if k_choice == 4 { n - 1 } else { k_fixed };
+            let shape = Shape {
+                n,
+                vocab: [4, 30, 400, 5_000][rng.below(4)],
+                nnz: [1, 3, 12, 40][rng.below(4)],
+                disjoint: rng.below(6) == 0,
+                dup_rate: [0.0, 0.0, 0.3, 0.95][rng.below(4)],
+                zero_rate: [0.0, 0.0, 0.1, 0.5][rng.below(4)],
+                integral: rng.below(2) == 0,
+            };
+            let vectors = random_vectors(&shape, &mut rng);
+            let config = KMeansConfig {
+                k,
+                max_iters: [1, 4, 50][rng.below(3)],
+                seed: rng.next_u64(),
+            };
+            let (expected, reseeds) = reference::kmeans(&vectors, &config);
+            let (got, iters) = lloyd(&vectors, &config);
+            assert_eq!(got, expected, "case {case}: n {n} k {k}");
+            assert!(iters <= config.max_iters);
+            reseeding_cases += usize::from(reseeds > 0);
+            multi_iteration_cases += usize::from(iters > 2);
+        }
+        assert!(reseeding_cases >= 20, "reseed arm: {reseeding_cases} cases");
+        assert!(multi_iteration_cases >= 20, "{multi_iteration_cases} cases");
+    }
+
+    #[test]
+    fn duplicates_only_inputs_stop_early_and_equal_the_full_run() {
+        let identical: Vec<SparseVec> = vec![v(&[(0, 1.0), (3, 2.0)]); 100];
+        let three_distinct: Vec<SparseVec> = (0..60)
+            .map(|i| match i % 3 {
+                0 => v(&[(0, 2.0), (1, 1.0)]),
+                1 => v(&[(1, 1.0), (2, 3.0)]),
+                _ => v(&[(5, 1.0)]),
+            })
+            .collect();
+        let two_and_zeros: Vec<SparseVec> = (0..40)
+            .map(|i| match i % 4 {
+                0 => SparseVec::zero(),
+                1 | 2 => v(&[(0, 1.0), (7, 1.0)]),
+                _ => v(&[(7, 4.0), (9, 1.0)]),
+            })
+            .collect();
+        for vectors in [&identical, &three_distinct, &two_and_zeros] {
+            for k in [5, 8] {
+                for seed in 0..16 {
+                    let config = KMeansConfig {
+                        k,
+                        seed,
+                        ..Default::default()
+                    };
+                    let (expected, reseeds) = reference::kmeans(vectors, &config);
+                    assert!(reseeds >= config.max_iters, "the reference loops");
+                    let (got, iters) = lloyd(vectors, &config);
+                    assert_eq!(got, expected, "k {k} seed {seed}");
+                    assert!(iters <= 3, "k {k} seed {seed}: {iters} iterations");
+                }
+            }
         }
     }
 }

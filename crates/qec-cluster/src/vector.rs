@@ -6,6 +6,7 @@
 //! number of distinct terms per document.
 
 use qec_index::{Corpus, DocId};
+use qec_text::TermId;
 
 /// A sparse vector: sorted, unique dimensions with positive weights.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -27,6 +28,19 @@ impl SparseVec {
             }
         }
         Self { entries: merged }
+    }
+
+    /// Builds from pairs the caller expects to be canonical already:
+    /// strictly ascending dims with finite positive weights. One linear
+    /// pass verifies that; input that fails it goes through
+    /// [`from_entries`](Self::from_entries), so the result is the same
+    /// vector either way.
+    pub fn from_sorted_entries(entries: Vec<(u32, f64)>) -> Self {
+        if is_canonical(&entries) {
+            Self { entries }
+        } else {
+            Self::from_entries(entries)
+        }
     }
 
     /// The empty vector.
@@ -72,42 +86,17 @@ impl SparseVec {
         }
         acc
     }
+}
 
-    /// Adds `other` into `self` (dense accumulation via merge).
-    pub fn add_assign(&mut self, other: &SparseVec) {
-        if other.is_zero() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (mut i, mut j) = (0, 0);
-        let (a, b) = (&self.entries, &other.entries);
-        while i < a.len() || j < b.len() {
-            if j >= b.len() || (i < a.len() && a[i].0 < b[j].0) {
-                merged.push(a[i]);
-                i += 1;
-            } else if i >= a.len() || b[j].0 < a[i].0 {
-                merged.push(b[j]);
-                j += 1;
-            } else {
-                merged.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-        self.entries = merged;
-    }
-
-    /// Scales all weights by `factor` (non-positive factor zeroes the
-    /// vector).
-    pub fn scale(&mut self, factor: f64) {
-        if factor <= 0.0 || !factor.is_finite() {
-            self.entries.clear();
-            return;
-        }
-        for (_, w) in &mut self.entries {
-            *w *= factor;
-        }
-    }
+/// Whether `entries` is what [`SparseVec`] stores: strictly ascending
+/// dims, finite positive weights.
+fn is_canonical(entries: &[(u32, f64)]) -> bool {
+    let mut prev = None;
+    entries.iter().all(|&(d, w)| {
+        let ascending = prev.is_none_or(|p| p < d);
+        prev = Some(d);
+        ascending && w > 0.0 && w.is_finite()
+    })
 }
 
 /// Cosine similarity in `[0, 1]` for non-negative vectors; 0 when either
@@ -124,13 +113,59 @@ pub fn cosine_similarity(a: &SparseVec, b: &SparseVec) -> f64 {
 /// The TF vector of a document (paper §C: "the weight of each component is
 /// the TF of the feature").
 pub fn doc_tf_vector(corpus: &Corpus, doc: DocId) -> SparseVec {
-    SparseVec::from_entries(
-        corpus
-            .doc_terms(doc)
-            .iter()
-            .map(|&(t, tf)| (t.0, tf as f64))
-            .collect(),
-    )
+    tf_vector(corpus.doc_terms(doc))
+}
+
+/// [`Corpus::doc_terms`] rows are strictly sorted with positive tfs, so
+/// this is a copy; a row that is not (a corpus is also assembled from
+/// snapshot bytes) still yields the canonical vector.
+fn tf_vector(row: &[(TermId, u32)]) -> SparseVec {
+    SparseVec::from_sorted_entries(row.iter().map(|&(t, tf)| (t.0, tf as f64)).collect())
+}
+
+/// The `SparseVec` arithmetic of the sparse-merge k-means, kept for the
+/// test-only reference implementation (`kmeans::reference`).
+#[cfg(test)]
+mod reference {
+    use super::SparseVec;
+
+    impl SparseVec {
+        /// Adds `other` into `self` (dense accumulation via merge).
+        pub(crate) fn add_assign(&mut self, other: &SparseVec) {
+            if other.is_zero() {
+                return;
+            }
+            let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
+            let (mut i, mut j) = (0, 0);
+            let (a, b) = (&self.entries, &other.entries);
+            while i < a.len() || j < b.len() {
+                if j >= b.len() || (i < a.len() && a[i].0 < b[j].0) {
+                    merged.push(a[i]);
+                    i += 1;
+                } else if i >= a.len() || b[j].0 < a[i].0 {
+                    merged.push(b[j]);
+                    j += 1;
+                } else {
+                    merged.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+            self.entries = merged;
+        }
+
+        /// Scales all weights by `factor` (non-positive factor zeroes the
+        /// vector).
+        pub(crate) fn scale(&mut self, factor: f64) {
+            if factor <= 0.0 || !factor.is_finite() {
+                self.entries.clear();
+                return;
+            }
+            for (_, w) in &mut self.entries {
+                *w *= factor;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +186,31 @@ mod tests {
     fn from_entries_drops_nonpositive() {
         let x = v(&[(1, 0.0), (2, -3.0), (4, 1.0), (5, f64::NAN)]);
         assert_eq!(x.entries(), &[(4, 1.0)]);
+    }
+
+    #[test]
+    fn from_sorted_entries_keeps_canonical_input_and_repairs_the_rest() {
+        let canonical = vec![(1, 2.0), (3, 0.5), (9, 1.0)];
+        assert!(is_canonical(&canonical));
+        assert_eq!(
+            SparseVec::from_sorted_entries(canonical.clone()).entries(),
+            &canonical[..]
+        );
+        assert!(is_canonical(&[]));
+        for broken in [
+            vec![(3, 1.0), (1, 2.0)],           // descending
+            vec![(1, 1.0), (1, 2.0)],           // duplicate dim
+            vec![(1, 1.0), (2, 0.0)],           // zero weight
+            vec![(1, -1.0)],                    // negative weight
+            vec![(1, 1.0), (2, f64::INFINITY)], // not finite
+            vec![(0, f64::NAN), (2, 1.0)],
+        ] {
+            assert!(!is_canonical(&broken), "{broken:?}");
+            assert_eq!(
+                SparseVec::from_sorted_entries(broken.clone()),
+                SparseVec::from_entries(broken)
+            );
+        }
     }
 
     #[test]
@@ -231,5 +291,55 @@ mod tests {
             .find(|&&(dim, _)| dim == java.0)
             .map(|&(_, w)| w);
         assert_eq!(weight, Some(2.0));
+    }
+
+    /// `from_entries` of the same pairs: what `doc_tf_vector` returned
+    /// before it trusted (and verified) the row order.
+    fn resorted(row: &[(TermId, u32)]) -> SparseVec {
+        SparseVec::from_entries(row.iter().map(|&(t, tf)| (t.0, tf as f64)).collect())
+    }
+
+    #[test]
+    fn doc_tf_vector_equals_from_entries_for_built_and_snapshot_loaded_corpora() {
+        use qec_index::{CorpusBuilder, DocumentSpec, Feature};
+        let mut b = CorpusBuilder::new();
+        for i in 0..40 {
+            b.add_document(DocumentSpec::text(
+                format!("Title {i}"),
+                format!("apple common{} java java island word{}", i % 3, i % 7),
+            ));
+        }
+        b.add_document(DocumentSpec::text("", "the of and"));
+        b.add_document(DocumentSpec::structured(
+            "Canon PowerShot",
+            vec![Feature::new("camera", "brand", "Canon")],
+        ));
+        let built = b.build();
+
+        let dir = std::env::temp_dir().join(format!("qec-cluster-tfvec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.qsnap");
+        qec_snapshot::save_corpus(&built, &path).unwrap();
+        let loaded = qec_snapshot::load_corpus(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        for corpus in [&built, &loaded] {
+            for d in corpus.all_docs() {
+                assert_eq!(doc_tf_vector(corpus, d), resorted(corpus.doc_terms(d)));
+            }
+        }
+    }
+
+    #[test]
+    fn tf_vector_falls_back_on_an_unsorted_or_zero_tf_row() {
+        let row = [
+            (TermId(7), 2),
+            (TermId(3), 1),
+            (TermId(9), 0),
+            (TermId(3), 4),
+        ];
+        let vec = tf_vector(&row);
+        assert_eq!(vec, resorted(&row));
+        assert_eq!(vec.entries(), &[(3, 5.0), (7, 2.0)]);
     }
 }

@@ -29,9 +29,8 @@
 //!   runs on (the offline-build substitute for rayon): per-worker deques
 //!   with steal-on-empty, an injector queue, park/unpark idling, and a
 //!   zero-allocation indexed batch mode.
-//! * [`scatter`] — scatter/gather primitives for shard-partitioned
-//!   serving: indexed per-slot scatter over the pool plus a reusable
-//!   k-way merge scratch for gathering per-shard sorted lists.
+//! * [`scatter`] — the gather primitive of shard-partitioned serving: a
+//!   reusable k-way merge scratch for per-shard sorted lists.
 //! * [`retry`] — deadline-aware capped exponential [`Backoff`] with
 //!   seeded jitter, the wait policy behind replica failover retries.
 //! * [`breaker`] — lock-free per-replica [`CircuitBreaker`]s
@@ -69,4 +68,4 @@ pub use pool::{default_parallelism, WorkerPool};
 pub use problem::{ArenaConfig, CandId, Candidate, ExpansionArena, QecInstance, SetSlot};
 pub use qec_bitset::{Bitset, RankIndex};
 pub use retry::Backoff;
-pub use scatter::{scatter_slots, MergeScratch};
+pub use scatter::MergeScratch;

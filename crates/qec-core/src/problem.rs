@@ -109,49 +109,93 @@ impl ExpansionArena {
             None => vec![1.0; n],
         };
 
-        // term → contains bitset, accumulated over arena docs. Dense map by
-        // TermId would waste memory (vocab >> arena terms); a sorted-key
-        // accumulation via BTreeMap keeps iteration deterministic.
-        let mut contains: std::collections::BTreeMap<TermId, ResultSet> =
-            std::collections::BTreeMap::new();
-        let mut tfidf: std::collections::BTreeMap<TermId, f64> = std::collections::BTreeMap::new();
-        let index = corpus.index();
+        // Every (term, result) occurrence once, as `term << 32 | position`
+        // with the result index and tf kept by position. Positions ascend
+        // with the arena index, so the sorted keys group the occurrences by
+        // ascending term and, within a term, by ascending arena index.
+        let total: usize = docs.iter().map(|&d| corpus.doc_terms(d).len()).sum();
+        assert!(u32::try_from(total).is_ok(), "fewer than 2^32 occurrences");
+        let mut keys: Vec<u64> = Vec::with_capacity(total);
+        let mut occurrences: Vec<(u32, u32)> = Vec::with_capacity(total);
         for (i, &doc) in docs.iter().enumerate() {
             for &(term, tf) in corpus.doc_terms(doc) {
-                contains
-                    .entry(term)
-                    .or_insert_with(|| ResultSet::empty(n))
-                    .insert(i);
-                *tfidf.entry(term).or_insert(0.0) += tf as f64 * index.idf(term);
+                keys.push(u64::from(term.0) << 32 | occurrences.len() as u64);
+                occurrences.push((i as u32, tf));
             }
         }
+        keys.sort_unstable();
 
-        // Filter and rank candidates.
-        let mut ranked: Vec<(TermId, f64)> = contains
-            .iter()
-            .filter(|(term, set)| {
-                !query_terms.contains(term) && set.len() < n // not in all results
-            })
-            .map(|(&term, _)| (term, tfidf[&term]))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
+        // One group per term: its document count is the group's length
+        // (a `doc_terms` row holds a term once) and its arena tf·idf the
+        // sum of `tf · idf` over the group. Float-order contract: the sum
+        // runs over ascending arena index from `0.0`, which is the order a
+        // per-result accumulation adds in, so the ranking below sees the
+        // same bits. Only terms that can change `R(q)` survive: not a query
+        // term, not in every result.
+        struct Group {
+            tfidf: f64,
+            term: TermId,
+            /// The term's occurrences are `keys[start..end]`.
+            start: u32,
+            end: u32,
+        }
+        let index = corpus.index();
+        let mut ranked: Vec<Group> = Vec::new();
+        let mut start = 0;
+        while start < keys.len() {
+            let term = TermId((keys[start] >> 32) as u32);
+            let idf = index.idf(term);
+            let mut tfidf = 0.0;
+            let mut end = start;
+            while end < keys.len() && (keys[end] >> 32) as u32 == term.0 {
+                tfidf += occurrences[keys[end] as u32 as usize].1 as f64 * idf;
+                end += 1;
+            }
+            if end - start < n && !query_terms.contains(&term) {
+                ranked.push(Group {
+                    tfidf,
+                    term,
+                    start: start as u32,
+                    end: end as u32,
+                });
+            }
+            start = end;
+        }
+
+        // Keep the top `keep` under the total order (tf·idf descending,
+        // then `TermId` ascending — terms are distinct, so no two groups
+        // compare equal and neither the selection nor the unstable sort
+        // can depend on input order).
+        let by_rank = |a: &Group, b: &Group| {
+            b.tfidf
+                .partial_cmp(&a.tfidf)
                 .expect("tf-idf finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
+                .then_with(|| a.term.cmp(&b.term))
+        };
         let keep = if config.candidate_fraction >= 1.0 {
             ranked.len()
         } else {
             let frac = (ranked.len() as f64 * config.candidate_fraction).ceil() as usize;
             frac.max(config.min_candidates).min(ranked.len())
         };
-        ranked.truncate(keep);
+        if keep < ranked.len() {
+            ranked.select_nth_unstable_by(keep, by_rank);
+            ranked.truncate(keep);
+        }
+        ranked.sort_unstable_by(by_rank);
 
+        // Bitsets only for the candidates that were kept, straight from
+        // their group's run of arena indices.
         let candidates: Vec<Candidate> = ranked
             .into_iter()
-            .map(|(term, _)| Candidate {
-                term,
-                contains: contains.remove(&term).expect("ranked term present"),
+            .map(|group| Candidate {
+                term: group.term,
+                contains: ResultSet::from_indices(
+                    n,
+                    keys[group.start as usize..group.end as usize]
+                        .iter()
+                        .map(|&key| occurrences[key as u32 as usize].0 as usize),
+                ),
             })
             .collect();
 
@@ -258,15 +302,26 @@ impl ExpansionArena {
 }
 
 /// Builds the result → eliminating-candidates map (the complement view of
-/// the `contains` bitsets).
+/// the `contains` bitsets); each list ascends by `CandId` and is allocated
+/// once, at its final length.
 fn eliminator_map(n: usize, candidates: &[Candidate]) -> Vec<Vec<CandId>> {
-    let mut map: Vec<Vec<CandId>> = vec![Vec::new(); n];
+    // A result is eliminated by every candidate that does not contain it.
+    let mut containing = vec![0usize; n];
+    for cand in candidates {
+        for d in cand.contains.iter() {
+            containing[d] += 1;
+        }
+    }
+    let mut map: Vec<Vec<CandId>> = containing
+        .iter()
+        .map(|&c| Vec::with_capacity(candidates.len() - c))
+        .collect();
+    let full = ResultSet::full(n);
+    let mut eliminated = ResultSet::empty(n);
     for (i, cand) in candidates.iter().enumerate() {
-        let id = CandId(i as u32);
-        for (d, slot) in map.iter_mut().enumerate() {
-            if !cand.contains.contains(d) {
-                slot.push(id);
-            }
+        full.and_not_count_into(&cand.contains, &mut eliminated);
+        for d in eliminated.iter() {
+            map[d].push(CandId(i as u32));
         }
     }
     map
@@ -416,6 +471,9 @@ impl<'a> QecInstance<'a> {
         set.weighted_sum(&self.arena.weights)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -642,5 +700,116 @@ mod tests {
         let total: f64 = arena.weights.iter().sum();
         assert!((total - 2.0).abs() < 1e-12);
         assert!(arena.weights[0] > arena.weights[1]);
+    }
+
+    /// A corpus of `num_docs` random documents over `vocab` tokens (low
+    /// ranks drawn more often, so document frequencies and idfs vary) that
+    /// all carry the token `common`.
+    fn random_corpus(
+        num_docs: usize,
+        vocab: usize,
+        rng: &mut qec_cluster::SplitMix64,
+    ) -> qec_index::Corpus {
+        let mut b = CorpusBuilder::new();
+        for _ in 0..num_docs {
+            let mut body = String::from("common");
+            for _ in 0..1 + rng.below(12) {
+                let cap = 1 + rng.below(vocab);
+                let rank = rng.below(cap);
+                body.push_str(&format!(" tok{rank}"));
+            }
+            b.add_document(DocumentSpec::text("", body));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn grouped_build_matches_the_btreemap_reference_on_random_corpora() {
+        let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x14_a7e4a);
+        let mut truncated_cases = 0;
+        let mut universal_term_cases = 0;
+        for case in 0..96 {
+            // Arena sizes straddle the bitset word boundaries.
+            let n = [1, 63, 64, 65, 100, 129][case % 6];
+            let vocab = [6, 40, 400][rng.below(3)];
+            let corpus = random_corpus(n + rng.below(60), vocab, &mut rng);
+            // The results: `n` distinct docs in a random (ranking) order.
+            let mut docs: Vec<DocId> = corpus.all_docs().collect();
+            for i in 0..n {
+                let j = i + rng.below(docs.len() - i);
+                docs.swap(i, j);
+            }
+            docs.truncate(n);
+            let weights: Option<Vec<f64>> =
+                (rng.below(2) == 0).then(|| (0..n).map(|_| rng.f64_below(5.0)).collect());
+            let query_terms: Vec<TermId> = match rng.below(3) {
+                0 => Vec::new(),
+                1 => vec![corpus.keyword_term("common").unwrap()],
+                _ => corpus
+                    .doc_terms(docs[rng.below(n)])
+                    .iter()
+                    .map(|&(t, _)| t)
+                    .take(2)
+                    .collect(),
+            };
+            let config = ArenaConfig {
+                candidate_fraction: [0.2, 1.0][rng.below(2)],
+                min_candidates: [0, 5, 10_000][rng.below(3)],
+            };
+
+            let expected =
+                reference::build(&corpus, &docs, weights.as_deref(), &query_terms, &config);
+            let got =
+                ExpansionArena::build(&corpus, &docs, weights.as_deref(), &query_terms, &config);
+
+            let label = format!("case {case}: n {n}, {config:?}");
+            assert_eq!(got.docs, expected.docs, "{label}");
+            assert_eq!(
+                got.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                expected
+                    .weights
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .collect::<Vec<_>>(),
+                "{label}"
+            );
+            assert_eq!(got.num_candidates(), expected.num_candidates(), "{label}");
+            for id in expected.candidate_ids() {
+                let (g, e) = (got.candidate(id), expected.candidate(id));
+                assert_eq!(g.term, e.term, "{label}: {id:?}");
+                assert_eq!(g.contains.universe(), n);
+                assert_eq!(g.contains.as_words(), e.contains.as_words(), "{label}");
+            }
+            for d in 0..n {
+                assert_eq!(got.eliminators_of(d), expected.eliminators_of(d), "{label}");
+                assert_eq!(
+                    got.eliminators[d].capacity(),
+                    got.eliminators[d].len(),
+                    "{label}: result {d}'s list is allocated at its final length"
+                );
+            }
+            assert_eq!(got.avg_eliminators(), expected.avg_eliminators(), "{label}");
+
+            let distinct_terms = {
+                let mut terms: Vec<TermId> = docs
+                    .iter()
+                    .flat_map(|&d| corpus.doc_terms(d).iter().map(|&(t, _)| t))
+                    .collect();
+                terms.sort_unstable();
+                terms.dedup();
+                terms.len()
+            };
+            truncated_cases += usize::from(got.num_candidates() + 2 < distinct_terms);
+            universal_term_cases += usize::from(n > 1 && query_terms.is_empty());
+        }
+        assert!(truncated_cases >= 10, "{truncated_cases} truncated cases");
+        assert!(universal_term_cases >= 10, "{universal_term_cases} cases");
+    }
+
+    #[test]
+    fn from_parts_eliminators_match_the_bit_test_reference() {
+        let (arena, _) = example_3_1();
+        let expected = reference::eliminator_map(arena.size(), &arena.candidates);
+        assert_eq!(arena.eliminators, expected);
     }
 }

@@ -1,49 +1,9 @@
-//! Scatter/gather primitives for shard-partitioned serving.
-//!
-//! Two building blocks the sharded engine composes:
-//!
-//! * [`scatter_slots`] — run one closure per output slot as a flat indexed
-//!   batch on a [`WorkerPool`] (falling back to a sequential loop without
-//!   one), each task writing its own slot through [`DisjointSlots`].
-//! * [`MergeScratch`] / [`MergeScratch::merge_into`] — a k-way merge of
-//!   per-shard sorted lists into one globally sorted prefix, with a
-//!   reusable cursor frontier so warmed gather paths stay allocation-free.
-
-use crate::parallel::DisjointSlots;
-use crate::pool::WorkerPool;
-
-/// Runs `f(i, &mut slots[i])` for every slot, scattered across `pool` as
-/// one indexed batch when a pool is given and there are at least two slots,
-/// sequentially otherwise.
-///
-/// The closure must not submit further indexed batches to the same pool:
-/// [`WorkerPool::run_indexed`] parks the submitter until the batch drains,
-/// so nesting from inside a task deadlocks a small pool. (The sharded
-/// engine's batch path serializes its cold builds for exactly this
-/// reason.) Panics in `f` propagate to the caller after the batch drains,
-/// mirroring `run_indexed`.
-pub fn scatter_slots<T, F>(pool: Option<&WorkerPool>, slots: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    match pool {
-        Some(pool) if slots.len() >= 2 => {
-            let n = slots.len();
-            let disjoint = DisjointSlots::new(slots);
-            pool.run_indexed(n, &|i| {
-                // SAFETY: `run_indexed` claims each index exactly once, so
-                // no two tasks touch the same slot.
-                f(i, unsafe { disjoint.get(i) });
-            });
-        }
-        _ => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                f(i, slot);
-            }
-        }
-    }
-}
+//! The gather primitive of shard-partitioned serving:
+//! [`MergeScratch`] / [`MergeScratch::merge_into`], a k-way merge of
+//! per-shard sorted lists into one globally sorted prefix, with a reusable
+//! cursor frontier so warmed gather paths stay allocation-free. (The
+//! scatter itself is the sharded engine's own: per-replica tasks spawned
+//! on the [`WorkerPool`](crate::pool::WorkerPool).)
 
 /// Reusable cursor frontier for [`merge_into`](Self::merge_into). One
 /// `usize` cursor per input list; the buffer is kept across calls so a
@@ -145,30 +105,5 @@ mod tests {
         let mut out = Vec::new();
         scratch.merge_into(&lists, |a, b| a.0 < b.0, 0, &mut out);
         assert_eq!(out, vec![(1, 10), (1, 20), (2, 21)]);
-    }
-
-    #[test]
-    fn scatter_covers_every_slot_without_a_pool() {
-        let mut slots = vec![0usize; 5];
-        scatter_slots(None, &mut slots, |i, s| *s = i + 1);
-        assert_eq!(slots, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn scatter_covers_every_slot_on_a_pool() {
-        let pool = WorkerPool::new(2);
-        let mut slots = vec![0usize; 64];
-        scatter_slots(Some(&pool), &mut slots, |i, s| *s = i * i);
-        for (i, s) in slots.iter().enumerate() {
-            assert_eq!(*s, i * i);
-        }
-    }
-
-    #[test]
-    fn scatter_single_slot_runs_inline() {
-        let pool = WorkerPool::new(1);
-        let mut slots = vec![0usize; 1];
-        scatter_slots(Some(&pool), &mut slots, |i, s| *s = i + 7);
-        assert_eq!(slots, vec![7]);
     }
 }

@@ -40,6 +40,26 @@
 //! test). A builder that dies without publishing abandons the latch and
 //! wakes the waiters; the next one becomes the builder.
 //!
+//! Recency is arrival order
+//! ------------------------
+//! The recency list is ordered by the **arrival stamp**
+//! ([`SharedArenaCache::arrival`]) of each key's latest request, not by
+//! the moment a probe or a publish happened to take the lock. The engine
+//! stamps a request as it enters `try_expand`; a hit moves the entry to
+//! that stamp's place and a published build is linked in at the place of
+//! the request that took its ticket — behind every entry requested while
+//! it was building. What is evicted is therefore a function of the order
+//! requests came in and never of how long a build ran or how long its
+//! thread sat descheduled: a stalled builder does not re-enter as the
+//! hottest entry, and cycling through more distinct keys than the cache
+//! holds misses every time however the serving threads interleave. (Were
+//! recency the publish time, a build that outlasts `keys − capacity`
+//! sibling requests would still be cached one cycle later — and at ~50 µs
+//! a cold request, one lost scheduler slice is that long.) A build
+//! overtaken by a whole cache's worth of requests is past the capacity
+//! when it publishes and is not retained; its waiters build for themselves
+//! (the `Uncacheable` latch state).
+//!
 //! Eviction bounds
 //! ---------------
 //! Two limits, evicting from the LRU tail when **either** trips: an entry
@@ -62,11 +82,13 @@
 //! nothing.
 //!
 //! Structure: a slab of entries carrying an intrusive doubly-linked
-//! recency list (MRU at head), plus hash buckets (`FxHashMap<u64,
-//! Vec<slot>>`) resolving full-key equality per bucket entry. Every
-//! operation is O(1) amortised in the entry count.
+//! recency list (MRU at head, descending by arrival stamp), plus hash
+//! buckets (`FxHashMap<u64, Vec<slot>>`) resolving full-key equality per
+//! bucket entry. Every operation is O(1) amortised in the entry count,
+//! plus one list step per request that overtook the one being placed.
 
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -258,6 +280,9 @@ struct Entry {
     value: Arc<CachedPipeline>,
     /// The pipeline's heap footprint, charged against the byte budget.
     bytes: usize,
+    /// Arrival stamp ([`SharedArenaCache::arrival`]) of the latest request
+    /// for this key. The recency list is kept descending by it.
+    stamp: u64,
     /// Towards the MRU end.
     prev: usize,
     /// Towards the LRU end.
@@ -275,7 +300,8 @@ enum BuildState {
     /// bailed); waiters re-probe and the first becomes the new builder.
     Abandoned,
     /// The build was published but the cache could not retain it (entry
-    /// bigger than the byte budget, or zero capacity). Waiters each build
+    /// bigger than the byte budget, zero capacity, or every retained entry
+    /// requested after it). Waiters each build
     /// for themselves — without registering — so a never-cacheable hot
     /// key runs its builds in parallel instead of convoying behind one
     /// latch after another.
@@ -373,6 +399,8 @@ pub struct SharedArenaCache {
     max_bytes: usize,
     /// How long a failed build is memoized (`ZERO` = not at all).
     failure_ttl: Duration,
+    /// Arrival stamps handed out so far.
+    arrivals: AtomicU64,
     inner: Mutex<Lru>,
 }
 
@@ -392,6 +420,7 @@ impl SharedArenaCache {
             capacity,
             max_bytes,
             failure_ttl: Duration::from_millis(250),
+            arrivals: AtomicU64::new(0),
             inner: Mutex::new(Lru {
                 head: NIL,
                 tail: NIL,
@@ -424,6 +453,15 @@ impl SharedArenaCache {
         self.max_bytes
     }
 
+    /// Stamps a request's arrival: each call returns a stamp newer than
+    /// every earlier one. Recency is the arrival order of each key's latest
+    /// request, so a request stamped where it enters the engine keeps its
+    /// place in the eviction order however long its thread then takes to
+    /// reach the probe or to publish its build.
+    pub fn arrival(&self) -> u64 {
+        self.arrivals.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
     /// Probes for `key`, refreshing its recency and counting a hit or miss.
     /// Allocation-free on both outcomes.
     pub fn get(&self, key: KeyRef<'_>) -> Option<Arc<CachedPipeline>> {
@@ -437,11 +475,12 @@ impl SharedArenaCache {
     /// variant never blocks and never hands out a build ticket.)
     pub fn get_with_stats(&self, key: KeyRef<'_>) -> (Option<Arc<CachedPipeline>>, CacheStats) {
         let hash = key.hash64();
+        let arrival = self.arrival();
         let mut g = self.lock();
         let found = match find(&g, hash, key) {
             Some(i) => {
                 g.hits += 1;
-                touch(&mut g, i);
+                touch(&mut g, i, arrival);
                 Some(Arc::clone(&g.slots[i].as_ref().expect("live slot").value))
             }
             None => {
@@ -492,13 +531,26 @@ impl SharedArenaCache {
         key: KeyRef<'_>,
         deadline: Option<Instant>,
     ) -> (CacheProbe<'_>, CacheStats) {
+        self.get_or_build_arrived(key, deadline, self.arrival())
+    }
+
+    /// [`get_or_build_deadline`](Self::get_or_build_deadline) for a request
+    /// stamped earlier by [`arrival`](Self::arrival): a hit, or the entry
+    /// its ticket publishes, takes the recency of that stamp instead of
+    /// the moment of this call.
+    pub fn get_or_build_arrived(
+        &self,
+        key: KeyRef<'_>,
+        deadline: Option<Instant>,
+        arrival: u64,
+    ) -> (CacheProbe<'_>, CacheStats) {
         let hash = key.hash64();
         loop {
             let in_flight = {
                 let mut g = self.lock();
                 if let Some(i) = find(&g, hash, key) {
                     g.hits += 1;
-                    touch(&mut g, i);
+                    touch(&mut g, i, arrival);
                     let value = Arc::clone(&g.slots[i].as_ref().expect("live slot").value);
                     let stats = self.snapshot(&g);
                     return (CacheProbe::Hit(value), stats);
@@ -532,6 +584,7 @@ impl SharedArenaCache {
                         let ticket = BuildTicket {
                             cache: self,
                             latch,
+                            stamp: arrival,
                             published: false,
                         };
                         return (CacheProbe::Miss(ticket), stats);
@@ -556,7 +609,7 @@ impl SharedArenaCache {
                 if let Some(i) = find(&g, hash, key) {
                     // Someone cached it after all (e.g. budget freed up).
                     g.hits += 1;
-                    touch(&mut g, i);
+                    touch(&mut g, i, arrival);
                     let value = Arc::clone(&g.slots[i].as_ref().expect("live slot").value);
                     let stats = self.snapshot(&g);
                     return (CacheProbe::Hit(value), stats);
@@ -568,6 +621,7 @@ impl SharedArenaCache {
                     // Orphan latch, never registered: publish/drop resolve
                     // it without waking (or blocking) anyone.
                     latch: Arc::new(BuildLatch::new()),
+                    stamp: arrival,
                     published: false,
                 };
                 return (CacheProbe::Miss(ticket), stats);
@@ -584,11 +638,16 @@ impl SharedArenaCache {
     pub fn insert(&self, key: KeyRef<'_>, value: Arc<CachedPipeline>) -> CacheStats {
         let bytes = value.heap_bytes();
         let hash = key.hash64();
+        let stamp = self.arrival();
         let mut g = self.lock();
-        self.insert_locked(&mut g, hash, key, value, bytes);
+        self.insert_locked(&mut g, hash, key, value, bytes, stamp);
         self.snapshot(&g)
     }
 
+    /// Inserts (or replaces) `key`'s entry at the recency position of
+    /// `stamp` — the arrival of the request the value was built for, which
+    /// for a published build is older than every request that arrived
+    /// while it ran.
     fn insert_locked(
         &self,
         g: &mut Lru,
@@ -596,6 +655,7 @@ impl SharedArenaCache {
         key: KeyRef<'_>,
         value: Arc<CachedPipeline>,
         bytes: usize,
+        stamp: u64,
     ) {
         if self.capacity == 0 {
             return;
@@ -606,7 +666,7 @@ impl SharedArenaCache {
             e.value = value;
             e.bytes = bytes;
             g.bytes_in_use = g.bytes_in_use + bytes - old_bytes;
-            touch(g, i);
+            touch(g, i, stamp);
         } else {
             let slot = match g.free.pop() {
                 Some(s) => s,
@@ -620,11 +680,12 @@ impl SharedArenaCache {
                 key: key.to_owned_key(),
                 value,
                 bytes,
+                stamp,
                 prev: NIL,
                 next: NIL,
             });
             g.buckets.entry(hash).or_default().push(slot);
-            link_front(g, slot);
+            link_by_stamp(g, slot);
             g.len += 1;
             g.bytes_in_use += bytes;
         }
@@ -687,13 +748,19 @@ fn find(g: &Lru, hash: u64, key: KeyRef<'_>) -> Option<usize> {
     })
 }
 
-/// Moves `i` to the MRU head.
-fn touch(g: &mut Lru, i: usize) {
+/// A request stamped `arrival` asked for `i`: moves it to that stamp's
+/// place in the recency order, unless a later arrival already asked.
+fn touch(g: &mut Lru, i: usize, arrival: u64) {
+    let e = g.slots[i].as_mut().expect("live slot");
+    if arrival < e.stamp {
+        return;
+    }
+    e.stamp = arrival;
     if g.head == i {
         return;
     }
     unlink(g, i);
-    link_front(g, i);
+    link_by_stamp(g, i);
 }
 
 fn unlink(g: &mut Lru, i: usize) {
@@ -723,6 +790,36 @@ fn link_front(g: &mut Lru, i: usize) {
         o => g.slots[o].as_mut().expect("live slot").prev = i,
     }
     g.head = i;
+}
+
+/// Links the unlinked slot `i` in front of the first entry with an older
+/// stamp, keeping the list descending by stamp. The walk passes only
+/// entries requested after `i`'s stamp was taken: the requests that
+/// overtook this one on the way to the probe or arrived while its build
+/// ran — usually none, at most the whole cache.
+fn link_by_stamp(g: &mut Lru, i: usize) {
+    let stamp = g.slots[i].as_ref().expect("live slot").stamp;
+    let (mut newer, mut older) = (NIL, g.head);
+    while older != NIL {
+        let e = g.slots[older].as_ref().expect("live slot");
+        if e.stamp < stamp {
+            break;
+        }
+        (newer, older) = (older, e.next);
+    }
+    if newer == NIL {
+        return link_front(g, i);
+    }
+    {
+        let e = g.slots[i].as_mut().expect("live slot");
+        e.prev = newer;
+        e.next = older;
+    }
+    g.slots[newer].as_mut().expect("live slot").next = i;
+    match older {
+        NIL => g.tail = i,
+        o => g.slots[o].as_mut().expect("live slot").prev = i,
+    }
 }
 
 fn evict_tail(g: &mut Lru) {
@@ -787,16 +884,21 @@ pub enum CacheProbe<'c> {
 pub struct BuildTicket<'c> {
     cache: &'c SharedArenaCache,
     latch: Arc<BuildLatch>,
+    /// Arrival stamp of the request this ticket was issued to: the recency
+    /// the published entry gets.
+    stamp: u64,
     published: bool,
 }
 
 impl BuildTicket<'_> {
     /// Publishes the built pipeline under `key` (which must be the key the
     /// ticket was issued for), deregisters the in-flight build, wakes the
-    /// waiters, and returns a post-insert stats snapshot. When the cache
-    /// could not retain the entry (bigger than the byte budget, or zero
-    /// capacity), waiters are released to build for themselves in
-    /// parallel rather than re-serializing behind each other's latches.
+    /// waiters, and returns a post-insert stats snapshot. The entry takes
+    /// the recency of the request the ticket was issued to. When the cache
+    /// could not retain the entry (bigger than the byte budget, zero
+    /// capacity, or overtaken by a cache's worth of later requests),
+    /// waiters are released to build for themselves in parallel rather
+    /// than re-serializing behind each other's latches.
     pub fn publish(mut self, key: KeyRef<'_>, value: Arc<CachedPipeline>) -> CacheStats {
         let bytes = value.heap_bytes();
         let hash = key.hash64();
@@ -806,7 +908,8 @@ impl BuildTicket<'_> {
             // A successful build supersedes any (stale) failure memo.
             g.failed
                 .retain(|f| !(f.hash == hash && key.matches(&f.key)));
-            self.cache.insert_locked(&mut g, hash, key, value, bytes);
+            self.cache
+                .insert_locked(&mut g, hash, key, value, bytes, self.stamp);
             let retained = find(&g, hash, key).is_some();
             (self.cache.snapshot(&g), retained)
         };
@@ -955,6 +1058,78 @@ mod tests {
             cache.peek(keyed(&all[2])).is_none(),
             "peek is recency-neutral"
         );
+    }
+
+    fn mru_tags(cache: &SharedArenaCache) -> Vec<usize> {
+        cache.entries_mru().iter().map(|p| tag_of(p)).collect()
+    }
+
+    /// A build that publishes after later requests' entries went in takes
+    /// the place of the request it was issued to, not the MRU head — and
+    /// when that place is already past the capacity, it is not retained.
+    #[test]
+    fn published_build_takes_its_requests_place() {
+        let cache = SharedArenaCache::new(3);
+        let all: Vec<Vec<TermId>> = (0..5).map(|i| terms(&[i])).collect();
+        let (CacheProbe::Miss(slow), _) = cache.get_or_build_with_stats(keyed(&all[0])) else {
+            panic!("cold key");
+        };
+        cache.insert(keyed(&all[1]), pipe(1));
+        cache.insert(keyed(&all[2]), pipe(2));
+        slow.publish(keyed(&all[0]), pipe(0));
+        assert_eq!(mru_tags(&cache), vec![2, 1, 0], "oldest request last");
+        cache.insert(keyed(&all[3]), pipe(3));
+        assert!(cache.peek(keyed(&all[0])).is_none(), "evicted first");
+        assert_eq!(mru_tags(&cache), vec![3, 2, 1]);
+
+        // Three requests overtake the build: nothing of it stays, and a
+        // request that waited on its latch builds for itself.
+        let (CacheProbe::Miss(slow), _) = cache.get_or_build_with_stats(keyed(&all[0])) else {
+            panic!("evicted key");
+        };
+        for i in [1, 2, 4] {
+            cache.insert(keyed(&all[i]), pipe(i));
+        }
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.get_or_build_with_stats(keyed(&all[0])).0);
+            while Arc::strong_count(&slow.latch) < 3 {
+                std::thread::yield_now(); // registry + ticket + waiter
+            }
+            slow.publish(keyed(&all[0]), pipe(0));
+            assert!(matches!(waiter.join().unwrap(), CacheProbe::Miss(_)));
+        });
+        assert_eq!(mru_tags(&cache), vec![4, 2, 1]);
+    }
+
+    /// Recency follows the stamps requests took on arrival, whichever
+    /// order they reach the cache in.
+    #[test]
+    fn recency_follows_arrival_stamps() {
+        let cache = SharedArenaCache::new(4);
+        let all: Vec<Vec<TermId>> = (0..3).map(|i| terms(&[i])).collect();
+        cache.insert(keyed(&all[0]), pipe(0));
+        let early = cache.arrival();
+        cache.insert(keyed(&all[1]), pipe(1));
+        // The early request's hit on key 0 lands behind key 1…
+        let (probe, _) = cache.get_or_build_arrived(keyed(&all[0]), None, early);
+        assert!(matches!(probe, CacheProbe::Hit(_)));
+        assert_eq!(mru_tags(&cache), vec![1, 0]);
+        // …and cannot age an entry a later arrival already asked for.
+        let early = cache.arrival();
+        assert!(cache.get(keyed(&all[0])).is_some());
+        let (probe, _) = cache.get_or_build_arrived(keyed(&all[0]), None, early);
+        assert!(matches!(probe, CacheProbe::Hit(_)));
+        assert_eq!(mru_tags(&cache), vec![0, 1]);
+        // A miss stamped before two hits publishes behind both.
+        let early = cache.arrival();
+        assert!(cache.get(keyed(&all[1])).is_some());
+        assert!(cache.get(keyed(&all[0])).is_some());
+        let (CacheProbe::Miss(ticket), _) = cache.get_or_build_arrived(keyed(&all[2]), None, early)
+        else {
+            panic!("cold key");
+        };
+        ticket.publish(keyed(&all[2]), pipe(2));
+        assert_eq!(mru_tags(&cache), vec![0, 1, 2]);
     }
 
     #[test]

@@ -313,6 +313,10 @@ impl QecEngine {
             lock(&self.result_bufs).push(buf);
             return result;
         }
+        // Stamped before anything that can wait (pool locks, analysis, the
+        // build): the cache evicts by the order requests came in, not by
+        // the order their threads were scheduled in.
+        let arrival = self.cache.arrival();
         let now = Instant::now();
         let deadline = req.effective_deadline(now);
         if deadline.is_some_and(|d| d <= now) {
@@ -324,7 +328,7 @@ impl QecEngine {
         }
         let mut resp = lock(&self.responses).pop().unwrap_or_default();
         let mut session = lock(&self.sessions).pop().unwrap_or_default();
-        let result = self.run(req, deadline, &mut session, &mut resp);
+        let result = self.run(req, deadline, arrival, &mut session, &mut resp);
         lock(&self.sessions).push(session);
         match result {
             Ok(()) => Ok(resp),
@@ -901,6 +905,7 @@ impl QecEngine {
         &self,
         req: &ExpandRequest<'_>,
         deadline: Option<Instant>,
+        arrival: u64,
         s: &mut SessionScratch,
         resp: &mut ExpandResponse,
     ) -> Result<(), EngineError> {
@@ -923,7 +928,7 @@ impl QecEngine {
 
         let caching = self.config.cache.enabled && self.cache.capacity() > 0;
         let (pipeline, hit, cache_stats) = if caching {
-            match self.cache.get_or_build_deadline(key, deadline) {
+            match self.cache.get_or_build_arrived(key, deadline, arrival) {
                 (CacheProbe::Hit(p), stats) => (p, true, stats),
                 (CacheProbe::Miss(ticket), _) => {
                     // Single-flight cold path: this session holds the
