@@ -3,13 +3,17 @@
 //! cosine k-means driven through the [`Clusterer`] trait the serving
 //! facade uses (`k8`, plus the serving default `top100/k5`), and
 //! [`ExpansionArena::build`] as the engine calls it (ranked weights,
-//! default [`ArenaConfig`]). Plus the arena generator itself (the cost of
+//! default [`ArenaConfig`]). `cold_build/*` is the whole cold build both
+//! ways: `staged` chains those three per-stage front-ends (vectors →
+//! clusterer → arena, each reading the term rows for itself), `fused` is
+//! the serving path (one [`TermMatrix`] gathered, read by the clusterer
+//! and the arena). Plus the arena generator itself (the cost of
 //! synthesising one benchmark instance).
 
 use qec_bench::{synth_arena, synth_corpus, ArenaSpec, CorpusSpec, Harness};
 use qec_cluster::{doc_tf_vector, Clusterer, KMeansClusterer, KMeansConfig, SparseVec};
 use qec_core::{ArenaConfig, ExpansionArena};
-use qec_index::DocId;
+use qec_index::{DocId, TermMatrix};
 use std::hint::black_box;
 
 fn main() {
@@ -60,6 +64,23 @@ fn main() {
                 &config,
             );
             black_box(arena.num_candidates())
+        });
+
+        h.bench(&format!("cold_build/top{n}/staged"), || {
+            let vectors: Vec<SparseVec> = docs
+                .iter()
+                .map(|&d| doc_tf_vector(black_box(&corpus), d))
+                .collect();
+            let assignment = clusterer.cluster(&vectors, 5);
+            let arena = ExpansionArena::build(&corpus, &docs, Some(&weights), &[], &config);
+            black_box((assignment.num_clusters(), arena.num_candidates()))
+        });
+        h.bench(&format!("cold_build/top{n}/fused"), || {
+            let matrix = TermMatrix::gather(black_box(&corpus), &docs);
+            let assignment = clusterer.cluster_matrix(&matrix, 5);
+            let arena =
+                ExpansionArena::from_matrix(&corpus, &matrix, &docs, Some(&weights), &[], &config);
+            black_box((assignment.num_clusters(), arena.num_candidates()))
         });
     }
 

@@ -8,8 +8,9 @@
 //! label-driven test doubles) plug in without touching the facade.
 
 use crate::assign::ClusterAssignment;
-use crate::kmeans::{kmeans, KMeansConfig};
-use crate::vector::SparseVec;
+use crate::kmeans::{kmeans, kmeans_matrix, KMeansConfig};
+use crate::vector::{tf_vectors, SparseVec};
+use qec_index::TermMatrix;
 
 /// A pluggable result-clustering strategy.
 ///
@@ -23,6 +24,15 @@ pub trait Clusterer: Send + Sync {
     /// Partitions `vectors` into at most `k` clusters (`k` is the paper's
     /// user-chosen granularity — an upper bound, not a promise).
     fn cluster(&self, vectors: &[SparseVec], k: usize) -> ClusterAssignment;
+
+    /// [`cluster`](Self::cluster) over the TF vectors of `matrix`'s rows —
+    /// how the serving path, which gathers a request's term occurrences
+    /// once, asks for a clustering. The provided body builds the vectors;
+    /// a clusterer that can read the matrix directly overrides it and must
+    /// return the same assignment.
+    fn cluster_matrix(&self, matrix: &TermMatrix, k: usize) -> ClusterAssignment {
+        self.cluster(&tf_vectors(matrix), k)
+    }
 }
 
 /// [`Clusterer`] wrapping the deterministic cosine k-means of
@@ -37,13 +47,20 @@ impl Clusterer for KMeansClusterer {
     }
 
     fn cluster(&self, vectors: &[SparseVec], k: usize) -> ClusterAssignment {
-        kmeans(
-            vectors,
-            &KMeansConfig {
-                k,
-                ..self.0.clone()
-            },
-        )
+        kmeans(vectors, &self.with_k(k))
+    }
+
+    fn cluster_matrix(&self, matrix: &TermMatrix, k: usize) -> ClusterAssignment {
+        kmeans_matrix(matrix, &self.with_k(k))
+    }
+}
+
+impl KMeansClusterer {
+    fn with_k(&self, k: usize) -> KMeansConfig {
+        KMeansConfig {
+            k,
+            ..self.0.clone()
+        }
     }
 }
 
@@ -85,6 +102,41 @@ mod tests {
             ..Default::default()
         });
         assert!(c.cluster(&vectors, 2).num_clusters() <= 2);
+    }
+
+    #[test]
+    fn matrix_front_end_equals_the_vector_front_end() {
+        use crate::rng::SplitMix64;
+        use qec_index::{CorpusBuilder, DocId, DocumentSpec};
+        let mut rng = SplitMix64::seed_from_u64(0x15_fe);
+        let mut b = CorpusBuilder::new();
+        for i in 0..90 {
+            let mut body = format!("shared topic{}", i % 4);
+            for _ in 0..rng.below(9) {
+                body.push_str(&format!(" w{}", rng.below(25)));
+            }
+            b.add_document(DocumentSpec::text("", body));
+        }
+        b.add_document(DocumentSpec::text("", "the of and"));
+        let corpus = b.build();
+        // A ranked list is in no particular id order.
+        let mut docs: Vec<DocId> = corpus.all_docs().collect();
+        for i in (1..docs.len()).rev() {
+            docs.swap(i, rng.below(i + 1));
+        }
+        let matrix = TermMatrix::gather(&corpus, &docs);
+        let vectors = tf_vectors(&matrix);
+        for (k, seed) in [(1, 1), (2, 2), (5, 3), (5, 4), (8, 5), (90, 6), (91, 7)] {
+            let c = KMeansClusterer(KMeansConfig {
+                seed,
+                ..Default::default()
+            });
+            assert_eq!(
+                c.cluster_matrix(&matrix, k),
+                c.cluster(&vectors, k),
+                "k {k} seed {seed}"
+            );
+        }
     }
 
     /// A label-driven double: proves non-k-means clusterers satisfy the

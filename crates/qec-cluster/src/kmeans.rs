@@ -28,6 +28,16 @@
 //! point's entries, and the update step a scatter-add into one reused
 //! `k × D` sums buffer.
 //!
+//! `Points` has two front-ends over the one Lloyd kernel: [`kmeans`] remaps
+//! the dimensions of caller-built [`SparseVec`]s with a sort of its own,
+//! and the serving path ([`Clusterer::cluster_matrix`] of
+//! [`KMeansClusterer`]) takes rows, local ids and `D` straight from the
+//! request's [`TermMatrix`], whose one sort already produced them — no
+//! `SparseVec` per result, no second sort.
+//!
+//! [`Clusterer::cluster_matrix`]: crate::Clusterer::cluster_matrix
+//! [`KMeansClusterer`]: crate::KMeansClusterer
+//!
 //! The result is **bit-identical** to the sparse-merge k-means this
 //! replaced (kept as the test-only `reference` module, which the
 //! differential tests compare against), because every `f64` comes from
@@ -53,6 +63,7 @@
 use crate::assign::ClusterAssignment;
 use crate::rng::SplitMix64;
 use crate::vector::SparseVec;
+use qec_index::TermMatrix;
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -89,12 +100,19 @@ impl Default for KMeansConfig {
 /// nothing here or in the engine caps `k` — a caller exposing `k` to
 /// untrusted input must.
 pub fn kmeans(vectors: &[SparseVec], config: &KMeansConfig) -> ClusterAssignment {
-    lloyd(vectors, config).0
+    lloyd(&Points::new(vectors), config).0
 }
 
-/// [`kmeans`], also returning how many Lloyd iterations ran.
-fn lloyd(vectors: &[SparseVec], config: &KMeansConfig) -> (ClusterAssignment, usize) {
-    let n = vectors.len();
+/// [`kmeans`] over the TF vectors of `matrix`'s rows, without building
+/// them: the same assignment, bit for bit, as `kmeans` of
+/// [`tf_vectors`](crate::tf_vectors)`(matrix)`.
+pub(crate) fn kmeans_matrix(matrix: &TermMatrix, config: &KMeansConfig) -> ClusterAssignment {
+    lloyd(&Points::from_matrix(matrix), config).0
+}
+
+/// The Lloyd kernel; also returns how many iterations ran.
+fn lloyd(points: &Points, config: &KMeansConfig) -> (ClusterAssignment, usize) {
+    let n = points.len();
     if n == 0 {
         return (ClusterAssignment::from_membership(&[]), 0);
     }
@@ -104,9 +122,8 @@ fn lloyd(vectors: &[SparseVec], config: &KMeansConfig) -> (ClusterAssignment, us
         return (ClusterAssignment::from_membership(&membership), 0);
     }
 
-    let points = Points::new(vectors);
     let mut rng = SplitMix64::seed_from_u64(config.seed);
-    let mut centroids = seed_plus_plus(&points, k, &mut rng);
+    let mut centroids = seed_plus_plus(points, k, &mut rng);
     let mut membership = vec![0u32; n];
     let mut sums = vec![0.0; k * points.dims];
     let mut counts = vec![0usize; k];
@@ -120,7 +137,7 @@ fn lloyd(vectors: &[SparseVec], config: &KMeansConfig) -> (ClusterAssignment, us
         // Assignment step.
         let mut changed = false;
         for (i, slot) in membership.iter_mut().enumerate() {
-            let best = centroids.nearest(&points, i);
+            let best = centroids.nearest(points, i);
             if *slot != best {
                 *slot = best;
                 changed = true;
@@ -146,13 +163,13 @@ fn lloyd(vectors: &[SparseVec], config: &KMeansConfig) -> (ClusterAssignment, us
                 let mut farthest = 0;
                 let mut least = f64::INFINITY;
                 for (i, &m) in membership.iter().enumerate() {
-                    let sim = centroids.similarity(&points, i, m as usize);
+                    let sim = centroids.similarity(points, i, m as usize);
                     if sim < least {
                         least = sim;
                         farthest = i;
                     }
                 }
-                centroids.set_point(c, &points, farthest);
+                centroids.set_point(c, points, farthest);
                 membership[farthest] = c as u32;
                 changed = true;
                 reseeded = true;
@@ -241,6 +258,37 @@ impl Points {
             val,
             norms: vectors.iter().map(SparseVec::norm).collect(),
             dims,
+        }
+    }
+
+    /// The rows of `matrix` as points: its local term ids are the
+    /// order-preserving dense dims [`new`](Self::new) sorts for, and a
+    /// row's tfs in row order are its vector's weights, so `norms` sums the
+    /// squares [`SparseVec::norm`] sums, in its order.
+    ///
+    /// A zero tf (which a `SparseVec` drops) stays as an explicit zero and
+    /// changes no result: it adds an exact `+0.0` to every dot product, sum
+    /// and norm it enters, and a row of nothing else has norm 0 like an
+    /// empty one — similarity 0 to every centroid, so cluster 0.
+    fn from_matrix(matrix: &TermMatrix) -> Self {
+        let mut indptr = Vec::with_capacity(matrix.num_rows() + 1);
+        let mut idx = Vec::with_capacity(matrix.nnz());
+        let mut val = Vec::with_capacity(matrix.nnz());
+        let mut norms = Vec::with_capacity(matrix.num_rows());
+        indptr.push(0);
+        for i in 0..matrix.num_rows() {
+            idx.extend_from_slice(matrix.row_local(i));
+            val.extend(matrix.row(i).iter().map(|&(_, tf)| tf as f64));
+            let row = &val[indptr[i]..];
+            norms.push(row.iter().map(|&w| w * w).sum::<f64>().sqrt());
+            indptr.push(val.len());
+        }
+        Self {
+            indptr,
+            idx,
+            val,
+            norms,
+            dims: matrix.num_terms(),
         }
     }
 
@@ -607,7 +655,7 @@ mod tests {
                 seed: rng.next_u64(),
             };
             let (expected, reseeds) = reference::kmeans(&vectors, &config);
-            let (got, iters) = lloyd(&vectors, &config);
+            let (got, iters) = lloyd(&Points::new(&vectors), &config);
             assert_eq!(got, expected, "case {case}: n {n} k {k}");
             assert!(iters <= config.max_iters);
             reseeding_cases += usize::from(reseeds > 0);
@@ -644,7 +692,7 @@ mod tests {
                     };
                     let (expected, reseeds) = reference::kmeans(vectors, &config);
                     assert!(reseeds >= config.max_iters, "the reference loops");
-                    let (got, iters) = lloyd(vectors, &config);
+                    let (got, iters) = lloyd(&Points::new(vectors), &config);
                     assert_eq!(got, expected, "k {k} seed {seed}");
                     assert!(iters <= 3, "k {k} seed {seed}: {iters} iterations");
                 }

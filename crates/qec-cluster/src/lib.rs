@@ -23,4 +23,4 @@ pub use clusterer::{Clusterer, KMeansClusterer};
 pub use kmeans::{kmeans, KMeansConfig};
 pub use quality::{normalized_mutual_information, purity};
 pub use rng::SplitMix64;
-pub use vector::{cosine_similarity, doc_tf_vector, SparseVec};
+pub use vector::{cosine_similarity, doc_tf_vector, tf_vectors, SparseVec};

@@ -5,7 +5,7 @@
 //! dot products are linear merges and memory stays proportional to the
 //! number of distinct terms per document.
 
-use qec_index::{Corpus, DocId};
+use qec_index::{Corpus, DocId, TermMatrix};
 use qec_text::TermId;
 
 /// A sparse vector: sorted, unique dimensions with positive weights.
@@ -121,6 +121,17 @@ pub fn doc_tf_vector(corpus: &Corpus, doc: DocId) -> SparseVec {
 /// snapshot bytes) still yields the canonical vector.
 fn tf_vector(row: &[(TermId, u32)]) -> SparseVec {
     SparseVec::from_sorted_entries(row.iter().map(|&(t, tf)| (t.0, tf as f64)).collect())
+}
+
+/// [`doc_tf_vector`] of every row of `matrix`: what a [`Clusterer`] that
+/// works on vectors is handed when the request's terms were gathered into
+/// a [`TermMatrix`].
+///
+/// [`Clusterer`]: crate::Clusterer
+pub fn tf_vectors(matrix: &TermMatrix) -> Vec<SparseVec> {
+    (0..matrix.num_rows())
+        .map(|i| tf_vector(matrix.row(i)))
+        .collect()
 }
 
 /// The `SparseVec` arithmetic of the sparse-merge k-means, kept for the

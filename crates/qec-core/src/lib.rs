@@ -9,8 +9,8 @@
 //! * [`metrics`] — weighted precision/recall/F-measure and the overall
 //!   harmonic-mean score (§2, Eq. 1).
 //! * [`problem`] — the [`ExpansionArena`] / [`QecInstance`] problem model
-//!   (Definitions 2.1/2.2), including the per-result eliminator map that
-//!   realises §3's "affected keywords only" maintenance rule.
+//!   (Definitions 2.1/2.2), built from a request's gathered term
+//!   occurrences (`qec_index::TermMatrix`).
 //! * [`mod@iskr`] — Iterative Single-Keyword Refinement (Algorithm 1), with a
 //!   reusable [`IskrScratch`] making every move valuation allocation-free.
 //! * [`mod@fmeasure`] — the exact-ΔF greedy baseline (§5's "F-measure" method).

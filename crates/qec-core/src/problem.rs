@@ -20,7 +20,7 @@
 
 use crate::bitset::ResultSet;
 use crate::metrics::{query_quality, QueryQuality};
-use qec_index::{Corpus, DocId};
+use qec_index::{Corpus, DocId, TermMatrix};
 use qec_text::TermId;
 
 /// Index of a candidate keyword within an [`ExpansionArena`].
@@ -74,15 +74,6 @@ pub struct ExpansionArena {
     pub weights: Vec<f64>,
     /// Candidate keywords, sorted by descending arena tf·idf.
     pub candidates: Vec<Candidate>,
-    /// Result → candidates that eliminate it: `eliminators[d]` lists every
-    /// `k` with `d ∈ E(k)`. This is the inverted form of §3's maintenance
-    /// rule — after a move with delta `D`, the keywords whose values may
-    /// have changed are exactly `⋃_{d ∈ D} eliminators[d]`, so ISKR walks
-    /// `D`'s members instead of re-testing every candidate.
-    eliminators: Vec<Vec<CandId>>,
-    /// Total entries across `eliminators` (= Σ_k |E(k)|), cached so ISKR
-    /// can estimate the cost of a map walk before committing to it.
-    eliminator_entries: usize,
 }
 
 impl ExpansionArena {
@@ -100,7 +91,23 @@ impl ExpansionArena {
         query_terms: &[TermId],
         config: &ArenaConfig,
     ) -> Self {
+        let matrix = TermMatrix::gather(corpus, docs);
+        Self::from_matrix(corpus, &matrix, docs, weights, query_terms, config)
+    }
+
+    /// [`build`](Self::build) from term occurrences already gathered:
+    /// `matrix` must be [`TermMatrix::gather`]`(corpus, docs)`. The serving
+    /// path gathers once and hands the same matrix to the clusterer.
+    pub fn from_matrix(
+        corpus: &Corpus,
+        matrix: &TermMatrix,
+        docs: &[DocId],
+        weights: Option<&[f64]>,
+        query_terms: &[TermId],
+        config: &ArenaConfig,
+    ) -> Self {
         let n = docs.len();
+        assert_eq!(matrix.num_rows(), n, "one matrix row per arena result");
         let weights = match weights {
             Some(w) => {
                 assert_eq!(w.len(), n, "one weight per arena result");
@@ -109,57 +116,37 @@ impl ExpansionArena {
             None => vec![1.0; n],
         };
 
-        // Every (term, result) occurrence once, as `term << 32 | position`
-        // with the result index and tf kept by position. Positions ascend
-        // with the arena index, so the sorted keys group the occurrences by
-        // ascending term and, within a term, by ascending arena index.
-        let total: usize = docs.iter().map(|&d| corpus.doc_terms(d).len()).sum();
-        assert!(u32::try_from(total).is_ok(), "fewer than 2^32 occurrences");
-        let mut keys: Vec<u64> = Vec::with_capacity(total);
-        let mut occurrences: Vec<(u32, u32)> = Vec::with_capacity(total);
-        for (i, &doc) in docs.iter().enumerate() {
-            for &(term, tf) in corpus.doc_terms(doc) {
-                keys.push(u64::from(term.0) << 32 | occurrences.len() as u64);
-                occurrences.push((i as u32, tf));
-            }
-        }
-        keys.sort_unstable();
-
-        // One group per term: its document count is the group's length
+        // One group per term: its document count is the length of its run
         // (a `doc_terms` row holds a term once) and its arena tf·idf the
-        // sum of `tf · idf` over the group. Float-order contract: the sum
-        // runs over ascending arena index from `0.0`, which is the order a
-        // per-result accumulation adds in, so the ranking below sees the
-        // same bits. Only terms that can change `R(q)` survive: not a query
-        // term, not in every result.
+        // sum of `tf · idf` over the run. Float-order contract: a run
+        // ascends by arena index and the sum starts from `0.0`, which is
+        // the order a per-result accumulation adds in, so the ranking below
+        // sees the same bits. Only terms that can change `R(q)` survive:
+        // not a query term, not in every result.
         struct Group {
             tfidf: f64,
             term: TermId,
-            /// The term's occurrences are `keys[start..end]`.
-            start: u32,
-            end: u32,
+            /// The term's local id in `matrix`.
+            local: u32,
         }
         let index = corpus.index();
         let mut ranked: Vec<Group> = Vec::new();
-        let mut start = 0;
-        while start < keys.len() {
-            let term = TermId((keys[start] >> 32) as u32);
+        for local in 0..matrix.num_terms() {
+            let term = matrix.term(local);
+            let run = matrix.term_run(local);
+            if run.len() == n || query_terms.contains(&term) {
+                continue;
+            }
             let idf = index.idf(term);
             let mut tfidf = 0.0;
-            let mut end = start;
-            while end < keys.len() && (keys[end] >> 32) as u32 == term.0 {
-                tfidf += occurrences[keys[end] as u32 as usize].1 as f64 * idf;
-                end += 1;
+            for (_, tf) in run {
+                tfidf += tf as f64 * idf;
             }
-            if end - start < n && !query_terms.contains(&term) {
-                ranked.push(Group {
-                    tfidf,
-                    term,
-                    start: start as u32,
-                    end: end as u32,
-                });
-            }
-            start = end;
+            ranked.push(Group {
+                tfidf,
+                term,
+                local: local as u32,
+            });
         }
 
         // Keep the top `keep` under the total order (tf·idf descending,
@@ -185,28 +172,24 @@ impl ExpansionArena {
         ranked.sort_unstable_by(by_rank);
 
         // Bitsets only for the candidates that were kept, straight from
-        // their group's run of arena indices.
+        // their term's run of arena indices.
         let candidates: Vec<Candidate> = ranked
             .into_iter()
             .map(|group| Candidate {
                 term: group.term,
                 contains: ResultSet::from_indices(
                     n,
-                    keys[group.start as usize..group.end as usize]
-                        .iter()
-                        .map(|&key| occurrences[key as u32 as usize].0 as usize),
+                    matrix
+                        .term_run(group.local as usize)
+                        .map(|(result, _)| result as usize),
                 ),
             })
             .collect();
 
-        let eliminators = eliminator_map(n, &candidates);
-        let eliminator_entries = eliminators.iter().map(Vec::len).sum();
         Self {
             docs: docs.to_vec(),
             weights,
             candidates,
-            eliminators,
-            eliminator_entries,
         }
     }
 
@@ -218,14 +201,10 @@ impl ExpansionArena {
         for c in &candidates {
             assert_eq!(c.contains.universe(), n, "candidate universe mismatch");
         }
-        let eliminators = eliminator_map(n, &candidates);
-        let eliminator_entries = eliminators.iter().map(Vec::len).sum();
         Self {
             docs: (0..n as u32).map(DocId).collect(),
             weights,
             candidates,
-            eliminators,
-            eliminator_entries,
         }
     }
 
@@ -250,27 +229,10 @@ impl ExpansionArena {
         &self.candidates[id.index()]
     }
 
-    /// Candidates whose elimination set contains arena result `result`
-    /// (i.e. candidates *not* containing it), in ascending id order.
-    #[inline]
-    pub fn eliminators_of(&self, result: usize) -> &[CandId] {
-        &self.eliminators[result]
-    }
-
-    /// Mean eliminator-list length per result (0 for an empty arena) —
-    /// the expected cost of one map step in an affected-keywords walk.
-    pub fn avg_eliminators(&self) -> usize {
-        if self.size() == 0 {
-            0
-        } else {
-            self.eliminator_entries / self.size()
-        }
-    }
-
-    /// Heap footprint of the arena in bytes: result list, weights,
-    /// candidate containment bitsets and the inverted eliminator map. This
-    /// is the dominant share of a cached pipeline's memory, which the
-    /// byte-budget cache eviction weighs entries by.
+    /// Heap footprint of the arena in bytes: result list, weights and
+    /// candidate containment bitsets. This is the dominant share of a
+    /// cached pipeline's memory, which the byte-budget cache eviction
+    /// weighs entries by.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let candidates: usize = self
@@ -278,15 +240,9 @@ impl ExpansionArena {
             .iter()
             .map(|c| size_of::<Candidate>() + c.contains.heap_bytes())
             .sum();
-        let eliminators: usize = self
-            .eliminators
-            .iter()
-            .map(|v| size_of::<Vec<CandId>>() + v.capacity() * size_of::<CandId>())
-            .sum();
         self.docs.capacity() * size_of::<DocId>()
             + self.weights.capacity() * size_of::<f64>()
             + candidates
-            + eliminators
     }
 
     /// `R(uq ∪ added)`: results containing every added keyword. The
@@ -299,32 +255,6 @@ impl ExpansionArena {
         }
         r
     }
-}
-
-/// Builds the result → eliminating-candidates map (the complement view of
-/// the `contains` bitsets); each list ascends by `CandId` and is allocated
-/// once, at its final length.
-fn eliminator_map(n: usize, candidates: &[Candidate]) -> Vec<Vec<CandId>> {
-    // A result is eliminated by every candidate that does not contain it.
-    let mut containing = vec![0usize; n];
-    for cand in candidates {
-        for d in cand.contains.iter() {
-            containing[d] += 1;
-        }
-    }
-    let mut map: Vec<Vec<CandId>> = containing
-        .iter()
-        .map(|&c| Vec::with_capacity(candidates.len() - c))
-        .collect();
-    let full = ResultSet::full(n);
-    let mut eliminated = ResultSet::empty(n);
-    for (i, cand) in candidates.iter().enumerate() {
-        full.and_not_count_into(&cand.contains, &mut eliminated);
-        for d in eliminated.iter() {
-            map[d].push(CandId(i as u32));
-        }
-    }
-    map
 }
 
 /// Scales weights so they sum to the arena size (keeps `S(·)` on the same
@@ -576,25 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn eliminator_map_inverts_contains() {
-        let (arena, _) = example_3_1();
-        for d in 0..arena.size() {
-            for id in arena.candidate_ids() {
-                let eliminates = arena.eliminators_of(d).contains(&id);
-                assert_eq!(
-                    eliminates,
-                    !arena.candidate(id).contains.contains(d),
-                    "result {d}, candidate {id:?}"
-                );
-            }
-            assert!(
-                arena.eliminators_of(d).windows(2).all(|w| w[0] < w[1]),
-                "eliminators sorted for result {d}"
-            );
-        }
-    }
-
-    #[test]
     fn arena_build_from_corpus_excludes_query_terms_and_universal_terms() {
         let mut b = CorpusBuilder::new();
         let d0 = b.add_document(DocumentSpec::text("", "apple iphone store common"));
@@ -780,16 +691,6 @@ mod tests {
                 assert_eq!(g.contains.universe(), n);
                 assert_eq!(g.contains.as_words(), e.contains.as_words(), "{label}");
             }
-            for d in 0..n {
-                assert_eq!(got.eliminators_of(d), expected.eliminators_of(d), "{label}");
-                assert_eq!(
-                    got.eliminators[d].capacity(),
-                    got.eliminators[d].len(),
-                    "{label}: result {d}'s list is allocated at its final length"
-                );
-            }
-            assert_eq!(got.avg_eliminators(), expected.avg_eliminators(), "{label}");
-
             let distinct_terms = {
                 let mut terms: Vec<TermId> = docs
                     .iter()
@@ -804,12 +705,5 @@ mod tests {
         }
         assert!(truncated_cases >= 10, "{truncated_cases} truncated cases");
         assert!(universal_term_cases >= 10, "{universal_term_cases} cases");
-    }
-
-    #[test]
-    fn from_parts_eliminators_match_the_bit_test_reference() {
-        let (arena, _) = example_3_1();
-        let expected = reference::eliminator_map(arena.size(), &arena.candidates);
-        assert_eq!(arena.eliminators, expected);
     }
 }

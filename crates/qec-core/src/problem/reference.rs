@@ -1,10 +1,9 @@
 //! The arena build this module's grouped-occurrences build replaced, kept
-//! verbatim as the oracle of the differential tests: one `contains` bitset
-//! and one tf·idf accumulator per distinct result term in two `BTreeMap`s
-//! (one `idf()` per occurrence), and an eliminator map that bit-tests
-//! every (candidate, result) pair.
+//! as the oracle of the differential tests: one `contains` bitset and one
+//! tf·idf accumulator per distinct result term in two `BTreeMap`s (one
+//! `idf()` per occurrence).
 
-use super::{normalize_weights, ArenaConfig, CandId, Candidate, ExpansionArena};
+use super::{normalize_weights, ArenaConfig, Candidate, ExpansionArena};
 use crate::bitset::ResultSet;
 use qec_index::{Corpus, DocId};
 use qec_text::TermId;
@@ -72,28 +71,9 @@ pub(crate) fn build(
         })
         .collect();
 
-    let eliminators = eliminator_map(n, &candidates);
-    let eliminator_entries = eliminators.iter().map(Vec::len).sum();
     ExpansionArena {
         docs: docs.to_vec(),
         weights,
         candidates,
-        eliminators,
-        eliminator_entries,
     }
-}
-
-/// Builds the result → eliminating-candidates map (the complement view of
-/// the `contains` bitsets).
-pub(crate) fn eliminator_map(n: usize, candidates: &[Candidate]) -> Vec<Vec<CandId>> {
-    let mut map: Vec<Vec<CandId>> = vec![Vec::new(); n];
-    for (i, cand) in candidates.iter().enumerate() {
-        let id = CandId(i as u32);
-        for (d, slot) in map.iter_mut().enumerate() {
-            if !cand.contains.contains(d) {
-                slot.push(id);
-            }
-        }
-    }
-    map
 }

@@ -134,7 +134,7 @@ impl CachedCluster {
 /// only mutable scratch local.
 #[derive(Debug)]
 pub struct CachedPipeline {
-    /// The expansion arena (results, weights, candidates, eliminator map).
+    /// The expansion arena (results, weights, candidates).
     pub arena: ExpansionArena,
     /// Every retrieved document in arena (rank) order: arena index `j` is
     /// document `docs[j]`. Shared by all clusters — member lists are
@@ -170,6 +170,23 @@ impl CachedPipeline {
                         + c.rank.heap_bytes()
                 })
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: taken and run by the next [`CachedPipeline`] dropped on
+    /// this thread, so a test can act while an eviction's free is under way.
+    static ON_PIPELINE_DROP: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+#[cfg(test)]
+impl Drop for CachedPipeline {
+    fn drop(&mut self) {
+        if let Some(hook) = ON_PIPELINE_DROP.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
     }
 }
 
@@ -640,14 +657,23 @@ impl SharedArenaCache {
         let hash = key.hash64();
         let stamp = self.arrival();
         let mut g = self.lock();
-        self.insert_locked(&mut g, hash, key, value, bytes, stamp);
-        self.snapshot(&g)
+        let displaced = self.insert_locked(&mut g, hash, key, value, bytes, stamp);
+        let stats = self.snapshot(&g);
+        drop(g);
+        drop(displaced);
+        stats
     }
 
     /// Inserts (or replaces) `key`'s entry at the recency position of
     /// `stamp` — the arrival of the request the value was built for, which
     /// for a published build is older than every request that arrived
     /// while it ran.
+    ///
+    /// Returns the pipelines this pushed out (evicted entries, a replaced
+    /// value) for the caller to drop **after it unlocks**: the cache's
+    /// reference is usually the last, and freeing a pipeline is hundreds of
+    /// deallocations no probe should wait behind.
+    #[must_use = "drop the displaced pipelines after releasing the cache lock"]
     fn insert_locked(
         &self,
         g: &mut Lru,
@@ -656,14 +682,16 @@ impl SharedArenaCache {
         value: Arc<CachedPipeline>,
         bytes: usize,
         stamp: u64,
-    ) {
+    ) -> Vec<Arc<CachedPipeline>> {
+        let mut displaced = Vec::new();
         if self.capacity == 0 {
-            return;
+            displaced.push(value);
+            return displaced;
         }
         if let Some(i) = find(g, hash, key) {
             let e = g.slots[i].as_mut().expect("live slot");
             let old_bytes = e.bytes;
-            e.value = value;
+            displaced.push(std::mem::replace(&mut e.value, value));
             e.bytes = bytes;
             g.bytes_in_use = g.bytes_in_use + bytes - old_bytes;
             touch(g, i, stamp);
@@ -696,8 +724,9 @@ impl SharedArenaCache {
         while g.len > self.capacity
             || (self.max_bytes > 0 && g.bytes_in_use > self.max_bytes && g.len > 0)
         {
-            evict_tail(g);
+            displaced.push(evict_tail(g));
         }
+        displaced
     }
 
     /// Cumulative counters and occupancy.
@@ -822,7 +851,10 @@ fn link_by_stamp(g: &mut Lru, i: usize) {
     }
 }
 
-fn evict_tail(g: &mut Lru) {
+/// Unlinks the least recently requested entry and returns its pipeline
+/// (the cache's reference to it; any request still holding a clone keeps
+/// the pipeline alive).
+fn evict_tail(g: &mut Lru) -> Arc<CachedPipeline> {
     let i = g.tail;
     debug_assert_ne!(i, NIL, "evict on empty cache");
     unlink(g, i);
@@ -836,8 +868,7 @@ fn evict_tail(g: &mut Lru) {
     g.len -= 1;
     g.bytes_in_use -= e.bytes;
     g.evictions += 1;
-    // `e` drops here: the Arc releases the cache's reference; any request
-    // still holding a clone keeps the pipeline alive.
+    e.value
 }
 
 /// Drops the single-flight registration whose latch is `latch` (matched by
@@ -902,17 +933,19 @@ impl BuildTicket<'_> {
     pub fn publish(mut self, key: KeyRef<'_>, value: Arc<CachedPipeline>) -> CacheStats {
         let bytes = value.heap_bytes();
         let hash = key.hash64();
-        let (stats, retained) = {
+        let (stats, retained, displaced) = {
             let mut g = self.cache.lock();
             remove_building(&mut g, &self.latch);
             // A successful build supersedes any (stale) failure memo.
             g.failed
                 .retain(|f| !(f.hash == hash && key.matches(&f.key)));
-            self.cache
+            let displaced = self
+                .cache
                 .insert_locked(&mut g, hash, key, value, bytes, self.stamp);
             let retained = find(&g, hash, key).is_some();
-            (self.cache.snapshot(&g), retained)
+            (self.cache.snapshot(&g), retained, displaced)
         };
+        drop(displaced);
         self.published = true;
         self.latch.complete(if retained {
             BuildState::Done
@@ -1058,6 +1091,50 @@ mod tests {
             cache.peek(keyed(&all[2])).is_none(),
             "peek is recency-neutral"
         );
+    }
+
+    /// The evicted pipeline is freed after `publish` has unlocked the
+    /// cache: while its drop is held open, a probe from another thread goes
+    /// through. (Dropped under the lock, the probe would block until the
+    /// drop's wait gives up.)
+    #[test]
+    fn evicted_pipeline_drops_after_the_lock_is_released() {
+        use std::sync::mpsc;
+        let cache = SharedArenaCache::new(1);
+        let (old, new) = (terms(&[1]), terms(&[2]));
+        cache.insert(keyed(&old), pipe(1));
+        let (CacheProbe::Miss(ticket), _) = cache.get_or_build_with_stats(keyed(&new)) else {
+            panic!("cold key");
+        };
+        let (drop_began, began) = mpsc::channel::<()>();
+        let (probed, probe_done) = mpsc::channel::<(bool, CacheStats)>();
+        let seen_during_drop = std::rc::Rc::new(std::cell::RefCell::new(None));
+        let seen = std::rc::Rc::clone(&seen_during_drop);
+        std::thread::scope(|scope| {
+            let (cache, new) = (&cache, &new);
+            scope.spawn(move || {
+                began.recv().expect("the eviction drops a pipeline");
+                let hit = cache.get(keyed(new)).is_some();
+                // The dropper has given up waiting if this probe blocked.
+                let _ = probed.send((hit, cache.stats()));
+            });
+            ON_PIPELINE_DROP.with(|h| {
+                *h.borrow_mut() = Some(Box::new(move || {
+                    drop_began.send(()).expect("prober waits");
+                    *seen.borrow_mut() = Some(probe_done.recv_timeout(Duration::from_secs(10)));
+                }));
+            });
+            let published = ticket.publish(keyed(new), pipe(2));
+            assert_eq!((published.entries, published.evictions), (1, 1));
+            assert_eq!(published.bytes_in_use, pipe(2).heap_bytes());
+        });
+        let (hit, stats) = seen_during_drop
+            .borrow_mut()
+            .take()
+            .expect("the evicted pipeline was dropped on the publishing thread")
+            .expect("a probe completes while the evicted pipeline is being dropped");
+        assert!(hit, "the new entry was already visible");
+        assert_eq!((stats.entries, stats.evictions, stats.hits), (1, 1, 1));
     }
 
     fn mru_tags(cache: &SharedArenaCache) -> Vec<usize> {

@@ -33,12 +33,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use qec_cluster::{doc_tf_vector, Clusterer, KMeansClusterer, SparseVec};
+use qec_cluster::{Clusterer, KMeansClusterer};
 use qec_core::{
     default_parallelism, CancelToken, DisjointSlots, ExactDeltaF, ExpandedQuery, Expander,
     ExpansionArena, Iskr, IskrScratch, Pebc, QecInstance, ResultSet, ScratchPool, WorkerPool,
 };
-use qec_index::{Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, SearchScratch};
+use qec_index::{Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, SearchScratch, TermMatrix};
 use qec_snapshot::{SnapshotError, SnapshotSummary};
 use qec_text::TermId;
 
@@ -1046,8 +1046,8 @@ impl QecEngine {
     /// this corpus's idfs: run here over the whole corpus, or — when this
     /// engine gathers a [`ShardSet`] — scattered over the shards' slices
     /// and merged ([`ShardSet::retrieve`]). The downstream pipeline —
-    /// vectors, clustering, arena — runs unchanged on this engine's full
-    /// corpus, which speaks global [`DocId`]s. A scatter that had to give
+    /// term gather, clustering, arena — runs unchanged on this engine's
+    /// full corpus, which speaks global [`DocId`]s. A scatter that had to give
     /// up on some shards builds an explicitly partial pipeline (its
     /// `omitted_shards` name them); one that lost **every** shard returns
     /// [`EngineError::BuildFailed`] — nothing was retrieved, and an empty
@@ -1093,14 +1093,14 @@ impl QecEngine {
         let result_docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
         let weights: Vec<f64> = hits.iter().map(|h| h.score).collect();
 
-        let vectors: Vec<SparseVec> = result_docs
-            .iter()
-            .map(|&d| doc_tf_vector(corpus, d))
-            .collect();
-        let assignment = self.clusterer.cluster(&vectors, req.k_clusters);
+        // The results' term occurrences, gathered once for both readers:
+        // the clusterer takes them by result, the arena by term.
+        let matrix = TermMatrix::gather(corpus, &result_docs);
+        let assignment = self.clusterer.cluster_matrix(&matrix, req.k_clusters);
 
-        let arena = ExpansionArena::build(
+        let arena = ExpansionArena::from_matrix(
             corpus,
+            &matrix,
             &result_docs,
             Some(&weights),
             terms,

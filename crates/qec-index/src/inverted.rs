@@ -9,8 +9,9 @@
 //! vector for sparse terms, dense bitmap for terms with
 //! `df ≥ num_docs / 64` (see [`crate::postings`] for the rationale and the
 //! intersection kernels). Retrieval reads the hybrid side through
-//! [`InvertedIndex::doc_ids`]; tf/idf statistics keep using the posting
-//! lists.
+//! [`InvertedIndex::doc_ids`]; tf statistics keep using the posting
+//! lists, and [`InvertedIndex::idf`] reads a per-term table frozen at the
+//! same moment.
 
 use crate::doc::DocId;
 use crate::postings::{DocBitmap, PostingsView};
@@ -127,8 +128,20 @@ pub struct InvertedIndex {
     /// Hybrid doc-id representations, built by [`Self::finalize`]; empty
     /// while the index is still being mutated.
     hybrid: Vec<HybridPostings>,
+    /// `idf` of every term slot, frozen with `hybrid` (and empty with it):
+    /// a cold request reads ~700 idfs, each a division and an `ln`.
+    idf: Vec<f64>,
     num_docs: u32,
     total_postings: u64,
+}
+
+/// `ln(N / df)`, 0 for a term in no document — the one expression behind
+/// [`InvertedIndex::idf`], frozen table or not.
+fn ln_idf(num_docs: u32, df: usize) -> f64 {
+    if df == 0 || num_docs == 0 {
+        return 0.0;
+    }
+    (num_docs as f64 / df as f64).ln()
 }
 
 impl InvertedIndex {
@@ -159,14 +172,16 @@ impl InvertedIndex {
             self.total_postings += 1;
         }
         self.num_docs = self.num_docs.max(doc.0 + 1);
-        // Any mutation invalidates the frozen hybrid side.
+        // Any mutation invalidates the frozen side.
         self.hybrid.clear();
+        self.idf.clear();
     }
 
     /// Freezes the hybrid doc-id representation: a term goes dense when its
     /// df reaches one document per bitmap word (`df · 64 ≥ num_docs`), the
     /// point where a bitmap stops costing more memory than the id vector.
-    /// Idempotent; [`Self::add_document`] un-freezes.
+    /// Also freezes the idf table. Idempotent; [`Self::add_document`]
+    /// un-freezes.
     pub fn finalize(&mut self) {
         if !self.hybrid.is_empty() || self.lists.is_empty() {
             return;
@@ -187,6 +202,7 @@ impl InvertedIndex {
                 }
             })
             .collect();
+        self.idf = idf_table(self.num_docs, &self.lists);
     }
 
     /// Whether [`Self::finalize`] has run since the last mutation.
@@ -254,6 +270,7 @@ impl InvertedIndex {
             })
             .collect();
         Ok(Self {
+            idf: idf_table(num_docs, &lists),
             lists,
             hybrid,
             num_docs,
@@ -325,14 +342,23 @@ impl InvertedIndex {
     }
 
     /// Inverse document frequency with the standard `ln(N/df)` form.
-    /// Unseen terms get idf 0 (they retrieve nothing anyway).
+    /// Unseen terms get idf 0 (they retrieve nothing anyway). A finalized
+    /// index answers from its frozen table — the same expression, taken
+    /// once per term.
+    #[inline]
     pub fn idf(&self, term: TermId) -> f64 {
-        let df = self.df(term);
-        if df == 0 || self.num_docs == 0 {
-            return 0.0;
+        match self.idf.get(term.index()) {
+            Some(&idf) => idf,
+            None => ln_idf(self.num_docs, self.postings(term).len()),
         }
-        (self.num_docs as f64 / df as f64).ln()
     }
+}
+
+fn idf_table(num_docs: u32, lists: &[Vec<Posting>]) -> Vec<f64> {
+    lists
+        .iter()
+        .map(|list| ln_idf(num_docs, list.len()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -444,6 +470,29 @@ mod tests {
         assert!(!idx.is_finalized());
         idx.finalize();
         assert_eq!(idx.doc_ids(t(0)).len(), 3);
+    }
+
+    #[test]
+    fn frozen_idf_table_has_the_bits_of_the_expression() {
+        let mut idx = InvertedIndex::new();
+        for i in 0..97u32 {
+            let mut terms = vec![(t(0), 1)];
+            terms.extend((1..8u32).filter(|k| i % k == 0).map(|k| (t(k), 1)));
+            idx.add_document(d(i), &terms);
+        }
+        let unfrozen: Vec<u64> = (0..10).map(|k| idx.idf(t(k)).to_bits()).collect();
+        idx.finalize();
+        let frozen: Vec<u64> = (0..10).map(|k| idx.idf(t(k)).to_bits()).collect();
+        assert_eq!(frozen, unfrozen);
+        assert_eq!(idx.idf(t(0)), 0.0, "a term in every document");
+        assert_eq!(idx.idf(t(3)).to_bits(), (97f64 / 33f64).ln().to_bits());
+        assert_eq!(idx.idf(t(9)), 0.0, "unseen");
+
+        // Mutation drops the table with the hybrid side; N changed.
+        idx.add_document(d(97), &[(t(3), 2)]);
+        assert_eq!(idx.idf(t(3)).to_bits(), (98f64 / 34f64).ln().to_bits());
+        idx.finalize();
+        assert_eq!(idx.idf(t(3)).to_bits(), (98f64 / 34f64).ln().to_bits());
     }
 
     #[test]

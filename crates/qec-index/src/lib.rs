@@ -15,6 +15,8 @@
 //!   bitmap) and the adaptive galloping intersection kernels.
 //! * [`search`] — boolean retrieval with AND and OR semantics.
 //! * [`rank`] — TF-IDF ranking and top-k selection.
+//! * [`term_matrix`] — a result list's term occurrences gathered once, by
+//!   result and by term, for the cold build's two consumers.
 
 pub mod corpus;
 pub mod doc;
@@ -22,6 +24,7 @@ pub mod inverted;
 pub mod postings;
 pub mod rank;
 pub mod search;
+pub mod term_matrix;
 
 pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
@@ -29,3 +32,4 @@ pub use inverted::{FrozenPartsError, FrozenPostings, InvertedIndex, Posting};
 pub use postings::{intersect_sorted_into, DocBitmap, PostingsView};
 pub use rank::{Hit, TfIdfRanker};
 pub use search::{QuerySemantics, SearchScratch, Searcher};
+pub use term_matrix::TermMatrix;

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # A/B of the committed benchmark: a parent commit against the working tree.
 #
-#   scripts/ab.sh <parent-ref> <workload> [pairs=10]
+#   scripts/ab.sh <parent-ref> <workload>[,<workload>...]|all [pairs=10]
+#
+# `all` is every workload of BENCHMARK.json in its order; a comma-separated
+# list runs those, in that order — name the claimed workload first and its
+# rows lead the table, the controls follow.
 #
 # Builds the benchmark from a `git archive` export of <parent-ref> and from
 # the working tree, each into its own CARGO_TARGET_DIR, then runs
@@ -9,11 +13,12 @@
 # in alternating order (parent first on odd pairs, change first on even) —
 # the protocol of the choosing-metrics guide, section 8. The first half of
 # the pairs uses seed 1, the second half seed 11 (a seed no change was
-# developed on). Prints, per side, the median and quartiles of every
-# end-to-end metric of BENCHMARK.json, the change's pair wins, and the
-# digests. Exits 1 if the two sides' digests differ for a seed, any run
-# reports "correct":false or a failed request, or a result line lacks one
-# of the metrics.
+# developed on). Prints the digests of every pair, then one markdown table:
+# per workload and end-to-end metric of BENCHMARK.json, each side's median
+# and quartiles, the change of the median, and the change's pair wins.
+# Exits 1 if the two sides' digests differ in a pair, any run reports
+# "correct":false or a failed request, or a result line lacks one of the
+# metrics.
 #
 # Reads only what the benchmark prints; nothing under benchmark/ changes.
 # Scratch (the export, both target directories, the run logs) goes to
@@ -21,17 +26,22 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    sed -n '2,6p' "$0" >&2
+    sed -n '2,8p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
-workload=$2
 pairs=${3:-10}
 seeds=(1 11)
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 work=${AB_WORK:-$repo/target/ab}
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$repo/BENCHMARK.json")
+if [[ $2 == all ]]; then
+    mapfile -t workloads < <(sed -n '/"workloads"/,/\]/s/.*{"name":"\([a-z0-9_]*\)".*/\1/p' \
+        "$repo/BENCHMARK.json")
+else
+    IFS=, read -ra workloads <<<"$2"
+fi
 mkdir -p "$work/logs"
 
 echo "# exporting and building parent $parent_ref" >&2
@@ -45,19 +55,20 @@ for side in parent change; do
 done
 
 # Runs one side once; leaves its stdout in the run's log.
-run() { # side pair seed
-    local log=$work/logs/$workload-$2-$1.log
-    (cd "${src[$1]}" && CARGO_TARGET_DIR=$work/target-$1 \
-        "$work/target-$1/release/benchmark" \
-        --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0) >"$log" || true
-    echo "pair $2 seed $3 $1: $(head -n 1 "$log")" >&2
+run() { # workload side pair seed
+    local log=$work/logs/$1-$3-$2.log
+    (cd "${src[$2]}" && CARGO_TARGET_DIR=$work/target-$2 \
+        "$work/target-$2/release/benchmark" \
+        --workload "$1" --seed "$4" --seconds "$seconds" --trace 0) >"$log" || true
+    echo "$1 pair $3 seed $4 $2: $(head -n 1 "$log")" >&2
 }
 
-status=0
-for ((pair = 1; pair <= pairs; pair++)); do
-    seed=${seeds[$((pair * 2 > pairs ? 1 : 0))]}
-    if ((pair % 2)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do run "$side" "$pair" "$seed"; done
+for workload in "${workloads[@]}"; do
+    for ((pair = 1; pair <= pairs; pair++)); do
+        seed=${seeds[$((pair * 2 > pairs ? 1 : 0))]}
+        if ((pair % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do run "$workload" "$side" "$pair" "$seed"; done
+    done
 done
 
 # The result line is the last line of a run's stdout; the digest is the
@@ -75,58 +86,70 @@ value() {
     echo "$v"
 }
 
+status=0
 echo
-echo "workload $workload, $pairs pairs, parent $parent_ref vs working tree"
-for ((pair = 1; pair <= pairs; pair++)); do
-    p=$work/logs/$workload-$pair-parent.log
-    c=$work/logs/$workload-$pair-change.log
-    for log in "$p" "$c"; do
-        if ! tail -n 1 "$log" | grep -q '"correct":true,"attempted":[0-9]*,"failed":0,'; then
-            echo "FAILED RUN (correct:false or failed requests): $log"
+echo "parent $parent_ref vs working tree, $pairs pairs per workload, ${seconds} s runs"
+for workload in "${workloads[@]}"; do
+    for ((pair = 1; pair <= pairs; pair++)); do
+        p=$work/logs/$workload-$pair-parent.log
+        c=$work/logs/$workload-$pair-change.log
+        for log in "$p" "$c"; do
+            if ! tail -n 1 "$log" | grep -q '"correct":true,"attempted":[0-9]*,"failed":0,'; then
+                echo "FAILED RUN (correct:false or failed requests): $log"
+                status=1
+            fi
+        done
+        dp=$(digest "$p")
+        dc=$(digest "$c")
+        echo "$workload pair $pair digests: parent $dp change $dc"
+        if [[ -z $dp || $dp != "$dc" ]]; then
+            echo "DIGESTS DIFFER in $workload pair $pair"
             status=1
         fi
     done
-    dp=$(digest "$p")
-    dc=$(digest "$c")
-    echo "pair $pair digests: parent $dp change $dc"
-    if [[ -z $dp || $dp != "$dc" ]]; then
-        echo "DIGESTS DIFFER in pair $pair"
-        status=1
-    fi
 done
 
 # name and direction of every end-to-end metric, from BENCHMARK.json.
 metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name":"\([a-z0-9_]*\)".*"better":"\([a-z]*\)".*/\1 \2/p' \
     "$repo/BENCHMARK.json")
 
-printf '\n%-16s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change wins"
-while read -r name better; do
-    wins=0
-    ties=0
-    for side in parent change; do : >"$work/logs/$side.values"; done
-    for ((pair = 1; pair <= pairs; pair++)); do
-        vp=$(value "$work/logs/$workload-$pair-parent.log" "$name")
-        vc=$(value "$work/logs/$workload-$pair-change.log" "$name")
-        echo "$vp" >>"$work/logs/parent.values"
-        echo "$vc" >>"$work/logs/change.values"
-        outcome=$(awk -v p="$vp" -v c="$vc" -v b="$better" 'BEGIN {
-            if (p == c) print "tie"
-            else if ((b == "lower") == (c < p)) print "win"
-            else print "loss" }')
-        [[ $outcome == win ]] && wins=$((wins + 1))
-        [[ $outcome == tie ]] && ties=$((ties + 1))
-    done
-    for side in parent change; do
-        note=
-        [[ $side == change ]] && note="$wins of $pairs ($ties ties), $better is better"
-        sort -g "$work/logs/$side.values" | awk -v name="$name" -v side="$side" -v note="$note" '
-            { v[NR] = $1 }
-            function q(f,   pos, lo) {
-                pos = 1 + (NR - 1) * f; lo = int(pos)
-                return lo >= NR ? v[NR] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-            }
-            END { printf "%-16s %-7s %12.4f %12.4f %12.4f   %s\n", name, side, q(0.25), q(0.5), q(0.75), note }'
-    done
-done <<<"$metrics"
+# Median and quartiles of a file of values, as `median [q1–q3]`.
+spread() {
+    sort -g "$1" | awk '
+        { v[NR] = $1 }
+        function q(f,   pos, lo) {
+            pos = 1 + (NR - 1) * f; lo = int(pos)
+            return lo >= NR ? v[NR] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.4f [%.4f–%.4f]", q(0.5), q(0.25), q(0.75) }'
+}
+
+echo
+echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | median change | change wins |"
+echo "|---|---|---|---|---|---|"
+for workload in "${workloads[@]}"; do
+    while read -r name better; do
+        wins=0
+        ties=0
+        for side in parent change; do : >"$work/logs/$side.values"; done
+        for ((pair = 1; pair <= pairs; pair++)); do
+            vp=$(value "$work/logs/$workload-$pair-parent.log" "$name")
+            vc=$(value "$work/logs/$workload-$pair-change.log" "$name")
+            echo "$vp" >>"$work/logs/parent.values"
+            echo "$vc" >>"$work/logs/change.values"
+            outcome=$(awk -v p="$vp" -v c="$vc" -v b="$better" 'BEGIN {
+                if (p == c) print "tie"
+                else if ((b == "lower") == (c < p)) print "win"
+                else print "loss" }')
+            [[ $outcome == win ]] && wins=$((wins + 1))
+            [[ $outcome == tie ]] && ties=$((ties + 1))
+        done
+        parent=$(spread "$work/logs/parent.values")
+        change=$(spread "$work/logs/change.values")
+        delta=$(awk -v p="${parent%% *}" -v c="${change%% *}" 'BEGIN {
+            if (p == 0) print "n/a"; else printf "%+.1f %%", (c - p) / p * 100 }')
+        echo "| $workload | $name ($better is better) | $parent | $change | $delta | $wins of $pairs ($ties ties) |"
+    done <<<"$metrics"
+done
 
 exit $status
