@@ -13,8 +13,8 @@
 //! multi-producer queue; a collector thread closes a chunk when it
 //! reaches [`batch_max`](IngressConfig::batch_max) **or** when the oldest
 //! queued request has lingered for
-//! [`linger`](IngressConfig::linger) (~200µs by default) — whichever
-//! fires first — and dispatches the chunk through
+//! [`linger`](IngressConfig::linger) — whichever fires first — and
+//! dispatches the chunk through
 //! [`QecEngine::try_expand_batch`]. Each submitter parks on a
 //! per-request completion slot ([`Ticket`]) and wakes with exactly its
 //! own `Result`. No async runtime: the whole crate is std-only
@@ -23,8 +23,11 @@
 //! The `linger` knob is the classic latency-vs-throughput trade of
 //! continuous batching: longer lingers collect fuller batches (better
 //! amortisation, higher throughput), shorter lingers close chunks sooner
-//! (lower added latency). Closed-loop benchmarks live in
-//! `qec-bench/benches/bench_ingress.rs`.
+//! (lower added latency). The default is **zero**: the collector
+//! dispatches whatever is queued when it looks, so a chunk is what
+//! arrived while the previous chunk was being served — batches grow with
+//! load on their own, and a lone request is never held back. Closed-loop
+//! benchmarks live in `qec-bench/benches/bench_ingress.rs`.
 //!
 //! # Quickstart
 //!

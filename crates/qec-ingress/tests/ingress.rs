@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use qec_engine::{
     DocumentSpec, EngineBuilder, EngineError, ExpandRequest, ExpandStrategy, QecEngine,
 };
-use qec_ingress::{CancelToken, IngressBuilder, IngressRequest};
+use qec_ingress::{CancelToken, IngressBuilder, IngressConfig, IngressRequest};
 
 /// The engine-facing view of a front-door request, for parity checks.
 fn as_expand(req: &IngressRequest) -> ExpandRequest<'_> {
@@ -181,6 +181,27 @@ fn manual_trip_while_parked_completes_with_cancelled() {
     let stats = ingress.stats();
     assert_eq!(stats.cancelled_in_queue, 1);
     assert_eq!(stats.dispatched, 0, "the request never formed a chunk");
+}
+
+#[test]
+fn default_door_dispatches_a_lone_request_without_lingering() {
+    // No linger by default: nothing to wait out, so the collector closes a
+    // one-request chunk the moment it sees it (a "linger" close whose
+    // window is empty) instead of sleeping towards a fuller one.
+    assert_eq!(IngressConfig::default().linger, Duration::ZERO);
+    let ingress = IngressBuilder::new(engine()).spawn();
+    assert_eq!(ingress.config().linger, Duration::ZERO);
+    let direct = engine()
+        .try_expand(&as_expand(&IngressRequest::new("apple")))
+        .expect("served");
+    let resp = ingress
+        .expand(IngressRequest::new("apple"))
+        .expect("served");
+    assert_eq!(resp.clusters(), direct.clusters());
+    let stats = ingress.stats();
+    assert_eq!((stats.batches, stats.dispatched), (1, 1));
+    assert_eq!((stats.linger_closes, stats.full_closes), (1, 0));
+    assert_eq!(stats.mean_fill(), 1.0);
 }
 
 #[test]
