@@ -41,8 +41,8 @@
 //! Allocation discipline
 //! ---------------------
 //! The hot loop is allocation-free. All working state — current results,
-//! the delta set, the per-candidate value cache, the query itself — lives in an [`IskrScratch`] that [`iskr_into`] reuses
-//! across calls; every per-move valuation runs on the fused three-operand
+//! the delta set, the per-candidate value cache, the query itself — lives
+//! in an [`IskrScratch`] that [`iskr_into`] reuses across calls; every per-move valuation runs on the fused three-operand
 //! bitset kernels (`weighted_sum_and_not_and`), so no temporary `ResultSet`
 //! is ever materialised. After one warm-up call on a given arena shape,
 //! subsequent calls perform **zero** heap allocations (enforced by the

@@ -1047,8 +1047,8 @@ impl QecEngine {
     /// engine gathers a [`ShardSet`] — scattered over the shards' slices
     /// and merged ([`ShardSet::retrieve`]). The downstream pipeline —
     /// term gather, clustering, arena — runs unchanged on this engine's
-    /// full corpus, which speaks global [`DocId`]s. A scatter that had to give
-    /// up on some shards builds an explicitly partial pipeline (its
+    /// full corpus, which speaks global [`DocId`]s. A scatter that had to
+    /// give up on some shards builds an explicitly partial pipeline (its
     /// `omitted_shards` name them); one that lost **every** shard returns
     /// [`EngineError::BuildFailed`] — nothing was retrieved, and an empty
     /// "partial" would be indistinguishable from a no-match query.
