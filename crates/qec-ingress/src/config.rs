@@ -13,7 +13,7 @@ use crate::door::Ingress;
 /// | knob | closes a chunk when… | default |
 /// |---|---|---|
 /// | [`batch_max`](Self::batch_max) | this many requests are queued | 32 |
-/// | [`linger`](Self::linger) | the oldest queued request has waited this long | 0 (natural batching) |
+/// | [`linger`](Self::linger) | the oldest queued request has waited this long | 200µs |
 /// | [`queue_cap`](Self::queue_cap) | *(admission)* refuses submissions beyond this depth | 4096 |
 #[derive(Debug, Clone)]
 pub struct IngressConfig {
@@ -26,11 +26,14 @@ pub struct IngressConfig {
     pub batch_max: usize,
     /// How long the oldest queued request may wait before its chunk is
     /// closed anyway. This is the latency the front door is willing to
-    /// *add* in exchange for fuller batches. The default,
-    /// `Duration::ZERO`, dispatches whatever is queued the moment the
-    /// collector sees it and adds none: a chunk is then what arrived
-    /// while the previous one was being served, so batches still grow
-    /// with load ("natural batching") and a lone request never waits.
+    /// *add* in exchange for fuller batches. `Duration::ZERO` dispatches
+    /// whatever is queued the moment the collector sees it ("natural
+    /// batching": a chunk is then what arrived while the previous one was
+    /// being served, and a lone request never waits). It is not the
+    /// default because which requests of a burst share a chunk then
+    /// depends on how fast the collector thread wakes, and the two
+    /// outcomes differ in latency; a linger longer than a burst takes to
+    /// submit makes the chunk, and so the latency, the same every time.
     pub linger: Duration,
     /// Queue-depth backstop: a submission arriving when this many
     /// requests are already queued is refused with
@@ -46,7 +49,7 @@ impl Default for IngressConfig {
     fn default() -> Self {
         Self {
             batch_max: 32,
-            linger: Duration::ZERO,
+            linger: Duration::from_micros(200),
             queue_cap: 4096,
         }
     }

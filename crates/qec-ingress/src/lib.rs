@@ -13,8 +13,8 @@
 //! multi-producer queue; a collector thread closes a chunk when it
 //! reaches [`batch_max`](IngressConfig::batch_max) **or** when the oldest
 //! queued request has lingered for
-//! [`linger`](IngressConfig::linger) — whichever fires first — and
-//! dispatches the chunk through
+//! [`linger`](IngressConfig::linger) (~200µs by default) — whichever
+//! fires first — and dispatches the chunk through
 //! [`QecEngine::try_expand_batch`]. Each submitter parks on a
 //! per-request completion slot ([`Ticket`]) and wakes with exactly its
 //! own `Result`. No async runtime: the whole crate is std-only
@@ -23,11 +23,12 @@
 //! The `linger` knob is the classic latency-vs-throughput trade of
 //! continuous batching: longer lingers collect fuller batches (better
 //! amortisation, higher throughput), shorter lingers close chunks sooner
-//! (lower added latency). The default is **zero**: the collector
-//! dispatches whatever is queued when it looks, so a chunk is what
-//! arrived while the previous chunk was being served — batches grow with
-//! load on their own, and a lone request is never held back. Closed-loop
-//! benchmarks live in `qec-bench/benches/bench_ingress.rs`.
+//! (lower added latency). A **zero** linger dispatches whatever is queued
+//! when the collector looks, so a chunk is what arrived while the previous
+//! one was being served and a lone request is never held back; how a burst
+//! splits into chunks then depends on thread wake-up timing, which is why
+//! it is a setting and not the default. Closed-loop benchmarks live in
+//! `qec-bench/benches/bench_ingress.rs`.
 //!
 //! # Quickstart
 //!

@@ -184,12 +184,13 @@ fn manual_trip_while_parked_completes_with_cancelled() {
 }
 
 #[test]
-fn default_door_dispatches_a_lone_request_without_lingering() {
-    // No linger by default: nothing to wait out, so the collector closes a
+fn zero_linger_door_dispatches_a_lone_request_without_lingering() {
+    // A zero linger leaves nothing to wait out: the collector closes a
     // one-request chunk the moment it sees it (a "linger" close whose
-    // window is empty) instead of sleeping towards a fuller one.
-    assert_eq!(IngressConfig::default().linger, Duration::ZERO);
-    let ingress = IngressBuilder::new(engine()).spawn();
+    // window is empty) instead of sleeping towards a fuller one. It is a
+    // setting; the default keeps a window a burst fits into.
+    assert_eq!(IngressConfig::default().linger, Duration::from_micros(200));
+    let ingress = IngressBuilder::new(engine()).linger(Duration::ZERO).spawn();
     assert_eq!(ingress.config().linger, Duration::ZERO);
     let direct = engine()
         .try_expand(&as_expand(&IngressRequest::new("apple")))
