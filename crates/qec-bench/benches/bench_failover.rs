@@ -59,7 +59,7 @@ fn replicated(corpus: Corpus) -> ShardedEngine {
     ShardedEngineBuilder::from_corpus(corpus)
         .num_shards(SHARDS)
         .replicas(REPLICAS)
-        .cache_enabled(false) // every request pays the full cold build
+        .cache_capacity(0) // every request pays the full cold build
         .build()
 }
 
@@ -110,7 +110,7 @@ fn main() {
 
     let baseline = ShardedEngineBuilder::from_corpus(corpus.clone())
         .num_shards(1)
-        .cache_enabled(false)
+        .cache_capacity(0)
         .build();
     let expected = serve_round(&baseline, "single");
     let engine = replicated(corpus);

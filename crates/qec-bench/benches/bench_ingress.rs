@@ -8,7 +8,7 @@
 //! * `per_request` — each window member is a sequential
 //!   [`QecEngine::try_expand`] call: no batching anywhere.
 //! * `hand_batched` — each client batches **its own window** through
-//!   [`QecEngine::try_expand_batch`]: the best a client can do alone,
+//!   [`QecEngine::try_expand_batch_into`]: the best a client can do alone,
 //!   capped at fill `WINDOW` because one connection cannot see its
 //!   neighbours' requests.
 //! * `ingress` — each client submits its window to a shared
@@ -190,7 +190,9 @@ fn run_point(
     let hand_batched = run_mode("hand_batched", clients, rounds, WINDOW as f64, |c, r| {
         let win = window(c, r);
         let reqs: Vec<ExpandRequest<'_>> = win.iter().map(|&p| request(&queries[p])).collect();
-        for (result, &p) in engine.try_expand_batch(&reqs).into_iter().zip(&win) {
+        let mut results = Vec::with_capacity(reqs.len());
+        engine.try_expand_batch_into(&reqs, &mut results);
+        for (result, &p) in results.into_iter().zip(&win) {
             let resp = result.expect("no bound");
             check(p, resp.clusters());
             engine.recycle(resp);

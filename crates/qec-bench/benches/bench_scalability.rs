@@ -52,8 +52,7 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
 
 fn fresh_engine(spec: &CorpusSpec, cache_enabled: bool) -> QecEngine {
     EngineBuilder::from_corpus(synth_corpus(spec))
-        .cache_enabled(cache_enabled)
-        .cache_capacity(POOL * 2)
+        .cache_capacity(if cache_enabled { POOL * 2 } else { 0 })
         .build()
 }
 

@@ -6,11 +6,12 @@
 //! expansion — the steady-state serving cost) in two modes:
 //!
 //! * `seq_expand` — one `expand` per request, sequential per-cluster
-//!   expansion on the calling thread (`k_clusters` is below the fan-out
-//!   threshold): the single-thread baseline.
-//! * `batch=N/pooled` — `expand_batch_into` in chunks of `N` over the
-//!   **persistent pool**: one flat task set per chunk, worker threads
-//!   spawned once at engine build.
+//!   expansion on the calling thread (4 tasks is below the engine's
+//!   pooling threshold of 8): the single-thread baseline.
+//! * `batch=N/pooled` — `try_expand_batch_into` in chunks of `N`: one flat
+//!   task set per chunk, spread over the **persistent pool** (worker
+//!   threads spawned once at engine build) from `N = 2` up; `batch=1` is
+//!   the same 4 tasks served inline through the batch entry point.
 //!
 //! The suite asserts, in `--test` smoke mode too, that batched pooled
 //! responses are **bit-identical** to sequential serving of the same
@@ -24,7 +25,7 @@ use std::hint::black_box;
 use qec_bench::harness::Harness;
 use qec_bench::synth::{synth_corpus, CorpusSpec, ZipfSampler};
 use qec_cluster::SplitMix64;
-use qec_engine::{EngineBuilder, ExpandRequest, ExpandResponse, QecEngine};
+use qec_engine::{EngineBuilder, EngineError, ExpandRequest, ExpandResponse, QecEngine};
 
 /// Shared query pool: head ranks of the synthetic Zipf vocabulary, so
 /// every query retrieves a dense, clusterable result set.
@@ -85,20 +86,20 @@ fn serve_sequentially(engine: &QecEngine, queries: &[String], picks: &[usize]) {
     }
 }
 
-/// Serves the whole stream through `expand_batch_into` in chunks of
+/// Serves the whole stream through `try_expand_batch_into` in chunks of
 /// `batch`, reusing `reqs`/`out` across chunks.
 fn serve_batched(
     engine: &QecEngine,
     queries: &[String],
     picks: &[usize],
     batch: usize,
-    out: &mut Vec<ExpandResponse>,
+    out: &mut Vec<Result<ExpandResponse, EngineError>>,
 ) {
     for chunk in picks.chunks(batch) {
         let reqs: Vec<ExpandRequest<'_>> = chunk.iter().map(|&p| request(&queries[p])).collect();
-        engine.expand_batch_into(black_box(&reqs), out);
+        engine.try_expand_batch_into(black_box(&reqs), out);
         for r in out.drain(..) {
-            engine.recycle(r);
+            engine.recycle(r.expect("no bound, no deadline"));
         }
     }
 }
@@ -131,8 +132,9 @@ fn main() {
             for chunk in picks.chunks(batch) {
                 let reqs: Vec<ExpandRequest<'_>> =
                     chunk.iter().map(|&p| request(&queries[p])).collect();
-                engine.expand_batch_into(&reqs, &mut out);
+                engine.try_expand_batch_into(&reqs, &mut out);
                 for (resp, &p) in out.iter().zip(chunk) {
+                    let resp = resp.as_ref().expect("no bound, no deadline");
                     let want = engine.expand(&request(&queries[p]));
                     assert!(
                         resp.clusters() == want.clusters(),
@@ -143,7 +145,7 @@ fn main() {
                     engine.recycle(want);
                 }
                 for r in out.drain(..) {
-                    engine.recycle(r);
+                    engine.recycle(r.expect("no bound, no deadline"));
                 }
             }
         }

@@ -62,7 +62,7 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
 fn engine(corpus: Corpus, shards: usize) -> ShardedEngine {
     ShardedEngineBuilder::from_corpus(corpus)
         .num_shards(shards)
-        .cache_enabled(false) // every request pays the full cold build
+        .cache_capacity(0) // every request pays the full cold build
         .build()
 }
 

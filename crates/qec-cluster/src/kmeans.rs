@@ -96,9 +96,9 @@ impl Default for KMeansConfig {
 /// `D` being the number of distinct dimensions in `vectors`: 16·k·D bytes,
 /// and each iteration's update touches all of it. At the serving shape
 /// (`k = 5`, a few thousand distinct terms) that is well under a megabyte;
-/// `k` in the thousands over tens of thousands of terms is gigabytes, and
-/// nothing here or in the engine caps `k` — a caller exposing `k` to
-/// untrusted input must.
+/// `k` in the thousands over tens of thousands of terms is gigabytes.
+/// Nothing here caps `k` — a caller exposing `k` to untrusted input must
+/// (`qec-engine` clamps `ExpandRequest::k_clusters` at its boundary).
 pub fn kmeans(vectors: &[SparseVec], config: &KMeansConfig) -> ClusterAssignment {
     lloyd(&Points::new(vectors), config).0
 }

@@ -40,7 +40,7 @@
 //! stack and the spans are plain `(ptr, start, end)` triples in deques
 //! whose capacity persists — once the pool is warm, scheduling a batch
 //! performs **zero heap allocations**, which is what lets the engine's
-//! warmed `expand_batch` stay off the heap end to end.
+//! warmed batch serving stay off the heap end to end.
 //!
 //! `run_indexed` blocks until every index has executed, which is what
 //! makes lending non-`'static` closures sound (see the safety notes

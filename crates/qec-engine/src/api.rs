@@ -20,7 +20,7 @@ use crate::cache::CacheStats;
 /// Why the engine refused or could not finish a request. Returned by the
 /// fallible serving entry points
 /// ([`try_expand`](crate::QecEngine::try_expand) /
-/// [`try_expand_batch`](crate::QecEngine::try_expand_batch)).
+/// [`try_expand_batch_into`](crate::QecEngine::try_expand_batch_into)).
 ///
 /// The split between *errors* and *degradation* is deliberate: a request
 /// whose pipeline was available but whose deadline tripped mid-expansion
@@ -122,7 +122,10 @@ pub struct ExpandRequest<'q> {
     /// tokenized, stopword-filtered, stemmed).
     pub query: &'q str,
     /// Upper bound on the number of sense clusters (the paper's
-    /// user-chosen granularity `k`).
+    /// user-chosen granularity `k`). The engine clamps it to 64 before
+    /// anything reads it — cache key, clustering and response all see the
+    /// clamped value — because k-means working memory grows with `k` and
+    /// this field arrives with the request.
     pub k_clusters: usize,
     /// Keep only the `top_k` ranked results as the expansion arena
     /// (the paper works on top-30/100/500); `0` keeps every result.

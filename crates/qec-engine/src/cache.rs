@@ -45,7 +45,8 @@
 //! The recency list is ordered by the **arrival stamp**
 //! ([`SharedArenaCache::arrival`]) of each key's latest request, not by
 //! the moment a probe or a publish happened to take the lock. The engine
-//! stamps a request as it enters `try_expand`; a hit moves the entry to
+//! stamps every request of a chunk as the chunk enters serving (a single
+//! `try_expand` is a chunk of one); a hit moves the entry to
 //! that stamp's place and a published build is linked in at the place of
 //! the request that took its ticket — behind every entry requested while
 //! it was building. What is evicted is therefore a function of the order
@@ -196,7 +197,7 @@ impl Drop for CachedPipeline {
 /// `terms` must be the analysed query terms in **sorted** order (duplicates
 /// preserved — term multiplicity affects tf·idf ranking, so `"java java"`
 /// and `"java"` are genuinely different pipelines).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyRef<'a> {
     /// Sorted analysed terms, with multiplicity.
     pub terms: &'a [TermId],
@@ -455,19 +456,9 @@ impl SharedArenaCache {
         self
     }
 
-    /// How long a failed build is memoized.
-    pub fn failure_ttl(&self) -> Duration {
-        self.failure_ttl
-    }
-
     /// Maximum number of cached pipelines.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Byte budget over cached pipelines (`0` = unbounded).
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
     }
 
     /// Stamps a request's arrival: each call returns a stamp newer than
@@ -476,45 +467,13 @@ impl SharedArenaCache {
     /// place in the eviction order however long its thread then takes to
     /// reach the probe or to publish its build.
     pub fn arrival(&self) -> u64 {
-        self.arrivals.fetch_add(1, Ordering::Relaxed) + 1
+        self.arrivals(1)
     }
 
-    /// Probes for `key`, refreshing its recency and counting a hit or miss.
-    /// Allocation-free on both outcomes.
-    pub fn get(&self, key: KeyRef<'_>) -> Option<Arc<CachedPipeline>> {
-        self.get_with_stats(key).0
-    }
-
-    /// [`get`](Self::get) plus a post-probe stats snapshot under the one
-    /// lock acquisition. (The serving hot path goes through
-    /// [`get_or_build_with_stats`](Self::get_or_build_with_stats) instead,
-    /// which adds the single-flight contract on misses; this probe-only
-    /// variant never blocks and never hands out a build ticket.)
-    pub fn get_with_stats(&self, key: KeyRef<'_>) -> (Option<Arc<CachedPipeline>>, CacheStats) {
-        let hash = key.hash64();
-        let arrival = self.arrival();
-        let mut g = self.lock();
-        let found = match find(&g, hash, key) {
-            Some(i) => {
-                g.hits += 1;
-                touch(&mut g, i, arrival);
-                Some(Arc::clone(&g.slots[i].as_ref().expect("live slot").value))
-            }
-            None => {
-                g.misses += 1;
-                None
-            }
-        };
-        let stats = self.snapshot(&g);
-        (found, stats)
-    }
-
-    /// Probes for `key` without refreshing recency or counting stats — for
-    /// tests and introspection.
-    pub fn peek(&self, key: KeyRef<'_>) -> Option<Arc<CachedPipeline>> {
-        let hash = key.hash64();
-        let g = self.lock();
-        find(&g, hash, key).map(|i| Arc::clone(&g.slots[i].as_ref().expect("live slot").value))
+    /// Stamps `n` requests arriving together, in order: returns the first
+    /// one's stamp, the rest follow it consecutively.
+    pub(crate) fn arrivals(&self, n: usize) -> u64 {
+        self.arrivals.fetch_add(n as u64, Ordering::Relaxed) + 1
     }
 
     /// Probes for `key` with the single-flight contract: a cached entry is
@@ -525,15 +484,12 @@ impl SharedArenaCache {
     /// flight blocks on the builder's latch — off the cache lock — and
     /// resolves as a hit on the published entry, so a cold-start stampede
     /// on one hot key runs exactly one build.
-    pub fn get_or_build_with_stats(&self, key: KeyRef<'_>) -> (CacheProbe<'_>, CacheStats) {
-        self.get_or_build_deadline(key, None)
-    }
-
-    /// [`get_or_build_with_stats`](Self::get_or_build_with_stats) bounded
-    /// by an optional deadline, with failure fast-paths:
     ///
-    /// * a key whose build recently **failed** (within the cache's
-    ///   [`failure_ttl`](Self::failure_ttl)) resolves as
+    /// The wait is bounded by the optional `deadline`, with failure
+    /// fast-paths:
+    ///
+    /// * a key whose build recently **failed** (within the window set by
+    ///   [`with_failure_ttl`](Self::with_failure_ttl)) resolves as
     ///   [`CacheProbe::Failed`] immediately — no wait, no rebuild — so a
     ///   poisoned hot key degrades to per-caller errors instead of a
     ///   rebuild stampede;
@@ -646,28 +602,11 @@ impl SharedArenaCache {
         }
     }
 
-    /// Publishes `value` under `key`, evicting from the LRU tail while the
-    /// entry count exceeds `capacity` or the byte budget is exceeded, and
-    /// returns a post-insert stats snapshot under the one lock
-    /// acquisition. Re-inserting an existing key replaces its value and
-    /// refreshes its recency. (Single-flight builders publish through
-    /// [`BuildTicket::publish`] instead, which also resolves their latch.)
-    pub fn insert(&self, key: KeyRef<'_>, value: Arc<CachedPipeline>) -> CacheStats {
-        let bytes = value.heap_bytes();
-        let hash = key.hash64();
-        let stamp = self.arrival();
-        let mut g = self.lock();
-        let displaced = self.insert_locked(&mut g, hash, key, value, bytes, stamp);
-        let stats = self.snapshot(&g);
-        drop(g);
-        drop(displaced);
-        stats
-    }
-
     /// Inserts (or replaces) `key`'s entry at the recency position of
     /// `stamp` — the arrival of the request the value was built for, which
     /// for a published build is older than every request that arrived
-    /// while it ran.
+    /// while it ran — then evicts from the LRU tail while the entry count
+    /// exceeds `capacity` or the byte budget is exceeded.
     ///
     /// Returns the pipelines this pushed out (evicted entries, a replaced
     /// value) for the caller to drop **after it unlocks**: the cache's
@@ -746,20 +685,6 @@ impl SharedArenaCache {
             max_bytes: self.max_bytes,
             build_failures: g.build_failures,
         }
-    }
-
-    /// The cached pipelines from most- to least-recently used — for tests
-    /// and introspection (e.g. dumping what a serving process keeps hot).
-    pub fn entries_mru(&self) -> Vec<Arc<CachedPipeline>> {
-        let g = self.lock();
-        let mut out = Vec::with_capacity(g.len);
-        let mut i = g.head;
-        while i != NIL {
-            let e = g.slots[i].as_ref().expect("live slot");
-            out.push(Arc::clone(&e.value));
-            i = e.next;
-        }
-        out
     }
 
     /// Locks the state, recovering from poisoning (the structure is fixed
@@ -884,7 +809,7 @@ fn remove_building(g: &mut Lru, latch: &Arc<BuildLatch>) -> Option<Building> {
 }
 
 /// Outcome of a single-flight probe
-/// ([`SharedArenaCache::get_or_build_with_stats`]).
+/// ([`SharedArenaCache::get_or_build_deadline`]).
 #[derive(Debug)]
 pub enum CacheProbe<'c> {
     /// The pipeline was cached (or a concurrent builder published it while
@@ -901,7 +826,7 @@ pub enum CacheProbe<'c> {
     /// deadline set.
     TimedOut,
     /// The key's build failed recently (within the cache's
-    /// [`failure_ttl`](SharedArenaCache::failure_ttl)); the caller should
+    /// [failure TTL](SharedArenaCache::with_failure_ttl)); the caller should
     /// error out instead of rebuilding.
     Failed,
 }
@@ -957,7 +882,7 @@ impl BuildTicket<'_> {
 
     /// Reports that the build failed: deregisters it, **memoizes the
     /// failure** for the cache's
-    /// [`failure_ttl`](SharedArenaCache::failure_ttl) (waiters and
+    /// [failure TTL](SharedArenaCache::with_failure_ttl) (waiters and
     /// near-future probes of the key resolve as [`CacheProbe::Failed`]
     /// instead of stampeding rebuilds of a key that just proved
     /// poisonous), and wakes the waiters. After the window, the next probe
@@ -1008,6 +933,52 @@ impl Drop for BuildTicket<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the unit tests say instead of a probe / ticket / publish
+    /// round: the serving API, spelled short.
+    impl SharedArenaCache {
+        /// A counted probe; a miss's ticket is dropped unpublished (a plain
+        /// abandonment — no failure memo).
+        fn get(&self, key: KeyRef<'_>) -> Option<Arc<CachedPipeline>> {
+            match self.get_or_build_deadline(key, None).0 {
+                CacheProbe::Hit(p) => Some(p),
+                _ => None,
+            }
+        }
+
+        /// Publishes `value` under `key` for a request arriving now,
+        /// through an unregistered ticket — what a waiter released from an
+        /// `Uncacheable` build holds — so a cached key can be republished.
+        fn insert(&self, key: KeyRef<'_>, value: Arc<CachedPipeline>) -> CacheStats {
+            let ticket = BuildTicket {
+                cache: self,
+                latch: Arc::new(BuildLatch::new()),
+                stamp: self.arrival(),
+                published: false,
+            };
+            ticket.publish(key, value)
+        }
+
+        /// Looks `key` up without refreshing recency or counting stats.
+        fn peek(&self, key: KeyRef<'_>) -> Option<Arc<CachedPipeline>> {
+            let g = self.lock();
+            find(&g, key.hash64(), key)
+                .map(|i| Arc::clone(&g.slots[i].as_ref().expect("live slot").value))
+        }
+
+        /// The cached pipelines from most- to least-recently used.
+        fn entries_mru(&self) -> Vec<Arc<CachedPipeline>> {
+            let g = self.lock();
+            let mut out = Vec::with_capacity(g.len);
+            let mut i = g.head;
+            while i != NIL {
+                let e = g.slots[i].as_ref().expect("live slot");
+                out.push(Arc::clone(&e.value));
+                i = e.next;
+            }
+            out
+        }
+    }
 
     /// A distinguishable dummy pipeline: `tag` is recoverable as
     /// `arena.size() - 1`.
@@ -1103,7 +1074,7 @@ mod tests {
         let cache = SharedArenaCache::new(1);
         let (old, new) = (terms(&[1]), terms(&[2]));
         cache.insert(keyed(&old), pipe(1));
-        let (CacheProbe::Miss(ticket), _) = cache.get_or_build_with_stats(keyed(&new)) else {
+        let (CacheProbe::Miss(ticket), _) = cache.get_or_build_deadline(keyed(&new), None) else {
             panic!("cold key");
         };
         let (drop_began, began) = mpsc::channel::<()>();
@@ -1148,7 +1119,7 @@ mod tests {
     fn published_build_takes_its_requests_place() {
         let cache = SharedArenaCache::new(3);
         let all: Vec<Vec<TermId>> = (0..5).map(|i| terms(&[i])).collect();
-        let (CacheProbe::Miss(slow), _) = cache.get_or_build_with_stats(keyed(&all[0])) else {
+        let (CacheProbe::Miss(slow), _) = cache.get_or_build_deadline(keyed(&all[0]), None) else {
             panic!("cold key");
         };
         cache.insert(keyed(&all[1]), pipe(1));
@@ -1161,14 +1132,14 @@ mod tests {
 
         // Three requests overtake the build: nothing of it stays, and a
         // request that waited on its latch builds for itself.
-        let (CacheProbe::Miss(slow), _) = cache.get_or_build_with_stats(keyed(&all[0])) else {
+        let (CacheProbe::Miss(slow), _) = cache.get_or_build_deadline(keyed(&all[0]), None) else {
             panic!("evicted key");
         };
         for i in [1, 2, 4] {
             cache.insert(keyed(&all[i]), pipe(i));
         }
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| cache.get_or_build_with_stats(keyed(&all[0])).0);
+            let waiter = scope.spawn(|| cache.get_or_build_deadline(keyed(&all[0]), None).0);
             while Arc::strong_count(&slow.latch) < 3 {
                 std::thread::yield_now(); // registry + ticket + waiter
             }
@@ -1310,7 +1281,7 @@ mod tests {
             for _ in 0..N {
                 scope.spawn(|| {
                     barrier.wait();
-                    match cache.get_or_build_with_stats(keyed(&t)).0 {
+                    match cache.get_or_build_deadline(keyed(&t), None).0 {
                         CacheProbe::Miss(ticket) => {
                             builders.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                             // Hold the ticket long enough that the other
@@ -1337,12 +1308,12 @@ mod tests {
     fn abandoned_ticket_passes_the_build_to_the_next_prober() {
         let cache = SharedArenaCache::new(8);
         let t = terms(&[1]);
-        let (probe, _) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe, _) = cache.get_or_build_deadline(keyed(&t), None);
         let CacheProbe::Miss(ticket) = probe else {
             panic!("cold key must hand out the build")
         };
         drop(ticket); // builder bails (e.g. panicked) without publishing
-        let (probe2, stats) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe2, stats) = cache.get_or_build_deadline(keyed(&t), None);
         assert!(
             matches!(probe2, CacheProbe::Miss(_)),
             "the next prober takes over the build"
@@ -1358,14 +1329,14 @@ mod tests {
         let t = &t;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let (probe, _) = cache.get_or_build_with_stats(keyed(t));
+                let (probe, _) = cache.get_or_build_deadline(keyed(t), None);
                 assert!(matches!(&probe, CacheProbe::Miss(_)), "first prober builds");
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 drop(probe); // unpublished → waiters wake on Abandoned
             });
             scope.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                match cache.get_or_build_with_stats(keyed(t)).0 {
+                match cache.get_or_build_deadline(keyed(t), None).0 {
                     CacheProbe::Miss(ticket) => {
                         ticket.publish(keyed(t), pipe(3));
                     }
@@ -1393,7 +1364,7 @@ mod tests {
             for _ in 0..N {
                 scope.spawn(move || {
                     barrier.wait();
-                    match cache.get_or_build_with_stats(keyed(t)).0 {
+                    match cache.get_or_build_deadline(keyed(t), None).0 {
                         CacheProbe::Miss(ticket) => {
                             let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
                             peak.fetch_max(now, Ordering::SeqCst);
@@ -1424,13 +1395,13 @@ mod tests {
     fn failed_build_is_memoized_then_expires() {
         let cache = SharedArenaCache::new(8).with_failure_ttl(std::time::Duration::from_millis(40));
         let t = terms(&[1]);
-        let (probe, _) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe, _) = cache.get_or_build_deadline(keyed(&t), None);
         let CacheProbe::Miss(ticket) = probe else {
             panic!("cold key must hand out the build")
         };
         ticket.fail();
         // Within the TTL: fail fast, no new build, no wait.
-        let (probe2, stats) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe2, stats) = cache.get_or_build_deadline(keyed(&t), None);
         assert!(
             matches!(probe2, CacheProbe::Failed),
             "fresh memo fails fast"
@@ -1439,12 +1410,12 @@ mod tests {
         // After the TTL: the next prober retries the build, and a
         // successful publish serves hits again.
         std::thread::sleep(std::time::Duration::from_millis(60));
-        let (probe3, _) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe3, _) = cache.get_or_build_deadline(keyed(&t), None);
         let CacheProbe::Miss(ticket) = probe3 else {
             panic!("expired memo must allow a retry")
         };
         ticket.publish(keyed(&t), pipe(5));
-        let (probe4, _) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe4, _) = cache.get_or_build_deadline(keyed(&t), None);
         match probe4 {
             CacheProbe::Hit(p) => assert_eq!(tag_of(&p), 5),
             other => panic!("published key must hit, got {other:?}"),
@@ -1459,7 +1430,7 @@ mod tests {
         let t = &t;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let (probe, _) = cache.get_or_build_with_stats(keyed(t));
+                let (probe, _) = cache.get_or_build_deadline(keyed(t), None);
                 let CacheProbe::Miss(ticket) = probe else {
                     panic!("first prober builds")
                 };
@@ -1468,7 +1439,7 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                let (probe, _) = cache.get_or_build_with_stats(keyed(t));
+                let (probe, _) = cache.get_or_build_deadline(keyed(t), None);
                 assert!(
                     matches!(probe, CacheProbe::Failed),
                     "waiter woken by a failed build resolves to the memo, not a rebuild"
@@ -1481,9 +1452,9 @@ mod tests {
     fn voluntary_ticket_drop_does_not_memoize() {
         let cache = SharedArenaCache::new(8).with_failure_ttl(std::time::Duration::from_secs(3600));
         let t = terms(&[1]);
-        let (probe, _) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe, _) = cache.get_or_build_deadline(keyed(&t), None);
         drop(probe); // bail without fail(): no memo
-        let (probe2, stats) = cache.get_or_build_with_stats(keyed(&t));
+        let (probe2, stats) = cache.get_or_build_deadline(keyed(&t), None);
         assert!(
             matches!(probe2, CacheProbe::Miss(_)),
             "plain abandonment hands the build to the next prober"
@@ -1498,7 +1469,7 @@ mod tests {
         let t = &t;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let (probe, _) = cache.get_or_build_with_stats(keyed(t));
+                let (probe, _) = cache.get_or_build_deadline(keyed(t), None);
                 let CacheProbe::Miss(ticket) = probe else {
                     panic!("first prober builds")
                 };
@@ -1547,7 +1518,7 @@ mod tests {
         // An entry bigger than the whole budget never sticks: the bound is
         // strict, that key just never caches.
         let big = pipe(2047);
-        assert!(big.heap_bytes() > cache.max_bytes());
+        assert!(big.heap_bytes() > cache.stats().max_bytes);
         cache.insert(keyed(&terms(&[9])), big);
         let s = cache.stats();
         assert!(s.bytes_in_use <= s.max_bytes);

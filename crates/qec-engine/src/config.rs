@@ -2,9 +2,10 @@
 //!
 //! One [`EngineConfig`] gathers every stage's knobs — arena candidate
 //! selection, clustering, all three expansion strategies, the shared arena
-//! cache and the big-`k` fan-out — so a caller configures the whole
-//! pipeline in one place instead of threading config structs through five
-//! crates by hand.
+//! cache, the worker pool, admission and replication — so a caller
+//! configures the whole pipeline in one place instead of threading config
+//! structs through five crates by hand. A value no caller varies is a
+//! private constant beside the code that reads it, not a field here.
 
 use std::time::Duration;
 
@@ -15,12 +16,10 @@ use qec_core::{ArenaConfig, FMeasureConfig, IskrConfig, PebcConfig};
 /// ([`SharedArenaCache`](crate::cache::SharedArenaCache)).
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Probe and publish the shared cache at all. `false` makes every
-    /// request rebuild its pipeline — the cold-path baseline
-    /// `bench_scalability` measures against.
-    pub enabled: bool,
-    /// Maximum cached pipelines before LRU eviction (`0` behaves like
-    /// `enabled: false` but is still constructed, so stats read as empty).
+    /// Maximum cached pipelines before LRU eviction. `0` turns the cache
+    /// off: nothing is probed or published, every request rebuilds its
+    /// pipeline (the cold-path baseline `bench_scalability` measures
+    /// against) and responses carry an empty [`CacheStats`](crate::CacheStats).
     pub capacity: usize,
     /// Byte budget over all cached pipelines' heap footprints
     /// (`CachedPipeline::heap_bytes`): eviction runs from the LRU tail
@@ -40,7 +39,6 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             capacity: 128,
             max_bytes: 0,
             failure_ttl: Duration::from_millis(250),
@@ -63,14 +61,14 @@ pub struct AdmissionConfig {
 
 /// Knobs of the persistent work-stealing worker pool
 /// ([`qec_core::WorkerPool`]) and the batched serving path
-/// ([`QecEngine::expand_batch`](crate::QecEngine::expand_batch)).
+/// ([`QecEngine::try_expand_batch_into`](crate::QecEngine::try_expand_batch_into)).
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads; `0` resolves
     /// [`qec_core::default_parallelism`] once at engine build.
     pub threads: usize,
-    /// Maximum requests scheduled per inner batch: longer `expand_batch`
-    /// slices are served in chunks of this many requests, bounding the
+    /// Maximum requests scheduled per inner batch: longer batch slices
+    /// are served in chunks of this many requests, bounding the
     /// working state (sessions, flat task set) a single batch pins. `0`
     /// means unbounded.
     pub batch_max: usize,
@@ -97,17 +95,6 @@ pub struct ReplicationConfig {
     /// whose only replica exhausts its retries is omitted from the
     /// response.
     pub replicas: usize,
-    /// Retries after a shard task's first failed attempt before the shard
-    /// is omitted. Each retry waits a capped-exponential
-    /// [`Backoff`](qec_core::Backoff) step and targets the rotation's next
-    /// admitted replica; a retry whose wait alone would outlive the
-    /// request's effective deadline is skipped (the shard is omitted
-    /// instead — backoff never sleeps into a guaranteed miss). `0`
-    /// disables retries.
-    pub retry_max: usize,
-    /// First backoff step (doubles per retry, jittered into
-    /// `[step/2, step]`, capped at 16× the base).
-    pub retry_base: Duration,
     /// How long a shard's task may run before a hedged duplicate is
     /// dispatched to another replica (first completion wins; results are
     /// bit-identical regardless of winner). `None` adapts per replica to
@@ -127,8 +114,6 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
             replicas: 1,
-            retry_max: 2,
-            retry_base: Duration::from_micros(500),
             hedge_after: None,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
@@ -140,11 +125,10 @@ impl Default for ReplicationConfig {
 ///
 /// The defaults are the paper's: top-20% tf·idf candidate pruning, cosine
 /// k-means with k-means++ seeding, value>1 greedy expansion with removals
-/// and affected-only maintenance — plus a 128-entry shared arena cache, a
-/// machine-sized persistent worker pool serving batches of up to 64
-/// requests, and
-/// sequential per-cluster expansion below 8 clusters.
-#[derive(Debug, Clone)]
+/// and affected-only maintenance — plus a 128-entry shared arena cache and
+/// a machine-sized persistent worker pool serving batches of up to 64
+/// requests.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Candidate-keyword selection for the expansion arena (Defs 2.1/2.2,
     /// §C pruning).
@@ -166,31 +150,4 @@ pub struct EngineConfig {
     pub admission: AdmissionConfig,
     /// Replication + failover of the sharded scatter path.
     pub replication: ReplicationConfig,
-    /// A single request asking for at least this many clusters
-    /// (`k_clusters`) is served as a batch of one: its per-cluster
-    /// expansions run as one flat task set on the worker pool — the same
-    /// allocation-free, cancellable path
-    /// [`expand_batch`](crate::QecEngine::expand_batch) takes — instead of
-    /// the sequential loop on the calling thread. Parallelism wins at big
-    /// `k` on cache hits, where expansion is the whole request; responses
-    /// are bit-identical either way. `usize::MAX` keeps every single
-    /// request sequential.
-    pub fanout_min_clusters: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            arena: ArenaConfig::default(),
-            kmeans: KMeansConfig::default(),
-            iskr: IskrConfig::default(),
-            exact: FMeasureConfig::default(),
-            pebc: PebcConfig::default(),
-            cache: CacheConfig::default(),
-            pool: PoolConfig::default(),
-            admission: AdmissionConfig::default(),
-            replication: ReplicationConfig::default(),
-            fanout_min_clusters: 8,
-        }
-    }
 }

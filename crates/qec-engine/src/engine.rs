@@ -1,12 +1,28 @@
 //! The engine facade: corpus + configuration + shared cache + pooled
-//! per-session scratch.
+//! per-chunk scratch.
 //!
 //! [`QecEngine`] owns everything a serving process needs — the frozen
 //! [`Corpus`], an [`EngineConfig`], one instance of each [`Expander`]
 //! strategy, a boxed [`Clusterer`], the cross-session
-//! [`SharedArenaCache`] — plus pools of session scratches and responses so
-//! concurrent [`expand`](QecEngine::expand) calls never contend on working
-//! buffers.
+//! [`SharedArenaCache`], the persistent [`WorkerPool`] — plus pools of
+//! chunk scratches and responses so concurrent serves never contend on
+//! working buffers.
+//!
+//! One serving path
+//! ----------------
+//! The paper generates one expanded query per cluster, so a request is a
+//! flat set of independent per-cluster expansions over one cached
+//! pipeline, and a batch is the same set over a few pipelines. The engine
+//! serves that shape **once**, in `serve_chunk`: admit → analyse → group
+//! by cache key → probe → build and publish (or abandon) the cold keys →
+//! expand every live cluster as one flat, cancellable task set behind a
+//! panic boundary → fill the responses in request order.
+//! [`try_expand`](QecEngine::try_expand) is a chunk of one;
+//! [`try_expand_batch_into`](QecEngine::try_expand_batch_into) feeds it
+//! [`batch_max`](crate::config::PoolConfig::batch_max) requests at a time.
+//! Where the expansions run is decided in one place from the chunk's task
+//! count: a small set on the caller's thread with one scratch, a large one
+//! across the worker pool — bit-identical either way.
 //!
 //! Hot-path discipline
 //! -------------------
@@ -19,13 +35,10 @@
 //! borrowing [`QecInstance`]s; for the ISKR and PEBC strategies on warmed
 //! scratch this performs **zero heap allocations** end to end (responses
 //! recycle their buffers through [`QecEngine::recycle`]; the
-//! `zero_alloc_engine` integration test arms a counting allocator around
-//! exactly this loop). A miss pays the full retrieve → rank → cluster →
+//! `zero_alloc_engine` and `zero_alloc_batch` integration tests arm a
+//! counting allocator around exactly these loops, on both sides of the
+//! task-count threshold). A miss pays the full retrieve → rank → cluster →
 //! arena rebuild and publishes the result for every other session.
-//! A single request asking for at least
-//! [`EngineConfig::fanout_min_clusters`] clusters is served as a batch of
-//! one, so its per-cluster expansions spread across the worker pool on
-//! the same allocation-free path.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -57,32 +70,59 @@ const TASK_CANCELLED: u8 = 0;
 const TASK_OK: u8 = 1;
 const TASK_PANICKED: u8 = 2;
 
-/// Reusable per-request working state; pooled by the engine. Everything
-/// mutable a request touches lives here or in the response — the pipeline
-/// itself is shared immutably through the cache.
+/// A chunk whose flat (request, cluster) task set has fewer tasks than
+/// this expands them on the caller's thread with one scratch; from here up
+/// they are spread across the worker pool. A dispatch costs a few idle
+/// worker wake-ups, each about as long as several warm per-cluster
+/// expansions, so the pool only pays once the set is a few requests' worth:
+/// a lone request at the paper's granularity (`k_clusters` ≤ 5–6) stays
+/// inline, a front-door chunk of four is pooled.
+const POOLED_MIN_TASKS: usize = 8;
+
+/// Upper bound applied to [`ExpandRequest::k_clusters`] before anything
+/// reads it. `k` is the user-facing granularity — one expanded query per
+/// cluster — and arrives with the request, while k-means over more results
+/// than `k` holds two dense `k × D` `f64` buffers (`D` = distinct terms of
+/// the results): unclamped, one request asking for thousands of clusters
+/// over a large `top_k` allocates gigabytes.
+const MAX_K_CLUSTERS: usize = 64;
+
+/// The shared-cache key of `req` over its analysed, sorted `terms` — also
+/// everything a pipeline build reads of the request, so key, pipeline and
+/// response agree on the clamped `k_clusters`. Pagination fields shape the
+/// response only and deliberately stay out.
+fn key_of<'t>(req: &ExpandRequest<'_>, terms: &'t [TermId]) -> KeyRef<'t> {
+    KeyRef {
+        terms,
+        semantics: req.semantics,
+        k_clusters: req.k_clusters.min(MAX_K_CLUSTERS),
+        top_k: req.top_k,
+        strategy: req.strategy,
+    }
+}
+
+/// One request slot's reusable analysis buffers.
 #[derive(Debug, Default)]
 struct SessionScratch {
-    /// Retrieval buffers (AND/OR evaluation).
-    search: SearchScratch,
-    /// Expansion working state shared by all strategies.
-    iskr: IskrScratch,
-    /// Per-cluster expansion output buffer.
-    expanded: ExpandedQuery,
     /// Analysed, sorted query terms — the body of the shared-cache key.
     terms: Vec<TermId>,
     /// Per-keyword token/stem buffer of the alloc-free analysis path.
     keyword_buf: String,
 }
 
-/// One distinct analysed key of a batch: its representative request, the
+/// One distinct analysed key of a chunk: its member requests, the
 /// pipeline serving the whole group, and the probe outcome.
 #[derive(Debug, Default)]
 struct GroupSlot {
     /// Index of the first request with this key (the one whose probe /
     /// build the group rides on).
     rep: usize,
+    /// Index of the latest request with this key: its arrival stamp is
+    /// the recency the group's probe or published build takes, as if the
+    /// members had been served one after another.
+    last: usize,
     /// The shared pipeline; cleared before the scratch returns to its
-    /// pool so pooled batch state never pins cache memory.
+    /// pool so pooled chunk state never pins cache memory.
     pipeline: Option<Arc<CachedPipeline>>,
     /// Whether the group's probe hit the shared cache.
     hit: bool,
@@ -109,13 +149,14 @@ struct ColdBuild<'c> {
     built: Option<Result<(Arc<CachedPipeline>, CacheStats), EngineError>>,
 }
 
-/// Reusable working state of one in-flight [`QecEngine::expand_batch`]
-/// chunk; pooled by the engine like [`SessionScratch`]. Every vector only
-/// grows, so a warmed batch loop of stable shape performs no heap
+/// Reusable working state of one in-flight chunk; pooled by the engine.
+/// Everything mutable a chunk touches lives here or in the responses —
+/// the pipelines are shared immutably through the cache. Every vector
+/// only grows, so a warmed serving loop of stable shape performs no heap
 /// allocation.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// One session per request slot (analysis buffers + build scratch).
+    /// One session per request slot (analysis buffers).
     sessions: Vec<SessionScratch>,
     /// Request index → index into `groups`.
     group_of: Vec<usize>,
@@ -137,13 +178,22 @@ struct BatchScratch {
     /// [`TASK_PANICKED`]), written by exactly the task that owns the
     /// index. A panicked task fails only its own request at fill time.
     task_state: Vec<u8>,
+    /// The caller's own retrieval and expansion scratches, for the work
+    /// that stays on its thread (cold builds that are not dispatched to
+    /// the pool, an inline task set). They travel with the chunk scratch
+    /// — handed back last, taken first — so a serving thread keeps
+    /// meeting the buffers its core already has in cache; the shared
+    /// [`ScratchPool`]s are released mid-request and would hand them to
+    /// whichever thread asks next.
+    search: SearchScratch,
+    iskr: IskrScratch,
 }
 
 /// The unified serving facade over retrieve → rank → cluster → expand.
 ///
-/// Shared by reference across threads: `expand` takes `&self`; sessions
-/// and responses come from internal pools, and built pipelines are shared
-/// across all sessions through the [`SharedArenaCache`].
+/// Shared by reference across threads: serving takes `&self`; chunk
+/// scratches and responses come from internal pools, and built pipelines
+/// are shared across all sessions through the [`SharedArenaCache`].
 pub struct QecEngine {
     corpus: Corpus,
     config: EngineConfig,
@@ -152,8 +202,8 @@ pub struct QecEngine {
     exact: ExactDeltaF,
     pebc: Pebc,
     cache: SharedArenaCache,
-    /// The persistent work-stealing pool serving fan-outs, batches and —
-    /// on a gather engine — every scattered shard retrieval.
+    /// The persistent work-stealing pool serving pooled chunks and — on a
+    /// gather engine — every scattered shard retrieval.
     pool: WorkerPool,
     /// Doc-partitioned shard set — present only on the **gather** engine
     /// assembled by `ShardedEngineBuilder`. When set, cold pipeline builds
@@ -164,7 +214,7 @@ pub struct QecEngine {
     shards: Option<ShardSet>,
     /// Shared expansion scratches for pool tasks.
     scratches: ScratchPool,
-    /// Shared retrieval scratches for **pooled cold builds**: when a batch
+    /// Shared retrieval scratches for **pooled cold builds**: when a
     /// chunk holds two or more cold keys, their pipeline builds run as
     /// pool tasks, each on its own pooled [`SearchScratch`].
     build_scratches: ScratchPool<SearchScratch>,
@@ -174,12 +224,8 @@ pub struct QecEngine {
     /// Requests currently being served — the admission-control gauge
     /// compared against [`AdmissionConfig::max_in_flight`](crate::config::AdmissionConfig::max_in_flight).
     in_flight: AtomicUsize,
-    sessions: Mutex<Vec<SessionScratch>>,
     responses: Mutex<Vec<ExpandResponse>>,
     batches: Mutex<Vec<BatchScratch>>,
-    /// Recycled result buffers backing the infallible `expand_batch*`
-    /// wrappers over [`try_expand_batch_into`](QecEngine::try_expand_batch_into).
-    result_bufs: Mutex<Vec<Vec<Result<ExpandResponse, EngineError>>>>,
 }
 
 /// RAII admission permit: holds `n` slots of the engine's `in_flight`
@@ -226,11 +272,6 @@ impl std::fmt::Debug for QecEngine {
 }
 
 impl QecEngine {
-    /// Starts a builder with an empty corpus and default configuration.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
-    }
-
     /// The engine's frozen corpus (for term/doc display, direct search,
     /// corpus statistics).
     pub fn corpus(&self) -> &Corpus {
@@ -250,7 +291,9 @@ impl QecEngine {
 
     /// How this engine's corpus came up: restored from a snapshot, rebuilt
     /// cold, or fell back to the rebuild after a snapshot failed to load
-    /// (the [`BootStats::errors`] lines say why).
+    /// (the [`BootStats::errors`] lines say why). On a sharded
+    /// deployment's gather engine the gather corpus and every shard
+    /// sub-corpus each count once.
     pub fn boot_stats(&self) -> &BootStats {
         &self.boot
     }
@@ -264,28 +307,27 @@ impl QecEngine {
         qec_snapshot::save_corpus(&self.corpus, path.as_ref())
     }
 
-    /// Serves one expansion request.
+    /// Serves one expansion request, panicking where
+    /// [`try_expand`](Self::try_expand) returns an error.
+    ///
+    /// # Panics
+    /// When serving fails with an [`EngineError`] — the engine was over
+    /// its admission bound, the request's deadline expired before a
+    /// pipeline was available, or the build/expansion itself failed. With
+    /// admission control off and no deadline set this only happens if the
+    /// pipeline genuinely cannot be built.
+    pub fn expand(&self, req: &ExpandRequest<'_>) -> ExpandResponse {
+        self.try_expand(req)
+            .unwrap_or_else(|e| panic!("QecEngine::expand failed ({e}); use try_expand"))
+    }
+
+    /// Serves one expansion request — a chunk of one — reporting refusals
+    /// and failures as [`EngineError`] values.
     ///
     /// Returns a response drawn from the engine's recycle pool; hand it
     /// back with [`recycle`](Self::recycle) to keep a serving loop
     /// allocation-free. Dropping it instead is always safe — the next
     /// request simply starts from fresh buffers.
-    ///
-    /// # Panics
-    /// When serving fails with an [`EngineError`] — the engine was over
-    /// its admission bound, the request's deadline expired before a
-    /// pipeline was available, or the build/expansion itself failed. Use
-    /// [`try_expand`](Self::try_expand) to handle those as values; with
-    /// admission control off and no deadline set this method only panics
-    /// if the pipeline genuinely cannot be built.
-    pub fn expand(&self, req: &ExpandRequest<'_>) -> ExpandResponse {
-        self.try_expand(req).unwrap_or_else(|e| {
-            panic!("QecEngine::expand failed ({e}); use try_expand to handle EngineError")
-        })
-    }
-
-    /// Serves one expansion request, reporting refusals and failures as
-    /// [`EngineError`] values instead of panicking.
     ///
     /// The full failure semantics:
     ///
@@ -304,44 +346,12 @@ impl QecEngine {
     ///   The engine stays serviceable either way.
     #[must_use = "dropping the Result silently discards sheds and failures; handle the EngineError"]
     pub fn try_expand(&self, req: &ExpandRequest<'_>) -> Result<ExpandResponse, EngineError> {
-        if req.k_clusters >= self.config.fanout_min_clusters {
-            // Big k: a chunk of one, so the per-cluster expansions spread
-            // across the pool (bit-identical to the loop below).
-            let mut buf = lock(&self.result_bufs).pop().unwrap_or_default();
-            self.serve_chunk_pooled(std::slice::from_ref(req), &mut buf);
-            let result = buf.pop().expect("one result per request");
-            lock(&self.result_bufs).push(buf);
-            return result;
-        }
-        // Stamped before anything that can wait (pool locks, analysis, the
-        // build): the cache evicts by the order requests came in, not by
-        // the order their threads were scheduled in.
-        let arrival = self.cache.arrival();
-        let now = Instant::now();
-        let deadline = req.effective_deadline(now);
-        if deadline.is_some_and(|d| d <= now) {
-            return Err(EngineError::DeadlineExceeded);
-        }
-        let mut permit = InFlightPermit { engine: self, n: 0 };
-        if self.config.admission.max_in_flight > 0 {
-            permit.admit_one()?;
-        }
-        let mut resp = lock(&self.responses).pop().unwrap_or_default();
-        let mut session = lock(&self.sessions).pop().unwrap_or_default();
-        let result = self.run(req, deadline, arrival, &mut session, &mut resp);
-        lock(&self.sessions).push(session);
-        match result {
-            Ok(()) => Ok(resp),
-            Err(e) => {
-                self.recycle(resp);
-                Err(e)
-            }
-        }
+        let mut result = None;
+        self.serve_chunk(std::slice::from_ref(req), &mut |r| result = Some(r));
+        result.expect("a chunk answers every request")
     }
 
-    /// Returns a response's buffers to the pool for reuse by later
-    /// [`expand`](Self::expand) / [`expand_batch`](Self::expand_batch)
-    /// calls.
+    /// Returns a response's buffers to the pool for reuse by later serves.
     pub fn recycle(&self, resp: ExpandResponse) {
         lock(&self.responses).push(resp);
     }
@@ -357,24 +367,38 @@ impl QecEngine {
         self.shards.as_ref()
     }
 
-    /// Serves a batch of expansion requests, returning one response per
-    /// request in request order. See
-    /// [`expand_batch_into`](Self::expand_batch_into) — this convenience
-    /// wrapper allocates the response vector.
+    /// Serves a batch of expansion requests into `out` (cleared first),
+    /// one `Result` per request in request order, each bit-identical to
+    /// serving the same requests through sequential
+    /// [`try_expand`](Self::try_expand) calls. A degraded response
+    /// (deadline tripped mid-expansion) is still `Ok` — see
+    /// [`ExpandStats::degraded`].
     ///
-    /// # Panics
-    /// When any request fails with an [`EngineError`]; use
-    /// [`try_expand_batch`](Self::try_expand_batch) to receive per-request
-    /// `Result`s instead.
-    pub fn expand_batch(&self, reqs: &[ExpandRequest<'_>]) -> Vec<ExpandResponse> {
-        let mut out = Vec::with_capacity(reqs.len());
-        self.expand_batch_into(reqs, &mut out);
-        out
-    }
-
-    /// Serves a batch of expansion requests, returning one
-    /// `Result<ExpandResponse, EngineError>` per request in request order.
-    /// See [`try_expand_batch_into`](Self::try_expand_batch_into).
+    /// Batching is where the persistent pool pays off:
+    ///
+    /// * requests are **grouped by analysed cache key**, so `N` identical
+    ///   cold queries trigger **one** pipeline build (the single-flight
+    ///   latch extends the same guarantee across concurrent batches);
+    /// * every group's per-cluster expansions are scheduled as **one flat
+    ///   task set** across the pool — dispatch, wake-ups and steals are
+    ///   amortised over the whole batch instead of paid per request;
+    /// * per-request state comes from recycled pools, so a warmed batch
+    ///   loop (stable shape, cache-hit keys, responses handed back
+    ///   through [`recycle`](Self::recycle)) performs **zero heap
+    ///   allocations** — the `zero_alloc_batch` test arms a counting
+    ///   allocator around exactly this loop.
+    ///
+    /// Slices longer than [`PoolConfig::batch_max`](crate::config::PoolConfig::batch_max)
+    /// are served in chunks of that many requests.
+    ///
+    /// Isolation guarantees, proven by the `chaos` test suite:
+    ///
+    /// * a request whose pipeline build panics (or hits an injected
+    ///   fault) fails **alone** — sibling requests of the same chunk are
+    ///   served bit-identical to a clean run;
+    /// * a request whose expansion task panics fails alone the same way;
+    /// * admission sheds requests individually: shed requests form no
+    ///   group, trigger no build, and occupy no pool tasks.
     ///
     /// Responses come back **in request order** regardless of how the
     /// members fare individually — shed, degraded and served requests
@@ -397,73 +421,14 @@ impl QecEngine {
     ///     },
     ///     ExpandRequest { k_clusters: 2, ..ExpandRequest::new("pie") },
     /// ];
-    /// let results = engine.try_expand_batch(&reqs);
+    /// let mut results = Vec::new();
+    /// engine.try_expand_batch_into(&reqs, &mut results);
     /// // …but slot `i` still answers request `i`.
     /// assert_eq!(results.len(), 3);
     /// assert_eq!(results[0].as_ref().unwrap().clusters().len(), 2);
     /// assert_eq!(results[1].as_ref().unwrap_err(), &EngineError::DeadlineExceeded);
     /// assert!(results[2].is_ok());
     /// ```
-    #[must_use = "dropping the Results silently discards per-request sheds and failures"]
-    pub fn try_expand_batch(
-        &self,
-        reqs: &[ExpandRequest<'_>],
-    ) -> Vec<Result<ExpandResponse, EngineError>> {
-        let mut out = Vec::with_capacity(reqs.len());
-        self.try_expand_batch_into(reqs, &mut out);
-        out
-    }
-
-    /// Serves a batch of expansion requests into `out` (cleared first),
-    /// one response per request in request order, bit-identical to
-    /// serving the same requests through sequential
-    /// [`expand`](Self::expand) calls.
-    ///
-    /// Batching is where the persistent pool pays off:
-    ///
-    /// * requests are **grouped by analysed cache key**, so `N` identical
-    ///   cold queries trigger **one** pipeline build (the single-flight
-    ///   latch extends the same guarantee across concurrent batches);
-    /// * every group's per-cluster expansions are scheduled as **one flat
-    ///   task set** across the pool — dispatch, wake-ups and steals are
-    ///   amortised over the whole batch instead of paid per request;
-    /// * per-request state comes from recycled pools, so a warmed batch
-    ///   loop (stable shape, cache-hit keys, responses handed back
-    ///   through [`recycle`](Self::recycle)) performs **zero heap
-    ///   allocations** — the `zero_alloc_batch` test arms a counting
-    ///   allocator around exactly this loop.
-    ///
-    /// Slices longer than [`PoolConfig::batch_max`](crate::config::PoolConfig::batch_max)
-    /// are served in chunks of that many requests.
-    pub fn expand_batch_into(&self, reqs: &[ExpandRequest<'_>], out: &mut Vec<ExpandResponse>) {
-        out.clear();
-        let mut buf = lock(&self.result_bufs).pop().unwrap_or_default();
-        self.try_expand_batch_into(reqs, &mut buf);
-        for result in buf.drain(..) {
-            out.push(result.unwrap_or_else(|e| {
-                panic!(
-                    "QecEngine::expand_batch failed ({e}); \
-                     use try_expand_batch to handle EngineError"
-                )
-            }));
-        }
-        lock(&self.result_bufs).push(buf);
-    }
-
-    /// Serves a batch of expansion requests into `out` (cleared first),
-    /// one `Result` per request in request order, reporting per-request
-    /// refusals and failures as [`EngineError`] values. A degraded
-    /// response (deadline tripped mid-expansion) is still `Ok` — see
-    /// [`ExpandStats::degraded`].
-    ///
-    /// Isolation guarantees, proven by the `chaos` test suite:
-    ///
-    /// * a request whose pipeline build panics (or hits an injected
-    ///   fault) fails **alone** — sibling requests of the same chunk are
-    ///   served bit-identical to a clean run;
-    /// * a request whose expansion task panics fails alone the same way;
-    /// * admission sheds requests individually: shed requests form no
-    ///   group, trigger no build, and occupy no pool tasks.
     pub fn try_expand_batch_into(
         &self,
         reqs: &[ExpandRequest<'_>],
@@ -475,29 +440,35 @@ impl QecEngine {
             max => max,
         };
         for chunk in reqs.chunks(chunk_max) {
-            self.serve_chunk_pooled(chunk, out);
+            self.serve_chunk(chunk, &mut |r| out.push(r));
         }
     }
 
-    /// Serves one pooled chunk: admit → analyse → group by key → acquire
-    /// one pipeline per group (single-flight; cold builds themselves run
+    /// The one serving path: admit → analyse → group by key → acquire one
+    /// pipeline per group (single-flight; two or more cold builds run
     /// through the pool) → expand all live clusters as one flat task set →
-    /// fill per-request `Result`s in request order.
-    fn serve_chunk_pooled(
+    /// hand `sink` one `Result` per request, in request order.
+    fn serve_chunk(
         &self,
         reqs: &[ExpandRequest<'_>],
-        out: &mut Vec<Result<ExpandResponse, EngineError>>,
+        sink: &mut dyn FnMut(Result<ExpandResponse, EngineError>),
     ) {
+        // Stamped before anything that can wait (pool locks, analysis, the
+        // builds): the cache evicts by the order requests came in, not by
+        // the order their threads were scheduled in. Request `i` holds
+        // stamp `first_arrival + i`.
+        let first_arrival = self.cache.arrivals(reqs.len());
+
         #[cfg(feature = "failpoints")]
         if qec_failpoint::check("engine.batch_dispatch").is_err() {
             let in_flight = self.in_flight.load(Ordering::Acquire);
             let max_in_flight = self.config.admission.max_in_flight;
-            out.extend(reqs.iter().map(|_| {
-                Err(EngineError::Overloaded {
+            for _ in reqs {
+                sink(Err(EngineError::Overloaded {
                     in_flight,
                     max_in_flight,
-                })
-            }));
+                }));
+            }
             return;
         }
 
@@ -511,7 +482,7 @@ impl QecEngine {
         // merged cancellation token and admit it against the in-flight
         // bound. Refused requests (already-expired deadline, engine over
         // `max_in_flight`) are decided here — they form no group, build
-        // nothing and occupy no pool task. Admitted requests hold their
+        // nothing and occupy no task. Admitted requests hold their
         // in-flight slots until the whole chunk is served.
         let now = Instant::now();
         let mut permit = InFlightPermit { engine: self, n: 0 };
@@ -531,16 +502,13 @@ impl QecEngine {
             b.tokens.push(req.cancel.with_deadline(deadline));
         }
 
-        // Analyse every admitted request and group identical (terms,
-        // semantics, k_clusters, top_k, strategy) keys; pagination fields
-        // shape the response only and deliberately stay out of the key. With the
-        // cache disabled every request forms its own group — "rebuilds
-        // every request" is the documented contract, and collapsing
-        // duplicates would diverge from what the same stream reports
-        // through sequential `expand` calls.
-        let caching = self.config.cache.enabled && self.cache.capacity() > 0;
-        b.group_of.clear();
-        b.groups.clear();
+        // Analyse and canonicalise every admitted query. Retrieval,
+        // ranking, clustering and arena construction are all
+        // term-order-invariant (ranking is a per-term sum), so sorted
+        // terms are both a safe pipeline input and the canonical cache
+        // key: "apples store" and "store apple" share one entry.
+        // Multiplicity is preserved — duplicate terms change tf·idf
+        // scores, so they stay distinct keys.
         for (i, req) in reqs.iter().enumerate() {
             if b.admit_err[i].is_some() {
                 continue;
@@ -550,28 +518,36 @@ impl QecEngine {
                 .query_terms_into(req.query, &mut s.terms, &mut s.keyword_buf);
             s.terms.sort_unstable();
         }
+
+        // Group identical keys. With the cache off (capacity 0) every
+        // request forms its own group — "rebuilds every request" is the
+        // documented contract, and collapsing duplicates would diverge
+        // from what the same stream reports through sequential serves.
+        let caching = self.cache.capacity() > 0;
+        b.group_of.clear();
+        b.groups.clear();
         for (i, req) in reqs.iter().enumerate() {
             if b.admit_err[i].is_some() {
                 b.group_of.push(usize::MAX);
                 continue;
             }
+            let key = key_of(req, &b.sessions[i].terms);
             let found = if caching {
-                b.groups.iter().position(|g| {
-                    let rep = &reqs[g.rep];
-                    rep.semantics == req.semantics
-                        && rep.k_clusters == req.k_clusters
-                        && rep.top_k == req.top_k
-                        && rep.strategy == req.strategy
-                        && b.sessions[g.rep].terms == b.sessions[i].terms
-                })
+                b.groups
+                    .iter()
+                    .position(|g| key == key_of(&reqs[g.rep], &b.sessions[g.rep].terms))
             } else {
                 None
             };
             b.group_of.push(match found {
-                Some(g) => g,
+                Some(g) => {
+                    b.groups[g].last = i;
+                    g
+                }
                 None => {
                     b.groups.push(GroupSlot {
                         rep: i,
+                        last: i,
                         ..GroupSlot::default()
                     });
                     b.groups.len() - 1
@@ -582,12 +558,14 @@ impl QecEngine {
         // One pipeline per distinct key. Duplicates of a cold key share
         // the representative's build — within this chunk by construction,
         // across concurrent chunks through the cache's single-flight
-        // latch. Probes only wait on concurrent builds here; the chunk's
-        // own cold builds are collected and dispatched below.
+        // latch: the first prober holds the key's build ticket, the others
+        // wait on its latch and hit the published entry, so a cold-start
+        // stampede builds exactly once. Probes only wait on concurrent
+        // builds here; the chunk's own cold builds are collected and run
+        // below, outside the cache lock.
         let mut cold: Vec<ColdBuild<'_>> = Vec::new();
         for gi in 0..b.groups.len() {
-            let rep = b.groups[gi].rep;
-            let req = &reqs[rep];
+            let (rep, last) = (b.groups[gi].rep, b.groups[gi].last);
             if !caching {
                 cold.push(ColdBuild {
                     group: gi,
@@ -601,7 +579,7 @@ impl QecEngine {
             // member: the earliest deadlines may lapse into degraded
             // responses, but the group doesn't time out while a member
             // could still be served whole.
-            let mut wait = req.effective_deadline(now);
+            let mut wait = reqs[rep].effective_deadline(now);
             if wait.is_some() {
                 for (i, member) in reqs.iter().enumerate() {
                     if b.group_of[i] != gi {
@@ -616,15 +594,9 @@ impl QecEngine {
                     }
                 }
             }
-            let s = &b.sessions[rep];
-            let key = KeyRef {
-                terms: &s.terms,
-                semantics: req.semantics,
-                k_clusters: req.k_clusters,
-                top_k: req.top_k,
-                strategy: req.strategy,
-            };
-            match self.cache.get_or_build_deadline(key, wait) {
+            let key = key_of(&reqs[rep], &b.sessions[rep].terms);
+            let arrival = first_arrival + last as u64;
+            match self.cache.get_or_build_arrived(key, wait, arrival) {
                 (CacheProbe::Hit(p), stats) => {
                     let g = &mut b.groups[gi];
                     g.pipeline = Some(p);
@@ -652,31 +624,26 @@ impl QecEngine {
 
         // Cold builds run through the pool when there are two or more, so
         // one slow cold key overlaps its siblings instead of serializing
-        // the whole chunk behind `build_pipeline`. Each build draws a
-        // pooled retrieval scratch; a failed build fails its ticket
-        // (memoized by the cache) and later errors only its own group.
+        // the whole chunk behind `build_pipeline`. A failed build fails
+        // its ticket (memoized by the cache, so waiters resolve as
+        // `BuildFailed` off the memo instead of stampeding) and errors
+        // only its own group.
         if !cold.is_empty() {
             let sessions: &[SessionScratch] = &b.sessions;
-            let do_build = |cb: &mut ColdBuild<'_>| {
+            let do_build = |cb: &mut ColdBuild<'_>, search: &mut SearchScratch| {
                 let req = &reqs[cb.rep];
-                let terms: &[TermId] = &sessions[cb.rep].terms;
-                let key = KeyRef {
-                    terms,
-                    semantics: req.semantics,
-                    k_clusters: req.k_clusters,
-                    top_k: req.top_k,
-                    strategy: req.strategy,
-                };
-                let mut search = self.build_scratches.acquire();
-                match self.build_guarded(req, terms, &mut search) {
+                let key = key_of(req, &sessions[cb.rep].terms);
+                let deadline = req.effective_deadline(Instant::now());
+                match self.build_guarded(key, deadline, search) {
                     Ok(pipeline) => {
-                        self.build_scratches.release(search);
                         let built = Arc::new(pipeline);
                         let stats = match cb.ticket.take() {
-                            // A partial pipeline (omitted shards) is never
-                            // published: dropping its ticket abandons the
-                            // build without a failure memo, so the key
-                            // heals as soon as the shard does.
+                            // An explicitly partial pipeline (omitted
+                            // shards) serves only the chunk that built it:
+                            // dropping its ticket is a voluntary
+                            // abandonment (no failure memo), so the next
+                            // request rebuilds — and heals — the moment
+                            // the shard recovers.
                             Some(ticket) if built.omitted_shards.is_empty() => {
                                 ticket.publish(key, Arc::clone(&built))
                             }
@@ -690,8 +657,8 @@ impl QecEngine {
                     }
                     Err(e) => {
                         // The scratch may hold half-written retrieval
-                        // state after a panic — drop it, don't pool it.
-                        drop(search);
+                        // state after a panic — replace it.
+                        *search = SearchScratch::default();
                         if let Some(ticket) = cb.ticket.take() {
                             ticket.fail();
                         }
@@ -709,11 +676,14 @@ impl QecEngine {
                 self.pool.run_indexed(n, &|i| {
                     // SAFETY: `run_indexed` hands each index to exactly
                     // one task, so slot `i` is never aliased.
-                    do_build(unsafe { slots.get(i) });
+                    let cb = unsafe { slots.get(i) };
+                    let mut search = self.build_scratches.acquire();
+                    do_build(cb, &mut search);
+                    self.build_scratches.release(search);
                 });
             } else {
                 for cb in cold.iter_mut() {
-                    do_build(cb);
+                    do_build(cb, &mut b.search);
                 }
             }
             for cb in cold.drain(..) {
@@ -767,14 +737,13 @@ impl QecEngine {
         b.task_state.clear();
         b.task_state.resize(total, TASK_CANCELLED);
 
-        if total > 0 {
-            // The batched hot path: every cluster of every request as one
-            // flat task set across the pool, scratches drawn from the
-            // shared scratch pool on whichever worker claims each task.
-            // Each task polls its request's token and records its outcome
-            // behind a panic boundary, so one tripped deadline degrades
-            // one request and one panicking kernel fails one request —
-            // siblings stay bit-identical to a clean run.
+        {
+            // From here on every live request has its pipeline, so a
+            // tripping deadline (or the request's own token) degrades
+            // rather than errors. Each task polls its request's token and
+            // records its outcome behind a panic boundary, so one tripped
+            // deadline degrades one request and one panicking kernel fails
+            // one request — siblings stay bit-identical to a clean run.
             let BatchScratch {
                 groups,
                 group_of,
@@ -783,6 +752,7 @@ impl QecEngine {
                 outs,
                 tokens,
                 task_state,
+                iskr,
                 ..
             } = b;
             let (groups, group_of): (&[GroupSlot], &[usize]) = (groups, group_of);
@@ -790,11 +760,11 @@ impl QecEngine {
             let tokens: &[CancelToken] = tokens;
             let slots = DisjointSlots::new(&mut outs[..total]);
             let states = DisjointSlots::new(&mut task_state[..total]);
-            let task = |t: usize| {
+            let expand = |t: usize, scratch: &mut IskrScratch| {
                 let r = task_req[t] as usize;
                 // SAFETY: each index runs exactly once (`run_indexed`'s
-                // contract; the lone inline call below), so slots `t` are
-                // never aliased.
+                // contract; one pass of the inline loop below), so slots
+                // `t` are never aliased.
                 let (slot, state) = unsafe { (slots.get(t), states.get(t)) };
                 let token = &tokens[r];
                 if token.is_cancelled() {
@@ -804,34 +774,38 @@ impl QecEngine {
                 let p = pipeline_of(groups, group_of, r);
                 let cc = &p.clusters[t - offsets[r]];
                 let inst = QecInstance::from_shared_parts(&p.arena, &cc.cluster, &cc.universe);
-                let mut scratch = self.scratches.acquire();
                 let expander = self.expander_for(reqs[r].strategy);
                 let finished = catch_unwind(AssertUnwindSafe(|| {
                     #[cfg(feature = "failpoints")]
                     if qec_failpoint::check("engine.expand_task").is_err() {
                         panic!("injected expand-task fault");
                     }
-                    expander.expand_cancellable(&inst, &mut scratch, slot, token)
+                    expander.expand_cancellable(&inst, scratch, slot, token)
                 }));
                 *state = match finished {
-                    Ok(true) => {
-                        self.scratches.release(scratch);
-                        TASK_OK
+                    Ok(true) => TASK_OK,
+                    // Cancelled clusters are dropped whole, never
+                    // half-refined.
+                    Ok(false) => TASK_CANCELLED,
+                    Err(_) => {
+                        // The scratch is suspect mid-unwind: replace it;
+                        // the slot is ignored at fill time.
+                        *scratch = IskrScratch::default();
+                        TASK_PANICKED
                     }
-                    Ok(false) => {
-                        self.scratches.release(scratch);
-                        TASK_CANCELLED
-                    }
-                    // Scratch and slot state are suspect mid-unwind: drop
-                    // the scratch; the slot is ignored at fill time.
-                    Err(_) => TASK_PANICKED,
                 };
             };
-            if total == 1 {
-                // Nothing to spread: run the lone task on this thread.
-                task(0);
+            // The one inline-or-pooled decision, on the task count alone.
+            if total >= POOLED_MIN_TASKS {
+                self.pool.run_indexed(total, &|t| {
+                    let mut scratch = self.scratches.acquire();
+                    expand(t, &mut scratch);
+                    self.scratches.release(scratch);
+                });
             } else {
-                self.pool.run_indexed(total, &task);
+                for t in 0..total {
+                    expand(t, iskr);
+                }
             }
         }
 
@@ -841,12 +815,12 @@ impl QecEngine {
         // always a prefix of the undegraded response.
         for (i, req) in reqs.iter().enumerate() {
             if let Some(e) = b.admit_err[i] {
-                out.push(Err(e));
+                sink(Err(e));
                 continue;
             }
             let g = &b.groups[b.group_of[i]];
             if let Some(e) = g.error {
-                out.push(Err(e));
+                sink(Err(e));
                 continue;
             }
             let p = g.pipeline.as_ref().expect("live group has a pipeline");
@@ -854,7 +828,7 @@ impl QecEngine {
             let base = b.offsets[i];
             let states = &b.task_state[base..base + k];
             if states.contains(&TASK_PANICKED) {
-                out.push(Err(EngineError::ExpansionFailed));
+                sink(Err(EngineError::ExpansionFailed));
                 continue;
             }
             let completed = states.iter().take_while(|&&st| st == TASK_OK).count();
@@ -871,19 +845,18 @@ impl QecEngine {
                 clusters: completed,
                 // Duplicates of a cold representative are served from the
                 // freshly shared build — a hit, exactly as the same
-                // request sequence would report through sequential
-                // `expand` calls.
+                // request sequence would report served one by one.
                 arena_cache_hit: g.hit || i != g.rep,
                 strategy: self.expander_for(req.strategy).name(),
                 degraded: completed < k,
                 shards_omitted: p.omitted_shards.len(),
                 cache: g.stats,
             };
-            out.push(Ok(resp));
+            sink(Ok(resp));
         }
 
         // Drop the pipeline Arcs before pooling the scratch: cached
-        // entries must be evictable, not pinned by idle batch state.
+        // entries must be evictable, not pinned by idle chunk state.
         for g in batch.groups.iter_mut() {
             g.pipeline = None;
         }
@@ -901,117 +874,6 @@ impl QecEngine {
         }
     }
 
-    fn run(
-        &self,
-        req: &ExpandRequest<'_>,
-        deadline: Option<Instant>,
-        arrival: u64,
-        s: &mut SessionScratch,
-        resp: &mut ExpandResponse,
-    ) -> Result<(), EngineError> {
-        // Analyse and canonicalise the query. Retrieval, ranking,
-        // clustering and arena construction are all term-order-invariant
-        // (ranking is a per-term sum), so sorted terms are both a safe
-        // pipeline input and the canonical cache key: "apples store" and
-        // "store apple" share one entry. Multiplicity is preserved —
-        // duplicate terms change tf·idf scores, so they stay distinct keys.
-        self.corpus
-            .query_terms_into(req.query, &mut s.terms, &mut s.keyword_buf);
-        s.terms.sort_unstable();
-        let key = KeyRef {
-            terms: &s.terms,
-            semantics: req.semantics,
-            k_clusters: req.k_clusters,
-            top_k: req.top_k,
-            strategy: req.strategy,
-        };
-
-        let caching = self.config.cache.enabled && self.cache.capacity() > 0;
-        let (pipeline, hit, cache_stats) = if caching {
-            match self.cache.get_or_build_arrived(key, deadline, arrival) {
-                (CacheProbe::Hit(p), stats) => (p, true, stats),
-                (CacheProbe::Miss(ticket), _) => {
-                    // Single-flight cold path: this session holds the
-                    // key's build ticket; concurrent requests for the same
-                    // key wait on its latch and hit the published entry,
-                    // so a cold-start stampede builds exactly once. The
-                    // build itself runs outside the cache lock. A failed
-                    // build fails the ticket — waiters resolve as
-                    // `BuildFailed` off the memo instead of stampeding.
-                    let built = match self.build_guarded(req, &s.terms, &mut s.search) {
-                        Ok(p) => Arc::new(p),
-                        Err(e) => {
-                            ticket.fail();
-                            return Err(e);
-                        }
-                    };
-                    if built.omitted_shards.is_empty() {
-                        let stats = ticket.publish(key, Arc::clone(&built));
-                        (built, false, stats)
-                    } else {
-                        // An explicitly partial pipeline serves only the
-                        // request that built it: dropping the ticket is a
-                        // voluntary abandonment (no failure memo), so the
-                        // next request rebuilds — and heals — the moment
-                        // the shard recovers.
-                        drop(ticket);
-                        (built, false, self.cache.stats())
-                    }
-                }
-                (CacheProbe::TimedOut, _) => return Err(EngineError::DeadlineExceeded),
-                (CacheProbe::Failed, _) => return Err(EngineError::BuildFailed),
-            }
-        } else {
-            let built = Arc::new(self.build_guarded(req, &s.terms, &mut s.search)?);
-            (built, false, CacheStats::default())
-        };
-
-        // From here on the pipeline exists, so a tripping deadline (or
-        // the request's own token) degrades rather than errors: expansion
-        // keeps the leading run of finished clusters — cancelled clusters
-        // are dropped whole, never half-refined.
-        let token = req.cancel.with_deadline(deadline);
-        let expander = self.expander_for(req.strategy);
-        let arena = &pipeline.arena;
-        let k = pipeline.clusters.len();
-        resp.begin(k);
-        let mut completed = 0;
-        for (i, cc) in pipeline.clusters.iter().enumerate() {
-            if token.is_cancelled() {
-                break;
-            }
-            let inst = QecInstance::from_shared_parts(arena, &cc.cluster, &cc.universe);
-            let finished = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "failpoints")]
-                if qec_failpoint::check("engine.expand_task").is_err() {
-                    panic!("injected expand-task fault");
-                }
-                expander.expand_cancellable(&inst, &mut s.iskr, &mut s.expanded, &token)
-            }));
-            match finished {
-                Ok(true) => {
-                    fill_slot(resp.slot(i), cc, &pipeline, &s.expanded, req);
-                    completed = i + 1;
-                }
-                Ok(false) => break,
-                Err(_) => return Err(EngineError::ExpansionFailed),
-            }
-        }
-        resp.retain_live(completed);
-        resp.set_omitted(&pipeline.omitted_shards);
-        resp.stats = ExpandStats {
-            results: arena.size(),
-            candidates: arena.num_candidates(),
-            clusters: completed,
-            arena_cache_hit: hit,
-            strategy: expander.name(),
-            degraded: completed < k,
-            shards_omitted: pipeline.omitted_shards.len(),
-            cache: cache_stats,
-        };
-        Ok(())
-    }
-
     /// Runs [`build_pipeline`](Self::build_pipeline) behind a panic
     /// boundary (and the `engine.build_pipeline` failpoint): a panicking
     /// build becomes [`EngineError::BuildFailed`] instead of tearing down
@@ -1019,8 +881,8 @@ impl QecEngine {
     /// it.
     fn build_guarded(
         &self,
-        req: &ExpandRequest<'_>,
-        terms: &[TermId],
+        key: KeyRef<'_>,
+        deadline: Option<Instant>,
         search: &mut SearchScratch,
     ) -> Result<CachedPipeline, EngineError> {
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1028,7 +890,7 @@ impl QecEngine {
             if qec_failpoint::check("engine.build_pipeline").is_err() {
                 return Err(EngineError::BuildFailed);
             }
-            self.build_pipeline(req, terms, search)
+            self.build_pipeline(key, deadline, search)
         }));
         match result {
             Ok(built) => built,
@@ -1037,15 +899,17 @@ impl QecEngine {
     }
 
     /// The cold path: retrieve, rank, cluster, and build the expansion
-    /// arena for `req`'s analysed `terms`. Everything returned is
-    /// immutable; the caller wraps it in an `Arc` and (when caching)
-    /// publishes it to the shared cache. All miss-path allocations happen
-    /// here and in the cache insert.
+    /// arena for `key` — a function of the cache key alone, so whatever
+    /// is published under a key is what any request with that key would
+    /// have built. Everything returned is immutable; the caller wraps it
+    /// in an `Arc` and (when caching) publishes it to the shared cache.
+    /// All miss-path allocations happen here and in the cache insert.
     ///
     /// Retrieval + ranking is one kernel ([`retrieve_ranked`]) scored with
     /// this corpus's idfs: run here over the whole corpus, or — when this
     /// engine gathers a [`ShardSet`] — scattered over the shards' slices
-    /// and merged ([`ShardSet::retrieve`]). The downstream pipeline —
+    /// and merged ([`ShardSet::retrieve`], its retry scheduling bounded by
+    /// the building request's `deadline`). The downstream pipeline —
     /// term gather, clustering, arena — runs unchanged on this engine's
     /// full corpus, which speaks global [`DocId`]s. A scatter that had to
     /// give up on some shards builds an explicitly partial pipeline (its
@@ -1054,21 +918,21 @@ impl QecEngine {
     /// "partial" would be indistinguishable from a no-match query.
     fn build_pipeline(
         &self,
-        req: &ExpandRequest<'_>,
-        terms: &[TermId],
+        key: KeyRef<'_>,
+        deadline: Option<Instant>,
         search: &mut SearchScratch,
     ) -> Result<CachedPipeline, EngineError> {
         let corpus = &self.corpus;
+        let terms = key.terms;
         let idfs: Vec<f64> = terms.iter().map(|&t| corpus.index().idf(t)).collect();
         let (hits, omitted_shards): (Vec<Hit>, Vec<u32>) = match &self.shards {
             Some(shard_set) => {
-                let deadline = req.effective_deadline(Instant::now());
                 let (hits, omitted) = shard_set.retrieve(
                     &self.pool,
                     terms,
                     &idfs,
-                    req.semantics,
-                    req.top_k,
+                    key.semantics,
+                    key.top_k,
                     deadline,
                 );
                 if omitted.len() == shard_set.num_shards() {
@@ -1082,8 +946,8 @@ impl QecEngine {
                     corpus,
                     terms,
                     &idfs,
-                    req.semantics,
-                    req.top_k,
+                    key.semantics,
+                    key.top_k,
                     search,
                     &mut hits,
                 );
@@ -1096,7 +960,7 @@ impl QecEngine {
         // The results' term occurrences, gathered once for both readers:
         // the clusterer takes them by result, the arena by term.
         let matrix = TermMatrix::gather(corpus, &result_docs);
-        let assignment = self.clusterer.cluster_matrix(&matrix, req.k_clusters);
+        let assignment = self.clusterer.cluster_matrix(&matrix, key.k_clusters);
 
         let arena = ExpansionArena::from_matrix(
             corpus,
@@ -1184,25 +1048,36 @@ fn lock<T>(m: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
 /// without rebinding) silently configures nothing.
 #[must_use = "builder setters return the updated builder; finish with build() or build_shared()"]
 pub struct EngineBuilder {
-    source: Source,
-    config: EngineConfig,
-    clusterer: Option<Box<dyn Clusterer>>,
+    pub(crate) source: Source,
+    pub(crate) config: EngineConfig,
+    pub(crate) clusterer: Option<Box<dyn Clusterer>>,
     /// Shards for this engine to gather (set only on a
     /// [`ShardedEngine`](crate::ShardedEngine)'s gather engine).
-    shards: Option<ShardSet>,
+    pub(crate) shards: Option<ShardSet>,
     /// Snapshot to restore the corpus from at [`build`](Self::build);
     /// any load failure falls back to `source`.
-    snapshot: Option<PathBuf>,
+    pub(crate) snapshot: Option<PathBuf>,
     /// Pre-computed boot accounting (sharded construction only): when
     /// set, [`build`](Self::build) adopts it verbatim instead of counting
     /// its own corpus — the sharded builder already counted the gather
     /// corpus and every shard.
-    boot_seed: Option<BootStats>,
+    pub(crate) boot_seed: Option<BootStats>,
 }
 
-enum Source {
+/// Where a builder's corpus comes from.
+pub(crate) enum Source {
     Building(CorpusBuilder),
     Prebuilt(Corpus),
+}
+
+impl Source {
+    /// The frozen corpus (built now if still building).
+    pub(crate) fn into_corpus(self) -> Corpus {
+        match self {
+            Source::Building(b) => b.build(),
+            Source::Prebuilt(c) => c,
+        }
+    }
 }
 
 impl Default for EngineBuilder {
@@ -1267,7 +1142,8 @@ impl EngineBuilder {
     }
 
     /// Sets the shared arena cache's capacity (entries before LRU
-    /// eviction; `0` never stores).
+    /// eviction; `0` turns the cache off — every request rebuilds its
+    /// pipeline).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache.capacity = capacity;
         self
@@ -1279,13 +1155,6 @@ impl EngineBuilder {
     /// bounds trips first wins. `0` (the default) disables the byte bound.
     pub fn cache_max_bytes(mut self, max_bytes: usize) -> Self {
         self.config.cache.max_bytes = max_bytes;
-        self
-    }
-
-    /// Enables or disables the shared arena cache entirely (disabled:
-    /// every request rebuilds its pipeline).
-    pub fn cache_enabled(mut self, enabled: bool) -> Self {
-        self.config.cache.enabled = enabled;
         self
     }
 
@@ -1320,23 +1189,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the maximum requests served per inner
-    /// [`expand_batch`](QecEngine::expand_batch) chunk (`0` = unbounded).
+    /// Sets the maximum requests served per chunk of a
+    /// [`try_expand_batch_into`](QecEngine::try_expand_batch_into) call
+    /// (`0` = unbounded).
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.config.pool.batch_max = batch_max;
-        self
-    }
-
-    /// Attaches the shards this engine gathers (sharded construction
-    /// only).
-    pub(crate) fn shards(mut self, shards: ShardSet) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Adopts pre-computed boot accounting (sharded construction only).
-    pub(crate) fn boot_seed(mut self, boot: BootStats) -> Self {
-        self.boot_seed = Some(boot);
         self
     }
 
@@ -1360,10 +1217,7 @@ impl EngineBuilder {
     /// untouched and the builder (with its frozen corpus) is lost with
     /// the error, so nothing half-written can be loaded later.
     pub fn save_snapshot(mut self, path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let corpus = match self.source {
-            Source::Building(b) => b.build(),
-            Source::Prebuilt(c) => c,
-        };
+        let corpus = self.source.into_corpus();
         qec_snapshot::save_corpus(&corpus, path.as_ref())?;
         self.source = Source::Prebuilt(corpus);
         Ok(self)
@@ -1379,10 +1233,6 @@ impl EngineBuilder {
         let seeded = self.boot_seed.is_some();
         let mut boot = self.boot_seed.unwrap_or_default();
         let source = self.source;
-        let rebuild = move || match source {
-            Source::Building(b) => b.build(),
-            Source::Prebuilt(c) => c,
-        };
         let corpus = match &self.snapshot {
             Some(path) => match qec_snapshot::load_corpus(path) {
                 Ok(c) => {
@@ -1391,14 +1241,14 @@ impl EngineBuilder {
                 }
                 Err(e) => {
                     boot.fallback(path, e);
-                    rebuild()
+                    source.into_corpus()
                 }
             },
             None => {
                 if !seeded {
                     boot.cold();
                 }
-                rebuild()
+                source.into_corpus()
             }
         };
         let config = self.config;
@@ -1424,10 +1274,8 @@ impl EngineBuilder {
             corpus,
             config,
             clusterer,
-            sessions: Mutex::new(Vec::new()),
             responses: Mutex::new(Vec::new()),
             batches: Mutex::new(Vec::new()),
-            result_bufs: Mutex::new(Vec::new()),
         }
     }
 

@@ -27,7 +27,7 @@
 //!
 //! The engine is shared by reference across threads ([`expand`] takes
 //! `&self`); per-request working state comes from an internal pool of
-//! session scratches, and **built pipelines are shared across all
+//! chunk scratches, and **built pipelines are shared across all
 //! sessions** through the [`cache::SharedArenaCache`] — a cross-session
 //! LRU keyed on the *analysed* query terms, so `"apples"` and `"apple"`
 //! (or any case/whitespace variant) share one entry. A hit anywhere in the
@@ -40,25 +40,28 @@
 //! budget weighing entries by pipeline heap footprint
 //! ([`EngineBuilder::cache_max_bytes`]). Cache knobs and
 //! hit/miss/eviction/byte statistics are exposed through [`EngineConfig`],
-//! [`EngineBuilder::cache_capacity`] / [`EngineBuilder::cache_enabled`],
-//! and [`ExpandStats::cache`].
+//! [`EngineBuilder::cache_capacity`] (`0` turns the cache off), and
+//! [`ExpandStats::cache`].
 //!
-//! # Pooled, batched execution
+//! # One serving path, pooled and batched
 //!
-//! Parallel work runs on a **persistent work-stealing
-//! [`WorkerPool`](qec_core::WorkerPool)** spawned once at engine build
-//! ([`EngineBuilder::pool_threads`], default: the machine's parallelism
-//! probed once per process); every engine has one. [`expand_batch`]
-//! serves many requests per call: the batch is **grouped by analysed cache key** (N identical cold
-//! queries build one pipeline), every group's per-cluster expansions are
-//! scheduled as **one flat task set** across the pool, and a warmed
-//! batch/[`recycle`] loop is allocation-free end to end (see
-//! `tests/zero_alloc_batch.rs`). A single request asking for at least
-//! [`EngineConfig::fanout_min_clusters`] clusters takes the same path as a
-//! batch of one. Member lists are served through each
-//! cached cluster's `RankIndex` sidecar, so rank-paginated requests
-//! ([`ExpandRequest::member_offset`] / [`ExpandRequest::member_limit`])
-//! jump straight to the requested page.
+//! The paper generates one expanded query per cluster, so a request is a
+//! flat set of independent per-cluster expansions and a batch is the same
+//! set over more pipelines: the engine serves both through **one** path.
+//! [`try_expand`] is a chunk of one; [`try_expand_batch_into`] serves many
+//! requests per call, **grouped by analysed cache key** (N identical cold
+//! queries build one pipeline), every group's per-cluster expansions laid
+//! out as **one flat task set**. The task count alone decides where the
+//! set runs: a handful of tasks (a lone request at the paper's
+//! granularity) on the caller's thread, more across the **persistent
+//! work-stealing [`WorkerPool`](qec_core::WorkerPool)** spawned once at
+//! engine build ([`EngineBuilder::pool_threads`], default: the machine's
+//! parallelism probed once per process) — bit-identical either way, and a
+//! warmed serve/[`recycle`] loop is allocation-free on both sides (see
+//! `tests/zero_alloc_engine.rs`, `tests/zero_alloc_batch.rs`). Member
+//! lists are served through each cached cluster's `RankIndex` sidecar, so
+//! rank-paginated requests ([`ExpandRequest::member_offset`] /
+//! [`ExpandRequest::member_limit`]) jump straight to the requested page.
 //!
 //! # Sharded serving
 //!
@@ -101,7 +104,7 @@
 //! [`timeout`] (merged by taking the earlier) plus an external
 //! [`CancelToken`]; the engine may bound concurrent
 //! requests ([`EngineBuilder::max_in_flight`]). The fallible entry points
-//! [`try_expand`] / [`try_expand_batch`] report refusals and faults as
+//! [`try_expand`] / [`try_expand_batch_into`] report refusals and faults as
 //! typed [`EngineError`]s — shed at admission (`Overloaded`), deadline
 //! expired before a pipeline existed (`DeadlineExceeded`), build panicked
 //! (`BuildFailed`, memoized briefly so a poisoned key doesn't trigger a
@@ -125,9 +128,8 @@
 //! error, not a result (see `tests/replication_chaos.rs`).
 //!
 //! [`expand`]: QecEngine::expand
-//! [`expand_batch`]: QecEngine::expand_batch
 //! [`try_expand`]: QecEngine::try_expand
-//! [`try_expand_batch`]: QecEngine::try_expand_batch
+//! [`try_expand_batch_into`]: QecEngine::try_expand_batch_into
 //! [`recycle`]: QecEngine::recycle
 //! [`deadline`]: ExpandRequest::deadline
 //! [`timeout`]: ExpandRequest::timeout

@@ -61,28 +61,37 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qec_cluster::Clusterer;
 use qec_core::{
     Backoff, BreakerState, CancelSignal, CancelToken, CircuitBreaker, MergeScratch, ScratchPool,
     WorkerPool,
 };
 use qec_index::{
-    Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher,
-    TfIdfRanker,
+    Corpus, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher, TfIdfRanker,
 };
 use qec_snapshot::{SnapshotError, SnapshotSummary};
 use qec_text::TermId;
 
-use crate::api::{EngineError, ExpandRequest, ExpandResponse};
+use crate::api::ExpandResponse;
 use crate::boot::{expected_shard_len, shard_snapshot_name, BootStats, FULL_SNAPSHOT};
 use crate::cache::CacheStats;
-use crate::config::{EngineConfig, ReplicationConfig};
-use crate::engine::{EngineBuilder, QecEngine};
+use crate::config::ReplicationConfig;
+use crate::engine::{EngineBuilder, QecEngine, Source};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
 /// retrieval scattered across shards. Build with
 /// [`ShardedEngineBuilder`]; see the [module docs](self) for the
 /// architecture.
+///
+/// It derefs to its gather engine, so serving
+/// ([`try_expand`](QecEngine::try_expand),
+/// [`try_expand_batch_into`](QecEngine::try_expand_batch_into)), the full
+/// [`corpus`](QecEngine::corpus), [`cache_stats`](QecEngine::cache_stats)
+/// and [`boot_stats`](QecEngine::boot_stats) (the gather corpus and every
+/// shard sub-corpus each count once) are the gather engine's own — sharding
+/// changes none of them. Deadlines, cancellation, admission control and
+/// degraded responses behave exactly as on a single engine; a fault inside
+/// one shard's scatter task fails only the requests sharing that pipeline
+/// build. Only what a shard set adds is defined here.
 pub struct ShardedEngine {
     /// The gather engine; holds the [`ShardSet`] when `num_shards > 1`
     /// or replication is on (one unreplicated shard is the plain
@@ -90,47 +99,19 @@ pub struct ShardedEngine {
     inner: QecEngine,
 }
 
+impl std::ops::Deref for ShardedEngine {
+    type Target = QecEngine;
+
+    fn deref(&self) -> &QecEngine {
+        &self.inner
+    }
+}
+
 impl ShardedEngine {
-    /// Entry point mirroring [`QecEngine::builder`].
-    pub fn builder() -> ShardedEngineBuilder {
-        ShardedEngineBuilder::new()
-    }
-
-    /// The **full** corpus (the gather engine's); shard sub-corpora are an
-    /// internal detail and share this corpus's term dictionary.
-    pub fn corpus(&self) -> &Corpus {
-        self.inner.corpus()
-    }
-
-    /// The gather engine's resolved configuration.
-    pub fn config(&self) -> &EngineConfig {
-        self.inner.config()
-    }
-
     /// Number of shards serving the scatter stage (`1` when sharding is
     /// effectively disabled and requests take the single-engine path).
     pub fn num_shards(&self) -> usize {
         self.inner.shard_set().map_or(1, ShardSet::num_shards)
-    }
-
-    /// Worker threads of the gather engine's pool, which also runs every
-    /// scattered retrieval.
-    pub fn pool_threads(&self) -> usize {
-        self.inner.pool_threads()
-    }
-
-    /// Snapshot of the gather engine's shared-cache counters (sharding
-    /// does not change cache behaviour — pipelines are cached globally,
-    /// after the merge).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-
-    /// How the deployment's corpora came up: the gather corpus and every
-    /// shard sub-corpus each count once as snapshot-restored, cold-built,
-    /// or fallen-back (see [`BootStats`]).
-    pub fn boot_stats(&self) -> &BootStats {
-        self.inner.boot_stats()
     }
 
     /// Writes the deployment's snapshot set into `dir` (created if
@@ -182,58 +163,15 @@ impl ShardedEngine {
     }
 
     /// Consumes the wrapper and returns the gather [`QecEngine`] — the
-    /// exact engine `expand` dispatches to, shard set attached. Useful for
+    /// exact engine serving dispatches to, shard set attached. Useful for
     /// mounting a sharded engine behind layers that take a `QecEngine`
     /// (e.g. an ingress front door).
     pub fn into_engine(self) -> QecEngine {
         self.inner
     }
 
-    /// See [`QecEngine::expand`]. Bit-identical to the single-engine
-    /// response for the same corpus and request.
-    pub fn expand(&self, req: &ExpandRequest<'_>) -> ExpandResponse {
-        self.inner.expand(req)
-    }
-
-    /// See [`QecEngine::try_expand`]. Deadlines, cancellation, admission
-    /// control, and degraded responses behave exactly as on a single
-    /// engine; a fault injected inside one shard's scatter task fails only
-    /// the requests sharing that pipeline build
-    /// ([`EngineError::BuildFailed`]).
-    pub fn try_expand(&self, req: &ExpandRequest<'_>) -> Result<ExpandResponse, EngineError> {
-        self.inner.try_expand(req)
-    }
-
-    /// See [`QecEngine::expand_batch`]. Cold groups of a sharded batch
-    /// build sequentially on the submitter — each build already scatters
-    /// its retrieval across the whole pool.
-    pub fn expand_batch(&self, reqs: &[ExpandRequest<'_>]) -> Vec<ExpandResponse> {
-        self.inner.expand_batch(reqs)
-    }
-
-    /// See [`QecEngine::try_expand_batch`].
-    pub fn try_expand_batch(
-        &self,
-        reqs: &[ExpandRequest<'_>],
-    ) -> Vec<Result<ExpandResponse, EngineError>> {
-        self.inner.try_expand_batch(reqs)
-    }
-
-    /// See [`QecEngine::expand_batch_into`].
-    pub fn expand_batch_into(&self, reqs: &[ExpandRequest<'_>], out: &mut Vec<ExpandResponse>) {
-        self.inner.expand_batch_into(reqs, out);
-    }
-
-    /// See [`QecEngine::try_expand_batch_into`].
-    pub fn try_expand_batch_into(
-        &self,
-        reqs: &[ExpandRequest<'_>],
-        out: &mut Vec<Result<ExpandResponse, EngineError>>,
-    ) {
-        self.inner.try_expand_batch_into(reqs, out);
-    }
-
-    /// See [`QecEngine::recycle`].
+    /// See [`QecEngine::recycle`] (spelled out here so the path
+    /// `ShardedEngine::recycle` names it, which deref does not cover).
     pub fn recycle(&self, resp: ExpandResponse) {
         self.inner.recycle(resp);
     }
@@ -318,38 +256,31 @@ impl fmt::Display for ShardedBuildError {
 
 impl std::error::Error for ShardedBuildError {}
 
-/// Builds a [`ShardedEngine`] from documents or a prebuilt [`Corpus`],
-/// mirroring [`EngineBuilder`]'s knobs plus
-/// [`num_shards`](Self::num_shards) and the replication knobs.
+/// Builds a [`ShardedEngine`]: an [`EngineBuilder`] for the gather engine
+/// plus the shard count and the snapshot directory. The setters below are
+/// the gather builder's own, forwarded, and the replication knobs of its
+/// [`EngineConfig`](crate::config::EngineConfig).
 ///
 /// | knob | default | effect |
 /// |------|---------|--------|
 /// | [`num_shards`](Self::num_shards) | `1` | contiguous doc-id partitions; `1` serves the plain single-engine path |
 /// | [`replicas`](Self::replicas) | `1` | interchangeable replica slots per shard, all over the shard's one corpus slice; `>1` enables failover |
-/// | [`retry_max`](Self::retry_max) | `2` | failed-attempt retries (sibling replica, capped backoff) before a shard is omitted |
 /// | [`hedge_after`](Self::hedge_after) | `None` (adaptive) | delay before a hedged duplicate races a slow attempt |
 /// | [`breaker_threshold`](Self::breaker_threshold) | `3` | consecutive failures that open a replica's circuit breaker (`0` = never) |
 /// | [`breaker_cooldown`](Self::breaker_cooldown) | `250ms` | open-breaker wait before one half-open probe |
-/// | [`config`](Self::config) | [`EngineConfig::default`] | the gather engine's full configuration |
-/// | [`cache_capacity`](Self::cache_capacity) / [`cache_enabled`](Self::cache_enabled) | `EngineConfig` defaults | the **gather** cache — pipelines are cached once, after the merge |
-/// | [`max_in_flight`](Self::max_in_flight) | `0` (off) | admission control, enforced once at the gather front door |
+/// | [`cache_capacity`](Self::cache_capacity) | `128` | the **gather** cache — pipelines are cached once, after the merge (`0` = off) |
 /// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the gather engine's [`WorkerPool`], which all scatter tasks run on |
-/// | [`batch_max`](Self::batch_max) | `64` | gather-side batch chunking, unchanged |
-/// | [`clusterer`](Self::clusterer) | cosine k-means | runs on the gather side (shards only retrieve and rank) |
-#[must_use = "builder setters return the updated builder; finish with build() or build_shared()"]
+///
+/// A failed shard attempt is retried twice on a sibling replica (capped
+/// exponential backoff from 500 µs) before the shard is omitted; clustering
+/// and expansion run on the gather side (shards only retrieve and rank).
+#[must_use = "builder setters return the updated builder; finish with build()"]
 pub struct ShardedEngineBuilder {
-    source: Source,
-    config: EngineConfig,
-    clusterer: Option<Box<dyn Clusterer>>,
+    gather: EngineBuilder,
     num_shards: usize,
     /// Snapshot directory to restore from at build; see
     /// [`load_snapshots`](Self::load_snapshots).
     snapshot_dir: Option<PathBuf>,
-}
-
-enum Source {
-    Building(CorpusBuilder),
-    Prebuilt(Corpus),
 }
 
 impl Default for ShardedEngineBuilder {
@@ -360,23 +291,19 @@ impl Default for ShardedEngineBuilder {
 
 impl ShardedEngineBuilder {
     /// Builder over an empty corpus; add documents with
-    /// [`document`](Self::document).
+    /// [`documents`](Self::documents).
     pub fn new() -> Self {
-        Self {
-            source: Source::Building(CorpusBuilder::new()),
-            config: EngineConfig::default(),
-            clusterer: None,
-            num_shards: 1,
-            snapshot_dir: None,
-        }
+        Self::over(EngineBuilder::new())
     }
 
     /// Builder over an already-built corpus.
     pub fn from_corpus(corpus: Corpus) -> Self {
+        Self::over(EngineBuilder::from_corpus(corpus))
+    }
+
+    fn over(gather: EngineBuilder) -> Self {
         Self {
-            source: Source::Prebuilt(corpus),
-            config: EngineConfig::default(),
-            clusterer: None,
+            gather,
             num_shards: 1,
             snapshot_dir: None,
         }
@@ -396,7 +323,7 @@ impl ShardedEngineBuilder {
     /// itself fails to load, the gather corpus falls back to the
     /// in-memory source and **no** shard file is trusted (there is no
     /// fingerprint left to check them against). Every outcome is counted
-    /// in [`ShardedEngine::boot_stats`].
+    /// in [`boot_stats`](QecEngine::boot_stats).
     pub fn load_snapshots(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());
         self
@@ -417,15 +344,7 @@ impl ShardedEngineBuilder {
     /// [module docs](self#replication-and-failover) and
     /// [`ReplicationConfig`].
     pub fn replicas(mut self, n: usize) -> Self {
-        self.config.replication.replicas = n.max(1);
-        self
-    }
-
-    /// Sets how many times a failed shard attempt is retried on a sibling
-    /// replica before the shard is omitted (see
-    /// [`ReplicationConfig::retry_max`](crate::config::ReplicationConfig::retry_max)).
-    pub fn retry_max(mut self, n: usize) -> Self {
-        self.config.replication.retry_max = n;
+        self.gather.config.replication.replicas = n.max(1);
         self
     }
 
@@ -434,7 +353,7 @@ impl ShardedEngineBuilder {
     /// replica's observed mean latency (see
     /// [`ReplicationConfig::hedge_after`](crate::config::ReplicationConfig::hedge_after)).
     pub fn hedge_after(mut self, delay: Option<Duration>) -> Self {
-        self.config.replication.hedge_after = delay;
+        self.gather.config.replication.hedge_after = delay;
         self
     }
 
@@ -442,7 +361,7 @@ impl ShardedEngineBuilder {
     /// breaker; `0` disables breakers (see
     /// [`ReplicationConfig::breaker_threshold`](crate::config::ReplicationConfig::breaker_threshold)).
     pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.replication.breaker_threshold = threshold;
+        self.gather.config.replication.breaker_threshold = threshold;
         self
     }
 
@@ -450,80 +369,27 @@ impl ShardedEngineBuilder {
     /// half-open probe (see
     /// [`ReplicationConfig::breaker_cooldown`](crate::config::ReplicationConfig::breaker_cooldown)).
     pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.replication.breaker_cooldown = cooldown;
+        self.gather.config.replication.breaker_cooldown = cooldown;
         self
     }
 
-    /// Adds one document.
-    ///
-    /// # Panics
-    /// When the builder was created with
-    /// [`from_corpus`](Self::from_corpus) — a frozen corpus cannot take
-    /// documents.
-    pub fn document(mut self, spec: DocumentSpec) -> Self {
-        match &mut self.source {
-            Source::Building(b) => {
-                b.add_document(spec);
-            }
-            Source::Prebuilt(_) => {
-                panic!("ShardedEngineBuilder::document: corpus is prebuilt and frozen")
-            }
-        }
-        self
-    }
-
-    /// Adds many documents (see [`document`](Self::document)).
+    /// Adds documents (see [`EngineBuilder::documents`]).
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
-        for spec in specs {
-            self = self.document(spec);
-        }
-        self
-    }
-
-    /// Replaces the gather engine's whole pipeline configuration.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
+        self.gather = self.gather.documents(specs);
         self
     }
 
     /// Sets the gather cache's capacity (see
     /// [`EngineBuilder::cache_capacity`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache.capacity = capacity;
-        self
-    }
-
-    /// Enables or disables the gather cache (see
-    /// [`EngineBuilder::cache_enabled`]).
-    pub fn cache_enabled(mut self, enabled: bool) -> Self {
-        self.config.cache.enabled = enabled;
-        self
-    }
-
-    /// Sets the admission bound (see [`EngineBuilder::max_in_flight`]).
-    pub fn max_in_flight(mut self, max: usize) -> Self {
-        self.config.admission.max_in_flight = max;
+        self.gather = self.gather.cache_capacity(capacity);
         self
     }
 
     /// Sets the pool's thread count (see
     /// [`EngineBuilder::pool_threads`]).
     pub fn pool_threads(mut self, threads: usize) -> Self {
-        self.config.pool.threads = threads;
-        self
-    }
-
-    /// Sets the gather-side batch chunk bound (see
-    /// [`EngineBuilder::batch_max`]).
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.config.pool.batch_max = batch_max;
-        self
-    }
-
-    /// Replaces the gather engine's clusterer (shards retrieve and rank
-    /// only — they never cluster).
-    pub fn clusterer(mut self, clusterer: Box<dyn Clusterer>) -> Self {
-        self.clusterer = Some(clusterer);
+        self.gather = self.gather.pool_threads(threads);
         self
     }
 
@@ -552,11 +418,7 @@ impl ShardedEngineBuilder {
         // Gather corpus: the registered full snapshot first, the
         // in-memory source on any load failure.
         let mut full_summary = None;
-        let source = self.source;
-        let rebuild = move || match source {
-            Source::Building(b) => b.build(),
-            Source::Prebuilt(c) => c,
-        };
+        let source = self.gather.source;
         let corpus = match &self.snapshot_dir {
             Some(dir) => {
                 let path = dir.join(FULL_SNAPSHOT);
@@ -568,13 +430,13 @@ impl ShardedEngineBuilder {
                     }
                     Err(e) => {
                         boot.fallback(&path, e);
-                        rebuild()
+                        source.into_corpus()
                     }
                 }
             }
             None => {
                 boot.cold();
-                rebuild()
+                source.into_corpus()
             }
         };
         let num_shards = self.num_shards;
@@ -589,7 +451,8 @@ impl ShardedEngineBuilder {
         }
         // The slices are cut from `&corpus` first; the corpus itself then
         // moves into the gather engine.
-        let shards = (num_shards > 1 || self.config.replication.replicas > 1).then(|| {
+        let replication = &self.gather.config.replication;
+        let shards = (num_shards > 1 || replication.replicas > 1).then(|| {
             // Shard sub-corpora: per-shard snapshot files when a loaded
             // full snapshot vouches for their generation, the gather
             // corpus's split otherwise (and for every shard whose file
@@ -603,24 +466,17 @@ impl ShardedEngineBuilder {
                     corpus.split(num_shards)
                 }
             };
-            ShardSet::new(slices, self.config.replication.clone())
+            ShardSet::new(slices, replication.clone())
         });
-        let mut gather = EngineBuilder::from_corpus(corpus).config(self.config);
-        if let Some(clusterer) = self.clusterer {
-            gather = gather.clusterer(clusterer);
-        }
-        if let Some(shards) = shards {
-            gather = gather.shards(shards);
-        }
+        let gather = EngineBuilder {
+            source: Source::Prebuilt(corpus),
+            shards,
+            boot_seed: Some(boot),
+            ..self.gather
+        };
         Ok(ShardedEngine {
-            inner: gather.boot_seed(boot).build(),
+            inner: gather.build(),
         })
-    }
-
-    /// [`build`](Self::build), shared behind an [`Arc`] for long-lived
-    /// serving layers.
-    pub fn build_shared(self) -> Arc<ShardedEngine> {
-        Arc::new(self.build())
     }
 }
 
@@ -753,7 +609,15 @@ const MIN_HEDGE: Duration = Duration::from_micros(200);
 const MAX_HEDGE: Duration = Duration::from_millis(100);
 /// Hedge delay before any latency sample exists.
 const DEFAULT_HEDGE: Duration = Duration::from_millis(2);
-/// Backoff delays double per retry up to `retry_base ×` this cap.
+/// Retries after a shard task's first failed attempt before the shard is
+/// omitted. Each retry waits a capped-exponential [`Backoff`] step and
+/// targets the rotation's next admitted replica; a retry whose wait alone
+/// would outlive the request's effective deadline is skipped (the shard is
+/// omitted instead — backoff never sleeps into a guaranteed miss).
+const RETRY_MAX: usize = 2;
+/// First backoff step (doubles per retry, jittered into `[step/2, step]`).
+const RETRY_BASE: Duration = Duration::from_micros(500);
+/// Backoff delays double per retry up to `RETRY_BASE ×` this cap.
 const BACKOFF_CAP_FACTOR: u32 = 16;
 
 impl ReplicaSlot {
@@ -1154,7 +1018,6 @@ impl ShardSet {
         deadline: Option<Instant>,
     ) -> (Vec<Hit>, Vec<u32>) {
         let n = self.shards.len();
-        let replication = &self.replication;
         let shared = Arc::new(ScatterShared {
             terms: terms.to_vec(),
             idfs: idfs.to_vec(),
@@ -1177,8 +1040,8 @@ impl ShardSet {
                     hedge_at: None,
                     retry_at: None,
                     backoff: Backoff::new(
-                        replication.retry_base,
-                        replication.retry_base.saturating_mul(BACKOFF_CAP_FACTOR),
+                        RETRY_BASE,
+                        RETRY_BASE.saturating_mul(BACKOFF_CAP_FACTOR),
                         0x9E37_79B9_7F4A_7C15u64.wrapping_mul(si as u64 + 1),
                     ),
                     cancels: Vec::new(),
@@ -1319,7 +1182,7 @@ impl ShardSet {
                     slot.failures.fetch_add(1, Ordering::Relaxed);
                 }
                 if sp.done.is_none() && !sp.omitted && sp.in_flight == 0 && sp.retry_at.is_none() {
-                    if sp.retries >= self.replication.retry_max {
+                    if sp.retries >= RETRY_MAX {
                         Self::omit(shard, sp, unresolved);
                     } else {
                         let now = Instant::now();

@@ -1,11 +1,11 @@
-//! Behaviour of the batched serving path: `expand_batch` parity with
-//! sequential `expand`, single-build guarantees for duplicate cold keys
+//! Behaviour of the batched serving path: `try_expand_batch_into` parity
+//! with sequential `expand`, single-build guarantees for duplicate cold keys
 //! (in-batch grouping and cross-thread single-flight), chunking, and the
 //! `RankIndex`-backed member pagination.
 
 use qec_engine::{
-    ClusterExpansion, DocumentSpec, EngineBuilder, ExpandRequest, ExpandResponse, ExpandStrategy,
-    QecEngine,
+    ClusterExpansion, DocumentSpec, EngineBuilder, EngineError, ExpandRequest, ExpandResponse,
+    ExpandStrategy, QecEngine,
 };
 
 /// A deterministic two-sense corpus big enough for real clustering.
@@ -22,6 +22,25 @@ fn corpus_docs() -> impl Iterator<Item = DocumentSpec> {
 
 fn engine() -> QecEngine {
     EngineBuilder::new().documents(corpus_docs()).build()
+}
+
+/// One batch through `try_expand_batch_into`: a `Result` per request, in
+/// request order.
+fn try_batch(
+    e: &QecEngine,
+    reqs: &[ExpandRequest<'_>],
+) -> Vec<Result<ExpandResponse, EngineError>> {
+    let mut out = Vec::new();
+    e.try_expand_batch_into(reqs, &mut out);
+    out
+}
+
+/// [`try_batch`] where every request must be served.
+fn batch(e: &QecEngine, reqs: &[ExpandRequest<'_>]) -> Vec<ExpandResponse> {
+    try_batch(e, reqs)
+        .into_iter()
+        .map(|r| r.expect("every request of the batch is served"))
+        .collect()
 }
 
 /// A mixed request workload: duplicate keys (including spelling variants
@@ -95,7 +114,7 @@ fn expand_batch_matches_sequential_expand_bit_for_bit() {
         let e = engine();
         reqs.iter().map(|r| essence(&e.expand(r))).collect()
     };
-    let batched = engine().expand_batch(&reqs);
+    let batched = batch(&engine(), &reqs);
     assert_eq!(batched.len(), reqs.len());
     for (i, (resp, want)) in batched.iter().zip(&sequential).enumerate() {
         assert_eq!(&essence(resp), want, "request {i} diverged");
@@ -108,11 +127,11 @@ fn warm_batches_match_sequential_and_hit_everywhere() {
     let e = engine();
     // Warm every key, then compare a warmed batch against warmed
     // sequential responses from the same engine.
-    for r in e.expand_batch(&reqs) {
+    for r in batch(&e, &reqs) {
         e.recycle(r);
     }
     let sequential: Vec<_> = reqs.iter().map(|r| essence(&e.expand(r))).collect();
-    let batched = e.expand_batch(&reqs);
+    let batched = batch(&e, &reqs);
     for (i, (resp, want)) in batched.iter().zip(&sequential).enumerate() {
         assert_eq!(&essence(resp), want, "request {i} diverged");
         assert!(resp.stats.arena_cache_hit, "request {i} must hit when warm");
@@ -129,7 +148,7 @@ fn batch_of_identical_cold_keys_builds_once() {
             ..ExpandRequest::new("apple")
         })
         .collect();
-    let resps = e.expand_batch(&reqs);
+    let resps = batch(&e, &reqs);
     let stats = e.cache_stats();
     assert_eq!(
         stats.misses, 1,
@@ -166,7 +185,7 @@ fn concurrent_batches_of_one_cold_key_single_flight_to_one_build() {
                         ..ExpandRequest::new("apple")
                     })
                     .collect();
-                let resps = e.expand_batch(&reqs);
+                let resps = batch(&e, &reqs);
                 assert_eq!(resps.len(), 4);
             });
         }
@@ -181,12 +200,14 @@ fn concurrent_batches_of_one_cold_key_single_flight_to_one_build() {
 #[test]
 fn batch_max_chunking_preserves_results() {
     let reqs = workload();
-    let whole = engine().expand_batch(&reqs);
-    let chunked = EngineBuilder::new()
-        .documents(corpus_docs())
-        .batch_max(2)
-        .build()
-        .expand_batch(&reqs);
+    let whole = batch(&engine(), &reqs);
+    let chunked = batch(
+        &EngineBuilder::new()
+            .documents(corpus_docs())
+            .batch_max(2)
+            .build(),
+        &reqs,
+    );
     assert_eq!(chunked.len(), whole.len());
     for (i, (a, b)) in chunked.iter().zip(&whole).enumerate() {
         assert_eq!(
@@ -199,10 +220,10 @@ fn batch_max_chunking_preserves_results() {
 
 #[test]
 fn cache_disabled_batches_rebuild_every_request_like_sequential() {
-    // With the cache disabled, "every request rebuilds" is the contract:
-    // batching must not collapse duplicate keys into one build, and no
-    // request may claim a cache hit — exactly what sequential serving of
-    // the same stream reports.
+    // With the cache off (capacity 0), "every request rebuilds" is the
+    // contract: batching must not collapse duplicate keys into one build,
+    // and no request may claim a cache hit — exactly what sequential
+    // serving of the same stream reports.
     let reqs: Vec<ExpandRequest<'_>> = (0..4)
         .map(|_| ExpandRequest {
             k_clusters: 4,
@@ -213,14 +234,14 @@ fn cache_disabled_batches_rebuild_every_request_like_sequential() {
     let uncached = || {
         EngineBuilder::new()
             .documents(corpus_docs())
-            .cache_enabled(false)
+            .cache_capacity(0)
             .build()
     };
     let sequential: Vec<_> = {
         let e = uncached();
         reqs.iter().map(|r| essence(&e.expand(r))).collect()
     };
-    let batched = uncached().expand_batch(&reqs);
+    let batched = batch(&uncached(), &reqs);
     for (i, (resp, want)) in batched.iter().zip(&sequential).enumerate() {
         assert_eq!(&essence(resp), want, "request {i} diverged without a cache");
         assert!(!resp.stats.arena_cache_hit, "request {i}: no cache, no hit");
@@ -230,10 +251,9 @@ fn cache_disabled_batches_rebuild_every_request_like_sequential() {
 #[test]
 fn empty_batch_is_a_no_op() {
     let e = engine();
-    assert!(e.expand_batch(&[]).is_empty());
-    let mut out = Vec::new();
-    e.expand_batch_into(&[], &mut out);
-    assert!(out.is_empty());
+    let mut out = vec![Err(EngineError::BuildFailed)];
+    e.try_expand_batch_into(&[], &mut out);
+    assert!(out.is_empty(), "`out` is cleared first");
 }
 
 #[test]
@@ -287,18 +307,21 @@ fn member_pagination_applies_to_batches_too() {
         ..ExpandRequest::new("apple")
     };
     let full = e.expand(&base);
-    let paged = e.expand_batch(&[
-        ExpandRequest {
-            member_offset: 0,
-            member_limit: 2,
-            ..base.clone()
-        },
-        ExpandRequest {
-            member_offset: 2,
-            member_limit: 2,
-            ..base.clone()
-        },
-    ]);
+    let paged = batch(
+        &e,
+        &[
+            ExpandRequest {
+                member_offset: 0,
+                member_limit: 2,
+                ..base.clone()
+            },
+            ExpandRequest {
+                member_offset: 2,
+                member_limit: 2,
+                ..base.clone()
+            },
+        ],
+    );
     for (r, off) in paged.iter().zip([0usize, 2]) {
         for (got, want) in r.clusters().iter().zip(full.clusters()) {
             let expect: Vec<_> = want.docs.iter().skip(off).take(2).copied().collect();
@@ -314,7 +337,7 @@ fn member_pagination_applies_to_batches_too() {
 fn responses_stay_in_request_order_with_mixed_shed_degraded_ok_members() {
     use std::time::{Duration, Instant};
 
-    use qec_engine::{CancelToken, EngineError};
+    use qec_engine::CancelToken;
 
     let e = engine();
     // Distinct queries with distinct shapes, so a slot answering the
@@ -352,7 +375,7 @@ fn responses_stay_in_request_order_with_mixed_shed_degraded_ok_members() {
         },
         ok_b.clone(),
     ];
-    let results = e.try_expand_batch(&reqs);
+    let results = try_batch(&e, &reqs);
     assert_eq!(results.len(), reqs.len(), "one slot per request");
 
     let a = results[0].as_ref().expect("slot 0 served");
@@ -403,7 +426,7 @@ fn identical_terms_with_different_strategies_never_share_a_pipeline_entry() {
             ..ExpandRequest::new("  APPLE ,")
         },
     ];
-    let responses = batch_engine.expand_batch(&reqs);
+    let responses = batch(&batch_engine, &reqs);
     for (resp, name) in responses.iter().zip(["iskr", "pebc", "exact-df"]) {
         assert!(!resp.stats.arena_cache_hit, "{name}: distinct cold key");
         assert_eq!(resp.stats.strategy, name);
@@ -421,7 +444,7 @@ fn identical_terms_with_different_strategies_never_share_a_pipeline_entry() {
         assert_eq!(essence(resp), essence(&fresh.expand(req)));
     }
     // The same batch again: three hits, still three entries.
-    for resp in batch_engine.expand_batch(&reqs) {
+    for resp in batch(&batch_engine, &reqs) {
         assert!(resp.stats.arena_cache_hit);
     }
     assert_eq!(batch_engine.cache_stats().entries, 3);

@@ -13,8 +13,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use qec_engine::{
-    ClusterExpansion, DocumentSpec, EngineBuilder, EngineConfig, EngineError, ExpandRequest,
-    ExpandResponse, QecEngine,
+    ClusterExpansion, DocumentSpec, EngineBuilder, EngineError, ExpandRequest, ExpandResponse,
+    QecEngine,
 };
 use qec_failpoint::{arm, arm_times, FailAction};
 
@@ -39,6 +39,17 @@ fn corpus_docs() -> impl Iterator<Item = DocumentSpec> {
 
 fn engine() -> QecEngine {
     EngineBuilder::new().documents(corpus_docs()).build()
+}
+
+/// One batch through `try_expand_batch_into`: a `Result` per request, in
+/// request order.
+fn try_batch(
+    e: &QecEngine,
+    reqs: &[ExpandRequest<'_>],
+) -> Vec<Result<ExpandResponse, EngineError>> {
+    let mut out = Vec::new();
+    e.try_expand_batch_into(reqs, &mut out);
+    out
 }
 
 /// Five requests with five distinct cache keys.
@@ -113,7 +124,7 @@ fn poisoned_build_fails_alone_and_recovers_after_ttl() {
         }
     }
     let guard = arm_times("engine.build_pipeline", FailAction::Error, 1);
-    let results = engine.try_expand_batch(&reqs);
+    let results = try_batch(&engine, &reqs);
     assert_eq!(qec_failpoint::hits(guard.name()), 1);
     assert_eq!(results.len(), reqs.len());
     for (i, result) in results.iter().enumerate() {
@@ -161,9 +172,10 @@ fn panicked_expansion_task_fails_exactly_one_request() {
     }
     let clean: Vec<_> = reqs.iter().map(|r| essence(&engine.expand(r))).collect();
 
+    // 14 tasks: the chunk's expansions run across the pool.
     let results = {
         let _g = arm_times("engine.expand_task", FailAction::Panic, 1);
-        engine.try_expand_batch(&reqs)
+        try_batch(&engine, &reqs)
     };
     let failed: Vec<usize> = results
         .iter()
@@ -180,7 +192,7 @@ fn panicked_expansion_task_fails_exactly_one_request() {
     }
 
     // The engine (pool included) is fully serviceable afterwards.
-    let again = engine.try_expand_batch(&reqs);
+    let again = try_batch(&engine, &reqs);
     for (i, result) in again.iter().enumerate() {
         assert_eq!(
             essence(result.as_ref().unwrap()),
@@ -192,25 +204,28 @@ fn panicked_expansion_task_fails_exactly_one_request() {
 
 #[test]
 fn panicked_fanned_out_single_request_fails_then_serves_clean() {
-    // `fanout_min_clusters: 1` sends every single `try_expand` through the
-    // pooled flat task set — the same fault boundary as a batch member.
+    // A lone `try_expand` is a chunk of one: below the engine's task-count
+    // threshold (8) its expansions run on the caller's thread, from there
+    // up they fan out across the pool — behind the same fault boundary as
+    // a batch member on both sides.
     let _s = serial();
-    let engine = EngineBuilder::new()
-        .documents(corpus_docs())
-        .config(EngineConfig {
-            fanout_min_clusters: 1,
-            ..EngineConfig::default()
-        })
-        .build();
-    let req = &workload()[0];
-    let clean = essence(&engine.expand(req));
+    let engine = engine();
+    for k in [4, 8] {
+        let req = ExpandRequest {
+            k_clusters: k,
+            top_k: 50,
+            ..ExpandRequest::new("apple")
+        };
+        let clean = essence(&engine.expand(&req));
+        assert_eq!(clean.0.len(), k, "the task count picks the side under test");
 
-    let faulted = {
-        let _g = arm_times("engine.expand_task", FailAction::Panic, 1);
-        engine.try_expand(req)
-    };
-    assert_eq!(faulted.unwrap_err(), EngineError::ExpansionFailed);
-    assert_eq!(essence(&engine.try_expand(req).unwrap()), clean);
+        let faulted = {
+            let _g = arm_times("engine.expand_task", FailAction::Panic, 1);
+            engine.try_expand(&req)
+        };
+        assert_eq!(faulted.unwrap_err(), EngineError::ExpansionFailed, "k={k}");
+        assert_eq!(essence(&engine.try_expand(&req).unwrap()), clean, "k={k}");
+    }
 }
 
 #[test]
@@ -260,7 +275,7 @@ fn batch_dispatch_fault_sheds_the_chunk_then_recovers() {
 
     {
         let _g = arm_times("engine.batch_dispatch", FailAction::Error, 1);
-        let shed = engine.try_expand_batch(&reqs);
+        let shed = try_batch(&engine, &reqs);
         for result in &shed {
             assert!(
                 matches!(result, Err(EngineError::Overloaded { .. })),
@@ -268,7 +283,7 @@ fn batch_dispatch_fault_sheds_the_chunk_then_recovers() {
             );
         }
     }
-    let served = engine.try_expand_batch(&reqs);
+    let served = try_batch(&engine, &reqs);
     for (i, result) in served.iter().enumerate() {
         assert_eq!(
             essence(result.as_ref().unwrap()),
@@ -328,7 +343,7 @@ fn batch_admission_sheds_per_request_not_per_batch() {
     }
     // A 5-request chunk against a 2-slot bound: the first two admitted
     // and served, the rest shed individually.
-    let results = engine.try_expand_batch(&reqs);
+    let results = try_batch(&engine, &reqs);
     for (i, result) in results.iter().enumerate() {
         if i < 2 {
             assert!(result.is_ok(), "request {i} admitted");

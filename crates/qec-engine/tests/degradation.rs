@@ -179,7 +179,8 @@ fn batch_member_with_tripped_token_degrades_alone() {
         cancel,
         ..reqs[1].clone()
     };
-    let results = engine.try_expand_batch(&poisoned);
+    let mut results = Vec::new();
+    engine.try_expand_batch_into(&poisoned, &mut results);
     for (i, result) in results.iter().enumerate() {
         let resp = result
             .as_ref()
@@ -218,7 +219,8 @@ fn batch_member_with_expired_deadline_is_refused_alone() {
     for req in [&reqs[0], &reqs[2]] {
         engine.recycle(engine.expand(req));
     }
-    let results = engine.try_expand_batch(&reqs);
+    let mut results = Vec::new();
+    engine.try_expand_batch_into(&reqs, &mut results);
     assert_eq!(
         results[1].as_ref().unwrap_err(),
         &EngineError::DeadlineExceeded

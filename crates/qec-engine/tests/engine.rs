@@ -348,3 +348,32 @@ fn concurrent_sessions_are_deterministic() {
         }
     });
 }
+
+/// `k_clusters` arrives with the request and k-means over `n > k` results
+/// holds 16·k·D bytes: the engine clamps it (to 64) before the cache key
+/// is formed, so an absurd `k` over a large `top_k` is the `k = 64`
+/// request — same pipeline, same cache entry, same response.
+#[test]
+fn absurd_k_clusters_is_clamped_before_the_cache_key() {
+    let engine =
+        EngineBuilder::new()
+            .documents((0..600).map(|i| {
+                DocumentSpec::text("", format!("apple kind{} lot{} item{i}", i % 37, i % 23))
+            }))
+            .build();
+    let with_k = |k_clusters| ExpandRequest {
+        k_clusters,
+        ..ExpandRequest::new("apple")
+    };
+    let clamped = engine.expand(&with_k(64));
+    assert_eq!(clamped.stats.results, 600, "top_k = 0 keeps every result");
+    assert_eq!(clamped.clusters().len(), 64);
+    // 599 < n would run Lloyd with 599 dense centroids; `usize::MAX` would
+    // make every result its own cluster.
+    for absurd in [599, usize::MAX] {
+        let resp = engine.expand(&with_k(absurd));
+        assert!(resp.stats.arena_cache_hit, "k={absurd} shares the k=64 key");
+        assert_eq!(resp.clusters(), clamped.clusters(), "k={absurd}");
+    }
+    assert_eq!(engine.cache_stats().misses, 1);
+}

@@ -233,7 +233,7 @@ fn breaker_opens_after_threshold_and_heals_via_half_open_probe() {
         .breaker_cooldown(Duration::from_millis(100))
         // Every expand must be a fresh scatter (no warm serving) and
         // hedging must not race the failure bookkeeping under test.
-        .cache_enabled(false)
+        .cache_capacity(0)
         .hedge_after(Some(Duration::from_secs(10)))
         .build();
 

@@ -148,7 +148,9 @@ fn blacked_out_scatter_fails_exactly_that_request() {
         // omitted, and a fully-empty scatter is an error: the requests
         // behind that one pipeline fail — and only those.
         let _g = arm("shard.retrieve", FailAction::Error);
-        engine.try_expand_batch(&reqs)
+        let mut results = Vec::new();
+        engine.try_expand_batch_into(&reqs, &mut results);
+        results
     };
     assert_eq!(results.len(), reqs.len());
     for (i, result) in results.iter().enumerate() {
@@ -257,7 +259,9 @@ fn sibling_requests_stay_bit_identical_while_a_shard_stalls() {
             FailAction::Delay(Duration::from_millis(60)),
             1,
         );
-        engine.try_expand_batch(&batch)
+        let mut results = Vec::new();
+        engine.try_expand_batch_into(&batch, &mut results);
+        results
     };
     for (i, clean_essence) in clean.iter().enumerate() {
         let resp = results[i].as_ref().expect("warm sibling unaffected");

@@ -139,14 +139,13 @@ fn sharded_batch_serving_matches_the_single_engine() {
         // A batch full of cold keys: the gather engine serializes the
         // scattering builds, then fans expansions out — every response
         // still bit-identical.
-        let responses = sharded.expand_batch(&reqs);
-        for (i, resp) in responses.iter().enumerate() {
-            assert_eq!(essence(resp), expected[i], "shards={n} batch request {i}");
-        }
-        let fallible = sharded.try_expand_batch(&reqs);
-        for (i, result) in fallible.iter().enumerate() {
-            let resp = result.as_ref().expect("no faults injected");
-            assert_eq!(essence(resp), expected[i], "shards={n} warm batch {i}");
+        let mut results = Vec::new();
+        for pass in ["cold", "warm"] {
+            sharded.try_expand_batch_into(&reqs, &mut results);
+            for (i, result) in results.iter().enumerate() {
+                let resp = result.as_ref().expect("no faults injected");
+                assert_eq!(essence(resp), expected[i], "shards={n} {pass} batch {i}");
+            }
         }
     }
 }

@@ -304,8 +304,9 @@ fn analysed_key_normalization() {
     }
 }
 
-/// The big-`k` fan-out path (`fanout_min_clusters`) produces responses
-/// bit-identical to the sequential loop, on cold, warmed and degraded
+/// Pooled execution (a chunk of 8 or more per-cluster tasks fans out across
+/// the worker pool) produces responses bit-identical to the sequential
+/// loop on the caller's thread (fewer tasks), on cold, warmed and degraded
 /// (pre-tripped token) requests alike.
 #[test]
 fn fanout_path_matches_sequential() {
@@ -320,51 +321,84 @@ fn fanout_path_matches_sequential() {
         })
     };
     let sequential = EngineBuilder::new().documents(docs()).build();
-    let config = qec_engine::EngineConfig {
-        fanout_min_clusters: 1, // every request fans out
-        ..Default::default()
+    let fanned = EngineBuilder::new().documents(docs()).build();
+    let serve = |reqs: &[ExpandRequest<'_>]| {
+        let mut out = Vec::new();
+        fanned.try_expand_batch_into(reqs, &mut out);
+        out.into_iter()
+            .map(|r| r.expect("served"))
+            .collect::<Vec<_>>()
     };
-    let fanned = EngineBuilder::new()
-        .documents(docs())
-        .config(config)
-        .build();
 
-    for k in [2, 4, 6] {
+    // Served alone, each request is 2, 4 or 6 tasks — sequential; as one
+    // batch they are 12 — fanned out.
+    let reqs: Vec<_> = [2, 4, 6]
+        .into_iter()
+        .map(|k| ExpandRequest {
+            k_clusters: k,
+            ..req("apple")
+        })
+        .collect();
+    let want: Vec<_> = reqs.iter().map(|r| sequential.expand(r)).collect();
+    assert_eq!(want.iter().map(|w| w.clusters().len()).sum::<usize>(), 12);
+    for (pass, hit) in [("cold", false), ("warm", true)] {
+        for (got, want) in serve(&reqs).iter().zip(&want) {
+            assert_eq!(got.stats.arena_cache_hit, hit, "{pass}");
+            assert_eq!(got.clusters(), want.clusters(), "{pass} fan-out");
+        }
+    }
+
+    // A pre-tripped token degrades both paths to the same (empty) prefix
+    // of the full response, and leaves its batch siblings whole.
+    for victim in 0..reqs.len() {
+        let (cancel, trip) = qec_engine::CancelToken::manual();
+        trip.cancel();
+        let tripped = ExpandRequest {
+            cancel,
+            ..reqs[victim].clone()
+        };
+        let want_tripped = sequential.expand(&tripped);
+        let mut batch = reqs.clone();
+        batch[victim] = tripped;
+        let got = serve(&batch);
+        assert!(want_tripped.stats.degraded && got[victim].stats.degraded);
+        assert_eq!(got[victim].clusters(), want_tripped.clusters());
+        assert_eq!(got[victim].stats.clusters, want_tripped.stats.clusters);
+        for (i, w) in want.iter().enumerate().filter(|(i, _)| *i != victim) {
+            assert_eq!(got[i].clusters(), w.clusters(), "sibling {i} of {victim}");
+        }
+    }
+
+    // A lone request of 8 or more clusters fans out by itself: warm
+    // equals cold, and a pre-tripped token still degrades to nothing.
+    for k in [8, 12] {
         let r = ExpandRequest {
             k_clusters: k,
             ..req("apple")
         };
-        let want = sequential.expand(&r);
         let cold = fanned.expand(&r);
         assert!(!cold.stats.arena_cache_hit);
-        assert_eq!(cold.clusters(), want.clusters(), "cold fan-out, k={k}");
+        assert_eq!(cold.clusters().len(), k, "k={k} tasks");
         let warm = fanned.expand(&r);
         assert!(warm.stats.arena_cache_hit);
-        assert_eq!(warm.clusters(), want.clusters(), "warm fan-out, k={k}");
-
-        // A pre-tripped token degrades both paths to the same (empty)
-        // prefix of the full response.
+        assert_eq!(warm.clusters(), cold.clusters(), "warm fan-out, k={k}");
         let (cancel, trip) = qec_engine::CancelToken::manual();
         trip.cancel();
-        let tripped = ExpandRequest { cancel, ..r };
-        let want = sequential.expand(&tripped);
-        let got = fanned.expand(&tripped);
-        assert!(want.stats.degraded && got.stats.degraded, "k={k}");
-        assert_eq!(got.clusters(), want.clusters(), "degraded fan-out, k={k}");
-        assert_eq!(got.stats.clusters, want.stats.clusters);
+        let got = fanned.expand(&ExpandRequest { cancel, ..r });
+        assert!(got.stats.degraded && got.clusters().is_empty(), "k={k}");
     }
 }
 
-/// Disabling the cache makes every request rebuild and leaves the cache
-/// untouched; capacity 0 behaves the same through the probe path.
+/// Capacity 0 turns the cache off: every request rebuilds and the cache
+/// is never touched.
 #[test]
 fn disabled_or_zero_capacity_cache_always_rebuilds() {
-    let disabled = EngineBuilder::new()
+    let zero = EngineBuilder::new()
         .documents((0..30).map(|i| DocumentSpec::text("", format!("apple w{i}"))))
-        .cache_enabled(false)
+        .cache_capacity(0)
         .build();
     for _ in 0..3 {
-        let r = disabled.expand(&req("apple"));
+        let r = zero.expand(&req("apple"));
         assert!(!r.stats.arena_cache_hit);
         let c = r.stats.cache;
         assert_eq!(
@@ -372,14 +406,6 @@ fn disabled_or_zero_capacity_cache_always_rebuilds() {
             (0, 0, 0),
             "cache never touched"
         );
-    }
-
-    let zero = EngineBuilder::new()
-        .documents((0..30).map(|i| DocumentSpec::text("", format!("apple w{i}"))))
-        .cache_capacity(0)
-        .build();
-    for _ in 0..3 {
-        assert!(!zero.expand(&req("apple")).stats.arena_cache_hit);
     }
     assert_eq!(zero.cache_stats().entries, 0);
 }

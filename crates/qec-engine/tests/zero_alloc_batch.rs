@@ -1,7 +1,7 @@
 //! Proof of the batched serving path's zero-allocation claim: once the
 //! shared cache holds the batch's pipeline and the engine's recycled
 //! pools (responses, batch scratch, pool-worker expansion scratches, the
-//! worker deques' span storage) are warm, `expand_batch_into` serves a
+//! worker deques' span storage) are warm, `try_expand_batch_into` serves a
 //! batch of cache-hit requests — analysis, grouping, single-flight probe,
 //! flat task-set dispatch across the **persistent worker pool**, response
 //! fill — without touching the heap.
@@ -16,7 +16,9 @@
 //! one test because a concurrently running second test would contaminate
 //! the global counter.
 
-use qec_engine::{DocumentSpec, EngineBuilder, ExpandRequest, ExpandResponse};
+use qec_engine::{
+    DocumentSpec, EngineBuilder, EngineError, ExpandRequest, ExpandResponse, QecEngine,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -75,52 +77,58 @@ fn warmed_expand_batch_performs_zero_heap_allocations() {
         })
         .collect();
 
-    let mut responses: Vec<ExpandResponse> = Vec::new();
-    let recycle_all = |engine: &qec_engine::QecEngine, out: &mut Vec<ExpandResponse>| {
+    // 3 requests × 4 clusters: 12 tasks, so every batch goes through the
+    // pool. The result vector's capacity is reused across calls.
+    let mut results: Vec<Result<ExpandResponse, EngineError>> = Vec::new();
+    fn served(
+        results: &[Result<ExpandResponse, EngineError>],
+    ) -> impl Iterator<Item = &ExpandResponse> {
+        results.iter().map(|r| r.as_ref().expect("served"))
+    }
+    let recycle_all = |engine: &QecEngine, out: &mut Vec<Result<ExpandResponse, EngineError>>| {
         for r in out.drain(..) {
-            engine.recycle(r);
+            engine.recycle(r.expect("served"));
         }
     };
 
     // Warm-up: first batch builds + publishes the pipeline; generous
     // repetition lets every pool worker hold (and warm) an expansion
     // scratch and every deque reach its steady-state capacity.
-    engine.expand_batch_into(&reqs, &mut responses);
+    engine.try_expand_batch_into(&reqs, &mut results);
     assert!(
-        responses
-            .iter()
+        served(&results)
             .flat_map(|r| r.clusters())
             .any(|c| !c.added.is_empty()),
         "expansion must actually add keywords for this test to mean anything"
     );
-    let expected: Vec<Vec<_>> = responses.iter().map(|r| r.clusters().to_vec()).collect();
-    recycle_all(&engine, &mut responses);
+    let expected: Vec<Vec<_>> = served(&results).map(|r| r.clusters().to_vec()).collect();
+    recycle_all(&engine, &mut results);
     for _ in 0..150 {
-        engine.expand_batch_into(&reqs, &mut responses);
-        assert!(responses.iter().all(|r| r.stats.arena_cache_hit));
-        recycle_all(&engine, &mut responses);
+        engine.try_expand_batch_into(&reqs, &mut results);
+        assert!(served(&results).all(|r| r.stats.arena_cache_hit));
+        recycle_all(&engine, &mut results);
     }
 
     // Armed runs: the whole batch loop must stay off the heap.
     ALLOCATIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..5 {
-        engine.expand_batch_into(&reqs, &mut responses);
-        for (r, want) in responses.iter().zip(&expected) {
+        engine.try_expand_batch_into(&reqs, &mut results);
+        for (r, want) in served(&results).zip(&expected) {
             assert!(r.stats.arena_cache_hit);
             assert!(
                 r.clusters() == *want,
                 "warmed batch serving stays deterministic"
             );
         }
-        recycle_all(&engine, &mut responses);
+        recycle_all(&engine, &mut results);
     }
     ARMED.store(false, Ordering::SeqCst);
     let counted = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert_eq!(
         counted, 0,
-        "warmed expand_batch allocated: {counted} heap allocations counted"
+        "warmed batch serving allocated: {counted} heap allocations counted"
     );
 
     let stats = engine.cache_stats();

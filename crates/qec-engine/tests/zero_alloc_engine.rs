@@ -17,9 +17,11 @@
 //! happens before the armed window.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` made **by
-//! the serving thread** while its thread-local flag is armed: the claim
-//! under test is that the caller's sequential path (`k_clusters` below
-//! `fanout_min_clusters`) is allocation-free, and a process-wide flag
+//! the serving thread** while its thread-local flag is armed. The armed
+//! loop runs on both sides of the engine's task-count threshold: 4
+//! clusters are expanded on the serving thread itself, 8 are handed to the
+//! worker pool — and the serving thread's share (analysis, probe, layout,
+//! dispatch, fill) must stay off the heap either way. A process-wide flag
 //! would also pick up the pool workers' one-time thread start-up, which
 //! races the armed window. (`zero_alloc_batch` covers what pool workers
 //! do while serving.) The file still holds exactly one test, so nothing
@@ -85,11 +87,18 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     // therefore share one cache entry.
     let spellings = ["apple", "apples", "  APPLE ,"];
 
-    for strategy in [ExpandStrategy::Iskr, ExpandStrategy::Pebc] {
+    // 4 tasks: expanded on this thread; 8: across the worker pool.
+    let shapes = [
+        (ExpandStrategy::Iskr, 4),
+        (ExpandStrategy::Pebc, 4),
+        (ExpandStrategy::Iskr, 8),
+        (ExpandStrategy::Pebc, 8),
+    ];
+    for (strategy, k_clusters) in shapes {
         let reqs: Vec<ExpandRequest<'_>> = spellings
             .iter()
             .map(|&query| ExpandRequest {
-                k_clusters: 4,
+                k_clusters,
                 top_k: 50,
                 strategy,
                 ..ExpandRequest::new(query)
@@ -107,6 +116,7 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
              test to mean anything"
         );
         let expected = warm.clusters().to_vec();
+        assert_eq!(expected.len(), k_clusters, "one task per cluster");
         engine.recycle(warm);
         for req in &reqs {
             let r = engine.expand(req);
@@ -134,8 +144,8 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
 
         assert_eq!(
             counted, 0,
-            "{strategy:?}: warmed engine.expand allocated: {counted} heap \
-             allocations counted"
+            "{strategy:?}, {k_clusters} tasks: warmed engine.expand allocated: \
+             {counted} heap allocations counted"
         );
     }
 
@@ -177,12 +187,15 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
         "degraded/recycle/warm loop allocated: {counted} heap allocations counted"
     );
 
-    // The armed loops above were all hits; the only misses are the two
-    // cold builds — one per strategy, because identical terms served by
-    // different strategies must not share a pipeline entry.
+    // The armed loops above were all hits; the only misses are the four
+    // cold builds — one per (strategy, k), because identical terms served
+    // by different strategies must not share a pipeline entry.
     let stats = engine.cache_stats();
-    assert_eq!(stats.misses, 2, "one cold build per (terms, strategy) key");
-    assert_eq!(stats.entries, 2);
+    assert_eq!(
+        stats.misses, 4,
+        "one cold build per (terms, k, strategy) key"
+    );
+    assert_eq!(stats.entries, 4);
     assert_eq!(stats.evictions, 0);
 
     // A warmed **sharded** serving loop is exactly as allocation-free:

@@ -1,7 +1,7 @@
 //! The async front door of the QEC serving stack: admission, queueing and
 //! **deadline-aware batch collection** in front of [`QecEngine`].
 //!
-//! [`QecEngine::expand_batch`] amortises dispatch beautifully — but only
+//! [`QecEngine::try_expand_batch_into`] amortises dispatch beautifully — but only
 //! for callers that already *have* a batch in hand. A real service has
 //! the opposite shape: thousands of independent connections, each holding
 //! one request and blocking on its answer. This crate is the
@@ -15,7 +15,7 @@
 //! queued request has lingered for
 //! [`linger`](IngressConfig::linger) (~200µs by default) — whichever
 //! fires first — and dispatches the chunk through
-//! [`QecEngine::try_expand_batch`]. Each submitter parks on a
+//! [`QecEngine::try_expand_batch_into`]. Each submitter parks on a
 //! per-request completion slot ([`Ticket`]) and wakes with exactly its
 //! own `Result`. No async runtime: the whole crate is std-only
 //! (`Mutex`/`Condvar`), like the rest of the workspace.
@@ -77,8 +77,7 @@
 //! linger-vs-full close counts and shed/expiry tallies.
 //!
 //! [`QecEngine`]: qec_engine::QecEngine
-//! [`QecEngine::expand_batch`]: qec_engine::QecEngine::expand_batch
-//! [`QecEngine::try_expand_batch`]: qec_engine::QecEngine::try_expand_batch
+//! [`QecEngine::try_expand_batch_into`]: qec_engine::QecEngine::try_expand_batch_into
 //! [`CancelToken`]: qec_core::CancelToken
 //! [`EngineError::DeadlineExceeded`]: qec_engine::EngineError::DeadlineExceeded
 //! [`EngineError::Cancelled`]: qec_engine::EngineError::Cancelled
