@@ -1,4 +1,4 @@
-//! Batched serving over the persistent work-stealing pool vs per-request
+//! Batched serving over the persistent worker pool vs per-request
 //! serving: warm Zipf replay throughput × batch size × skew.
 //!
 //! One engine serves the **identical warmed request stream** (every key

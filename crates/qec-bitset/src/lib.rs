@@ -301,14 +301,6 @@ impl Bitset {
         combine_into(&self.words, &other.words, &mut out.words, |a, b| a | b);
     }
 
-    /// Writes `self ∩ other` into `out` and returns `|self ∩ other|`, in
-    /// one pass (the fused replacement for combine-then-recount).
-    pub fn and_count_into(&self, other: &Bitset, out: &mut Bitset) -> usize {
-        self.check(other);
-        self.check(out);
-        combine_count_into(&self.words, &other.words, &mut out.words, |a, b| a & b)
-    }
-
     /// Writes `self ∪ other` into `out` and returns `|self ∪ other|`, in
     /// one pass.
     pub fn or_count_into(&self, other: &Bitset, out: &mut Bitset) -> usize {
@@ -336,12 +328,6 @@ impl Bitset {
     pub fn and_not_count(&self, other: &Bitset) -> usize {
         self.check(other);
         combine_count(&self.words, &other.words, |a, b| a & !b)
-    }
-
-    /// `|self ∪ other|` without materialising the union.
-    pub fn union_count(&self, other: &Bitset) -> usize {
-        self.check(other);
-        combine_count(&self.words, &other.words, |a, b| a | b)
     }
 
     /// Whether `self ∩ other` is non-empty, short-circuiting at the first
@@ -811,7 +797,6 @@ mod tests {
         assert_eq!(a.or(&b).to_vec(), vec![1, 2, 3, 4, 7]);
         assert_eq!(a.and_not(&b).to_vec(), vec![1, 7]);
         assert_eq!(a.intersect_count(&b), 2);
-        assert_eq!(a.union_count(&b), 5);
         assert!(a.intersects(&b));
     }
 
@@ -835,8 +820,6 @@ mod tests {
         let a = Bitset::from_indices(517, (0..517).step_by(2));
         let b = Bitset::from_indices(517, (0..517).step_by(3));
         let mut out = Bitset::empty(517);
-        assert_eq!(a.and_count_into(&b, &mut out), a.and(&b).len());
-        assert_eq!(out, a.and(&b));
         assert_eq!(a.or_count_into(&b, &mut out), a.or(&b).len());
         assert_eq!(out, a.or(&b));
         assert_eq!(a.and_not_count_into(&b, &mut out), a.and_not(&b).len());
@@ -849,7 +832,6 @@ mod tests {
         let b = Bitset::from_indices(130, [5, 64, 128]);
         assert_eq!(a.intersect_count(&b), a.and(&b).len());
         assert_eq!(a.and_not_count(&b), a.and_not(&b).len());
-        assert_eq!(a.union_count(&b), a.or(&b).len());
         let mut out = Bitset::empty(130);
         a.union_into(&b, &mut out);
         assert_eq!(out, a.or(&b));

@@ -59,18 +59,11 @@ fn kernels_match_btreeset_reference() {
                 assert_eq!(a.and_not(&b).to_vec(), diff, "and_not: {ctx}");
                 assert_eq!(a.len(), ma.len(), "len: {ctx}");
                 assert_eq!(a.intersect_count(&b), and.len(), "intersect_count: {ctx}");
-                assert_eq!(a.union_count(&b), or.len(), "union_count: {ctx}");
                 assert_eq!(a.and_not_count(&b), diff.len(), "and_not_count: {ctx}");
                 assert_eq!(a.intersects(&b), !and.is_empty(), "intersects: {ctx}");
                 assert_eq!(a.is_subset_of(&b), ma.is_subset(&mb), "subset: {ctx}");
 
                 let mut out = Bitset::empty(universe);
-                assert_eq!(
-                    a.and_count_into(&b, &mut out),
-                    and.len(),
-                    "and_count_into: {ctx}"
-                );
-                assert_eq!(out.to_vec(), and, "and_count_into set: {ctx}");
                 assert_eq!(
                     a.or_count_into(&b, &mut out),
                     or.len(),

@@ -5,8 +5,6 @@
 //! the user choose the granularity `k` as an *upper bound* — empty clusters
 //! are dropped, so `num_clusters() ≤ k`.
 
-use qec_index::DocId;
-
 /// Result of clustering `n` items into at most `k` clusters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterAssignment {
@@ -65,15 +63,6 @@ impl ClusterAssignment {
     pub fn iter_clusters(&self) -> impl Iterator<Item = &[u32]> {
         self.clusters.iter().map(|v| v.as_slice())
     }
-
-    /// Maps member indices to `DocId`s given the item → doc table used for
-    /// clustering (typically the ranked result list).
-    pub fn cluster_docs(&self, c: usize, items: &[DocId]) -> Vec<DocId> {
-        self.clusters[c]
-            .iter()
-            .map(|&i| items[i as usize])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +95,6 @@ mod tests {
         for c in a.iter_clusters() {
             assert!(c.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    #[test]
-    fn cluster_docs_maps_through_item_table() {
-        let a = ClusterAssignment::from_membership(&[0, 1, 0]);
-        let items = vec![DocId(10), DocId(20), DocId(30)];
-        assert_eq!(a.cluster_docs(0, &items), vec![DocId(10), DocId(30)]);
-        assert_eq!(a.cluster_docs(1, &items), vec![DocId(20)]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl SparseVec {
     /// pass verifies that; input that fails it goes through
     /// [`from_entries`](Self::from_entries), so the result is the same
     /// vector either way.
-    pub fn from_sorted_entries(entries: Vec<(u32, f64)>) -> Self {
+    fn from_sorted_entries(entries: Vec<(u32, f64)>) -> Self {
         if is_canonical(&entries) {
             Self { entries }
         } else {

@@ -140,11 +140,6 @@ impl CircuitBreaker {
     pub fn opens(&self) -> u64 {
         self.opens.load(Ordering::Relaxed)
     }
-
-    /// The current consecutive-failure streak.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]

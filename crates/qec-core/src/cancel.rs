@@ -72,12 +72,6 @@ impl CancelToken {
         }
     }
 
-    /// Whether this token can ever cancel (`false` for [`none`](Self::none)
-    /// — callers may skip cancellation bookkeeping entirely).
-    pub fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.flag.is_some()
-    }
-
     /// The deadline component, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn inert_token_never_cancels() {
         let t = CancelToken::none();
-        assert!(!t.is_active());
+        assert!(!t.has_flag());
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_none());
     }
@@ -148,7 +142,7 @@ mod tests {
     #[test]
     fn deadline_trips_after_it_passes() {
         let t = CancelToken::until(Instant::now() + Duration::from_millis(20));
-        assert!(t.is_active());
+        assert!(t.deadline().is_some());
         assert!(!t.is_cancelled());
         std::thread::sleep(Duration::from_millis(30));
         assert!(t.is_cancelled());
@@ -215,7 +209,7 @@ mod tests {
     fn merging_an_already_expired_deadline_trips_immediately() {
         let past = Instant::now() - Duration::from_millis(5);
         let merged = CancelToken::none().with_deadline(Some(past));
-        assert!(merged.is_active());
+        assert_eq!(merged.deadline(), Some(past));
         assert!(merged.is_cancelled(), "expired deadline trips on arrival");
         // Tightening an already-expired token cannot loosen it.
         let future = Instant::now() + Duration::from_secs(3600);

@@ -38,14 +38,32 @@ pub trait Expander: Sync {
     fn name(&self) -> &'static str;
 
     /// Expands one cluster instance into `out`, reusing `scratch` for all
-    /// working state. Implementations overwrite `out` completely (cleared
-    /// `added`, fresh `quality`), reusing its capacity.
+    /// working state, with cooperative cancellation: returns `true` when
+    /// the expansion ran to completion — `out` is then overwritten
+    /// completely (cleared `added`, fresh `quality`), reusing its capacity
+    /// — and `false` when `cancel` tripped mid-run — `out` is then
+    /// unspecified and must be discarded (the no-torn-results contract of
+    /// [`crate::cancel`]). A strategy that never polls the token is simply
+    /// uncancellable, not wrong.
+    fn expand_cancellable(
+        &self,
+        inst: &QecInstance<'_>,
+        scratch: &mut IskrScratch,
+        out: &mut ExpandedQuery,
+        cancel: &CancelToken,
+    ) -> bool;
+
+    /// [`expand_cancellable`](Self::expand_cancellable) under a token that
+    /// never trips: always runs to completion.
     fn expand_into(
         &self,
         inst: &QecInstance<'_>,
         scratch: &mut IskrScratch,
         out: &mut ExpandedQuery,
-    );
+    ) {
+        let done = self.expand_cancellable(inst, scratch, out, &CancelToken::none());
+        debug_assert!(done, "inert token never cancels");
+    }
 
     /// Convenience: expands with a fresh scratch into a fresh output.
     fn expand(&self, inst: &QecInstance<'_>) -> ExpandedQuery {
@@ -54,31 +72,12 @@ pub trait Expander: Sync {
         self.expand_into(inst, &mut scratch, &mut out);
         out
     }
-
-    /// [`expand_into`](Self::expand_into) with cooperative cancellation:
-    /// returns `true` when the expansion ran to completion, `false` when
-    /// `cancel` tripped mid-run — `out` is then unspecified and must be
-    /// discarded (the no-torn-results contract of [`crate::cancel`]). An
-    /// untripped run writes exactly what `expand_into` would. The default
-    /// implementation ignores the token (a strategy that never polls is
-    /// simply uncancellable, not wrong); the built-in strategies all
-    /// override it.
-    fn expand_cancellable(
-        &self,
-        inst: &QecInstance<'_>,
-        scratch: &mut IskrScratch,
-        out: &mut ExpandedQuery,
-        cancel: &CancelToken,
-    ) -> bool {
-        let _ = cancel;
-        self.expand_into(inst, scratch, out);
-        true
-    }
 }
 
-/// Shared completion plumbing of the built-in strategies' cancellable
-/// overrides: a finished kernel run copies quality + added keywords into
-/// `out`, a cancelled one leaves `out` untouched and reports `false`.
+/// Shared completion plumbing of the built-in strategies'
+/// `expand_cancellable`: a finished kernel run copies quality + added
+/// keywords into `out`, a cancelled one leaves `out` untouched and reports
+/// `false`.
 fn finish_cancellable(
     quality: Option<crate::QueryQuality>,
     scratch: &IskrScratch,
@@ -104,16 +103,6 @@ impl Expander for Iskr {
         "iskr"
     }
 
-    fn expand_into(
-        &self,
-        inst: &QecInstance<'_>,
-        scratch: &mut IskrScratch,
-        out: &mut ExpandedQuery,
-    ) {
-        let done = self.expand_cancellable(inst, scratch, out, &CancelToken::none());
-        debug_assert!(done, "inert token never cancels");
-    }
-
     fn expand_cancellable(
         &self,
         inst: &QecInstance<'_>,
@@ -135,16 +124,6 @@ impl Expander for ExactDeltaF {
         "exact-df"
     }
 
-    fn expand_into(
-        &self,
-        inst: &QecInstance<'_>,
-        scratch: &mut IskrScratch,
-        out: &mut ExpandedQuery,
-    ) {
-        let done = self.expand_cancellable(inst, scratch, out, &CancelToken::none());
-        debug_assert!(done, "inert token never cancels");
-    }
-
     fn expand_cancellable(
         &self,
         inst: &QecInstance<'_>,
@@ -164,16 +143,6 @@ pub struct Pebc(pub PebcConfig);
 impl Expander for Pebc {
     fn name(&self) -> &'static str {
         "pebc"
-    }
-
-    fn expand_into(
-        &self,
-        inst: &QecInstance<'_>,
-        scratch: &mut IskrScratch,
-        out: &mut ExpandedQuery,
-    ) {
-        let done = self.expand_cancellable(inst, scratch, out, &CancelToken::none());
-        debug_assert!(done, "inert token never cancels");
     }
 
     fn expand_cancellable(

@@ -25,10 +25,10 @@
 //! * [`parallel`] — the shared state a pooled fan-out of independent
 //!   per-cluster expansions needs: [`ScratchPool`] (warmed per-task
 //!   scratches) and [`DisjointSlots`] (one output slot per task index).
-//! * [`pool`] — the long-lived work-stealing [`WorkerPool`] every fan-out
-//!   runs on (the offline-build substitute for rayon): per-worker deques
-//!   with steal-on-empty, an injector queue, park/unpark idling, and a
-//!   zero-allocation indexed batch mode.
+//! * [`pool`] — the long-lived [`WorkerPool`] every fan-out runs on (the
+//!   offline-build substitute for rayon): fixed workers over one shared
+//!   FIFO queue of spawned jobs and indexed batches, whose indices are
+//!   claimed under the queue lock; scheduling a batch allocates nothing.
 //! * [`scatter`] — the gather primitive of shard-partitioned serving: a
 //!   reusable k-way merge scratch for per-shard sorted lists.
 //! * [`retry`] — deadline-aware capped exponential [`Backoff`] with

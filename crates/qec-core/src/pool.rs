@@ -1,51 +1,49 @@
-//! A persistent, work-stealing worker pool — the serving replacement for
-//! per-request `std::thread::scope` fan-outs.
-//!
-//! Why a pool
-//! ----------
-//! A `std::thread::scope` fan-out spawns fresh OS threads on every call:
-//! tens of microseconds of spawn/join cost per request, paid again and
-//! again on a serving path whose whole per-cluster expansion often costs
-//! less than the spawn. A [`WorkerPool`] pays the spawn cost **once** at
-//! engine construction; steady-state dispatch is a deque push and (at
-//! most) a condvar wake.
+//! A persistent worker pool over **one shared FIFO queue** — the serving
+//! replacement for per-request `std::thread::scope` fan-outs, whose
+//! spawn/join cost (tens of microseconds) often exceeds the per-cluster
+//! expansions being fanned out. A [`WorkerPool`] pays the spawn **once**;
+//! steady-state dispatch is one queue push and a condvar notify.
 //!
 //! Structure
 //! ---------
-//! * **Fixed worker threads** — `threads` OS threads spawned at
-//!   construction, named `qec-pool-N`.
-//! * **Per-worker deques** — each worker owns a deque it pops from the
-//!   back (LIFO, cache-warm); idle workers steal from other deques' front
-//!   (FIFO, oldest/biggest first) — the classic Chase–Lev discipline over
-//!   mutex-protected `VecDeque`s, the std-only substitute for lock-free
-//!   deques.
-//! * **Injector queue** — a shared FIFO for externally
-//!   [`spawn`](WorkerPool::spawn)ed jobs; workers drain it when their own
-//!   deque is empty, before stealing.
-//! * **Park/unpark idling** — a worker that finds no task anywhere parks
-//!   on a condvar; submissions bump a wake epoch and notify, so parked
-//!   workers never miss work and an idle pool burns no CPU.
-//! * **Clean `Drop` shutdown** — dropping the pool flags shutdown, wakes
-//!   every worker, and **joins all worker threads**; queued work is
-//!   drained before the workers exit, so `Drop` never strands a task.
+//! The paper expands "one query for each cluster", so the only parallelism
+//! the stack has is a flat set of independent, similar-sized tasks. That
+//! needs a queue, not a scheduler:
 //!
-//! Batch mode and the zero-allocation discipline
-//! ---------------------------------------------
-//! The serving hot path uses [`run_indexed`](WorkerPool::run_indexed): the
-//! caller describes a batch as *`n` indices plus one shared closure*, and
-//! the pool deals contiguous index **spans** across the worker deques. A
-//! worker splits a span in half before executing (pushing the upper half
-//! back where thieves can take it), so granularity adapts to imbalance
-//! without per-task boxing. The batch descriptor lives on the submitter's
-//! stack and the spans are plain `(ptr, start, end)` triples in deques
-//! whose capacity persists — once the pool is warm, scheduling a batch
-//! performs **zero heap allocations**, which is what lets the engine's
-//! warmed batch serving stay off the heap end to end.
+//! * `threads` workers (named `qec-pool-N`) share one
+//!   `Mutex<{ VecDeque<Task>, shutdown }>` and wait on one condvar **under
+//!   that mutex** — a submission cannot slip between a worker's "queue is
+//!   empty" and its wait, so no wake-up is ever lost.
+//! * [`spawn`](WorkerPool::spawn) queues a boxed job; jobs run in FIFO
+//!   order, in line with batches.
+//! * [`run_indexed`](WorkerPool::run_indexed) queues **one entry** for a
+//!   whole batch of *`n` indices plus one shared closure*. A worker that
+//!   finds the batch at the front claims its next index under the lock and
+//!   pops the entry with the last claim; the batch descriptor lives on the
+//!   submitter's stack. The queue's capacity persists, so scheduling a
+//!   batch of any `n` on a warm pool performs **zero heap allocations**.
+//! * Dropping the pool flags shutdown under the lock, wakes every worker
+//!   and **joins them**; workers exit only on an empty queue, so queued
+//!   work is drained, never stranded.
 //!
-//! `run_indexed` blocks until every index has executed, which is what
-//! makes lending non-`'static` closures sound (see the safety notes
-//! inline). Do not call it from inside a pool task: a worker waiting on
-//! its own pool can deadlock when every peer is doing the same.
+//! The one invariant
+//! -----------------
+//! *A batch's pointer is queued exactly while the batch has unclaimed
+//! indices.* Unclaimed indices are uncounted ones, so queued ⇒
+//! `pending > 0` ⇒ the submitter is still blocked in `run_indexed` ⇒ the
+//! pointee is alive. Claims happen **under the queue lock** because that is
+//! what makes the invariant checkable: a worker observes "queued" and takes
+//! its index in one critical section, so it can never hold a pointer to a
+//! batch whose last index someone else has already finished. After the
+//! claim, the claimed-but-uncounted index keeps `pending > 0` until the
+//! worker's own decrement — and between the two nothing runs but `f(i)`
+//! inside `catch_unwind`, so the accounting cannot be skipped by an unwind.
+//!
+//! No nested waits
+//! ---------------
+//! A pool task must not wait on its own pool — neither `run_indexed` nor
+//! blocking on the completion of a job it `spawn`ed: when every worker does
+//! so, nobody is left to run the work they wait for.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,53 +74,51 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 /// closure.
 type BatchFn = dyn Fn(usize) + Sync;
 
-/// One in-flight `run_indexed` batch. Lives on the **submitter's stack**;
-/// workers reach it through the raw pointer carried by their spans.
-/// Invariant: `pending` counts indices not yet executed, and every span in
-/// any deque is backed by `pending > 0` — so once `pending` hits zero no
-/// span referencing this batch exists and the submitter may return.
-struct BatchState {
+/// One in-flight `run_indexed` batch, on the **submitter's stack**.
+struct Batch {
     /// Lifetime-erased shared closure (see [`BatchFn`]).
     f: *const BatchFn,
+    /// Number of indices.
+    n: usize,
+    /// Next unclaimed index. Read and written only under the queue lock,
+    /// which orders the accesses; the atomic is just interior mutability
+    /// behind the shared pointer.
+    next: AtomicUsize,
     /// Indices not yet executed.
     pending: AtomicUsize,
     /// Set when any index's closure panicked; the submitter re-panics.
     panicked: AtomicBool,
 }
 
-/// One unit of queued work.
+/// One queue entry. **Invariant** (the module's only one): a `Batch`
+/// pointer is queued exactly while its batch has unclaimed indices — hence
+/// `pending > 0`, hence its submitter is still blocked in `run_indexed`,
+/// hence the pointee is alive.
 enum Task {
-    /// An externally spawned boxed job (injector path).
+    /// A [`WorkerPool::spawn`]ed job.
     Spawned(Job),
-    /// A contiguous index span `[start, end)` of an in-flight batch.
-    Span {
-        batch: *const BatchState,
-        start: usize,
-        end: usize,
-    },
+    /// An in-flight batch with indices left to claim.
+    Batch(*const Batch),
 }
 
-// SAFETY: `Spawned` is `Send` by construction. A `Span`'s pointer targets
-// a `BatchState` that outlives the span: the submitting thread blocks in
-// `run_indexed` until `pending == 0`, and every queued span is backed by
-// unexecuted indices counted in `pending`.
+// SAFETY: `Spawned` is `Send` by construction. A queued `Batch` pointer
+// targets a live `Batch` (the invariant on `Task`) whose fields are atomics
+// plus a pointer to a `Sync` closure, so any thread may use it.
 unsafe impl Send for Task {}
+
+/// The queue and its shutdown flag, under one lock so a worker decides
+/// "nothing to do, not shutting down, wait" atomically.
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Set by `Drop`; workers drain remaining tasks, then exit.
+    shutdown: bool,
+}
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Per-worker deques: owner pops the back, thieves steal the front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Shared FIFO for externally spawned jobs.
-    injector: Mutex<VecDeque<Task>>,
-    /// Wake epoch: bumped on every submission; workers park until it moves.
-    epoch: Mutex<u64>,
-    /// Workers park here when no task is found anywhere.
+    queue: Mutex<Queue>,
+    /// Workers wait here, under `queue`, while it is empty.
     work_cv: Condvar,
-    /// Parked-worker count, so hot paths skip the wake lock when nobody
-    /// is listening.
-    sleepers: AtomicUsize,
-    /// Flagged by `Drop`; workers drain remaining work, then exit.
-    shutdown: AtomicBool,
     /// Batch-completion handshake (shared by all batches; each submitter
     /// re-checks its own `pending` under this lock).
     done_mutex: Mutex<()>,
@@ -134,178 +130,68 @@ impl PoolShared {
         m.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Bumps the wake epoch and wakes every parked worker.
-    fn wake_all(&self) {
-        let mut epoch = self.lock(&self.epoch);
-        *epoch += 1;
-        self.work_cv.notify_all();
-    }
-
-    /// [`wake_all`](Self::wake_all), but only when someone is parked —
-    /// the split-push hot path takes no lock while all workers are busy.
-    fn wake_if_parked(&self) {
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            self.wake_all();
-        }
-    }
-
-    /// Finds the next task for worker `id`: own deque back (LIFO), then
-    /// the injector front, then steal the front of the other deques.
-    fn find_task(&self, id: usize) -> Option<Task> {
-        if let Some(t) = self.lock(&self.deques[id]).pop_back() {
-            return Some(t);
-        }
-        if let Some(t) = self.lock(&self.injector).pop_front() {
-            return Some(t);
-        }
-        let n = self.deques.len();
-        for d in 1..n {
-            let victim = (id + d) % n;
-            if let Some(t) = self.lock(&self.deques[victim]).pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Runs one task on worker `id`. Panics inside jobs are caught so the
-    /// worker survives; batch panics are recorded for the submitter.
-    fn run_task(&self, id: usize, task: Task) {
-        match task {
-            Task::Spawned(job) => {
-                // A spawned job has no submitter to re-panic in; swallow
-                // so one bad job cannot take a worker down.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-            }
-            Task::Span { batch, start, end } => {
-                // SAFETY: spans only exist while their batch's `pending`
-                // covers them (see `Task`'s Send justification).
-                let b = unsafe { &*batch };
-                // Abort guard: if anything below unwinds past the per-index
-                // catch (allocator failure in `push_back`, an injected
-                // fault), the guard's Drop accounts for the indices this
-                // span still owns so the submitter can never hang on
-                // `pending`. Defused by the loop driving `start` up to
-                // `end`.
-                let mut guard = SpanAbort {
-                    shared: self,
-                    batch,
-                    start,
-                    end,
-                };
-                while guard.start < guard.end {
-                    if guard.end - guard.start > 1 {
-                        // Split: keep the lower half, expose the upper
-                        // half to thieves (and to our own later pops).
-                        let mid = guard.start + (guard.end - guard.start) / 2;
-                        self.lock(&self.deques[id]).push_back(Task::Span {
-                            batch,
-                            start: mid,
-                            end: guard.end,
-                        });
-                        // The queue owns [mid, end) now; shrink the guard
-                        // before anything else can unwind.
-                        guard.end = mid;
-                        self.wake_if_parked();
-                    } else {
-                        let i = guard.start;
-                        // SAFETY: `f` outlives the batch (erased borrow;
-                        // the submitter blocks until `pending == 0`).
-                        let f = unsafe { &*b.f };
-                        let completed = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(feature = "failpoints")]
-                            if qec_failpoint::check("pool.task").is_err() {
-                                return false;
-                            }
-                            f(i);
-                            true
-                        }));
-                        if !matches!(completed, Ok(true)) {
-                            b.panicked.store(true, Ordering::Release);
-                        }
-                        guard.start += 1;
-                        if b.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last index of the whole batch: wake the
-                            // submitter. `b` must not be touched after
-                            // this point — the submitter may free it as
-                            // soon as it observes `pending == 0`. (The
-                            // guard is exhausted here: a zero batch-wide
-                            // `pending` means this span has none left.)
-                            let _g = self.lock(&self.done_mutex);
-                            self.done_cv.notify_all();
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn worker_loop(&self, id: usize) {
+    fn worker_loop(&self) {
+        let mut q = self.lock(&self.queue);
         loop {
-            // Snapshot the epoch *before* scanning, so a submission that
-            // lands between our scan and our park moves the epoch and
-            // keeps us awake.
-            let seen = *self.lock(&self.epoch);
-            if let Some(task) = self.find_task(id) {
-                // Belt-and-braces: `run_task` already catches task panics,
-                // but an unwind from its own bookkeeping must not kill the
-                // worker either — a pool thread dying silently would strand
-                // every span it would have stolen.
-                let _ = catch_unwind(AssertUnwindSafe(|| self.run_task(id, task)));
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let mut epoch = self.lock(&self.epoch);
-            if *epoch == seen && !self.shutdown.load(Ordering::Acquire) {
-                self.sleepers.fetch_add(1, Ordering::Relaxed);
-                while *epoch == seen && !self.shutdown.load(Ordering::Acquire) {
-                    epoch = self.work_cv.wait(epoch).unwrap_or_else(|e| e.into_inner());
+            match q.tasks.front() {
+                None if q.shutdown => return,
+                None => q = self.work_cv.wait(q).unwrap_or_else(|e| e.into_inner()),
+                Some(&Task::Batch(batch)) => {
+                    // SAFETY: the pointer is queued, so the batch is alive
+                    // (invariant on `Task`).
+                    let b = unsafe { &*batch };
+                    let i = b.next.fetch_add(1, Ordering::Relaxed);
+                    if i + 1 == b.n {
+                        // Last claim: unqueue, keeping the invariant.
+                        q.tasks.pop_front();
+                    }
+                    drop(q);
+                    self.run_index(batch, i);
+                    q = self.lock(&self.queue);
                 }
-                self.sleepers.fetch_sub(1, Ordering::Relaxed);
+                Some(Task::Spawned(_)) => {
+                    let Some(Task::Spawned(job)) = q.tasks.pop_front() else {
+                        unreachable!("the front was just seen to be a spawned job")
+                    };
+                    drop(q);
+                    // A spawned job has no submitter to re-panic in; swallow
+                    // so one bad job cannot take a worker down.
+                    let _ = catch_unwind(AssertUnwindSafe(job));
+                    q = self.lock(&self.queue);
+                }
             }
         }
     }
-}
 
-/// Unwind-accounting guard for one in-flight span: `[start, end)` are the
-/// indices this worker still owes the batch. Normal execution drives
-/// `start` up to `end` (and decrements `pending` index by index), leaving
-/// the Drop a no-op; an unwind mid-span instead lands here, where the
-/// unexecuted remainder is subtracted from `pending` in one step, the
-/// batch is flagged panicked, and the submitter is woken if that was the
-/// last of it. Without this, a rare unwind in span bookkeeping (allocator
-/// failure, injected fault) would leave `pending` stuck and the submitter
-/// parked forever.
-struct SpanAbort<'a> {
-    shared: &'a PoolShared,
-    batch: *const BatchState,
-    start: usize,
-    end: usize,
-}
-
-impl Drop for SpanAbort<'_> {
-    fn drop(&mut self) {
-        let remaining = self.end - self.start;
-        if remaining == 0 {
-            return;
+    /// Runs claimed index `i` of `batch` and counts it.
+    fn run_index(&self, batch: *const Batch, i: usize) {
+        // SAFETY: `i` is claimed but not yet counted, so `pending > 0` and
+        // the submitting frame — which owns the batch and the closure `f`
+        // borrows — blocks until the decrement below.
+        let (b, f) = unsafe { (&*batch, &*(*batch).f) };
+        let completed = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "failpoints")]
+            if qec_failpoint::check("pool.task").is_err() {
+                return false;
+            }
+            f(i);
+            true
+        }));
+        if !matches!(completed, Ok(true)) {
+            b.panicked.store(true, Ordering::Release);
         }
-        // SAFETY: the guard still owns `remaining` unexecuted indices, so
-        // `pending >= remaining > 0` and the submitter is still blocked —
-        // the batch is alive.
-        let b = unsafe { &*self.batch };
-        b.panicked.store(true, Ordering::Release);
-        if b.pending.fetch_sub(remaining, Ordering::AcqRel) == remaining {
-            let _g = self.shared.lock(&self.shared.done_mutex);
-            self.shared.done_cv.notify_all();
+        if b.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last index of the batch: wake the submitter. `b` must not be
+            // touched from here on — the submitter may free it as soon as
+            // it observes `pending == 0`.
+            let _g = self.lock(&self.done_mutex);
+            self.done_cv.notify_all();
         }
     }
 }
 
-/// A fixed-size, work-stealing pool of persistent worker threads. See the
-/// module docs for the scheduling structure and allocation discipline.
+/// A fixed-size pool of persistent worker threads over one shared FIFO
+/// queue. See the module docs for the structure and its one invariant.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -315,7 +201,6 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.handles.len())
-            .field("sleepers", &self.shared.sleepers.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -324,19 +209,16 @@ impl WorkerPool {
     /// Spawns a pool of exactly `threads` workers (`0` is treated as `1`).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        // Pre-sized queues: a deque holds at most the dealt span plus
-        // O(log n) split halves (plus steals), so 64 slots cover any
-        // realistic batch without a growth reallocation — part of the
-        // warmed zero-allocation discipline of `run_indexed`.
         let shared = Arc::new(PoolShared {
-            deques: (0..threads)
-                .map(|_| Mutex::new(VecDeque::with_capacity(64)))
-                .collect(),
-            injector: Mutex::new(VecDeque::with_capacity(64)),
-            epoch: Mutex::new(0),
+            // Pre-sized: the queue holds one entry per in-flight batch or
+            // pending spawned job, so 64 slots cover serving without a
+            // growth reallocation — the warmed zero-allocation discipline
+            // of `run_indexed`.
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::with_capacity(64),
+                shutdown: false,
+            }),
             work_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
             done_mutex: Mutex::new(()),
             done_cv: Condvar::new(),
         });
@@ -345,16 +227,11 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("qec-pool-{id}"))
-                    .spawn(move || shared.worker_loop(id))
+                    .spawn(move || shared.worker_loop())
                     .expect("spawn pool worker")
             })
             .collect();
         Self { shared, handles }
-    }
-
-    /// A pool sized by [`default_parallelism`].
-    pub fn with_default_parallelism() -> Self {
-        Self::new(default_parallelism())
     }
 
     /// Number of worker threads.
@@ -362,24 +239,25 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Submits a fire-and-forget job through the injector queue. Panics
-    /// inside the job are caught and discarded; the worker survives. Jobs
-    /// still queued when the pool is dropped run during shutdown drain.
+    /// Queues a fire-and-forget job behind everything already queued.
+    /// Panics inside the job are caught and discarded; the worker survives.
+    /// Jobs still queued when the pool is dropped run during shutdown drain.
     pub fn spawn(&self, job: Job) {
-        self.shared
-            .lock(&self.shared.injector)
+        let shared = &*self.shared;
+        shared
+            .lock(&shared.queue)
+            .tasks
             .push_back(Task::Spawned(job));
-        self.shared.wake_all();
+        shared.work_cv.notify_one();
     }
 
     /// Runs `f(i)` for every `i in 0..n` across the pool and blocks until
-    /// all of them completed. Indices are dealt as contiguous spans (one
-    /// per worker) and split-on-execute, so stealing rebalances skew at
-    /// index granularity; each index runs **exactly once**, on whichever
-    /// worker gets there first.
+    /// all of them completed. Each index runs **exactly once**, on
+    /// whichever worker claims it; indices are claimed one at a time in
+    /// ascending order, so a slow index never strands the rest.
     ///
-    /// Once the pool's deques are warm this call performs no heap
-    /// allocation — the batch descriptor lives on this stack frame.
+    /// On a warm pool this call performs no heap allocation — the batch
+    /// descriptor lives on this stack frame and takes one queue slot.
     ///
     /// # Panics
     /// Re-panics after the batch completes if any `f(i)` panicked.
@@ -398,31 +276,19 @@ impl WorkerPool {
         let f_static: *const BatchFn = unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync + 'env), *const BatchFn>(f)
         };
-        let batch = BatchState {
+        let batch = Batch {
             f: f_static,
+            n,
+            next: AtomicUsize::new(0),
             pending: AtomicUsize::new(n),
             panicked: AtomicBool::new(false),
         };
-
-        // Deal one contiguous span per worker (fewer when n is small);
-        // contiguity keeps each worker on adjacent outputs.
         let shared = &*self.shared;
-        let workers = self.handles.len();
-        let spans = workers.min(n);
-        let chunk = n.div_ceil(spans);
-        let mut start = 0;
-        for w in 0..spans {
-            let end = ((w + 1) * chunk).min(n);
-            if start < end {
-                shared.lock(&shared.deques[w]).push_back(Task::Span {
-                    batch: &batch,
-                    start,
-                    end,
-                });
-            }
-            start = end;
-        }
-        shared.wake_all();
+        shared
+            .lock(&shared.queue)
+            .tasks
+            .push_back(Task::Batch(&batch));
+        shared.work_cv.notify_all();
 
         let mut g = shared.lock(&shared.done_mutex);
         while batch.pending.load(Ordering::Acquire) != 0 {
@@ -440,8 +306,8 @@ impl Drop for WorkerPool {
     /// drain any still-queued tasks before exiting, so no submitted work
     /// is lost.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_all();
+        self.shared.lock(&self.shared.queue).shutdown = true;
+        self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -485,35 +351,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_task_fault_poisons_the_batch_not_the_pool() {
-        let pool = WorkerPool::new(2);
-        let fp = qec_failpoint::arm_times("pool.task", qec_failpoint::FailAction::Error, 1);
-        let ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_indexed(16, &|_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }));
-        assert!(
-            result.is_err(),
-            "injected fault surfaces as the batch panic"
-        );
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            15,
-            "exactly the faulted index was skipped"
-        );
-        drop(fp);
-        // The pool took no damage: a clean batch completes fully.
-        let again = AtomicUsize::new(0);
-        pool.run_indexed(16, &|_| {
-            again.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(again.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl ExpansionArena {
         self.candidates.len()
     }
 
-    /// All candidate ids.
-    pub fn candidate_ids(&self) -> impl Iterator<Item = CandId> {
-        (0..self.candidates.len() as u32).map(CandId)
-    }
-
     /// The candidate for `id`.
     #[inline]
     pub fn candidate(&self, id: CandId) -> &Candidate {
@@ -248,7 +243,7 @@ impl ExpansionArena {
     /// `R(uq ∪ added)`: results containing every added keyword. The
     /// original query matches the whole arena by construction, so with no
     /// additions this is the full set.
-    pub fn results_of(&self, added: &[CandId]) -> ResultSet {
+    fn results_of(&self, added: &[CandId]) -> ResultSet {
         let mut r = ResultSet::full(self.size());
         for &c in added {
             r.and_assign(&self.candidate(c).contains);
@@ -294,16 +289,6 @@ impl std::ops::Deref for SetSlot<'_> {
     }
 }
 
-impl SetSlot<'_> {
-    /// The bitset by value — a clone when shared.
-    pub fn into_owned(self) -> ResultSet {
-        match self {
-            SetSlot::Owned(s) => s,
-            SetSlot::Shared(s) => s.clone(),
-        }
-    }
-}
-
 /// One cluster's expansion problem (Definition 2.2).
 #[derive(Debug)]
 pub struct QecInstance<'a> {
@@ -339,26 +324,6 @@ impl<'a> QecInstance<'a> {
         Self::new(arena, ResultSet::from_indices(arena.size(), members))
     }
 
-    /// Reassembles an instance from parts previously taken with
-    /// [`into_parts`](Self::into_parts) — the allocation-free path for a
-    /// serving loop that owns `(C, U)` pairs per cluster and rebuilds the
-    /// borrowing instance per request. `universe_set` must be the arena
-    /// complement of `cluster` (checked in debug builds).
-    pub fn from_owned_parts(
-        arena: &'a ExpansionArena,
-        cluster: ResultSet,
-        universe_set: ResultSet,
-    ) -> Self {
-        debug_assert_eq!(cluster.universe(), arena.size());
-        debug_assert!(!cluster.intersects(&universe_set));
-        debug_assert_eq!(cluster.len() + universe_set.len(), arena.size());
-        Self {
-            arena,
-            cluster: SetSlot::Owned(cluster),
-            universe_set: SetSlot::Owned(universe_set),
-        }
-    }
-
     /// Builds an instance over shared `(C, U)` bitsets — the borrow path of
     /// the cross-session arena cache, where the cached pair stays immutable
     /// inside an `Arc`-shared pipeline entry while any number of concurrent
@@ -379,13 +344,6 @@ impl<'a> QecInstance<'a> {
         }
     }
 
-    /// Disassembles the instance into its owned `(cluster, universe)`
-    /// bitsets — cloning when the instance borrowed shared state — without
-    /// dropping owned buffers.
-    pub fn into_parts(self) -> (ResultSet, ResultSet) {
-        (self.cluster.into_owned(), self.universe_set.into_owned())
-    }
-
     /// Quality of result set `r` against this instance's cluster.
     pub fn quality_of(&self, r: &ResultSet) -> QueryQuality {
         query_quality(r, &self.cluster, &self.arena.weights)
@@ -394,11 +352,6 @@ impl<'a> QecInstance<'a> {
     /// Quality of the query formed by adding `added` to the user query.
     pub fn quality_of_added(&self, added: &[CandId]) -> QueryQuality {
         self.quality_of(&self.arena.results_of(added))
-    }
-
-    /// `S(X)` over the arena weights.
-    pub fn weight_of(&self, set: &ResultSet) -> f64 {
-        set.weighted_sum(&self.arena.weights)
     }
 }
 
@@ -470,8 +423,8 @@ mod tests {
         for (i, &(b, c)) in expected.iter().enumerate() {
             let cand = arena.candidate(CandId(i as u32));
             let elim = r.and_not(&cand.contains);
-            let benefit = inst.weight_of(&elim.and(&inst.universe_set));
-            let cost = inst.weight_of(&elim.and(&inst.cluster));
+            let benefit = elim.and(&inst.universe_set).weighted_sum(&arena.weights);
+            let cost = elim.and(&inst.cluster).weighted_sum(&arena.weights);
             assert_eq!(benefit, b, "candidate {i} benefit");
             assert_eq!(cost, c, "candidate {i} cost");
         }
@@ -685,7 +638,7 @@ mod tests {
                 "{label}"
             );
             assert_eq!(got.num_candidates(), expected.num_candidates(), "{label}");
-            for id in expected.candidate_ids() {
+            for id in (0..expected.num_candidates() as u32).map(CandId) {
                 let (g, e) = (got.candidate(id), expected.candidate(id));
                 assert_eq!(g.term, e.term, "{label}: {id:?}");
                 assert_eq!(g.contains.universe(), n);

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 /// Capped exponential backoff with jitter. One instance per retried
-/// operation; each [`next_delay`](Self::next_delay) call advances the
+/// operation; each [`next_before`](Self::next_before) call advances the
 /// attempt counter.
 #[derive(Debug, Clone)]
 pub struct Backoff {
@@ -49,7 +49,7 @@ impl Backoff {
     /// The wait before the next retry: `base · 2^attempt` capped at `cap`,
     /// jittered uniformly into `[delay/2, delay]` so synchronized retriers
     /// spread out instead of stampeding in lockstep.
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(32);
         self.attempt = self.attempt.saturating_add(1);
         let raw = self

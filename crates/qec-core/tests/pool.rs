@@ -1,7 +1,11 @@
-//! Integration tests of the persistent work-stealing pool: steal
-//! fairness, clean drop-shutdown, and no task lost under concurrent
+//! Integration tests of the persistent worker pool, stated as behaviour:
+//! a batch's indices each run exactly once on whichever worker is free, a
+//! blocked index strands nothing, spawned jobs and batches are served in
+//! FIFO order, drop drains and joins, and nothing is lost under concurrent
 //! submission — plus a pooled expansion fan-out's parity with a sequential
-//! `Expander::expand_into` loop.
+//! `Expander::expand_into` loop. (The fault-accounting proof is
+//! `pool_fault.rs`, alone in its process; the zero-allocation dispatch
+//! proof is a section of `zero_alloc.rs`.)
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -14,7 +18,7 @@ use qec_core::{
 use qec_text::TermId;
 
 /// Spin-waits (with a yield) until `cond` holds, failing the test after
-/// `timeout` — so a lost wakeup or a missing steal shows up as a test
+/// `timeout` — so a lost wakeup or a stranded index shows up as a test
 /// failure, not a hung suite.
 fn wait_until(timeout: Duration, what: &str, cond: impl Fn() -> bool) {
     let start = Instant::now();
@@ -25,10 +29,10 @@ fn wait_until(timeout: Duration, what: &str, cond: impl Fn() -> bool) {
 }
 
 #[test]
-fn steal_rebalances_a_blocked_worker() {
+fn blocked_index_does_not_strand_the_rest_of_its_batch() {
     // Two workers, 16 tasks. Task 0 blocks until every other task has
-    // completed: without stealing, the blocked worker's span (half the
-    // batch) could never finish and this test would time out.
+    // completed: if any index were tied to the blocked worker, it could
+    // never finish and this test would time out.
     let pool = WorkerPool::new(2);
     let done = AtomicUsize::new(0);
     let n = 16;
@@ -36,7 +40,7 @@ fn steal_rebalances_a_blocked_worker() {
         if i == 0 {
             wait_until(
                 Duration::from_secs(10),
-                "peers to finish via steals",
+                "the free worker to finish the rest",
                 || done.load(Ordering::SeqCst) == n - 1,
             );
         }
@@ -48,7 +52,8 @@ fn steal_rebalances_a_blocked_worker() {
 #[test]
 fn work_spreads_across_workers() {
     // With 4 workers and 64 equal tasks that each busy a little, more
-    // than one worker must participate (spans are dealt across deques).
+    // than one worker must participate (every worker claims from the
+    // same batch).
     let pool = WorkerPool::new(4);
     let ids = std::sync::Mutex::new(Vec::<std::thread::ThreadId>::new());
     pool.run_indexed(64, &|_| {
@@ -114,6 +119,43 @@ fn no_task_lost_under_concurrent_submitters() {
     wait_until(Duration::from_secs(10), "spawned jobs to drain", || {
         spawned.load(Ordering::SeqCst) == SUBMITTERS * BATCHES
     });
+}
+
+#[test]
+fn one_worker_serves_jobs_and_batches_in_fifo_order() {
+    // One worker, two submitters interleaving `spawn` and `run_indexed`.
+    // A job spawned before a batch was submitted is ahead of it in the
+    // queue, so it must have run before the batch's first index does —
+    // whatever the other submitter queued in between.
+    let pool = WorkerPool::new(1);
+    const SUBMITTERS: usize = 2;
+    const ROUNDS: usize = 50;
+    const N: usize = 5;
+    let counts: Vec<AtomicUsize> = (0..SUBMITTERS * ROUNDS * N)
+        .map(|_| AtomicUsize::new(0))
+        .collect();
+    let barrier = Barrier::new(SUBMITTERS);
+    std::thread::scope(|scope| {
+        for s in 0..SUBMITTERS {
+            let (pool, counts, barrier) = (&pool, &counts, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for r in 0..ROUNDS {
+                    let job_ran = Arc::new(AtomicBool::new(false));
+                    let flag = Arc::clone(&job_ran);
+                    pool.spawn(Box::new(move || flag.store(true, Ordering::SeqCst)));
+                    pool.run_indexed(N, &|i| {
+                        assert!(
+                            job_ran.load(Ordering::SeqCst),
+                            "index {i} of submitter {s} round {r} overtook an earlier job"
+                        );
+                        counts[(s * ROUNDS + r) * N + i].fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        }
+    });
+    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
 }
 
 #[test]

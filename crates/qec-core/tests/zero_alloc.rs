@@ -8,11 +8,14 @@
 //! flag is armed. The file holds exactly one test because the allocator
 //! count is process-global; a second concurrently running test would
 //! contaminate it. (`qec-engine` carries the sibling proof for a warmed
-//! `engine.expand` serving loop.)
+//! `engine.expand` serving loop.) Its last section shows the same for the
+//! [`WorkerPool`]'s dispatch: a batch takes one queue slot whatever its
+//! `n`, so scheduling 10 000 indices on a warm pool allocates nothing on
+//! any thread.
 
 use qec_core::{
     fmeasure_refine_into, iskr_into, Candidate, ExpansionArena, FMeasureConfig, IskrConfig,
-    IskrScratch, QecInstance, ResultSet,
+    IskrScratch, QecInstance, ResultSet, WorkerPool,
 };
 use qec_index::{Corpus, CorpusBuilder, DocumentSpec, SearchScratch, Searcher};
 use qec_text::TermId;
@@ -182,6 +185,32 @@ fn warmed_iskr_and_search_perform_zero_heap_allocations() {
     assert_eq!(
         counted, 0,
         "boolean retrieval allocated on a warmed scratch: {counted} heap \
+         allocations counted"
+    );
+
+    // Pool dispatch. Warm-up: one index per worker, each held until all
+    // have started, so every worker thread is up and has touched whatever
+    // it lazily allocates before the count is armed.
+    let pool = WorkerPool::new(2);
+    let started = AtomicUsize::new(0);
+    pool.run_indexed(pool.threads(), &|_| {
+        started.fetch_add(1, Ordering::SeqCst);
+        while started.load(Ordering::SeqCst) < pool.threads() {
+            std::thread::yield_now();
+        }
+    });
+    let ran = AtomicUsize::new(0);
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    pool.run_indexed(10_000, &|_| {
+        ran.fetch_add(1, Ordering::Relaxed);
+    });
+    ARMED.store(false, Ordering::SeqCst);
+    let counted = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(ran.load(Ordering::SeqCst), 10_000);
+    assert_eq!(
+        counted, 0,
+        "run_indexed(10_000) allocated on a warm pool: {counted} heap \
          allocations counted"
     );
 }

@@ -276,18 +276,6 @@ pub struct CacheStats {
     pub build_failures: u64,
 }
 
-impl CacheStats {
-    /// Fraction of probes served from cache (`0.0` before any probe).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Sentinel for "no slot" in the intrusive recency list.
 const NIL: usize = usize::MAX;
 
@@ -1019,7 +1007,6 @@ mod tests {
         assert_eq!(tag_of(&got), 7);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

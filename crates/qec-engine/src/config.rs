@@ -59,7 +59,7 @@ pub struct AdmissionConfig {
     pub max_in_flight: usize,
 }
 
-/// Knobs of the persistent work-stealing worker pool
+/// Knobs of the persistent worker pool
 /// ([`qec_core::WorkerPool`]) and the batched serving path
 /// ([`QecEngine::try_expand_batch_into`](crate::QecEngine::try_expand_batch_into)).
 #[derive(Debug, Clone)]

@@ -43,7 +43,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use qec_cluster::{Clusterer, KMeansClusterer};
@@ -202,8 +202,8 @@ pub struct QecEngine {
     exact: ExactDeltaF,
     pebc: Pebc,
     cache: SharedArenaCache,
-    /// The persistent work-stealing pool serving pooled chunks and — on a
-    /// gather engine — every scattered shard retrieval.
+    /// The persistent worker pool serving pooled chunks and — on a gather
+    /// engine — every scattered shard retrieval.
     pool: WorkerPool,
     /// Doc-partitioned shard set — present only on the **gather** engine
     /// assembled by `ShardedEngineBuilder`. When set, cold pipeline builds
@@ -224,8 +224,8 @@ pub struct QecEngine {
     /// Requests currently being served — the admission-control gauge
     /// compared against [`AdmissionConfig::max_in_flight`](crate::config::AdmissionConfig::max_in_flight).
     in_flight: AtomicUsize,
-    responses: Mutex<Vec<ExpandResponse>>,
-    batches: Mutex<Vec<BatchScratch>>,
+    responses: ScratchPool<ExpandResponse>,
+    batches: ScratchPool<BatchScratch>,
 }
 
 /// RAII admission permit: holds `n` slots of the engine's `in_flight`
@@ -353,7 +353,7 @@ impl QecEngine {
 
     /// Returns a response's buffers to the pool for reuse by later serves.
     pub fn recycle(&self, resp: ExpandResponse) {
-        lock(&self.responses).push(resp);
+        self.responses.release(resp);
     }
 
     /// Worker threads of the persistent pool (at least one).
@@ -380,8 +380,8 @@ impl QecEngine {
     ///   cold queries trigger **one** pipeline build (the single-flight
     ///   latch extends the same guarantee across concurrent batches);
     /// * every group's per-cluster expansions are scheduled as **one flat
-    ///   task set** across the pool — dispatch, wake-ups and steals are
-    ///   amortised over the whole batch instead of paid per request;
+    ///   task set** across the pool — one queue entry and one round of
+    ///   wake-ups for the whole batch instead of one per request;
     /// * per-request state comes from recycled pools, so a warmed batch
     ///   loop (stable shape, cache-hit keys, responses handed back
     ///   through [`recycle`](Self::recycle)) performs **zero heap
@@ -472,7 +472,7 @@ impl QecEngine {
             return;
         }
 
-        let mut batch = lock(&self.batches).pop().unwrap_or_default();
+        let mut batch = self.batches.acquire();
         let b = &mut batch;
         if b.sessions.len() < reqs.len() {
             b.sessions.resize_with(reqs.len(), SessionScratch::default);
@@ -667,9 +667,10 @@ impl QecEngine {
                 }
             };
             // Sharded cold builds must stay on the submitter: each one
-            // scatters its own indexed batch across the pool, and
-            // `run_indexed` from inside a pool task would deadlock
-            // (the submitter parks without helping drain the batch).
+            // `spawn`s its shard attempts on the pool and waits for their
+            // completions, and a pool task that waits on the pool can
+            // starve it (every worker waiting, none left to run the
+            // attempts).
             if cold.len() >= 2 && self.shards.is_none() {
                 let n = cold.len();
                 let slots = DisjointSlots::new(&mut cold[..]);
@@ -832,7 +833,7 @@ impl QecEngine {
                 continue;
             }
             let completed = states.iter().take_while(|&&st| st == TASK_OK).count();
-            let mut resp = lock(&self.responses).pop().unwrap_or_default();
+            let mut resp = self.responses.acquire();
             resp.begin(k);
             for c in 0..completed {
                 fill_slot(resp.slot(c), &p.clusters[c], p, &b.outs[base + c], req);
@@ -860,7 +861,7 @@ impl QecEngine {
         for g in batch.groups.iter_mut() {
             g.pipeline = None;
         }
-        lock(&self.batches).push(batch);
+        self.batches.release(batch);
         // Admission slots are held for the whole chunk; released here.
         drop(permit);
     }
@@ -1033,12 +1034,6 @@ fn fill_slot(
     slot.added
         .extend(out.added.iter().map(|&k| pipeline.arena.candidate(k).term));
     slot.quality = out.quality;
-}
-
-/// Locks a pool mutex, recovering from poisoning (pool contents are plain
-/// buffers — a panicked peer cannot leave them logically corrupt).
-fn lock<T>(m: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Builds a [`QecEngine`] from documents or a prebuilt [`Corpus`].
@@ -1274,8 +1269,8 @@ impl EngineBuilder {
             corpus,
             config,
             clusterer,
-            responses: Mutex::new(Vec::new()),
-            batches: Mutex::new(Vec::new()),
+            responses: ScratchPool::new(),
+            batches: ScratchPool::new(),
         }
     }
 

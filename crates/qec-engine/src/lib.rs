@@ -54,7 +54,7 @@
 //! out as **one flat task set**. The task count alone decides where the
 //! set runs: a handful of tasks (a lone request at the paper's
 //! granularity) on the caller's thread, more across the **persistent
-//! work-stealing [`WorkerPool`](qec_core::WorkerPool)** spawned once at
+//! [`WorkerPool`](qec_core::WorkerPool)** (one shared queue) spawned once at
 //! engine build ([`EngineBuilder::pool_threads`], default: the machine's
 //! parallelism probed once per process) — bit-identical either way, and a
 //! warmed serve/[`recycle`] loop is allocation-free on both sides (see

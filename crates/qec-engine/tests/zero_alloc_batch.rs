@@ -1,18 +1,18 @@
 //! Proof of the batched serving path's zero-allocation claim: once the
 //! shared cache holds the batch's pipeline and the engine's recycled
-//! pools (responses, batch scratch, pool-worker expansion scratches, the
-//! worker deques' span storage) are warm, `try_expand_batch_into` serves a
-//! batch of cache-hit requests — analysis, grouping, single-flight probe,
-//! flat task-set dispatch across the **persistent worker pool**, response
-//! fill — without touching the heap.
+//! pools (responses, batch scratch, pool-worker expansion scratches) are
+//! warm, `try_expand_batch_into` serves a batch of cache-hit requests —
+//! analysis, grouping, single-flight probe, flat task-set dispatch across
+//! the **persistent worker pool**, response fill — without touching the
+//! heap.
 //!
 //! The counting allocator is process-global, so the armed window counts
 //! pool-worker allocations too — the test covers the whole process, not
 //! just the submitting thread. Warm-up runs the identical batch many
-//! times first: deque capacities, the scratch pool (one warmed
-//! `IskrScratch` per worker; every request analyses to the same key, so
-//! one arena size and no scratch retargets), response buffers and batch
-//! bookkeeping all settle before the window arms. The file holds exactly
+//! times first: the scratch pool (one warmed `IskrScratch` per worker;
+//! every request analyses to the same key, so one arena size and no
+//! scratch retargets), response buffers and batch bookkeeping all settle
+//! before the window arms. The file holds exactly
 //! one test because a concurrently running second test would contaminate
 //! the global counter.
 
@@ -93,7 +93,7 @@ fn warmed_expand_batch_performs_zero_heap_allocations() {
 
     // Warm-up: first batch builds + publishes the pipeline; generous
     // repetition lets every pool worker hold (and warm) an expansion
-    // scratch and every deque reach its steady-state capacity.
+    // scratch. (The pool's queue is pre-sized; a batch takes one slot.)
     engine.try_expand_batch_into(&reqs, &mut results);
     assert!(
         served(&results)

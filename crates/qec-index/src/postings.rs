@@ -64,7 +64,8 @@ impl DocBitmap {
     }
 
     /// Builds from ascending doc ids (each `< num_docs`).
-    pub fn from_sorted_ids(num_docs: usize, ids: &[DocId]) -> Self {
+    #[cfg(test)]
+    fn from_sorted_ids(num_docs: usize, ids: &[DocId]) -> Self {
         let mut b = Self::empty(num_docs);
         for &d in ids {
             b.insert(d);
@@ -250,15 +251,8 @@ fn partition_point_ge(window: &[DocId], x: DocId) -> usize {
     window.partition_point(|&v| v < x)
 }
 
-/// Sorted∧bitmap intersection: probes the bitmap per id. Appends to `out`
-/// after clearing it.
-pub fn intersect_sorted_bitmap_into(ids: &[DocId], bitmap: &DocBitmap, out: &mut Vec<DocId>) {
-    out.clear();
-    out.extend(ids.iter().copied().filter(|&d| bitmap.contains(d)));
-}
-
-/// Filters `ids` in place, keeping only members of `bitmap` — the
-/// allocation-free variant used after a sorted seed has been established.
+/// Sorted∧bitmap intersection: filters `ids` in place, keeping only
+/// members of `bitmap` (one probe per id, no allocation).
 pub fn retain_in_bitmap(ids: &mut Vec<DocId>, bitmap: &DocBitmap) {
     ids.retain(|&d| bitmap.contains(d));
 }
@@ -347,11 +341,8 @@ mod tests {
     fn sorted_bitmap_intersection() {
         let list = ids(&[1, 5, 64, 70, 129]);
         let bitmap = DocBitmap::from_sorted_ids(130, &ids(&[5, 64, 128, 129]));
-        let mut out = Vec::new();
-        intersect_sorted_bitmap_into(&list, &bitmap, &mut out);
-        assert_eq!(out, ids(&[5, 64, 129]));
         let mut retained = list.clone();
         retain_in_bitmap(&mut retained, &bitmap);
-        assert_eq!(retained, out);
+        assert_eq!(retained, ids(&[5, 64, 129]));
     }
 }

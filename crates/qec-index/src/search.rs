@@ -245,12 +245,6 @@ impl<'c> Searcher<'c> {
             }
         }
     }
-
-    /// Convenience: parses `query` through the corpus analyzer and runs an
-    /// AND query.
-    pub fn search_str(&self, query: &str) -> Vec<DocId> {
-        self.and_query(&self.corpus.query_terms(query))
-    }
 }
 
 #[cfg(test)]
@@ -346,9 +340,10 @@ mod tests {
     fn search_str_parses_full_queries() {
         let c = corpus();
         let s = Searcher::new(&c);
-        assert_eq!(s.search_str("apple, fruit"), vec![DocId(1)]);
-        assert_eq!(s.search_str("apple fruits"), vec![DocId(1)], "stemming");
-        assert!(s.search_str("").is_empty());
+        let search = |query: &str| s.and_query(&c.query_terms(query));
+        assert_eq!(search("apple, fruit"), vec![DocId(1)]);
+        assert_eq!(search("apple fruits"), vec![DocId(1)], "stemming");
+        assert!(search("").is_empty());
     }
 
     #[test]

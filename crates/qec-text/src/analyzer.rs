@@ -89,12 +89,6 @@ impl Analyzer {
         self.dict.intern(term)
     }
 
-    /// Analyzes a single query keyword the same way document text is
-    /// analyzed, returning `None` when the keyword is a stopword or empty.
-    pub fn analyze_keyword(&mut self, keyword: &str) -> Option<TermId> {
-        self.analyze(keyword).into_iter().next()
-    }
-
     /// Looks up the analysed form of `keyword` without interning new terms.
     /// Only the first token is considered, so only it is materialised — no
     /// intermediate token vector.
@@ -138,11 +132,6 @@ impl Analyzer {
     /// Human-readable name of a term id.
     pub fn term_name(&self, id: TermId) -> &str {
         self.dict.name_of(id)
-    }
-
-    /// Access to the stopword list (e.g. to add corpus-specific words).
-    pub fn stopwords_mut(&mut self) -> &mut StopwordList {
-        &mut self.stopwords
     }
 }
 
@@ -192,15 +181,15 @@ mod tests {
     fn analyze_keyword_matches_document_analysis() {
         let mut a = Analyzer::new();
         let doc_ids = a.analyze("many locations");
-        let kw = a.analyze_keyword("location").unwrap();
+        let kw = a.analyze("location")[0];
         assert!(doc_ids.contains(&kw));
     }
 
     #[test]
     fn analyze_keyword_stopword_is_none() {
         let mut a = Analyzer::new();
-        assert_eq!(a.analyze_keyword("the"), None);
-        assert_eq!(a.analyze_keyword(""), None);
+        assert!(a.analyze("the").is_empty());
+        assert!(a.analyze("").is_empty());
     }
 
     #[test]
@@ -210,7 +199,7 @@ mod tests {
         let before = a.vocab_size();
         let _ = a.lookup_keyword("zebra");
         assert_eq!(a.vocab_size(), before);
-        let id = a.analyze_keyword("zebra").unwrap();
+        let id = a.analyze("zebra")[0];
         assert_eq!(a.lookup_keyword("zebra"), Some(id));
         assert_eq!(a.lookup_keyword("zebras"), Some(id), "stemmed lookup");
     }
