@@ -1,7 +1,9 @@
 //! End-to-end expansion benchmarks at the paper's workload sizes
-//! (top-30/100/500), driven through the [`Expander`] trait the serving
-//! facade dispatches on, plus the exact-ΔF baseline for contrast and a
-//! whole-query (every cluster) expansion.
+//! (top-30/100/500, candidates that hold most of the arena) and at the
+//! serving shape (`sparse100`: candidates that hold a few results each),
+//! driven through the [`Expander`] trait the serving facade dispatches on,
+//! plus the exact-ΔF baseline for contrast and a whole-query (every
+//! cluster) expansion.
 
 use qec_bench::{synth_arena, ArenaSpec, Harness};
 use qec_core::{
@@ -14,13 +16,19 @@ fn main() {
     let mut h = Harness::new("iskr");
     let iskr = Iskr(IskrConfig::default());
 
-    for arena_size in [30usize, 100, 500] {
-        let (arena, clusters) = synth_arena(&ArenaSpec::top(arena_size, 11));
+    let shapes = [
+        ("arena30", ArenaSpec::top(30, 11)),
+        ("arena100", ArenaSpec::top(100, 11)),
+        ("arena500", ArenaSpec::top(500, 11)),
+        ("sparse100", ArenaSpec::sparse(100, 11)),
+    ];
+    for (shape, spec) in shapes {
+        let (arena, clusters) = synth_arena(&spec);
         let inst = QecInstance::new(&arena, clusters[0].clone());
         let mut scratch = IskrScratch::new();
         let mut out = ExpandedQuery::default();
         iskr.expand_into(&inst, &mut scratch, &mut out); // warm the buffers
-        h.bench(&format!("iskr/arena{arena_size}"), || {
+        h.bench(&format!("iskr/{shape}"), || {
             iskr.expand_into(black_box(&inst), &mut scratch, &mut out);
             black_box(out.quality)
         });

@@ -1,5 +1,6 @@
-//! The partial-elimination baseline (PEBC) at the paper's workload sizes,
-//! measured against ISKR through the shared [`Expander`] trait.
+//! The partial-elimination baseline (PEBC) at the paper's workload sizes
+//! and at the serving shape (`sparse100`, see `bench_iskr`), measured
+//! against ISKR through the shared [`Expander`] trait.
 //!
 //! PEBC values every candidate once and never maintains values, so it must
 //! sit strictly below the exact-ΔF baseline in cost; the suite asserts
@@ -20,17 +21,23 @@ fn main() {
     let pebc = Pebc(PebcConfig::default());
     let iskr = Iskr(IskrConfig::default());
 
-    for arena_size in [30usize, 100, 500] {
-        let (arena, clusters) = synth_arena(&ArenaSpec::top(arena_size, 11));
+    let shapes = [
+        ("arena30", ArenaSpec::top(30, 11)),
+        ("arena100", ArenaSpec::top(100, 11)),
+        ("arena500", ArenaSpec::top(500, 11)),
+        ("sparse100", ArenaSpec::sparse(100, 11)),
+    ];
+    for (shape, spec) in shapes {
+        let (arena, clusters) = synth_arena(&spec);
         let inst = QecInstance::new(&arena, clusters[0].clone());
         let mut scratch = IskrScratch::new();
         let mut out = ExpandedQuery::default();
         pebc.expand_into(&inst, &mut scratch, &mut out); // warm the buffers
-        h.bench(&format!("pebc/arena{arena_size}"), || {
+        h.bench(&format!("pebc/{shape}"), || {
             pebc.expand_into(black_box(&inst), &mut scratch, &mut out);
             black_box(out.quality)
         });
-        h.bench(&format!("iskr/arena{arena_size}"), || {
+        h.bench(&format!("iskr/{shape}"), || {
             iskr.expand_into(black_box(&inst), &mut scratch, &mut out);
             black_box(out.quality)
         });

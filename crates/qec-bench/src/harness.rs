@@ -131,7 +131,7 @@ impl Harness {
     }
 
     /// Median of a finished case, for cross-case comparisons inside a bench
-    /// binary (e.g. the ablation speedup check).
+    /// binary (e.g. `bench_pebc`'s cost guard).
     pub fn median_of(&self, case: &str) -> Option<f64> {
         let name = format!("{}/{case}", self.group);
         self.results

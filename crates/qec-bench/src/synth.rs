@@ -74,10 +74,17 @@ pub struct ArenaSpec {
     pub num_candidates: usize,
     /// Number of latent clusters (senses) the results split into.
     pub num_clusters: usize,
-    /// Probability a candidate is absent from a result of the sense it
-    /// discriminates against (its elimination power).
+    /// `false`: a candidate is in every result except those of the one
+    /// sense it discriminates against (it holds ~89 % of the arena).
+    /// `true`: it is in results of the one sense it marks and nowhere else
+    /// (~7 % of the arena) — the shape of every arena the serving stack
+    /// builds, where the tf·idf cut keeps the rare words.
+    pub sparse: bool,
+    /// Probability the candidate's sense decides a result of that sense:
+    /// makes it absent (dense shape, its elimination power) or present
+    /// (sparse shape).
     pub discrimination: f64,
-    /// Stray absences per candidate outside its discriminated sense
+    /// Stray results per candidate outside its sense that go the same way
     /// (the noise that makes elimination sets ragged).
     pub leaks: usize,
     /// RNG seed.
@@ -93,9 +100,22 @@ impl ArenaSpec {
             // roughly with arena size in the paper's corpora.
             num_candidates: (arena_size / 2).clamp(16, 256),
             num_clusters: 8,
+            sparse: false,
             discrimination: 0.9,
             leaks: 1,
             seed,
+        }
+    }
+
+    /// The serving-shaped workload: twice as many candidates as results
+    /// (the repo benchmark's arenas average 67 × 134), each in about half
+    /// the results of one sense.
+    pub fn sparse(arena_size: usize, seed: u64) -> Self {
+        Self {
+            num_candidates: (arena_size * 2).clamp(16, 256),
+            sparse: true,
+            discrimination: 0.5,
+            ..Self::top(arena_size, seed)
         }
     }
 }
@@ -107,8 +127,10 @@ impl ArenaSpec {
 /// except for `leaks` stray absences. Elimination sets are therefore
 /// concentrated on one cluster plus noise, so a move's delta affects only
 /// the keywords discriminating the same sense — the §3 maintenance regime.
-/// The output is the (arena, clusters-as-bitsets) pair a per-cluster
-/// `QecInstance` is built from.
+/// The [`sparse`](ArenaSpec::sparse) shape is the mirror image: a candidate
+/// *marks* one sense and is absent everywhere else. The output is the
+/// (arena, clusters-as-bitsets) pair a per-cluster `QecInstance` is built
+/// from.
 pub fn synth_arena(spec: &ArenaSpec) -> (ExpansionArena, Vec<ResultSet>) {
     let mut rng = SplitMix64::seed_from_u64(spec.seed);
     let n = spec.arena_size;
@@ -118,19 +140,25 @@ pub fn synth_arena(spec: &ArenaSpec) -> (ExpansionArena, Vec<ResultSet>) {
 
     let candidates: Vec<Candidate> = (0..spec.num_candidates)
         .map(|i| {
-            let anti = i % k;
-            let mut set = ResultSet::full(n);
+            let sense = i % k;
+            // Built as the dense shape's elimination set; the sparse
+            // shape contains exactly those results instead.
+            let mut decided = ResultSet::empty(n);
             for (j, &label) in labels.iter().enumerate() {
-                if label == anti && rng.f64() < spec.discrimination {
-                    set.remove(j);
+                if label == sense && rng.f64() < spec.discrimination {
+                    decided.insert(j);
                 }
             }
             for _ in 0..spec.leaks {
-                set.remove(rng.below(n));
+                decided.insert(rng.below(n));
             }
             Candidate {
                 term: TermId(i as u32),
-                contains: set,
+                contains: if spec.sparse {
+                    decided
+                } else {
+                    ResultSet::full(n).and_not(&decided)
+                },
             }
         })
         .collect();
@@ -220,6 +248,21 @@ mod tests {
             for b in &clusters[i + 1..] {
                 assert!(!a.intersects(b), "clusters are disjoint");
             }
+        }
+    }
+
+    #[test]
+    fn sparse_arena_candidates_hold_a_few_results_of_one_sense() {
+        let spec = ArenaSpec::sparse(100, 7);
+        let (arena, clusters) = synth_arena(&spec);
+        assert_eq!(arena.num_candidates(), 200);
+        let held: usize = arena.candidates.iter().map(|c| c.contains.len()).sum();
+        let density = held as f64 / (100.0 * 200.0);
+        assert!((0.05..=0.10).contains(&density), "density {density}");
+        // All but the stray result sit in one cluster.
+        for c in &arena.candidates {
+            let best = clusters.iter().map(|s| s.intersect_count(&c.contains));
+            assert!(best.max().unwrap() + spec.leaks >= c.contains.len());
         }
     }
 

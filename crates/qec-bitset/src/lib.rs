@@ -21,8 +21,8 @@
 //!   *and* its population count in one pass, replacing the combine-then-
 //!   recount two-sweep pattern call sites used to emulate them
 //!   (`bench_baselines` measures both against the scalar reference).
-//! * **Short-circuiting predicates** — [`Bitset::intersects`] /
-//!   [`Bitset::is_subset_of`] bail out at the first deciding chunk.
+//! * **Short-circuiting predicate** — [`Bitset::intersects`] bails out
+//!   at the first deciding chunk.
 //! * **Rank/select** — positional queries directly on the words
 //!   ([`Bitset::rank`] / [`Bitset::select`]), plus a [`RankIndex`] sidecar
 //!   caching per-block popcounts for repeated queries against a frozen
@@ -335,13 +335,6 @@ impl Bitset {
     pub fn intersects(&self, other: &Bitset) -> bool {
         self.check(other);
         combine_any(&self.words, &other.words, |a, b| a & b)
-    }
-
-    /// Whether every member of `self` is in `other`, short-circuiting at
-    /// the first deciding chunk.
-    pub fn is_subset_of(&self, other: &Bitset) -> bool {
-        self.check(other);
-        !combine_any(&self.words, &other.words, |a, b| a & !b)
     }
 
     /// Sum of `weights[i]` over members `i`. `weights.len()` must equal
@@ -835,16 +828,6 @@ mod tests {
         let mut out = Bitset::empty(130);
         a.union_into(&b, &mut out);
         assert_eq!(out, a.or(&b));
-    }
-
-    #[test]
-    fn subset_relation() {
-        let a = Bitset::from_indices(10, [1, 2]);
-        let b = Bitset::from_indices(10, [1, 2, 3]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(Bitset::empty(10).is_subset_of(&a));
-        assert!(a.is_subset_of(&a));
     }
 
     #[test]

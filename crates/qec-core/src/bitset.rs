@@ -4,9 +4,8 @@
 //! universe `U`, a query's result set `R(q)`, a keyword's elimination set
 //! `E(k)`, delta results — is a subset of the *arena*: the (≤ a few hundred,
 //! per the paper's top-30/top-500 workloads) results of the original user
-//! query. A fixed-width bitset makes ISKR's inner loop (intersections and
-//! weighted sums over these sets) word-parallel, which is what keeps the
-//! "maintain only affected keywords" optimisation of §3 profitable.
+//! query. A fixed-width bitset makes applying a move and valuing a removal
+//! (intersections and weighted sums over these sets) word-parallel.
 //!
 //! The implementation lives in the shared foundation crate
 //! [`qec_bitset`] — the same chunked (autovectorizable) kernels back

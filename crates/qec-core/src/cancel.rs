@@ -16,8 +16,8 @@
 //! tests per poll — branch-predicted noise against a move valuation, and
 //! zero allocation, so the zero-alloc serving paths thread tokens through
 //! unconditionally. An armed deadline costs one `Instant::now()` per
-//! poll; polls sit at iteration granularity (one per greedy move, or per
-//! valuation stride), not inside the bitset kernels.
+//! poll; polls sit at iteration granularity (one per greedy move, one per
+//! 64-result word of a lane valuation pass), not inside the bitset kernels.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -11,25 +11,58 @@
 //!   lost);
 //! * the move with the highest value is applied while that value exceeds 1
 //!   (benefit strictly greater than cost);
-//! * after a move with delta results `D`, only keywords that are absent
-//!   from at least one result of `D` can have changed value (§3,
-//!   "Identifying Keywords with Affected Values"), i.e. keywords `k'` with
-//!   `E(k') ∩ D ≠ ∅`. `E(k')` is the complement of `contains(k')`, so that
-//!   is `D ⊄ contains(k')`: one early-exit word-parallel subset test per
-//!   candidate (`|arena| / 64` words each, ~300 word operations at the
-//!   serving shape) finds exactly the §3 affected set, and only those
-//!   candidates are revalued. This maintenance rule is the efficiency
-//!   difference between ISKR and the exact ΔF baseline (`crate::fmeasure`),
-//!   and `bench_ablation` measures it against a full rescan.
+//! * after a move every add value is recomputed by one **lane pass** over
+//!   the new `R(q)` (below), and the handful of in-query keywords are
+//!   revalued as removals.
 //!
-//!   The arena used to carry the inverted form as well — per result, the
-//!   list of candidates eliminating it — and ISKR walked `D`'s members
-//!   through it whenever `|D| · mean list length` undercut the scan. That
-//!   cost model picked the map in 5.0 % of maintenance steps on the
-//!   benchmark's cold workload (9,983 of 200,000) and 3.4 % on its warm
-//!   one, while building the map was a quarter of every arena build (one
-//!   allocation per result, ~52 KB per cached arena). The scan alone
-//!   marks the same set, so the map is gone.
+//! The lane pass
+//! -------------
+//! An add value sums over the keyword's *elimination* set, and for the
+//! candidates the paper selects ("top-20 % words in the results in terms of
+//! tfidf") that set is nearly the whole arena: on the repo benchmark's
+//! arenas (mean 67 results × 134 candidates) a candidate is in 6.4 % of
+//! the results. Valuing candidates one at a time therefore walks ~94 % of
+//! `R(q)` bit by bit, one dependent `f64` add per bit, twice per candidate.
+//! `add_values` turns that inside out: it walks the members of `R(q)`
+//! once and keeps one running sum per candidate — a *lane* — on each side
+//! (benefit for a result in `U`, cost for one in `C`). The arena's lane
+//! index (`crate::problem::ExpansionArena`) says, per result, which lanes
+//! are the exception: for a result few candidates contain, the listed
+//! lanes are set aside, the result's weight is added to **all** lanes in
+//! one vectorisable loop, and the listed lanes are put back; for a result
+//! most candidates contain (a *flipped* row) the weight is added to the
+//! listed lanes only.
+//!
+//! Exactness. `Bitset::weighted_sum_and_not_and`, which the per-candidate
+//! valuation ran on, sums each 64-result word from `0.0` in ascending bit
+//! order and adds the words' sums in word order. The pass does the same
+//! per lane: per word two partial arrays start at `0.0`, members are
+//! visited in ascending order and a lane receives exactly the weights of
+//! the results it eliminates, then the partials are added to the totals.
+//! A word with no member of `R(q)` is skipped — it would add `0.0` to sums
+//! that are never `-0.0`. Every lane thus performs the additions of its own
+//! walk in its own order, so benefits, costs, values, the moves chosen on
+//! them and the reported quality are the same bits (the `reference`
+//! module keeps the per-candidate walk, and the differential tests compare
+//! `to_bits`); only the adds of *different* lanes no longer wait on each
+//! other. Subtracting a keyword's kept weight from `S(R(q) ∩ U)` would be
+//! cheaper still and is **not** used: it rounds differently, and equal
+//! weights (every single-term query with tf 1) make `benefit == cost` ties
+//! real, so moves would change.
+//!
+//! Maintenance. The paper's §3 rule ("Identifying Keywords with Affected
+//! Values": after a move with delta results `D` only a keyword with
+//! `E(k) ∩ D ≠ ∅` can have changed value) used to pick the candidates to
+//! revalue, by one subset test each. A whole lane pass over the shrunken
+//! `R(q)` costs less than revaluing that affected set one walk at a time,
+//! on both density regimes (`bench_iskr` on the 2-core box, parent →
+//! this kernel): candidates in ~7 % of the results, the serving shape,
+//! `iskr/sparse100` 23.7 → 8.7 µs; candidates in ~89 % of them,
+//! `iskr/arena100` 8.8 → 8.5 µs and `iskr/arena500` 103 → 114 µs — without
+//! the shorter-side rows that dense regime was several times slower, which
+//! is why the index stores them. So there is one maintenance path, a full
+//! pass, and the §3 rule lives on in the `reference` module as the oracle
+//! it is checked against (both must land on the same expansion).
 //!
 //! Keyword *removal* matters (paper Example 3.2): a keyword that was the
 //! best first move can become strictly dominated once later keywords have
@@ -41,10 +74,11 @@
 //! Allocation discipline
 //! ---------------------
 //! The hot loop is allocation-free. All working state — current results,
-//! the delta set, the per-candidate value cache, the query itself — lives
-//! in an [`IskrScratch`] that [`iskr_into`] reuses across calls; every per-move valuation runs on the fused three-operand
-//! bitset kernels (`weighted_sum_and_not_and`), so no temporary `ResultSet`
-//! is ever materialised. After one warm-up call on a given arena shape,
+//! the lane sums, the per-candidate value cache, the query itself — lives
+//! in an [`IskrScratch`] that [`iskr_into`] reuses across calls; removal
+//! valuations run on the fused three-operand bitset kernel
+//! (`weighted_sum_and_not_and`), so no temporary `ResultSet` is ever
+//! materialised. After one warm-up call on a given arena shape,
 //! subsequent calls perform **zero** heap allocations (enforced by the
 //! `zero_alloc` integration test).
 
@@ -62,10 +96,6 @@ pub struct IskrConfig {
     /// Allow removal moves (paper Example 3.2). Disabling this is the
     /// "add-only" ablation.
     pub allow_removal: bool,
-    /// Use the §3 affected-keywords maintenance rule. Disabling it revalues
-    /// every candidate after every move — the full-rescan ablation that
-    /// `bench_ablation` compares against. Results are identical either way.
-    pub affected_only: bool,
 }
 
 impl Default for IskrConfig {
@@ -73,7 +103,6 @@ impl Default for IskrConfig {
         Self {
             max_iters: 200,
             allow_removal: true,
-            affected_only: true,
         }
     }
 }
@@ -124,8 +153,11 @@ pub struct IskrScratch {
     pub(crate) r: ResultSet,
     /// `R(q \ k)` workspace for removal valuations.
     pub(crate) r_without: ResultSet,
-    /// Delta results of the last applied move.
-    delta: ResultSet,
+    /// The accumulators of [`add_values`]: five runs of one `f64` per
+    /// candidate lane — benefit and cost totals, benefit and cost sums over
+    /// the result word being walked, and the lanes a result's row lists,
+    /// set aside while its weight goes to all the others.
+    pub(crate) lanes: Vec<f64>,
     /// Candidate ordering buffer (PEBC's one-shot static ranking).
     pub(crate) order: Vec<u32>,
     /// Output: the added keywords of the last run, ascending.
@@ -149,11 +181,11 @@ impl IskrScratch {
         if self.r.universe() != universe {
             self.r = ResultSet::empty(universe);
             self.r_without = ResultSet::empty(universe);
-            self.delta = ResultSet::empty(universe);
         }
         if self.values.len() < n_cands {
             self.values.resize(n_cands, MoveValue { value: 0.0 });
             self.in_query.resize(n_cands, false);
+            self.lanes.resize(5 * n_cands, 0.0);
         }
         self.query.clear();
         if self.query.capacity() < n_cands {
@@ -193,12 +225,13 @@ pub fn iskr_into(
 }
 
 /// [`iskr_into`] with cooperative cancellation: `cancel` is polled once
-/// per greedy iteration (before the move search), and a tripped token
-/// returns `None` with the scratch in a valid-but-unspecified state — the
-/// no-torn-results contract of [`crate::cancel`]. An untripped run is
-/// bit-identical to [`iskr_into`] (the poll does not affect the
-/// refinement), and the inert token adds only two branch tests per
-/// iteration, preserving the zero-allocation discipline.
+/// per greedy iteration (before the move search) and once per 64-result
+/// word of every lane pass, and a tripped token returns `None` with the
+/// scratch in a valid-but-unspecified state — the no-torn-results contract
+/// of [`crate::cancel`]. An untripped run is bit-identical to
+/// [`iskr_into`] (the poll does not affect the refinement), and the inert
+/// token adds only two branch tests per poll, preserving the
+/// zero-allocation discipline.
 pub fn iskr_into_cancellable(
     inst: &QecInstance<'_>,
     config: &IskrConfig,
@@ -214,16 +247,17 @@ pub fn iskr_into_cancellable(
         query,
         r,
         r_without,
-        delta,
+        lanes,
         added,
         ..
     } = scratch;
+    let values = &mut values[..n_cands];
     in_query[..n_cands].fill(false);
     r.set_full();
 
     // Initial valuation of every candidate (all are add moves).
-    for (i, v) in values[..n_cands].iter_mut().enumerate() {
-        *v = add_value(inst, r, CandId(i as u32));
+    if !add_values(inst, r, lanes, values, cancel) {
+        return None;
     }
 
     for _ in 0..config.max_iters {
@@ -232,7 +266,7 @@ pub fn iskr_into_cancellable(
         }
         // Best move by value; ties on lower id.
         let mut best: Option<(usize, f64)> = None;
-        for (i, mv) in values[..n_cands].iter().enumerate() {
+        for (i, mv) in values.iter().enumerate() {
             if !config.allow_removal && in_query[i] {
                 continue;
             }
@@ -248,23 +282,22 @@ pub fn iskr_into_cancellable(
         let Some((best_idx, _)) = best else { break };
         let k = CandId(best_idx as u32);
 
-        // Apply the move and compute its delta results into `delta`.
+        // Apply the move.
         if in_query[best_idx] {
             // Remove k: results gained back. R(q \ k) re-derives from the
             // remaining keywords' containment sets.
             results_without(inst, query, Some(k), r_without);
-            r_without.and_not_count_into(r, delta);
             std::mem::swap(r, r_without);
             query.retain(|&c| c != k);
             in_query[best_idx] = false;
         } else {
             // Add k: results eliminated.
             let contains = &arena.candidate(k).contains;
-            let delta_len = r.and_not_count_into(contains, delta);
+            let eliminated = r.and_not_count(contains);
             r.and_assign(contains);
             query.push(k);
             in_query[best_idx] = true;
-            if delta_len == 0 {
+            if eliminated == 0 {
                 // The keyword changed nothing (can only happen with a stale
                 // value); fix its value and continue.
                 values[best_idx] = MoveValue::from_benefit_cost(0.0, 0.0);
@@ -272,24 +305,17 @@ pub fn iskr_into_cancellable(
             }
         }
 
-        // Maintenance (§3): an *add* value can only change if the keyword
-        // eliminates at least one delta result, i.e. `delta` is not a
-        // subset of its `contains` (the moved keyword itself always
-        // revalues). Removal values of in-query keywords depend on the
+        // Maintenance: one lane pass over the new `R(q)` revalues every
+        // add move. Removal values of in-query keywords depend on the
         // whole query, not just the delta (the paper's own Example 3.2
         // requires the removal value of "job" to refresh after a move whose
         // delta "job" contains), so the handful of in-query keywords are
         // always recomputed exactly.
-        for i in 0..n_cands {
-            let id = CandId(i as u32);
-            if in_query[i] {
-                values[i] = remove_value(inst, r, query, id, r_without);
-            } else if !config.affected_only
-                || i == best_idx
-                || !delta.is_subset_of(&arena.candidate(id).contains)
-            {
-                values[i] = add_value(inst, r, id);
-            }
+        if !add_values(inst, r, lanes, values, cancel) {
+            return None;
+        }
+        for &id in query.iter() {
+            values[id.index()] = remove_value(inst, r, query, id, r_without);
         }
     }
 
@@ -314,14 +340,81 @@ pub(crate) fn results_without(
     }
 }
 
-/// Valuation of adding `k` to the current query with result set `r`.
-/// `D = R(q) ∩ E(k)`; both weighted sums run fused, with no temporary set.
-pub(crate) fn add_value(inst: &QecInstance<'_>, r: &ResultSet, k: CandId) -> MoveValue {
-    let contains = &inst.arena.candidate(k).contains;
-    let w = &inst.arena.weights;
-    let benefit = r.weighted_sum_and_not_and(contains, &inst.universe_set, w);
-    let cost = r.weighted_sum_and_not_and(contains, &inst.cluster, w);
-    MoveValue::from_benefit_cost(benefit, cost)
+/// The lane pass: values adding each candidate to the query whose result
+/// set is `r` — `benefit = S(r ∩ E(k) ∩ U)`, `cost = S(r ∩ E(k) ∩ C)` for
+/// every lane `k` of `values` — in one walk over the members of `r` (see
+/// the module docs for why each lane's sum keeps its bits). Polls `cancel`
+/// once per result word and returns `false` when it has tripped, with
+/// `values` unspecified.
+pub(crate) fn add_values(
+    inst: &QecInstance<'_>,
+    r: &ResultSet,
+    lanes: &mut [f64],
+    values: &mut [MoveValue],
+    cancel: &CancelToken,
+) -> bool {
+    let arena = inst.arena;
+    let n = values.len();
+    let (totals, rest) = lanes[..5 * n].split_at_mut(2 * n);
+    let (total_b, total_c) = totals.split_at_mut(n);
+    let (partials, aside) = rest.split_at_mut(2 * n);
+    let (partial_b, partial_c) = partials.split_at_mut(n);
+    let partials = [partial_b, partial_c];
+    total_b.fill(0.0);
+    total_c.fill(0.0);
+
+    let words = r.as_words().iter().zip(inst.cluster.as_words());
+    let words = words.zip(arena.flipped_rows().as_words());
+    for (wi, ((&members, &in_cluster), &flipped)) in words.enumerate() {
+        if members == 0 {
+            // Every lane's partial sum would be `0.0`, which changes no
+            // total.
+            continue;
+        }
+        if cancel.is_cancelled() {
+            return false;
+        }
+        partials[0].fill(0.0);
+        partials[1].fill(0.0);
+        let mut remaining = members;
+        while remaining != 0 {
+            let bit = remaining.trailing_zeros();
+            remaining &= remaining - 1;
+            let i = wi * 64 + bit as usize;
+            let weight = arena.weights[i];
+            let side = &mut *partials[(in_cluster >> bit & 1) as usize];
+            let row = arena.lane_row(i);
+            if flipped >> bit & 1 != 0 {
+                // The row lists the candidates that eliminate `i`.
+                for &k in row {
+                    side[k as usize] += weight;
+                }
+            } else {
+                // The row lists the ones that keep it: everyone else gets
+                // the weight.
+                for (slot, &k) in aside.iter_mut().zip(row) {
+                    *slot = side[k as usize];
+                }
+                for sum in side.iter_mut() {
+                    *sum += weight;
+                }
+                for (&slot, &k) in aside.iter().zip(row) {
+                    side[k as usize] = slot;
+                }
+            }
+        }
+        for (total, partial) in total_b.iter_mut().zip(&*partials[0]) {
+            *total += partial;
+        }
+        for (total, partial) in total_c.iter_mut().zip(&*partials[1]) {
+            *total += partial;
+        }
+    }
+
+    for ((value, &benefit), &cost) in values.iter_mut().zip(&*total_b).zip(&*total_c) {
+        *value = MoveValue::from_benefit_cost(benefit, cost);
+    }
+    true
 }
 
 /// Valuation of removing `k` (currently in `query`) from the query with
@@ -341,8 +434,12 @@ fn remove_value(
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pebc::{pebc, PebcConfig};
     use crate::problem::{Candidate, ExpansionArena};
     use qec_text::TermId;
 
@@ -426,61 +523,225 @@ mod tests {
         assert!(with_removal.quality.fmeasure > out.quality.fmeasure);
     }
 
+    /// How much of the arena a candidate holds: a few results each (what
+    /// the tf·idf cut leaves of real result lists: no lane-index row
+    /// flipped), most of them (every row flipped), or anything in between
+    /// (both kinds of row in one arena).
+    #[derive(Debug, Clone, Copy)]
+    enum Density {
+        Sparse,
+        Dense,
+        Mixed,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Weights {
+        Uniform,
+        Random,
+        /// Three values only, so sums tie.
+        Repeated,
+        /// Half the results weigh nothing.
+        Zeros,
+    }
+
+    fn random_arena(
+        n: usize,
+        n_cands: usize,
+        density: Density,
+        weights: Weights,
+        rng: &mut qec_cluster::SplitMix64,
+    ) -> ExpansionArena {
+        let result_pull: Vec<f64> = (0..n).map(|_| rng.f64()).collect();
+        let candidates = (0..n_cands)
+            .map(|i| {
+                let pull = rng.f64();
+                let members = (0..n).filter(|&d| {
+                    let keep = match density {
+                        Density::Sparse => 0.02 + 0.1 * pull,
+                        Density::Dense => 0.98 - 0.2 * pull,
+                        Density::Mixed => (pull + result_pull[d]) / 2.0,
+                    };
+                    rng.f64() < keep
+                });
+                Candidate {
+                    term: TermId(i as u32),
+                    contains: ResultSet::from_indices(n, members.collect::<Vec<_>>()),
+                }
+            })
+            .collect();
+        let weights = (0..n)
+            .map(|_| match weights {
+                Weights::Uniform => 1.0,
+                Weights::Random => rng.f64_below(4.0),
+                Weights::Repeated => [0.5, 1.0, 2.5][rng.below(3)],
+                Weights::Zeros => [0.0, rng.f64_below(4.0)][rng.below(2)],
+            })
+            .collect();
+        ExpansionArena::from_parts(weights, candidates)
+    }
+
+    const UNIVERSES: [usize; 7] = [1, 63, 64, 65, 100, 129, 500];
+    const DENSITIES: [Density; 3] = [Density::Sparse, Density::Dense, Density::Mixed];
+    const WEIGHTS: [Weights; 4] = [
+        Weights::Uniform,
+        Weights::Random,
+        Weights::Repeated,
+        Weights::Zeros,
+    ];
+
+    fn quality_bits(q: &QueryQuality) -> [u64; 3] {
+        [q.precision, q.recall, q.fmeasure].map(f64::to_bits)
+    }
+
     #[test]
-    fn affected_only_matches_full_rescan() {
-        // The §3 maintenance rule is an optimisation, not an approximation:
-        // both maintenance modes must land on the same query.
-        let full_rescan = IskrConfig {
-            affected_only: false,
-            ..Default::default()
-        };
+    fn lane_pass_sums_the_bits_of_the_per_candidate_walks() {
+        let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x17_1a9e5);
+        let mut scratch = IskrScratch::new();
+        for n in UNIVERSES {
+            for density in DENSITIES {
+                for weights in WEIGHTS {
+                    let n_cands = 1 + rng.below(150);
+                    let arena = random_arena(n, n_cands, density, weights, &mut rng);
+                    let cluster = (0..n).filter(|_| rng.below(3) == 0);
+                    let inst = QecInstance::from_members(&arena, cluster.collect::<Vec<_>>());
+                    scratch.ensure(n, n_cands);
+                    // Result sets from the whole arena down to nothing,
+                    // the way a run shrinks them.
+                    let mut r = ResultSet::full(n);
+                    for step in 0..5 {
+                        let label = format!("{n} {density:?} {weights:?} step {step}");
+                        let values = &mut scratch.values[..n_cands];
+                        let inert = CancelToken::none();
+                        assert!(add_values(&inst, &r, &mut scratch.lanes, values, &inert));
+                        for (k, value) in values.iter().enumerate() {
+                            let id = CandId(k as u32);
+                            let contains = &arena.candidate(id).contains;
+                            let w = &arena.weights;
+                            let [benefit, cost] = [&inst.universe_set, &inst.cluster]
+                                .map(|side| r.weighted_sum_and_not_and(contains, side, w));
+                            let totals = &scratch.lanes[..2 * n_cands];
+                            assert_eq!(totals[k].to_bits(), benefit.to_bits(), "{label}");
+                            assert_eq!(totals[n_cands + k].to_bits(), cost.to_bits(), "{label}");
+                            assert_eq!(
+                                value.value.to_bits(),
+                                reference::add_value(&inst, &r, id).value.to_bits(),
+                                "{label}"
+                            );
+                        }
+                        let thinned = (0..n).filter(|&i| r.contains(i) && rng.below(3) != 0);
+                        r = ResultSet::from_indices(n, thinned.collect::<Vec<_>>());
+                        if step == 3 {
+                            r.clear();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_match_the_reference() {
+        // The lane pass with a full revaluation after every move against
+        // the per-candidate walks under the paper's §3 affected-only
+        // maintenance — and that against its own full rescan: the rule is
+        // an optimisation, not an approximation, so all land on the same
+        // query. PEBC's one-shot valuation and pruned ranking likewise.
         let (arena, cluster) = example_3_1();
         let inst = QecInstance::new(&arena, cluster);
-        assert_eq!(
-            iskr(&inst, &IskrConfig::default()),
-            iskr(&inst, &full_rescan)
-        );
+        let config = IskrConfig::default();
+        assert_eq!(iskr(&inst, &config), reference::iskr(&inst, &config, true));
+        assert_eq!(iskr(&inst, &config), reference::iskr(&inst, &config, false));
 
-        // Seeded random arenas, universes straddling the word boundaries
-        // the subset scan walks.
         let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x15_5ca9);
-        let mut moves = 0;
-        for n in [63, 64, 65, 100, 129, 500] {
-            for _ in 0..12 {
-                // A cluster, and candidates that mostly keep it and mostly
-                // drop the rest, with noise both ways.
-                let cluster: Vec<usize> = (0..n).filter(|_| rng.below(3) == 0).collect();
-                let in_cluster = ResultSet::from_indices(n, cluster.iter().copied());
-                let candidates = (0..10 + rng.below(140))
-                    .map(|i| {
-                        let (keep_c, keep_u) = (rng.f64(), rng.f64() * rng.f64());
-                        let members = (0..n).filter(|&d| {
-                            rng.f64()
-                                < if in_cluster.contains(d) {
-                                    keep_c
-                                } else {
-                                    keep_u
-                                }
-                        });
-                        Candidate {
-                            term: TermId(i as u32),
-                            contains: ResultSet::from_indices(n, members.collect::<Vec<_>>()),
-                        }
-                    })
-                    .collect();
-                let weights = if rng.below(2) == 0 {
-                    vec![1.0; n]
-                } else {
-                    (0..n).map(|_| rng.f64_below(4.0)).collect()
-                };
-                let arena = ExpansionArena::from_parts(weights, candidates);
-                let inst = QecInstance::from_members(&arena, cluster);
-                let fast = iskr(&inst, &IskrConfig::default());
-                assert_eq!(fast, iskr(&inst, &full_rescan), "universe {n}");
-                moves += fast.added.len();
+        let (mut moves, mut pebc_adds) = (0, 0);
+        let same = |got: &ExpandedQuery, want: &ExpandedQuery, label: &str| {
+            assert_eq!(got.added, want.added, "{label}");
+            assert_eq!(
+                quality_bits(&got.quality),
+                quality_bits(&want.quality),
+                "{label}"
+            );
+        };
+        for n in UNIVERSES {
+            for density in DENSITIES {
+                for weights in WEIGHTS {
+                    let label = format!("{n} {density:?} {weights:?}");
+                    let arena = random_arena(n, 10 + rng.below(140), density, weights, &mut rng);
+                    let cluster = (0..n).filter(|_| rng.below(3) == 0);
+                    let inst = QecInstance::from_members(&arena, cluster.collect::<Vec<_>>());
+                    for allow_removal in [true, false] {
+                        let config = IskrConfig {
+                            allow_removal,
+                            ..Default::default()
+                        };
+                        let fast = iskr(&inst, &config);
+                        same(&fast, &reference::iskr(&inst, &config, true), &label);
+                        same(&fast, &reference::iskr(&inst, &config, false), &label);
+                        moves += fast.added.len();
+                    }
+                    for (max_keywords, min_value) in [(200, 1.0), (2, 1.0), (200, 0.0)] {
+                        let config = PebcConfig {
+                            max_keywords,
+                            min_value,
+                        };
+                        let fast = pebc(&inst, &config);
+                        same(&fast, &reference::pebc(&inst, &config), &label);
+                        pebc_adds += fast.added.len();
+                    }
+                }
             }
         }
         assert!(moves >= 72, "the random arenas make ISKR move: {moves}");
+        assert!(pebc_adds >= 72, "and PEBC add: {pebc_adds}");
+    }
+
+    #[test]
+    fn a_token_tripped_mid_valuation_cancels_without_a_torn_result() {
+        // An arena big enough that one valuation pass takes milliseconds:
+        // 300 result words, so 300 polls.
+        let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x17_ca9ce1);
+        let n = 64 * 300;
+        let arena = random_arena(n, 48, Density::Sparse, Weights::Random, &mut rng);
+        let inst = QecInstance::from_members(&arena, (0..n).filter(|i| i % 3 == 0));
+        let iskr = crate::Iskr(IskrConfig::default());
+        // No candidate qualifies, so PEBC's sweep never polls: a cancelled
+        // run was cancelled inside the lane pass.
+        let pebc = crate::Pebc(PebcConfig {
+            min_value: f64::INFINITY,
+            ..Default::default()
+        });
+        let strategies: [&dyn crate::Expander; 2] = [&iskr, &pebc];
+        let mut scratch = IskrScratch::new();
+        let sentinel = ExpandedQuery {
+            added: vec![CandId(7)],
+            quality: QueryQuality::default(),
+        };
+        for strategy in strategies {
+            let whole = strategy.expand(&inst);
+            let mut out = ExpandedQuery::default();
+            strategy.expand_into(&inst, &mut scratch, &mut out); // warm
+            let start = std::time::Instant::now();
+            strategy.expand_into(&inst, &mut scratch, &mut out);
+            let budget = start.elapsed() / 4;
+
+            let (flagged, trip) = CancelToken::manual();
+            trip.cancel();
+            let deadline = CancelToken::until(std::time::Instant::now() + budget);
+            assert!(!deadline.is_cancelled(), "still live on entry");
+            for token in [deadline, flagged] {
+                let mut out = sentinel.clone();
+                let done = strategy.expand_cancellable(&inst, &mut scratch, &mut out, &token);
+                assert!(
+                    !done,
+                    "{}: a quarter of a run is not a run",
+                    strategy.name()
+                );
+                assert_eq!(out, sentinel, "{}: output untouched", strategy.name());
+            }
+            // The abandoned scratch serves the next run whole.
+            strategy.expand_into(&inst, &mut scratch, &mut out);
+            assert_eq!(out, whole, "{}", strategy.name());
+        }
     }
 
     #[test]

@@ -15,29 +15,24 @@
 //!   the trade-off (precision can be overpaid for);
 //! * keywords are never removed — the recovery of Example 3.2 cannot
 //!   happen;
-//! * the walk stops at the first candidate below the threshold (the list
-//!   is sorted), at the keyword budget, or as soon as no out-of-cluster
-//!   result survives.
+//! * the walk ends with the last candidate above the threshold (only
+//!   those are ranked), at the keyword budget, or as soon as no
+//!   out-of-cluster result survives.
 //!
-//! The payoff is cost: one valuation pass over the candidates, one
-//! in-place sort, and one application sweep — no per-move maintenance at
-//! all. `bench_pebc` measures the gap against ISKR and the exact-ΔF
-//! baseline; the quality loss is the price of skipping maintenance.
+//! The payoff is cost: one valuation pass (ISKR's lane pass, run once),
+//! one in-place sort of the qualifying candidates, and one application
+//! sweep — no per-move maintenance at all. `bench_pebc` measures the gap
+//! against ISKR and the exact-ΔF baseline; the quality loss is the price
+//! of skipping maintenance.
 //!
 //! Like ISKR, PEBC runs entirely inside an [`IskrScratch`]: a warmed
 //! scratch makes [`pebc_into`] allocation-free (the ranking sort is an
 //! in-place `sort_unstable_by` over the reusable order buffer).
 
 use crate::cancel::CancelToken;
-use crate::iskr::{add_value, ExpandedQuery, IskrScratch};
+use crate::iskr::{add_values, ExpandedQuery, IskrScratch};
 use crate::metrics::QueryQuality;
 use crate::problem::{CandId, QecInstance};
-
-/// How many candidate valuations PEBC runs between cancellation polls:
-/// the valuation pass is the bulk of a PEBC run, so polling only at the
-/// loop ends would make big arenas effectively uncancellable, while
-/// polling every candidate would read the clock far too often.
-const CANCEL_STRIDE: usize = 64;
 
 /// Configuration for [`pebc`].
 #[derive(Debug, Clone)]
@@ -81,11 +76,11 @@ pub fn pebc_into(
         .expect("inert token never cancels")
 }
 
-/// [`pebc_into`] with cooperative cancellation: `cancel` is polled every
-/// `CANCEL_STRIDE` candidates of the valuation pass and once per added
-/// keyword of the application sweep; a tripped token returns `None` (no
-/// torn result — see [`crate::cancel`]). An untripped run is
-/// bit-identical to [`pebc_into`].
+/// [`pebc_into`] with cooperative cancellation: `cancel` is polled once per
+/// 64-result word of the valuation pass (the bulk of a run, so a big arena
+/// stays cancellable) and once per ranked keyword of the application
+/// sweep; a tripped token returns `None` (no torn result — see
+/// [`crate::cancel`]). An untripped run is bit-identical to [`pebc_into`].
 pub fn pebc_into_cancellable(
     inst: &QecInstance<'_>,
     config: &PebcConfig,
@@ -99,18 +94,17 @@ pub fn pebc_into_cancellable(
 
     // One-shot static valuation: identical to ISKR's initial pass, never
     // refreshed afterwards.
-    for (i, v) in scratch.values[..n_cands].iter_mut().enumerate() {
-        if i % CANCEL_STRIDE == 0 && cancel.is_cancelled() {
-            return None;
-        }
-        *v = add_value(inst, &scratch.r, CandId(i as u32));
+    let values = &mut scratch.values[..n_cands];
+    if !add_values(inst, &scratch.r, &mut scratch.lanes, values, cancel) {
+        return None;
     }
 
-    // Rank by descending static value; ties break on lower id so runs are
-    // deterministic. `sort_unstable_by` keeps the sort in place (the stable
-    // sort would allocate its merge buffer).
-    scratch.order.extend(0..n_cands as u32);
-    let values = &scratch.values;
+    // Rank the candidates that qualify — static value above the threshold;
+    // the sweep could add no other — by descending value; ties break on
+    // lower id so runs are deterministic. `sort_unstable_by` keeps the sort
+    // in place (the stable sort would allocate its merge buffer).
+    let qualifies = |&i: &u32| values[i as usize].value > config.min_value;
+    scratch.order.extend((0..n_cands as u32).filter(qualifies));
     scratch.order.sort_unstable_by(|&a, &b| {
         values[b as usize]
             .value
@@ -128,9 +122,6 @@ pub fn pebc_into_cancellable(
         }
         if scratch.added.len() >= config.max_keywords {
             break;
-        }
-        if scratch.values[i as usize].value <= config.min_value {
-            break; // sorted descending: nothing below qualifies either
         }
         let k = CandId(i);
         let contains = &arena.candidate(k).contains;

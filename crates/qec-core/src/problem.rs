@@ -36,7 +36,7 @@ impl CandId {
 }
 
 /// One candidate expansion keyword.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The underlying analysed term.
     pub term: TermId,
@@ -65,7 +65,17 @@ impl Default for ArenaConfig {
 }
 
 /// The shared context for expanding all clusters of one user query.
-#[derive(Debug, Clone)]
+///
+/// Beside the candidate-major `contains` bitsets the arena carries their
+/// transpose, the **lane index**: per result, the ascending ids of the
+/// candidates that contain it — or, for a result more than half the
+/// candidates contain, of the ones that do not (the row is then
+/// *flipped*). Storing whichever side is shorter bounds the index at
+/// `size · num_candidates / 2` entries and lets one pass over the results
+/// value every candidate at once on either density regime (see
+/// [`mod@crate::iskr`], "The lane pass"). Every constructor derives it from
+/// `candidates`, which must therefore not be edited afterwards.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionArena {
     /// Arena index → original document.
     pub docs: Vec<DocId>,
@@ -74,6 +84,12 @@ pub struct ExpansionArena {
     pub weights: Vec<f64>,
     /// Candidate keywords, sorted by descending arena tf·idf.
     pub candidates: Vec<Candidate>,
+    /// Lane-index row `i` is `lanes[lane_starts[i]..lane_starts[i + 1]]`.
+    lane_starts: Vec<u32>,
+    lanes: Vec<u32>,
+    /// The results whose row lists the candidates that do *not* contain
+    /// them.
+    flipped: ResultSet,
 }
 
 impl ExpansionArena {
@@ -186,11 +202,7 @@ impl ExpansionArena {
             })
             .collect();
 
-        Self {
-            docs: docs.to_vec(),
-            weights,
-            candidates,
-        }
+        Self::assemble(docs.to_vec(), weights, candidates)
     }
 
     /// Builds an arena directly from per-candidate containment sets —
@@ -201,10 +213,49 @@ impl ExpansionArena {
         for c in &candidates {
             assert_eq!(c.contains.universe(), n, "candidate universe mismatch");
         }
+        Self::assemble((0..n as u32).map(DocId).collect(), weights, candidates)
+    }
+
+    /// Every constructor ends here: derives the lane index from
+    /// `candidates`. A candidate belongs in result `i`'s row exactly when
+    /// `contains(i) != flipped(i)`, so the fill is one XOR per word.
+    fn assemble(docs: Vec<DocId>, weights: Vec<f64>, candidates: Vec<Candidate>) -> Self {
+        let n = weights.len();
+        // With no row flipped yet the listed bits are `contains` itself.
+        let mut flipped = ResultSet::empty(n);
+        let mut holders = vec![0u32; n];
+        each_listed(&candidates, &flipped, |i, _| holders[i] += 1);
+        let mut lane_starts = Vec::with_capacity(n + 1);
+        let mut total = 0u32;
+        for (i, &held) in holders.iter().enumerate() {
+            lane_starts.push(total);
+            let absent = candidates.len() as u32 - held;
+            if absent < held {
+                flipped.insert(i);
+            }
+            total = total
+                .checked_add(held.min(absent))
+                .expect("lane index under 2^32 entries");
+        }
+        lane_starts.push(total);
+
+        // `holders` becomes each row's write cursor; candidates are
+        // visited in id order, so rows come out ascending.
+        let mut cursor = holders;
+        cursor.copy_from_slice(&lane_starts[..n]);
+        let mut lanes = vec![0u32; total as usize];
+        each_listed(&candidates, &flipped, |i, id| {
+            lanes[cursor[i] as usize] = id;
+            cursor[i] += 1;
+        });
+
         Self {
-            docs: (0..n as u32).map(DocId).collect(),
+            docs,
             weights,
             candidates,
+            lane_starts,
+            lanes,
+            flipped,
         }
     }
 
@@ -224,10 +275,25 @@ impl ExpansionArena {
         &self.candidates[id.index()]
     }
 
-    /// Heap footprint of the arena in bytes: result list, weights and
-    /// candidate containment bitsets. This is the dominant share of a
-    /// cached pipeline's memory, which the byte-budget cache eviction
-    /// weighs entries by.
+    /// Result `i`'s lane-index row: the ascending ids of the candidates
+    /// that contain `i`, or — `i` in [`flipped_rows`](Self::flipped_rows) —
+    /// of those that do not, whichever are fewer.
+    #[inline]
+    pub(crate) fn lane_row(&self, i: usize) -> &[u32] {
+        &self.lanes[self.lane_starts[i] as usize..self.lane_starts[i + 1] as usize]
+    }
+
+    /// The results whose lane-index row lists the candidates that do *not*
+    /// contain them.
+    #[inline]
+    pub(crate) fn flipped_rows(&self) -> &ResultSet {
+        &self.flipped
+    }
+
+    /// Heap footprint of the arena in bytes: result list, weights,
+    /// candidate containment bitsets and the lane index. This is the
+    /// dominant share of a cached pipeline's memory, which the byte-budget
+    /// cache eviction weighs entries by.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let candidates: usize = self
@@ -238,6 +304,8 @@ impl ExpansionArena {
         self.docs.capacity() * size_of::<DocId>()
             + self.weights.capacity() * size_of::<f64>()
             + candidates
+            + (self.lane_starts.capacity() + self.lanes.capacity()) * size_of::<u32>()
+            + self.flipped.heap_bytes()
     }
 
     /// `R(uq ∪ added)`: results containing every added keyword. The
@@ -249,6 +317,21 @@ impl ExpansionArena {
             r.and_assign(&self.candidate(c).contains);
         }
         r
+    }
+}
+
+/// Visits `(result, candidate)` for every bit of every candidate's
+/// `contains ^ mask`, candidates in id order.
+fn each_listed(candidates: &[Candidate], mask: &ResultSet, mut visit: impl FnMut(usize, u32)) {
+    for (id, c) in candidates.iter().enumerate() {
+        let words = c.contains.as_words().iter().zip(mask.as_words());
+        for (wi, (&held, &flip)) in words.enumerate() {
+            let mut listed = held ^ flip;
+            while listed != 0 {
+                visit(wi * 64 + listed.trailing_zeros() as usize, id as u32);
+                listed &= listed - 1;
+            }
+        }
     }
 }
 
@@ -566,6 +649,49 @@ mod tests {
         assert!(arena.weights[0] > arena.weights[1]);
     }
 
+    #[test]
+    fn lane_index_is_the_shorter_side_of_the_transpose() {
+        use std::collections::BTreeSet;
+        let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x17_c5a);
+        let (mut flipped_rows, mut plain_rows, mut even_rows) = (0, 0, 0);
+        for n in [1, 63, 64, 65, 100, 129, 500] {
+            for n_cands in [0, 1, 2, 7, 40, 150] {
+                // Per-result pull, so one arena has rows of both kinds.
+                let pull: Vec<f64> = (0..n).map(|_| rng.f64()).collect();
+                let candidates: Vec<Candidate> = (0..n_cands)
+                    .map(|i| Candidate {
+                        term: TermId(i),
+                        contains: ResultSet::from_indices(
+                            n,
+                            (0..n).filter(|&d| rng.f64() < pull[d]).collect::<Vec<_>>(),
+                        ),
+                    })
+                    .collect();
+                let arena = ExpansionArena::from_parts(vec![1.0; n], candidates);
+                let mut entries = 0;
+                for i in 0..n {
+                    let holders: BTreeSet<u32> = (0..n_cands)
+                        .filter(|&k| arena.candidate(CandId(k)).contains.contains(i))
+                        .collect();
+                    let others: BTreeSet<u32> =
+                        (0..n_cands).filter(|k| !holders.contains(k)).collect();
+                    let (row, flipped) = (arena.lane_row(i), arena.flipped_rows().contains(i));
+                    assert_eq!(flipped, others.len() < holders.len(), "{n}×{n_cands}: {i}");
+                    let listed = if flipped { others } else { holders };
+                    // A `BTreeSet` iterates ascending.
+                    assert!(row.iter().eq(listed.iter()), "{n}×{n_cands}: row {i}");
+                    entries += row.len();
+                    flipped_rows += usize::from(flipped);
+                    plain_rows += usize::from(!flipped && row.len() * 2 < n_cands as usize);
+                    even_rows += usize::from(n_cands > 0 && row.len() * 2 == n_cands as usize);
+                }
+                assert!(entries <= n * n_cands as usize / 2, "{n}×{n_cands}: bound");
+                assert_eq!(arena.lanes.len(), entries);
+            }
+        }
+        assert!(flipped_rows > 500 && plain_rows > 500 && even_rows > 50);
+    }
+
     /// A corpus of `num_docs` random documents over `vocab` tokens (low
     /// ranks drawn more often, so document frequencies and idfs vary) that
     /// all carry the token `common`.
@@ -644,6 +770,10 @@ mod tests {
                 assert_eq!(g.contains.universe(), n);
                 assert_eq!(g.contains.as_words(), e.contains.as_words(), "{label}");
             }
+            // The lane index does not depend on the constructor.
+            let mut parts = ExpansionArena::from_parts(got.weights.clone(), got.candidates.clone());
+            parts.docs.clone_from(&got.docs);
+            assert!(parts == got, "{label}: from_parts == from_matrix");
             let distinct_terms = {
                 let mut terms: Vec<TermId> = docs
                     .iter()

@@ -71,9 +71,5 @@ pub(crate) fn build(
         })
         .collect();
 
-    ExpansionArena {
-        docs: docs.to_vec(),
-        weights,
-        candidates,
-    }
+    ExpansionArena::assemble(docs.to_vec(), weights, candidates)
 }

@@ -125,9 +125,8 @@ impl Default for ReplicationConfig {
 ///
 /// The defaults are the paper's: top-20% tf·idf candidate pruning, cosine
 /// k-means with k-means++ seeding, value>1 greedy expansion with removals
-/// and affected-only maintenance — plus a 128-entry shared arena cache and
-/// a machine-sized persistent worker pool serving batches of up to 64
-/// requests.
+/// — plus a 128-entry shared arena cache and a machine-sized persistent
+/// worker pool serving batches of up to 64 requests.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Candidate-keyword selection for the expansion arena (Defs 2.1/2.2,

@@ -2,8 +2,8 @@
 //! by both the clusterer and the arena — against the per-stage front-ends
 //! it shares kernels with (`doc_tf_vector` → `Clusterer::cluster` →
 //! `ExpansionArena::build`): same membership, same candidates in the same
-//! order, same `contains` words, same weight bits, over seeded random
-//! inputs. (The kernels' own oracles are the `reference` modules next to
+//! order, same `contains` words, same weight bits, same lane index (which
+//! is also the one `from_parts` derives), over seeded random inputs. (The kernels' own oracles are the `reference` modules next to
 //! them in `qec-cluster` and `qec-core`.)
 
 use std::sync::Mutex;
@@ -178,6 +178,12 @@ fn assert_fused_equals_staged(
         assert_eq!(f.contains.universe(), n, "{label}");
         assert_eq!(f.contains.as_words(), s.contains.as_words(), "{label}");
     }
+    // Whole arenas, which takes in the lane index — and that index is the
+    // one `from_parts` derives from the candidates alone.
+    assert!(fused == staged, "{label}: arena");
+    let mut parts = ExpansionArena::from_parts(fused.weights.clone(), fused.candidates.clone());
+    parts.docs.clone_from(&fused.docs);
+    assert!(parts == fused, "{label}: lane index");
 
     // The provided trait method hands a vectors-only clusterer exactly the
     // vectors `doc_tf_vector` builds.

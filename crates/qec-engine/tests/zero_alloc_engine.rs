@@ -330,7 +330,10 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     //     124  one term matrix for both (no `SparseVec` per result, no
     //          eliminator list per result); most of what is left is the
     //          kept candidates' bitsets
-    // The bound is the measured count + 25 %, under half of the previous.
+    //     131  the arena's lane index (four buffers) and the lane
+    //          accumulators of the serving thread's ISKR scratch growing
+    //          to this arena's candidate count
+    // The bound is the measured count + 25 %, about half of the 321.
     let engine = EngineBuilder::new()
         .documents((0..400).map(|i| {
             let family = if i % 2 == 0 {
@@ -366,7 +369,7 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     let cold = cold.expect("the cold build succeeds");
     assert!(!cold.stats.arena_cache_hit, "a miss was measured");
     assert_eq!(cold.clusters().len(), 5);
-    const MEASURED: usize = 124;
+    const MEASURED: usize = 131;
     const BOUND: usize = MEASURED + MEASURED / 4;
     assert!(
         counted <= BOUND,
