@@ -44,8 +44,7 @@ fn main() {
 
     // Whole-query expansion: every cluster of a top-500 arena, one after
     // another on one warmed scratch (the pooled fan-out of the same loop
-    // is timed by `bench_serving` and the repo benchmark's
-    // `core.pool_dispatch_*` rows).
+    // is timed by the repo benchmark's `core.pool_dispatch_*` rows).
     let (arena, clusters) = synth_arena(&ArenaSpec::top(500, 11));
     let (mut scratch, mut out) = (IskrScratch::new(), ExpandedQuery::default());
     h.bench("expand_all/arena500/sequential", || {

@@ -17,19 +17,16 @@
 //! what CI runs): an engine over the loaded corpus must answer dense
 //! head queries bit-identically to one over the rebuilt corpus. Timed
 //! mode additionally asserts the acceptance claim — snapshot load ≥ 10×
-//! faster than the cold rebuild — and honours
-//! `QEC_BENCH_SNAPSHOT_JSON=/path/file.json` to record
-//! `{rebuild_ms, load_ms, speedup, bytes, docs}` (see
-//! `BENCH_snapshot.json` at the repo root).
+//! faster than the cold rebuild — and hands both medians, the snapshot's
+//! bytes and the corpus's documents to the harness
+//! ([`Harness::record`]), which writes them with every other suite's rows.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use qec_bench::harness::Harness;
-use qec_bench::synth::{CorpusSpec, ZipfSampler};
-use qec_cluster::SplitMix64;
+use qec_bench::harness::{Harness, MEDIAN_NS};
+use qec_bench::synth::{synth_bodies, CorpusSpec};
 use qec_engine::{EngineBuilder, ExpandRequest, QecEngine};
 use qec_index::{Corpus, CorpusBuilder, DocumentSpec};
 
@@ -59,23 +56,6 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
             ..CorpusSpec::default()
         }
     }
-}
-
-/// The body strings `synth_corpus` would feed the analyzer, generated
-/// up front so rebuild timing excludes synthesis.
-fn synth_bodies(spec: &CorpusSpec) -> Vec<String> {
-    let mut rng = SplitMix64::seed_from_u64(spec.seed);
-    let sampler = ZipfSampler::new(spec.vocab, spec.zipf_s);
-    (0..spec.num_docs)
-        .map(|_| {
-            let mut body = String::with_capacity(spec.doc_len * 8);
-            for _ in 0..spec.doc_len {
-                let rank = sampler.sample(&mut rng);
-                let _ = write!(body, "w{rank} ");
-            }
-            body
-        })
-        .collect()
 }
 
 /// One cold rebuild: the full analyze → intern → index → freeze pass.
@@ -110,13 +90,13 @@ fn assert_parity(rebuilt: &QecEngine, loaded: &QecEngine) {
     println!("snapshot/parity loaded == rebuilt: ok");
 }
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
+fn median_ns(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
 }
 
 fn main() {
-    let h = Harness::new("snapshot");
+    let mut h = Harness::new("snapshot");
     let test_mode = h.test_mode();
     let spec = corpus_spec(test_mode);
     println!(
@@ -135,11 +115,11 @@ fn main() {
     for _ in 0..rebuilds {
         let t = Instant::now();
         let c = rebuild(black_box(&bodies));
-        rebuild_samples.push(t.elapsed().as_secs_f64() * 1e3);
+        rebuild_samples.push(t.elapsed().as_nanos() as f64);
         corpus = Some(black_box(c));
     }
     let corpus = corpus.expect("at least one rebuild");
-    let rebuild_ms = median_ms(rebuild_samples);
+    let rebuild_ns = median_ns(rebuild_samples);
 
     let summary = qec_snapshot::save_corpus(&corpus, &path).expect("save snapshot");
     println!(
@@ -152,21 +132,23 @@ fn main() {
     for _ in 0..loads {
         let t = Instant::now();
         let c = qec_snapshot::load_corpus(&path).expect("load snapshot");
-        load_samples.push(t.elapsed().as_secs_f64() * 1e3);
+        load_samples.push(t.elapsed().as_nanos() as f64);
         loaded = Some(black_box(c));
     }
     let loaded = loaded.expect("at least one load");
-    let load_ms = median_ms(load_samples);
+    let load_ns = median_ns(load_samples);
     std::fs::remove_file(&path).ok();
 
     // Parity in every mode: the loaded corpus must serve identically.
     assert_parity(&engine(corpus), &engine(loaded));
 
-    let speedup = rebuild_ms / load_ms;
+    let speedup = rebuild_ns / load_ns;
     println!(
-        "snapshot/cold_rebuild {rebuild_ms:>10.1} ms   (median of {rebuilds})\n\
-         snapshot/load         {load_ms:>10.1} ms   (median of {loads})\n\
-         snapshot/speedup      {speedup:>10.1}x"
+        "snapshot/cold_rebuild {:>10.1} ms   (median of {rebuilds})\n\
+         snapshot/load         {:>10.1} ms   (median of {loads})\n\
+         snapshot/speedup      {speedup:>10.1}x",
+        rebuild_ns / 1e6,
+        load_ns / 1e6,
     );
 
     if !test_mode {
@@ -175,20 +157,11 @@ fn main() {
             "acceptance: snapshot load must be >= 10x faster than the \
              cold rebuild, measured {speedup:.1}x"
         );
-        if let Ok(json) = std::env::var("QEC_BENCH_SNAPSHOT_JSON") {
-            use std::io::Write;
-            let mut f =
-                std::fs::File::create(&json).unwrap_or_else(|e| panic!("create {json}: {e}"));
-            writeln!(
-                f,
-                "{{\"rebuild_ms\":{rebuild_ms:.1},\"load_ms\":{load_ms:.1},\
-                 \"speedup\":{speedup:.2},\"bytes\":{},\"docs\":{}}}",
-                summary.bytes, summary.num_docs
-            )
-            .expect("write json");
-            println!("# wrote {json}");
-        }
     }
+    h.record("cold_rebuild", MEDIAN_NS, rebuild_ns);
+    h.record("load", MEDIAN_NS, load_ns);
+    h.record("file", "bytes", summary.bytes as f64);
+    h.record("corpus", "docs", summary.num_docs as f64);
 
     h.finish();
 }

@@ -3,17 +3,25 @@
 //! Protocol per benchmark: a warmup phase sizes the iteration batch so one
 //! sample costs ≈ `SAMPLE_TARGET`, then `SAMPLES` batches are timed and
 //! the per-iteration **median** (robust to scheduler noise) and minimum are
-//! reported. `cargo bench -- --test` runs every closure exactly once and
+//! printed. `cargo bench -- --test` runs every closure exactly once and
 //! skips timing, which is what CI uses to keep the benches compiling and
 //! correct without paying for measurement.
 //!
-//! Set `QEC_BENCH_JSON=/path/file.jsonl` to also **append** the results as
-//! JSON lines (one object per case; append-mode so the independent bench
-//! binaries can share one file). `BENCH_baseline.json` at the repo root is
-//! the JSON-array form of such a run — see the README for the exact
-//! regeneration recipe (fresh `.jsonl`, then a one-line conversion).
+//! Set `QEC_BENCH_JSON=/path/file.jsonl` to also **append** the results,
+//! in the one schema every suite shares: a line
+//! `{"suite":…,"case":…,"metric":…,"value":…}` per case — `median_ns`
+//! for a timed case, whatever [`Harness::record`] was given for a value
+//! the suite measured itself (a snapshot's bytes). The suite that finds
+//! the file empty writes one stamp line first
+//! (`{"commit":…,"nproc":…,"rustc":…,"date":…}`; the commit carries
+//! `-dirty` when tracked files differ from it), so the six bench binaries
+//! of one `cargo bench` share one stamped file. `BENCH_kernels.jsonl` at
+//! the repo root is such a run — see the README for the command.
 
 use std::hint::black_box;
+use std::io::Write;
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Wall-clock budget per timed sample.
@@ -22,26 +30,22 @@ const SAMPLE_TARGET: Duration = Duration::from_millis(10);
 const SAMPLES: usize = 15;
 /// Warmup budget before sampling starts.
 const WARMUP: Duration = Duration::from_millis(50);
+/// The metric a timed case reports (and [`Harness::median_of`] reads).
+pub const MEDIAN_NS: &str = "median_ns";
 
-/// One benchmark's summary statistics.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Fully qualified name, `group/case`.
-    pub name: String,
-    /// Median nanoseconds per iteration.
-    pub median_ns: f64,
-    /// Minimum nanoseconds per iteration.
-    pub min_ns: f64,
-    /// Iterations per timed sample.
-    pub iters_per_sample: u64,
+/// One emitted line: a case's value under a metric name.
+struct Row {
+    case: String,
+    metric: &'static str,
+    value: f64,
 }
 
 /// Bench registry + runner for one bench binary.
 pub struct Harness {
-    group: String,
+    suite: String,
     test_mode: bool,
     filter: Option<String>,
-    results: Vec<BenchResult>,
+    rows: Vec<Row>,
 }
 
 impl Harness {
@@ -49,19 +53,22 @@ impl Harness {
     /// smoke mode (criterion's compile-check convention), `--bench` (always
     /// passed by cargo) is ignored, and a bare string filters cases by
     /// substring.
-    pub fn new(group: &str) -> Self {
+    pub fn new(suite: &str) -> Self {
+        Self::with_args(suite, std::env::args().skip(1))
+    }
+
+    fn with_args(suite: &str, args: impl Iterator<Item = String>) -> Self {
         let mut test_mode = false;
         let mut filter = None;
-        for arg in std::env::args().skip(1) {
+        for arg in args {
             match arg.as_str() {
                 "--test" => test_mode = true,
-                "--bench" | "--nocapture" => {}
                 s if !s.starts_with('-') => filter = Some(s.to_string()),
                 _ => {}
             }
         }
         println!(
-            "# {group}{}",
+            "# {suite}{}",
             if test_mode {
                 " (--test: smoke mode)"
             } else {
@@ -69,10 +76,10 @@ impl Harness {
             }
         );
         Self {
-            group: group.to_string(),
+            suite: suite.to_string(),
             test_mode,
             filter,
-            results: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -84,7 +91,7 @@ impl Harness {
     /// Times `f`, which performs exactly one iteration of the workload per
     /// call. Wrap inputs in [`black_box`] inside the closure as needed.
     pub fn bench<R, F: FnMut() -> R>(&mut self, case: &str, mut f: F) {
-        let name = format!("{}/{case}", self.group);
+        let name = format!("{}/{case}", self.suite);
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -116,54 +123,96 @@ impl Harness {
         }
         samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let median_ns = samples_ns[samples_ns.len() / 2];
-        let min_ns = samples_ns[0];
         println!(
             "{name:<56} median {:>12} min {:>12}  ({iters_per_sample} iters/sample)",
             fmt_ns(median_ns),
-            fmt_ns(min_ns),
+            fmt_ns(samples_ns[0]),
         );
-        self.results.push(BenchResult {
-            name,
-            median_ns,
-            min_ns,
-            iters_per_sample,
+        self.record(case, MEDIAN_NS, median_ns);
+    }
+
+    /// Adds a value the suite measured itself — a timing too long for
+    /// [`Harness::bench`]'s batch sizing (as `median_ns`), or a count such
+    /// as a snapshot's bytes — to the emitted rows.
+    pub fn record(&mut self, case: &str, metric: &'static str, value: f64) {
+        self.rows.push(Row {
+            case: case.to_string(),
+            metric,
+            value,
         });
     }
 
     /// Median of a finished case, for cross-case comparisons inside a bench
     /// binary (e.g. `bench_pebc`'s cost guard).
     pub fn median_of(&self, case: &str) -> Option<f64> {
-        let name = format!("{}/{case}", self.group);
-        self.results
+        self.rows
             .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.median_ns)
+            .find(|r| r.case == case && r.metric == MEDIAN_NS)
+            .map(|r| r.value)
     }
 
     /// Prints the footer and, when `QEC_BENCH_JSON` is set, appends the
-    /// group's results to that file as JSON lines.
+    /// suite's rows to that file.
     pub fn finish(self) {
         if self.test_mode {
-            println!("# {}: all cases smoke-tested", self.group);
+            println!("# {}: all cases smoke-tested", self.suite);
             return;
         }
         if let Ok(path) = std::env::var("QEC_BENCH_JSON") {
-            use std::io::Write;
-            let mut out = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .unwrap_or_else(|e| panic!("open {path}: {e}"));
-            for r in &self.results {
-                writeln!(
-                    out,
-                    "{{\"name\":\"{}\",\"median_ns\":{:.1},\"min_ns\":{:.1},\"iters_per_sample\":{}}}",
-                    r.name, r.median_ns, r.min_ns, r.iters_per_sample
-                )
-                .expect("write bench json");
-            }
+            self.append_to(Path::new(&path));
         }
     }
+
+    /// Appends the rows to `path`, under one stamp line when it is empty.
+    fn append_to(&self, path: &Path) {
+        let mut out = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
+        if out.metadata().is_ok_and(|m| m.len() == 0) {
+            writeln!(out, "{}", stamp()).expect("write bench json");
+        }
+        for r in &self.rows {
+            writeln!(
+                out,
+                "{{\"suite\":\"{}\",\"case\":\"{}\",\"metric\":\"{}\",\"value\":{:.1}}}",
+                self.suite, r.case, r.metric, r.value
+            )
+            .expect("write bench json");
+        }
+    }
+}
+
+/// First line of a command's output, or "unknown".
+fn first_line_of(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// What was measured, where and when: the file's first line.
+fn stamp() -> String {
+    // Exit status 1: some tracked file differs from HEAD.
+    let dirty = Command::new("git")
+        .args(["diff", "--quiet", "HEAD"])
+        .stderr(Stdio::null())
+        .status()
+        .is_ok_and(|s| s.code() == Some(1));
+    format!(
+        "{{\"commit\":\"{}{}\",\"nproc\":{},\"rustc\":\"{}\",\"date\":\"{}\"}}",
+        first_line_of("git", &["rev-parse", "HEAD"]),
+        if dirty { "-dirty" } else { "" },
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        first_line_of("rustc", &["-V"]),
+        first_line_of("date", &["-u", "+%F"]),
+    )
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -185,5 +234,62 @@ mod tests {
         assert_eq!(fmt_ns(12.0), "12 ns");
         assert_eq!(fmt_ns(1_500.0), "1.50 µs");
         assert_eq!(fmt_ns(2_500_000.0), "2.50 ms");
+    }
+
+    /// The keys of a flat JSON object's line, in order.
+    fn keys_of(line: &str) -> Vec<&str> {
+        let body = line
+            .strip_prefix('{')
+            .and_then(|l| l.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("not an object: {line}"));
+        // No emitted string holds `,"`, so it separates the members.
+        body.split(",\"")
+            .map(|member| {
+                let key = member.trim_start_matches('"');
+                &key[..key.find("\":").expect("key: value")]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn suites_share_one_stamped_file_in_one_schema() {
+        let path =
+            std::env::temp_dir().join(format!("qec-bench-harness-{}.jsonl", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let run = || {
+            let mut a = Harness::with_args("first", std::iter::empty());
+            a.bench("spin", || (0..64u64).sum::<u64>());
+            assert!(a.median_of("spin").is_some_and(|ns| ns > 0.0));
+            a.append_to(&path);
+            let mut b = Harness::with_args("second", std::iter::empty());
+            b.bench("spin", || (0..64u64).product::<u64>());
+            b.record("size", "bytes", 160_462_484.0);
+            assert_eq!(b.median_of("size"), None, "not a timing");
+            b.append_to(&path);
+        };
+
+        run();
+        let text = std::fs::read_to_string(&path).expect("emitted");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "one stamp + three rows: {text}");
+        assert_eq!(keys_of(lines[0]), ["commit", "nproc", "rustc", "date"]);
+        for row in &lines[1..] {
+            assert_eq!(keys_of(row), ["suite", "case", "metric", "value"]);
+        }
+        assert!(
+            lines[1].starts_with("{\"suite\":\"first\",\"case\":\"spin\",\"metric\":\"median_ns\"")
+        );
+        assert_eq!(
+            lines[3],
+            "{\"suite\":\"second\",\"case\":\"size\",\"metric\":\"bytes\",\"value\":160462484.0}"
+        );
+
+        // A second run into the same path appends rows, not a stamp.
+        run();
+        let text = std::fs::read_to_string(&path).expect("emitted");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(text.lines().count(), 7);
+        let stamps = text.lines().filter(|l| l.contains("\"commit\"")).count();
+        assert_eq!(stamps, 1, "{text}");
     }
 }

@@ -5,7 +5,7 @@
 //!   workload shapes.
 //! * [`harness`] — the offline substitute for criterion: warmup,
 //!   median-of-samples timing, `cargo bench -- --test` smoke mode, and
-//!   JSON emission for `BENCH_baseline.json`.
+//!   JSON emission in the one schema of `BENCH_kernels.jsonl`.
 
 pub mod harness;
 pub mod synth;

@@ -38,24 +38,33 @@ impl Default for CorpusSpec {
     }
 }
 
-/// Builds a corpus of Zipf-distributed synthetic tokens. Token `wK` has
-/// rank `K`, so low-K terms are dense (they freeze to bitmaps) and high-K
-/// terms are sparse — exactly the mix the hybrid index must handle.
-pub fn synth_corpus(spec: &CorpusSpec) -> Corpus {
+/// The document bodies of a synthetic corpus: Zipf-distributed tokens
+/// where `wK` has rank `K`, so low-K terms are dense (they freeze to
+/// bitmaps) and high-K terms are sparse — exactly the mix the hybrid index
+/// must handle. Separate from [`synth_corpus`] so a bench that times the
+/// build can generate them outside the timed region.
+pub fn synth_bodies(spec: &CorpusSpec) -> Vec<String> {
     let mut rng = SplitMix64::seed_from_u64(spec.seed);
     let sampler = ZipfSampler::new(spec.vocab, spec.zipf_s);
-    // Stopword filtering and stemming are irrelevant to synthetic tokens;
-    // body strings are assembled once per doc and fed through the normal
-    // analyzer path so the bench exercises the real build pipeline.
+    (0..spec.num_docs)
+        .map(|_| {
+            let mut body = String::with_capacity(spec.doc_len * 8);
+            for _ in 0..spec.doc_len {
+                let rank = sampler.sample(&mut rng);
+                let _ = write!(body, "w{rank} ");
+            }
+            body
+        })
+        .collect()
+}
+
+/// Builds the corpus of [`synth_bodies`]. Stopword filtering and stemming
+/// are irrelevant to synthetic tokens; the bodies go through the normal
+/// analyzer path so the bench exercises the real build pipeline.
+pub fn synth_corpus(spec: &CorpusSpec) -> Corpus {
     let mut builder = CorpusBuilder::new();
-    let mut body = String::with_capacity(spec.doc_len * 8);
-    for _ in 0..spec.num_docs {
-        body.clear();
-        for _ in 0..spec.doc_len {
-            let rank = sampler.sample(&mut rng);
-            let _ = write!(body, "w{rank} ");
-        }
-        builder.add_document(DocumentSpec::text("", &body));
+    for body in synth_bodies(spec) {
+        builder.add_document(DocumentSpec::text("", body));
     }
     builder.build()
 }
@@ -184,15 +193,14 @@ pub fn synth_arena(spec: &ArenaSpec) -> (ExpansionArena, Vec<ResultSet>) {
 }
 
 /// Zipf sampler over ranks `0..n` by inverse-CDF on a precomputed table
-/// (`s = 0` degenerates to uniform). Drives both the corpus generator and
-/// the query-skew replay of `bench_scalability`.
-pub struct ZipfSampler {
+/// (`s = 0` degenerates to uniform). Drives the corpus generator.
+struct ZipfSampler {
     cdf: Vec<f64>,
 }
 
 impl ZipfSampler {
     /// Builds the CDF table for ranks `0..n` with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
+    fn new(n: usize, s: f64) -> Self {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for rank in 0..n {
@@ -207,7 +215,7 @@ impl ZipfSampler {
     }
 
     /// Draws one rank.
-    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+    fn sample(&self, rng: &mut SplitMix64) -> usize {
         let u = rng.f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }

@@ -17,10 +17,10 @@
 //!   the chunk body manually unrolled) so LLVM autovectorizes them,
 //!   std-only, no intrinsics. Scalar tails handle the last `< CHUNK`
 //!   words.
-//! * **Fused counting** — `*_count_into` kernels produce the combined set
-//!   *and* its population count in one pass, replacing the combine-then-
-//!   recount two-sweep pattern call sites used to emulate them
-//!   (`bench_baselines` measures both against the scalar reference).
+//! * **Fused counting** — [`Bitset::and_not_count_into`] produces the
+//!   combined set *and* its population count in one pass, replacing the
+//!   combine-then-recount pattern call sites used to emulate it
+//!   (`bench_bitset` measures both against the scalar reference).
 //! * **Short-circuiting predicate** — [`Bitset::intersects`] bails out
 //!   at the first deciding chunk.
 //! * **Rank/select** — positional queries directly on the words
@@ -293,22 +293,6 @@ impl Bitset {
         combine_assign(&mut self.words, &other.words, |a, b| a & !b);
     }
 
-    /// Writes `self ∪ other` into `out` without allocating (`out` must
-    /// share the universe).
-    pub fn union_into(&self, other: &Bitset, out: &mut Bitset) {
-        self.check(other);
-        self.check(out);
-        combine_into(&self.words, &other.words, &mut out.words, |a, b| a | b);
-    }
-
-    /// Writes `self ∪ other` into `out` and returns `|self ∪ other|`, in
-    /// one pass.
-    pub fn or_count_into(&self, other: &Bitset, out: &mut Bitset) -> usize {
-        self.check(other);
-        self.check(out);
-        combine_count_into(&self.words, &other.words, &mut out.words, |a, b| a | b)
-    }
-
     /// Writes `self \ other` into `out` and returns `|self \ other|`, in
     /// one pass — ISKR's delta-set computation, which previously copied,
     /// subtracted and then re-counted in three sweeps.
@@ -552,24 +536,6 @@ fn combine_assign(a: &mut [u64], b: &[u64], op: impl Fn(u64, u64) -> u64 + Copy)
     }
 }
 
-/// `out[i] = op(a[i], b[i])`, chunk-unrolled.
-#[inline(always)]
-fn combine_into(a: &[u64], b: &[u64], out: &mut [u64], op: impl Fn(u64, u64) -> u64 + Copy) {
-    debug_assert!(a.len() == b.len() && a.len() == out.len());
-    let (ac, at) = a.as_chunks::<CHUNK>();
-    let (bc, bt) = b.as_chunks::<CHUNK>();
-    let (oc, ot) = out.as_chunks_mut::<CHUNK>();
-    for ((x, y), o) in ac.iter().zip(bc).zip(oc.iter_mut()) {
-        o[0] = op(x[0], y[0]);
-        o[1] = op(x[1], y[1]);
-        o[2] = op(x[2], y[2]);
-        o[3] = op(x[3], y[3]);
-    }
-    for ((&x, &y), o) in at.iter().zip(bt).zip(ot.iter_mut()) {
-        *o = op(x, y);
-    }
-}
-
 /// `out[i] = op(a[i], b[i])` plus the total popcount, in one fused pass
 /// (the reference pattern it replaces is combine, then a second counting
 /// sweep). The single flat loop both autovectorizes and keeps one memory
@@ -594,7 +560,7 @@ fn combine_count_into(
 /// Total popcount of `op(a[i], b[i])` without writing the result. A flat
 /// zip autovectorizes best here (LLVM builds its own vector partial-sum
 /// accumulators; a manual chunk/accumulator split measured *slower* —
-/// `bench_baselines` guards the choice).
+/// `bench_bitset` guards the choice).
 #[inline(always)]
 fn combine_count(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64 + Copy) -> usize {
     debug_assert_eq!(a.len(), b.len());
@@ -813,8 +779,6 @@ mod tests {
         let a = Bitset::from_indices(517, (0..517).step_by(2));
         let b = Bitset::from_indices(517, (0..517).step_by(3));
         let mut out = Bitset::empty(517);
-        assert_eq!(a.or_count_into(&b, &mut out), a.or(&b).len());
-        assert_eq!(out, a.or(&b));
         assert_eq!(a.and_not_count_into(&b, &mut out), a.and_not(&b).len());
         assert_eq!(out, a.and_not(&b));
     }
@@ -825,9 +789,6 @@ mod tests {
         let b = Bitset::from_indices(130, [5, 64, 128]);
         assert_eq!(a.intersect_count(&b), a.and(&b).len());
         assert_eq!(a.and_not_count(&b), a.and_not(&b).len());
-        let mut out = Bitset::empty(130);
-        a.union_into(&b, &mut out);
-        assert_eq!(out, a.or(&b));
     }
 
     #[test]

@@ -18,8 +18,8 @@ use qec_core::{ArenaConfig, FMeasureConfig, IskrConfig, PebcConfig};
 pub struct CacheConfig {
     /// Maximum cached pipelines before LRU eviction. `0` turns the cache
     /// off: nothing is probed or published, every request rebuilds its
-    /// pipeline (the cold-path baseline `bench_scalability` measures
-    /// against) and responses carry an empty [`CacheStats`](crate::CacheStats).
+    /// pipeline and responses carry an empty
+    /// [`CacheStats`](crate::CacheStats).
     pub capacity: usize,
     /// Byte budget over all cached pipelines' heap footprints
     /// (`CachedPipeline::heap_bytes`): eviction runs from the LRU tail

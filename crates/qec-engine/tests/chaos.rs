@@ -327,6 +327,32 @@ fn saturated_engine_sheds_with_overloaded() {
     }
     // Slot released: the same request is served now.
     assert!(engine.try_expand(&ExpandRequest::new("farm cider")).is_ok());
+
+    // The other side of the bound: as many closed-loop clients as slots
+    // hold at most one request each, so nothing is ever shed and every
+    // answer is the clean one.
+    const SLOTS: usize = 4;
+    let engine = EngineBuilder::new()
+        .documents(corpus_docs())
+        .max_in_flight(SLOTS)
+        .build();
+    let reqs = workload();
+    let clean: Vec<_> = reqs.iter().map(|r| essence(&engine.expand(r))).collect();
+    let start = std::sync::Barrier::new(SLOTS);
+    std::thread::scope(|s| {
+        for c in 0..SLOTS {
+            let (engine, reqs, clean, start) = (&engine, &reqs, &clean, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..25 {
+                    let p = (c + i) % reqs.len();
+                    let resp = engine.try_expand(&reqs[p]).expect("1x load never sheds");
+                    assert_eq!(essence(&resp), clean[p], "client {c} request {i}");
+                    engine.recycle(resp);
+                }
+            });
+        }
+    });
 }
 
 #[test]

@@ -257,8 +257,14 @@ fn breaker_opens_after_threshold_and_heals_via_half_open_probe() {
         .iter()
         .map(|s| s.replicas[0].failures)
         .sum();
-    engine.recycle(engine.expand(&request()));
-    engine.recycle(engine.expand(&request()));
+    // What the surviving replicas serve meanwhile is the whole answer.
+    let clean = essence(&baseline().expand(&request()));
+    for _ in 0..2 {
+        let resp = engine.expand(&request());
+        assert_eq!(essence(&resp), clean, "half-dead steady state");
+        assert_eq!(resp.stats.shards_omitted, 0);
+        engine.recycle(resp);
+    }
     let failures_after: u64 = engine
         .stats()
         .shards

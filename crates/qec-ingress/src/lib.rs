@@ -27,8 +27,8 @@
 //! when the collector looks, so a chunk is what arrived while the previous
 //! one was being served and a lone request is never held back; how a burst
 //! splits into chunks then depends on thread wake-up timing, which is why
-//! it is a setting and not the default. Closed-loop benchmarks live in
-//! `qec-bench/benches/bench_ingress.rs`.
+//! it is a setting and not the default. The repo benchmark's
+//! `ingress_open` workload measures the front door (`ingress.*` rows).
 //!
 //! # Quickstart
 //!

@@ -20,6 +20,12 @@
 # "correct":false or a failed request, or a result line lacks one of the
 # metrics.
 #
+# The same figures go to $AB_WORK/row.json as one JSON line under a stamp
+# (change and parent commits, nproc, rustc, UTC date, seeds, pairs): per
+# workload the pairs with equal digests, and per metric each side's
+# [median, q1, q3] and the change's pair wins. A PR that records its A/B
+# appends that line to TRAJECTORY.jsonl at the root.
+#
 # Reads only what the benchmark prints; nothing under benchmark/ changes.
 # Scratch (the export, both target directories, the run logs) goes to
 # $AB_WORK, by default target/ab in the repository.
@@ -87,9 +93,11 @@ value() {
 }
 
 status=0
+declare -A equal
 echo
 echo "parent $parent_ref vs working tree, $pairs pairs per workload, ${seconds} s runs"
 for workload in "${workloads[@]}"; do
+    equal[$workload]=0
     for ((pair = 1; pair <= pairs; pair++)); do
         p=$work/logs/$workload-$pair-parent.log
         c=$work/logs/$workload-$pair-change.log
@@ -105,6 +113,8 @@ for workload in "${workloads[@]}"; do
         if [[ -z $dp || $dp != "$dc" ]]; then
             echo "DIGESTS DIFFER in $workload pair $pair"
             status=1
+        else
+            equal[$workload]=$((equal[$workload] + 1))
         fi
     done
 done
@@ -113,7 +123,7 @@ done
 metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name":"\([a-z0-9_]*\)".*"better":"\([a-z]*\)".*/\1 \2/p' \
     "$repo/BENCHMARK.json")
 
-# Median and quartiles of a file of values, as `median [q1–q3]`.
+# Median and quartiles of a file of values, as `median q1 q3`.
 spread() {
     sort -g "$1" | awk '
         { v[NR] = $1 }
@@ -121,13 +131,20 @@ spread() {
             pos = 1 + (NR - 1) * f; lo = int(pos)
             return lo >= NR ? v[NR] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
         }
-        END { printf "%.4f [%.4f–%.4f]", q(0.5), q(0.25), q(0.75) }'
+        END { printf "%.4f %.4f %.4f", q(0.5), q(0.25), q(0.75) }'
 }
+
+dirty=$(git -C "$repo" diff --quiet HEAD || echo -dirty)
+row="{\"commit\":\"$(git -C "$repo" rev-parse HEAD)$dirty\""
+row+=",\"parent\":\"$(git -C "$repo" rev-parse "$parent_ref")\",\"nproc\":$(nproc)"
+row+=",\"rustc\":\"$(rustc -V)\",\"date\":\"$(date -u +%F)\""
+row+=",\"seeds\":[${seeds[0]},${seeds[1]}],\"pairs\":$pairs,\"workloads\":{"
 
 echo
 echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | median change | change wins |"
 echo "|---|---|---|---|---|---|"
 for workload in "${workloads[@]}"; do
+    row+="\"$workload\":{\"digests_equal\":\"${equal[$workload]}/$pairs\""
     while read -r name better; do
         wins=0
         ties=0
@@ -144,12 +161,15 @@ for workload in "${workloads[@]}"; do
             [[ $outcome == win ]] && wins=$((wins + 1))
             [[ $outcome == tie ]] && ties=$((ties + 1))
         done
-        parent=$(spread "$work/logs/parent.values")
-        change=$(spread "$work/logs/change.values")
-        delta=$(awk -v p="${parent%% *}" -v c="${change%% *}" 'BEGIN {
+        read -r pm p1 p3 <<<"$(spread "$work/logs/parent.values")"
+        read -r cm c1 c3 <<<"$(spread "$work/logs/change.values")"
+        delta=$(awk -v p="$pm" -v c="$cm" 'BEGIN {
             if (p == 0) print "n/a"; else printf "%+.1f %%", (c - p) / p * 100 }')
-        echo "| $workload | $name ($better is better) | $parent | $change | $delta | $wins of $pairs ($ties ties) |"
+        echo "| $workload | $name ($better is better) | $pm [$p1–$p3] | $cm [$c1–$c3] | $delta | $wins of $pairs ($ties ties) |"
+        row+=",\"$name\":{\"parent\":[$pm,$p1,$p3],\"change\":[$cm,$c1,$c3],\"wins\":$wins}"
     done <<<"$metrics"
+    row+="},"
 done
+echo "${row%,}}}" >"$work/row.json"
 
 exit $status
