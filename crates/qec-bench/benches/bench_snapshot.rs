@@ -17,7 +17,7 @@
 //! what CI runs): an engine over the loaded corpus must answer dense
 //! head queries bit-identically to one over the rebuilt corpus. Timed
 //! mode additionally asserts that the load beats the cold rebuild it
-//! replaces (≈ 5× on the 2-core box; the 10× of PR 10 dates from a build
+//! replaces (4–6× on the 2-core box; the 10× of PR 10 dates from a build
 //! twice as slow) and hands both medians, the snapshot's bytes and the
 //! corpus's documents to the harness ([`Harness::record`]), which writes
 //! them with every other suite's rows.
