@@ -13,14 +13,18 @@
 //! for a timed case, whatever [`Harness::record`] was given for a value
 //! the suite measured itself (a snapshot's bytes). The suite that finds
 //! the file empty writes one stamp line first
-//! (`{"commit":…,"nproc":…,"rustc":…,"date":…}`; the commit carries
-//! `-dirty` when tracked files differ from it), so the six bench binaries
-//! of one `cargo bench` share one stamped file. `BENCH_kernels.jsonl` at
-//! the repo root is such a run — see the README for the command.
+//! (`{"commit":…,"nproc":…,"simd":…,"rustc":…,"date":…}`; the commit
+//! carries `-dirty` when tracked files differ from it, `simd` is the widest
+//! level the CPU reports), so the six bench binaries of one `cargo bench`
+//! share one stamped file. The file is opened (created) when the suite
+//! starts, so a path that cannot be written fails before anything is
+//! timed. `BENCH_kernels.jsonl` at the repo root is made of such runs — see
+//! the README for the command.
 
+use std::fs::File;
 use std::hint::black_box;
 use std::io::Write;
-use std::path::Path;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -46,18 +50,29 @@ pub struct Harness {
     test_mode: bool,
     filter: Option<String>,
     rows: Vec<Row>,
+    /// The `QEC_BENCH_JSON` file of a timed run, open for appending.
+    out: Option<File>,
 }
 
 impl Harness {
     /// Parses the argv conventions `cargo bench` uses: `--test` selects
     /// smoke mode (criterion's compile-check convention), `--bench` (always
     /// passed by cargo) is ignored, and a bare string filters cases by
-    /// substring.
+    /// substring. Panics, naming the path, when `QEC_BENCH_JSON` is set
+    /// for a timed run and cannot be opened for appending.
     pub fn new(suite: &str) -> Self {
-        Self::with_args(suite, std::env::args().skip(1))
+        let json = std::env::var_os("QEC_BENCH_JSON").map(PathBuf::from);
+        Self::with_args(suite, std::env::args().skip(1), json).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn with_args(suite: &str, args: impl Iterator<Item = String>) -> Self {
+    /// [`Harness::new`] over explicit arguments and output path. A timed
+    /// run opens (creates) `json` here, before any case runs; a smoke run
+    /// writes nothing, so it opens nothing.
+    fn with_args(
+        suite: &str,
+        args: impl Iterator<Item = String>,
+        json: Option<PathBuf>,
+    ) -> Result<Self, String> {
         let mut test_mode = false;
         let mut filter = None;
         for arg in args {
@@ -67,6 +82,13 @@ impl Harness {
                 _ => {}
             }
         }
+        let out = match json {
+            Some(path) if !test_mode => {
+                let file = File::options().create(true).append(true).open(&path);
+                Some(file.map_err(|e| format!("QEC_BENCH_JSON {}: {e}", path.display()))?)
+            }
+            _ => None,
+        };
         println!(
             "# {suite}{}",
             if test_mode {
@@ -75,12 +97,13 @@ impl Harness {
                 ""
             }
         );
-        Self {
+        Ok(Self {
             suite: suite.to_string(),
             test_mode,
             filter,
             rows: Vec::new(),
-        }
+            out,
+        })
     }
 
     /// Whether this run only smoke-tests the closures.
@@ -152,24 +175,13 @@ impl Harness {
     }
 
     /// Prints the footer and, when `QEC_BENCH_JSON` is set, appends the
-    /// suite's rows to that file.
+    /// suite's rows to that file, under one stamp line when it is empty.
     pub fn finish(self) {
         if self.test_mode {
             println!("# {}: all cases smoke-tested", self.suite);
             return;
         }
-        if let Ok(path) = std::env::var("QEC_BENCH_JSON") {
-            self.append_to(Path::new(&path));
-        }
-    }
-
-    /// Appends the rows to `path`, under one stamp line when it is empty.
-    fn append_to(&self, path: &Path) {
-        let mut out = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
+        let Some(mut out) = self.out else { return };
         if out.metadata().is_ok_and(|m| m.len() == 0) {
             writeln!(out, "{}", stamp()).expect("write bench json");
         }
@@ -197,6 +209,22 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// The widest SIMD level the CPU reports: `avx512f`, `avx2` or
+/// `baseline`, the levels `qec-core`'s lane pass is compiled at. Rows
+/// stamped with different levels do not compare.
+fn simd_level() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    "baseline"
+}
+
 /// What was measured, where and when: the file's first line.
 fn stamp() -> String {
     // Exit status 1: some tracked file differs from HEAD.
@@ -206,10 +234,11 @@ fn stamp() -> String {
         .status()
         .is_ok_and(|s| s.code() == Some(1));
     format!(
-        "{{\"commit\":\"{}{}\",\"nproc\":{},\"rustc\":\"{}\",\"date\":\"{}\"}}",
+        "{{\"commit\":\"{}{}\",\"nproc\":{},\"simd\":\"{}\",\"rustc\":\"{}\",\"date\":\"{}\"}}",
         first_line_of("git", &["rev-parse", "HEAD"]),
         if dirty { "-dirty" } else { "" },
         std::thread::available_parallelism().map_or(0, |n| n.get()),
+        simd_level(),
         first_line_of("rustc", &["-V"]),
         first_line_of("date", &["-u", "+%F"]),
     )
@@ -256,23 +285,31 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("qec-bench-harness-{}.jsonl", std::process::id()));
         std::fs::remove_file(&path).ok();
+        let timed = |suite| {
+            Harness::with_args(suite, std::iter::empty(), Some(path.clone())).expect("opens")
+        };
         let run = || {
-            let mut a = Harness::with_args("first", std::iter::empty());
+            let mut a = timed("first");
             a.bench("spin", || (0..64u64).sum::<u64>());
             assert!(a.median_of("spin").is_some_and(|ns| ns > 0.0));
-            a.append_to(&path);
-            let mut b = Harness::with_args("second", std::iter::empty());
+            a.finish();
+            let mut b = timed("second");
             b.bench("spin", || (0..64u64).product::<u64>());
             b.record("size", "bytes", 160_462_484.0);
             assert_eq!(b.median_of("size"), None, "not a timing");
-            b.append_to(&path);
+            b.finish();
         };
 
         run();
         let text = std::fs::read_to_string(&path).expect("emitted");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "one stamp + three rows: {text}");
-        assert_eq!(keys_of(lines[0]), ["commit", "nproc", "rustc", "date"]);
+        assert_eq!(
+            keys_of(lines[0]),
+            ["commit", "nproc", "simd", "rustc", "date"]
+        );
+        let simd = ["avx512f", "avx2", "baseline"].map(|l| format!("\"simd\":\"{l}\""));
+        assert!(simd.iter().any(|s| lines[0].contains(s)), "{}", lines[0]);
         for row in &lines[1..] {
             assert_eq!(keys_of(row), ["suite", "case", "metric", "value"]);
         }
@@ -291,5 +328,20 @@ mod tests {
         assert_eq!(text.lines().count(), 7);
         let stamps = text.lines().filter(|l| l.contains("\"commit\"")).count();
         assert_eq!(stamps, 1, "{text}");
+    }
+
+    #[test]
+    fn an_unwritable_json_path_fails_before_any_case_runs() {
+        let dir = std::env::temp_dir().join(format!("qec-bench-missing-{}", std::process::id()));
+        let path = dir.join("kernels.jsonl");
+        let json = || Some(path.clone());
+        let err = Harness::with_args("suite", std::iter::empty(), json())
+            .err()
+            .expect("a missing directory fails at construction");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(!dir.exists(), "nothing was created");
+        // A smoke run writes nothing, so the path does not matter to it.
+        let smoke = Harness::with_args("suite", ["--test".to_string()].into_iter(), json());
+        assert!(smoke.is_ok_and(|h| h.test_mode()));
     }
 }

@@ -16,7 +16,12 @@
 //!   fixed-width chunks of [`CHUNK`] `u64`s (via `slice::as_chunks`, with
 //!   the chunk body manually unrolled) so LLVM autovectorizes them,
 //!   std-only, no intrinsics. Scalar tails handle the last `< CHUNK`
-//!   words.
+//!   words. The workspace is compiled for the target's baseline and
+//!   nothing raises it, so on x86-64 that means SSE2: two words per
+//!   vector op, and `count_ones` is a software popcount (the `popcnt`
+//!   instruction is not enabled). No kernel here is dispatched by CPU
+//!   feature; only `qec-core`'s lane pass is, and another kernel joins
+//!   that mechanism only with a bench row showing it wins.
 //! * **Fused counting** — [`Bitset::and_not_count_into`] produces the
 //!   combined set *and* its population count in one pass, replacing the
 //!   combine-then-recount pattern call sites used to emulate it
@@ -35,9 +40,9 @@
 //! masking. All binary operations require both operands to share one
 //! universe size and panic otherwise.
 
-/// Words per unrolled chunk in the binary kernels. 4 × `u64` = 256 bits,
-/// one AVX2 register; LLVM fuses pairs of chunks to 512-bit ops where the
-/// target allows.
+/// Words per unrolled chunk in the binary kernels: 4 × `u64` = 256 bits,
+/// which the baseline x86-64 build runs as 128-bit SSE2 ops, two words at
+/// a time.
 pub const CHUNK: usize = 4;
 
 /// Words per cached popcount block in a [`RankIndex`] (512 bits / block).

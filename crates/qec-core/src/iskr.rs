@@ -64,6 +64,25 @@
 //! pass, and the §3 rule lives on in the `reference` module as the oracle
 //! it is checked against (both must land on the same expansion).
 //!
+//! Dispatched compilations. The workspace is built for the target's
+//! baseline — on x86-64 that is SSE2, two `f64` adds per instruction — and
+//! nothing in the build raises it. So the pass has one body, `lane_pass`
+//! (`#[inline(always)]`), compiled three times: as is, under
+//! `#[target_feature(enable = "avx2")]` and under
+//! `#[target_feature(enable = "avx512f")]` (x86-64 only; every other target
+//! gets the baseline alone). `add_values` is the dispatcher: each call
+//! runs the widest compilation `std::arch::is_x86_feature_detected!`
+//! reports (`Level::chosen`, a cached bit test that allocates nothing;
+//! there is no option to set). The level cannot change a bit. A wider
+//! vector adds the same weight to more *lanes* at once, and each lane is
+//! still one memory slot receiving its own additions in its own order; no
+//! lane's sum gains, loses or reorders a term. Rust neither reassociates
+//! float adds nor contracts them into fused multiply-adds, whatever the
+//! target features. The differential tests below run at every level the
+//! host has. `kmeans.rs`' rule "no SIMD horizontal sums" concerns a
+//! different property, reassociating the terms *within* one sum, and
+//! still holds: this pass has no horizontal sum.
+//!
 //! Keyword *removal* matters (paper Example 3.2): a keyword that was the
 //! best first move can become strictly dominated once later keywords have
 //! taken over its eliminations; removing it then recovers recall for free.
@@ -346,7 +365,113 @@ pub(crate) fn results_without(
 /// the module docs for why each lane's sum keeps its bits). Polls `cancel`
 /// once per result word and returns `false` when it has tripped, with
 /// `values` unspecified.
+///
+/// Runs the widest compilation of [`lane_pass`] this CPU has the features
+/// for (module docs, "Dispatched compilations").
 pub(crate) fn add_values(
+    inst: &QecInstance<'_>,
+    r: &ResultSet,
+    lanes: &mut [f64],
+    values: &mut [MoveValue],
+    cancel: &CancelToken,
+) -> bool {
+    match Level::chosen() {
+        // SAFETY (both arms): `Level::chosen` returns only a level whose
+        // target features this CPU has.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512f => unsafe { lane_pass_avx512f(inst, r, lanes, values, cancel) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { lane_pass_avx2(inst, r, lanes, values, cancel) },
+        _ => lane_pass(inst, r, lanes, values, cancel),
+    }
+}
+
+/// A compilation of the lane pass: the instructions [`add_values`] runs
+/// [`lane_pass`] with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Level {
+    /// The target's baseline (SSE2 on x86-64): two `f64` per vector add.
+    Baseline,
+    /// AVX2: four.
+    Avx2,
+    /// AVX-512F: eight.
+    Avx512f,
+}
+
+impl Level {
+    /// Every level, narrowest first.
+    pub(crate) const ALL: [Level; 3] = [Level::Baseline, Level::Avx2, Level::Avx512f];
+
+    /// Whether this CPU has the level's target features. Detection is
+    /// std's: a `cpuid` read once per process, then a cached bit.
+    pub(crate) fn runs_here(self) -> bool {
+        match self {
+            Level::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest level this CPU runs.
+    pub(crate) fn detected() -> Level {
+        Level::ALL
+            .into_iter()
+            .rev()
+            .find(|level| level.runs_here())
+            .unwrap_or(Level::Baseline)
+    }
+
+    /// The level [`add_values`] runs: the detected one, unless a test has
+    /// pinned its thread to another this CPU runs.
+    fn chosen() -> Level {
+        #[cfg(test)]
+        if let Some(level) = PINNED.get() {
+            return level;
+        }
+        Level::detected()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The level the tests run [`add_values`] at on this thread; set only
+    /// to a level that [`Level::runs_here`].
+    static PINNED: std::cell::Cell<Option<Level>> = const { std::cell::Cell::new(None) };
+}
+
+/// [`lane_pass`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lane_pass_avx2(
+    inst: &QecInstance<'_>,
+    r: &ResultSet,
+    lanes: &mut [f64],
+    values: &mut [MoveValue],
+    cancel: &CancelToken,
+) -> bool {
+    lane_pass(inst, r, lanes, values, cancel)
+}
+
+/// [`lane_pass`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lane_pass_avx512f(
+    inst: &QecInstance<'_>,
+    r: &ResultSet,
+    lanes: &mut [f64],
+    values: &mut [MoveValue],
+    cancel: &CancelToken,
+) -> bool {
+    lane_pass(inst, r, lanes, values, cancel)
+}
+
+/// The one body of [`add_values`], inlined into each compilation.
+#[inline(always)]
+fn lane_pass(
     inst: &QecInstance<'_>,
     r: &ResultSet,
     lanes: &mut [f64],
@@ -593,8 +718,49 @@ mod tests {
         [q.precision, q.recall, q.fmeasure].map(f64::to_bits)
     }
 
+    /// Runs `check` once per compilation of the lane pass this CPU has,
+    /// baseline first, with [`add_values`] pinned to it on this thread. A
+    /// level the CPU lacks is printed as skipped.
+    fn at_every_level(mut check: impl FnMut(Level)) {
+        for level in Level::ALL {
+            if !level.runs_here() {
+                println!("lane pass level {level:?}: skipped, this CPU lacks it");
+                continue;
+            }
+            PINNED.set(Some(level));
+            check(level);
+            PINNED.set(None);
+        }
+    }
+
+    #[test]
+    fn the_dispatcher_picks_the_widest_level_the_cpu_reports() {
+        // The kernel's flag list, not std's detection, says what the CPU
+        // has, so a detection bug that serves the baseline on AVX hardware
+        // fails here.
+        let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else {
+            println!("skipped: no /proc/cpuinfo to check against");
+            return;
+        };
+        let flags = cpuinfo.lines().find(|line| line.starts_with("flags"));
+        let flags: Vec<&str> = flags.map_or(Vec::new(), |f| f.split_whitespace().collect());
+        let reported = |level: &Level| match level {
+            Level::Baseline => true,
+            Level::Avx2 => flags.contains(&"avx2"),
+            Level::Avx512f => flags.contains(&"avx512f"),
+        };
+        let widest = Level::ALL.into_iter().rev().find(reported);
+        let avx: Vec<_> = flags.iter().filter(|f| f.starts_with("avx")).collect();
+        assert_eq!(Some(Level::detected()), widest, "avx flags: {avx:?}");
+        assert_eq!(Some(Level::chosen()), widest, "no test pins this thread");
+    }
+
     #[test]
     fn lane_pass_sums_the_bits_of_the_per_candidate_walks() {
+        at_every_level(lane_pass_sums_at);
+    }
+
+    fn lane_pass_sums_at(level: Level) {
         let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x17_1a9e5);
         let mut scratch = IskrScratch::new();
         for n in UNIVERSES {
@@ -609,7 +775,7 @@ mod tests {
                     // the way a run shrinks them.
                     let mut r = ResultSet::full(n);
                     for step in 0..5 {
-                        let label = format!("{n} {density:?} {weights:?} step {step}");
+                        let label = format!("{level:?}: {n} {density:?} {weights:?} step {step}");
                         let values = &mut scratch.values[..n_cands];
                         let inert = CancelToken::none();
                         assert!(add_values(&inst, &r, &mut scratch.lanes, values, &inert));
@@ -646,11 +812,24 @@ mod tests {
         // maintenance — and that against its own full rescan: the rule is
         // an optimisation, not an approximation, so all land on the same
         // query. PEBC's one-shot valuation and pruned ranking likewise.
+        at_every_level(runs_match_the_reference_at);
+    }
+
+    fn runs_match_the_reference_at(level: Level) {
         let (arena, cluster) = example_3_1();
         let inst = QecInstance::new(&arena, cluster);
         let config = IskrConfig::default();
-        assert_eq!(iskr(&inst, &config), reference::iskr(&inst, &config, true));
-        assert_eq!(iskr(&inst, &config), reference::iskr(&inst, &config, false));
+        let label = format!("{level:?}: example 3.1");
+        assert_eq!(
+            iskr(&inst, &config),
+            reference::iskr(&inst, &config, true),
+            "{label}"
+        );
+        assert_eq!(
+            iskr(&inst, &config),
+            reference::iskr(&inst, &config, false),
+            "{label}"
+        );
 
         let mut rng = qec_cluster::SplitMix64::seed_from_u64(0x15_5ca9);
         let (mut moves, mut pebc_adds) = (0, 0);
@@ -665,7 +844,7 @@ mod tests {
         for n in UNIVERSES {
             for density in DENSITIES {
                 for weights in WEIGHTS {
-                    let label = format!("{n} {density:?} {weights:?}");
+                    let label = format!("{level:?}: {n} {density:?} {weights:?}");
                     let arena = random_arena(n, 10 + rng.below(140), density, weights, &mut rng);
                     let cluster = (0..n).filter(|_| rng.below(3) == 0);
                     let inst = QecInstance::from_members(&arena, cluster.collect::<Vec<_>>());
@@ -691,8 +870,11 @@ mod tests {
                 }
             }
         }
-        assert!(moves >= 72, "the random arenas make ISKR move: {moves}");
-        assert!(pebc_adds >= 72, "and PEBC add: {pebc_adds}");
+        assert!(
+            moves >= 72,
+            "{level:?}: the random arenas make ISKR move: {moves}"
+        );
+        assert!(pebc_adds >= 72, "{level:?}: and PEBC add: {pebc_adds}");
     }
 
     #[test]

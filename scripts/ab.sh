@@ -21,7 +21,9 @@
 # metrics.
 #
 # The same figures go to $AB_WORK/row.json as one JSON line under a stamp
-# (change and parent commits, nproc, rustc, UTC date, seeds, pairs): per
+# (change and parent commits, nproc, the widest SIMD level the CPU's
+# /proc/cpuinfo flags report — avx512f, avx2 or baseline, the levels the
+# lane pass is compiled at — rustc, UTC date, seeds, pairs): per
 # workload the pairs with equal digests, and per metric each side's
 # [median, q1, q3] and the change's pair wins. A PR that records its A/B
 # appends that line to TRAJECTORY.jsonl at the root.
@@ -135,9 +137,12 @@ spread() {
 }
 
 dirty=$(git -C "$repo" diff --quiet HEAD || echo -dirty)
+flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
+simd=baseline
+for level in avx2 avx512f; do [[ $flags == *" $level "* ]] && simd=$level; done
 row="{\"commit\":\"$(git -C "$repo" rev-parse HEAD)$dirty\""
 row+=",\"parent\":\"$(git -C "$repo" rev-parse "$parent_ref")\",\"nproc\":$(nproc)"
-row+=",\"rustc\":\"$(rustc -V)\",\"date\":\"$(date -u +%F)\""
+row+=",\"simd\":\"$simd\",\"rustc\":\"$(rustc -V)\",\"date\":\"$(date -u +%F)\""
 row+=",\"seeds\":[${seeds[0]},${seeds[1]}],\"pairs\":$pairs,\"workloads\":{"
 
 echo
