@@ -376,11 +376,12 @@ pub(crate) fn add_values(
     cancel: &CancelToken,
 ) -> bool {
     match Level::chosen() {
-        // SAFETY (both arms): `Level::chosen` returns only a level whose
-        // target features this CPU has.
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Level::chosen` returns `Avx512f` only when this CPU has
+        // `avx512f`, the one feature the function enables.
         Level::Avx512f => unsafe { lane_pass_avx512f(inst, r, lanes, values, cancel) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: likewise, `Avx2` only when this CPU has `avx2`.
         Level::Avx2 => unsafe { lane_pass_avx2(inst, r, lanes, values, cancel) },
         _ => lane_pass(inst, r, lanes, values, cancel),
     }
@@ -389,7 +390,7 @@ pub(crate) fn add_values(
 /// A compilation of the lane pass: the instructions [`add_values`] runs
 /// [`lane_pass`] with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Level {
+enum Level {
     /// The target's baseline (SSE2 on x86-64): two `f64` per vector add.
     Baseline,
     /// AVX2: four.
@@ -400,11 +401,11 @@ pub(crate) enum Level {
 
 impl Level {
     /// Every level, narrowest first.
-    pub(crate) const ALL: [Level; 3] = [Level::Baseline, Level::Avx2, Level::Avx512f];
+    const ALL: [Level; 3] = [Level::Baseline, Level::Avx2, Level::Avx512f];
 
     /// Whether this CPU has the level's target features. Detection is
     /// std's: a `cpuid` read once per process, then a cached bit.
-    pub(crate) fn runs_here(self) -> bool {
+    fn runs_here(self) -> bool {
         match self {
             Level::Baseline => true,
             #[cfg(target_arch = "x86_64")]
@@ -417,7 +418,7 @@ impl Level {
     }
 
     /// The widest level this CPU runs.
-    pub(crate) fn detected() -> Level {
+    fn detected() -> Level {
         Level::ALL
             .into_iter()
             .rev()
