@@ -25,8 +25,10 @@
 //! matrix with their norms computed once (`Points`); the `k` centroids
 //! are one dense `k × D` buffer whose norms are refreshed when a row is
 //! written (`Centroids`). A similarity is then a gather-dot over the
-//! point's entries, and the update step a scatter-add into one reused
-//! `k × D` sums buffer.
+//! point's entries — the assignment step takes four centroids' dots per
+//! pass over a point's entries, so `k = 5` reads each point twice, not five
+//! times — and the update step a scatter-add into one reused `k × D` sums
+//! buffer.
 //!
 //! `Points` has two front-ends over the one Lloyd kernel: [`kmeans`] remaps
 //! the dimensions of caller-built [`SparseVec`]s with a sort of its own,
@@ -45,7 +47,11 @@
 //!
 //! * **Gather-dot order** — the dot product walks the point's ascending
 //!   dims, adding `w · c[d]`: the merge's products in the merge's order for
-//!   shared dims, and an exact `+0.0` for dims the centroid lacks.
+//!   shared dims, and an exact `+0.0` for dims the centroid lacks. The
+//!   assignment's several dots per pass each keep their own accumulator,
+//!   so each is the same chain of additions as a dot taken alone, and the
+//!   similarities are compared in ascending centroid order (ties to the
+//!   lower index).
 //! * **Point-order sums** — a cluster's sum is accumulated point by point
 //!   in input order from `0.0`, the chain of sparse additions; its mean is
 //!   `sum · (1.0 / count)`.
@@ -57,8 +63,9 @@
 //!   already updated in this iteration and of clusters `> c` not yet.
 //!
 //! So nothing here may reorder float work: no SIMD horizontal sums, no
-//! fused multiply-add, no cached similarities for "unchanged" centroids,
-//! no local ids that are not order-preserving.
+//! accumulator shared between dots, no fused multiply-add, no cached
+//! similarities for "unchanged" centroids, no local ids that are not
+//! order-preserving.
 
 use crate::assign::ClusterAssignment;
 use crate::rng::SplitMix64;
@@ -350,37 +357,73 @@ impl Centroids {
     /// Cosine similarity of point `i` and centroid `c`, in `[0, 1]`; 0 when
     /// either is the zero vector.
     fn similarity(&self, points: &Points, i: usize, c: usize) -> f64 {
-        let na = points.norms[i];
-        let nb = self.norms[c];
-        if na == 0.0 || nb == 0.0 {
-            return 0.0;
-        }
+        let [dot] = self.dots::<1>(points, i, c);
+        cosine(dot, points.norms[i], self.norms[c])
+    }
+
+    /// The dot products of point `i` with centroids `c..c + N`, in one pass
+    /// over the point's entries: each its own accumulator, adding `w · c[d]`
+    /// in ascending-dim order as [`similarity`](Self::similarity) does.
+    #[inline(always)]
+    fn dots<const N: usize>(&self, points: &Points, i: usize, c: usize) -> [f64; N] {
         let (idx, val) = points.row(i);
-        let row = &self.rows[c * self.dims..][..self.dims];
-        let mut dot = 0.0;
+        let rows: [&[f64]; N] =
+            std::array::from_fn(|j| &self.rows[(c + j) * self.dims..][..self.dims]);
+        let mut dots = [0.0; N];
         for (&d, &w) in idx.iter().zip(val) {
-            dot += w * row[d as usize];
+            for (dot, row) in dots.iter_mut().zip(&rows) {
+                *dot += w * row[d as usize];
+            }
         }
-        (dot / (na * nb)).clamp(0.0, 1.0)
+        dots
     }
 
     /// Index of the centroid most cosine-similar to point `i`; ties break
     /// on lower index. Zero vectors go to centroid 0.
+    ///
+    /// The dots come four centroids per pass over the point (then one pass
+    /// for the last `k mod 4`); the similarities are compared in ascending
+    /// centroid order, as one [`similarity`](Self::similarity) per centroid
+    /// would be.
     fn nearest(&self, points: &Points, i: usize) -> u32 {
         if points.indptr[i] == points.indptr[i + 1] {
             return 0;
         }
+        let na = points.norms[i];
         let mut best = 0u32;
         let mut best_sim = -1.0;
-        for c in 0..self.norms.len() {
-            let sim = self.similarity(points, i, c);
-            if sim > best_sim {
-                best_sim = sim;
-                best = c as u32;
+        let mut consider = |first: usize, dots: &[f64]| {
+            for (c, &dot) in (first..).zip(dots) {
+                let sim = cosine(dot, na, self.norms[c]);
+                if sim > best_sim {
+                    best_sim = sim;
+                    best = c as u32;
+                }
             }
+        };
+        let k = self.norms.len();
+        let blocked = k - k % 4;
+        for c in (0..blocked).step_by(4) {
+            consider(c, &self.dots::<4>(points, i, c));
+        }
+        match k % 4 {
+            1 => consider(blocked, &self.dots::<1>(points, i, blocked)),
+            2 => consider(blocked, &self.dots::<2>(points, i, blocked)),
+            3 => consider(blocked, &self.dots::<3>(points, i, blocked)),
+            _ => {}
         }
         best
     }
+}
+
+/// The cosine of two vectors from their dot product and norms, in
+/// `[0, 1]`; 0 when either is the zero vector.
+#[inline]
+fn cosine(dot: f64, na: f64, nb: f64) -> f64 {
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    (dot / (na * nb)).clamp(0.0, 1.0)
 }
 
 /// k-means++ seeding with cosine distance `1 − sim`.
@@ -623,22 +666,26 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(0x14_d1ff);
         let mut reseeding_cases = 0;
         let mut multi_iteration_cases = 0;
-        for case in 0..240 {
-            let k_choice = case % 5;
+        // Every `k mod 4` the assignment's remainder block branches on,
+        // with (k ≥ 4) and without a full block of four, then `k = n − 1`.
+        const K_FIXED: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+        for case in 0..320 {
+            let k_choice = case % 8;
+            let n_minus_one = k_choice == K_FIXED.len();
             // `k = n − 1` makes the reference quadratic in n; keep most of
             // those small and let the rest range to 200.
-            let n_max = if k_choice == 4 && case % 20 != 4 {
+            let n_max = if n_minus_one && case % 32 != 7 {
                 24
             } else {
                 200
             };
-            let k_fixed = [1, 2, 5, 8][k_choice.min(3)];
-            let n = if k_choice == 4 {
+            let k_fixed = K_FIXED[k_choice.min(K_FIXED.len() - 1)];
+            let n = if n_minus_one {
                 3 + rng.below(n_max - 2)
             } else {
                 k_fixed + 1 + rng.below(n_max - k_fixed)
             };
-            let k = if k_choice == 4 { n - 1 } else { k_fixed };
+            let k = if n_minus_one { n - 1 } else { k_fixed };
             let shape = Shape {
                 n,
                 vocab: [4, 30, 400, 5_000][rng.below(4)],

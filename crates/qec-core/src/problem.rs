@@ -158,6 +158,7 @@ impl ExpansionArena {
             for (_, tf) in run {
                 tfidf += tf as f64 * idf;
             }
+            debug_assert!(tfidf.is_finite() && tfidf.is_sign_positive());
             ranked.push(Group {
                 tfidf,
                 term,
@@ -168,11 +169,14 @@ impl ExpansionArena {
         // Keep the top `keep` under the total order (tf·idf descending,
         // then `TermId` ascending — terms are distinct, so no two groups
         // compare equal and neither the selection nor the unstable sort
-        // can depend on input order).
+        // can depend on input order). A tf·idf is `+0.0` or positive and
+        // finite (tf ≥ 0, and `idf = ln(N / df) ≥ +0.0` since df ≤ N), and
+        // the IEEE bit patterns of such doubles order as their values do:
+        // compare those, an integer compare.
         let by_rank = |a: &Group, b: &Group| {
             b.tfidf
-                .partial_cmp(&a.tfidf)
-                .expect("tf-idf finite")
+                .to_bits()
+                .cmp(&a.tfidf.to_bits())
                 .then_with(|| a.term.cmp(&b.term))
         };
         let keep = if config.candidate_fraction >= 1.0 {
@@ -591,6 +595,38 @@ mod tests {
         );
         // fruit: tf 3 × idf ln(3) > store: tf 2 × idf ln(1.5).
         assert_eq!(corpus.term_name(arena.candidates[0].term), "fruit");
+    }
+
+    #[test]
+    fn bit_equal_tfidf_ranks_by_term_id() {
+        // Fifty terms of tf 1 in one document each: their tf·idf are the
+        // same bits, ln(3), above "pear"'s 2 · ln(1.5).
+        let mut b = CorpusBuilder::new();
+        let ties: String = (0..50).map(|i| format!(" tok{i}")).collect();
+        let d0 = b.add_document(DocumentSpec::text("", format!("apple{ties}")));
+        let d1 = b.add_document(DocumentSpec::text("", "apple pear"));
+        let d2 = b.add_document(DocumentSpec::text("", "apple pear"));
+        let corpus = b.build();
+        let apple = corpus.keyword_term("apple").unwrap();
+        let mut tied: Vec<TermId> = (0..50)
+            .map(|i| corpus.keyword_term(&format!("tok{i}")).unwrap())
+            .collect();
+        let idf = corpus.index().idf(tied[0]).to_bits();
+        assert!(tied.iter().all(|&t| corpus.index().idf(t).to_bits() == idf));
+        tied.sort_unstable();
+        // 51 groups at 0.2 keep 11: the selection cuts through the ties.
+        let arena = ExpansionArena::build(
+            &corpus,
+            &[d0, d1, d2],
+            None,
+            &[apple],
+            &ArenaConfig {
+                candidate_fraction: 0.2,
+                min_candidates: 0,
+            },
+        );
+        let kept: Vec<TermId> = arena.candidates.iter().map(|c| c.term).collect();
+        assert_eq!(kept, tied[..11]);
     }
 
     #[test]

@@ -333,6 +333,8 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     //     131  the arena's lane index (four buffers) and the lane
     //          accumulators of the serving thread's ISKR scratch growing
     //          to this arena's candidate count
+    //     126  the gather's term runs pre-sized (no regrowth), its radix
+    //          sort's one scratch buffer added
     // The bound is the measured count + 25 %, about half of the 321.
     let engine = EngineBuilder::new()
         .documents((0..400).map(|i| {
@@ -369,7 +371,7 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     let cold = cold.expect("the cold build succeeds");
     assert!(!cold.stats.arena_cache_hit, "a miss was measured");
     assert_eq!(cold.clusters().len(), 5);
-    const MEASURED: usize = 131;
+    const MEASURED: usize = 126;
     const BOUND: usize = MEASURED + MEASURED / 4;
     assert!(
         counted <= BOUND,

@@ -15,7 +15,10 @@
 //!
 //! Both come from sorting one `term << 32 | position` key per occurrence:
 //! positions ascend with the result index, so the sorted keys list the
-//! occurrences by term and, within a term, by result.
+//! occurrences by term and, within a term, by result. The keys are pushed
+//! in position order and no two are equal, so a *stable* sort on the term
+//! half alone gives that same order: an LSD radix over the term's bits
+//! (two passes while term ids stay under 2^22), not a comparison sort.
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
@@ -66,10 +69,10 @@ impl TermMatrix {
                 by_term.push(u64::from(term.0) << 32 | u64::from(at));
             }
         }
-        by_term.sort_unstable();
+        radix_sort_by_term(&mut by_term);
 
         let mut local = vec![0u32; total];
-        let mut run_ptr = Vec::new();
+        let mut run_ptr = Vec::with_capacity(total + 1);
         let mut last = None;
         for (at, &key) in by_term.iter().enumerate() {
             let term = (key >> 32) as u32;
@@ -137,6 +140,48 @@ impl TermMatrix {
     }
 }
 
+/// Widest radix digit: its histogram is a 2^11-entry stack array (8 KB).
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Sorts `keys` by their high 32 bits (the term), stably: least significant
+/// digit first, in as few passes of at most [`MAX_DIGIT_BITS`] as the
+/// largest term needs, the bits split evenly between them.
+fn radix_sort_by_term(keys: &mut Vec<u64>) {
+    let max_term = keys
+        .iter()
+        .map(|&key| (key >> 32) as u32)
+        .max()
+        .unwrap_or(0);
+    let bits = u32::BITS - max_term.leading_zeros();
+    if bits == 0 {
+        return;
+    }
+    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    let digit_bits = bits.div_ceil(passes);
+    let mask = (1usize << digit_bits) - 1;
+    let mut starts = [0u32; 1 << MAX_DIGIT_BITS];
+    let starts = &mut starts[..=mask];
+    let mut out = vec![0u64; keys.len()];
+    for pass in 0..passes {
+        let shift = 32 + pass * digit_bits;
+        let digit = |key: u64| (key >> shift) as usize & mask;
+        starts.fill(0);
+        for &key in keys.iter() {
+            starts[digit(key)] += 1;
+        }
+        let mut sum = 0;
+        for start in starts.iter_mut() {
+            (*start, sum) = (sum, sum + *start);
+        }
+        for &key in keys.iter() {
+            let slot = &mut starts[digit(key)];
+            out[*slot as usize] = key;
+            *slot += 1;
+        }
+        std::mem::swap(keys, &mut out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +230,60 @@ mod tests {
         let corpus = CorpusBuilder::new().build();
         let m = TermMatrix::gather(&corpus, &[]);
         assert_eq!((m.num_rows(), m.num_terms(), m.nnz()), (0, 0, 0));
+    }
+
+    /// The radix on `term << 32 | position` keys, positions ascending as
+    /// `gather` pushes them, against a full comparison sort.
+    fn check_radix(terms: &[u32]) {
+        let keys: Vec<u64> = (0..)
+            .zip(terms)
+            .map(|(at, &term)| u64::from(term) << 32 | at)
+            .collect();
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        let mut got = keys;
+        radix_sort_by_term(&mut got);
+        assert_eq!(got, expected, "{} keys", terms.len());
+    }
+
+    #[test]
+    fn radix_sort_by_term_equals_a_comparison_sort() {
+        let mut state = 0x27_5eed_u64;
+        let mut next = |below: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        // Largest terms needing one pass of ≤ 11 bits, two of 9 (80,918 is
+        // the benchmark vocabulary's largest id), and three of 11 (every
+        // bit of a `u32`).
+        for max_term in [1, 2_000, 80_918, u64::from(u32::MAX)] {
+            for len in [0usize, 1, 2, 7, 300, 5_000] {
+                // Few distinct terms (long runs) to nearly all distinct.
+                for distinct in [1usize, 3, 60, 100_000] {
+                    let pool: Vec<u32> = (0..distinct.min(len.max(1)))
+                        .map(|_| next(max_term + 1) as u32)
+                        .collect();
+                    let mut terms: Vec<u32> = (0..len)
+                        .map(|_| pool[next(pool.len() as u64) as usize])
+                        .collect();
+                    if let Some(first) = terms.first_mut() {
+                        *first = max_term as u32;
+                    }
+                    check_radix(&terms);
+                }
+            }
+        }
+        check_radix(&[]);
+        check_radix(&[u32::MAX]);
+        check_radix(&[0]);
+        check_radix(&[5; 1_000]);
+        check_radix(&[u32::MAX; 100]);
+        // Every term its own single-key run, descending.
+        let descending: Vec<u32> = (0..4_000).rev().map(|t| t * 1_000_003).collect();
+        check_radix(&descending);
     }
 }
