@@ -1,7 +1,7 @@
 //! Shared word-bitset kernels for the QEC reproduction.
 //!
 //! One dense, fixed-universe bitset ([`Bitset`]) backs both of the
-//! workspace's hot set representations: `qec_index::postings::DocBitmap`
+//! workspace's hot set representations: `qec_index::DocBitmap`
 //! (document sets over the corpus universe) and `qec_core`'s `ResultSet`
 //! (result sets over the expansion arena). Before this crate each carried
 //! its own copy of the word loops; now every strategy (ISKR, exact-ΔF,
@@ -47,46 +47,6 @@ pub const CHUNK: usize = 4;
 
 /// Words per cached popcount block in a [`RankIndex`] (512 bits / block).
 pub const RANK_BLOCK_WORDS: usize = 8;
-
-/// Why [`Bitset::from_words`] rejected a word buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FromWordsError {
-    /// The buffer length doesn't match the universe's word count.
-    WrongWordCount {
-        /// Universe the caller asked for.
-        universe: usize,
-        /// `universe.div_ceil(64)`.
-        expected: usize,
-        /// Length of the buffer actually supplied.
-        got: usize,
-    },
-    /// A bit at position `>= universe` is set, violating the invariant
-    /// every kernel in this crate relies on.
-    TailBitsSet {
-        /// Universe the caller asked for.
-        universe: usize,
-    },
-}
-
-impl std::fmt::Display for FromWordsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FromWordsError::WrongWordCount {
-                universe,
-                expected,
-                got,
-            } => write!(
-                f,
-                "universe of {universe} needs {expected} words, got {got}"
-            ),
-            FromWordsError::TailBitsSet { universe } => {
-                write!(f, "bits set at positions >= universe {universe}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FromWordsError {}
 
 /// A dense bitset over a fixed universe `{0, …, universe-1}`.
 ///
@@ -152,36 +112,6 @@ impl Bitset {
     #[inline]
     pub fn as_words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Rebuilds a bitset from a word buffer previously obtained via
-    /// [`as_words`](Self::as_words) — the deserialization half of the
-    /// word-slice round-trip, so external serializers never touch the
-    /// private representation.
-    ///
-    /// The buffer is validated, not trusted: it must hold exactly
-    /// `universe.div_ceil(64)` words and every bit at position
-    /// `>= universe` must be zero (the crate-wide tail invariant all
-    /// kernels rely on). Violations return a typed [`FromWordsError`]
-    /// instead of constructing a set that would corrupt later
-    /// counts/ranks.
-    pub fn from_words(universe: usize, words: Vec<u64>) -> Result<Self, FromWordsError> {
-        let expected = universe.div_ceil(64);
-        if words.len() != expected {
-            return Err(FromWordsError::WrongWordCount {
-                universe,
-                expected,
-                got: words.len(),
-            });
-        }
-        let tail_bits = universe % 64;
-        if tail_bits != 0 {
-            let tail = *words.last().expect("universe > 0 so expected >= 1");
-            if tail >> tail_bits != 0 {
-                return Err(FromWordsError::TailBitsSet { universe });
-            }
-        }
-        Ok(Bitset { words, universe })
     }
 
     /// Heap footprint of the backing buffer in bytes — the unit the

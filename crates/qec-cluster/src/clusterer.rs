@@ -36,7 +36,7 @@ pub trait Clusterer: Send + Sync {
 }
 
 /// [`Clusterer`] wrapping the deterministic cosine k-means of
-/// [`mod@crate::kmeans`]. The per-request `k` overrides the config's; seed
+/// [`kmeans()`](crate::kmeans()). The per-request `k` overrides the config's; seed
 /// and iteration cap come from the stored config.
 #[derive(Debug, Clone, Default)]
 pub struct KMeansClusterer(pub KMeansConfig);

@@ -11,12 +11,12 @@
 //! Cluster-quality metrics (purity, NMI) are included for tests and for the
 //! simulated user-study judges — the algorithms themselves never see them.
 
-pub mod assign;
-pub mod clusterer;
-pub mod kmeans;
-pub mod quality;
-pub mod rng;
-pub mod vector;
+mod assign;
+mod clusterer;
+mod kmeans;
+mod quality;
+mod rng;
+mod vector;
 
 pub use assign::ClusterAssignment;
 pub use clusterer::{Clusterer, KMeansClusterer};

@@ -9,7 +9,7 @@
 //!
 //! The implementation lives in the shared foundation crate
 //! [`qec_bitset`] — the same chunked (autovectorizable) kernels back
-//! `qec_index::postings::DocBitmap`, so retrieval and expansion speed up
+//! `qec_index::DocBitmap`, so retrieval and expansion speed up
 //! together. `ResultSet` is the arena-flavoured name this crate has always
 //! exported; see [`qec_bitset::Bitset`] for the full kernel surface
 //! (fused `*_count_into` ops, `rank`/`select`, `heap_bytes`, the

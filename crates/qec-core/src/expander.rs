@@ -43,7 +43,7 @@ pub trait Expander: Sync {
     /// completely (cleared `added`, fresh `quality`), reusing its capacity
     /// — and `false` when `cancel` tripped mid-run — `out` is then
     /// unspecified and must be discarded (the no-torn-results contract of
-    /// [`crate::cancel`]). A strategy that never polls the token is simply
+    /// [`CancelToken`]). A strategy that never polls the token is simply
     /// uncancellable, not wrong.
     fn expand_cancellable(
         &self,
@@ -94,7 +94,7 @@ fn finish_cancellable(
     }
 }
 
-/// [`Expander`] wrapping ISKR ([`mod@crate::iskr`]).
+/// [`Expander`] wrapping ISKR ([`iskr()`](crate::iskr())).
 #[derive(Debug, Clone, Default)]
 pub struct Iskr(pub IskrConfig);
 
@@ -115,7 +115,8 @@ impl Expander for Iskr {
     }
 }
 
-/// [`Expander`] wrapping the exact-ΔF baseline ([`mod@crate::fmeasure`]).
+/// [`Expander`] wrapping the exact-ΔF baseline
+/// ([`fmeasure_refine`](crate::fmeasure_refine)).
 #[derive(Debug, Clone, Default)]
 pub struct ExactDeltaF(pub FMeasureConfig);
 
@@ -136,7 +137,8 @@ impl Expander for ExactDeltaF {
     }
 }
 
-/// [`Expander`] wrapping the partial-elimination baseline ([`mod@crate::pebc`]).
+/// [`Expander`] wrapping the partial-elimination baseline
+/// ([`pebc()`](crate::pebc())).
 #[derive(Debug, Clone, Default)]
 pub struct Pebc(pub PebcConfig);
 

@@ -77,7 +77,7 @@ pub fn fmeasure_refine_into(
 /// [`fmeasure_refine_into`] with cooperative cancellation: `cancel` is
 /// polled once per greedy iteration (each of which revalues every
 /// candidate — the natural granularity for the exact baseline); a
-/// tripped token returns `None` (no torn result — see [`crate::cancel`]).
+/// tripped token returns `None` (no torn result — see [`CancelToken`]).
 /// An untripped run is bit-identical to [`fmeasure_refine_into`].
 pub fn fmeasure_refine_into_cancellable(
     inst: &QecInstance<'_>,

@@ -247,7 +247,7 @@ pub fn iskr_into(
 /// per greedy iteration (before the move search) and once per 64-result
 /// word of every lane pass, and a tripped token returns `None` with the
 /// scratch in a valid-but-unspecified state — the no-torn-results contract
-/// of [`crate::cancel`]. An untripped run is bit-identical to
+/// of [`CancelToken`]. An untripped run is bit-identical to
 /// [`iskr_into`] (the poll does not affect the refinement), and the inert
 /// token adds only two branch tests per poll, preserving the
 /// zero-allocation discipline.

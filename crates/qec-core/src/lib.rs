@@ -3,53 +3,55 @@
 //! Built on the retrieval substrate of `qec-index`, this crate contains
 //! everything downstream of "the user query has been run and clustered":
 //!
-//! * [`bitset`] — dense fixed-universe bitsets over the result arena
+//! * [`ResultSet`] — dense fixed-universe bitsets over the result arena
 //!   (re-exported from the shared `qec-bitset` foundation crate), with the
 //!   fused counting kernels ISKR's inner loop runs on.
-//! * [`metrics`] — weighted precision/recall/F-measure and the overall
-//!   harmonic-mean score (§2, Eq. 1).
-//! * [`problem`] — the [`ExpansionArena`] / [`QecInstance`] problem model
+//! * [`query_quality`] / [`overall_score`] — weighted precision/recall/
+//!   F-measure and the overall harmonic-mean score (§2, Eq. 1).
+//! * the [`ExpansionArena`] / [`QecInstance`] problem model
 //!   (Definitions 2.1/2.2), built from a request's gathered term
 //!   occurrences (`qec_index::TermMatrix`).
-//! * [`mod@iskr`] — Iterative Single-Keyword Refinement (Algorithm 1), with a
-//!   reusable [`IskrScratch`] making every move valuation allocation-free.
-//! * [`mod@fmeasure`] — the exact-ΔF greedy baseline (§5's "F-measure" method).
-//! * [`mod@pebc`] — the partial-elimination baseline: one-shot static
-//!   valuation, no maintenance, no removals.
-//! * [`expander`] — the [`Expander`] strategy trait unifying the three
-//!   algorithms behind one interface (what `qec-engine` serves through).
-//! * [`cancel`] — cooperative cancellation ([`CancelToken`]) threaded
-//!   through the kernels' `*_cancellable` entry points; a tripped deadline
-//!   yields `None` rather than a torn result, which is what lets the
-//!   serving layer degrade a response to its finished prefix.
-//! * [`parallel`] — the shared state a pooled fan-out of independent
-//!   per-cluster expansions needs: [`ScratchPool`] (warmed per-task
-//!   scratches) and [`DisjointSlots`] (one output slot per task index).
-//! * [`pool`] — the long-lived [`WorkerPool`] every fan-out runs on (the
+//! * [`iskr()`](crate::iskr()) — Iterative Single-Keyword Refinement
+//!   (Algorithm 1), with a reusable [`IskrScratch`] making every move
+//!   valuation allocation-free.
+//! * [`fmeasure_refine`] — the exact-ΔF greedy baseline (§5's "F-measure"
+//!   method).
+//! * [`pebc()`](crate::pebc()) — the partial-elimination baseline:
+//!   one-shot static valuation, no maintenance, no removals.
+//! * the [`Expander`] strategy trait unifying the three algorithms behind
+//!   one interface (what `qec-engine` serves through).
+//! * [`CancelToken`] — cooperative cancellation threaded through the
+//!   kernels' `*_cancellable` entry points; a tripped deadline yields
+//!   `None` rather than a torn result, which is what lets the serving
+//!   layer degrade a response to its finished prefix.
+//! * the shared state a pooled fan-out of independent per-cluster
+//!   expansions needs: [`ScratchPool`] (warmed per-task scratches) and
+//!   [`DisjointSlots`] (one output slot per task index).
+//! * the long-lived [`WorkerPool`] every fan-out runs on (the
 //!   offline-build substitute for rayon): fixed workers over one shared
 //!   FIFO queue of spawned jobs and indexed batches, whose indices are
 //!   claimed under the queue lock; scheduling a batch allocates nothing.
-//! * [`scatter`] — the gather primitive of shard-partitioned serving: a
-//!   reusable k-way merge scratch for per-shard sorted lists.
-//! * [`retry`] — deadline-aware capped exponential [`Backoff`] with
+//! * [`MergeScratch`] — the gather primitive of shard-partitioned
+//!   serving: a reusable k-way merge scratch for per-shard sorted lists.
+//! * [`Backoff`] — deadline-aware capped exponential backoff with
 //!   seeded jitter, the wait policy behind replica failover retries.
-//! * [`breaker`] — lock-free per-replica [`CircuitBreaker`]s
+//! * [`CircuitBreaker`] — lock-free per-replica breakers
 //!   (closed → open → half-open) that take persistently sick replicas
 //!   out of scatter selection until they heal.
 
-pub mod bitset;
-pub mod breaker;
-pub mod cancel;
-pub mod expander;
-pub mod fmeasure;
-pub mod iskr;
-pub mod metrics;
-pub mod parallel;
-pub mod pebc;
-pub mod pool;
-pub mod problem;
-pub mod retry;
-pub mod scatter;
+mod bitset;
+mod breaker;
+mod cancel;
+mod expander;
+mod fmeasure;
+mod iskr;
+mod metrics;
+mod parallel;
+mod pebc;
+mod pool;
+mod problem;
+mod retry;
+mod scatter;
 
 pub use bitset::ResultSet;
 pub use breaker::{BreakerState, CircuitBreaker};

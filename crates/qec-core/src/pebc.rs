@@ -80,7 +80,7 @@ pub fn pebc_into(
 /// 64-result word of the valuation pass (the bulk of a run, so a big arena
 /// stays cancellable) and once per ranked keyword of the application
 /// sweep; a tripped token returns `None` (no torn result — see
-/// [`crate::cancel`]). An untripped run is bit-identical to [`pebc_into`].
+/// [`CancelToken`]). An untripped run is bit-identical to [`pebc_into`].
 pub fn pebc_into_cancellable(
     inst: &QecInstance<'_>,
     config: &PebcConfig,

@@ -72,9 +72,9 @@ impl Default for ArenaConfig {
 /// candidates contain, of the ones that do not (the row is then
 /// *flipped*). Storing whichever side is shorter bounds the index at
 /// `size · num_candidates / 2` entries and lets one pass over the results
-/// value every candidate at once on either density regime (see
-/// [`mod@crate::iskr`], "The lane pass"). Every constructor derives it from
-/// `candidates`, which must therefore not be edited afterwards.
+/// value every candidate at once on either density regime (see "The
+/// lane pass" in the `iskr` module docs). Every constructor derives it
+/// from `candidates`, which must therefore not be edited afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionArena {
     /// Arena index → original document.

@@ -74,8 +74,8 @@
 //! is the single engine's machinery. With
 //! [`replicas(n)`](ShardedEngineBuilder::replicas) each shard's one slice
 //! sits behind `n` interchangeable replica slots and the scatter path
-//! adds retry, hedging, and per-replica circuit breakers. See the
-//! [`shard`] module docs.
+//! adds retry, hedging, and per-replica circuit breakers. The `shard`
+//! module docs (`src/shard.rs`) draw the architecture.
 //!
 //! # Snapshot boot
 //!
@@ -134,12 +134,12 @@
 //! [`deadline`]: ExpandRequest::deadline
 //! [`timeout`]: ExpandRequest::timeout
 
-pub mod api;
-pub mod boot;
+mod api;
+mod boot;
 pub mod cache;
-pub mod config;
-pub mod engine;
-pub mod shard;
+mod config;
+mod engine;
+mod shard;
 
 pub use api::{
     ClusterExpansion, EngineError, ExpandRequest, ExpandResponse, ExpandStats, ExpandStrategy,

@@ -79,8 +79,8 @@ use crate::engine::{EngineBuilder, QecEngine, Source};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
 /// retrieval scattered across shards. Build with
-/// [`ShardedEngineBuilder`]; see the [module docs](self) for the
-/// architecture.
+/// [`ShardedEngineBuilder`]; the `shard` module docs (`src/shard.rs`)
+/// draw the architecture.
 ///
 /// It derefs to its gather engine, so serving
 /// ([`try_expand`](QecEngine::try_expand),
@@ -340,9 +340,9 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets the replica count per shard (`0` is treated as `1`). See the
-    /// [module docs](self#replication-and-failover) and
-    /// [`ReplicationConfig`].
+    /// Sets the replica count per shard (`0` is treated as `1`). See
+    /// "Replication and failover" in the `shard` module docs
+    /// (`src/shard.rs`) and [`ReplicationConfig`].
     pub fn replicas(mut self, n: usize) -> Self {
         self.gather.config.replication.replicas = n.max(1);
         self

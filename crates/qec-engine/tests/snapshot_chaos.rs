@@ -8,6 +8,8 @@
 //!   corrupt file, or a missing file makes the engine builder fall back
 //!   to the in-memory rebuild — the engine comes up and serves
 //!   bit-identical responses, with the fallback counted in `boot_stats`;
+//! * so does a snapshot of format generation 1, which the loader refuses
+//!   by its version, for a flat engine and for a sharded snapshot set;
 //! * a sharded boot survives one corrupt shard file by re-splitting only
 //!   that shard, and distrusts every shard file when `full.qsnap` itself
 //!   fails (no fingerprint left to verify them against).
@@ -16,7 +18,7 @@
 //! (CI additionally runs this binary with `RUST_TEST_THREADS=1`).
 
 use std::io::ErrorKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use qec_engine::{
@@ -154,7 +156,6 @@ fn injected_faults_on_every_load_section_fall_back_to_the_rebuild() {
         "snapshot.load.dict",
         "snapshot.load.docs",
         "snapshot.load.post",
-        "snapshot.load.bits",
         "snapshot.load.trailer",
     ] {
         let _fp = arm(site, FailAction::ReturnErr(ErrorKind::InvalidData));
@@ -178,6 +179,77 @@ fn injected_faults_on_every_load_section_fall_back_to_the_rebuild() {
     // pass-through when disarmed.
     let booted = EngineBuilder::new().load_snapshot(&path).build();
     assert_eq!(booted.boot_stats().snapshots_loaded, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the format version of the snapshot at `path` to 1, the
+/// generation that also stored the dense terms' bitmaps, with a valid
+/// header CRC: the loader refuses it by version before reading a section.
+fn downgrade_to_generation_1(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = qec_snapshot::crc32(&bytes[..12]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn a_generation_1_snapshot_is_refused_and_the_engine_rebuilds() {
+    let _guard = serial();
+    let dir = temp_dir("gen1");
+    let reference = fresh();
+
+    let path = dir.join("index.qsnap");
+    reference.save_snapshot(&path).expect("save");
+    downgrade_to_generation_1(&path);
+    let booted = EngineBuilder::new()
+        .documents(corpus_docs())
+        .load_snapshot(&path)
+        .build();
+    let boot = booted.boot_stats();
+    assert_eq!(boot.snapshots_loaded, 0, "{boot:?}");
+    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
+    assert_eq!(boot.rebuilt_cold, 1, "{boot:?}");
+    assert!(
+        boot.errors[0].contains("unsupported snapshot version 1"),
+        "the refusal names the version: {:?}",
+        boot.errors
+    );
+    assert_serves_like_fresh(&booted, &reference, "generation-1 file");
+
+    // A whole generation-1 snapshot set: full.qsnap is refused, so no
+    // shard file is trusted and the gather corpus and every shard rebuild.
+    let set = dir.join("set");
+    ShardedEngineBuilder::new()
+        .documents(corpus_docs())
+        .num_shards(3)
+        .build()
+        .save_snapshot(&set)
+        .expect("save sharded");
+    for entry in std::fs::read_dir(&set).unwrap() {
+        downgrade_to_generation_1(&entry.unwrap().path());
+    }
+    let booted = ShardedEngineBuilder::new()
+        .documents(corpus_docs())
+        .num_shards(3)
+        .load_snapshots(&set)
+        .build();
+    let boot = booted.boot_stats();
+    assert_eq!(boot.snapshots_loaded, 0, "{boot:?}");
+    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
+    assert_eq!(boot.rebuilt_cold, 4, "gather corpus + 3 shards: {boot:?}");
+    assert!(
+        boot.errors[0].contains("unsupported snapshot version 1"),
+        "the refusal names the version: {:?}",
+        boot.errors
+    );
+    for (i, req) in probe_requests().iter().enumerate() {
+        assert_eq!(
+            essence(&booted.expand(req)),
+            essence(&reference.expand(req)),
+            "generation-1 set, request {i}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

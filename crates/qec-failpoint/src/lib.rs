@@ -113,8 +113,7 @@ struct Armed {
 pub struct SiteStats {
     /// Times the site was armed (re-arms included).
     pub arms: u64,
-    /// Times the site was disarmed (guard drops and explicit
-    /// [`disarm`] calls on an armed site).
+    /// Times the site was disarmed (guard drops on an armed site).
     pub disarms: u64,
     /// Times the site fired an action since process start.
     pub fires: u64,
@@ -187,9 +186,9 @@ fn arm_inner(
     FailGuard { name }
 }
 
-/// Disarms `name` (no-op when not armed). Prefer dropping the
-/// [`FailGuard`]; this exists for tests that hand guards across scopes.
-pub fn disarm(name: &str) {
+/// Disarms `name` (no-op when not armed): what dropping its
+/// [`FailGuard`] does.
+fn disarm(name: &str) {
     let mut reg = registry();
     if reg.armed.remove(name).is_some() {
         if let Some(stats) = reg.stats.get_mut(name) {

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crate::doc::{DocId, DocumentSpec, Feature};
-use crate::inverted::InvertedIndex;
+use crate::inverted::{append_row, InvertedIndex, Posting};
 use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 /// Per-document stored metadata (original strings kept for display).
@@ -32,7 +32,9 @@ pub struct CorpusBuilder {
     analyzer: Analyzer,
     docs: Vec<StoredDoc>,
     doc_terms: Vec<Vec<(TermId, u32)>>,
-    index: InvertedIndex,
+    /// Posting lists, appended to document by document and frozen by
+    /// [`Self::build`].
+    lists: Vec<Vec<Posting>>,
 }
 
 impl CorpusBuilder {
@@ -47,7 +49,7 @@ impl CorpusBuilder {
             analyzer: Analyzer::with_config(config),
             docs: Vec::new(),
             doc_terms: Vec::new(),
-            index: InvertedIndex::new(),
+            lists: Vec::new(),
         }
     }
 
@@ -78,7 +80,7 @@ impl CorpusBuilder {
             }
         }
 
-        self.index.add_document(id, &counted);
+        append_row(&mut self.lists, id, &counted);
         self.doc_terms.push(counted);
         self.docs.push(StoredDoc {
             title: spec.title,
@@ -89,18 +91,23 @@ impl CorpusBuilder {
         id
     }
 
-    /// Freezes the builder into an immutable [`Corpus`]. This finalizes the
-    /// index, choosing each term's hybrid posting representation.
+    /// Freezes the builder into an immutable [`Corpus`]: the posting lists
+    /// become an [`InvertedIndex`], each term in its hybrid representation.
     pub fn build(self) -> Corpus {
-        let mut index = self.index;
-        index.finalize();
         Corpus {
+            index: freeze(self.docs.len(), self.lists),
             analyzer: Arc::new(self.analyzer),
             docs: self.docs,
             doc_terms: self.doc_terms,
-            index,
         }
     }
+}
+
+/// Freezes lists appended in document order, which are valid by
+/// construction.
+fn freeze(num_docs: usize, lists: Vec<Vec<Posting>>) -> InvertedIndex {
+    let num_docs = u32::try_from(num_docs).expect("too many documents");
+    InvertedIndex::from_lists(num_docs, lists).expect("lists appended in document order")
 }
 
 /// An immutable, fully indexed document collection.
@@ -127,7 +134,7 @@ pub enum CorpusPartsError {
         /// Number of per-document term rows supplied.
         doc_terms: usize,
     },
-    /// The index was never finalized, or covers a different document count.
+    /// The index covers a different document count.
     IndexMismatch,
     /// A document's term row is not strictly sorted by term id.
     UnsortedDocTerms {
@@ -153,7 +160,7 @@ impl std::fmt::Display for CorpusPartsError {
                 write!(f, "{docs} stored docs but {doc_terms} term rows")
             }
             CorpusPartsError::IndexMismatch => {
-                write!(f, "index is unfinalized or covers a different doc count")
+                write!(f, "index covers a different doc count")
             }
             CorpusPartsError::UnsortedDocTerms { doc } => {
                 write!(f, "term row of doc {doc} is not strictly sorted")
@@ -185,10 +192,10 @@ impl Corpus {
     /// Reassembles a corpus from parts a snapshot loader decoded — the
     /// inverse of persisting `analyzer()` + per-doc metadata + the frozen
     /// index. Inputs are validated, not trusted: lengths must agree, the
-    /// index must be finalized over the same document count, every term
-    /// row must be strictly sorted with in-dictionary ids, and each
-    /// stored document length must equal the sum of its term frequencies
-    /// (the invariant the builder's analysis path establishes).
+    /// index must cover the same document count, every term row must be
+    /// strictly sorted with in-dictionary ids, and each stored document
+    /// length must equal the sum of its term frequencies (the invariant
+    /// the builder's analysis path establishes).
     pub fn from_frozen_parts(
         analyzer: Analyzer,
         docs: Vec<StoredDoc>,
@@ -201,7 +208,7 @@ impl Corpus {
                 doc_terms: doc_terms.len(),
             });
         }
-        if !index.is_finalized() || index.num_docs() as usize != docs.len() {
+        if index.num_docs() as usize != docs.len() {
             return Err(CorpusPartsError::IndexMismatch);
         }
         let vocab = analyzer.vocab_size();
@@ -304,8 +311,8 @@ impl Corpus {
     ///
     /// Shard `i` holds global documents `[base(i), base(i)+len(i))` renumbered
     /// from local `DocId(0)`; shard sizes differ by at most one (earlier
-    /// shards take the remainder). Each shard gets its own finalized
-    /// [`InvertedIndex`] rebuilt over its slice, while the analyzer — and
+    /// shards take the remainder). Each shard gets its own
+    /// [`InvertedIndex`] frozen over its slice, while the analyzer — and
     /// with it the term dictionary, so `TermId`s stay globally valid — is
     /// shared via `Arc`. With fewer documents than shards the trailing
     /// shards are empty, which downstream retrieval treats as "no matches".
@@ -324,16 +331,15 @@ impl Corpus {
         for i in 0..n {
             let len = base_len + usize::from(i < remainder);
             let end = start + len;
-            let mut index = InvertedIndex::new();
+            let mut lists = Vec::new();
             for (local, terms) in self.doc_terms[start..end].iter().enumerate() {
-                index.add_document(DocId(local as u32), terms);
+                append_row(&mut lists, DocId(local as u32), terms);
             }
-            index.finalize();
             shards.push(Corpus {
+                index: freeze(len, lists),
                 analyzer: Arc::clone(&self.analyzer),
                 docs: self.docs[start..end].to_vec(),
                 doc_terms: self.doc_terms[start..end].to_vec(),
-                index,
             });
             start = end;
         }

@@ -1,17 +1,18 @@
 //! The inverted index: term → posting list.
 //!
-//! Posting lists are kept sorted by [`DocId`]. Lists are built
-//! incrementally by [`crate::CorpusBuilder`]; documents are added in id
-//! order, so appends keep lists sorted without an explicit sort.
+//! Posting lists are kept sorted by [`DocId`]. The corpus builder and
+//! `Corpus::split` append documents in id order, so their lists come out
+//! sorted without an explicit sort; the snapshot loader decodes them
+//! from the file.
 //!
-//! Alongside the tf-carrying posting lists, [`InvertedIndex::finalize`]
-//! freezes a **hybrid document-id representation** per term — sorted id
-//! vector for sparse terms, dense bitmap for terms with
-//! `df ≥ num_docs / 64` (see [`crate::postings`] for the rationale and the
-//! intersection kernels). Retrieval reads the hybrid side through
+//! An index exists only frozen: [`InvertedIndex::from_lists`] is its one
+//! constructor, and it derives, beside the tf-carrying posting lists, a
+//! **hybrid document-id representation** per term — sorted id vector for
+//! sparse terms, dense bitmap for terms with `df ≥ num_docs / 64` (see
+//! the `postings` module for the rationale and the intersection kernels)
+//! — and the idf table. Retrieval reads the hybrid side through
 //! [`InvertedIndex::doc_ids`]; tf statistics keep using the posting
-//! lists, and [`InvertedIndex::idf`] reads a per-term table frozen at the
-//! same moment.
+//! lists, and [`InvertedIndex::idf`] reads the table.
 
 use crate::doc::DocId;
 use crate::postings::{DocBitmap, PostingsView};
@@ -33,31 +34,11 @@ enum HybridPostings {
     Bitmap(DocBitmap),
 }
 
-/// One term's frozen document-id set as supplied to
-/// [`InvertedIndex::from_frozen_parts`] — the public mirror of the
-/// private hybrid representation, so snapshot loaders can hand back
-/// bitmaps rebuilt from persisted word slices without re-deriving them
-/// bit by bit.
-#[derive(Debug, Clone)]
-pub enum FrozenPostings {
-    /// Sorted document ids (the sparse-term representation).
-    Sorted(Vec<DocId>),
-    /// Dense document bitmap (the high-df representation).
-    Bitmap(DocBitmap),
-}
-
-/// Why [`InvertedIndex::from_frozen_parts`] rejected its inputs. Every
-/// variant names the offending term so loaders can report *where* a
-/// snapshot went bad.
+/// Why [`InvertedIndex::from_lists`] rejected its posting lists. Every
+/// variant names the offending term, so a snapshot loader can report
+/// *where* a file went bad.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrozenPartsError {
-    /// `lists` and `frozen` differ in length.
-    LengthMismatch {
-        /// Number of posting lists supplied.
-        lists: usize,
-        /// Number of frozen representations supplied.
-        frozen: usize,
-    },
+pub enum PostingListError {
     /// A posting list is not strictly increasing by document id.
     UnsortedList {
         /// Offending term slot.
@@ -68,127 +49,79 @@ pub enum FrozenPartsError {
         /// Offending term slot.
         term: u32,
     },
-    /// A term's frozen doc-id set disagrees with its posting list.
-    FrozenDisagreesWithList {
-        /// Offending term slot.
-        term: u32,
-    },
-    /// A term's representation violates the density rule
-    /// (`df · 64 ≥ num_docs` ⇔ bitmap) that [`InvertedIndex::finalize`]
-    /// applies — a loaded index must be structurally identical to a
-    /// fresh-built one.
-    WrongRepresentation {
-        /// Offending term slot.
-        term: u32,
-    },
-    /// A bitmap's universe is not the document count.
-    WrongUniverse {
-        /// Offending term slot.
-        term: u32,
-    },
 }
 
-impl std::fmt::Display for FrozenPartsError {
+impl std::fmt::Display for PostingListError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrozenPartsError::LengthMismatch { lists, frozen } => {
-                write!(f, "{lists} posting lists but {frozen} frozen sets")
-            }
-            FrozenPartsError::UnsortedList { term } => {
+            PostingListError::UnsortedList { term } => {
                 write!(f, "posting list of term {term} is not strictly sorted")
             }
-            FrozenPartsError::DocOutOfRange { term } => {
+            PostingListError::DocOutOfRange { term } => {
                 write!(f, "term {term} references a document beyond num_docs")
-            }
-            FrozenPartsError::FrozenDisagreesWithList { term } => {
-                write!(
-                    f,
-                    "frozen doc-id set of term {term} disagrees with its postings"
-                )
-            }
-            FrozenPartsError::WrongRepresentation { term } => {
-                write!(f, "term {term} violates the density representation rule")
-            }
-            FrozenPartsError::WrongUniverse { term } => {
-                write!(
-                    f,
-                    "bitmap universe of term {term} is not the document count"
-                )
             }
         }
     }
 }
 
-impl std::error::Error for FrozenPartsError {}
+impl std::error::Error for PostingListError {}
 
-/// Term → sorted posting list, keyed by dense [`TermId`].
-#[derive(Debug, Default, Clone)]
+/// Term → sorted posting list, keyed by dense [`TermId`]; frozen from
+/// the moment [`Self::from_lists`] builds it.
+#[derive(Debug, Clone)]
 pub struct InvertedIndex {
     lists: Vec<Vec<Posting>>,
-    /// Hybrid doc-id representations, built by [`Self::finalize`]; empty
-    /// while the index is still being mutated.
+    /// One hybrid doc-id representation per term slot.
     hybrid: Vec<HybridPostings>,
-    /// `idf` of every term slot, frozen with `hybrid` (and empty with it):
-    /// a cold request reads ~700 idfs, each a division and an `ln`.
+    /// `idf` of every term slot: a cold request reads ~700 idfs, each a
+    /// division and an `ln`.
     idf: Vec<f64>,
     num_docs: u32,
     total_postings: u64,
 }
 
-/// `ln(N / df)`, 0 for a term in no document — the one expression behind
-/// [`InvertedIndex::idf`], frozen table or not.
-fn ln_idf(num_docs: u32, df: usize) -> f64 {
-    if df == 0 || num_docs == 0 {
-        return 0.0;
+/// Appends one document's `(term, tf)` row to `lists`, growing them to
+/// the row's largest term. `row` must be sorted by `TermId` and
+/// deduplicated, and `doc` must exceed every document already appended —
+/// the order [`crate::CorpusBuilder`] and [`crate::Corpus::split`] feed
+/// documents in.
+pub(crate) fn append_row(lists: &mut Vec<Vec<Posting>>, doc: DocId, row: &[(TermId, u32)]) {
+    debug_assert!(
+        row.windows(2).all(|w| w[0].0 < w[1].0),
+        "terms must be sorted and unique"
+    );
+    if let Some(&(last, _)) = row.last() {
+        if last.index() >= lists.len() {
+            lists.resize_with(last.index() + 1, Vec::new);
+        }
     }
-    (num_docs as f64 / df as f64).ln()
+    for &(term, tf) in row {
+        lists[term.index()].push(Posting { doc, tf });
+    }
 }
 
 impl InvertedIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a document's term multiset. `terms` must be sorted by `TermId`
-    /// and deduplicated with per-term counts; `doc` ids must be added in
-    /// strictly increasing order (the corpus builder guarantees both).
-    pub fn add_document(&mut self, doc: DocId, terms: &[(TermId, u32)]) {
-        debug_assert!(
-            terms.windows(2).all(|w| w[0].0 < w[1].0),
-            "terms must be sorted and unique"
-        );
-        for &(term, tf) in terms {
-            let idx = term.index();
-            if idx >= self.lists.len() {
-                self.lists.resize_with(idx + 1, Vec::new);
+    /// Freezes posting lists over `num_docs` documents into an index —
+    /// the one constructor, shared by the corpus builder, `Corpus::split`
+    /// and the snapshot loader. Every list must be strictly sorted by
+    /// document with every document `< num_docs`; the first list that is
+    /// not is named in the error.
+    ///
+    /// A term goes dense when its df reaches one document per bitmap word
+    /// (`df · 64 ≥ num_docs`), the point where a bitmap stops costing more
+    /// memory than the id vector; the idf table is taken here too.
+    pub fn from_lists(num_docs: u32, lists: Vec<Vec<Posting>>) -> Result<Self, PostingListError> {
+        let n = num_docs as usize;
+        for (slot, list) in lists.iter().enumerate() {
+            let term = slot as u32;
+            if !list.windows(2).all(|w| w[0].doc < w[1].doc) {
+                return Err(PostingListError::UnsortedList { term });
             }
-            let list = &mut self.lists[idx];
-            debug_assert!(
-                list.last().is_none_or(|p| p.doc < doc),
-                "doc ids must increase"
-            );
-            list.push(Posting { doc, tf });
-            self.total_postings += 1;
+            if list.last().is_some_and(|p| p.doc.index() >= n) {
+                return Err(PostingListError::DocOutOfRange { term });
+            }
         }
-        self.num_docs = self.num_docs.max(doc.0 + 1);
-        // Any mutation invalidates the frozen side.
-        self.hybrid.clear();
-        self.idf.clear();
-    }
-
-    /// Freezes the hybrid doc-id representation: a term goes dense when its
-    /// df reaches one document per bitmap word (`df · 64 ≥ num_docs`), the
-    /// point where a bitmap stops costing more memory than the id vector.
-    /// Also freezes the idf table. Idempotent; [`Self::add_document`]
-    /// un-freezes.
-    pub fn finalize(&mut self) {
-        if !self.hybrid.is_empty() || self.lists.is_empty() {
-            return;
-        }
-        let n = self.num_docs as usize;
-        self.hybrid = self
-            .lists
+        let hybrid = lists
             .iter()
             .map(|list| {
                 if list.len() * 64 >= n && n > 0 {
@@ -202,91 +135,26 @@ impl InvertedIndex {
                 }
             })
             .collect();
-        self.idf = idf_table(self.num_docs, &self.lists);
-    }
-
-    /// Whether [`Self::finalize`] has run since the last mutation.
-    pub fn is_finalized(&self) -> bool {
-        self.hybrid.len() == self.lists.len()
-    }
-
-    /// Reassembles a finalized index from its frozen parts — the snapshot
-    /// load path. Nothing is trusted: every list must be strictly sorted
-    /// with in-range documents, every frozen set must agree member-for-
-    /// member with its list, and each representation must be the one the
-    /// density rule in [`Self::finalize`] would have chosen, so a loaded
-    /// index is structurally indistinguishable from a fresh-built one.
-    pub fn from_frozen_parts(
-        num_docs: u32,
-        lists: Vec<Vec<Posting>>,
-        frozen: Vec<FrozenPostings>,
-    ) -> Result<Self, FrozenPartsError> {
-        if lists.len() != frozen.len() {
-            return Err(FrozenPartsError::LengthMismatch {
-                lists: lists.len(),
-                frozen: frozen.len(),
-            });
-        }
-        let n = num_docs as usize;
-        let mut total_postings = 0u64;
-        for (slot, (list, rep)) in lists.iter().zip(&frozen).enumerate() {
-            let term = slot as u32;
-            if !list.windows(2).all(|w| w[0].doc < w[1].doc) {
-                return Err(FrozenPartsError::UnsortedList { term });
-            }
-            if list.last().is_some_and(|p| p.doc.index() >= n) {
-                return Err(FrozenPartsError::DocOutOfRange { term });
-            }
-            let dense = list.len() * 64 >= n && n > 0;
-            match rep {
-                FrozenPostings::Sorted(ids) => {
-                    if dense {
-                        return Err(FrozenPartsError::WrongRepresentation { term });
-                    }
-                    if ids.len() != list.len() || !ids.iter().zip(list).all(|(&id, p)| id == p.doc)
-                    {
-                        return Err(FrozenPartsError::FrozenDisagreesWithList { term });
-                    }
-                }
-                FrozenPostings::Bitmap(b) => {
-                    if !dense {
-                        return Err(FrozenPartsError::WrongRepresentation { term });
-                    }
-                    if b.num_docs() != n {
-                        return Err(FrozenPartsError::WrongUniverse { term });
-                    }
-                    if b.len() != list.len() || !list.iter().all(|p| b.contains(p.doc)) {
-                        return Err(FrozenPartsError::FrozenDisagreesWithList { term });
-                    }
-                }
-            }
-            total_postings += list.len() as u64;
-        }
-        let hybrid = frozen
-            .into_iter()
-            .map(|rep| match rep {
-                FrozenPostings::Sorted(ids) => HybridPostings::Sorted(ids),
-                FrozenPostings::Bitmap(b) => HybridPostings::Bitmap(b),
+        let idf = lists
+            .iter()
+            .map(|list| match list.len() {
+                0 => 0.0,
+                df => (num_docs as f64 / df as f64).ln(),
             })
             .collect();
         Ok(Self {
-            idf: idf_table(num_docs, &lists),
+            total_postings: lists.iter().map(|list| list.len() as u64).sum(),
             lists,
             hybrid,
+            idf,
             num_docs,
-            total_postings,
         })
     }
 
     /// The frozen document-id set of `term` (empty sorted view for unseen
-    /// terms). Panics if the index was mutated after [`Self::finalize`] —
-    /// the corpus builder freezes exactly once, at [`crate::Corpus`] build.
+    /// terms).
     #[inline]
     pub fn doc_ids(&self, term: TermId) -> PostingsView<'_> {
-        assert!(
-            self.is_finalized() || self.lists.is_empty(),
-            "InvertedIndex::finalize() must run before doc_ids()"
-        );
         match self.hybrid.get(term.index()) {
             Some(HybridPostings::Sorted(ids)) => PostingsView::Sorted(ids),
             Some(HybridPostings::Bitmap(b)) => PostingsView::Bitmap(b),
@@ -341,24 +209,13 @@ impl InvertedIndex {
         self.total_postings
     }
 
-    /// Inverse document frequency with the standard `ln(N/df)` form.
-    /// Unseen terms get idf 0 (they retrieve nothing anyway). A finalized
-    /// index answers from its frozen table — the same expression, taken
-    /// once per term.
+    /// Inverse document frequency with the standard `ln(N/df)` form, read
+    /// from the table frozen with the index. Unseen terms get idf 0 (they
+    /// retrieve nothing anyway).
     #[inline]
     pub fn idf(&self, term: TermId) -> f64 {
-        match self.idf.get(term.index()) {
-            Some(&idf) => idf,
-            None => ln_idf(self.num_docs, self.postings(term).len()),
-        }
+        self.idf.get(term.index()).copied().unwrap_or(0.0)
     }
-}
-
-fn idf_table(num_docs: u32, lists: &[Vec<Posting>]) -> Vec<f64> {
-    lists
-        .iter()
-        .map(|list| ln_idf(num_docs, list.len()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -372,12 +229,26 @@ mod tests {
         DocId(i)
     }
 
+    /// Freezes `rows` (document `i` is row `i`) through the same append
+    /// path the corpus builder uses.
+    fn from_rows(rows: &[Vec<(TermId, u32)>]) -> InvertedIndex {
+        let mut lists = Vec::new();
+        for (doc, row) in rows.iter().enumerate() {
+            append_row(&mut lists, d(doc as u32), row);
+        }
+        InvertedIndex::from_lists(rows.len() as u32, lists).expect("rows append in order")
+    }
+
     fn sample_index() -> InvertedIndex {
-        let mut idx = InvertedIndex::new();
-        idx.add_document(d(0), &[(t(0), 2), (t(1), 1)]);
-        idx.add_document(d(1), &[(t(1), 3)]);
-        idx.add_document(d(2), &[(t(0), 1), (t(2), 5)]);
-        idx
+        from_rows(&[
+            vec![(t(0), 2), (t(1), 1)],
+            vec![(t(1), 3)],
+            vec![(t(0), 1), (t(2), 5)],
+        ])
+    }
+
+    fn p(doc: u32) -> Posting {
+        Posting { doc: d(doc), tf: 1 }
     }
 
     #[test]
@@ -427,28 +298,27 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let idx = InvertedIndex::new();
+        let idx = InvertedIndex::from_lists(0, Vec::new()).unwrap();
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.postings(t(0)), &[]);
         assert_eq!(idx.idf(t(0)), 0.0);
+        assert!(idx.doc_ids(t(0)).is_empty());
     }
 
     #[test]
     fn finalize_picks_representation_by_density() {
         // 200 docs; t0 in every doc (dense → bitmap), t1 in two docs
         // (sparse → sorted: 2 · 64 < 200).
-        let mut idx = InvertedIndex::new();
-        for i in 0..200 {
-            let terms: Vec<(TermId, u32)> = if i == 3 || i == 150 {
-                vec![(t(0), 1), (t(1), 1)]
-            } else {
-                vec![(t(0), 1)]
-            };
-            idx.add_document(d(i), &terms);
-        }
-        assert!(!idx.is_finalized());
-        idx.finalize();
-        assert!(idx.is_finalized());
+        let rows: Vec<Vec<(TermId, u32)>> = (0..200)
+            .map(|i| {
+                if i == 3 || i == 150 {
+                    vec![(t(0), 1), (t(1), 1)]
+                } else {
+                    vec![(t(0), 1)]
+                }
+            })
+            .collect();
+        let idx = from_rows(&rows);
         match idx.doc_ids(t(0)) {
             PostingsView::Bitmap(b) => assert_eq!(b.len(), 200),
             PostingsView::Sorted(_) => panic!("dense term should freeze to bitmap"),
@@ -459,48 +329,55 @@ mod tests {
         }
         // Unseen terms read as an empty sorted view.
         assert!(idx.doc_ids(t(99)).is_empty());
-    }
-
-    #[test]
-    fn mutation_unfreezes() {
-        let mut idx = sample_index();
-        idx.finalize();
-        assert!(idx.is_finalized());
-        idx.add_document(d(3), &[(t(0), 1)]);
-        assert!(!idx.is_finalized());
-        idx.finalize();
-        assert_eq!(idx.doc_ids(t(0)).len(), 3);
+        // The rule's boundary: df · 64 = num_docs is dense, one fewer
+        // document in the list is not.
+        let at = InvertedIndex::from_lists(128, vec![vec![p(0), p(127)]]).unwrap();
+        assert!(matches!(at.doc_ids(t(0)), PostingsView::Bitmap(_)));
+        let below = InvertedIndex::from_lists(129, vec![vec![p(0), p(128)]]).unwrap();
+        assert!(matches!(below.doc_ids(t(0)), PostingsView::Sorted(_)));
     }
 
     #[test]
     fn frozen_idf_table_has_the_bits_of_the_expression() {
-        let mut idx = InvertedIndex::new();
-        for i in 0..97u32 {
-            let mut terms = vec![(t(0), 1)];
-            terms.extend((1..8u32).filter(|k| i % k == 0).map(|k| (t(k), 1)));
-            idx.add_document(d(i), &terms);
+        let rows: Vec<Vec<(TermId, u32)>> = (0..97u32)
+            .map(|i| {
+                let mut terms = vec![(t(0), 1)];
+                terms.extend((1..8u32).filter(|k| i % k == 0).map(|k| (t(k), 1)));
+                terms
+            })
+            .collect();
+        let idx = from_rows(&rows);
+        for k in 0..8 {
+            let df = idx.df(t(k));
+            assert_eq!(
+                idx.idf(t(k)).to_bits(),
+                (97f64 / f64::from(df)).ln().to_bits(),
+                "term {k}, df {df}"
+            );
         }
-        let unfrozen: Vec<u64> = (0..10).map(|k| idx.idf(t(k)).to_bits()).collect();
-        idx.finalize();
-        let frozen: Vec<u64> = (0..10).map(|k| idx.idf(t(k)).to_bits()).collect();
-        assert_eq!(frozen, unfrozen);
         assert_eq!(idx.idf(t(0)), 0.0, "a term in every document");
         assert_eq!(idx.idf(t(3)).to_bits(), (97f64 / 33f64).ln().to_bits());
         assert_eq!(idx.idf(t(9)), 0.0, "unseen");
-
-        // Mutation drops the table with the hybrid side; N changed.
-        idx.add_document(d(97), &[(t(3), 2)]);
-        assert_eq!(idx.idf(t(3)).to_bits(), (98f64 / 34f64).ln().to_bits());
-        idx.finalize();
-        assert_eq!(idx.idf(t(3)).to_bits(), (98f64 / 34f64).ln().to_bits());
     }
 
     #[test]
-    fn finalize_is_idempotent() {
-        let mut idx = sample_index();
-        idx.finalize();
-        idx.finalize();
-        assert!(idx.is_finalized());
-        assert_eq!(idx.doc_ids(t(2)).len(), 1);
+    fn from_lists_rejects_an_unsorted_list_naming_the_term() {
+        let ok = vec![p(0), p(2)];
+        for bad in [vec![p(3), p(1)], vec![p(1), p(1)]] {
+            let err = InvertedIndex::from_lists(5, vec![ok.clone(), bad]).unwrap_err();
+            assert_eq!(err, PostingListError::UnsortedList { term: 1 });
+            assert!(err.to_string().contains("term 1"), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_lists_rejects_a_document_out_of_range_naming_the_term() {
+        let err =
+            InvertedIndex::from_lists(3, vec![vec![p(0)], vec![], vec![p(1), p(3)]]).unwrap_err();
+        assert_eq!(err, PostingListError::DocOutOfRange { term: 2 });
+        assert!(err.to_string().contains("term 2"), "{err}");
+        // No documents at all: any posting is out of range.
+        let err = InvertedIndex::from_lists(0, vec![vec![p(0)]]).unwrap_err();
+        assert_eq!(err, PostingListError::DocOutOfRange { term: 0 });
     }
 }

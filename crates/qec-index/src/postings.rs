@@ -79,15 +79,6 @@ impl DocBitmap {
         &self.0
     }
 
-    /// Wraps a [`Bitset`] whose universe is the document count — the
-    /// deserialization path: snapshot loaders rebuild the bitset from its
-    /// word slice (`Bitset::from_words`) and lift it to a typed document
-    /// set without copying.
-    #[inline]
-    pub fn from_bitset(bits: Bitset) -> Self {
-        Self(bits)
-    }
-
     /// Adds a document.
     #[inline]
     pub fn insert(&mut self, doc: DocId) {

@@ -83,15 +83,15 @@
 //! [`EngineError::Cancelled`]: qec_engine::EngineError::Cancelled
 //! [`EngineError::Overloaded`]: qec_engine::EngineError::Overloaded
 
-pub mod config;
-pub mod door;
-pub mod request;
-pub mod stats;
+mod config;
+mod door;
+mod request;
+mod stats;
 
 pub use config::{IngressBuilder, IngressConfig};
 pub use door::{Ingress, Ticket};
 pub use request::IngressRequest;
-pub use stats::IngressStats;
+pub use stats::{IngressStats, FILL_BUCKET_LABELS};
 
 // The vocabulary a front-door caller needs, so simple servers can depend
 // on `qec-ingress` alone.

@@ -30,7 +30,7 @@ pub enum SnapshotError {
     /// a torn write inside the section, or deliberate tampering.
     ChecksumMismatch {
         /// The section whose checksum failed (`"header"`, `"meta"`,
-        /// `"dict"`, `"docs"`, `"post"`, `"bits"`, `"trailer"`).
+        /// `"dict"`, `"docs"`, `"post"`, `"trailer"`).
         section: &'static str,
     },
     /// A section tag is not the one the fixed layout requires here.
@@ -41,8 +41,8 @@ pub enum SnapshotError {
         found: [u8; 4],
     },
     /// The bytes decode but describe an impossible index: the semantic
-    /// validation pass (dictionary density, posting order, bitmap
-    /// universes, document-length sums, representation rule) rejected
+    /// validation pass (dictionary density, posting order and range,
+    /// zero tfs, posting total, document-length sums) rejected
     /// them even though every checksum passed.
     Corrupt {
         /// The section whose contents are inconsistent.

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! offset 0      "QECSNAP1"                 8-byte magic
-//!        8      version      u32 LE        format version (currently 1)
+//!        8      version      u32 LE        format version (currently 2)
 //!        12     header_crc   u32 LE        CRC32 of bytes [0, 12)
-//!        16     section × 5, fixed order META, DICT, DOCS, POST, BITS:
+//!        16     section × 4, fixed order META, DICT, DOCS, POST:
 //!                   tag          4 ASCII bytes
 //!                   payload_len  u64 LE
 //!                   payload      payload_len bytes
@@ -22,10 +22,13 @@
 
 use crate::error::SnapshotError;
 
-/// File magic: identifies a QEC snapshot, format generation 1.
+/// File magic: identifies a QEC snapshot of any format version.
 pub const MAGIC: [u8; 8] = *b"QECSNAP1";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Every change to the layout bumps it, and the
+/// loader refuses any other version with `UnsupportedVersion`. Version 1
+/// also stored the dense terms' bitmaps (a `BITS` section after POST);
+/// version 2 derives them on load.
+pub const VERSION: u32 = 2;
 
 /// Corpus-wide counts and the analyzer configuration.
 pub const TAG_META: [u8; 4] = *b"META";
@@ -35,8 +38,6 @@ pub const TAG_DICT: [u8; 4] = *b"DICT";
 pub const TAG_DOCS: [u8; 4] = *b"DOCS";
 /// Per-term posting lists `(doc, tf)`; doc-term rows are its transpose.
 pub const TAG_POST: [u8; 4] = *b"POST";
-/// Dense-term bitmaps as raw word slices.
-pub const TAG_BITS: [u8; 4] = *b"BITS";
 /// Trailer: whole-file CRC.
 pub const TAG_TRLR: [u8; 4] = *b"TRLR";
 

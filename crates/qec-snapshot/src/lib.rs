@@ -2,14 +2,15 @@
 //!
 //! Every process used to rebuild the whole index in memory from scratch;
 //! this crate gives the engine a durable boot path. A snapshot is a
-//! single file holding everything [`qec_index::Corpus`] froze: the
+//! single file holding what [`qec_index::Corpus`] cannot derive: the
 //! analyzer configuration and term dictionary, per-document stored
-//! metadata, every posting list, and the dense terms' bitmaps as raw
-//! word slices (via `Bitset::as_words` / `from_words`). Loading it skips
-//! the expensive half of a build — tokenization, stemming, dictionary
-//! hashing — and decodes straight into the frozen representations.
+//! metadata, and every posting list. Loading it skips the expensive half
+//! of a build — tokenization, stemming, dictionary hashing — and freezes
+//! the decoded posting lists with the same `InvertedIndex::from_lists` a
+//! build uses.
 //!
-//! Layout (all integers little-endian; see [`mod@format`] for the diagram):
+//! Layout, format version 2 (all integers little-endian; see the `format`
+//! module for the diagram):
 //!
 //! ```text
 //! "QECSNAP1" · version · header-CRC
@@ -17,9 +18,11 @@
 //! DICT  term names in dense-id order             (CRC32)
 //! DOCS  title / features / label / length per doc (CRC32)
 //! POST  per-term posting lists (doc, tf)         (CRC32)
-//! BITS  dense-term bitmaps as u64 word slices    (CRC32)
 //! TRLR  whole-file CRC32
 //! ```
+//!
+//! Version 1 also stored the dense terms' bitmaps; a loader refuses it
+//! with `UnsupportedVersion { found: 1 }`, and the engine rebuilds.
 //!
 //! Durability protocol — the previous snapshot is **never clobbered**:
 //! [`save_corpus`] encodes into a sibling temp file, `fsync`s it,
@@ -30,15 +33,15 @@
 //! Loading — [`load_corpus`] — **never panics** on bad input: a strict
 //! structural pass (magic, version, section framing, per-section CRCs,
 //! trailer CRC, exact EOF) and a semantic pass (dictionary density,
-//! posting order and ranges, bitmap universes and populations, the
-//! hybrid density rule, document-length sums) each reject with a typed
-//! [`SnapshotError`]. Per-document term rows are deliberately not
-//! stored: the loader rebuilds them as the transpose of the posting
-//! lists, so the file cannot hold two disagreeing copies of the corpus.
+//! posting order, ranges and tfs, document-length sums) each reject with
+//! a typed [`SnapshotError`]. Nothing derived is stored: the loader
+//! rebuilds the per-document term rows as the transpose of the posting
+//! lists, and the dense terms' bitmaps and the idf table by freezing
+//! them, so the file cannot hold two disagreeing copies of the corpus.
 
-pub mod crc;
-pub mod error;
-pub mod format;
+mod crc;
+mod error;
+mod format;
 mod read;
 mod write;
 

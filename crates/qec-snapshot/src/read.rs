@@ -6,29 +6,27 @@
 //! file fails here with a typed [`SnapshotError`], never a panic. Tier
 //! two is *semantic*: even bytes with valid checksums must describe an
 //! index a fresh build could have produced — dense dictionary ids,
-//! strictly sorted in-range posting lists, bitmap universes and
-//! populations matching their lists, the density representation rule,
-//! and per-document length sums. The reconstruction constructors in
-//! `qec-index` / `qec-bitset` enforce most of tier two; their typed
-//! rejections surface as [`SnapshotError::Corrupt`] naming the section.
+//! strictly sorted in-range posting lists with non-zero tfs, the posting
+//! total, and per-document length sums. Each check runs once: the
+//! constructors in `qec-index` (`InvertedIndex::from_lists`,
+//! `Corpus::from_frozen_parts`) enforce their own, and their typed
+//! rejections surface as [`SnapshotError::Corrupt`] naming the section;
+//! this module checks only what they do not.
 //!
-//! The per-document term rows are not read from disk at all: they are
-//! rebuilt as the transpose of the posting lists, so the two views of
-//! the corpus cannot disagree by construction.
+//! Nothing derived is read from disk: the per-document term rows are
+//! rebuilt as the transpose of the posting lists, and the hybrid doc-id
+//! sets and idf table are frozen from them by `InvertedIndex::from_lists`
+//! exactly as a build freezes them, so no two views of the corpus can
+//! disagree.
 
 use std::path::Path;
 
-use qec_bitset::Bitset;
-use qec_index::{
-    Corpus, DocBitmap, DocId, Feature, FrozenPostings, InvertedIndex, Posting, StoredDoc,
-};
+use qec_index::{Corpus, DocId, Feature, InvertedIndex, Posting, PostingsView, StoredDoc};
 use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 use crate::crc::crc32;
 use crate::error::SnapshotError;
-use crate::format::{
-    Reader, MAGIC, TAG_BITS, TAG_DICT, TAG_DOCS, TAG_META, TAG_POST, TAG_TRLR, VERSION,
-};
+use crate::format::{Reader, MAGIC, TAG_DICT, TAG_DOCS, TAG_META, TAG_POST, TAG_TRLR, VERSION};
 use crate::{failpoint, SnapshotSummary};
 
 fn load_failpoint(site: &'static str) -> Result<(), SnapshotError> {
@@ -187,65 +185,32 @@ fn parse_docs(payload: &[u8], meta: &Meta) -> Result<Vec<StoredDoc>, SnapshotErr
     Ok(docs)
 }
 
-struct ParsedPostings {
-    lists: Vec<Vec<Posting>>,
-    /// `Some` for sparse terms; `None` marks a dense slot awaiting its
-    /// bitmap from the BITS section.
-    frozen: Vec<Option<FrozenPostings>>,
-    /// Dense term slots in ascending order — the exact sequence BITS
-    /// must supply.
-    dense: Vec<u32>,
-}
-
-fn parse_post(payload: &[u8], meta: &Meta) -> Result<ParsedPostings, SnapshotError> {
+/// Decodes POST into posting lists. Order and range are left to
+/// `InvertedIndex::from_lists`; what it does not check is checked here:
+/// a zero tf, and the posting total against META's.
+fn parse_post(payload: &[u8], meta: &Meta) -> Result<Vec<Vec<Posting>>, SnapshotError> {
     let mut r = Reader::new(payload);
     r.set_context("post");
-    let n = meta.num_docs as usize;
-    let term_cap = capped(meta.index_terms as usize, 4, r.remaining());
-    let mut lists = Vec::with_capacity(term_cap);
-    let mut frozen = Vec::with_capacity(term_cap);
-    let mut dense = Vec::new();
+    let mut lists = Vec::with_capacity(capped(meta.index_terms as usize, 4, r.remaining()));
     let mut total = 0u64;
     for slot in 0..meta.index_terms as u32 {
         let df = r.u32()? as usize;
         let mut list = Vec::with_capacity(capped(df, 8, r.remaining()));
-        let mut prev: Option<u32> = None;
         for _ in 0..df {
             let doc = r.u32()?;
             let tf = r.u32()?;
-            if doc as usize >= n {
-                return Err(corrupt(
-                    "post",
-                    format!("term {slot} references doc {doc} beyond {n} documents"),
-                ));
-            }
-            if prev.is_some_and(|p| p >= doc) {
-                return Err(corrupt(
-                    "post",
-                    format!("posting list of term {slot} is not strictly sorted"),
-                ));
-            }
             if tf == 0 {
                 return Err(corrupt(
                     "post",
                     format!("zero term frequency for term {slot} in doc {doc}"),
                 ));
             }
-            prev = Some(doc);
             list.push(Posting {
                 doc: DocId(doc),
                 tf,
             });
         }
         total += df as u64;
-        if df * 64 >= n && n > 0 {
-            dense.push(slot);
-            frozen.push(None);
-        } else {
-            frozen.push(Some(FrozenPostings::Sorted(
-                list.iter().map(|p| p.doc).collect(),
-            )));
-        }
         lists.push(list);
     }
     drained(&r, "post")?;
@@ -258,71 +223,23 @@ fn parse_post(payload: &[u8], meta: &Meta) -> Result<ParsedPostings, SnapshotErr
             ),
         ));
     }
-    Ok(ParsedPostings {
-        lists,
-        frozen,
-        dense,
-    })
-}
-
-fn parse_bits(
-    payload: &[u8],
-    meta: &Meta,
-    parsed: &mut ParsedPostings,
-) -> Result<(), SnapshotError> {
-    let mut r = Reader::new(payload);
-    r.set_context("bits");
-    let n = meta.num_docs as usize;
-    let count = r.u64()?;
-    if count != parsed.dense.len() as u64 {
-        return Err(corrupt(
-            "bits",
-            format!(
-                "{count} bitmaps stored but the density rule marks {} terms dense",
-                parsed.dense.len()
-            ),
-        ));
-    }
-    for &slot in &parsed.dense {
-        let term = r.u32()?;
-        if term != slot {
-            return Err(corrupt(
-                "bits",
-                format!("bitmap for term {term} where term {slot} was expected"),
-            ));
-        }
-        let word_count = r.u64()? as usize;
-        let raw = r.bytes(
-            word_count
-                .checked_mul(8)
-                .ok_or(SnapshotError::Truncated { context: "bits" })?,
-        )?;
-        let words: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect();
-        let bitset = Bitset::from_words(n, words)
-            .map_err(|e| corrupt("bits", format!("bitmap of term {term}: {e}")))?;
-        parsed.frozen[slot as usize] = Some(FrozenPostings::Bitmap(DocBitmap::from_bitset(bitset)));
-    }
-    drained(&r, "bits")?;
-    Ok(())
+    Ok(lists)
 }
 
 /// Rebuilds the per-document term rows as the transpose of the posting
 /// lists. Outer loop ascends by term, so each row comes out sorted by
 /// term id — the corpus invariant — without a sort.
-fn transpose(lists: &[Vec<Posting>], num_docs: usize) -> Vec<Vec<(TermId, u32)>> {
-    let mut row_lens = vec![0usize; num_docs];
-    for list in lists {
-        for p in list {
+fn transpose(index: &InvertedIndex) -> Vec<Vec<(TermId, u32)>> {
+    let terms = || (0..index.num_terms() as u32).map(TermId);
+    let mut row_lens = vec![0usize; index.num_docs() as usize];
+    for term in terms() {
+        for p in index.postings(term) {
             row_lens[p.doc.index()] += 1;
         }
     }
     let mut rows: Vec<Vec<(TermId, u32)>> = row_lens.into_iter().map(Vec::with_capacity).collect();
-    for (slot, list) in lists.iter().enumerate() {
-        let term = TermId(slot as u32);
-        for p in list {
+    for term in terms() {
+        for p in index.postings(term) {
             rows[p.doc.index()].push((term, p.tf));
         }
     }
@@ -341,8 +258,8 @@ pub fn load_corpus(path: &Path) -> Result<Corpus, SnapshotError> {
 /// generation).
 ///
 /// Failpoint sites (chaos tests): `snapshot.load.header`,
-/// `snapshot.load.meta`, `.dict`, `.docs`, `.post`, `.bits`,
-/// `.trailer` — each fires before its section is touched.
+/// `snapshot.load.meta`, `.dict`, `.docs`, `.post`, `.trailer` — each
+/// fires before its section is touched.
 pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary), SnapshotError> {
     load_failpoint("snapshot.load.header")?;
     let buf = std::fs::read(path)?;
@@ -376,11 +293,7 @@ pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary)
 
     load_failpoint("snapshot.load.post")?;
     let (post_payload, _) = section(&mut r, TAG_POST, "post")?;
-    let mut parsed = parse_post(post_payload, &meta)?;
-
-    load_failpoint("snapshot.load.bits")?;
-    let (bits_payload, _) = section(&mut r, TAG_BITS, "bits")?;
-    parse_bits(bits_payload, &meta, &mut parsed)?;
+    let lists = parse_post(post_payload, &meta)?;
 
     // Trailer: whole-file CRC over everything before the trailer tag,
     // then exact EOF.
@@ -404,16 +317,14 @@ pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary)
         });
     }
 
-    // Assembly through the validating reconstruction constructors.
-    let rows = transpose(&parsed.lists, meta.num_docs as usize);
-    let frozen: Vec<FrozenPostings> = parsed
-        .frozen
-        .into_iter()
-        .map(|f| f.expect("every dense slot was filled by parse_bits"))
-        .collect();
-    let dense_terms = parsed.dense.len() as u64;
-    let index = InvertedIndex::from_frozen_parts(meta.num_docs as u32, parsed.lists, frozen)
-        .map_err(|e| corrupt("post", e))?;
+    // Assembly through the validating constructors. The index is frozen
+    // first: it proves every posting in range, which the transpose needs.
+    let index =
+        InvertedIndex::from_lists(meta.num_docs as u32, lists).map_err(|e| corrupt("post", e))?;
+    let rows = transpose(&index);
+    let dense_terms = (0..index.num_terms() as u32)
+        .filter(|&slot| matches!(index.doc_ids(TermId(slot)), PostingsView::Bitmap(_)))
+        .count() as u64;
     let corpus =
         Corpus::from_frozen_parts(analyzer, docs, rows, index).map_err(|e| corrupt("docs", e))?;
 

@@ -18,9 +18,7 @@ use qec_text::TermId;
 
 use crate::crc::crc32;
 use crate::error::SnapshotError;
-use crate::format::{
-    put_str, MAGIC, TAG_BITS, TAG_DICT, TAG_DOCS, TAG_META, TAG_POST, TAG_TRLR, VERSION,
-};
+use crate::format::{put_str, MAGIC, TAG_DICT, TAG_DOCS, TAG_META, TAG_POST, TAG_TRLR, VERSION};
 use crate::{failpoint, SnapshotSummary};
 
 fn put_section(buf: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
@@ -81,10 +79,10 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
         }
     }
 
-    // POST — every term's posting list. Which terms are dense is *not*
-    // stored either: the loader re-derives it from the same density rule
-    // the index froze with, so a flipped flag can't smuggle in a wrong
-    // representation.
+    // POST — every term's posting list. Nothing derived from them is
+    // stored: which terms are dense, their bitmaps and the idf table are
+    // re-derived on load by the constructor that froze this index, so a
+    // flipped bit can't smuggle in a wrong representation.
     let mut post = Vec::with_capacity(index.total_postings() as usize * 8 + 4);
     let mut dense_terms = 0u64;
     for slot in 0..index_terms {
@@ -100,25 +98,8 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
         }
     }
 
-    // BITS — the dense terms' bitmaps as raw word slices
-    // (`Bitset::as_words`), in ascending term order.
-    let mut bits = Vec::new();
-    bits.extend_from_slice(&dense_terms.to_le_bytes());
-    for slot in 0..index_terms {
-        let term = TermId(slot as u32);
-        if let PostingsView::Bitmap(b) = index.doc_ids(term) {
-            let words = b.as_bitset().as_words();
-            bits.extend_from_slice(&(term.0).to_le_bytes());
-            bits.extend_from_slice(&(words.len() as u64).to_le_bytes());
-            for w in words {
-                bits.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-    }
-
-    let mut buf = Vec::with_capacity(
-        16 + meta.len() + dict.len() + docs.len() + post.len() + bits.len() + 5 * 16 + 8,
-    );
+    let mut buf =
+        Vec::with_capacity(16 + meta.len() + dict.len() + docs.len() + post.len() + 4 * 16 + 8);
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     let header_crc = crc32(&buf);
@@ -127,7 +108,6 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
     put_section(&mut buf, TAG_DICT, &dict);
     put_section(&mut buf, TAG_DOCS, &docs);
     put_section(&mut buf, TAG_POST, &post);
-    put_section(&mut buf, TAG_BITS, &bits);
     let file_crc = crc32(&buf);
     buf.extend_from_slice(&TAG_TRLR);
     buf.extend_from_slice(&file_crc.to_le_bytes());

@@ -13,8 +13,9 @@
 //!    title byte, typed `Err` for inconsistent ones) — and never panic.
 //!
 //! Plus targeted probes pinning the exact error variant at each section
-//! boundary: header magic, version, section tags/lengths/checksums of
-//! dictionary, postings, bitmaps, and the trailer CRC.
+//! boundary: header magic, version (a future one, and generation 1,
+//! which stored bitmaps this format derives), section tags/lengths/
+//! checksums of dictionary and postings, and the trailer CRC.
 
 use std::path::{Path, PathBuf};
 
@@ -185,15 +186,18 @@ fn each_section_boundary_yields_its_precise_error() {
         SnapshotError::BadMagic
     ));
 
-    // A future version (with a *valid* header CRC) is refused as such.
-    let mut m = bytes.clone();
-    m[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let crc = crc32(&m[..12]);
-    m[12..16].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        load_bytes(&dir, &m).unwrap_err(),
-        SnapshotError::UnsupportedVersion { found: 2 }
-    ));
+    // A future version and generation 1 (with a *valid* header CRC) are
+    // each refused as such.
+    for version in [3u32, 1] {
+        let mut m = bytes.clone();
+        m[8..12].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&m[..12]);
+        m[12..16].copy_from_slice(&crc.to_le_bytes());
+        match load_bytes(&dir, &m).unwrap_err() {
+            SnapshotError::UnsupportedVersion { found } => assert_eq!(found, version),
+            other => panic!("version {version}: expected UnsupportedVersion, got {other}"),
+        }
+    }
 
     // A flipped version byte *without* fixing the CRC is caught by the
     // header checksum instead.
@@ -210,7 +214,6 @@ fn each_section_boundary_yields_its_precise_error() {
         ("DICT", "dict"),
         ("DOCS", "docs"),
         ("POST", "post"),
-        ("BITS", "bits"),
     ] {
         let (_, payload_start, payload_len) = by_tag(tag);
         assert!(payload_len > 0, "{tag} payload is non-trivial");
@@ -305,5 +308,51 @@ fn crc_valid_but_inconsistent_payloads_fail_semantic_validation() {
         other => panic!("expected Corrupt, got {other}"),
     }
 
+    // Posting order and range are checked once, by the index constructor
+    // the loader freezes through; its refusals name the section and term.
+    let (_, post_start, _) = sections
+        .iter()
+        .find(|(t, _, _)| t == "POST")
+        .unwrap()
+        .clone();
+    let (slot, list_start, df) = first_list_with_two_postings(&bytes[post_start..]);
+    let first_doc = post_start + list_start;
+    let second_doc = first_doc + 8;
+    let last_doc = first_doc + (df - 1) * 8;
+    let mut m = bytes.clone();
+    m.copy_within(second_doc..second_doc + 4, first_doc);
+    fix_crcs(&mut m);
+    expect_post_corrupt(&dir, &m, &format!("term {slot} is not strictly sorted"));
+
+    let mut m = bytes.clone();
+    let num_docs = u32::from_le_bytes(m[meta_start..meta_start + 4].try_into().unwrap());
+    m[last_doc..last_doc + 4].copy_from_slice(&num_docs.to_le_bytes());
+    fix_crcs(&mut m);
+    expect_post_corrupt(&dir, &m, &format!("term {slot} references a document"));
+
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first posting list in a POST payload with at least two postings:
+/// its term slot, the offset of its first `(doc, tf)` pair, and its df.
+fn first_list_with_two_postings(post: &[u8]) -> (u32, usize, usize) {
+    let mut pos = 0;
+    for slot in 0.. {
+        let df = u32::from_le_bytes(post[pos..pos + 4].try_into().unwrap()) as usize;
+        if df >= 2 {
+            return (slot, pos + 4, df);
+        }
+        pos += 4 + df * 8;
+    }
+    unreachable!()
+}
+
+fn expect_post_corrupt(dir: &Path, mutated: &[u8], want: &str) {
+    match load_bytes(dir, mutated).unwrap_err() {
+        SnapshotError::Corrupt { section, detail } => {
+            assert_eq!(section, "post", "{detail}");
+            assert!(detail.contains(want), "{detail} should say `{want}`");
+        }
+        other => panic!("expected Corrupt naming `{want}`, got {other}"),
+    }
 }

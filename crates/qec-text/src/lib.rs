@@ -16,12 +16,12 @@
 //! * Everything is deterministic: no randomness, no iteration-order
 //!   dependence escapes this crate.
 
-pub mod analyzer;
-pub mod dict;
+mod analyzer;
+mod dict;
 pub mod fxhash;
-pub mod stem;
-pub mod stopwords;
-pub mod token;
+mod stem;
+mod stopwords;
+mod token;
 
 pub use analyzer::{Analyzer, AnalyzerConfig};
 pub use dict::{TermDict, TermId};
