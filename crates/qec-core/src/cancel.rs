@@ -89,14 +89,6 @@ impl CancelToken {
             .is_some_and(|flag| flag.load(Ordering::Acquire))
     }
 
-    /// Whether this token carries a manual flag at all (tripped or not).
-    /// A queue holding flagged tokens must *poll* for trips — there is no
-    /// waker attached to a [`CancelSignal`] — while deadline-only tokens
-    /// can be slept past precisely.
-    pub fn has_flag(&self) -> bool {
-        self.flag.is_some()
-    }
-
     /// Polls the token: `true` once the manual flag is set or the
     /// deadline has passed. Inert tokens answer without reading the
     /// clock.
@@ -134,7 +126,6 @@ mod tests {
     #[test]
     fn inert_token_never_cancels() {
         let t = CancelToken::none();
-        assert!(!t.has_flag());
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_none());
     }

@@ -159,10 +159,10 @@ impl MoveValue {
 
 /// Reusable working state for [`iskr_into`]. Construct once, feed to any
 /// number of runs. Candidate-indexed buffers grow to the largest count
-/// seen; the bitset buffers are retargeted (reallocated) whenever the
-/// arena universe differs from the previous run's, so the zero-allocation
-/// guarantee holds for runs of the same arena size — alternate sizes and
-/// you pay a retarget per switch.
+/// seen; the bitset buffers are retargeted in place whenever the arena
+/// universe differs from the previous run's, keeping their capacity, so
+/// runs stay allocation-free across arena sizes once the largest has been
+/// seen.
 #[derive(Debug, Default)]
 pub struct IskrScratch {
     pub(crate) values: Vec<MoveValue>,
@@ -198,8 +198,8 @@ impl IskrScratch {
     /// candidates. No-op (and allocation-free) when already large enough.
     pub(crate) fn ensure(&mut self, universe: usize, n_cands: usize) {
         if self.r.universe() != universe {
-            self.r = ResultSet::empty(universe);
-            self.r_without = ResultSet::empty(universe);
+            self.r.reset(universe);
+            self.r_without.reset(universe);
         }
         if self.values.len() < n_cands {
             self.values.resize(n_cands, MoveValue { value: 0.0 });

@@ -76,7 +76,8 @@ const TASK_PANICKED: u8 = 2;
 /// worker wake-ups, each about as long as several warm per-cluster
 /// expansions, so the pool only pays once the set is a few requests' worth:
 /// a lone request at the paper's granularity (`k_clusters` ≤ 5–6) stays
-/// inline, a front-door chunk of four is pooled.
+/// inline, and so does the front door's usual chunk of one on a door that
+/// keeps up; the chunk queued behind it (two or more requests) is pooled.
 const POOLED_MIN_TASKS: usize = 8;
 
 /// Upper bound applied to [`ExpandRequest::k_clusters`] before anything

@@ -84,8 +84,11 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
         .build();
 
     // Raw spellings that all analyse to the same single term "appl" and
-    // therefore share one cache entry.
+    // therefore share one cache entry per arena size.
     let spellings = ["apple", "apples", "  APPLE ,"];
+    // Two arena sizes side by side: the ISKR/PEBC scratch retargets its
+    // bitsets on every switch and must do so without allocating.
+    let top_ks = [50, 30];
 
     // 4 tasks: expanded on this thread; 8: across the worker pool.
     let shapes = [
@@ -95,45 +98,51 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
         (ExpandStrategy::Pebc, 8),
     ];
     for (strategy, k_clusters) in shapes {
-        let reqs: Vec<ExpandRequest<'_>> = spellings
-            .iter()
-            .map(|&query| ExpandRequest {
-                k_clusters,
-                top_k: 50,
-                strategy,
-                ..ExpandRequest::new(query)
-            })
-            .collect();
+        // Every request with the clusters it must serve.
+        let mut cases = Vec::new();
+        for top_k in top_ks {
+            let sized: Vec<ExpandRequest<'_>> = spellings
+                .iter()
+                .map(|&query| ExpandRequest {
+                    k_clusters,
+                    top_k,
+                    strategy,
+                    ..ExpandRequest::new(query)
+                })
+                .collect();
 
-        // Warm-up: the first request builds and publishes the shared
-        // pipeline; the others must already hit it. Each spelling runs
-        // once so every session buffer (keyword scratch included — the
-        // longest spelling sizes it) and the recycle pools settle.
-        let warm = engine.expand(&reqs[0]);
-        assert!(
-            warm.clusters().iter().any(|c| !c.added.is_empty()),
-            "{strategy:?}: expansion must actually add keywords for this \
-             test to mean anything"
-        );
-        let expected = warm.clusters().to_vec();
-        assert_eq!(expected.len(), k_clusters, "one task per cluster");
-        engine.recycle(warm);
-        for req in &reqs {
-            let r = engine.expand(req);
-            assert!(r.stats.arena_cache_hit, "{:?} shares the entry", req.query);
-            engine.recycle(r);
+            // Warm-up: the first request builds and publishes the shared
+            // pipeline; the others must already hit it. Each spelling
+            // runs once so every session buffer (keyword scratch included
+            // — the longest spelling sizes it) and the recycle pools
+            // settle.
+            let warm = engine.expand(&sized[0]);
+            assert!(
+                warm.clusters().iter().any(|c| !c.added.is_empty()),
+                "{strategy:?}, top {top_k}: expansion must actually add \
+                 keywords for this test to mean anything"
+            );
+            assert_eq!(warm.clusters().len(), k_clusters, "one task per cluster");
+            let expected = warm.clusters().to_vec();
+            engine.recycle(warm);
+            for req in &sized {
+                let r = engine.expand(req);
+                assert!(r.stats.arena_cache_hit, "{:?} shares the entry", req.query);
+                engine.recycle(r);
+            }
+            cases.extend(sized.into_iter().map(|req| (req, expected.clone())));
         }
 
-        // Armed runs: the whole request loop — every spelling — must stay
-        // off the heap.
+        // Armed runs: the whole request loop — every spelling, both arena
+        // sizes — must stay off the heap.
         ALLOCATIONS.store(0, Ordering::SeqCst);
         arm(true);
         for _ in 0..5 {
-            for req in &reqs {
+            for (req, expected) in &cases {
                 let resp = engine.expand(req);
                 assert!(resp.stats.arena_cache_hit);
                 assert!(
-                    resp.clusters() == expected,
+                    resp.clusters() == &expected[..],
                     "warmed serving stays deterministic"
                 );
                 engine.recycle(resp);
@@ -187,15 +196,15 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
         "degraded/recycle/warm loop allocated: {counted} heap allocations counted"
     );
 
-    // The armed loops above were all hits; the only misses are the four
-    // cold builds — one per (strategy, k), because identical terms served
-    // by different strategies must not share a pipeline entry.
+    // The armed loops above were all hits; the only misses are the eight
+    // cold builds — one per (strategy, k, top_k), because identical terms
+    // served by different strategies must not share a pipeline entry.
     let stats = engine.cache_stats();
     assert_eq!(
-        stats.misses, 4,
-        "one cold build per (terms, k, strategy) key"
+        stats.misses, 8,
+        "one cold build per (terms, k, top_k, strategy) key"
     );
-    assert_eq!(stats.entries, 4);
+    assert_eq!(stats.entries, 8);
     assert_eq!(stats.evictions, 0);
 
     // A warmed **sharded** serving loop is exactly as allocation-free:

@@ -1,40 +1,29 @@
 //! Front-door configuration and builder.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use qec_engine::QecEngine;
 
 use crate::door::Ingress;
 
-/// Knobs of the batch collector. Three numbers describe the whole
-/// latency-vs-throughput trade:
+/// Knobs of the batch collector. The collector never waits to fill a
+/// chunk: once it is free it dispatches whatever is queued, so a chunk is
+/// what arrived while the previous one was being served. Two numbers bound
+/// it:
 ///
-/// | knob | closes a chunk when… | default |
+/// | knob | bounds… | default |
 /// |---|---|---|
-/// | [`batch_max`](Self::batch_max) | this many requests are queued | 32 |
-/// | [`linger`](Self::linger) | the oldest queued request has waited this long | 200µs |
+/// | [`batch_max`](Self::batch_max) | the requests one chunk takes from the queue | 32 |
 /// | [`queue_cap`](Self::queue_cap) | *(admission)* refuses submissions beyond this depth | 4096 |
 #[derive(Debug, Clone)]
 pub struct IngressConfig {
-    /// Maximum requests per dispatched chunk: the collector closes a
-    /// chunk the moment the queue reaches this depth, without waiting
-    /// out the linger. `0` means no fill bound (chunks close on linger
-    /// alone). Values above the engine's own
+    /// Maximum requests per dispatched chunk: a collector that finds more
+    /// queued takes this many and leaves the rest for the next chunk. `0`
+    /// means no fill bound (a chunk takes the whole queue). Values above
+    /// the engine's own
     /// [`PoolConfig::batch_max`](qec_engine::PoolConfig::batch_max) are
     /// legal — the engine re-chunks internally.
     pub batch_max: usize,
-    /// How long the oldest queued request may wait before its chunk is
-    /// closed anyway. This is the latency the front door is willing to
-    /// *add* in exchange for fuller batches. `Duration::ZERO` dispatches
-    /// whatever is queued the moment the collector sees it ("natural
-    /// batching": a chunk is then what arrived while the previous one was
-    /// being served, and a lone request never waits). It is not the
-    /// default because which requests of a burst share a chunk then
-    /// depends on how fast the collector thread wakes, and the two
-    /// outcomes differ in latency; a linger longer than a burst takes to
-    /// submit makes the chunk, and so the latency, the same every time.
-    pub linger: Duration,
     /// Queue-depth backstop: a submission arriving when this many
     /// requests are already queued is refused with
     /// [`EngineError::Overloaded`](qec_engine::EngineError::Overloaded)
@@ -49,7 +38,6 @@ impl Default for IngressConfig {
     fn default() -> Self {
         Self {
             batch_max: 32,
-            linger: Duration::from_micros(200),
             queue_cap: 4096,
         }
     }
@@ -84,12 +72,6 @@ impl IngressBuilder {
     /// Sets [`IngressConfig::batch_max`].
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.config.batch_max = batch_max;
-        self
-    }
-
-    /// Sets [`IngressConfig::linger`].
-    pub fn linger(mut self, linger: Duration) -> Self {
-        self.config.linger = linger;
         self
     }
 

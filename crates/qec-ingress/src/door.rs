@@ -5,27 +5,30 @@
 //! -----------------
 //! One `Mutex<VecDeque<Pending>>` is the multi-producer submission queue;
 //! submitters push under the lock and notify the collector's `Condvar`.
-//! The collector is the queue's **single consumer**: it waits for the
-//! first arrival, lingers until the chunk fills or the oldest member's
-//! patience lapses, drains up to `batch_max` requests, and dispatches
-//! them through [`QecEngine::try_expand_batch_into`] **outside the
-//! lock** — submitters are never blocked behind engine work. Completion
-//! travels back through a per-request slot (`Mutex<Option<…>>` +
-//! `Condvar`), so each submitter wakes with exactly its own result and
-//! nothing is ever handed to the wrong caller.
+//! The collector is the queue's **single consumer** and is
+//! work-conserving: it sleeps only while the queue is empty, and once it
+//! is free it drains whatever is queued (up to `batch_max` requests) and
+//! dispatches it at once through [`QecEngine::try_expand_batch_into`]
+//! **outside the lock** — submitters are never blocked behind engine
+//! work. A chunk is therefore what arrived while the previous one was
+//! being served: a lone request on an idle door is a chunk of one, and
+//! batches form under load and nowhere else. Completion travels back
+//! through a per-request slot (`Mutex<Option<…>>` + `Condvar`), so each
+//! submitter wakes with exactly its own result and nothing is ever handed
+//! to the wrong caller.
 //!
-//! While a request is queued its deadline and cancel token stay live: the
-//! collector sleeps no longer than the earliest queued deadline (and
-//! polls at a fine slice when manual-flag tokens are queued, since a
-//! [`CancelSignal`](qec_core::CancelSignal) has no waker), completing
-//! dead requests with the right typed error without ever dispatching
-//! them.
+//! While a request is queued its deadline and cancel token stay live. A
+//! queued request can only be waiting behind an in-flight chunk (or for
+//! the collector to wake): the collector sweeps the queue when that chunk
+//! returns and checks each request once more just before dispatch, so a
+//! request that died in the queue is completed with the right typed error
+//! without ever reaching the engine.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qec_core::CancelToken;
 use qec_engine::{EngineError, ExpandRequest, ExpandResponse, QecEngine};
@@ -33,22 +36,6 @@ use qec_engine::{EngineError, ExpandRequest, ExpandResponse, QecEngine};
 use crate::config::IngressConfig;
 use crate::request::IngressRequest;
 use crate::stats::{IngressStats, StatsCells};
-
-/// How often the collector re-polls queued manual-flag tokens while
-/// lingering (deadlines are slept past precisely; manual trips have no
-/// waker and must be polled).
-const MANUAL_POLL: Duration = Duration::from_micros(200);
-
-/// Why the collector closed a chunk.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Close {
-    /// The queue reached `batch_max`.
-    Full,
-    /// The oldest queued request lingered past `linger`.
-    Linger,
-    /// Shutdown drain.
-    Drain,
-}
 
 /// One request in flight through the front door.
 struct Pending {
@@ -59,9 +46,6 @@ struct Pending {
     /// The request token with `deadline` merged in — what the queue
     /// polls, and exactly what the engine will poll after dispatch.
     token: CancelToken,
-    /// When the request entered the queue; the linger window of a chunk
-    /// opens at its **oldest** member's arrival.
-    enqueued_at: Instant,
     slot: Arc<Slot>,
 }
 
@@ -223,12 +207,12 @@ impl Ingress {
     ///   [`EngineError::DeadlineExceeded`];
     /// * cancel token already tripped → [`EngineError::Cancelled`].
     ///
-    /// An accepted request is queued until its chunk closes (at
-    /// [`batch_max`](IngressConfig::batch_max) fill or after
-    /// [`linger`](IngressConfig::linger), whichever first) and completes
-    /// with whatever the engine answered — or with the queue's own
-    /// refusal if its deadline or token tripped while it was still
-    /// parked.
+    /// An accepted request is queued until the collector is free (at
+    /// once on an idle door, else when the chunk in flight returns; up to
+    /// [`batch_max`](IngressConfig::batch_max) queued requests leave
+    /// together) and completes with whatever the engine answered — or
+    /// with the queue's own refusal if its deadline or token tripped
+    /// while it was still queued.
     #[must_use = "dropping the Result discards the shed/refusal; handle the EngineError"]
     pub fn submit(&self, req: IngressRequest) -> Result<Ticket, EngineError> {
         let now = Instant::now();
@@ -262,7 +246,6 @@ impl Ingress {
                 req,
                 deadline,
                 token,
-                enqueued_at: now,
                 slot,
             });
         }
@@ -311,17 +294,18 @@ impl Drop for Ingress {
 /// The collector loop. See the module docs for the phase structure.
 fn collect(shared: &Shared) {
     let engine = &shared.engine;
-    let cfg = &shared.config;
-    let fill_max = match cfg.batch_max {
+    let fill_max = match shared.config.batch_max {
         0 => usize::MAX,
         n => n,
     };
     let mut chunk: Vec<Pending> = Vec::new();
     let mut results: Vec<Result<ExpandResponse, EngineError>> = Vec::new();
 
-    'serve: loop {
+    loop {
         let mut st = lock(&shared.state);
-        // Phase 1: wait for work (or for shutdown with an empty queue).
+        // Phase 1: wait for work, and only while there is none (or for
+        // shutdown with an empty queue). The sweep refuses whatever died
+        // while the previous chunk was in flight.
         loop {
             sweep(&mut st.queue, &shared.stats);
             if !st.queue.is_empty() {
@@ -336,51 +320,18 @@ fn collect(shared: &Shared) {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
 
-        // Phase 2: linger. The window opened when the oldest queued
-        // request arrived — time it already spent waiting while the
-        // previous chunk dispatched counts, so back-to-back chunks do not
-        // stack linger delays.
-        let close = loop {
-            if st.shutdown {
-                break Close::Drain;
-            }
-            if st.queue.len() >= fill_max {
-                break Close::Full;
-            }
-            let now = Instant::now();
-            let close_at = st.queue.front().expect("queue non-empty").enqueued_at + cfg.linger;
-            if now >= close_at {
-                break Close::Linger;
-            }
-            // Sleep precisely to the nearest of: chunk close, earliest
-            // queued deadline; cap the nap when manual-flag tokens are
-            // queued, since their trips cannot wake us.
-            let mut wake = close_at;
-            let mut poll_flags = false;
-            for p in &st.queue {
-                if let Some(d) = p.token.deadline() {
-                    wake = wake.min(d);
-                }
-                poll_flags |= p.token.has_flag();
-            }
-            if poll_flags {
-                wake = wake.min(now + MANUAL_POLL);
-            }
-            let nap = wake.saturating_duration_since(now);
-            let (guard, _) = shared
-                .arrived
-                .wait_timeout(st, nap)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
-            sweep(&mut st.queue, &shared.stats);
-            if st.queue.is_empty() {
-                // Everything queued died while lingering; start over.
-                continue 'serve;
-            }
+        // Phase 2: drain up to a chunk at once, applying the
+        // authoritative per-request check at the last moment before
+        // dispatch. The close is counted as a shutdown drain, as full
+        // (`batch_max` reached) or, in `linger_closes`, as emptying the
+        // queue below `batch_max`.
+        let closes = if st.shutdown {
+            &shared.stats.drain_closes
+        } else if st.queue.len() >= fill_max {
+            &shared.stats.full_closes
+        } else {
+            &shared.stats.linger_closes
         };
-
-        // Phase 3: drain up to a chunk, applying the authoritative
-        // per-request check at the last moment before dispatch.
         let now = Instant::now();
         chunk.clear();
         while chunk.len() < fill_max {
@@ -401,14 +352,10 @@ fn collect(shared: &Shared) {
         if chunk.is_empty() {
             continue;
         }
-        StatsCells::bump(match close {
-            Close::Full => &shared.stats.full_closes,
-            Close::Linger => &shared.stats.linger_closes,
-            Close::Drain => &shared.stats.drain_closes,
-        });
+        StatsCells::bump(closes);
         shared.stats.record_batch(chunk.len());
 
-        // Phase 4: dispatch outside the lock. The engine's own panic
+        // Phase 3: dispatch outside the lock. The engine's own panic
         // boundaries turn faults into per-request errors; the extra
         // catch_unwind here is the last line of defence keeping the
         // collector alive (a dead collector would strand every parked

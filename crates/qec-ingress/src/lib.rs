@@ -10,24 +10,19 @@
 //! batch formation**; the engine's persistent
 //! [`WorkerPool`](qec_core::WorkerPool) owns compute. Any number of
 //! producer threads [`submit`](Ingress::submit) requests into one
-//! multi-producer queue; a collector thread closes a chunk when it
-//! reaches [`batch_max`](IngressConfig::batch_max) **or** when the oldest
-//! queued request has lingered for
-//! [`linger`](IngressConfig::linger) (~200µs by default) — whichever
-//! fires first — and dispatches the chunk through
+//! multi-producer queue; a work-conserving collector thread takes
+//! whatever is queued (up to [`batch_max`](IngressConfig::batch_max))
+//! the moment it is free and dispatches it as one chunk through
 //! [`QecEngine::try_expand_batch_into`]. Each submitter parks on a
 //! per-request completion slot ([`Ticket`]) and wakes with exactly its
 //! own `Result`. No async runtime: the whole crate is std-only
 //! (`Mutex`/`Condvar`), like the rest of the workspace.
 //!
-//! The `linger` knob is the classic latency-vs-throughput trade of
-//! continuous batching: longer lingers collect fuller batches (better
-//! amortisation, higher throughput), shorter lingers close chunks sooner
-//! (lower added latency). A **zero** linger dispatches whatever is queued
-//! when the collector looks, so a chunk is what arrived while the previous
-//! one was being served and a lone request is never held back; how a burst
-//! splits into chunks then depends on thread wake-up timing, which is why
-//! it is a setting and not the default. The repo benchmark's
+//! The collector never holds a chunk open to fill it: a lone request on
+//! an idle door is dispatched at once as a chunk of one, and requests
+//! that arrive while a chunk is being served leave together as the next
+//! chunk. Batches therefore form under load, where they amortise
+//! dispatch, and add no latency anywhere else. The repo benchmark's
 //! `ingress_open` workload measures the front door (`ingress.*` rows).
 //!
 //! # Quickstart
@@ -64,9 +59,12 @@
 //!   [`EngineError::DeadlineExceeded`] without ever reaching the engine;
 //! * a request whose token is **manually tripped** while queued is
 //!   completed with [`EngineError::Cancelled`], again without reaching
-//!   the engine (once its chunk has closed, a later trip resolves through
-//!   the engine's degradation path instead — `Ok` with a finished-prefix
-//!   response, exactly as a direct `try_expand` would);
+//!   the engine (once its chunk has been dispatched, a later trip
+//!   resolves through the engine's degradation path instead — `Ok` with
+//!   a finished-prefix response, exactly as a direct `try_expand` would);
+//! * a queued request is only ever waiting behind the chunk in flight, so
+//!   both refusals above are issued when that chunk returns and the
+//!   collector sweeps the queue, not at the instant of expiry or trip;
 //! * a submission arriving while
 //!   [`queue_cap`](IngressConfig::queue_cap) requests are already queued
 //!   is refused on the spot with [`EngineError::Overloaded`] — the
@@ -74,7 +72,8 @@
 //!   admission, which still applies per chunk member at dispatch.
 //!
 //! [`IngressStats`] snapshots the queue depth, batch-fill histogram,
-//! linger-vs-full close counts and shed/expiry tallies.
+//! close counts (queue emptied vs `batch_max` reached) and shed/expiry
+//! tallies.
 //!
 //! [`QecEngine`]: qec_engine::QecEngine
 //! [`QecEngine::try_expand_batch_into`]: qec_engine::QecEngine::try_expand_batch_into

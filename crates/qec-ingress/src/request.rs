@@ -4,8 +4,8 @@
 //! caller that blocks through the whole call, the wrong one for a request
 //! that must outlive its submitter's stack frame inside a queue. An
 //! [`IngressRequest`] owns the query and copies every pipeline knob, so
-//! the collector can hold it for as long as the linger window (or the
-//! engine) needs.
+//! the collector can hold it for as long as it waits behind the chunk in
+//! flight (or the engine needs it).
 
 use std::time::{Duration, Instant};
 
@@ -49,8 +49,8 @@ pub struct IngressRequest {
     pub member_offset: usize,
     /// Rank-based pagination: members per cluster (`0` = all).
     pub member_limit: usize,
-    /// Absolute deadline, honoured **while queued**: expiry before the
-    /// chunk closes completes the request with
+    /// Absolute deadline, honoured **while queued**: expiry before
+    /// dispatch completes the request with
     /// [`EngineError::DeadlineExceeded`](qec_engine::EngineError::DeadlineExceeded)
     /// without reaching the engine; after dispatch the engine's own
     /// refuse-or-degrade semantics take over unchanged.

@@ -71,11 +71,12 @@ impl StatsCells {
 /// ([`Ingress::stats`](crate::Ingress::stats)).
 ///
 /// The three close counters tell the batching story at a glance: chunks
-/// closed **full** hit [`batch_max`](crate::IngressConfig::batch_max)
-/// before the linger lapsed (throughput mode), chunks closed on
-/// **linger** ran out of patience first (latency mode), and **drain**
-/// closes happened during shutdown. [`fill_hist`](Self::fill_hist) shows
-/// how full dispatched chunks actually were.
+/// closed **full** took [`batch_max`](crate::IngressConfig::batch_max)
+/// requests and left more queued (the door is behind), chunks counted in
+/// [`linger_closes`](Self::linger_closes) emptied the queue below it (the
+/// door keeps up), and **drain** closes happened during shutdown.
+/// [`fill_hist`](Self::fill_hist) shows how full dispatched chunks
+/// actually were.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngressStats {
     /// Requests currently queued (a gauge, read at snapshot time).
@@ -97,7 +98,9 @@ pub struct IngressStats {
     pub cancelled_in_queue: u64,
     /// Chunks closed because they reached `batch_max`.
     pub full_closes: u64,
-    /// Chunks closed because the oldest member's linger lapsed.
+    /// Chunks that emptied the queue below `batch_max` (outside
+    /// shutdown). The collector no longer lingers; the field keeps its
+    /// name because the benchmark's `ingress.linger_closes` row reads it.
     pub linger_closes: u64,
     /// Chunks closed by the shutdown drain.
     pub drain_closes: u64,

@@ -45,10 +45,7 @@ fn shutdown_mid_fault_completes_every_ticket() {
         "engine.build_pipeline",
         FailAction::Delay(Duration::from_millis(40)),
     );
-    let ingress = IngressBuilder::new(engine())
-        .batch_max(2)
-        .linger(Duration::from_millis(1))
-        .spawn();
+    let ingress = IngressBuilder::new(engine()).batch_max(2).spawn();
 
     // Four distinct cold keys: the first chunk is dispatched (and stuck
     // mid-delay) while the rest are still queued when the door drops.
@@ -79,9 +76,7 @@ fn shutdown_mid_fault_completes_every_ticket() {
 #[test]
 fn degraded_completions_are_counted() {
     let _s = serial();
-    let ingress = IngressBuilder::new(engine())
-        .linger(Duration::from_millis(1))
-        .spawn();
+    let ingress = IngressBuilder::new(engine()).spawn();
 
     // The build outlives the request budget: the pipeline still lands, so
     // the engine degrades the response (Ok, intact prefix) rather than
@@ -117,9 +112,7 @@ fn partial_completions_are_counted() {
         .num_shards(3)
         .replicas(2)
         .build();
-    let ingress = IngressBuilder::new(Arc::new(sharded.into_engine()))
-        .linger(Duration::from_millis(1))
-        .spawn();
+    let ingress = IngressBuilder::new(Arc::new(sharded.into_engine())).spawn();
 
     let partial = {
         let _g = arm("shard.retrieve.1", FailAction::Error);
