@@ -5,8 +5,8 @@
 //!   twins, and the fused weighted kernels vs materialising the
 //!   intermediate sets they replace.
 //! * The chunked/fused kernels measured directly against a **scalar
-//!   reference** — the word-at-a-time loops `ResultSet`/`DocBitmap` ran
-//!   before extraction, plus the two-pass combine-then-recount pattern
+//!   reference** — the word-at-a-time loops `ResultSet` and the index's
+//!   bitmaps ran before extraction, plus the two-pass combine-then-recount pattern
 //!   call sites used to emulate the fused kernel — across a density ×
 //!   universe-size grid, with a rank/select microbench on top.
 //!

@@ -2,7 +2,7 @@
 //! pipeline does `qec-snapshot` let a restart skip?
 //!
 //! The cold path re-analyzes every document body (tokenize → intern →
-//! posting append) and re-freezes the hybrid index; the snapshot path
+//! posting append) and freezes the index; the snapshot path
 //! streams the already-frozen sections back and re-derives only the
 //! cheap transposed rows. Document bodies are synthesized **once,
 //! outside the timed region**, so the rebuild measurement is the real
@@ -48,8 +48,9 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
         }
     } else {
         // The sharding bench's multi-million-doc shape: short documents,
-        // Zipfian vocabulary, so the index mixes dense bitmap terms with
-        // a long sparse tail — the representative snapshot payload.
+        // Zipfian vocabulary, so the index mixes dense terms (with their
+        // membership bitmaps) and a long sparse tail — the representative
+        // snapshot payload.
         CorpusSpec {
             num_docs: 2_000_000,
             vocab: 10_000,
@@ -124,8 +125,8 @@ fn main() {
 
     let summary = qec_snapshot::save_corpus(&corpus, &path).expect("save snapshot");
     println!(
-        "# snapshot: {} bytes, {} postings, {} dense terms",
-        summary.bytes, summary.total_postings, summary.dense_terms
+        "# snapshot: {} bytes, {} postings",
+        summary.bytes, summary.total_postings
     );
 
     let mut load_samples = Vec::with_capacity(loads);

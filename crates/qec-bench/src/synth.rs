@@ -39,8 +39,8 @@ impl Default for CorpusSpec {
 }
 
 /// The document bodies of a synthetic corpus: Zipf-distributed tokens
-/// where `wK` has rank `K`, so low-K terms are dense (they freeze to
-/// bitmaps) and high-K terms are sparse — exactly the mix the hybrid index
+/// where `wK` has rank `K`, so low-K terms are dense (they freeze with a
+/// membership bitmap) and high-K terms are sparse — the df mix retrieval
 /// must handle. Separate from [`synth_corpus`] so a bench that times the
 /// build can generate them outside the timed region.
 pub fn synth_bodies(spec: &CorpusSpec) -> Vec<String> {

@@ -1,12 +1,10 @@
 //! Shared word-bitset kernels for the QEC reproduction.
 //!
-//! One dense, fixed-universe bitset ([`Bitset`]) backs both of the
-//! workspace's hot set representations: `qec_index::DocBitmap`
-//! (document sets over the corpus universe) and `qec_core`'s `ResultSet`
-//! (result sets over the expansion arena). Before this crate each carried
-//! its own copy of the word loops; now every strategy (ISKR, exact-ΔF,
-//! PEBC) and every retrieval path runs on the same kernels, so a kernel
-//! improvement speeds the whole system at once.
+//! One dense, fixed-universe bitset ([`Bitset`]) backs `qec_core`'s
+//! `ResultSet` (result sets over the expansion arena), on whose kernels
+//! every strategy (ISKR, exact-ΔF, PEBC) runs, and `qec_index`'s
+//! membership probe of a dense term (a document set over the corpus
+//! universe, read one bit at a time by AND retrieval).
 //!
 //! Kernel discipline
 //! -----------------

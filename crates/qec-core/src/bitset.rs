@@ -8,9 +8,9 @@
 //! (intersections and weighted sums over these sets) word-parallel.
 //!
 //! The implementation lives in the shared foundation crate
-//! [`qec_bitset`] — the same chunked (autovectorizable) kernels back
-//! `qec_index::DocBitmap`, so retrieval and expansion speed up
-//! together. `ResultSet` is the arena-flavoured name this crate has always
+//! [`qec_bitset`], whose `Bitset` is also the membership probe
+//! `qec_index` keeps for each dense term. `ResultSet` is the
+//! arena-flavoured name this crate has always
 //! exported; see [`qec_bitset::Bitset`] for the full kernel surface
 //! (fused `*_count_into` ops, `rank`/`select`, `heap_bytes`, the
 //! [`qec_bitset::RankIndex`] sidecar).

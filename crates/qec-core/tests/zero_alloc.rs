@@ -72,9 +72,9 @@ fn paper_scale_arena() -> (ExpansionArena, Vec<usize>) {
     (arena, cluster)
 }
 
-/// A corpus where sparse terms freeze to sorted lists and frequent terms
-/// to bitmaps, so OR evaluation exercises both the heap-merge and the
-/// bitmap-union kernels.
+/// A corpus with sparse terms (list only) and dense ones (`df · 64 ≥ N`,
+/// which also carry a membership probe), so AND evaluation runs both the
+/// join and the probe.
 fn hybrid_corpus() -> Corpus {
     let mut b = CorpusBuilder::new();
     for i in 0..400usize {
@@ -143,16 +143,19 @@ fn warmed_iskr_and_search_perform_zero_heap_allocations() {
          allocations counted"
     );
 
-    // Retrieval: AND and OR, over every posting-representation mix — the
-    // all-sparse OR drives the k-way heap merge that now lives in the
-    // scratch.
+    // Retrieval: AND and OR over every df mix — OR drives the k-way heap
+    // merge that lives in the scratch, AND the join and the dense probe.
+    // A one-term dense query and an OR over dense terms are the shapes
+    // whose path moved when the separate doc-id copy went.
     let corpus = hybrid_corpus();
     let searcher = Searcher::new(&corpus);
     let t = |name: &str| corpus.keyword_term(name).expect("indexed");
     let queries = [
-        vec![t("sparse129"), t("sparse150")], // sorted-only
-        vec![t("sparse129"), t("even")],      // mixed
-        vec![t("common"), t("even")],         // bitmap-only
+        vec![t("sparse129"), t("sparse150")], // sparse only
+        vec![t("sparse129"), t("even")],      // sparse and dense
+        vec![t("common"), t("even")],         // dense only
+        vec![t("even")],                      // one dense term
+        vec![t("even"), t("sparse150")],      // dense OR sparse
     ];
     let mut search_scratch = SearchScratch::new();
     // Two warm-up passes: the AND double-buffer swaps `cur`/`next`, so

@@ -2,8 +2,8 @@
 //! responses **bit-identical** to one built fresh from the same documents
 //! — across expansion strategies, boolean semantics, shard counts, and
 //! pagination pages — because the loaded corpus is structurally identical
-//! to the frozen one (same ids, same postings, same hybrid
-//! representations). The suite also pins the boot accounting: loads,
+//! to the frozen one (same ids, same postings, same dense-term probes
+//! and idf table). The suite also pins the boot accounting: loads,
 //! cold rebuilds, and fallbacks each count exactly once per corpus.
 
 use std::path::PathBuf;

@@ -92,7 +92,7 @@ impl CorpusBuilder {
     }
 
     /// Freezes the builder into an immutable [`Corpus`]: the posting lists
-    /// become an [`InvertedIndex`], each term in its hybrid representation.
+    /// become an [`InvertedIndex`].
     pub fn build(self) -> Corpus {
         Corpus {
             index: freeze(self.docs.len(), self.lists),

@@ -6,16 +6,15 @@
 //! from the file.
 //!
 //! An index exists only frozen: [`InvertedIndex::from_lists`] is its one
-//! constructor, and it derives, beside the tf-carrying posting lists, a
-//! **hybrid document-id representation** per term — sorted id vector for
-//! sparse terms, dense bitmap for terms with `df ≥ num_docs / 64` (see
-//! the `postings` module for the rationale and the intersection kernels)
-//! — and the idf table. Retrieval reads the hybrid side through
-//! [`InvertedIndex::doc_ids`]; tf statistics keep using the posting
-//! lists, and [`InvertedIndex::idf`] reads the table.
+//! constructor. The tf-carrying posting lists are the only document-id
+//! representation: retrieval and ranking both walk them (see the
+//! `postings` module for the join). Beside them it derives the idf table
+//! and, for each term with `df ≥ num_docs / 64`, a membership bitmap that
+//! AND retrieval probes instead of joining the long list.
 
 use crate::doc::DocId;
-use crate::postings::{DocBitmap, PostingsView};
+use crate::postings::dense_probe;
+use qec_bitset::Bitset;
 use qec_text::TermId;
 
 /// One entry of a posting list: a document and the term's frequency in it.
@@ -25,13 +24,6 @@ pub struct Posting {
     pub doc: DocId,
     /// Number of occurrences of the term in that document.
     pub tf: u32,
-}
-
-/// One term's frozen document-id set (hybrid representation).
-#[derive(Debug, Clone)]
-enum HybridPostings {
-    Sorted(Vec<DocId>),
-    Bitmap(DocBitmap),
 }
 
 /// Why [`InvertedIndex::from_lists`] rejected its posting lists. Every
@@ -71,8 +63,8 @@ impl std::error::Error for PostingListError {}
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     lists: Vec<Vec<Posting>>,
-    /// One hybrid doc-id representation per term slot.
-    hybrid: Vec<HybridPostings>,
+    /// The membership probe of every dense term slot, `None` elsewhere.
+    probes: Vec<Option<Bitset>>,
     /// `idf` of every term slot: a cold request reads ~700 idfs, each a
     /// division and an `ln`.
     idf: Vec<f64>,
@@ -108,8 +100,8 @@ impl InvertedIndex {
     /// not is named in the error.
     ///
     /// A term goes dense when its df reaches one document per bitmap word
-    /// (`df · 64 ≥ num_docs`), the point where a bitmap stops costing more
-    /// memory than the id vector; the idf table is taken here too.
+    /// (`df · 64 ≥ num_docs`) and gets its membership probe; the idf
+    /// table is taken here too.
     pub fn from_lists(num_docs: u32, lists: Vec<Vec<Posting>>) -> Result<Self, PostingListError> {
         let n = num_docs as usize;
         for (slot, list) in lists.iter().enumerate() {
@@ -121,20 +113,7 @@ impl InvertedIndex {
                 return Err(PostingListError::DocOutOfRange { term });
             }
         }
-        let hybrid = lists
-            .iter()
-            .map(|list| {
-                if list.len() * 64 >= n && n > 0 {
-                    let mut b = DocBitmap::empty(n);
-                    for p in list {
-                        b.insert(p.doc);
-                    }
-                    HybridPostings::Bitmap(b)
-                } else {
-                    HybridPostings::Sorted(list.iter().map(|p| p.doc).collect())
-                }
-            })
-            .collect();
+        let probes = lists.iter().map(|list| dense_probe(n, list)).collect();
         let idf = lists
             .iter()
             .map(|list| match list.len() {
@@ -145,21 +124,17 @@ impl InvertedIndex {
         Ok(Self {
             total_postings: lists.iter().map(|list| list.len() as u64).sum(),
             lists,
-            hybrid,
+            probes,
             idf,
             num_docs,
         })
     }
 
-    /// The frozen document-id set of `term` (empty sorted view for unseen
-    /// terms).
+    /// The membership probe of `term` over the document universe, when
+    /// the term is dense (`None` for sparse and unseen terms).
     #[inline]
-    pub fn doc_ids(&self, term: TermId) -> PostingsView<'_> {
-        match self.hybrid.get(term.index()) {
-            Some(HybridPostings::Sorted(ids)) => PostingsView::Sorted(ids),
-            Some(HybridPostings::Bitmap(b)) => PostingsView::Bitmap(b),
-            None => PostingsView::Sorted(&[]),
-        }
+    pub(crate) fn probe(&self, term: TermId) -> Option<&Bitset> {
+        self.probes.get(term.index())?.as_ref()
     }
 
     /// The posting list for `term` (empty slice for unseen terms).
@@ -302,13 +277,13 @@ mod tests {
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.postings(t(0)), &[]);
         assert_eq!(idx.idf(t(0)), 0.0);
-        assert!(idx.doc_ids(t(0)).is_empty());
+        assert!(idx.probe(t(0)).is_none());
     }
 
     #[test]
     fn finalize_picks_representation_by_density() {
-        // 200 docs; t0 in every doc (dense → bitmap), t1 in two docs
-        // (sparse → sorted: 2 · 64 < 200).
+        // 200 docs; t0 in every doc (dense → probe), t1 in two docs
+        // (sparse → list only: 2 · 64 < 200).
         let rows: Vec<Vec<(TermId, u32)>> = (0..200)
             .map(|i| {
                 if i == 3 || i == 150 {
@@ -319,22 +294,18 @@ mod tests {
             })
             .collect();
         let idx = from_rows(&rows);
-        match idx.doc_ids(t(0)) {
-            PostingsView::Bitmap(b) => assert_eq!(b.len(), 200),
-            PostingsView::Sorted(_) => panic!("dense term should freeze to bitmap"),
-        }
-        match idx.doc_ids(t(1)) {
-            PostingsView::Sorted(ids) => assert_eq!(ids, &[d(3), d(150)]),
-            PostingsView::Bitmap(_) => panic!("sparse term should stay sorted"),
-        }
-        // Unseen terms read as an empty sorted view.
-        assert!(idx.doc_ids(t(99)).is_empty());
+        let dense = idx.probe(t(0)).expect("dense term has a probe");
+        assert_eq!(dense.len(), 200);
+        assert!(idx.probe(t(1)).is_none(), "sparse term has none");
+        assert_eq!(idx.postings(t(1)), &[p(3), p(150)]);
+        assert!(idx.probe(t(99)).is_none(), "unseen term has none");
         // The rule's boundary: df · 64 = num_docs is dense, one fewer
         // document in the list is not.
         let at = InvertedIndex::from_lists(128, vec![vec![p(0), p(127)]]).unwrap();
-        assert!(matches!(at.doc_ids(t(0)), PostingsView::Bitmap(_)));
+        let probe = at.probe(t(0)).expect("at the boundary");
+        assert!(probe.contains(0) && probe.contains(127) && !probe.contains(1));
         let below = InvertedIndex::from_lists(129, vec![vec![p(0), p(128)]]).unwrap();
-        assert!(matches!(below.doc_ids(t(0)), PostingsView::Sorted(_)));
+        assert!(below.probe(t(0)).is_none());
     }
 
     #[test]

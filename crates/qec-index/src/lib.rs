@@ -11,13 +11,15 @@
 //! * [`Corpus`] — document store plus corpus statistics, built through a
 //!   shared [`qec_text::Analyzer`] by a [`CorpusBuilder`].
 //! * [`InvertedIndex`] — the inverted index (term → posting list), frozen
-//!   with a hybrid doc-id side by [`InvertedIndex::from_lists`].
-//! * [`PostingsView`] — hybrid posting representations (sorted ids / dense
-//!   [`DocBitmap`]) and the adaptive galloping intersection kernels.
+//!   by [`InvertedIndex::from_lists`] with an idf table and a membership
+//!   probe per dense term.
 //! * [`Searcher`] — boolean retrieval with AND and OR semantics.
 //! * [`TfIdfRanker`] — TF-IDF ranking and top-k selection.
 //! * [`TermMatrix`] — a result list's term occurrences gathered once, by
 //!   result and by term, for the cold build's two consumers.
+//!
+//! Retrieval and ranking walk the same posting lists through one adaptive
+//! linear/galloping merge-join, switching at [`GALLOP_RATIO`].
 
 mod corpus;
 mod doc;
@@ -30,7 +32,7 @@ mod term_matrix;
 pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{InvertedIndex, Posting, PostingListError};
-pub use postings::{intersect_sorted_into, DocBitmap, PostingsView};
+pub use postings::GALLOP_RATIO;
 pub use rank::{Hit, TfIdfRanker};
 pub use search::{QuerySemantics, SearchScratch, Searcher};
 pub use term_matrix::TermMatrix;

@@ -9,6 +9,7 @@
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
+use crate::postings::join;
 use qec_text::TermId;
 
 /// A retrieved document with its ranking score.
@@ -73,10 +74,10 @@ impl<'c> TfIdfRanker<'c> {
     /// Two things distinguish this from [`rank`](Self::rank):
     ///
     /// * **Scoring is a merge-join** of the sorted result list against each
-    ///   term's posting list — O(matches + df) per term instead of a
-    ///   per-document binary search — accumulating `tf·idf` contributions in
-    ///   term order, i.e. the exact floating-point addition order of
-    ///   [`score`](Self::score). A doc-partitioned shard passing the
+    ///   term's posting list — the adaptive linear/galloping join AND
+    ///   retrieval runs, instead of a per-document binary search —
+    ///   accumulating `tf·idf` contributions in term order, i.e. the exact
+    ///   floating-point addition order of [`score`](Self::score). A doc-partitioned shard passing the
     ///   *parent* corpus's idf values therefore reproduces the global
     ///   scores **bit-for-bit**, so a gather-side merge of per-shard top-k
     ///   lists equals the single-engine ranking exactly.
@@ -99,20 +100,9 @@ impl<'c> TfIdfRanker<'c> {
         out.extend(docs.iter().map(|&doc| Hit { doc, score: 0.0 }));
         let index = self.corpus.index();
         for (&t, &idf) in terms.iter().zip(idfs) {
-            let postings = index.postings(t);
-            let mut p = 0usize;
-            for hit in out.iter_mut() {
-                // Advance the posting cursor to this doc; both sides ascend.
-                while p < postings.len() && postings[p].doc < hit.doc {
-                    p += 1;
-                }
-                if p == postings.len() {
-                    break;
-                }
-                if postings[p].doc == hit.doc {
-                    hit.score += postings[p].tf as f64 * idf;
-                }
-            }
+            join(out, index.postings(t), |hit, p| {
+                hit.score += p.tf as f64 * idf
+            });
         }
         for hit in out.iter_mut() {
             let len = self.corpus.doc(hit.doc).len.max(1) as f64;

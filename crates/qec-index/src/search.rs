@@ -1,4 +1,4 @@
-//! Boolean retrieval: AND and OR semantics over hybrid posting lists.
+//! Boolean retrieval: AND and OR semantics over the posting lists.
 //!
 //! The paper defines a result as a data unit containing **all** query
 //! keywords (AND semantics); its appendix notes OR semantics reduces to the
@@ -7,14 +7,11 @@
 //! AND strategy
 //! ------------
 //! Terms are intersected in ascending-df order so the running result
-//! shrinks as early as possible. Because the index freezes sparse terms to
-//! sorted ids and dense terms to bitmaps (df threshold `N/64`, see
-//! [`crate::postings`]), the df ordering also groups representations:
-//! every sorted term precedes every bitmap term. The query loop therefore
-//! seeds from the rarest sorted list, runs the adaptive
-//! linear/galloping kernel against the remaining sorted lists, and finishes
-//! with `O(1)`-per-id bitmap probes — or, when every term is dense,
-//! word-ANDs the bitmaps and decodes once at the end.
+//! shrinks as early as possible. The query seeds from the rarest term's
+//! postings, then narrows by each further term: through the adaptive
+//! linear/galloping join ranking also runs (see [`crate::postings`]), or,
+//! for a dense term (`df · 64 ≥ N`), through its membership probe, one
+//! `O(1)` test per running id.
 //!
 //! All intermediate state lives in a caller-reusable [`SearchScratch`]; a
 //! warmed scratch makes the whole AND pipeline allocation-free, which is
@@ -22,21 +19,18 @@
 //!
 //! OR strategy
 //! -----------
-//! A k-way merge: with any dense term present the union accumulates into a
-//! bitmap (word-wise ORs plus single inserts for sparse ids) and decodes
-//! once; with only sparse terms a binary heap merges the k sorted lists in
-//! `O(total · log k)` instead of the old repeated pairwise merges'
-//! `O(total · k)`. The heap, the per-list cursors, and the list selection
-//! all live in [`SearchScratch`], so a warmed scratch makes OR evaluation
-//! allocation-free too (asserted by the `zero_alloc` integration test in
-//! `qec-core`).
+//! A k-way merge of every term's postings: a binary heap merges the k
+//! sorted lists in `O(total · log k)`. The heap, the per-list cursors,
+//! and the list selection all live in [`SearchScratch`], so a warmed
+//! scratch makes OR evaluation allocation-free too (asserted by the
+//! `zero_alloc` integration test in `qec-core`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::postings::{intersect_sorted_into, retain_in_bitmap, DocBitmap, PostingsView};
+use crate::postings::join;
 use qec_text::TermId;
 
 /// Which boolean semantics a query uses.
@@ -56,18 +50,15 @@ pub enum QuerySemantics {
 pub struct SearchScratch {
     /// Result accumulator; holds the final doc ids after a query.
     cur: Vec<DocId>,
-    /// Double-buffer partner of `cur` for sorted∧sorted rounds.
+    /// Double-buffer partner of `cur` for join rounds.
     next: Vec<DocId>,
     /// Deduplicated query terms in evaluation order.
     terms: Vec<TermId>,
-    /// Accumulator for bitmap∧bitmap / bitmap-union evaluation.
-    bitmap: Option<DocBitmap>,
-    /// All-sparse OR: the terms whose sorted lists are being merged.
+    /// OR: the terms whose posting lists are being merged.
     or_terms: Vec<TermId>,
-    /// All-sparse OR: k-way merge frontier, `(next doc, index into
-    /// `or_terms`)`.
+    /// OR: k-way merge frontier, `(next doc, index into `or_terms`)`.
     or_heap: BinaryHeap<Reverse<(DocId, u32)>>,
-    /// All-sparse OR: per-list cursor (next unread position).
+    /// OR: per-list cursor (next unread position).
     or_pos: Vec<u32>,
 }
 
@@ -129,48 +120,27 @@ impl<'c> Searcher<'c> {
             return;
         }
         let index = self.corpus.index();
-        // Deduplicate and order by ascending df; sparse (sorted) terms land
-        // before dense (bitmap) ones because the representation threshold
-        // is itself a df cut.
+        // Deduplicate and order by ascending df.
         scratch.terms.clear();
         scratch.terms.extend_from_slice(terms);
         scratch.terms.sort_unstable();
         scratch.terms.dedup();
         scratch.terms.sort_by_key(|&t| index.df(t));
 
-        match index.doc_ids(scratch.terms[0]) {
-            PostingsView::Sorted(seed) => {
-                scratch.cur.extend_from_slice(seed);
-                for &term in &scratch.terms[1..] {
-                    if scratch.cur.is_empty() {
-                        return;
-                    }
-                    match index.doc_ids(term) {
-                        PostingsView::Sorted(ids) => {
-                            intersect_sorted_into(&scratch.cur, ids, &mut scratch.next);
-                            std::mem::swap(&mut scratch.cur, &mut scratch.next);
-                        }
-                        PostingsView::Bitmap(b) => retain_in_bitmap(&mut scratch.cur, b),
-                    }
-                }
+        let seed = index.postings(scratch.terms[0]);
+        scratch.cur.extend(seed.iter().map(|p| p.doc));
+        for &term in &scratch.terms[1..] {
+            if scratch.cur.is_empty() {
+                return;
             }
-            PostingsView::Bitmap(seed) => {
-                // Smallest term is dense ⇒ every term is dense.
-                if let Some(acc) = &mut scratch.bitmap {
-                    acc.clone_from(seed);
-                } else {
-                    scratch.bitmap = Some(seed.clone());
-                }
-                let acc = scratch.bitmap.as_mut().expect("just set");
-                for &term in &scratch.terms[1..] {
-                    match index.doc_ids(term) {
-                        PostingsView::Bitmap(b) => acc.and_assign(b),
-                        PostingsView::Sorted(_) => {
-                            unreachable!("df ordering puts sorted terms first")
-                        }
-                    }
-                }
-                acc.decode_into(&mut scratch.cur);
+            if let Some(probe) = index.probe(term) {
+                scratch.cur.retain(|d| probe.contains(d.index()));
+            } else {
+                scratch.next.clear();
+                join(&mut scratch.cur, index.postings(term), |&mut d, _| {
+                    scratch.next.push(d)
+                });
+                std::mem::swap(&mut scratch.cur, &mut scratch.next);
             }
         }
     }
@@ -192,56 +162,30 @@ impl<'c> Searcher<'c> {
         scratch.terms.sort_unstable();
         scratch.terms.dedup();
 
-        let any_bitmap = scratch
-            .terms
-            .iter()
-            .any(|&t| matches!(index.doc_ids(t), PostingsView::Bitmap(_)));
-        if any_bitmap {
-            // Union through a bitmap: word-OR the dense terms, point-insert
-            // the sparse ids, decode once.
-            let acc = scratch.bitmap.get_or_insert_with(|| DocBitmap::empty(0));
-            acc.reset(index.num_docs() as usize);
-            for &term in &scratch.terms {
-                match index.doc_ids(term) {
-                    PostingsView::Bitmap(b) => acc.or_assign(b),
-                    PostingsView::Sorted(ids) => {
-                        for &d in ids {
-                            acc.insert(d);
-                        }
-                    }
-                }
+        // k-way heap merge, O(total · log k). The merge state persists in
+        // the scratch; lists are re-resolved from the index per advance (an
+        // O(1) lookup) because slices borrowed from the index cannot
+        // outlive the call in a reusable scratch.
+        scratch.or_terms.clear();
+        scratch.or_heap.clear();
+        scratch.or_pos.clear();
+        for &t in &scratch.terms {
+            if let Some(first) = index.postings(t).first() {
+                let li = scratch.or_terms.len() as u32;
+                scratch.or_terms.push(t);
+                scratch.or_heap.push(Reverse((first.doc, li)));
+                scratch.or_pos.push(1);
             }
-            acc.decode_into(&mut scratch.cur);
-        } else {
-            // All-sparse k-way heap merge, O(total · log k). The merge
-            // state persists in the scratch; lists are re-resolved from the
-            // index per advance (an O(1) lookup) because slices borrowed
-            // from the index cannot outlive the call in a reusable scratch.
-            scratch.or_terms.clear();
-            scratch.or_heap.clear();
-            scratch.or_pos.clear();
-            for &t in &scratch.terms {
-                if let PostingsView::Sorted(ids) = index.doc_ids(t) {
-                    if !ids.is_empty() {
-                        let li = scratch.or_terms.len() as u32;
-                        scratch.or_terms.push(t);
-                        scratch.or_heap.push(Reverse((ids[0], li)));
-                        scratch.or_pos.push(1);
-                    }
-                }
+        }
+        while let Some(Reverse((doc, li))) = scratch.or_heap.pop() {
+            if scratch.cur.last() != Some(&doc) {
+                scratch.cur.push(doc);
             }
-            while let Some(Reverse((doc, li))) = scratch.or_heap.pop() {
-                if scratch.cur.last() != Some(&doc) {
-                    scratch.cur.push(doc);
-                }
-                let PostingsView::Sorted(ids) = index.doc_ids(scratch.or_terms[li as usize]) else {
-                    unreachable!("or_terms holds sparse terms only")
-                };
-                let p = scratch.or_pos[li as usize] as usize;
-                if p < ids.len() {
-                    scratch.or_heap.push(Reverse((ids[p], li)));
-                    scratch.or_pos[li as usize] += 1;
-                }
+            let list = index.postings(scratch.or_terms[li as usize]);
+            let p = scratch.or_pos[li as usize] as usize;
+            if p < list.len() {
+                scratch.or_heap.push(Reverse((list[p].doc, li)));
+                scratch.or_pos[li as usize] += 1;
             }
         }
     }
@@ -262,9 +206,9 @@ mod tests {
         b.build()
     }
 
-    /// A corpus big enough that sparse terms really freeze to sorted lists
-    /// (df · 64 < N) while frequent terms go dense, so every kernel
-    /// combination runs.
+    /// A corpus big enough that sparse terms really stay list-only
+    /// (df · 64 < N) while frequent terms go dense, so the join and the
+    /// probe both run.
     fn hybrid_corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
         for i in 0..400usize {
@@ -384,8 +328,8 @@ mod tests {
         let s = Searcher::new(&c);
         let t = |name: &str| c.keyword_term(name).unwrap();
         let (common, even, s129, s150) = (t("common"), t("even"), t("sparse129"), t("sparse150"));
-        // sorted∧sorted (gallopable skew), sorted∧bitmap, bitmap∧bitmap,
-        // and the full mix.
+        // sparse∧sparse (gallopable skew), sparse∧dense, dense∧dense, and
+        // the full mix.
         for terms in [
             vec![s129, s150],
             vec![s129, even],

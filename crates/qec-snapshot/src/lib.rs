@@ -65,8 +65,6 @@ pub struct SnapshotSummary {
     pub index_terms: u64,
     /// Total `(term, doc)` postings.
     pub total_postings: u64,
-    /// Terms frozen to the dense bitmap representation.
-    pub dense_terms: u64,
     /// CRC32 of the dictionary section payload. Two snapshots with equal
     /// `dict_crc` (and `vocab`) interned the same terms in the same
     /// order, so their `TermId`s are interchangeable — the property a

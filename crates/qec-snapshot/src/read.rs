@@ -14,14 +14,14 @@
 //! this module checks only what they do not.
 //!
 //! Nothing derived is read from disk: the per-document term rows are
-//! rebuilt as the transpose of the posting lists, and the hybrid doc-id
-//! sets and idf table are frozen from them by `InvertedIndex::from_lists`
-//! exactly as a build freezes them, so no two views of the corpus can
-//! disagree.
+//! rebuilt as the transpose of the posting lists, and the dense terms'
+//! membership bitmaps and the idf table are frozen from them by
+//! `InvertedIndex::from_lists` exactly as a build freezes them, so no two
+//! views of the corpus can disagree.
 
 use std::path::Path;
 
-use qec_index::{Corpus, DocId, Feature, InvertedIndex, Posting, PostingsView, StoredDoc};
+use qec_index::{Corpus, DocId, Feature, InvertedIndex, Posting, StoredDoc};
 use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 use crate::crc::crc32;
@@ -322,9 +322,6 @@ pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary)
     let index =
         InvertedIndex::from_lists(meta.num_docs as u32, lists).map_err(|e| corrupt("post", e))?;
     let rows = transpose(&index);
-    let dense_terms = (0..index.num_terms() as u32)
-        .filter(|&slot| matches!(index.doc_ids(TermId(slot)), PostingsView::Bitmap(_)))
-        .count() as u64;
     let corpus =
         Corpus::from_frozen_parts(analyzer, docs, rows, index).map_err(|e| corrupt("docs", e))?;
 
@@ -334,7 +331,6 @@ pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary)
         vocab: meta.vocab,
         index_terms: meta.index_terms,
         total_postings: meta.total_postings,
-        dense_terms,
         dict_crc,
     };
     Ok((corpus, summary))

@@ -13,7 +13,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use qec_index::{Corpus, PostingsView};
+use qec_index::Corpus;
 use qec_text::TermId;
 
 use crate::crc::crc32;
@@ -80,11 +80,10 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
     }
 
     // POST — every term's posting list. Nothing derived from them is
-    // stored: which terms are dense, their bitmaps and the idf table are
+    // stored: the dense terms' membership bitmaps and the idf table are
     // re-derived on load by the constructor that froze this index, so a
-    // flipped bit can't smuggle in a wrong representation.
+    // flipped bit can't smuggle in a disagreeing copy.
     let mut post = Vec::with_capacity(index.total_postings() as usize * 8 + 4);
-    let mut dense_terms = 0u64;
     for slot in 0..index_terms {
         let term = TermId(slot as u32);
         let list = index.postings(term);
@@ -92,9 +91,6 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
         for p in list {
             post.extend_from_slice(&p.doc.0.to_le_bytes());
             post.extend_from_slice(&p.tf.to_le_bytes());
-        }
-        if matches!(index.doc_ids(term), PostingsView::Bitmap(_)) {
-            dense_terms += 1;
         }
     }
 
@@ -118,7 +114,6 @@ fn encode(corpus: &Corpus) -> (Vec<u8>, SnapshotSummary) {
         vocab,
         index_terms,
         total_postings: index.total_postings(),
-        dense_terms,
         dict_crc,
     };
     (buf, summary)
