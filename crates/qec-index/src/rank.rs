@@ -77,10 +77,11 @@ impl<'c> TfIdfRanker<'c> {
     ///   term's posting list — the adaptive linear/galloping join AND
     ///   retrieval runs, instead of a per-document binary search —
     ///   accumulating `tf·idf` contributions in term order, i.e. the exact
-    ///   floating-point addition order of [`score`](Self::score). A doc-partitioned shard passing the
-    ///   *parent* corpus's idf values therefore reproduces the global
-    ///   scores **bit-for-bit**, so a gather-side merge of per-shard top-k
-    ///   lists equals the single-engine ranking exactly.
+    ///   floating-point addition order of [`score`](Self::score). A
+    ///   doc-partitioned shard passing the *parent* corpus's idf values
+    ///   therefore reproduces the global scores **bit-for-bit**, so a
+    ///   gather-side merge of per-shard top-k lists equals the
+    ///   single-engine ranking exactly.
     /// * **Selection is bounded**: with `top_k > 0` the kernel partitions
     ///   with `select_nth_unstable_by` and sorts only the winners —
     ///   O(matches + k·log k) instead of the full O(matches·log matches)
