@@ -35,12 +35,8 @@
 //!   serving: a reusable k-way merge scratch for per-shard sorted lists.
 //! * [`Backoff`] — deadline-aware capped exponential backoff with
 //!   seeded jitter, the wait policy behind replica failover retries.
-//! * [`CircuitBreaker`] — lock-free per-replica breakers
-//!   (closed → open → half-open) that take persistently sick replicas
-//!   out of scatter selection until they heal.
 
 mod bitset;
-mod breaker;
 mod cancel;
 mod expander;
 mod fmeasure;
@@ -54,9 +50,6 @@ mod retry;
 mod scatter;
 
 pub use bitset::ResultSet;
-pub use breaker::{BreakerState, CircuitBreaker};
-// The shared kernel crate's own names, for callers that want the
-// positional-query sidecar or to name the type universe-neutrally.
 pub use cancel::{CancelSignal, CancelToken};
 pub use expander::{ExactDeltaF, Expander, Iskr, Pebc};
 pub use fmeasure::{
@@ -68,6 +61,8 @@ pub use parallel::{DisjointSlots, ScratchPool};
 pub use pebc::{pebc, pebc_into, pebc_into_cancellable, PebcConfig};
 pub use pool::{default_parallelism, WorkerPool};
 pub use problem::{ArenaConfig, CandId, Candidate, ExpansionArena, QecInstance, SetSlot};
+// The shared kernel crate's own names, for callers that want the
+// positional-query sidecar or to name the type universe-neutrally.
 pub use qec_bitset::{Bitset, RankIndex};
 pub use retry::Backoff;
 pub use scatter::MergeScratch;

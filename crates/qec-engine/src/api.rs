@@ -247,8 +247,9 @@ pub struct ExpandStats {
     /// half-refined). [`clusters`](ExpandStats::clusters) counts the kept
     /// prefix.
     pub degraded: bool,
-    /// Shards whose every replica was unavailable (failed, breaker-open,
-    /// or out of retry budget) when this request's pipeline was built:
+    /// Shards given up when this request's pipeline was built (every
+    /// attempt failed until the retries were spent, or the next backoff
+    /// would outlive the deadline):
     /// the response is **explicitly partial** — the merged ranking over
     /// the surviving shards is intact and bit-identical to what a
     /// healthy engine restricted to those shards would produce, but the

@@ -2,7 +2,7 @@
 //!
 //! One [`EngineConfig`] gathers every stage's knobs — arena candidate
 //! selection, clustering, all three expansion strategies, the shared arena
-//! cache, the worker pool, admission and replication — so a caller
+//! cache, the worker pool and admission — so a caller
 //! configures the whole pipeline in one place instead of threading config
 //! structs through five crates by hand. A value no caller varies is a
 //! private constant beside the code that reads it, not a field here.
@@ -83,44 +83,6 @@ impl Default for PoolConfig {
     }
 }
 
-/// Replication + failover knobs of the sharded scatter path
-/// ([`ShardedEngine`](crate::ShardedEngine)). Only consulted when the
-/// engine carries a shard set; the flat path ignores it entirely.
-#[derive(Debug, Clone)]
-pub struct ReplicationConfig {
-    /// Interchangeable replicas per shard. A replica is a health slot
-    /// (breaker, latency EWMA, counters) over the shard's one `Arc`-shared
-    /// corpus slice — adding replicas copies no corpus — and scatter
-    /// rotates across the healthy ones. `1` means no replication: a shard
-    /// whose only replica exhausts its retries is omitted from the
-    /// response.
-    pub replicas: usize,
-    /// How long a shard's task may run before a hedged duplicate is
-    /// dispatched to another replica (first completion wins; results are
-    /// bit-identical regardless of winner). `None` adapts per replica to
-    /// ~3× its observed mean latency (EWMA), i.e. roughly the tail beyond
-    /// p95 for well-behaved latency distributions.
-    pub hedge_after: Option<Duration>,
-    /// Consecutive failures that open a replica's circuit breaker (the
-    /// replica is skipped by selection until a half-open probe succeeds).
-    /// `0` disables breakers.
-    pub breaker_threshold: u32,
-    /// How long an open breaker refuses everything before admitting one
-    /// half-open probe.
-    pub breaker_cooldown: Duration,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        Self {
-            replicas: 1,
-            hedge_after: None,
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(250),
-        }
-    }
-}
-
 /// Configuration for every stage behind [`QecEngine`](crate::QecEngine).
 ///
 /// The defaults are the paper's: top-20% tf·idf candidate pruning, cosine
@@ -147,6 +109,4 @@ pub struct EngineConfig {
     pub pool: PoolConfig,
     /// Admission control / load shedding.
     pub admission: AdmissionConfig,
-    /// Replication + failover of the sharded scatter path.
-    pub replication: ReplicationConfig,
 }

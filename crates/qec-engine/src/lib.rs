@@ -74,7 +74,7 @@
 //! is the single engine's machinery. With
 //! [`replicas(n)`](ShardedEngineBuilder::replicas) each shard's one slice
 //! sits behind `n` interchangeable replica slots and the scatter path
-//! adds retry, hedging, and per-replica circuit breakers. The `shard`
+//! adds retry on a sibling replica and hedging. The `shard`
 //! module docs (`src/shard.rs`) draw the architecture.
 //!
 //! # Snapshot boot
@@ -116,10 +116,10 @@
 //! bit-identical to a clean run (see `tests/chaos.rs`, which drives these
 //! paths through the `qec-failpoint` crate).
 //!
-//! On the replicated scatter path a shard failure escalates through
-//! retry (sibling replica, deadline-aware backoff), hedging, and
-//! per-replica circuit breakers; only when a shard's **every** replica is
-//! unavailable does the response go explicitly **partial** — `Ok` with
+//! On the replicated scatter path a failed shard attempt is retried
+//! (sibling replica, deadline-aware backoff) and a slow one is hedged;
+//! only when a shard's retries are spent does the response go
+//! explicitly **partial** — `Ok` with
 //! [`ExpandStats::shards_omitted`] counting the missing shards,
 //! [`ExpandResponse::omitted_shards`] naming them, and the merged ranking
 //! over the surviving shards intact. Partial pipelines are served but
@@ -146,7 +146,7 @@ pub use api::{
 };
 pub use boot::BootStats;
 pub use cache::{BuildTicket, CacheProbe, CacheStats, SharedArenaCache};
-pub use config::{AdmissionConfig, CacheConfig, EngineConfig, PoolConfig, ReplicationConfig};
+pub use config::{AdmissionConfig, CacheConfig, EngineConfig, PoolConfig};
 pub use engine::{EngineBuilder, QecEngine};
 pub use shard::{
     ReplicaStats, ShardStats, ShardedBuildError, ShardedEngine, ShardedEngineBuilder, ShardedStats,
@@ -155,7 +155,7 @@ pub use shard::{
 // Re-export the vocabulary types a facade caller needs, so simple servers
 // depend on `qec-engine` alone.
 pub use qec_cluster::{Clusterer, KMeansClusterer};
-pub use qec_core::{BreakerState, CancelSignal, CancelToken, Expander, QueryQuality};
+pub use qec_core::{CancelSignal, CancelToken, Expander, QueryQuality};
 pub use qec_index::{Corpus, DocId, DocumentSpec, QuerySemantics};
 pub use qec_snapshot::{SnapshotError, SnapshotSummary};
 pub use qec_text::TermId;

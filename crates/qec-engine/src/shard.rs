@@ -39,20 +39,20 @@
 //! ------------------------
 //! A shard is one `Arc`-shared corpus slice plus warmed retrieval
 //! scratches; [`replicas(n)`](ShardedEngineBuilder::replicas) points `n`
-//! interchangeable replica slots (breaker, latency EWMA, counters) at
-//! that one slice, so replication copies no corpus and builds no engine.
-//! Scatter rotates across healthy replicas,
-//! and failures meet three escalating defenses — **retry** on a sibling
-//! replica with deadline-aware capped exponential backoff, a **hedged**
-//! duplicate dispatched when a task outlives its replica's expected
-//! latency (first completion wins, bit-identical either way), and
-//! per-replica **circuit breakers** that take persistently sick replicas
-//! out of selection until a half-open probe heals them. A shard whose
-//! every replica is unavailable is **omitted explicitly**: the response
+//! interchangeable replica slots (latency EWMA, counters) at that one
+//! slice, so replication copies no corpus and builds no engine. Scatter
+//! rotates across the replicas, and failures meet two escalating
+//! defenses — **retry** on the next replica with deadline-aware capped
+//! exponential backoff, and a **hedged** duplicate dispatched on an
+//! untried replica when a task outlives its replica's expected latency
+//! (first completion wins, bit-identical either way). Every replica runs
+//! the same code over the same slice, so none is singled out as sick:
+//! each first attempt and retry simply takes the rotation's next one. A
+//! shard whose retries are spent is **omitted explicitly**: the response
 //! stays `Ok` with [`ExpandStats::shards_omitted`](crate::ExpandStats::shards_omitted)
 //! set and the merged ranking over the surviving shards intact — never a
-//! silently wrong ranking. `tests/replication_chaos.rs` drives all four
-//! behaviours through injected faults.
+//! silently wrong ranking. `tests/replication_chaos.rs` drives fail-over,
+//! explicit omission and hedging through injected faults.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,10 +61,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qec_core::{
-    Backoff, BreakerState, CancelSignal, CancelToken, CircuitBreaker, MergeScratch, ScratchPool,
-    WorkerPool,
-};
+use qec_core::{Backoff, CancelSignal, CancelToken, MergeScratch, ScratchPool, WorkerPool};
 use qec_index::{
     Corpus, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher, TfIdfRanker,
 };
@@ -74,7 +71,6 @@ use qec_text::TermId;
 use crate::api::ExpandResponse;
 use crate::boot::{expected_shard_len, shard_snapshot_name, BootStats, FULL_SNAPSHOT};
 use crate::cache::CacheStats;
-use crate::config::ReplicationConfig;
 use crate::engine::{EngineBuilder, QecEngine, Source};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
@@ -189,8 +185,8 @@ pub struct ShardStats {
     /// Hedged duplicates this shard has dispatched (a second replica
     /// racing a slow first attempt).
     pub hedges: u64,
-    /// Scatters that omitted this shard because every defense was
-    /// exhausted — each one produced an explicitly partial response.
+    /// Scatters that omitted this shard because its retries were spent —
+    /// each one produced an explicitly partial response.
     pub omissions: u64,
     /// Per-replica health, in rotation order.
     pub replicas: Vec<ReplicaStats>,
@@ -205,8 +201,6 @@ pub struct ReplicaStats {
     /// Failed attempts (panics and injected errors; cancelled hedges are
     /// neither success nor failure).
     pub failures: u64,
-    /// Circuit-breaker state at snapshot time.
-    pub breaker: BreakerState,
     /// EWMA of this replica's attempt latency (`ZERO` before the first
     /// sample); the adaptive hedge delay derives from it.
     pub mean_latency: Duration,
@@ -257,27 +251,28 @@ impl fmt::Display for ShardedBuildError {
 impl std::error::Error for ShardedBuildError {}
 
 /// Builds a [`ShardedEngine`]: an [`EngineBuilder`] for the gather engine
-/// plus the shard count and the snapshot directory. The setters below are
-/// the gather builder's own, forwarded, and the replication knobs of its
-/// [`EngineConfig`](crate::config::EngineConfig).
+/// plus the shard topology (shard and replica counts) and the snapshot
+/// directory; the other setters below are the gather builder's own,
+/// forwarded.
 ///
 /// | knob | default | effect |
 /// |------|---------|--------|
 /// | [`num_shards`](Self::num_shards) | `1` | contiguous doc-id partitions; `1` serves the plain single-engine path |
 /// | [`replicas`](Self::replicas) | `1` | interchangeable replica slots per shard, all over the shard's one corpus slice; `>1` enables failover |
-/// | [`hedge_after`](Self::hedge_after) | `None` (adaptive) | delay before a hedged duplicate races a slow attempt |
-/// | [`breaker_threshold`](Self::breaker_threshold) | `3` | consecutive failures that open a replica's circuit breaker (`0` = never) |
-/// | [`breaker_cooldown`](Self::breaker_cooldown) | `250ms` | open-breaker wait before one half-open probe |
 /// | [`cache_capacity`](Self::cache_capacity) | `128` | the **gather** cache — pipelines are cached once, after the merge (`0` = off) |
 /// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the gather engine's [`WorkerPool`], which all scatter tasks run on |
 ///
-/// A failed shard attempt is retried twice on a sibling replica (capped
-/// exponential backoff from 500 µs) before the shard is omitted; clustering
-/// and expansion run on the gather side (shards only retrieve and rank).
+/// A failed shard attempt is retried twice on the next replica (capped
+/// exponential backoff from 500 µs) before the shard is omitted, and an
+/// attempt that outlives ~3× its replica's mean latency (EWMA, clamped to
+/// 200 µs–100 ms; 2 ms before the first sample) is hedged on an untried
+/// one. Clustering and expansion run on the gather side (shards only
+/// retrieve and rank).
 #[must_use = "builder setters return the updated builder; finish with build()"]
 pub struct ShardedEngineBuilder {
     gather: EngineBuilder,
     num_shards: usize,
+    replicas: usize,
     /// Snapshot directory to restore from at build; see
     /// [`load_snapshots`](Self::load_snapshots).
     snapshot_dir: Option<PathBuf>,
@@ -305,6 +300,7 @@ impl ShardedEngineBuilder {
         Self {
             gather,
             num_shards: 1,
+            replicas: 1,
             snapshot_dir: None,
         }
     }
@@ -340,36 +336,14 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets the replica count per shard (`0` is treated as `1`). See
-    /// "Replication and failover" in the `shard` module docs
-    /// (`src/shard.rs`) and [`ReplicationConfig`].
+    /// Sets the replica count per shard (`0` is treated as `1`): `n`
+    /// interchangeable replica slots over the shard's one corpus slice,
+    /// so adding replicas copies no corpus. `1` means no replication — a
+    /// shard whose only replica spends its retries is omitted from the
+    /// response. See "Replication and failover" in the `shard` module docs
+    /// (`src/shard.rs`).
     pub fn replicas(mut self, n: usize) -> Self {
-        self.gather.config.replication.replicas = n.max(1);
-        self
-    }
-
-    /// Sets the hedge delay: `Some(d)` hedges a shard task that has run
-    /// for `d` without completing; `None` (the default) adapts to ~3× the
-    /// replica's observed mean latency (see
-    /// [`ReplicationConfig::hedge_after`](crate::config::ReplicationConfig::hedge_after)).
-    pub fn hedge_after(mut self, delay: Option<Duration>) -> Self {
-        self.gather.config.replication.hedge_after = delay;
-        self
-    }
-
-    /// Sets the consecutive-failure count that opens a replica's circuit
-    /// breaker; `0` disables breakers (see
-    /// [`ReplicationConfig::breaker_threshold`](crate::config::ReplicationConfig::breaker_threshold)).
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.gather.config.replication.breaker_threshold = threshold;
-        self
-    }
-
-    /// Sets how long an open breaker refuses attempts before admitting a
-    /// half-open probe (see
-    /// [`ReplicationConfig::breaker_cooldown`](crate::config::ReplicationConfig::breaker_cooldown)).
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.gather.config.replication.breaker_cooldown = cooldown;
+        self.replicas = n.max(1);
         self
     }
 
@@ -451,8 +425,8 @@ impl ShardedEngineBuilder {
         }
         // The slices are cut from `&corpus` first; the corpus itself then
         // moves into the gather engine.
-        let replication = &self.gather.config.replication;
-        let shards = (num_shards > 1 || replication.replicas > 1).then(|| {
+        let replicas = self.replicas;
+        let shards = (num_shards > 1 || replicas > 1).then(|| {
             // Shard sub-corpora: per-shard snapshot files when a loaded
             // full snapshot vouches for their generation, the gather
             // corpus's split otherwise (and for every shard whose file
@@ -466,7 +440,7 @@ impl ShardedEngineBuilder {
                     corpus.split(num_shards)
                 }
             };
-            ShardSet::new(slices, replication.clone())
+            ShardSet::new(slices, replicas)
         });
         let gather = EngineBuilder {
             source: Source::Prebuilt(corpus),
@@ -545,7 +519,7 @@ fn load_shard_corpora(
 
 /// The scatter half of a sharded deployment: N doc-partitioned shard
 /// groups (each one corpus slice behind a set of interchangeable replica
-/// slots) plus the counters and failover policy the gather side needs.
+/// slots) plus the counters the gather side needs.
 /// Held by the gather [`QecEngine`]; assembled by [`ShardedEngineBuilder`].
 pub(crate) struct ShardSet {
     /// One replica group per contiguous-`DocId` shard, in shard order.
@@ -554,8 +528,6 @@ pub(crate) struct ShardSet {
     /// Σ len(shard < i)`): the offset translation applied to scattered
     /// hits before the merge.
     bases: Vec<u32>,
-    /// Retry / hedge / breaker policy of the scatter path.
-    replication: ReplicationConfig,
 }
 
 /// What a shard *is*: its slice of the corpus plus warmed retrieval
@@ -570,29 +542,25 @@ struct ShardSlice {
 struct ShardReplicas {
     replicas: Vec<ReplicaSlot>,
     /// Rotation cursor: each scatter starts its replica selection at the
-    /// next position, spreading load across healthy replicas.
+    /// next position, spreading load across the replicas.
     rotation: AtomicUsize,
     /// Scattered retrievals resolved by this shard (one per request that
     /// got this shard's list, however many attempts that took).
     retrievals: AtomicU64,
     /// Hedged duplicate tasks dispatched for this shard.
     hedges: AtomicU64,
-    /// Requests that gave up on this shard (every replica failed,
-    /// breaker-refused, or out of retry budget) and served partial.
+    /// Requests that gave up on this shard (retries spent, or the next
+    /// backoff would outlive the deadline) and served partial.
     omissions: AtomicU64,
 }
 
-/// One replica: a pointer at its shard's slice plus its own health state
-/// — circuit breaker, latency EWMA (feeds the adaptive hedge delay), and
-/// attempt counters.
+/// One replica: a pointer at its shard's slice plus its own latency EWMA
+/// (feeds the adaptive hedge delay) and attempt counters.
 struct ReplicaSlot {
     /// The shard's one slice, shared by every replica of the shard.
     /// `Arc`d because hedged/retried attempts run as fire-and-forget pool
     /// jobs that may outlive the request that spawned them.
     slice: Arc<ShardSlice>,
-    /// Consecutive-failure breaker; open replicas are skipped by
-    /// selection until a half-open probe heals them.
-    breaker: CircuitBreaker,
     /// EWMA of successful attempt latency, stored as `f64` bits (`0.0` =
     /// no samples yet).
     ewma_nanos: AtomicU64,
@@ -611,7 +579,7 @@ const MAX_HEDGE: Duration = Duration::from_millis(100);
 const DEFAULT_HEDGE: Duration = Duration::from_millis(2);
 /// Retries after a shard task's first failed attempt before the shard is
 /// omitted. Each retry waits a capped-exponential [`Backoff`] step and
-/// targets the rotation's next admitted replica; a retry whose wait alone
+/// targets the rotation's next replica; a retry whose wait alone
 /// would outlive the request's effective deadline is skipped (the shard is
 /// omitted instead — backoff never sleeps into a guaranteed miss).
 const RETRY_MAX: usize = 2;
@@ -621,13 +589,9 @@ const RETRY_BASE: Duration = Duration::from_micros(500);
 const BACKOFF_CAP_FACTOR: u32 = 16;
 
 impl ReplicaSlot {
-    fn new(slice: Arc<ShardSlice>, replication: &ReplicationConfig) -> Self {
+    fn new(slice: Arc<ShardSlice>) -> Self {
         Self {
             slice,
-            breaker: CircuitBreaker::new(
-                replication.breaker_threshold,
-                replication.breaker_cooldown,
-            ),
             ewma_nanos: AtomicU64::new(0),
             retrievals: AtomicU64::new(0),
             failures: AtomicU64::new(0),
@@ -665,13 +629,10 @@ impl ReplicaSlot {
     }
 
     /// How long a task on this replica may run before a hedged duplicate
-    /// is dispatched: the configured override, or ~3× the replica's EWMA
-    /// mean — roughly the tail beyond p95 for well-behaved latency
-    /// distributions — clamped to sane bounds.
-    fn hedge_delay(&self, replication: &ReplicationConfig) -> Duration {
-        if let Some(d) = replication.hedge_after {
-            return d;
-        }
+    /// is dispatched: ~3× the replica's EWMA mean — roughly the tail
+    /// beyond p95 for well-behaved latency distributions — clamped to sane
+    /// bounds.
+    fn hedge_delay(&self) -> Duration {
         let mean = self.mean_latency();
         if mean.is_zero() {
             DEFAULT_HEDGE
@@ -683,9 +644,9 @@ impl ReplicaSlot {
 
 impl ShardSet {
     /// Wraps the per-shard corpus slices (in shard order) behind
-    /// `replication.replicas` replica slots each, deriving every shard's
-    /// global `DocId` base from the cumulative slice sizes.
-    fn new(slices: Vec<Corpus>, replication: ReplicationConfig) -> Self {
+    /// `replicas` replica slots each, deriving every shard's global
+    /// `DocId` base from the cumulative slice sizes.
+    fn new(slices: Vec<Corpus>, replicas: usize) -> Self {
         let mut bases = Vec::with_capacity(slices.len());
         let mut base = 0u32;
         let shards = slices
@@ -698,8 +659,8 @@ impl ShardSet {
                     scratches: ScratchPool::new(),
                 });
                 ShardReplicas {
-                    replicas: (0..replication.replicas.max(1))
-                        .map(|_| ReplicaSlot::new(Arc::clone(&slice), &replication))
+                    replicas: (0..replicas.max(1))
+                        .map(|_| ReplicaSlot::new(Arc::clone(&slice)))
                         .collect(),
                     rotation: AtomicUsize::new(0),
                     retrievals: AtomicU64::new(0),
@@ -708,11 +669,7 @@ impl ShardSet {
                 }
             })
             .collect();
-        Self {
-            shards,
-            bases,
-            replication,
-        }
+        Self { shards, bases }
     }
 
     /// Number of shards in the set.
@@ -741,7 +698,6 @@ impl ShardSet {
                     .map(|slot| ReplicaStats {
                         retrievals: slot.retrievals.load(Ordering::Relaxed),
                         failures: slot.failures.load(Ordering::Relaxed),
-                        breaker: slot.breaker.state(),
                         mean_latency: slot.mean_latency(),
                     })
                     .collect(),
@@ -813,8 +769,8 @@ struct Completion {
 struct ShardProgress {
     /// The shard's globally-offset top-K list once a replica delivered it.
     done: Option<Vec<Hit>>,
-    /// The shard gave up: every replica failed, was breaker-refused, or
-    /// the retry budget / deadline ran out.
+    /// The shard gave up: its retries were spent, or the next backoff
+    /// would outlive the deadline.
     omitted: bool,
     /// Attempts currently dispatched and unreported.
     in_flight: u32,
@@ -841,6 +797,16 @@ struct ShardProgress {
 
 fn replica_bit(replica: usize) -> u64 {
     1u64.checked_shl(replica as u32).unwrap_or(0)
+}
+
+impl ShardProgress {
+    /// The hedge target among `n` replicas: the first one in rotation
+    /// order from the cursor that no attempt of this scatter has tried.
+    fn untried_replica(&self, n: usize) -> Option<usize> {
+        (0..n)
+            .map(|off| (self.cursor + off) % n)
+            .find(|&ri| self.tried & replica_bit(ri) == 0)
+    }
 }
 
 /// The one retrieve + rank kernel of every serving path: evaluates `terms`
@@ -914,41 +880,25 @@ fn replica_attempt(
 }
 
 impl ShardSet {
-    /// Picks the next admitted replica of shard `si` (rotation order from
-    /// `sp.cursor`, skipping open breakers — and already-tried replicas
-    /// when `untried_only`) and dispatches one attempt for it as a
-    /// fire-and-forget pool job. Returns `false` when no replica is
-    /// admissible.
+    /// Dispatches one attempt of shard `si` against replica `ri` as a
+    /// fire-and-forget pool job and moves the rotation cursor past it. A
+    /// first attempt or a retry takes the replica at `sp.cursor`; a hedge
+    /// takes [`ShardProgress::untried_replica`].
     fn dispatch_attempt(
         &self,
         pool: &WorkerPool,
         shared: &Arc<ScatterShared>,
         si: usize,
         sp: &mut ShardProgress,
-        untried_only: bool,
-    ) -> bool {
+        ri: usize,
+    ) {
         let shard = &self.shards[si];
         let n = shard.replicas.len();
-        let now = Instant::now();
-        let mut picked = None;
-        for off in 0..n {
-            let ri = (sp.cursor + off) % n;
-            if untried_only && sp.tried & replica_bit(ri) != 0 {
-                continue;
-            }
-            if shard.replicas[ri].breaker.try_admit(now) {
-                picked = Some(ri);
-                break;
-            }
-        }
-        let Some(ri) = picked else {
-            return false;
-        };
         sp.cursor = (ri + 1) % n;
         sp.tried |= replica_bit(ri);
         sp.in_flight += 1;
         sp.hedge_at =
-            (!sp.hedged && n > 1).then(|| now + shard.replicas[ri].hedge_delay(&self.replication));
+            (!sp.hedged && n > 1).then(|| Instant::now() + shard.replicas[ri].hedge_delay());
         let (token, signal) = CancelToken::manual();
         sp.cancels.push(signal);
         let slice = Arc::clone(&shard.replicas[ri].slice);
@@ -977,13 +927,12 @@ impl ShardSet {
             drop(queue);
             sh.arrived.notify_all();
         }));
-        true
     }
 
     /// Sharded retrieval + ranking with failover: scatters one
     /// [`retrieve_ranked`] attempt per shard (each against a
-    /// rotation-picked replica), retries / hedges / omits per the
-    /// [`ReplicationConfig`], and k-way merges the delivered per-shard
+    /// rotation-picked replica), retries, hedges or omits as the `shard`
+    /// module docs describe, and k-way merges the delivered per-shard
     /// top-K lists into one globally ranked prefix. The second return
     /// value names the shards that had to be given up (ascending).
     ///
@@ -1050,12 +999,8 @@ impl ShardSet {
             .collect();
         let mut unresolved = n;
         for (si, sp) in progress.iter_mut().enumerate() {
-            if !self.dispatch_attempt(pool, &shared, si, sp, false) {
-                // Every replica breaker-refused at dispatch: omitted
-                // outright (the breakers' cooldowns outlast any sane
-                // request deadline).
-                Self::omit(&self.shards[si], sp, &mut unresolved);
-            }
+            let ri = sp.cursor;
+            self.dispatch_attempt(pool, &shared, si, sp, ri);
         }
         while unresolved > 0 {
             // Fire due timers and find the earliest pending one.
@@ -1069,10 +1014,8 @@ impl ShardSet {
                     if at <= now {
                         sp.retry_at = None;
                         sp.retries += 1;
-                        if !self.dispatch_attempt(pool, &shared, si, sp, false) {
-                            Self::omit(&self.shards[si], sp, &mut unresolved);
-                            continue;
-                        }
+                        let ri = sp.cursor;
+                        self.dispatch_attempt(pool, &shared, si, sp, ri);
                     } else {
                         wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
                     }
@@ -1082,7 +1025,8 @@ impl ShardSet {
                         sp.hedge_at = None;
                     } else if at <= now {
                         sp.hedge_at = None;
-                        if self.dispatch_attempt(pool, &shared, si, sp, true) {
+                        if let Some(ri) = sp.untried_replica(self.shards[si].replicas.len()) {
+                            self.dispatch_attempt(pool, &shared, si, sp, ri);
                             sp.hedged = true;
                             self.shards[si].hedges.fetch_add(1, Ordering::Relaxed);
                         }
@@ -1138,7 +1082,7 @@ impl ShardSet {
     }
 
     /// Folds one attempt report into the coordinator state: updates the
-    /// replica's breaker/EWMA/counters, resolves the shard on first
+    /// replica's EWMA and counters, resolves the shard on first
     /// success (late duplicates are checked for bit-parity and dropped),
     /// and schedules a retry — or omits the shard — when its last
     /// in-flight attempt failed.
@@ -1156,7 +1100,6 @@ impl ShardSet {
         sp.in_flight -= 1;
         match c.outcome {
             Ok(hits) => {
-                slot.breaker.record_success();
                 slot.observe_latency(c.nanos);
                 slot.retrievals.fetch_add(1, Ordering::Relaxed);
                 if let Some(first) = &sp.done {
@@ -1178,7 +1121,6 @@ impl ShardSet {
             }
             Err(skipped) => {
                 if !skipped {
-                    slot.breaker.record_failure(Instant::now());
                     slot.failures.fetch_add(1, Ordering::Relaxed);
                 }
                 if sp.done.is_none() && !sp.omitted && sp.in_flight == 0 && sp.retry_at.is_none() {

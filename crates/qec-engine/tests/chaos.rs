@@ -7,7 +7,7 @@
 //! engine stays fully serviceable after every injected fault.
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
-//! (CI additionally runs this binary with `RUST_TEST_THREADS=1`).
+//! for its whole body.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;

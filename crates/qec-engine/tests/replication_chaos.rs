@@ -13,22 +13,23 @@
 //!    the merged ranking over the surviving shards is intact, and the
 //!    partial pipeline is never cached — the next clean build heals.
 //! 3. **Stall a replica** → a hedged duplicate races it on the sibling
-//!    and the request completes well inside its deadline, undegraded.
-//! 4. **Persistent replica failure** → its circuit breaker opens after
-//!    `breaker_threshold` consecutive failures, scatter stops selecting
-//!    it, and after the cooldown a half-open probe heals it back in.
+//!    (after the adaptive hedge delay) and the request completes well
+//!    inside its deadline, undegraded.
+//! 4. **A spent outage leaves no trace** → once a shard's failures stop,
+//!    the very next request is served whole: no replica is held out of
+//!    selection by the failures that came before.
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
-//! (CI additionally runs this binary with `RUST_TEST_THREADS=1`).
+//! for its whole body.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use qec_engine::{
-    BreakerState, ClusterExpansion, DocumentSpec, EngineBuilder, ExpandRequest, ExpandResponse,
-    QecEngine, ShardedEngine, ShardedEngineBuilder,
+    ClusterExpansion, DocumentSpec, EngineBuilder, ExpandRequest, ExpandResponse, QecEngine,
+    ShardedEngine, ShardedEngineBuilder,
 };
-use qec_failpoint::{arm, arm_times, FailAction};
+use qec_failpoint::{arm, arm_times, hits, FailAction};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -186,14 +187,14 @@ fn stalled_replica_is_hedged_within_the_deadline() {
         .documents(corpus_docs())
         .num_shards(3)
         .replicas(2)
-        .hedge_after(Some(Duration::from_millis(10)))
         // Headroom: three stalled attempts must not starve their hedges.
         .pool_threads(8)
         .build();
 
-    // Replica 0 of every shard stalls far past the request deadline. At
-    // +10ms each shard hedges a duplicate onto its sibling; the duplicate
-    // wins and the response lands undegraded, long before both the stall
+    // Replica 0 of every shard stalls far past the request deadline. A
+    // fresh replica has no latency sample yet, so after the adaptive
+    // delay's 2 ms default each shard hedges a duplicate onto its sibling;
+    // the duplicate wins and the response lands undegraded, long before both the stall
     // and the deadline. (If hedging failed, the coordinator would wait
     // out the stall and the deadline would degrade the response.)
     let t0 = Instant::now();
@@ -223,86 +224,46 @@ fn stalled_replica_is_hedged_within_the_deadline() {
 }
 
 #[test]
-fn breaker_opens_after_threshold_and_heals_via_half_open_probe() {
+fn spent_shard_outage_leaves_the_next_request_whole() {
     let _s = serial();
-    let engine = ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .replicas(2)
-        .breaker_threshold(1)
-        .breaker_cooldown(Duration::from_millis(100))
-        // Every expand must be a fresh scatter (no warm serving) and
-        // hedging must not race the failure bookkeeping under test.
-        .cache_capacity(0)
-        .hedge_after(Some(Duration::from_secs(10)))
-        .build();
+    let engine = replicated();
+    let other = ExpandRequest {
+        k_clusters: 4,
+        top_k: 50,
+        ..ExpandRequest::new("farm cider")
+    };
+    let clean = baseline().expand(&other);
 
-    let guard = arm("shard.replica.retrieve.0", FailAction::Error);
-    // First scatter: replica 0 fails once per shard — at threshold 1 that
-    // opens its breaker — and the sibling serves the retry.
-    let resp = engine.try_expand(&request()).expect("sibling absorbs it");
-    assert_eq!(resp.stats.shards_omitted, 0);
-    for (si, shard) in engine.stats().shards.iter().enumerate() {
-        assert_eq!(
-            shard.replicas[0].breaker,
-            BreakerState::Open,
-            "shard {si}: breaker opened after the threshold failure"
-        );
+    // Shard 1 fails exactly six times: one query served twice, each serve
+    // a first attempt plus two retries across both replicas. Both serves
+    // are explicitly partial (and, being partial, never cached — so the
+    // second serve scatters again).
+    {
+        let _g = arm_times("shard.retrieve.1", FailAction::Error, 6);
+        for serve in 0..2 {
+            let partial = engine
+                .try_expand(&request())
+                .expect("two surviving shards serve a partial response");
+            assert_eq!(partial.stats.shards_omitted, 1, "serve {serve}");
+            assert_eq!(partial.omitted_shards(), &[1]);
+        }
+        assert_eq!(hits("shard.retrieve.1"), 6, "every injected fault fired");
     }
-    // While open (and not yet cooled), scatter skips replica 0 entirely:
-    // further traffic adds no replica-0 failures.
-    let failures_before: u64 = engine
-        .stats()
-        .shards
+    let failures: u64 = engine.stats().shards[1]
+        .replicas
         .iter()
-        .map(|s| s.replicas[0].failures)
+        .map(|r| r.failures)
         .sum();
-    // What the surviving replicas serve meanwhile is the whole answer.
-    let clean = essence(&baseline().expand(&request()));
-    for _ in 0..2 {
-        let resp = engine.expand(&request());
-        assert_eq!(essence(&resp), clean, "half-dead steady state");
-        assert_eq!(resp.stats.shards_omitted, 0);
-        engine.recycle(resp);
-    }
-    let failures_after: u64 = engine
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.replicas[0].failures)
-        .sum();
-    assert_eq!(
-        failures_before, failures_after,
-        "an open breaker takes the replica out of selection"
-    );
+    assert_eq!(failures, 6);
 
-    // Replica 0 recovers; after the cooldown each shard's next scan that
-    // reaches it admits one half-open probe, the probe succeeds, and the
-    // breaker closes. A few scatters guarantee every shard's rotation
-    // reaches replica 0 at least once.
-    drop(guard);
-    std::thread::sleep(Duration::from_millis(150));
-    let retrievals_before: u64 = engine
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.replicas[0].retrievals)
-        .sum();
-    for _ in 0..4 {
-        engine.recycle(engine.expand(&request()));
-    }
-    let stats = engine.stats();
-    for (si, shard) in stats.shards.iter().enumerate() {
-        assert_eq!(
-            shard.replicas[0].breaker,
-            BreakerState::Closed,
-            "shard {si}: the half-open probe healed the breaker"
-        );
-        assert_eq!(shard.omissions, 0, "shard {si} was never omitted");
-    }
-    let retrievals_after: u64 = stats.shards.iter().map(|s| s.replicas[0].retrievals).sum();
-    assert!(
-        retrievals_after > retrievals_before,
-        "a healed replica serves traffic again"
-    );
+    // The faults are spent. An unrelated query served at once reaches
+    // shard 1 like any other: nothing that failed before holds a replica
+    // out of selection, so nothing is omitted and the answer is whole.
+    let whole = engine
+        .try_expand(&other)
+        .expect("a healthy shard set serves");
+    assert_eq!(whole.stats.shards_omitted, 0);
+    assert!(whole.omitted_shards().is_empty());
+    assert_eq!(essence(&whole), essence(&clean));
+    assert_eq!(engine.stats().shards[1].omissions, 2);
 }

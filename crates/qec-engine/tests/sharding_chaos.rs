@@ -8,10 +8,10 @@
 //! mid-scatter degrades the merged response to an intact prefix (never a
 //! torn ranking), and the engine — shared pool included — stays fully
 //! serviceable after every injected fault. Replica-targeted faults
-//! (failover, hedging, breakers) live in `tests/replication_chaos.rs`.
+//! (failover, hedging, explicit omission) live in `tests/replication_chaos.rs`.
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
-//! (CI additionally runs this binary with `RUST_TEST_THREADS=1`).
+//! for its whole body.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;

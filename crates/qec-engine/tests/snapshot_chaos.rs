@@ -15,7 +15,7 @@
 //!   fails (no fingerprint left to verify them against).
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
-//! (CI additionally runs this binary with `RUST_TEST_THREADS=1`).
+//! for its whole body.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};

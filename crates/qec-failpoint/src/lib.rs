@@ -10,9 +10,7 @@
 //! returned [`FailGuard`]. Arming is deterministic and explicit: nothing
 //! fires unless a test armed it, and `arm_times(_, _, n)` fires exactly
 //! `n` times before going inert, so "panic the *first* build, let the
-//! retry succeed" is one line of test setup. For soak-style intermittent
-//! faults, [`arm_ratio`] fires on roughly 1-in-`n` hits, driven by a
-//! seeded xorshift64 so a given seed replays the same firing pattern.
+//! retry succeed" is one line of test setup.
 //!
 //! Every site also keeps cumulative [`SiteStats`] — arms, disarms, and
 //! fires — that survive disarming, so a chaos suite can assert "this
@@ -26,9 +24,9 @@
 //! crates additionally gate their `check` calls behind a `failpoints`
 //! cargo feature, so `--no-default-features` builds compile the sites out
 //! entirely. The registry itself is a process-wide mutex-guarded map —
-//! chaos tests that arm points serialise themselves (e.g.
-//! `RUST_TEST_THREADS=1`, or an explicit test-local lock) because the
-//! registry is shared by every thread of the test process.
+//! chaos tests that arm points serialise themselves (each test holds a
+//! test-local lock for its whole body) because the registry is shared by
+//! every thread of the test process.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,15 +98,11 @@ struct Armed {
     remaining: Option<usize>,
     /// Times this point fired since arming (inert hits don't count).
     hits: u64,
-    /// Probabilistic gate: `(denominator, rng_state)`. When present, each
-    /// hit rolls the xorshift64 state and fires only on `roll % denom ==
-    /// 0`; non-firing rolls spend neither `remaining` nor `hits`.
-    ratio: Option<(u32, u64)>,
 }
 
 /// Cumulative per-site counters that survive disarming (unlike
 /// [`hits`], which resets with each arm). `fires` counts actual
-/// triggers — inert hits and losing [`arm_ratio`] rolls don't count.
+/// triggers — inert hits don't count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Times the site was armed (re-arms included).
@@ -145,32 +139,17 @@ fn sync_active(reg: &Registry) {
 /// already-armed name replaces its action and resets its counters.
 #[must_use = "dropping the guard disarms the failpoint immediately"]
 pub fn arm(name: &'static str, action: FailAction) -> FailGuard {
-    arm_inner(name, action, None, None)
+    arm_inner(name, action, None)
 }
 
 /// Arms `name` to fire exactly `times` times, then go inert (still armed,
 /// never firing) until the guard drops.
 #[must_use = "dropping the guard disarms the failpoint immediately"]
 pub fn arm_times(name: &'static str, action: FailAction, times: usize) -> FailGuard {
-    arm_inner(name, action, Some(times), None)
+    arm_inner(name, action, Some(times))
 }
 
-/// Arms `name` to fire intermittently: each hit fires with probability
-/// `1/denominator` (a seeded xorshift64 roll — equal seeds replay equal
-/// firing patterns). Losing rolls pass through without counting as hits.
-/// `denominator` of 0 or 1 fires on every hit, like [`arm`].
-#[must_use = "dropping the guard disarms the failpoint immediately"]
-pub fn arm_ratio(name: &'static str, action: FailAction, denominator: u32, seed: u64) -> FailGuard {
-    // xorshift64 has one fixed point at 0; nudge the seed off it.
-    arm_inner(name, action, None, Some((denominator.max(1), seed | 1)))
-}
-
-fn arm_inner(
-    name: &'static str,
-    action: FailAction,
-    remaining: Option<usize>,
-    ratio: Option<(u32, u64)>,
-) -> FailGuard {
+fn arm_inner(name: &'static str, action: FailAction, remaining: Option<usize>) -> FailGuard {
     let mut reg = registry();
     reg.armed.insert(
         name,
@@ -178,7 +157,6 @@ fn arm_inner(
             action,
             remaining,
             hits: 0,
-            ratio,
         },
     );
     reg.stats.entry(name).or_default().arms += 1;
@@ -217,8 +195,7 @@ pub fn site_stats(name: &str) -> SiteStats {
 /// [`FailAction::Error`] returns `Err(InjectedFailure)` for the caller's
 /// typed error path ([`FailAction::ReturnErr`] likewise, with its
 /// [`std::io::ErrorKind`] attached). A point armed with [`arm_times`] that has exhausted
-/// its fires is inert and returns `Ok(())`, as is a hit whose
-/// [`arm_ratio`] roll loses.
+/// its fires is inert and returns `Ok(())`.
 pub fn check(name: &'static str) -> Result<(), InjectedFailure> {
     if ACTIVE.load(Ordering::Acquire) == 0 {
         return Ok(());
@@ -228,16 +205,6 @@ pub fn check(name: &'static str) -> Result<(), InjectedFailure> {
         let Some(armed) = reg.armed.get_mut(name) else {
             return Ok(());
         };
-        if let Some((denom, rng)) = &mut armed.ratio {
-            let mut x = *rng;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *rng = x;
-            if x % u64::from(*denom) != 0 {
-                return Ok(()); // losing roll: pass through silently
-            }
-        }
         match &mut armed.remaining {
             Some(0) => return Ok(()), // exhausted → inert
             Some(n) => *n -= 1,
@@ -366,32 +333,6 @@ mod tests {
         let _g2 = arm_times("tests.rearm", FailAction::Delay(Duration::ZERO), 1);
         assert_eq!(check("tests.rearm"), Ok(()), "replaced by a delay");
         assert_eq!(hits("tests.rearm"), 1, "counters reset by re-arm");
-    }
-
-    #[test]
-    fn ratio_fires_intermittently_and_deterministically() {
-        let _s = serial();
-        let fired = |seed| {
-            let _g = arm_ratio("tests.ratio", FailAction::Error, 4, seed);
-            (0..64).filter(|_| check("tests.ratio").is_err()).count()
-        };
-        let first = fired(11);
-        assert!(
-            first > 0 && first < 64,
-            "1-in-4 over 64 hits should fire some but not all, got {first}"
-        );
-        assert_eq!(first, fired(11), "equal seeds replay the same pattern");
-        assert_ne!(hits("tests.ratio"), 64, "losing rolls don't count as hits");
-    }
-
-    #[test]
-    fn ratio_denominator_of_one_fires_every_hit() {
-        let _s = serial();
-        let _g = arm_ratio("tests.ratio_all", FailAction::Error, 1, 3);
-        for _ in 0..8 {
-            assert!(check("tests.ratio_all").is_err());
-        }
-        assert_eq!(hits("tests.ratio_all"), 8);
     }
 
     #[test]
