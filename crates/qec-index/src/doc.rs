@@ -61,29 +61,37 @@ impl Feature {
     /// lower-cased `entity:attribute:value` with inner whitespace collapsed
     /// to `_` so the token survives tokenization-free interning.
     pub fn composite_token(&self) -> String {
-        fn norm(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
+        let mut out = String::new();
+        self.composite_token_into(&mut out);
+        out
+    }
+
+    /// [`composite_token`](Self::composite_token) into a caller-owned
+    /// buffer (cleared first): once `out`'s capacity covers the longest
+    /// token, no call allocates.
+    pub fn composite_token_into(&self, out: &mut String) {
+        fn push_norm(s: &str, out: &mut String) {
+            let start = out.len();
             let mut last_sep = false;
             for ch in s.chars() {
                 if ch.is_ascii_alphanumeric() {
                     out.push(ch.to_ascii_lowercase());
                     last_sep = false;
-                } else if !last_sep && !out.is_empty() {
+                } else if !last_sep && out.len() > start {
                     out.push('_');
                     last_sep = true;
                 }
             }
-            while out.ends_with('_') {
+            while out.len() > start && out.ends_with('_') {
                 out.pop();
             }
-            out
         }
-        format!(
-            "{}:{}:{}",
-            norm(&self.entity),
-            norm(&self.attribute),
-            norm(&self.value)
-        )
+        out.clear();
+        push_norm(&self.entity, out);
+        out.push(':');
+        push_norm(&self.attribute, out);
+        out.push(':');
+        push_norm(&self.value, out);
     }
 }
 

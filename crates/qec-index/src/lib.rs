@@ -29,7 +29,7 @@ mod rank;
 mod search;
 mod term_matrix;
 
-pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
+pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, FanOut, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{InvertedIndex, Posting, PostingListError};
 pub use postings::GALLOP_RATIO;

@@ -62,24 +62,39 @@ impl Analyzer {
     /// index derives term frequencies from repetition).
     pub fn analyze(&mut self, text: &str) -> Vec<TermId> {
         let mut out = Vec::new();
-        // Tokens borrow from `text`; collect is needed because interning
-        // borrows `self` mutably.
-        let tokens: Vec<String> = Tokenizer::new(text).map(|t| t.text).collect();
-        for tok in tokens {
-            if self.config.filter_stopwords && self.stopwords.contains(&tok) {
-                continue;
-            }
-            let final_form = if self.config.stem {
-                self.stemmer.stem(&tok)
-            } else {
-                tok
-            };
-            if final_form.is_empty() {
-                continue;
-            }
-            out.push(self.dict.intern(&final_form));
-        }
+        let Analyzer {
+            config,
+            stemmer,
+            stopwords,
+            dict,
+        } = self;
+        each_term(
+            config,
+            stemmer,
+            stopwords,
+            text,
+            &mut String::new(),
+            |term| out.push(dict.intern(term)),
+        );
         out
+    }
+
+    /// Runs the per-token steps of the pipeline over `text` — tokenize,
+    /// drop stopwords, stem — and hands each analysed term to `sink` in
+    /// text order, without interning it. Every token is built in `buf`
+    /// (the term `sink` sees borrows it), so once `buf`'s capacity covers
+    /// the longest token no call allocates. This is the one analysis loop:
+    /// [`analyze`](Self::analyze) interns what it yields, and the corpus
+    /// builder's workers dedupe it into their own tables.
+    pub fn for_each_term(&self, text: &str, buf: &mut String, sink: impl FnMut(&str)) {
+        each_term(
+            &self.config,
+            &self.stemmer,
+            &self.stopwords,
+            text,
+            buf,
+            sink,
+        );
     }
 
     /// Analyzes a *verbatim* term: no tokenization, no stopword filtering,
@@ -132,6 +147,31 @@ impl Analyzer {
     /// Human-readable name of a term id.
     pub fn term_name(&self, id: TermId) -> &str {
         self.dict.name_of(id)
+    }
+}
+
+/// The normalising loop behind [`Analyzer::for_each_term`], over the
+/// pipeline's parts so that [`Analyzer::analyze`] can intern into the
+/// dictionary while the loop borrows the rest.
+fn each_term(
+    config: &AnalyzerConfig,
+    stemmer: &PorterStemmer,
+    stopwords: &StopwordList,
+    text: &str,
+    buf: &mut String,
+    mut sink: impl FnMut(&str),
+) {
+    let mut tokens = Tokenizer::new(text);
+    while tokens.next_into(buf).is_some() {
+        if config.filter_stopwords && stopwords.contains(buf) {
+            continue;
+        }
+        if config.stem {
+            stemmer.stem_in_place(buf);
+        }
+        if !buf.is_empty() {
+            sink(buf);
+        }
     }
 }
 

@@ -27,4 +27,4 @@ pub use analyzer::{Analyzer, AnalyzerConfig};
 pub use dict::{TermDict, TermId};
 pub use stem::PorterStemmer;
 pub use stopwords::StopwordList;
-pub use token::{tokenize, Token, Tokenizer};
+pub use token::Tokenizer;

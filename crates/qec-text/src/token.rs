@@ -17,19 +17,11 @@
 /// Tokens longer than this are dropped.
 pub const MAX_TOKEN_LEN: usize = 64;
 
-/// A token with its byte offset in the original text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// Lower-cased token text.
-    pub text: String,
-    /// Byte offset of the token start in the input.
-    pub offset: usize,
-}
-
 /// Streaming tokenizer over a string slice.
 ///
-/// Iterate to obtain [`Token`]s. Construction is free; all work happens as
-/// the iterator is consumed.
+/// Call [`next_into`](Self::next_into) until it returns `None`; each call
+/// writes the next token into a caller-owned buffer. Construction is free;
+/// all work happens as the tokens are pulled.
 #[derive(Debug, Clone)]
 pub struct Tokenizer<'a> {
     input: &'a str,
@@ -72,10 +64,10 @@ impl<'a> Tokenizer<'a> {
                 self.pos += 1;
             }
             let raw = &self.input[start..self.pos];
-            // Strip apostrophes and lowercase in one pass. The reserve is
-            // exact for fresh buffers (one allocation per token on the
-            // document-analysis path) and a no-op for warmed ones (the
-            // zero-alloc query path).
+            // Strip apostrophes and lowercase in one pass. Document analysis
+            // and the query path both reuse one buffer, so the reserve
+            // allocates only while that buffer is still growing to the
+            // longest token and is a no-op once it is warm.
             out.clear();
             out.reserve(raw.len());
             for &b in raw.as_bytes() {
@@ -91,24 +83,25 @@ impl<'a> Tokenizer<'a> {
     }
 }
 
-impl<'a> Iterator for Tokenizer<'a> {
-    type Item = Token;
-
-    fn next(&mut self) -> Option<Token> {
-        let mut text = String::new();
-        let offset = self.next_into(&mut text)?;
-        Some(Token { text, offset })
-    }
-}
-
-/// Convenience: tokenizes `input` into a vector of token strings.
-pub fn tokenize(input: &str) -> Vec<String> {
-    Tokenizer::new(input).map(|t| t.text).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `input` with its byte offset, pulled through one
+    /// reused buffer.
+    fn tokens(input: &str) -> Vec<(String, usize)> {
+        let mut tokenizer = Tokenizer::new(input);
+        let mut buf = String::new();
+        let mut out = Vec::new();
+        while let Some(offset) = tokenizer.next_into(&mut buf) {
+            out.push((buf.clone(), offset));
+        }
+        out
+    }
+
+    fn tokenize(input: &str) -> Vec<String> {
+        tokens(input).into_iter().map(|(text, _)| text).collect()
+    }
 
     #[test]
     fn splits_on_whitespace_and_punctuation() {
@@ -152,9 +145,9 @@ mod tests {
 
     #[test]
     fn offsets_point_at_token_starts() {
-        let toks: Vec<Token> = Tokenizer::new("ab  cd").collect();
-        assert_eq!(toks[0].offset, 0);
-        assert_eq!(toks[1].offset, 4);
+        let toks = tokens("ab  cd");
+        assert_eq!(toks[0].1, 0);
+        assert_eq!(toks[1].1, 4);
     }
 
     #[test]
