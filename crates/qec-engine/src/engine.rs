@@ -1067,26 +1067,13 @@ pub(crate) enum Source {
 }
 
 impl Source {
-    /// The frozen corpus, built now if still building: on `pool`'s
-    /// workers when there is one, on the calling thread otherwise. Either
-    /// way the corpus is the same, down to every `TermId`.
-    pub(crate) fn into_corpus(self, pool: Option<&WorkerPool>) -> Corpus {
-        match (self, pool) {
-            (Source::Building(b), Some(pool)) => b.build_with(&|n, task| pool.run_indexed(n, task)),
-            (Source::Building(b), None) => b.build(),
-            (Source::Prebuilt(c), _) => c,
+    /// The frozen corpus (built now if still building).
+    pub(crate) fn into_corpus(self) -> Corpus {
+        match self {
+            Source::Building(b) => b.build(),
+            Source::Prebuilt(c) => c,
         }
     }
-}
-
-/// The engine's worker pool, sized by `config` (`0` resolves the
-/// machine's parallelism). It is spawned before the corpus is frozen, so
-/// that a build from documents analyses them on it.
-pub(crate) fn spawn_pool(config: &EngineConfig) -> WorkerPool {
-    WorkerPool::new(match config.pool.threads {
-        0 => default_parallelism(),
-        t => t,
-    })
 }
 
 impl Default for EngineBuilder {
@@ -1120,7 +1107,7 @@ impl EngineBuilder {
     }
 
     /// Adds one document. It is moved in as is and analysed at
-    /// [`build`](Self::build), on the engine's worker pool; term ids are
+    /// [`build`](Self::build), on the building thread; term ids are
     /// assigned in the order documents were added, as if each had been
     /// analysed on arrival.
     ///
@@ -1140,8 +1127,8 @@ impl EngineBuilder {
     }
 
     /// Adds many documents (see [`document`](Self::document)): they are
-    /// analysed at [`build`](Self::build), on the worker pool, with term
-    /// ids in first-occurrence order.
+    /// analysed at [`build`](Self::build), with term ids in
+    /// first-occurrence order.
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
         for spec in specs {
             self = self.document(spec);
@@ -1231,22 +1218,15 @@ impl EngineBuilder {
     /// untouched and the builder (with its frozen corpus) is lost with
     /// the error, so nothing half-written can be loaded later.
     pub fn save_snapshot(mut self, path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let corpus = self.source.into_corpus(None);
+        let corpus = self.source.into_corpus();
         qec_snapshot::save_corpus(&corpus, path.as_ref())?;
         self.source = Source::Prebuilt(corpus);
         Ok(self)
     }
 
-    /// Spawns the engine's worker pool, freezes the corpus (if building)
-    /// on it, and assembles the engine.
+    /// Freezes the corpus (if building) and assembles the engine,
+    /// spawning its worker pool.
     pub fn build(self) -> QecEngine {
-        let pool = spawn_pool(&self.config);
-        self.build_on(pool)
-    }
-
-    /// [`build`](Self::build) on a pool the caller already spawned with
-    /// [`spawn_pool`] (the sharded builder freezes its corpus on it first).
-    pub(crate) fn build_on(self, pool: WorkerPool) -> QecEngine {
         // Resolve the corpus: a registered snapshot is tried first; any
         // failure falls back to the in-memory source. A seeded BootStats
         // (sharded construction) is adopted verbatim — the sharded
@@ -1262,20 +1242,24 @@ impl EngineBuilder {
                 }
                 Err(e) => {
                     boot.fallback(path, e);
-                    source.into_corpus(Some(&pool))
+                    source.into_corpus()
                 }
             },
             None => {
                 if !seeded {
                     boot.cold();
                 }
-                source.into_corpus(Some(&pool))
+                source.into_corpus()
             }
         };
         let config = self.config;
         let clusterer = self
             .clusterer
             .unwrap_or_else(|| Box::new(KMeansClusterer(config.kmeans.clone())));
+        let pool = WorkerPool::new(match config.pool.threads {
+            0 => default_parallelism(),
+            t => t,
+        });
         QecEngine {
             iskr: Iskr(config.iskr.clone()),
             exact: ExactDeltaF(config.exact.clone()),

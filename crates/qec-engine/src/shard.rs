@@ -71,7 +71,7 @@ use qec_text::TermId;
 use crate::api::ExpandResponse;
 use crate::boot::{expected_shard_len, shard_snapshot_name, BootStats, FULL_SNAPSHOT};
 use crate::cache::CacheStats;
-use crate::engine::{spawn_pool, EngineBuilder, QecEngine, Source};
+use crate::engine::{EngineBuilder, QecEngine, Source};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
 /// retrieval scattered across shards. Build with
@@ -348,9 +348,9 @@ impl ShardedEngineBuilder {
     }
 
     /// Adds documents (see [`EngineBuilder::documents`]). They are
-    /// analysed at [`build`](Self::build), on the gather engine's worker
-    /// pool, with term ids in first-occurrence order; the shards are then
-    /// cut from that one corpus.
+    /// analysed at [`build`](Self::build), with term ids in
+    /// first-occurrence order; the shards are then cut from that one
+    /// corpus.
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
         self.gather = self.gather.documents(specs);
         self
@@ -395,7 +395,6 @@ impl ShardedEngineBuilder {
         // Gather corpus: the registered full snapshot first, the
         // in-memory source on any load failure.
         let mut full_summary = None;
-        let pool = spawn_pool(&self.gather.config);
         let source = self.gather.source;
         let corpus = match &self.snapshot_dir {
             Some(dir) => {
@@ -408,13 +407,13 @@ impl ShardedEngineBuilder {
                     }
                     Err(e) => {
                         boot.fallback(&path, e);
-                        source.into_corpus(Some(&pool))
+                        source.into_corpus()
                     }
                 }
             }
             None => {
                 boot.cold();
-                source.into_corpus(Some(&pool))
+                source.into_corpus()
             }
         };
         let num_shards = self.num_shards;
@@ -453,7 +452,7 @@ impl ShardedEngineBuilder {
             ..self.gather
         };
         Ok(ShardedEngine {
-            inner: gather.build_on(pool),
+            inner: gather.build(),
         })
     }
 }

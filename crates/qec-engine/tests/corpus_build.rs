@@ -1,5 +1,5 @@
 //! The corpus build against a one-document-at-a-time reference: analysing
-//! on a worker pool must not change a single id.
+//! in tasks, on any threads, must not change a single id.
 //!
 //! `CorpusBuilder` analyses documents when it is frozen, in tasks that may
 //! run on any thread, and only the freezing thread interns terms. The
@@ -305,22 +305,16 @@ fn engine_builders_build_the_reference_corpus() {
     let config = AnalyzerConfig::default();
     let want = reference_corpus(&config, corpus_specs(7, DOCS));
     let want_bytes = snapshot_bytes(&want, "engine-ref");
-    for threads in [1, 2, 8] {
-        let engine = EngineBuilder::new()
-            .documents(corpus_specs(7, DOCS))
-            .pool_threads(threads)
-            .build();
-        let what = format!("EngineBuilder, {threads} pool threads");
-        assert_same(&want, &want_bytes, engine.corpus(), &what);
+    let engine = EngineBuilder::new()
+        .documents(corpus_specs(7, DOCS))
+        .build();
+    assert_same(&want, &want_bytes, engine.corpus(), "EngineBuilder");
 
-        let sharded = ShardedEngineBuilder::new()
-            .documents(corpus_specs(7, DOCS))
-            .num_shards(3)
-            .pool_threads(threads)
-            .build();
-        let what = format!("ShardedEngineBuilder, {threads} pool threads");
-        assert_same(&want, &want_bytes, sharded.corpus(), &what);
-    }
+    let sharded = ShardedEngineBuilder::new()
+        .documents(corpus_specs(7, DOCS))
+        .num_shards(3)
+        .build();
+    assert_same(&want, &want_bytes, sharded.corpus(), "ShardedEngineBuilder");
 }
 
 #[test]

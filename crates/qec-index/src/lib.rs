@@ -9,7 +9,9 @@
 //!   ("a set of words") and structured documents ("a set of
 //!   `(entity:attribute:value)` features").
 //! * [`Corpus`] — document store plus corpus statistics, built through a
-//!   shared [`qec_text::Analyzer`] by a [`CorpusBuilder`].
+//!   shared [`qec_text::Analyzer`] by a [`CorpusBuilder`], which analyses
+//!   its documents when frozen, in tasks a caller-supplied [`FanOut`] may
+//!   spread over threads, while term ids keep first-occurrence order.
 //! * [`InvertedIndex`] — the inverted index (term → posting list), frozen
 //!   by [`InvertedIndex::from_lists`] with an idf table and a membership
 //!   probe per dense term.
