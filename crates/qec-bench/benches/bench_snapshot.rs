@@ -7,10 +7,10 @@
 //! cheap transposed rows. Document bodies are synthesized **once,
 //! outside the timed region**, so the rebuild measurement is the real
 //! analyzer + index cost and not string generation. The rebuild is timed
-//! twice: `cold_rebuild` runs every analysis task on the calling thread,
-//! `cold_rebuild_pool2` runs them on a 2-thread [`WorkerPool`] — the
-//! engine builders' path, and so the per-layer figure behind the
-//! benchmark's `setup_s`. Both must build the same corpus.
+//! twice: `cold_rebuild` runs every analysis task on the calling thread —
+//! the engine builders' path, and so the per-layer figure behind the
+//! benchmark's `setup_s` — and `cold_rebuild_pool2` runs them on a
+//! 2-thread [`WorkerPool`]. Both must build the same corpus.
 //!
 //! Timing is manual (median of [`REBUILDS`] rebuilds vs [`LOADS`]
 //! loads) rather than [`Harness::bench`]: one rebuild of the timed

@@ -85,7 +85,7 @@ impl Analyzer {
     /// (the term `sink` sees borrows it), so once `buf`'s capacity covers
     /// the longest token no call allocates. This is the one analysis loop:
     /// [`analyze`](Self::analyze) interns what it yields, and the corpus
-    /// builder's workers dedupe it into their own tables.
+    /// builder's analysis tasks dedupe it into tables of their own.
     pub fn for_each_term(&self, text: &str, buf: &mut String, sink: impl FnMut(&str)) {
         each_term(
             &self.config,
