@@ -6,11 +6,7 @@
 //! streams the already-frozen sections back and re-derives only the
 //! cheap transposed rows. Document bodies are synthesized **once,
 //! outside the timed region**, so the rebuild measurement is the real
-//! analyzer + index cost and not string generation. The rebuild is timed
-//! twice: `cold_rebuild` runs every analysis task on the calling thread —
-//! the engine builders' path, and so the per-layer figure behind the
-//! benchmark's `setup_s` — and `cold_rebuild_pool2` runs them on a
-//! 2-thread [`WorkerPool`]. Both must build the same corpus.
+//! analyzer + index cost and not string generation.
 //!
 //! Timing is manual (median of [`REBUILDS`] rebuilds vs [`LOADS`]
 //! loads) rather than [`Harness::bench`]: one rebuild of the timed
@@ -26,15 +22,12 @@
 //! corpus's documents to the harness ([`Harness::record`]), which writes
 //! them with every other suite's rows.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use qec_bench::harness::{Harness, MEDIAN_NS};
 use qec_bench::synth::{synth_bodies, CorpusSpec};
-use qec_core::WorkerPool;
 use qec_engine::{EngineBuilder, ExpandRequest, QecEngine};
 use qec_index::{Corpus, CorpusBuilder, DocumentSpec};
 
@@ -67,44 +60,13 @@ fn corpus_spec(test_mode: bool) -> CorpusSpec {
     }
 }
 
-/// One cold rebuild: the full analyze → intern → index → freeze pass, on
-/// the calling thread or with its analysis tasks on `pool`.
-fn rebuild(bodies: &[String], pool: Option<&WorkerPool>) -> Corpus {
+/// One cold rebuild: the full analyze → intern → index → freeze pass.
+fn rebuild(bodies: &[String]) -> Corpus {
     let mut builder = CorpusBuilder::new();
     for body in bodies {
         builder.add_document(DocumentSpec::text("", body));
     }
-    match pool {
-        Some(pool) => builder.build_with(&|n, task| pool.run_indexed(n, task)),
-        None => builder.build(),
-    }
-}
-
-/// Median wall time of `runs` rebuilds, and the last corpus built.
-fn timed_rebuilds(bodies: &[String], pool: Option<&WorkerPool>, runs: usize) -> (f64, Corpus) {
-    let mut samples = Vec::with_capacity(runs);
-    let mut corpus = None;
-    for _ in 0..runs {
-        drop(corpus.take());
-        let t = Instant::now();
-        let c = rebuild(black_box(bodies), pool);
-        samples.push(t.elapsed().as_nanos() as f64);
-        corpus = Some(black_box(c));
-    }
-    (median_ns(samples), corpus.expect("at least one rebuild"))
-}
-
-/// A digest of what a build decides: the dictionary in id order and every
-/// document's row. The pooled and inline rebuilds must agree on it.
-fn fingerprint(corpus: &Corpus) -> u64 {
-    let mut h = DefaultHasher::new();
-    for (id, name) in corpus.analyzer().dict().iter() {
-        (id, name).hash(&mut h);
-    }
-    for d in corpus.all_docs() {
-        corpus.doc_terms(d).hash(&mut h);
-    }
-    h.finish()
+    builder.build()
 }
 
 fn engine(corpus: Corpus) -> QecEngine {
@@ -150,18 +112,16 @@ fn main() {
     let rebuilds = if test_mode { 1 } else { REBUILDS };
     let loads = if test_mode { 1 } else { LOADS };
 
-    let (pool2_ns, pooled) = {
-        let pool = WorkerPool::new(2);
-        let (ns, corpus) = timed_rebuilds(&bodies, Some(&pool), rebuilds);
-        (ns, fingerprint(&corpus))
-    };
-    let (rebuild_ns, corpus) = timed_rebuilds(&bodies, None, rebuilds);
-    assert_eq!(
-        fingerprint(&corpus),
-        pooled,
-        "the pooled rebuild diverged from the inline one"
-    );
-    println!("snapshot/parity pooled == inline rebuild: ok");
+    let mut rebuild_samples = Vec::with_capacity(rebuilds);
+    let mut corpus = None;
+    for _ in 0..rebuilds {
+        let t = Instant::now();
+        let c = rebuild(black_box(&bodies));
+        rebuild_samples.push(t.elapsed().as_nanos() as f64);
+        corpus = Some(black_box(c));
+    }
+    let corpus = corpus.expect("at least one rebuild");
+    let rebuild_ns = median_ns(rebuild_samples);
 
     let summary = qec_snapshot::save_corpus(&corpus, &path).expect("save snapshot");
     println!(
@@ -186,12 +146,10 @@ fn main() {
 
     let speedup = rebuild_ns / load_ns;
     println!(
-        "snapshot/cold_rebuild       {:>10.1} ms   (median of {rebuilds})\n\
-         snapshot/cold_rebuild_pool2 {:>10.1} ms   (median of {rebuilds})\n\
-         snapshot/load               {:>10.1} ms   (median of {loads})\n\
-         snapshot/speedup            {speedup:>10.1}x",
+        "snapshot/cold_rebuild {:>10.1} ms   (median of {rebuilds})\n\
+         snapshot/load         {:>10.1} ms   (median of {loads})\n\
+         snapshot/speedup      {speedup:>10.1}x",
         rebuild_ns / 1e6,
-        pool2_ns / 1e6,
         load_ns / 1e6,
     );
 
@@ -203,7 +161,6 @@ fn main() {
         );
     }
     h.record("cold_rebuild", MEDIAN_NS, rebuild_ns);
-    h.record("cold_rebuild_pool2", MEDIAN_NS, pool2_ns);
     h.record("load", MEDIAN_NS, load_ns);
     h.record("file", "bytes", summary.bytes as f64);
     h.record("corpus", "docs", summary.num_docs as f64);

@@ -1106,10 +1106,9 @@ impl EngineBuilder {
         }
     }
 
-    /// Adds one document. It is moved in as is and analysed at
-    /// [`build`](Self::build), on the building thread; term ids are
-    /// assigned in the order documents were added, as if each had been
-    /// analysed on arrival.
+    /// Adds one document. It is analysed here, through buffers the
+    /// builder reuses, so term ids are assigned in first-occurrence order
+    /// and the builder keeps no document body.
     ///
     /// # Panics
     /// When the builder was created with [`from_corpus`](Self::from_corpus)
@@ -1126,9 +1125,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Adds many documents (see [`document`](Self::document)): they are
-    /// analysed at [`build`](Self::build), with term ids in
-    /// first-occurrence order.
+    /// Adds many documents (see [`document`](Self::document)), analysing
+    /// each as the iterator yields it.
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
         for spec in specs {
             self = self.document(spec);

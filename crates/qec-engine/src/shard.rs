@@ -348,9 +348,8 @@ impl ShardedEngineBuilder {
     }
 
     /// Adds documents (see [`EngineBuilder::documents`]). They are
-    /// analysed at [`build`](Self::build), with term ids in
-    /// first-occurrence order; the shards are then cut from that one
-    /// corpus.
+    /// analysed as they arrive, with term ids in first-occurrence order;
+    /// [`build`](Self::build) cuts the shards from that one corpus.
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
         self.gather = self.gather.documents(specs);
         self

@@ -1,26 +1,21 @@
 //! Pins where a corpus build allocates: per document and per distinct
 //! term, never per token.
 //!
-//! The build analyses every token through buffers its tasks reuse, dedupes
-//! terms into tables it keeps from task to task, and allocates one row per
-//! document plus the dictionary's and the posting lists' growth. So over a
-//! fixed vocabulary — where every document already holds every term, and
-//! the rows, posting lists and dictionary come out the same size — doubling
-//! the tokens of every document may only cost the reused buffers a last
-//! doubling each, a small constant. A `String` per token (or per stem)
-//! would cost one allocation per token.
+//! The builder analyses every token in one buffer it reuses, and
+//! allocates one row per document plus the dictionary's and the posting
+//! lists' growth. So over a fixed vocabulary — where every document holds
+//! every term, and the rows, posting lists and dictionary come out the
+//! same size — doubling the tokens of every document may only cost the
+//! reused buffers a last doubling each, a small constant. A `String` per
+//! token (or per stem) would cost one allocation per token.
 //!
-//! A counting global allocator tallies every `alloc`/`realloc` of the
-//! whole process while the flag is armed: the pooled build's tasks run on
-//! pool workers. The pool is spawned and every worker has run a task
-//! before the window opens, so no thread start-up is counted. The file
-//! holds exactly one test, so nothing else allocates in the window.
+//! A counting global allocator tallies every `alloc`/`realloc` while the
+//! flag is armed. The file holds exactly one test, so nothing else
+//! allocates in the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
 
-use qec_core::WorkerPool;
 use qec_index::{CorpusBuilder, DocumentSpec, Feature};
 
 struct CountingAllocator;
@@ -51,13 +46,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Documents: more than one build round.
+/// Documents per build.
 const DOCS: usize = 5_000;
 /// Distinct body words; every document holds all of them.
 const VOCAB: usize = 40;
 /// Allowed growth of the count when the tokens double: one more doubling
-/// of the reused buffers, about one per task of a round.
-const SLACK: usize = 100;
+/// of each reused buffer.
+const SLACK: usize = 10;
 
 /// `DOCS` documents whose bodies repeat the whole vocabulary `reps` times
 /// (in a per-document rotation), each with one feature from a fixed set.
@@ -78,19 +73,15 @@ fn specs(reps: usize) -> Vec<DocumentSpec> {
         .collect()
 }
 
-/// Allocations made while adding `specs` and freezing the corpus, inline
-/// or on `pool`.
-fn build_allocations(specs: Vec<DocumentSpec>, pool: Option<&WorkerPool>) -> usize {
+/// Allocations made while adding `specs` and freezing the corpus.
+fn build_allocations(specs: Vec<DocumentSpec>) -> usize {
     ALLOCATIONS.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::SeqCst);
     let mut builder = CorpusBuilder::new();
     for spec in specs {
         builder.add_document(spec);
     }
-    let corpus = match pool {
-        Some(pool) => builder.build_with(&|n, task| pool.run_indexed(n, task)),
-        None => builder.build(),
-    };
+    let corpus = builder.build();
     ARMED.store(false, Ordering::SeqCst);
     assert_eq!(corpus.num_docs(), DOCS);
     // Body words, three composite tokens, three value words, `venue`.
@@ -100,27 +91,13 @@ fn build_allocations(specs: Vec<DocumentSpec>, pool: Option<&WorkerPool>) -> usi
 
 #[test]
 fn build_allocations_do_not_grow_with_tokens() {
-    let pool = WorkerPool::new(2);
-    // Every worker starts and runs a task before any window opens.
-    let started = Barrier::new(pool.threads());
-    pool.run_indexed(pool.threads(), &|_| {
-        started.wait();
-    });
-
-    for pooled in [false, true] {
-        let pool = pooled.then_some(&pool);
-        let (short, long) = (specs(2), specs(4));
-        let base = build_allocations(short, pool);
-        let doubled = build_allocations(long, pool);
-        println!("pooled {pooled}: {base} allocations at 2 reps, {doubled} at 4");
-        assert!(
-            base < 2 * DOCS,
-            "pooled {pooled}: {base} allocations for {DOCS} documents"
-        );
-        assert!(
-            doubled <= base + SLACK,
-            "pooled {pooled}: doubling the tokens took the build from {base} \
-             to {doubled} allocations"
-        );
-    }
+    let (short, long) = (specs(2), specs(4));
+    let base = build_allocations(short);
+    let doubled = build_allocations(long);
+    println!("{base} allocations at 2 reps, {doubled} at 4");
+    assert!(base < 2 * DOCS, "{base} allocations for {DOCS} documents");
+    assert!(
+        doubled <= base + SLACK,
+        "doubling the tokens took the build from {base} to {doubled} allocations"
+    );
 }

@@ -1,30 +1,28 @@
-//! The corpus build against a one-document-at-a-time reference: analysing
-//! in tasks, on any threads, must not change a single id.
+//! The corpus build against the per-token-`String` build it replaced:
+//! analysing through reused buffers must not change a single id.
 //!
-//! `CorpusBuilder` analyses documents when it is frozen, in tasks that may
-//! run on any thread, and only the freezing thread interns terms. The
-//! reference below is the build it replaced, kept here verbatim in spirit:
-//! each document is analysed as it arrives, with a fresh `String` per
-//! token and per stem, and its terms are interned on the spot. Seeded
-//! corpora — spanning several build rounds and tasks, with features,
-//! stopword-only and empty documents, overlong and apostrophe-only tokens —
-//! are built under both `AnalyzerConfig` flags, inline and on pools of 1, 2
-//! and 8 threads, and through the engine builders. Every build must equal
-//! the reference: the dictionary in id order, every row, posting list, idf
-//! bit pattern and stored document, and the snapshot file byte for byte
-//! (which covers its dictionary checksum).
+//! `CorpusBuilder` analyses each document as it arrives, building every
+//! token and stem in one reused buffer. The reference below is the build
+//! it replaced, kept here verbatim in spirit: a fresh `String` per token
+//! and per stem, each term interned as it is met. Seeded corpora — with
+//! features, stopword-only and empty documents, overlong and
+//! apostrophe-only tokens, and rare words that keep adding terms — are
+//! built under all four `AnalyzerConfig` flag pairs, and through the
+//! engine builders. Every build must equal the reference: the dictionary
+//! in id order, every row, posting list, idf bit pattern and stored
+//! document, and the snapshot file byte for byte (which covers its
+//! dictionary checksum).
 
 use std::path::PathBuf;
 
 use qec_cluster::SplitMix64;
-use qec_core::WorkerPool;
 use qec_engine::{EngineBuilder, ShardedEngineBuilder};
 use qec_index::{
     Corpus, CorpusBuilder, DocId, DocumentSpec, Feature, InvertedIndex, Posting, StoredDoc,
 };
 use qec_text::{Analyzer, AnalyzerConfig, PorterStemmer, StopwordList, TermId, Tokenizer};
 
-/// Enough documents for two build rounds and a partial third.
+/// Enough documents for the rare words to keep adding terms throughout.
 const DOCS: usize = 9_000;
 
 const CONFIGS: [AnalyzerConfig; 4] = [
@@ -95,7 +93,7 @@ fn text(rng: &mut SplitMix64, max: usize) -> String {
 }
 
 /// A seeded corpus of `n` documents: rare synthetic words next to
-/// `WORDS`, so later rounds meet both known and new terms.
+/// `WORDS`, so later documents meet both known and new terms.
 fn corpus_specs(seed: u64, n: usize) -> Vec<DocumentSpec> {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let rng = &mut rng;
@@ -127,7 +125,7 @@ fn corpus_specs(seed: u64, n: usize) -> Vec<DocumentSpec> {
         .collect()
 }
 
-/// The analysis the pooled build replaced: a fresh `String` per token and
+/// The analysis the buffered build replaced: a fresh `String` per token and
 /// per stem, each term interned as it is met.
 fn reference_analyze(
     analyzer: &mut Analyzer,
@@ -278,25 +276,17 @@ fn assert_same(want: &Corpus, want_bytes: &[u8], got: &Corpus, what: &str) {
 }
 
 #[test]
-fn pooled_and_inline_builds_equal_the_per_token_reference() {
-    let pools: Vec<WorkerPool> = [1, 2, 8].into_iter().map(WorkerPool::new).collect();
+fn builds_equal_the_per_token_reference() {
     for (c, config) in CONFIGS.iter().enumerate() {
         let seed = 0xC0A5 + c as u64;
         let want = reference_corpus(config, corpus_specs(seed, DOCS));
         assert!(
             want.vocab_size() > 5_000,
-            "rounds must keep meeting new terms"
+            "the corpus must keep meeting new terms"
         );
         let want_bytes = snapshot_bytes(&want, &format!("ref{c}"));
-
-        let inline = builder(config, corpus_specs(seed, DOCS)).build();
-        assert_same(&want, &want_bytes, &inline, &format!("config {c}, inline"));
-        for pool in &pools {
-            let got = builder(config, corpus_specs(seed, DOCS))
-                .build_with(&|n, task| pool.run_indexed(n, task));
-            let what = format!("config {c}, {} pool threads", pool.threads());
-            assert_same(&want, &want_bytes, &got, &what);
-        }
+        let got = builder(config, corpus_specs(seed, DOCS)).build();
+        assert_same(&want, &want_bytes, &got, &format!("config {c}"));
     }
 }
 
@@ -319,15 +309,11 @@ fn engine_builders_build_the_reference_corpus() {
 
 #[test]
 fn tiny_and_empty_builds_equal_the_reference() {
-    let pool = WorkerPool::new(2);
-    for n in [0, 1, 2, 127, 128, 129] {
+    for n in [0, 1, 2, 3, 17] {
         let config = AnalyzerConfig::default();
         let want = reference_corpus(&config, corpus_specs(n as u64, n));
         let want_bytes = snapshot_bytes(&want, &format!("tiny{n}"));
-        let got = builder(&config, corpus_specs(n as u64, n))
-            .build_with(&|n, task| pool.run_indexed(n, task));
-        assert_same(&want, &want_bytes, &got, &format!("{n} docs, pooled"));
         let got = builder(&config, corpus_specs(n as u64, n)).build();
-        assert_same(&want, &want_bytes, &got, &format!("{n} docs, inline"));
+        assert_same(&want, &want_bytes, &got, &format!("{n} docs"));
     }
 }

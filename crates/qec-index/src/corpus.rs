@@ -7,38 +7,16 @@
 //! benchmarks) reads from the same frozen corpus, which is what makes the
 //! whole pipeline deterministic.
 //!
-//! Building follows an owner/worker split. [`CorpusBuilder::add_document`]
-//! only stores the document; analysis happens when the builder is frozen,
-//! in rounds of `ROUND_DOCS` documents cut into tasks of `TASK_DOCS`.
-//! A task tokenizes, filters and stems its documents through reused
-//! buffers and dedupes the terms into a table of its own; the tasks of a
-//! round may run on any threads (the caller supplies the fan-out, see
-//! [`CorpusBuilder::build_with`]). Only the owner — the thread that
-//! freezes — assigns [`TermId`]s: it interns each task's new terms task
-//! by task in document order, which is the order a one-document-at-a-time
-//! build would first meet them in, so every id, row and posting is the
-//! same whatever ran the tasks.
+//! [`CorpusBuilder::add_document`] analyses each document as it arrives,
+//! through token and row buffers the builder reuses, so term ids are
+//! assigned in first-occurrence order and the builder holds no document
+//! body past its own call.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::doc::{DocId, DocumentSpec, Feature};
 use crate::inverted::{append_row, InvertedIndex, Posting};
-use qec_text::fxhash::FxHasher;
-use qec_text::{Analyzer, AnalyzerConfig, TermDict, TermId};
-
-/// Documents analysed per round: the owner interns a round's terms and
-/// drops its document bodies before the next round's tasks start.
-const ROUND_DOCS: usize = 4096;
-
-/// Documents per analysis task within a round.
-const TASK_DOCS: usize = 128;
-
-/// How [`CorpusBuilder::build_with`] runs one round's analysis tasks:
-/// `fan_out(n, task)` must call `task(i)` exactly once for every `i` in
-/// `0..n`, on any threads and in any order, and return once all of them
-/// have returned. `qec_core::WorkerPool::run_indexed` is one; a plain
-/// loop is another.
-pub type FanOut<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
+use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 /// Per-document stored metadata (original strings kept for display).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,15 +31,21 @@ pub struct StoredDoc {
     pub len: u32,
 }
 
-/// Builder for [`Corpus`]. Documents receive dense ids in insertion order;
-/// they are analysed when the builder is frozen (see the module docs).
+/// Builder for [`Corpus`]. Documents receive dense ids in insertion order.
 #[derive(Debug, Default)]
 pub struct CorpusBuilder {
     analyzer: Analyzer,
-    /// Added documents, not analysed yet, in rounds of at most
-    /// `ROUND_DOCS`.
-    rounds: Vec<Vec<DocumentSpec>>,
-    num_docs: usize,
+    docs: Vec<StoredDoc>,
+    doc_terms: Vec<Vec<(TermId, u32)>>,
+    /// Posting lists, appended to document by document and frozen by
+    /// [`Self::build`].
+    lists: Vec<Vec<Posting>>,
+    /// The token being analysed.
+    token: String,
+    /// The term ids of the document being analysed, in text order.
+    terms: Vec<TermId>,
+    /// The document's `(term, tf)` row as it is counted.
+    row: Vec<(TermId, u32)>,
 }
 
 impl CorpusBuilder {
@@ -74,267 +58,69 @@ impl CorpusBuilder {
     pub fn with_analyzer_config(config: AnalyzerConfig) -> Self {
         Self {
             analyzer: Analyzer::with_config(config),
-            rounds: Vec::new(),
-            num_docs: 0,
+            ..Self::default()
         }
     }
 
-    /// Adds a document and returns its id. The document is moved in and
-    /// analysed when the builder is frozen.
+    /// Adds a document and returns its id. The document is analysed here,
+    /// through the builder's reused buffers: analysing allocates only to
+    /// intern a new term, to store the row at its exact size and to grow
+    /// the posting lists, never per token.
     ///
     /// Indexing covers: analysed title tokens, analysed body tokens, the
     /// atomic composite token of each feature, and the analysed feature
     /// value words (so `ipad` matches `product:name:iPad`).
     pub fn add_document(&mut self, spec: DocumentSpec) -> DocId {
-        let id = DocId(u32::try_from(self.num_docs).expect("too many documents"));
-        match self.rounds.last_mut() {
-            Some(round) if round.len() < ROUND_DOCS => round.push(spec),
-            _ => self.rounds.push(vec![spec]),
-        }
-        self.num_docs += 1;
-        id
-    }
-
-    /// Freezes the builder into an immutable [`Corpus`], running every
-    /// analysis task on the calling thread.
-    pub fn build(self) -> Corpus {
-        self.build_with(&|n, task| (0..n).for_each(task))
-    }
-
-    /// Freezes the builder into an immutable [`Corpus`], running each
-    /// round's analysis tasks through `fan_out` (see [`FanOut`]). The
-    /// calling thread interns the terms, so the corpus is identical to
-    /// [`build`](Self::build)'s whatever threads ran the tasks.
-    pub fn build_with(self, fan_out: FanOut<'_>) -> Corpus {
+        let id = DocId(u32::try_from(self.docs.len()).expect("too many documents"));
         let CorpusBuilder {
-            mut analyzer,
-            rounds,
-            num_docs,
-        } = self;
-        let mut docs = Vec::with_capacity(num_docs);
-        let mut doc_terms = Vec::with_capacity(num_docs);
-        let mut lists = Vec::new();
-        let mut tasks: Vec<Mutex<Task>> = Vec::new();
-        let mut owner = Owner::default();
-        for round in rounds {
-            let n = round.len().div_ceil(TASK_DOCS);
-            if tasks.len() < n {
-                tasks.resize_with(n, Mutex::default);
-            }
-            fan_out(n, &|i| {
-                let specs = &round[i * TASK_DOCS..round.len().min((i + 1) * TASK_DOCS)];
-                let mut task = tasks[i].lock().expect("a panicked task fails the build");
-                task.analyze(&analyzer, specs);
-            });
-            let mut specs = round.into_iter();
-            for task in &mut tasks[..n] {
-                let task = task.get_mut().expect("a panicked task fails the build");
-                owner.resolve(&task.words, &mut analyzer);
-                let mut start = 0;
-                for &end in &task.doc_ends {
-                    let local = &task.terms[start..end];
-                    start = end;
-                    let id = DocId(docs.len() as u32);
-                    let row = owner.row(local);
-                    append_row(&mut lists, id, &row);
-                    doc_terms.push(row);
-                    let spec = specs.next().expect("one document per row");
-                    docs.push(StoredDoc {
-                        title: spec.title,
-                        features: spec.features,
-                        label: spec.label,
-                        len: local.len() as u32,
-                    });
-                }
-            }
-        }
-        Corpus {
-            index: freeze(num_docs, lists),
-            analyzer: Arc::new(analyzer),
-            docs,
-            doc_terms,
-        }
-    }
-}
-
-/// One analysis task's buffers, kept from round to round so that
-/// analysing allocates only while they grow.
-#[derive(Debug, Default)]
-struct Task {
-    /// The token being analysed.
-    token: String,
-    /// The task's distinct terms.
-    words: Words,
-    /// Local ids of every analysed term, document after document.
-    terms: Vec<u32>,
-    /// End of each document's run in `terms`.
-    doc_ends: Vec<usize>,
-}
-
-impl Task {
-    /// Analyses `specs` into local ids, in the order a document's terms
-    /// are indexed: title, body, then per feature its composite token, its
-    /// value words and its attribute words.
-    fn analyze(&mut self, analyzer: &Analyzer, specs: &[DocumentSpec]) {
-        self.words.clear();
-        self.terms.clear();
-        self.doc_ends.clear();
-        let dict = analyzer.dict();
-        for spec in specs {
-            self.text(analyzer, &spec.title);
-            self.text(analyzer, &spec.body);
-            for feature in &spec.features {
-                feature.composite_token_into(&mut self.token);
-                self.terms.push(self.words.id(&self.token, dict));
-                self.text(analyzer, &feature.value);
-                self.text(analyzer, &feature.attribute);
-            }
-            self.doc_ends.push(self.terms.len());
-        }
-    }
-
-    fn text(&mut self, analyzer: &Analyzer, text: &str) {
-        let Task {
+            analyzer,
             token,
-            words,
             terms,
+            row,
             ..
         } = self;
-        analyzer.for_each_term(text, token, |term| {
-            terms.push(words.id(term, analyzer.dict()));
-        });
-    }
-}
-
-/// Empty slot of [`Words::table`].
-const EMPTY: u32 = u32::MAX;
-
-/// A task's distinct terms under dense local ids, in first-occurrence
-/// order.
-#[derive(Debug, Default)]
-struct Words {
-    /// The terms, concatenated; local id `k` is
-    /// `text[ends[k - 1]..ends[k]]`.
-    text: String,
-    ends: Vec<usize>,
-    /// Each term's id when the dictionary already held it as the round
-    /// began; the owner interns the `None`s.
-    known: Vec<Option<TermId>>,
-    /// Open-addressed `(hash, local id)` table over the terms, a power of
-    /// two long and at most half full.
-    table: Vec<(u32, u32)>,
-}
-
-impl Words {
-    fn clear(&mut self) {
-        self.text.clear();
-        self.ends.clear();
-        self.known.clear();
-        if self.table.is_empty() {
-            self.table.resize(1024, (0, EMPTY));
-        } else {
-            self.table.fill((0, EMPTY));
+        terms.clear();
+        analyzer.analyze_into(&spec.title, token, terms);
+        analyzer.analyze_into(&spec.body, token, terms);
+        for feature in &spec.features {
+            feature.composite_token_into(token);
+            terms.push(analyzer.intern_verbatim(token));
+            analyzer.analyze_into(&feature.value, token, terms);
+            analyzer.analyze_into(&feature.attribute, token, terms);
         }
-    }
+        let len = terms.len() as u32;
 
-    /// The local id of `term`, assigning the next one to a term not met
-    /// yet (and looking that term up in `dict`).
-    fn id(&mut self, term: &str, dict: &TermDict) -> u32 {
-        let hash = fx_hash(term);
-        let mask = self.table.len() - 1;
-        let mut slot = self.home(hash);
-        loop {
-            let (tag, id) = self.table[slot];
-            if id == EMPTY {
-                break;
-            }
-            if tag == hash as u32 && self.word(id) == term {
-                return id;
-            }
-            slot = (slot + 1) & mask;
-        }
-        let id = u32::try_from(self.ends.len()).expect("fewer than 2^32 terms per task");
-        self.text.push_str(term);
-        self.ends.push(self.text.len());
-        self.known.push(dict.get(term));
-        self.table[slot] = (hash as u32, id);
-        if 2 * self.ends.len() > self.table.len() {
-            self.grow();
-        }
-        id
-    }
-
-    fn word(&self, id: u32) -> &str {
-        let id = id as usize;
-        let start = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.text[start..self.ends[id]]
-    }
-
-    /// The first slot probed for `hash`: its top bits, the well-mixed
-    /// ones of a multiplicative hash.
-    fn home(&self, hash: u64) -> usize {
-        (hash >> (64 - self.table.len().trailing_zeros())) as usize
-    }
-
-    /// Doubles the table and re-places every term.
-    fn grow(&mut self) {
-        let len = 2 * self.table.len();
-        self.table.clear();
-        self.table.resize(len, (0, EMPTY));
-        for id in 0..self.ends.len() as u32 {
-            let hash = fx_hash(self.word(id));
-            let mut slot = self.home(hash);
-            while self.table[slot].1 != EMPTY {
-                slot = (slot + 1) & (len - 1);
-            }
-            self.table[slot] = (hash as u32, id);
-        }
-    }
-}
-
-fn fx_hash(term: &str) -> u64 {
-    use std::hash::Hasher;
-    let mut hasher = FxHasher::default();
-    hasher.write(term.as_bytes());
-    hasher.finish()
-}
-
-/// The owner's reused buffers: a task's local → global id map and the row
-/// being sorted.
-#[derive(Debug, Default)]
-struct Owner {
-    ids: Vec<TermId>,
-    sorted: Vec<TermId>,
-}
-
-impl Owner {
-    /// Maps each of `task`'s local ids to its global one, interning the
-    /// terms the dictionary did not hold when the round began — in the
-    /// task's first-occurrence order.
-    fn resolve(&mut self, words: &Words, analyzer: &mut Analyzer) {
-        self.ids.clear();
-        for (id, known) in words.known.iter().enumerate() {
-            let term = known.unwrap_or_else(|| analyzer.intern_verbatim(words.word(id as u32)));
-            self.ids.push(term);
-        }
-    }
-
-    /// One document's sorted `(term, tf)` row from its local ids.
-    fn row(&mut self, local: &[u32]) -> Vec<(TermId, u32)> {
-        self.sorted.clear();
-        self.sorted
-            .extend(local.iter().map(|&id| self.ids[id as usize]));
-        self.sorted.sort_unstable();
-        let distinct = usize::from(!self.sorted.is_empty())
-            + self.sorted.windows(2).filter(|w| w[0] != w[1]).count();
-        let mut row: Vec<(TermId, u32)> = Vec::with_capacity(distinct);
-        for &term in &self.sorted {
+        // Multiset → sorted (term, tf) pairs.
+        terms.sort_unstable();
+        row.clear();
+        for &term in terms.iter() {
             match row.last_mut() {
                 Some((last, tf)) if *last == term => *tf += 1,
                 _ => row.push((term, 1)),
             }
         }
-        row
+        let row = row.to_vec();
+
+        append_row(&mut self.lists, id, &row);
+        self.doc_terms.push(row);
+        self.docs.push(StoredDoc {
+            title: spec.title,
+            features: spec.features,
+            label: spec.label,
+            len,
+        });
+        id
+    }
+
+    /// Freezes the builder into an immutable [`Corpus`]: the posting lists
+    /// become an [`InvertedIndex`].
+    pub fn build(self) -> Corpus {
+        Corpus {
+            index: freeze(self.docs.len(), self.lists),
+            analyzer: Arc::new(self.analyzer),
+            docs: self.docs,
+            doc_terms: self.doc_terms,
+        }
     }
 }
 

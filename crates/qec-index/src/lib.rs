@@ -9,9 +9,7 @@
 //!   ("a set of words") and structured documents ("a set of
 //!   `(entity:attribute:value)` features").
 //! * [`Corpus`] — document store plus corpus statistics, built through a
-//!   shared [`qec_text::Analyzer`] by a [`CorpusBuilder`], which analyses
-//!   its documents when frozen, in tasks a caller-supplied [`FanOut`] may
-//!   spread over threads, while term ids keep first-occurrence order.
+//!   shared [`qec_text::Analyzer`] by a [`CorpusBuilder`].
 //! * [`InvertedIndex`] — the inverted index (term → posting list), frozen
 //!   by [`InvertedIndex::from_lists`] with an idf table and a membership
 //!   probe per dense term.
@@ -31,7 +29,7 @@ mod rank;
 mod search;
 mod term_matrix;
 
-pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, FanOut, StoredDoc};
+pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{InvertedIndex, Posting, PostingListError};
 pub use postings::GALLOP_RATIO;

@@ -62,39 +62,29 @@ impl Analyzer {
     /// index derives term frequencies from repetition).
     pub fn analyze(&mut self, text: &str) -> Vec<TermId> {
         let mut out = Vec::new();
-        let Analyzer {
-            config,
-            stemmer,
-            stopwords,
-            dict,
-        } = self;
-        each_term(
-            config,
-            stemmer,
-            stopwords,
-            text,
-            &mut String::new(),
-            |term| out.push(dict.intern(term)),
-        );
+        self.analyze_into(text, &mut String::new(), &mut out);
         out
     }
 
-    /// Runs the per-token steps of the pipeline over `text` — tokenize,
-    /// drop stopwords, stem — and hands each analysed term to `sink` in
-    /// text order, without interning it. Every token is built in `buf`
-    /// (the term `sink` sees borrows it), so once `buf`'s capacity covers
-    /// the longest token no call allocates. This is the one analysis loop:
-    /// [`analyze`](Self::analyze) interns what it yields, and the corpus
-    /// builder's analysis tasks dedupe it into tables of their own.
-    pub fn for_each_term(&self, text: &str, buf: &mut String, sink: impl FnMut(&str)) {
-        each_term(
-            &self.config,
-            &self.stemmer,
-            &self.stopwords,
-            text,
-            buf,
-            sink,
-        );
+    /// [`analyze`](Self::analyze) through caller-owned buffers: appends the
+    /// id of each analysed term of `text` to `out`, in text order. Every
+    /// token is built and stemmed in `buf`, so once `buf` and `out` are
+    /// warm only interning a term the dictionary has not met allocates.
+    /// This is the pipeline's one normalising loop; the corpus builder
+    /// runs every document through it.
+    pub fn analyze_into(&mut self, text: &str, buf: &mut String, out: &mut Vec<TermId>) {
+        let mut tokens = Tokenizer::new(text);
+        while tokens.next_into(buf).is_some() {
+            if self.config.filter_stopwords && self.stopwords.contains(buf) {
+                continue;
+            }
+            if self.config.stem {
+                self.stemmer.stem_in_place(buf);
+            }
+            if !buf.is_empty() {
+                out.push(self.dict.intern(buf));
+            }
+        }
     }
 
     /// Analyzes a *verbatim* term: no tokenization, no stopword filtering,
@@ -147,31 +137,6 @@ impl Analyzer {
     /// Human-readable name of a term id.
     pub fn term_name(&self, id: TermId) -> &str {
         self.dict.name_of(id)
-    }
-}
-
-/// The normalising loop behind [`Analyzer::for_each_term`], over the
-/// pipeline's parts so that [`Analyzer::analyze`] can intern into the
-/// dictionary while the loop borrows the rest.
-fn each_term(
-    config: &AnalyzerConfig,
-    stemmer: &PorterStemmer,
-    stopwords: &StopwordList,
-    text: &str,
-    buf: &mut String,
-    mut sink: impl FnMut(&str),
-) {
-    let mut tokens = Tokenizer::new(text);
-    while tokens.next_into(buf).is_some() {
-        if config.filter_stopwords && stopwords.contains(buf) {
-            continue;
-        }
-        if config.stem {
-            stemmer.stem_in_place(buf);
-        }
-        if !buf.is_empty() {
-            sink(buf);
-        }
     }
 }
 
