@@ -25,22 +25,25 @@ use crate::cache::CacheStats;
 /// The split between *errors* and *degradation* is deliberate: a request
 /// whose pipeline was available but whose deadline tripped mid-expansion
 /// still returns `Ok` with [`ExpandStats::degraded`] set and the finished
-/// clusters intact; an error means the engine produced **nothing** for the
-/// request — it was shed at admission, its deadline expired before a
+/// clusters intact; an error means **nothing** was produced for the
+/// request — a front door refused it, its deadline expired before a
 /// pipeline existed, or its pipeline build/expansion failed outright.
+/// The engine itself never sheds load: only the `qec-ingress` front door
+/// refuses a request for being one too many.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
-    /// Load shedding: the engine was already serving
-    /// `max_in_flight` requests when this one arrived. Retry later (or
-    /// against another replica); nothing was built or cached for it.
+    /// Load shedding at the front door: the `qec-ingress` queue already
+    /// held `queue_cap` requests when this one was submitted. Retry later
+    /// (or against another replica); the request never reached the
+    /// engine.
     Overloaded {
-        /// Requests in flight when this one was refused.
-        in_flight: usize,
-        /// The configured admission bound it hit.
-        max_in_flight: usize,
+        /// Requests queued at the door when this one was refused.
+        queue_depth: usize,
+        /// The door's configured queue bound (`IngressConfig::queue_cap`).
+        queue_cap: usize,
     },
     /// The request's deadline expired before a pipeline was available —
-    /// at admission, or while waiting on another request's in-flight build
+    /// before dispatch, or while waiting on another request's in-flight build
     /// of the same cache key. (A deadline tripping *after* the pipeline is
     /// available degrades the response instead; see [`ExpandStats::degraded`].)
     DeadlineExceeded,
@@ -67,11 +70,11 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Overloaded {
-                in_flight,
-                max_in_flight,
+                queue_depth,
+                queue_cap,
             } => write!(
                 f,
-                "engine overloaded: {in_flight} requests in flight (max {max_in_flight})"
+                "front door queue full: {queue_depth} requests queued (cap {queue_cap})"
             ),
             Self::DeadlineExceeded => {
                 write!(f, "deadline expired before a pipeline was available")
@@ -148,13 +151,13 @@ pub struct ExpandRequest<'q> {
     /// Absolute deadline for this request. Once it passes, un-started
     /// cluster expansions are skipped and the response is returned
     /// **degraded** (finished clusters only, [`ExpandStats::degraded`]
-    /// set); a request whose deadline has already expired at admission —
+    /// set); a request whose deadline has already expired when it reaches the engine —
     /// or expires while waiting on another caller's in-flight build — is
     /// refused with [`EngineError::DeadlineExceeded`]. `None` means no
     /// deadline. Combined with [`timeout`](Self::timeout) by taking the
     /// earlier of the two.
     pub deadline: Option<Instant>,
-    /// Relative cost budget: resolved to `now + timeout` at admission and
+    /// Relative cost budget: resolved to `now + timeout` when the request reaches the engine and
     /// then behaves exactly like [`deadline`](Self::deadline). `None`
     /// means no budget.
     pub timeout: Option<Duration>,
@@ -188,7 +191,7 @@ impl<'q> ExpandRequest<'q> {
     /// [`cancel`](Self::cancel) token's own deadline component. Folding
     /// the token's deadline in means a token built with
     /// [`CancelToken::until`] behaves exactly like a request deadline
-    /// everywhere a deadline is consulted — refused at admission once
+    /// everywhere a deadline is consulted — refused before dispatch once
     /// expired, bounding single-flight cache waits — instead of only
     /// tripping mid-expansion (manual token *flags* still degrade rather
     /// than refuse; only the clock component is merged here).

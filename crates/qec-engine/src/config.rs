@@ -2,7 +2,7 @@
 //!
 //! One [`EngineConfig`] gathers every stage's knobs — arena candidate
 //! selection, clustering, all three expansion strategies, the shared arena
-//! cache, the worker pool and admission — so a caller
+//! cache and the worker pool — so a caller
 //! configures the whole pipeline in one place instead of threading config
 //! structs through five crates by hand. A value no caller varies is a
 //! private constant beside the code that reads it, not a field here.
@@ -46,41 +46,12 @@ impl Default for CacheConfig {
     }
 }
 
-/// Admission-control knobs: how the engine sheds load instead of queueing
-/// itself to death.
+/// Knobs of the persistent worker pool ([`qec_core::WorkerPool`]).
 #[derive(Debug, Clone, Default)]
-pub struct AdmissionConfig {
-    /// Maximum requests the engine serves concurrently. A request arriving
-    /// while this many are in flight is refused immediately with
-    /// [`EngineError::Overloaded`](crate::EngineError::Overloaded) —
-    /// batches count each admitted request. `0` disables admission control
-    /// (never sheds), which also keeps the no-deadline batch fast path
-    /// completely free of admission bookkeeping.
-    pub max_in_flight: usize,
-}
-
-/// Knobs of the persistent worker pool
-/// ([`qec_core::WorkerPool`]) and the batched serving path
-/// ([`QecEngine::try_expand_batch_into`](crate::QecEngine::try_expand_batch_into)).
-#[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads; `0` resolves
     /// [`qec_core::default_parallelism`] once at engine build.
     pub threads: usize,
-    /// Maximum requests scheduled per inner batch: longer batch slices
-    /// are served in chunks of this many requests, bounding the
-    /// working state (sessions, flat task set) a single batch pins. `0`
-    /// means unbounded.
-    pub batch_max: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            batch_max: 64,
-        }
-    }
 }
 
 /// Configuration for every stage behind [`QecEngine`](crate::QecEngine).
@@ -88,7 +59,7 @@ impl Default for PoolConfig {
 /// The defaults are the paper's: top-20% tf·idf candidate pruning, cosine
 /// k-means with k-means++ seeding, value>1 greedy expansion with removals
 /// — plus a 128-entry shared arena cache and a machine-sized persistent
-/// worker pool serving batches of up to 64 requests.
+/// worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Candidate-keyword selection for the expansion arena (Defs 2.1/2.2,
@@ -105,8 +76,6 @@ pub struct EngineConfig {
     pub pebc: PebcConfig,
     /// Shared cross-session arena cache.
     pub cache: CacheConfig,
-    /// Persistent worker pool + batched serving.
+    /// Persistent worker pool.
     pub pool: PoolConfig,
-    /// Admission control / load shedding.
-    pub admission: AdmissionConfig,
 }

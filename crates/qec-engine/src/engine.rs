@@ -13,13 +13,13 @@
 //! The paper generates one expanded query per cluster, so a request is a
 //! flat set of independent per-cluster expansions over one cached
 //! pipeline, and a batch is the same set over a few pipelines. The engine
-//! serves that shape **once**, in `serve_chunk`: admit → analyse → group
+//! serves that shape **once**, in `serve_chunk`: preflight → analyse → group
 //! by cache key → probe → build and publish (or abandon) the cold keys →
 //! expand every live cluster as one flat, cancellable task set behind a
 //! panic boundary → fill the responses in request order.
 //! [`try_expand`](QecEngine::try_expand) is a chunk of one;
 //! [`try_expand_batch_into`](QecEngine::try_expand_batch_into) feeds it
-//! [`batch_max`](crate::config::PoolConfig::batch_max) requests at a time.
+//! at most `CHUNK_MAX` (64) requests at a time.
 //! Where the expansions run is decided in one place from the chunk's task
 //! count: a small set on the caller's thread with one scratch, a large one
 //! across the worker pool — bit-identical either way.
@@ -42,7 +42,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,6 +78,13 @@ const TASK_PANICKED: u8 = 2;
 /// inline, and so does the front door's usual chunk of one on a door that
 /// keeps up; the chunk queued behind it (two or more requests) is pooled.
 const POOLED_MIN_TASKS: usize = 8;
+
+/// Most requests one `serve_chunk` call takes: longer
+/// [`try_expand_batch_into`](QecEngine::try_expand_batch_into) slices are
+/// served in chunks of this many, bounding the working state (sessions,
+/// flat task set) one chunk pins. The front door's default chunk
+/// (`IngressConfig::batch_max` = 32) is served whole.
+const CHUNK_MAX: usize = 64;
 
 /// Upper bound applied to [`ExpandRequest::k_clusters`] before anything
 /// reads it. `k` is the user-facing granularity — one expanded query per
@@ -169,8 +175,8 @@ struct BatchScratch {
     task_req: Vec<u32>,
     /// Flat per-(request, cluster) expansion outputs.
     outs: Vec<ExpandedQuery>,
-    /// Request index → preflight refusal (shed at admission or expired
-    /// before dispatch); such requests form no group and no tasks.
+    /// Request index → preflight refusal (deadline expired before
+    /// dispatch); such requests form no group and no tasks.
     admit_err: Vec<Option<EngineError>>,
     /// Request index → merged cancellation token (request token +
     /// effective deadline), polled by the request's expansion tasks.
@@ -222,43 +228,8 @@ pub struct QecEngine {
     /// How the corpus came up (snapshot restore, cold rebuild, or
     /// fallback); see [`boot_stats`](Self::boot_stats).
     boot: BootStats,
-    /// Requests currently being served — the admission-control gauge
-    /// compared against [`AdmissionConfig::max_in_flight`](crate::config::AdmissionConfig::max_in_flight).
-    in_flight: AtomicUsize,
     responses: ScratchPool<ExpandResponse>,
     batches: ScratchPool<BatchScratch>,
-}
-
-/// RAII admission permit: holds `n` slots of the engine's `in_flight`
-/// gauge and releases them on drop (panic-safe).
-struct InFlightPermit<'e> {
-    engine: &'e QecEngine,
-    n: usize,
-}
-
-impl InFlightPermit<'_> {
-    fn admit_one(&mut self) -> Result<(), EngineError> {
-        let max = self.engine.config.admission.max_in_flight;
-        debug_assert!(max > 0, "permits are only taken under admission control");
-        let prev = self.engine.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= max {
-            self.engine.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Err(EngineError::Overloaded {
-                in_flight: prev,
-                max_in_flight: max,
-            });
-        }
-        self.n += 1;
-        Ok(())
-    }
-}
-
-impl Drop for InFlightPermit<'_> {
-    fn drop(&mut self) {
-        if self.n > 0 {
-            self.engine.in_flight.fetch_sub(self.n, Ordering::AcqRel);
-        }
-    }
 }
 
 impl std::fmt::Debug for QecEngine {
@@ -312,11 +283,10 @@ impl QecEngine {
     /// [`try_expand`](Self::try_expand) returns an error.
     ///
     /// # Panics
-    /// When serving fails with an [`EngineError`] — the engine was over
-    /// its admission bound, the request's deadline expired before a
-    /// pipeline was available, or the build/expansion itself failed. With
-    /// admission control off and no deadline set this only happens if the
-    /// pipeline genuinely cannot be built.
+    /// When serving fails with an [`EngineError`] — the request's
+    /// deadline expired before a pipeline was available, or the
+    /// build/expansion itself failed. With no deadline set this only
+    /// happens if the pipeline genuinely cannot be built.
     pub fn expand(&self, req: &ExpandRequest<'_>) -> ExpandResponse {
         self.try_expand(req)
             .unwrap_or_else(|e| panic!("QecEngine::expand failed ({e}); use try_expand"))
@@ -332,11 +302,8 @@ impl QecEngine {
     ///
     /// The full failure semantics:
     ///
-    /// * **Admission**: with [`AdmissionConfig::max_in_flight`](crate::config::AdmissionConfig::max_in_flight)
-    ///   set and that many requests already in flight, returns
-    ///   [`EngineError::Overloaded`] immediately — nothing is built.
     /// * **Deadline** ([`ExpandRequest::deadline`] / [`ExpandRequest::timeout`]):
-    ///   already expired at admission, or expires while waiting on a
+    ///   already expired when the request arrives, or expires while waiting on a
     ///   concurrent build of the same key → [`EngineError::DeadlineExceeded`].
     ///   Expires *after* the pipeline is available → `Ok` with
     ///   [`ExpandStats::degraded`] set and the finished prefix of cluster
@@ -345,7 +312,10 @@ impl QecEngine {
     ///   (memoized briefly so the key's waiters don't stampede); a
     ///   panicking expansion kernel → [`EngineError::ExpansionFailed`].
     ///   The engine stays serviceable either way.
-    #[must_use = "dropping the Result silently discards sheds and failures; handle the EngineError"]
+    ///
+    /// The engine never sheds load: [`EngineError::Overloaded`] comes only
+    /// from a front door (`qec-ingress`) whose queue is full.
+    #[must_use = "dropping the Result silently discards refusals and failures; handle the EngineError"]
     pub fn try_expand(&self, req: &ExpandRequest<'_>) -> Result<ExpandResponse, EngineError> {
         let mut result = None;
         self.serve_chunk(std::slice::from_ref(req), &mut |r| result = Some(r));
@@ -389,8 +359,7 @@ impl QecEngine {
     ///   allocations** — the `zero_alloc_batch` test arms a counting
     ///   allocator around exactly this loop.
     ///
-    /// Slices longer than [`PoolConfig::batch_max`](crate::config::PoolConfig::batch_max)
-    /// are served in chunks of that many requests.
+    /// Slices longer than 64 requests are served in chunks of 64.
     ///
     /// Isolation guarantees, proven by the `chaos` test suite:
     ///
@@ -398,11 +367,12 @@ impl QecEngine {
     ///   fault) fails **alone** — sibling requests of the same chunk are
     ///   served bit-identical to a clean run;
     /// * a request whose expansion task panics fails alone the same way;
-    /// * admission sheds requests individually: shed requests form no
-    ///   group, trigger no build, and occupy no pool tasks.
+    /// * a request whose deadline has already expired is refused
+    ///   individually: it forms no group, triggers no build, and occupies
+    ///   no pool task.
     ///
     /// Responses come back **in request order** regardless of how the
-    /// members fare individually — shed, degraded and served requests
+    /// members fare individually — refused, degraded and served requests
     /// keep their slots:
     ///
     /// ```
@@ -415,7 +385,7 @@ impl QecEngine {
     ///     .build();
     /// let reqs = [
     ///     ExpandRequest { k_clusters: 2, ..ExpandRequest::new("apple") },
-    ///     // This member is refused (deadline lapsed before admission)…
+    ///     // This member is refused (deadline lapsed before dispatch)…
     ///     ExpandRequest {
     ///         deadline: Some(Instant::now() - Duration::from_millis(1)),
     ///         ..ExpandRequest::new("apple")
@@ -436,16 +406,12 @@ impl QecEngine {
         out: &mut Vec<Result<ExpandResponse, EngineError>>,
     ) {
         out.clear();
-        let chunk_max = match self.config.pool.batch_max {
-            0 => reqs.len().max(1),
-            max => max,
-        };
-        for chunk in reqs.chunks(chunk_max) {
+        for chunk in reqs.chunks(CHUNK_MAX) {
             self.serve_chunk(chunk, &mut |r| out.push(r));
         }
     }
 
-    /// The one serving path: admit → analyse → group by key → acquire one
+    /// The one serving path: preflight → analyse → group by key → acquire one
     /// pipeline per group (single-flight; two or more cold builds run
     /// through the pool) → expand all live clusters as one flat task set →
     /// hand `sink` one `Result` per request, in request order.
@@ -460,19 +426,6 @@ impl QecEngine {
         // stamp `first_arrival + i`.
         let first_arrival = self.cache.arrivals(reqs.len());
 
-        #[cfg(feature = "failpoints")]
-        if qec_failpoint::check("engine.batch_dispatch").is_err() {
-            let in_flight = self.in_flight.load(Ordering::Acquire);
-            let max_in_flight = self.config.admission.max_in_flight;
-            for _ in reqs {
-                sink(Err(EngineError::Overloaded {
-                    in_flight,
-                    max_in_flight,
-                }));
-            }
-            return;
-        }
-
         let mut batch = self.batches.acquire();
         let b = &mut batch;
         if b.sessions.len() < reqs.len() {
@@ -480,25 +433,17 @@ impl QecEngine {
         }
 
         // Preflight every request: resolve its deadline/timeout into a
-        // merged cancellation token and admit it against the in-flight
-        // bound. Refused requests (already-expired deadline, engine over
-        // `max_in_flight`) are decided here — they form no group, build
-        // nothing and occupy no task. Admitted requests hold their
-        // in-flight slots until the whole chunk is served.
+        // merged cancellation token. A request whose deadline has already
+        // expired is refused here — it forms no group, builds nothing and
+        // occupies no task.
         let now = Instant::now();
-        let mut permit = InFlightPermit { engine: self, n: 0 };
-        let admission = self.config.admission.max_in_flight > 0;
         b.admit_err.clear();
         b.tokens.clear();
         for req in reqs {
             let deadline = req.effective_deadline(now);
-            let refused = if deadline.is_some_and(|d| d <= now) {
-                Some(EngineError::DeadlineExceeded)
-            } else if admission {
-                permit.admit_one().err()
-            } else {
-                None
-            };
+            let refused = deadline
+                .is_some_and(|d| d <= now)
+                .then_some(EngineError::DeadlineExceeded);
             b.admit_err.push(refused);
             b.tokens.push(req.cancel.with_deadline(deadline));
         }
@@ -863,8 +808,6 @@ impl QecEngine {
             g.pipeline = None;
         }
         self.batches.release(batch);
-        // Admission slots are held for the whole chunk; released here.
-        drop(permit);
     }
 
     /// The strategy instance serving `strategy`.
@@ -1166,14 +1109,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the admission bound: at most this many requests served
-    /// concurrently, excess refused with [`EngineError::Overloaded`].
-    /// `0` (the default) disables admission control.
-    pub fn max_in_flight(mut self, max: usize) -> Self {
-        self.config.admission.max_in_flight = max;
-        self
-    }
-
     /// Replaces the clusterer (default: cosine k-means configured by
     /// [`EngineConfig::kmeans`]).
     pub fn clusterer(mut self, clusterer: Box<dyn Clusterer>) -> Self {
@@ -1185,14 +1120,6 @@ impl EngineBuilder {
     /// resolves the machine's parallelism once at build).
     pub fn pool_threads(mut self, threads: usize) -> Self {
         self.config.pool.threads = threads;
-        self
-    }
-
-    /// Sets the maximum requests served per chunk of a
-    /// [`try_expand_batch_into`](QecEngine::try_expand_batch_into) call
-    /// (`0` = unbounded).
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.config.pool.batch_max = batch_max;
         self
     }
 
@@ -1269,7 +1196,6 @@ impl EngineBuilder {
             scratches: ScratchPool::new(),
             build_scratches: ScratchPool::new(),
             boot,
-            in_flight: AtomicUsize::new(0),
             corpus,
             config,
             clusterer,

@@ -102,11 +102,10 @@
 //! The serving path is deadline-aware and fault-isolated. Each
 //! [`ExpandRequest`] may carry an absolute [`deadline`] and/or a relative
 //! [`timeout`] (merged by taking the earlier) plus an external
-//! [`CancelToken`]; the engine may bound concurrent
-//! requests ([`EngineBuilder::max_in_flight`]). The fallible entry points
-//! [`try_expand`] / [`try_expand_batch_into`] report refusals and faults as
-//! typed [`EngineError`]s — shed at admission (`Overloaded`), deadline
-//! expired before a pipeline existed (`DeadlineExceeded`), build panicked
+//! [`CancelToken`]. The fallible entry points [`try_expand`] /
+//! [`try_expand_batch_into`] report refusals and faults as typed
+//! [`EngineError`]s — deadline expired before a pipeline existed
+//! (`DeadlineExceeded`), build panicked
 //! (`BuildFailed`, memoized briefly so a poisoned key doesn't trigger a
 //! rebuild stampede), expansion panicked (`ExpansionFailed`). A deadline
 //! that trips *after* the pipeline is available instead **degrades** the
@@ -114,7 +113,10 @@
 //! prefix of cluster expansions intact, never a torn result. Batch
 //! requests fail individually — siblings of a faulted request are served
 //! bit-identical to a clean run (see `tests/chaos.rs`, which drives these
-//! paths through the `qec-failpoint` crate).
+//! paths through the `qec-failpoint` crate). The engine never sheds load:
+//! it serves every request it is handed, and the one load shedder of the
+//! stack is the `qec-ingress` front door's bounded queue, whose refusal is
+//! [`EngineError::Overloaded`].
 //!
 //! On the replicated scatter path a failed shard attempt is retried
 //! (sibling replica, deadline-aware backoff) and a slow one is hedged;
@@ -146,7 +148,7 @@ pub use api::{
 };
 pub use boot::BootStats;
 pub use cache::{BuildTicket, CacheProbe, CacheStats, SharedArenaCache};
-pub use config::{AdmissionConfig, CacheConfig, EngineConfig, PoolConfig};
+pub use config::{CacheConfig, EngineConfig, PoolConfig};
 pub use engine::{EngineBuilder, QecEngine};
 pub use shard::{
     ReplicaStats, ShardStats, ShardedBuildError, ShardedEngine, ShardedEngineBuilder, ShardedStats,

@@ -12,7 +12,7 @@
 //! ```text
 //!                 ┌────────────────────────────┐
 //!   request ────▶ │ gather engine (full corpus)│
-//!                 │  admission · cache · batch │
+//!                 │  deadline · cache · batch  │
 //!                 └─────┬──────────────────────┘
 //!            cold miss  │ scatter (the engine's WorkerPool)
 //!          ┌────────────┼────────────┐
@@ -26,7 +26,7 @@
 //!            cluster → arena → expand  (gather engine, global DocIds)
 //! ```
 //!
-//! Everything above the retrieval stage — admission control, the shared
+//! Everything above the retrieval stage — deadline refusal, the shared
 //! arena cache, single-flight builds, batching, deadlines, cancellation,
 //! degraded responses — is the gather engine's existing machinery,
 //! unchanged. Parity with the single-engine path is exact (not
@@ -84,7 +84,7 @@ use crate::engine::{EngineBuilder, QecEngine, Source};
 /// [`corpus`](QecEngine::corpus), [`cache_stats`](QecEngine::cache_stats)
 /// and [`boot_stats`](QecEngine::boot_stats) (the gather corpus and every
 /// shard sub-corpus each count once) are the gather engine's own — sharding
-/// changes none of them. Deadlines, cancellation, admission control and
+/// changes none of them. Deadlines, cancellation and
 /// degraded responses behave exactly as on a single engine; a fault inside
 /// one shard's scatter task fails only the requests sharing that pipeline
 /// build. Only what a shard set adds is defined here.

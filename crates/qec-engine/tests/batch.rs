@@ -199,22 +199,24 @@ fn concurrent_batches_of_one_cold_key_single_flight_to_one_build() {
 
 #[test]
 fn batch_max_chunking_preserves_results() {
-    let reqs = workload();
-    let whole = batch(&engine(), &reqs);
-    let chunked = batch(
-        &EngineBuilder::new()
-            .documents(corpus_docs())
-            .batch_max(2)
-            .build(),
-        &reqs,
-    );
-    assert_eq!(chunked.len(), whole.len());
-    for (i, (a, b)) in chunked.iter().zip(&whole).enumerate() {
-        assert_eq!(
-            a.clusters(),
-            b.clusters(),
-            "request {i} diverged under chunking"
-        );
+    // The engine serves a batch slice in chunks of at most 64 requests.
+    // A slice of more than two chunks, whose duplicate keys straddle the
+    // chunk boundaries (the workload's length does not divide 64), must
+    // answer every request exactly as sequential serving does.
+    let base = workload();
+    let reqs: Vec<ExpandRequest<'_>> = (0..2 * 64 + 9)
+        .map(|i| base[i % base.len()].clone())
+        .collect();
+    let sequential: Vec<_> = {
+        let e = engine();
+        reqs.iter()
+            .map(|r| essence(&e.try_expand(r).expect("served")))
+            .collect()
+    };
+    let chunked = batch(&engine(), &reqs);
+    assert_eq!(chunked.len(), reqs.len());
+    for (i, (resp, want)) in chunked.iter().zip(&sequential).enumerate() {
+        assert_eq!(&essence(resp), want, "request {i} diverged under chunking");
     }
 }
 

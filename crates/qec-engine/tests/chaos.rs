@@ -3,8 +3,7 @@
 //! fails **only its own request** (batch siblings are served bit-identical
 //! to a clean run), failed builds are memoized then retried after the TTL,
 //! impatient single-flight waiters time out without disturbing the build,
-//! the batch-dispatch failpoint sheds a whole chunk cleanly, and the
-//! engine stays fully serviceable after every injected fault.
+//! and the engine stays fully serviceable after every injected fault.
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
 //! for its whole body.
@@ -261,131 +260,4 @@ fn impatient_waiter_times_out_without_disturbing_the_build() {
     }
     // The slow build still published: the key is warm now.
     assert!(engine.try_expand(&req).unwrap().stats.arena_cache_hit);
-}
-
-#[test]
-fn batch_dispatch_fault_sheds_the_chunk_then_recovers() {
-    let _s = serial();
-    let engine = engine();
-    let reqs = workload();
-    for req in &reqs {
-        engine.recycle(engine.expand(req));
-    }
-    let clean: Vec<_> = reqs.iter().map(|r| essence(&engine.expand(r))).collect();
-
-    {
-        let _g = arm_times("engine.batch_dispatch", FailAction::Error, 1);
-        let shed = try_batch(&engine, &reqs);
-        for result in &shed {
-            assert!(
-                matches!(result, Err(EngineError::Overloaded { .. })),
-                "a failed dispatch sheds the whole chunk: {result:?}"
-            );
-        }
-    }
-    let served = try_batch(&engine, &reqs);
-    for (i, result) in served.iter().enumerate() {
-        assert_eq!(
-            essence(result.as_ref().unwrap()),
-            clean[i],
-            "request {i} after shed"
-        );
-    }
-}
-
-#[test]
-fn saturated_engine_sheds_with_overloaded() {
-    let _s = serial();
-    let engine = EngineBuilder::new()
-        .documents(corpus_docs())
-        .max_in_flight(1)
-        .build();
-    let cold = ExpandRequest {
-        k_clusters: 4,
-        top_k: 50,
-        ..ExpandRequest::new("apple")
-    };
-    {
-        let _g = arm(
-            "engine.build_pipeline",
-            FailAction::Delay(Duration::from_millis(200)),
-        );
-        std::thread::scope(|s| {
-            let holder = s.spawn(|| engine.try_expand(&cold));
-            std::thread::sleep(Duration::from_millis(60));
-            // The slow build occupies the only in-flight slot.
-            let shed = engine.try_expand(&ExpandRequest::new("farm cider"));
-            assert_eq!(
-                shed.unwrap_err(),
-                EngineError::Overloaded {
-                    in_flight: 1,
-                    max_in_flight: 1
-                }
-            );
-            holder.join().unwrap().expect("admitted request unaffected");
-        });
-    }
-    // Slot released: the same request is served now.
-    assert!(engine.try_expand(&ExpandRequest::new("farm cider")).is_ok());
-
-    // The other side of the bound: as many closed-loop clients as slots
-    // hold at most one request each, so nothing is ever shed and every
-    // answer is the clean one.
-    const SLOTS: usize = 4;
-    let engine = EngineBuilder::new()
-        .documents(corpus_docs())
-        .max_in_flight(SLOTS)
-        .build();
-    let reqs = workload();
-    let clean: Vec<_> = reqs.iter().map(|r| essence(&engine.expand(r))).collect();
-    let start = std::sync::Barrier::new(SLOTS);
-    std::thread::scope(|s| {
-        for c in 0..SLOTS {
-            let (engine, reqs, clean, start) = (&engine, &reqs, &clean, &start);
-            s.spawn(move || {
-                start.wait();
-                for i in 0..25 {
-                    let p = (c + i) % reqs.len();
-                    let resp = engine.try_expand(&reqs[p]).expect("1x load never sheds");
-                    assert_eq!(essence(&resp), clean[p], "client {c} request {i}");
-                    engine.recycle(resp);
-                }
-            });
-        }
-    });
-}
-
-#[test]
-fn batch_admission_sheds_per_request_not_per_batch() {
-    let _s = serial();
-    let engine = EngineBuilder::new()
-        .documents(corpus_docs())
-        .max_in_flight(2)
-        .build();
-    let reqs = workload();
-    // Warm while under the bound (one at a time).
-    for req in &reqs {
-        engine.recycle(engine.expand(req));
-    }
-    // A 5-request chunk against a 2-slot bound: the first two admitted
-    // and served, the rest shed individually.
-    let results = try_batch(&engine, &reqs);
-    for (i, result) in results.iter().enumerate() {
-        if i < 2 {
-            assert!(result.is_ok(), "request {i} admitted");
-        } else {
-            assert!(
-                matches!(
-                    result,
-                    Err(EngineError::Overloaded {
-                        max_in_flight: 2,
-                        ..
-                    })
-                ),
-                "request {i} shed: {result:?}"
-            );
-        }
-    }
-    // The chunk released its slots afterwards.
-    assert!(engine.try_expand(&reqs[4]).is_ok());
 }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use crate::doc::{DocId, DocumentSpec, Feature};
-use crate::inverted::{append_row, InvertedIndex, Posting};
+use crate::inverted::{lists_from_rows, InvertedIndex};
 use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 /// Per-document stored metadata (original strings kept for display).
@@ -36,10 +36,9 @@ pub struct StoredDoc {
 pub struct CorpusBuilder {
     analyzer: Analyzer,
     docs: Vec<StoredDoc>,
+    /// One `(term, tf)` row per document; [`Self::build`] transposes them
+    /// into the posting lists.
     doc_terms: Vec<Vec<(TermId, u32)>>,
-    /// Posting lists, appended to document by document and frozen by
-    /// [`Self::build`].
-    lists: Vec<Vec<Posting>>,
     /// The token being analysed.
     token: String,
     /// The term ids of the document being analysed, in text order.
@@ -64,8 +63,8 @@ impl CorpusBuilder {
 
     /// Adds a document and returns its id. The document is analysed here,
     /// through the builder's reused buffers: analysing allocates only to
-    /// intern a new term, to store the row at its exact size and to grow
-    /// the posting lists, never per token.
+    /// intern a new term and to store the row at its exact size, never
+    /// per token.
     ///
     /// Indexing covers: analysed title tokens, analysed body tokens, the
     /// atomic composite token of each feature, and the analysed feature
@@ -99,10 +98,7 @@ impl CorpusBuilder {
                 _ => row.push((term, 1)),
             }
         }
-        let row = row.to_vec();
-
-        append_row(&mut self.lists, id, &row);
-        self.doc_terms.push(row);
+        self.doc_terms.push(row.to_vec());
         self.docs.push(StoredDoc {
             title: spec.title,
             features: spec.features,
@@ -112,11 +108,12 @@ impl CorpusBuilder {
         id
     }
 
-    /// Freezes the builder into an immutable [`Corpus`]: the posting lists
-    /// become an [`InvertedIndex`].
+    /// Freezes the builder into an immutable [`Corpus`]: the rows are
+    /// transposed into an [`InvertedIndex`] whose posting lists are each
+    /// allocated once, at their exact length.
     pub fn build(self) -> Corpus {
         Corpus {
-            index: freeze(self.docs.len(), self.lists),
+            index: freeze(&self.doc_terms),
             analyzer: Arc::new(self.analyzer),
             docs: self.docs,
             doc_terms: self.doc_terms,
@@ -124,11 +121,12 @@ impl CorpusBuilder {
     }
 }
 
-/// Freezes lists appended in document order, which are valid by
-/// construction.
-fn freeze(num_docs: usize, lists: Vec<Vec<Posting>>) -> InvertedIndex {
-    let num_docs = u32::try_from(num_docs).expect("too many documents");
-    InvertedIndex::from_lists(num_docs, lists).expect("lists appended in document order")
+/// Freezes document rows into an index over `rows.len()` documents; the
+/// transposed lists are valid by construction.
+fn freeze(rows: &[Vec<(TermId, u32)>]) -> InvertedIndex {
+    let num_docs = u32::try_from(rows.len()).expect("too many documents");
+    InvertedIndex::from_lists(num_docs, lists_from_rows(rows))
+        .expect("rows transposed in document order")
 }
 
 /// An immutable, fully indexed document collection.
@@ -352,12 +350,8 @@ impl Corpus {
         for i in 0..n {
             let len = base_len + usize::from(i < remainder);
             let end = start + len;
-            let mut lists = Vec::new();
-            for (local, terms) in self.doc_terms[start..end].iter().enumerate() {
-                append_row(&mut lists, DocId(local as u32), terms);
-            }
             shards.push(Corpus {
-                index: freeze(len, lists),
+                index: freeze(&self.doc_terms[start..end]),
                 analyzer: Arc::clone(&self.analyzer),
                 docs: self.docs[start..end].to_vec(),
                 doc_terms: self.doc_terms[start..end].to_vec(),

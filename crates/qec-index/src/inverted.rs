@@ -1,9 +1,9 @@
 //! The inverted index: term → posting list.
 //!
 //! Posting lists are kept sorted by [`DocId`]. The corpus builder and
-//! `Corpus::split` append documents in id order, so their lists come out
-//! sorted without an explicit sort; the snapshot loader decodes them
-//! from the file.
+//! `Corpus::split` transpose their document rows in id order
+//! ([`lists_from_rows`]), so their lists come out sorted without an
+//! explicit sort; the snapshot loader decodes them from the file.
 //!
 //! An index exists only frozen: [`InvertedIndex::from_lists`] is its one
 //! constructor. The tf-carrying posting lists are the only document-id
@@ -72,24 +72,36 @@ pub struct InvertedIndex {
     total_postings: u64,
 }
 
-/// Appends one document's `(term, tf)` row to `lists`, growing them to
-/// the row's largest term. `row` must be sorted by `TermId` and
-/// deduplicated, and `doc` must exceed every document already appended —
-/// the order [`crate::CorpusBuilder`] and [`crate::Corpus::split`] feed
-/// documents in.
-pub(crate) fn append_row(lists: &mut Vec<Vec<Posting>>, doc: DocId, row: &[(TermId, u32)]) {
-    debug_assert!(
-        row.windows(2).all(|w| w[0].0 < w[1].0),
-        "terms must be sorted and unique"
-    );
-    if let Some(&(last, _)) = row.last() {
-        if last.index() >= lists.len() {
-            lists.resize_with(last.index() + 1, Vec::new);
+/// Transposes document rows (row `i` is document `i`'s `(term, tf)`
+/// pairs, sorted by `TermId` and deduplicated) into posting lists, one
+/// slot per term up to the largest term any row holds. One counting pass
+/// sizes every list to its df, so each list is allocated once at its
+/// exact length; the second pass fills them in document order, which
+/// leaves them sorted.
+pub(crate) fn lists_from_rows(rows: &[Vec<(TermId, u32)>]) -> Vec<Vec<Posting>> {
+    let mut df: Vec<usize> = Vec::new();
+    for row in rows {
+        debug_assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "terms must be sorted and unique"
+        );
+        if let Some(&(last, _)) = row.last() {
+            if last.index() >= df.len() {
+                df.resize(last.index() + 1, 0);
+            }
+        }
+        for &(term, _) in row {
+            df[term.index()] += 1;
         }
     }
-    for &(term, tf) in row {
-        lists[term.index()].push(Posting { doc, tf });
+    let mut lists: Vec<Vec<Posting>> = df.into_iter().map(Vec::with_capacity).collect();
+    for (doc, row) in rows.iter().enumerate() {
+        let doc = DocId(doc as u32);
+        for &(term, tf) in row {
+            lists[term.index()].push(Posting { doc, tf });
+        }
     }
+    lists
 }
 
 impl InvertedIndex {
@@ -204,14 +216,11 @@ mod tests {
         DocId(i)
     }
 
-    /// Freezes `rows` (document `i` is row `i`) through the same append
-    /// path the corpus builder uses.
+    /// Freezes `rows` (document `i` is row `i`) through the same
+    /// transpose the corpus builder uses.
     fn from_rows(rows: &[Vec<(TermId, u32)>]) -> InvertedIndex {
-        let mut lists = Vec::new();
-        for (doc, row) in rows.iter().enumerate() {
-            append_row(&mut lists, d(doc as u32), row);
-        }
-        InvertedIndex::from_lists(rows.len() as u32, lists).expect("rows append in order")
+        InvertedIndex::from_lists(rows.len() as u32, lists_from_rows(rows))
+            .expect("rows transpose in order")
     }
 
     fn sample_index() -> InvertedIndex {

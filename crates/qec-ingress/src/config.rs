@@ -14,23 +14,22 @@ use crate::door::Ingress;
 /// | knob | bounds… | default |
 /// |---|---|---|
 /// | [`batch_max`](Self::batch_max) | the requests one chunk takes from the queue | 32 |
-/// | [`queue_cap`](Self::queue_cap) | *(admission)* refuses submissions beyond this depth | 4096 |
+/// | [`queue_cap`](Self::queue_cap) | *(load shedding)* refuses submissions beyond this depth | 4096 |
 #[derive(Debug, Clone)]
 pub struct IngressConfig {
     /// Maximum requests per dispatched chunk: a collector that finds more
     /// queued takes this many and leaves the rest for the next chunk. `0`
-    /// means no fill bound (a chunk takes the whole queue). Values above
-    /// the engine's own
-    /// [`PoolConfig::batch_max`](qec_engine::PoolConfig::batch_max) are
-    /// legal — the engine re-chunks internally.
+    /// means no fill bound (a chunk takes the whole queue). This is the
+    /// one chunk size a caller sets: the engine serves a chunk of up to
+    /// 64 requests whole and splits a longer one into 64-request pieces
+    /// internally.
     pub batch_max: usize,
     /// Queue-depth backstop: a submission arriving when this many
     /// requests are already queued is refused with
     /// [`EngineError::Overloaded`](qec_engine::EngineError::Overloaded)
-    /// (`in_flight` = queue depth, `max_in_flight` = this cap). `0`
-    /// means unbounded. This bounds front-door memory and queueing delay;
-    /// the engine's own `max_in_flight` admission still applies to each
-    /// dispatched chunk member.
+    /// (`queue_depth`, `queue_cap` = this cap). `0` means unbounded. This
+    /// bounds front-door memory and queueing delay, and it is the stack's
+    /// only load shedder: the engine serves every request it is handed.
     pub queue_cap: usize,
 }
 

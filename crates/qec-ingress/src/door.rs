@@ -201,8 +201,9 @@ impl Ingress {
     /// Refusals are immediate and typed:
     ///
     /// * queue already at [`queue_cap`](IngressConfig::queue_cap) →
-    ///   [`EngineError::Overloaded`] with `in_flight` = current queue
-    ///   depth and `max_in_flight` = the cap;
+    ///   [`EngineError::Overloaded`] with the current `queue_depth` and
+    ///   the `queue_cap` it hit — the only place in the stack that sheds
+    ///   load;
     /// * effective deadline already lapsed →
     ///   [`EngineError::DeadlineExceeded`];
     /// * cancel token already tripped → [`EngineError::Cancelled`].
@@ -238,8 +239,8 @@ impl Ingress {
                 drop(st);
                 StatsCells::bump(&self.shared.stats.queue_sheds);
                 return Err(EngineError::Overloaded {
-                    in_flight: depth,
-                    max_in_flight: cap,
+                    queue_depth: depth,
+                    queue_cap: cap,
                 });
             }
             st.queue.push_back(Pending {

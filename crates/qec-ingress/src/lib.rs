@@ -1,4 +1,4 @@
-//! The async front door of the QEC serving stack: admission, queueing and
+//! The async front door of the QEC serving stack: load shedding, queueing and
 //! **deadline-aware batch collection** in front of [`QecEngine`].
 //!
 //! [`QecEngine::try_expand_batch_into`] amortises dispatch beautifully — but only
@@ -6,7 +6,7 @@
 //! the opposite shape: thousands of independent connections, each holding
 //! one request and blocking on its answer. This crate is the
 //! owners/workers split that bridges the two (Helland's "Scalable OLTP in
-//! the Cloud" framing): the **front door owns admission, queueing and
+//! the Cloud" framing): the **front door owns load shedding, queueing and
 //! batch formation**; the engine's persistent
 //! [`WorkerPool`](qec_core::WorkerPool) owns compute. Any number of
 //! producer threads [`submit`](Ingress::submit) requests into one
@@ -67,9 +67,9 @@
 //!   collector sweeps the queue, not at the instant of expiry or trip;
 //! * a submission arriving while
 //!   [`queue_cap`](IngressConfig::queue_cap) requests are already queued
-//!   is refused on the spot with [`EngineError::Overloaded`] — the
-//!   bounded-queue backstop in front of the engine's own `max_in_flight`
-//!   admission, which still applies per chunk member at dispatch.
+//!   is refused on the spot with [`EngineError::Overloaded`]. This
+//!   bounded queue is the stack's only load shedder: the engine serves
+//!   every request a chunk hands it.
 //!
 //! [`IngressStats`] snapshots the queue depth, batch-fill histogram,
 //! close counts (queue emptied vs `batch_max` reached) and shed/expiry

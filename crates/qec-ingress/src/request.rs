@@ -88,8 +88,8 @@ impl IngressRequest {
 
     /// The effective deadline as of `now`: the earliest of
     /// [`deadline`](Self::deadline), `now + timeout`, and the cancel
-    /// token's own deadline — the same merge the engine applies at
-    /// admission, pulled forward to submission time so the queue can
+    /// token's own deadline — the same merge the engine applies
+    /// before dispatch, pulled forward to submission time so the queue can
     /// honour it.
     pub(crate) fn effective_deadline(&self, now: Instant) -> Option<Instant> {
         [

@@ -323,12 +323,18 @@ fn full_queue_sheds_submissions_with_overloaded() {
     let first = ingress.submit(IngressRequest::new("apple")).expect("room");
     let second = ingress.submit(IngressRequest::new("apple")).expect("room");
     match ingress.submit(IngressRequest::new("apple")) {
-        Err(EngineError::Overloaded {
-            in_flight,
-            max_in_flight,
-        }) => {
-            assert_eq!(in_flight, 2);
-            assert_eq!(max_in_flight, 2);
+        Err(
+            e @ EngineError::Overloaded {
+                queue_depth,
+                queue_cap,
+            },
+        ) => {
+            assert_eq!(queue_depth, 2);
+            assert_eq!(queue_cap, 2);
+            assert_eq!(
+                e.to_string(),
+                "front door queue full: 2 requests queued (cap 2)"
+            );
         }
         Err(other) => panic!("expected Overloaded, got {other:?}"),
         Ok(_) => panic!("expected Overloaded, got an accepted ticket"),
