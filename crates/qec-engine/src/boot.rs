@@ -10,14 +10,19 @@
 
 use std::path::Path;
 
-/// How the engine's corpora came up: restored from snapshots, rebuilt in
+/// How the engine's corpus came up: restored from snapshots, rebuilt in
 /// memory, or fell back after a snapshot failed to load. Exposed through
 /// `QecEngine::boot_stats` / `ShardedEngine::boot_stats`.
 ///
-/// For a plain engine there is exactly one corpus, so the counters sum to
-/// one. For a sharded engine the gather corpus and every shard sub-corpus
-/// each count once (replicas share their shard's corpus and are not
-/// counted separately): `snapshots_loaded + rebuilt_cold` = 1 + shards.
+/// For a plain engine there is exactly one snapshot file, so the counters
+/// sum to one. A sharded engine (more than one shard, or replicas) still
+/// holds one corpus, stored as a snapshot set: its doc store and each
+/// shard's posting segment count once each (replicas share their shard
+/// and are not counted separately), so `snapshots_loaded + rebuilt_cold`
+/// = 1 + shards. A set loads whole or not at all: when any file of it is
+/// refused there is no per-shard fallback — the whole corpus is rebuilt
+/// from the builder's documents, every part counts in `rebuilt_cold`,
+/// and the one fallback's error names the refused file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BootStats {
     /// Corpora restored from a snapshot file.
@@ -49,37 +54,9 @@ impl BootStats {
     }
 }
 
-/// File name of the gather (full-corpus) snapshot in a sharded snapshot
-/// directory.
-pub(crate) const FULL_SNAPSHOT: &str = "full.qsnap";
-
-/// File name of shard `i`'s snapshot in an `n`-shard snapshot directory.
-pub(crate) fn shard_snapshot_name(i: usize, n: usize) -> String {
-    format!("shard-{i}-of-{n}.qsnap")
-}
-
-/// Documents a contiguous near-even `n`-way split places on shard `i`
-/// (the first `total % n` shards hold one extra) — the shape
-/// `Corpus::split` produces and a loaded shard snapshot must match for
-/// the gather side's doc-id base offsets to be correct.
-pub(crate) fn expected_shard_len(total: usize, n: usize, i: usize) -> usize {
-    total / n + usize::from(i < total % n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_lengths_cover_the_corpus_contiguously() {
-        for total in [0usize, 1, 7, 90, 91] {
-            for n in 1..=total.max(1) {
-                let lens: Vec<usize> = (0..n).map(|i| expected_shard_len(total, n, i)).collect();
-                assert_eq!(lens.iter().sum::<usize>(), total, "total {total} n {n}");
-                assert!(lens.windows(2).all(|w| w[0] >= w[1]), "extras lead");
-            }
-        }
-    }
 
     #[test]
     fn fallback_counts_both_ways_and_keeps_the_reason() {

@@ -50,7 +50,9 @@ use qec_core::{
     default_parallelism, CancelToken, DisjointSlots, ExactDeltaF, ExpandedQuery, Expander,
     ExpansionArena, Iskr, IskrScratch, Pebc, QecInstance, ResultSet, ScratchPool, WorkerPool,
 };
-use qec_index::{Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, SearchScratch, TermMatrix};
+use qec_index::{
+    Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, SearchScratch, Searcher, TermMatrix,
+};
 use qec_snapshot::{SnapshotError, SnapshotSummary};
 use qec_text::TermId;
 
@@ -202,7 +204,9 @@ struct BatchScratch {
 /// scratches and responses come from internal pools, and built pipelines
 /// are shared across all sessions through the [`SharedArenaCache`].
 pub struct QecEngine {
-    corpus: Corpus,
+    /// The one corpus; a gather engine lends it to every scatter, whose
+    /// shards are document ranges of it.
+    pub(crate) corpus: Arc<Corpus>,
     config: EngineConfig,
     clusterer: Box<dyn Clusterer>,
     iskr: Iskr,
@@ -211,13 +215,13 @@ pub struct QecEngine {
     cache: SharedArenaCache,
     /// The persistent worker pool serving pooled chunks and — on a gather
     /// engine — every scattered shard retrieval.
-    pool: WorkerPool,
+    pub(crate) pool: WorkerPool,
     /// Doc-partitioned shard set — present only on the **gather** engine
     /// assembled by `ShardedEngineBuilder`. When set, cold pipeline builds
-    /// scatter retrieval + ranking across the shards' corpus slices and
-    /// merge the per-shard top-k lists; everything downstream (clustering,
-    /// arena, expansion) runs on the gather side against the full corpus,
-    /// which this engine still owns (so term statistics stay global).
+    /// scatter retrieval + ranking across the shards' document ranges of
+    /// this engine's corpus and merge the per-shard top-k lists;
+    /// everything downstream (clustering, arena, expansion) runs on the
+    /// gather side against the same corpus.
     shards: Option<ShardSet>,
     /// Shared expansion scratches for pool tasks.
     scratches: ScratchPool,
@@ -264,8 +268,8 @@ impl QecEngine {
     /// How this engine's corpus came up: restored from a snapshot, rebuilt
     /// cold, or fell back to the rebuild after a snapshot failed to load
     /// (the [`BootStats::errors`] lines say why). On a sharded
-    /// deployment's gather engine the gather corpus and every shard
-    /// sub-corpus each count once.
+    /// deployment's gather engine the snapshot set's doc store and each
+    /// shard's segment count once.
     pub fn boot_stats(&self) -> &BootStats {
         &self.boot
     }
@@ -851,12 +855,13 @@ impl QecEngine {
     /// All miss-path allocations happen here and in the cache insert.
     ///
     /// Retrieval + ranking is one kernel ([`retrieve_ranked`]) scored with
-    /// this corpus's idfs: run here over the whole corpus, or — when this
-    /// engine gathers a [`ShardSet`] — scattered over the shards' slices
-    /// and merged ([`ShardSet::retrieve`], its retry scheduling bounded by
-    /// the building request's `deadline`). The downstream pipeline —
-    /// term gather, clustering, arena — runs unchanged on this engine's
-    /// full corpus, which speaks global [`DocId`]s. A scatter that had to
+    /// this corpus's idfs: run here over the range `0..N` of the corpus,
+    /// or — when this engine gathers a [`ShardSet`] — scattered over the
+    /// shards' ranges of it and merged ([`ShardSet::retrieve`], its retry
+    /// scheduling bounded by the building request's `deadline`). Either
+    /// way the hits carry the corpus's own [`DocId`]s, and the downstream
+    /// pipeline — term gather, clustering, arena — runs on the same
+    /// corpus. A scatter that had to
     /// give up on some shards builds an explicitly partial pipeline (its
     /// `omitted_shards` name them); one that lost **every** shard returns
     /// [`EngineError::BuildFailed`] — nothing was retrieved, and an empty
@@ -867,19 +872,13 @@ impl QecEngine {
         deadline: Option<Instant>,
         search: &mut SearchScratch,
     ) -> Result<CachedPipeline, EngineError> {
-        let corpus = &self.corpus;
+        let corpus = &*self.corpus;
         let terms = key.terms;
         let idfs: Vec<f64> = terms.iter().map(|&t| corpus.index().idf(t)).collect();
         let (hits, omitted_shards): (Vec<Hit>, Vec<u32>) = match &self.shards {
             Some(shard_set) => {
-                let (hits, omitted) = shard_set.retrieve(
-                    &self.pool,
-                    terms,
-                    &idfs,
-                    key.semantics,
-                    key.top_k,
-                    deadline,
-                );
+                let (hits, omitted) =
+                    shard_set.retrieve(&self.corpus, &self.pool, key, &idfs, deadline);
                 if omitted.len() == shard_set.num_shards() {
                     return Err(EngineError::BuildFailed);
                 }
@@ -888,7 +887,7 @@ impl QecEngine {
             None => {
                 let mut hits = Vec::new();
                 retrieve_ranked(
-                    corpus,
+                    Searcher::new(corpus),
                     terms,
                     &idfs,
                     key.semantics,
@@ -1196,7 +1195,7 @@ impl EngineBuilder {
             scratches: ScratchPool::new(),
             build_scratches: ScratchPool::new(),
             boot,
-            corpus,
+            corpus: Arc::new(corpus),
             config,
             clusterer,
             responses: ScratchPool::new(),

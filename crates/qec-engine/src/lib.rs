@@ -65,17 +65,18 @@
 //!
 //! # Sharded serving
 //!
-//! [`ShardedEngine`] (built with [`ShardedEngineBuilder`]) partitions the
-//! corpus into N contiguous-doc-id shards behind the **same API, served
-//! bit-identically**: cold retrieval scatters the flat engine's own
-//! retrieve + rank kernel (global idf, exact top-K) over the shards'
-//! corpus slices on the engine's pool and k-way merges the global
-//! ranking; everything else — cache, batching, deadlines, degradation —
-//! is the single engine's machinery. With
-//! [`replicas(n)`](ShardedEngineBuilder::replicas) each shard's one slice
-//! sits behind `n` interchangeable replica slots and the scatter path
-//! adds retry on a sibling replica and hedging. The `shard`
-//! module docs (`src/shard.rs`) draw the architecture.
+//! [`ShardedEngine`] (built with [`ShardedEngineBuilder`]) serves its one
+//! corpus as N shards behind the **same API, served bit-identically**. A
+//! shard is a contiguous doc-id range of the gather engine's corpus, not
+//! a copy of it: cold retrieval scatters the flat engine's own retrieve +
+//! rank kernel (global idf, exact top-K) over the shards' ranges on the
+//! engine's pool, each reading its range's run of every posting list,
+//! and k-way merges the global ranking; everything else — cache,
+//! batching, deadlines, degradation — is the single engine's machinery.
+//! With [`replicas(n)`](ShardedEngineBuilder::replicas) each shard sits
+//! behind `n` interchangeable replica slots and the scatter path adds
+//! retry on a sibling replica and hedging. The `shard` module docs
+//! (`src/shard.rs`) draw the architecture.
 //!
 //! # Snapshot boot
 //!
@@ -88,14 +89,18 @@
 //! corruption, truncation, version skew — falls back to the in-memory
 //! rebuild and the engine comes up regardless, with the outcome counted
 //! in [`QecEngine::boot_stats`] ([`BootStats`]). A sharded deployment
-//! saves `full.qsnap` plus one file per shard
-//! ([`ShardedEngine::save_snapshot`]) and restores shard-by-shard with
-//! per-shard fallback ([`ShardedEngineBuilder::load_snapshots`]);
-//! generation skew is caught by the dictionary fingerprint every shard
-//! file carries. A snapshot-booted engine serves responses bit-identical
-//! to a fresh-built one (`tests/snapshot_parity.rs`), and
-//! `tests/snapshot_chaos.rs` drives crash-mid-save and corrupted-load
-//! faults through the `snapshot.*` failpoints.
+//! saves its one corpus as a snapshot set
+//! ([`ShardedEngine::save_snapshot`]): the doc store `full.qsnap`
+//! (dictionary and documents) plus one posting segment per shard range,
+//! so every document and posting is stored once. It loads the set whole
+//! ([`ShardedEngineBuilder::load_snapshots`]); there is no per-shard
+//! fallback, and any refused file — a segment from another generation
+//! by its dictionary fingerprint, or one naming another range — rebuilds
+//! the whole corpus from the builder's documents. A snapshot-booted
+//! engine serves responses bit-identical to a fresh-built one
+//! (`tests/snapshot_parity.rs`); `tests/snapshot_chaos.rs` drives
+//! crash-mid-save and load faults through the `snapshot.*` failpoints,
+//! and `tests/snapshot_faults.rs` corrupt, stale and foreign files.
 //!
 //! # Failure semantics
 //!

@@ -1,52 +1,54 @@
 //! Doc-partitioned scatter/gather serving.
 //!
-//! A [`ShardedEngine`] splits one corpus into `N` contiguous-
-//! [`DocId`] shards and serves the same request/response API as a single
-//! [`QecEngine`], bit-identically. Internally it is one **gather engine**
-//! over the full corpus whose cold retrieval path scatters one
-//! retrieve+rank task per shard across the engine's
-//! [`WorkerPool`] — the same kernel the flat engine runs over its whole
-//! corpus — then k-way merges the per-shard top-K lists into the global
-//! ranking:
+//! A [`ShardedEngine`] serves one corpus as `N` shards behind the same
+//! request/response API as a single [`QecEngine`], bit-identically. A
+//! shard holds no corpus of its own: shard `i` is the contiguous
+//! [`DocId`](qec_index::DocId) range `[lo_i, hi_i)` of the gather engine's one
+//! `Arc<Corpus>` ([`doc_ranges`], the first `N % shards` ranges one
+//! document longer). The gather engine's cold retrieval path scatters
+//! one retrieve+rank task per shard across the engine's [`WorkerPool`] —
+//! the kernel the flat engine runs over the range `0..N` — each walking
+//! only its range's run of every posting list, then k-way merges the
+//! per-shard top-K lists into the global ranking:
 //!
 //! ```text
-//!                 ┌────────────────────────────┐
-//!   request ────▶ │ gather engine (full corpus)│
-//!                 │  deadline · cache · batch  │
-//!                 └─────┬──────────────────────┘
+//!                 ┌──────────────────────────────────┐
+//!   request ────▶ │ gather engine — one Arc<Corpus>  │
+//!                 │  deadline · cache · batch        │
+//!                 └─────┬────────────────────────────┘
 //!            cold miss  │ scatter (the engine's WorkerPool)
 //!          ┌────────────┼────────────┐
 //!          ▼            ▼            ▼
 //!     ┌─────────┐  ┌─────────┐  ┌─────────┐
-//!     │ shard 0 │  │ shard 1 │  │ shard 2 │   retrieve + rank top-K
-//!     │docs 0..a│  │docs a..b│  │docs b..n│   with **global** idf
-//!     └────┬────┘  └────┬────┘  └────┬────┘
+//!     │ shard 0 │  │ shard 1 │  │ shard 2 │   retrieve + rank top-K over
+//!     │docs 0..a│  │docs a..b│  │docs b..n│   the range's run of each list:
+//!     └────┬────┘  └────┬────┘  └────┬────┘   global idf, global DocIds
 //!          └────────────┼────────────┘
 //!                       ▼ k-way merge (score desc, DocId asc)
-//!            cluster → arena → expand  (gather engine, global DocIds)
+//!            cluster → arena → expand  (gather engine, same corpus)
 //! ```
 //!
 //! Everything above the retrieval stage — deadline refusal, the shared
 //! arena cache, single-flight builds, batching, deadlines, cancellation,
 //! degraded responses — is the gather engine's existing machinery,
 //! unchanged. Parity with the single-engine path is exact (not
-//! approximate) because every shard scores with the gather corpus's
-//! global document frequencies and the ranking comparator is a total
+//! approximate) because every shard reads the gather corpus's own lists
+//! and global document frequencies and the ranking comparator is a total
 //! order; `tests/sharding_parity.rs` asserts bit-identity across shard
 //! counts, strategies, and pagination.
 //!
 //! Replication and failover
 //! ------------------------
-//! A shard is one `Arc`-shared corpus slice plus warmed retrieval
-//! scratches; [`replicas(n)`](ShardedEngineBuilder::replicas) points `n`
+//! A shard is its document range plus warmed retrieval scratches;
+//! [`replicas(n)`](ShardedEngineBuilder::replicas) points `n`
 //! interchangeable replica slots (latency EWMA, counters) at that one
-//! slice, so replication copies no corpus and builds no engine. Scatter
+//! shard, so replication copies no corpus and builds no engine. Scatter
 //! rotates across the replicas, and failures meet two escalating
 //! defenses — **retry** on the next replica with deadline-aware capped
 //! exponential backoff, and a **hedged** duplicate dispatched on an
 //! untried replica when a task outlives its replica's expected latency
 //! (first completion wins, bit-identical either way). Every replica runs
-//! the same code over the same slice, so none is singled out as sick:
+//! the same code over the same range, so none is singled out as sick:
 //! each first attempt and retry simply takes the rotation's next one. A
 //! shard whose retries are spent is **omitted explicitly**: the response
 //! stays `Ok` with [`ExpandStats::shards_omitted`](crate::ExpandStats::shards_omitted)
@@ -55,6 +57,7 @@
 //! explicit omission and hedging through injected faults.
 
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,14 +66,14 @@ use std::time::{Duration, Instant};
 
 use qec_core::{Backoff, CancelSignal, CancelToken, MergeScratch, ScratchPool, WorkerPool};
 use qec_index::{
-    Corpus, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher, TfIdfRanker,
+    doc_ranges, Corpus, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher, TfIdfRanker,
 };
-use qec_snapshot::{SnapshotError, SnapshotSummary};
+use qec_snapshot::{SnapshotError, SnapshotSummary, FULL_SNAPSHOT};
 use qec_text::TermId;
 
 use crate::api::ExpandResponse;
-use crate::boot::{expected_shard_len, shard_snapshot_name, BootStats, FULL_SNAPSHOT};
-use crate::cache::CacheStats;
+use crate::boot::BootStats;
+use crate::cache::{CacheStats, KeyRef};
 use crate::engine::{EngineBuilder, QecEngine, Source};
 
 /// A doc-partitioned [`QecEngine`]: same API, same responses, with cold
@@ -81,10 +84,10 @@ use crate::engine::{EngineBuilder, QecEngine, Source};
 /// It derefs to its gather engine, so serving
 /// ([`try_expand`](QecEngine::try_expand),
 /// [`try_expand_batch_into`](QecEngine::try_expand_batch_into)), the full
-/// [`corpus`](QecEngine::corpus), [`cache_stats`](QecEngine::cache_stats)
-/// and [`boot_stats`](QecEngine::boot_stats) (the gather corpus and every
-/// shard sub-corpus each count once) are the gather engine's own — sharding
-/// changes none of them. Deadlines, cancellation and
+/// [`corpus`](QecEngine::corpus) — the one corpus its shards are ranges
+/// of — [`cache_stats`](QecEngine::cache_stats) and
+/// [`boot_stats`](QecEngine::boot_stats) are the gather engine's own —
+/// sharding changes none of them. Deadlines, cancellation and
 /// degraded responses behave exactly as on a single engine; a fault inside
 /// one shard's scatter task fails only the requests sharing that pipeline
 /// build. Only what a shard set adds is defined here.
@@ -110,32 +113,28 @@ impl ShardedEngine {
         self.inner.shard_set().map_or(1, ShardSet::num_shards)
     }
 
-    /// Writes the deployment's snapshot set into `dir` (created if
-    /// missing): `full.qsnap` for the gather corpus plus one
-    /// `shard-{i}-of-{n}.qsnap` per shard, each written crash-safely (see
-    /// [`qec_snapshot::save_corpus`]). Returns the summaries in that
-    /// order. A later
-    /// [`ShardedEngineBuilder::load_snapshots`] boot from this directory
-    /// serves bit-identical responses; every shard file carries the full
-    /// snapshot's dictionary fingerprint, which the loader verifies
-    /// before trusting it.
+    /// Writes the deployment's snapshot into `dir` (created if missing)
+    /// and returns one summary per file written. A sharded deployment
+    /// (more than one shard, or replicas) writes its one corpus as a
+    /// snapshot set ([`qec_snapshot::save_corpus_set`]): the doc store
+    /// `full.qsnap` — dictionary and documents, no postings — and one
+    /// `shard-{i}-of-{n}.qsnap` per shard holding that shard's range of
+    /// the posting lists, so every document and posting is stored once.
+    /// A single unreplicated shard writes the single-file `full.qsnap`
+    /// ([`qec_snapshot::save_corpus`]). Every file is written crash-safely,
+    /// and a [`ShardedEngineBuilder::load_snapshots`] boot from this
+    /// directory serves bit-identical responses. The set has no per-shard
+    /// fallback: its files load together or not at all.
     pub fn save_snapshot(
         &self,
         dir: impl AsRef<Path>,
     ) -> Result<Vec<SnapshotSummary>, SnapshotError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut summaries = vec![self.inner.save_snapshot(dir.join(FULL_SNAPSHOT))?];
-        if let Some(set) = self.inner.shard_set() {
-            let n = set.num_shards();
-            for i in 0..n {
-                summaries.push(qec_snapshot::save_corpus(
-                    set.corpus(i),
-                    &dir.join(shard_snapshot_name(i, n)),
-                )?);
-            }
+        match self.inner.shard_set() {
+            Some(set) => qec_snapshot::save_corpus_set(self.inner.corpus(), dir, set.num_shards()),
+            None => Ok(vec![self.inner.save_snapshot(dir.join(FULL_SNAPSHOT))?]),
         }
-        Ok(summaries)
     }
 
     /// Rolled-up serving statistics: the gather cache snapshot plus one
@@ -176,7 +175,7 @@ impl ShardedEngine {
 /// One shard's share of [`ShardedStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Documents resident on this shard.
+    /// Documents in this shard's range of the corpus.
     pub docs: usize,
     /// Scattered retrievals this shard has **resolved** (one per cold
     /// pipeline build of the gather engine, counted on the first replica
@@ -212,7 +211,7 @@ pub struct ReplicaStats {
 pub struct ShardedStats {
     /// The gather engine's shared-cache snapshot ([`CacheStats`]).
     pub gather_cache: CacheStats,
-    /// One entry per shard, in [`DocId`] order (shard 0
+    /// One entry per shard, in [`DocId`](qec_index::DocId) order (shard 0
     /// holds the lowest global doc ids).
     pub shards: Vec<ShardStats>,
 }
@@ -258,7 +257,7 @@ impl std::error::Error for ShardedBuildError {}
 /// | knob | default | effect |
 /// |------|---------|--------|
 /// | [`num_shards`](Self::num_shards) | `1` | contiguous doc-id partitions; `1` serves the plain single-engine path |
-/// | [`replicas`](Self::replicas) | `1` | interchangeable replica slots per shard, all over the shard's one corpus slice; `>1` enables failover |
+/// | [`replicas`](Self::replicas) | `1` | interchangeable replica slots per shard, all over the shard's one document range; `>1` enables failover |
 /// | [`cache_capacity`](Self::cache_capacity) | `128` | the **gather** cache — pipelines are cached once, after the merge (`0` = off) |
 /// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the gather engine's [`WorkerPool`], which all scatter tasks run on |
 ///
@@ -306,20 +305,23 @@ impl ShardedEngineBuilder {
     }
 
     /// Registers a snapshot directory (as written by
-    /// [`ShardedEngine::save_snapshot`]) to restore from at build:
-    /// `full.qsnap` boots the gather corpus and each
-    /// `shard-{i}-of-{n}.qsnap` boots that shard's sub-corpus directly,
-    /// skipping both the full rebuild and the split.
+    /// [`ShardedEngine::save_snapshot`]) to restore from at build. A
+    /// sharded deployment (more than one shard, or replicas) loads the
+    /// snapshot set ([`qec_snapshot::load_corpus_set`]) — the doc store
+    /// `full.qsnap` and each shard's posting segment
+    /// `shard-{i}-of-{n}.qsnap` — into its one corpus, skipping the
+    /// rebuild; a single unreplicated shard loads the single-file
+    /// `full.qsnap`.
     ///
-    /// Restoration is strictly best-effort, shard by shard. A shard file
-    /// that is missing, corrupt, from another snapshot generation (its
-    /// dictionary fingerprint disagrees with `full.qsnap`'s), or the
-    /// wrong size for this shard count falls back to re-splitting the
-    /// gather corpus — only that shard pays the rebuild. If `full.qsnap`
-    /// itself fails to load, the gather corpus falls back to the
-    /// in-memory source and **no** shard file is trusted (there is no
-    /// fingerprint left to check them against). Every outcome is counted
-    /// in [`boot_stats`](QecEngine::boot_stats).
+    /// Restoration is all or nothing, and there is no per-shard
+    /// fallback: no second copy of the corpus exists to re-split a shard
+    /// from. A file that is missing, corrupt, of another format version,
+    /// from another snapshot generation (its dictionary fingerprint
+    /// disagrees with the doc store's), or holding another range than
+    /// this shard count gives its shard refuses the whole set, and the
+    /// corpus is rebuilt from the builder's documents. Every outcome is
+    /// counted in [`boot_stats`](QecEngine::boot_stats), whose error
+    /// line names the refused file.
     pub fn load_snapshots(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());
         self
@@ -337,8 +339,8 @@ impl ShardedEngineBuilder {
     }
 
     /// Sets the replica count per shard (`0` is treated as `1`): `n`
-    /// interchangeable replica slots over the shard's one corpus slice,
-    /// so adding replicas copies no corpus. `1` means no replication — a
+    /// interchangeable replica slots over the shard's one document
+    /// range, so adding replicas copies no corpus. `1` means no replication — a
     /// shard whose only replica spends its retries is omitted from the
     /// response. See "Replication and failover" in the `shard` module docs
     /// (`src/shard.rs`).
@@ -349,7 +351,8 @@ impl ShardedEngineBuilder {
 
     /// Adds documents (see [`EngineBuilder::documents`]). They are
     /// analysed as they arrive, with term ids in first-occurrence order;
-    /// [`build`](Self::build) cuts the shards from that one corpus.
+    /// [`build`](Self::build) serves the shards as ranges of that one
+    /// corpus.
     pub fn documents(mut self, specs: impl IntoIterator<Item = DocumentSpec>) -> Self {
         self.gather = self.gather.documents(specs);
         self
@@ -379,10 +382,10 @@ impl ShardedEngineBuilder {
             .unwrap_or_else(|e| panic!("ShardedEngineBuilder::build: {e}"))
     }
 
-    /// Freezes the corpus, validates the topology, cuts one corpus slice
-    /// per shard (each behind [`replicas`](Self::replicas) replica slots),
-    /// and moves the full corpus into the gather engine — no corpus is
-    /// deep-cloned along the way.
+    /// Freezes (or loads) the corpus, validates the topology, and moves
+    /// the corpus into the gather engine with one document range per
+    /// shard (each behind [`replicas`](Self::replicas) replica slots) —
+    /// no part of the corpus is copied along the way.
     ///
     /// # Errors
     /// [`ShardedBuildError::ZeroShards`] for `num_shards(0)`;
@@ -390,63 +393,51 @@ impl ShardedEngineBuilder {
     /// documents than shards were requested (an empty corpus still admits
     /// the `num_shards(1)` single-engine path).
     pub fn try_build(self) -> Result<ShardedEngine, ShardedBuildError> {
-        let mut boot = BootStats::default();
-        // Gather corpus: the registered full snapshot first, the
-        // in-memory source on any load failure.
-        let mut full_summary = None;
-        let source = self.gather.source;
-        let corpus = match &self.snapshot_dir {
-            Some(dir) => {
-                let path = dir.join(FULL_SNAPSHOT);
-                match qec_snapshot::load_corpus_with_summary(&path) {
-                    Ok((c, summary)) => {
-                        boot.loaded();
-                        full_summary = Some(summary);
-                        c
-                    }
-                    Err(e) => {
-                        boot.fallback(&path, e);
-                        source.into_corpus()
-                    }
-                }
-            }
-            None => {
-                boot.cold();
-                source.into_corpus()
-            }
-        };
         let num_shards = self.num_shards;
         if num_shards == 0 {
             return Err(ShardedBuildError::ZeroShards);
         }
+        if num_shards == 1 && self.replicas == 1 {
+            // The single-engine path: no shard set, a single-file
+            // snapshot counted by the engine's own boot.
+            let gather = EngineBuilder {
+                snapshot: self.snapshot_dir.map(|dir| dir.join(FULL_SNAPSHOT)),
+                ..self.gather
+            };
+            return Ok(ShardedEngine {
+                inner: gather.build(),
+            });
+        }
+        // The doc store and each segment count once: loaded together, or
+        // rebuilt together from the builder's documents.
+        let mut boot = BootStats::default();
+        let source = self.gather.source;
+        let corpus = match &self.snapshot_dir {
+            Some(dir) => match qec_snapshot::load_corpus_set(dir, num_shards) {
+                Ok(corpus) => {
+                    boot.snapshots_loaded += 1 + num_shards;
+                    corpus
+                }
+                Err((path, e)) => {
+                    boot.fallback(&path, e);
+                    boot.rebuilt_cold += num_shards;
+                    source.into_corpus()
+                }
+            },
+            None => {
+                boot.rebuilt_cold += 1 + num_shards;
+                source.into_corpus()
+            }
+        };
         if num_shards > corpus.num_docs().max(1) {
             return Err(ShardedBuildError::TooManyShards {
                 shards: num_shards,
                 docs: corpus.num_docs(),
             });
         }
-        // The slices are cut from `&corpus` first; the corpus itself then
-        // moves into the gather engine.
-        let replicas = self.replicas;
-        let shards = (num_shards > 1 || replicas > 1).then(|| {
-            // Shard sub-corpora: per-shard snapshot files when a loaded
-            // full snapshot vouches for their generation, the gather
-            // corpus's split otherwise (and for every shard whose file
-            // was refused).
-            let slices = match (&self.snapshot_dir, &full_summary) {
-                (Some(dir), Some(full)) => {
-                    load_shard_corpora(dir, full, &corpus, num_shards, &mut boot)
-                }
-                _ => {
-                    boot.rebuilt_cold += num_shards;
-                    corpus.split(num_shards)
-                }
-            };
-            ShardSet::new(slices, replicas)
-        });
         let gather = EngineBuilder {
+            shards: Some(ShardSet::new(corpus.num_docs(), num_shards, self.replicas)),
             source: Source::Prebuilt(corpus),
-            shards,
             boot_seed: Some(boot),
             ..self.gather
         };
@@ -456,86 +447,20 @@ impl ShardedEngineBuilder {
     }
 }
 
-/// Restores the `n` shard sub-corpora from their snapshot files, falling
-/// back to re-splitting `corpus` for every shard whose file is missing,
-/// corrupt, from another generation, or the wrong size. A shard file is
-/// only trusted when its dictionary fingerprint (`dict_crc` + vocab size)
-/// matches the loaded full snapshot's — equal fingerprints mean the two
-/// interned the same terms in the same order, so shard-local postings
-/// speak the gather corpus's `TermId`s — and its document count matches
-/// what the contiguous split places on that shard (anything else would
-/// shift every later shard's global doc-id base).
-fn load_shard_corpora(
-    dir: &Path,
-    full: &SnapshotSummary,
-    corpus: &Corpus,
-    n: usize,
-    boot: &mut BootStats,
-) -> Vec<Corpus> {
-    let total = corpus.num_docs();
-    let mut subs: Vec<Option<Corpus>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let path = dir.join(shard_snapshot_name(i, n));
-        match qec_snapshot::load_corpus_with_summary(&path) {
-            Ok((c, s)) => {
-                let expected = expected_shard_len(total, n, i);
-                if s.dict_crc != full.dict_crc || s.vocab != full.vocab {
-                    boot.fallback(
-                        &path,
-                        "dictionary fingerprint disagrees with full.qsnap \
-                         (mixed snapshot generations)",
-                    );
-                    subs.push(None);
-                } else if c.num_docs() != expected {
-                    boot.fallback(
-                        &path,
-                        format!(
-                            "holds {} docs where the {n}-way split of {total} places {expected}",
-                            c.num_docs()
-                        ),
-                    );
-                    subs.push(None);
-                } else {
-                    boot.loaded();
-                    subs.push(Some(c));
-                }
-            }
-            Err(e) => {
-                boot.fallback(&path, e);
-                subs.push(None);
-            }
-        }
-    }
-    if subs.iter().all(Option::is_some) {
-        subs.into_iter().flatten().collect()
-    } else {
-        // At least one shard fell back: split once and patch the holes;
-        // shards whose files loaded keep their restored corpora.
-        let split = corpus.split(n);
-        subs.into_iter()
-            .zip(split)
-            .map(|(restored, fresh)| restored.unwrap_or(fresh))
-            .collect()
-    }
-}
-
-/// The scatter half of a sharded deployment: N doc-partitioned shard
-/// groups (each one corpus slice behind a set of interchangeable replica
-/// slots) plus the counters the gather side needs.
+/// The scatter half of a sharded deployment: N shards, each a document
+/// range of the gather engine's corpus behind a set of interchangeable
+/// replica slots. It holds no corpus: the gather engine lends its own to
+/// every scatter ([`ShardSet::retrieve`]).
 /// Held by the gather [`QecEngine`]; assembled by [`ShardedEngineBuilder`].
 pub(crate) struct ShardSet {
-    /// One replica group per contiguous-`DocId` shard, in shard order.
+    /// One replica group per shard, in document order.
     shards: Vec<ShardReplicas>,
-    /// Global `DocId` of each shard's local doc 0 (`bases[i] =
-    /// Σ len(shard < i)`): the offset translation applied to scattered
-    /// hits before the merge.
-    bases: Vec<u32>,
 }
 
-/// What a shard *is*: its slice of the corpus plus warmed retrieval
-/// scratches. One per shard, however many replicas point at it.
+/// What a shard *is*: its document range of the gather corpus plus warmed
+/// retrieval scratches. One per shard, however many replicas point at it.
 struct ShardSlice {
-    corpus: Corpus,
+    docs: Range<u32>,
     scratches: ScratchPool<SearchScratch>,
 }
 
@@ -556,8 +481,8 @@ struct ShardReplicas {
     omissions: AtomicU64,
 }
 
-/// One replica: a pointer at its shard's slice plus its own latency EWMA
-/// (feeds the adaptive hedge delay) and attempt counters.
+/// One replica: a pointer at its shard plus its own latency EWMA (feeds
+/// the adaptive hedge delay) and attempt counters.
 struct ReplicaSlot {
     /// The shard's one slice, shared by every replica of the shard.
     /// `Arc`d because hedged/retried attempts run as fire-and-forget pool
@@ -645,19 +570,14 @@ impl ReplicaSlot {
 }
 
 impl ShardSet {
-    /// Wraps the per-shard corpus slices (in shard order) behind
-    /// `replicas` replica slots each, deriving every shard's global
-    /// `DocId` base from the cumulative slice sizes.
-    fn new(slices: Vec<Corpus>, replicas: usize) -> Self {
-        let mut bases = Vec::with_capacity(slices.len());
-        let mut base = 0u32;
-        let shards = slices
+    /// `n` shards over the [`doc_ranges`] of `num_docs` documents, each
+    /// behind `replicas` replica slots.
+    fn new(num_docs: usize, n: usize, replicas: usize) -> Self {
+        let shards = doc_ranges(num_docs, n)
             .into_iter()
-            .map(|corpus| {
-                bases.push(base);
-                base += corpus.num_docs() as u32;
+            .map(|docs| {
                 let slice = Arc::new(ShardSlice {
-                    corpus,
+                    docs,
                     scratches: ScratchPool::new(),
                 });
                 ShardReplicas {
@@ -671,7 +591,7 @@ impl ShardSet {
                 }
             })
             .collect();
-        Self { shards, bases }
+        Self { shards }
     }
 
     /// Number of shards in the set.
@@ -679,18 +599,12 @@ impl ShardSet {
         self.shards.len()
     }
 
-    /// Shard `i`'s corpus slice.
-    fn corpus(&self, i: usize) -> &Corpus {
-        &self.shards[i].replicas[0].slice.corpus
-    }
-
     /// Per-shard placement, retrieval and replica-health counters.
     fn stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .enumerate()
-            .map(|(i, shard)| ShardStats {
-                docs: self.corpus(i).num_docs(),
+            .map(|shard| ShardStats {
+                docs: shard.replicas[0].slice.docs.len(),
                 scattered_retrievals: shard.retrievals.load(Ordering::Relaxed),
                 hedges: shard.hedges.load(Ordering::Relaxed),
                 omissions: shard.omissions.load(Ordering::Relaxed),
@@ -743,10 +657,11 @@ fn replica_site(replica: usize) -> &'static str {
 }
 
 /// The read-only half of one scatter, shared by every attempt job of the
-/// request: owned copies of the query (pool jobs are `'static` — they may
-/// outlive the request as cancelled losers) plus the completion channel
-/// back to the coordinator.
+/// request: the gather engine's corpus and owned copies of the query
+/// (pool jobs are `'static` — they may outlive the request as cancelled
+/// losers) plus the completion channel back to the coordinator.
 struct ScatterShared {
+    corpus: Arc<Corpus>,
     terms: Vec<TermId>,
     idfs: Vec<f64>,
     semantics: QuerySemantics,
@@ -769,7 +684,7 @@ struct Completion {
 
 /// The coordinator's per-shard progress while a scatter is in flight.
 struct ShardProgress {
-    /// The shard's globally-offset top-K list once a replica delivered it.
+    /// The shard's top-K list once a replica delivered it.
     done: Option<Vec<Hit>>,
     /// The shard gave up: its retries were spent, or the next backoff
     /// would outlive the deadline.
@@ -812,14 +727,16 @@ impl ShardProgress {
 }
 
 /// The one retrieve + rank kernel of every serving path: evaluates `terms`
-/// under `semantics` over `corpus` into `search`, scores the matches with
-/// the **caller-supplied** `idfs` (one per term) and writes the best
-/// `top_k` hits (`0` = all) into `out`, ordered by [`hit_before`]. The
-/// flat engine calls it over its whole corpus with that corpus's own idfs;
-/// a shard replica calls it over its slice with the gather corpus's — the
-/// flat engine is the one-shard case of the same code.
+/// under `semantics` over the document range of `searcher` into `search`,
+/// scores the matches with the **caller-supplied** `idfs` (one per term)
+/// and writes the best `top_k` hits (`0` = all) into `out`, ordered by
+/// [`hit_before`]. The flat engine passes the range `0..N` of its corpus
+/// ([`Searcher::new`]); a shard replica its shard's range of the same
+/// corpus ([`Searcher::within`]) — the flat engine is the one-shard case
+/// of the same code. Hits carry the corpus's own (global) document ids
+/// either way.
 pub(crate) fn retrieve_ranked(
-    corpus: &Corpus,
+    searcher: Searcher<'_>,
     terms: &[TermId],
     idfs: &[f64],
     semantics: QuerySemantics,
@@ -827,12 +744,17 @@ pub(crate) fn retrieve_ranked(
     search: &mut SearchScratch,
     out: &mut Vec<Hit>,
 ) {
-    let searcher = Searcher::new(corpus);
     match semantics {
         QuerySemantics::And => searcher.and_query_into(terms, search),
         QuerySemantics::Or => searcher.or_query_into(terms, search),
     }
-    TfIdfRanker::new(corpus).rank_with_idf_into(search.results(), terms, idfs, top_k, out);
+    TfIdfRanker::new(searcher.corpus()).rank_with_idf_into(
+        search.results(),
+        terms,
+        idfs,
+        top_k,
+        out,
+    );
 }
 
 /// One retrieval attempt against one replica, behind a panic boundary so
@@ -844,7 +766,6 @@ pub(crate) fn retrieve_ranked(
 /// of which replica answers.
 fn replica_attempt(
     slice: &ShardSlice,
-    base: u32,
     shard: usize,
     replica: usize,
     query: &ScatterShared,
@@ -864,7 +785,7 @@ fn replica_attempt(
         let mut search = slice.scratches.acquire();
         let mut hits = Vec::new();
         retrieve_ranked(
-            &slice.corpus,
+            Searcher::within(&query.corpus, slice.docs.clone()),
             &query.terms,
             &query.idfs,
             query.semantics,
@@ -873,9 +794,6 @@ fn replica_attempt(
             &mut hits,
         );
         slice.scratches.release(search);
-        for hit in hits.iter_mut() {
-            hit.doc = DocId(hit.doc.0 + base);
-        }
         Ok(hits)
     }))
     .unwrap_or(Err(()))
@@ -904,7 +822,6 @@ impl ShardSet {
         let (token, signal) = CancelToken::manual();
         sp.cancels.push(signal);
         let slice = Arc::clone(&shard.replicas[ri].slice);
-        let base = self.bases[si];
         let sh = Arc::clone(shared);
         pool.spawn(Box::new(move || {
             // A queued loser whose shard already resolved bails here; an
@@ -915,7 +832,7 @@ impl ShardSet {
                 (Err(true), 0)
             } else {
                 let t0 = Instant::now();
-                let result = replica_attempt(&slice, base, si, ri, &sh);
+                let result = replica_attempt(&slice, si, ri, &sh);
                 let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 (result.map_err(|()| false), nanos)
             };
@@ -931,21 +848,22 @@ impl ShardSet {
         }));
     }
 
-    /// Sharded retrieval + ranking with failover: scatters one
-    /// [`retrieve_ranked`] attempt per shard (each against a
+    /// Sharded retrieval + ranking of `key`'s terms over `corpus` — the
+    /// gather engine's own, lent to every attempt — with failover:
+    /// scatters one [`retrieve_ranked`] attempt per shard (each against a
     /// rotation-picked replica), retries, hedges or omits as the `shard`
     /// module docs describe, and k-way merges the delivered per-shard
     /// top-K lists into one globally ranked prefix. The second return
     /// value names the shards that had to be given up (ascending).
     ///
     /// Bit-parity with the flat path holds over the delivered shards
-    /// because (a) every replica scores with the caller's `idfs` — the
-    /// **gather** corpus's global document frequencies — in the same
-    /// terms-slice order; (b) [`hit_before`] is a total order, so per-shard
-    /// exact top-K plus a k-way merge reproduces the global sort's prefix
-    /// exactly; and (c) shard-local doc ids translate to global ones by
-    /// adding the shard's base offset, which preserves each shard's
-    /// ascending order. Replicas of one shard read the same slice, so
+    /// because (a) every replica reads `corpus` — the gather engine's own
+    /// — and scores with the caller's `idfs`, its global document
+    /// frequencies, in the same terms-slice order; (b) [`hit_before`] is a
+    /// total order, so per-shard exact top-K plus a k-way merge
+    /// reproduces the global sort's prefix exactly; and (c) a shard's
+    /// hits are the flat retrieval's hits inside its range, with the same
+    /// global doc ids. Replicas of one shard read the same range, so
     /// *which* replica answers cannot change the bits.
     ///
     /// The coordinator runs on the submitting thread: it dispatches one
@@ -961,18 +879,19 @@ impl ShardSet {
     /// get cached and served to requests with laxer deadlines.
     pub(crate) fn retrieve(
         &self,
+        corpus: &Arc<Corpus>,
         pool: &WorkerPool,
-        terms: &[TermId],
+        key: KeyRef<'_>,
         idfs: &[f64],
-        semantics: QuerySemantics,
-        top_k: usize,
         deadline: Option<Instant>,
     ) -> (Vec<Hit>, Vec<u32>) {
         let n = self.shards.len();
+        let top_k = key.top_k;
         let shared = Arc::new(ScatterShared {
-            terms: terms.to_vec(),
+            corpus: Arc::clone(corpus),
+            terms: key.terms.to_vec(),
             idfs: idfs.to_vec(),
-            semantics,
+            semantics: key.semantics,
             top_k,
             completions: Mutex::new(Vec::new()),
             arrived: Condvar::new(),
@@ -1105,9 +1024,10 @@ impl ShardSet {
                 slot.observe_latency(c.nanos);
                 slot.retrievals.fetch_add(1, Ordering::Relaxed);
                 if let Some(first) = &sp.done {
-                    // A hedge's loser finished anyway: both replicas hold
-                    // the same corpus slice and scored with the same
-                    // global idf, so their lists must agree bit for bit.
+                    // A hedge's loser finished anyway: both replicas read
+                    // the same range of the same corpus and scored with
+                    // the same global idf, so their lists must agree bit
+                    // for bit.
                     debug_assert_eq!(
                         first, &hits,
                         "replicas of one shard returned diverging rankings"
@@ -1175,6 +1095,7 @@ mod tests {
             .build();
         let set = engine.inner.shard_set().expect("sharded build");
         assert_eq!(set.num_shards(), 2);
+        let mut next = 0;
         for shard in &set.shards {
             assert_eq!(shard.replicas.len(), 3);
             let first = &shard.replicas[0].slice;
@@ -1182,7 +1103,40 @@ mod tests {
             // The replicas are the slice's only holders at rest: `replicas(3)`
             // built one slice per shard, not one per replica.
             assert_eq!(Arc::strong_count(first), 3);
+            // A shard is a document range of the gather corpus, and the
+            // ranges tile it in order.
+            assert_eq!(first.docs.start, next);
+            next = first.docs.end;
         }
-        assert_eq!((0..2).map(|i| set.corpus(i).num_docs()).sum::<usize>(), 12);
+        assert_eq!(next as usize, engine.corpus().num_docs());
+        // The deployment holds one corpus: at rest the gather engine's
+        // `Arc` is its only handle, so no shard or replica keeps a copy.
+        assert_eq!(Arc::strong_count(&engine.inner.corpus), 1);
+
+        // A scatter lends that one corpus to every shard and replica: the
+        // merged hits are the flat kernel's over it, global ids and all.
+        let corpus = &engine.inner.corpus;
+        let terms = corpus.query_terms("apple");
+        let idfs: Vec<f64> = terms.iter().map(|&t| corpus.index().idf(t)).collect();
+        let key = KeyRef {
+            terms: &terms,
+            semantics: QuerySemantics::And,
+            k_clusters: 2,
+            top_k: 5,
+            strategy: crate::ExpandStrategy::Iskr,
+        };
+        let (hits, omitted) = set.retrieve(corpus, &engine.inner.pool, key, &idfs, None);
+        assert!(omitted.is_empty());
+        let mut flat = Vec::new();
+        retrieve_ranked(
+            Searcher::new(corpus),
+            &terms,
+            &idfs,
+            QuerySemantics::And,
+            5,
+            &mut SearchScratch::new(),
+            &mut flat,
+        );
+        assert_eq!(hits, flat);
     }
 }

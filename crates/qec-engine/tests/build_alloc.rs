@@ -15,6 +15,12 @@
 //!   a last doubling of each per-document vector (a posting list grown by
 //!   doubling would cost every list one more reallocation).
 //!
+//! A sharded deployment is built over that one corpus: its shards are
+//! document ranges of it, so cutting 3 shards, or 1 shard behind 2
+//! replicas, from a prebuilt corpus allocates nothing per document (a
+//! copy of the corpus per shard would cost every document its row and
+//! its stored metadata again).
+//!
 //! A counting global allocator tallies every `alloc`/`realloc` the armed
 //! thread makes. The build runs on the caller's thread, so each test
 //! counts exactly its own build; the lower bound of one allocation per
@@ -23,6 +29,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use qec_engine::ShardedEngineBuilder;
 use qec_index::{CorpusBuilder, DocumentSpec, Feature};
 
 struct CountingAllocator;
@@ -131,4 +138,29 @@ fn build_allocations_grow_per_document_not_per_posting_list() {
          one row per added document allows {}",
         base + DOCS + SLACK
     );
+}
+
+#[test]
+fn sharding_a_prebuilt_corpus_allocates_nothing_per_document() {
+    let mut builder = CorpusBuilder::new();
+    for spec in specs(DOCS, 2) {
+        builder.add_document(spec);
+    }
+    let corpus = builder.build();
+    for (shards, replicas) in [(3, 1), (1, 2)] {
+        let prebuilt = corpus.clone();
+        ALLOCATIONS.with(|n| n.set(Some(0)));
+        let engine = ShardedEngineBuilder::from_corpus(prebuilt)
+            .num_shards(shards)
+            .replicas(replicas)
+            .pool_threads(1)
+            .build();
+        let count = ALLOCATIONS.with(|n| n.take()).expect("armed");
+        println!("{count} allocations for {shards} shards x {replicas} replicas");
+        assert_eq!(engine.num_shards(), shards);
+        assert!(
+            count < DOCS / 10,
+            "{shards} shards x {replicas} replicas over {DOCS} documents took {count} allocations"
+        );
+    }
 }

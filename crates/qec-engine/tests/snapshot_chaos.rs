@@ -4,21 +4,22 @@
 //!   `snapshot.fsync`) reports a typed error and leaves the **previous
 //!   snapshot generation loadable** — the atomic-rename protocol never
 //!   clobbers it;
-//! * an injected fault on **any** load section (`snapshot.load.*`), a
-//!   corrupt file, or a missing file makes the engine builder fall back
-//!   to the in-memory rebuild — the engine comes up and serves
-//!   bit-identical responses, with the fallback counted in `boot_stats`;
-//! * so does a snapshot of format generation 1, which the loader refuses
-//!   by its version, for a flat engine and for a sharded snapshot set;
-//! * a sharded boot survives one corrupt shard file by re-splitting only
-//!   that shard, and distrusts every shard file when `full.qsnap` itself
-//!   fails (no fingerprint left to verify them against).
+//! * an injected fault on **any** load section (`snapshot.load.*`) makes
+//!   the engine builder fall back to the in-memory rebuild — the engine
+//!   comes up and serves bit-identical responses, with the fallback
+//!   counted in `boot_stats`;
+//! * a sharded boot whose doc store `full.qsnap` fails to load rebuilds
+//!   the whole corpus and trusts no segment.
+//!
+//! Faults on disk that need no failpoint — corrupt, stale, foreign and
+//! older-format files — are `tests/snapshot_faults.rs`, which runs with
+//! the failpoints compiled out too.
 //!
 //! Failpoints are process-global, so every test takes the `serial()` lock
 //! for its whole body.
 
 use std::io::ErrorKind;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use qec_engine::{
@@ -182,149 +183,6 @@ fn injected_faults_on_every_load_section_fall_back_to_the_rebuild() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites the format version of the snapshot at `path` to 1, the
-/// generation that also stored the dense terms' bitmaps, with a valid
-/// header CRC: the loader refuses it by version before reading a section.
-fn downgrade_to_generation_1(path: &Path) {
-    let mut bytes = std::fs::read(path).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let crc = qec_snapshot::crc32(&bytes[..12]);
-    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(path, &bytes).unwrap();
-}
-
-#[test]
-fn a_generation_1_snapshot_is_refused_and_the_engine_rebuilds() {
-    let _guard = serial();
-    let dir = temp_dir("gen1");
-    let reference = fresh();
-
-    let path = dir.join("index.qsnap");
-    reference.save_snapshot(&path).expect("save");
-    downgrade_to_generation_1(&path);
-    let booted = EngineBuilder::new()
-        .documents(corpus_docs())
-        .load_snapshot(&path)
-        .build();
-    let boot = booted.boot_stats();
-    assert_eq!(boot.snapshots_loaded, 0, "{boot:?}");
-    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
-    assert_eq!(boot.rebuilt_cold, 1, "{boot:?}");
-    assert!(
-        boot.errors[0].contains("unsupported snapshot version 1"),
-        "the refusal names the version: {:?}",
-        boot.errors
-    );
-    assert_serves_like_fresh(&booted, &reference, "generation-1 file");
-
-    // A whole generation-1 snapshot set: full.qsnap is refused, so no
-    // shard file is trusted and the gather corpus and every shard rebuild.
-    let set = dir.join("set");
-    ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .build()
-        .save_snapshot(&set)
-        .expect("save sharded");
-    for entry in std::fs::read_dir(&set).unwrap() {
-        downgrade_to_generation_1(&entry.unwrap().path());
-    }
-    let booted = ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .load_snapshots(&set)
-        .build();
-    let boot = booted.boot_stats();
-    assert_eq!(boot.snapshots_loaded, 0, "{boot:?}");
-    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
-    assert_eq!(boot.rebuilt_cold, 4, "gather corpus + 3 shards: {boot:?}");
-    assert!(
-        boot.errors[0].contains("unsupported snapshot version 1"),
-        "the refusal names the version: {:?}",
-        boot.errors
-    );
-    for (i, req) in probe_requests().iter().enumerate() {
-        assert_eq!(
-            essence(&booted.expand(req)),
-            essence(&reference.expand(req)),
-            "generation-1 set, request {i}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_corrupt_snapshot_on_disk_falls_back_and_the_engine_still_serves() {
-    let _guard = serial();
-    let dir = temp_dir("corrupt");
-    let path = dir.join("index.qsnap");
-    let reference = fresh();
-    reference.save_snapshot(&path).expect("save");
-
-    // Flip one payload byte: the structural tier rejects the file and
-    // the builder falls back to the documents.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let booted = EngineBuilder::new()
-        .documents(corpus_docs())
-        .load_snapshot(&path)
-        .build();
-    let boot = booted.boot_stats();
-    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
-    assert_eq!(boot.rebuilt_cold, 1, "{boot:?}");
-    assert!(
-        boot.errors[0].contains("checksum"),
-        "the CRC caught the flip: {:?}",
-        boot.errors
-    );
-    assert_serves_like_fresh(&booted, &reference, "corrupt file");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn sharded_boot_survives_a_corrupt_shard_file_by_resplitting_that_shard() {
-    let _guard = serial();
-    let dir = temp_dir("shardfault");
-    let reference = fresh();
-    let source = ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .build();
-    source.save_snapshot(&dir).expect("save sharded");
-
-    // Truncate shard 1's file: its load fails, the other files stand.
-    let victim = dir.join("shard-1-of-3.qsnap");
-    let bytes = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-
-    let booted = ShardedEngineBuilder::new()
-        .num_shards(3)
-        .load_snapshots(&dir)
-        .build();
-    let boot = booted.boot_stats();
-    // full.qsnap + shards 0 and 2 restored; shard 1 re-split from the
-    // loaded gather corpus.
-    assert_eq!(boot.snapshots_loaded, 3, "{boot:?}");
-    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
-    assert_eq!(boot.rebuilt_cold, 1, "{boot:?}");
-    assert!(
-        boot.errors[0].contains("shard-1-of-3.qsnap"),
-        "the error names the shard file: {:?}",
-        boot.errors
-    );
-    for (i, req) in probe_requests().iter().enumerate() {
-        assert_eq!(
-            essence(&booted.expand(req)),
-            essence(&reference.expand(req)),
-            "request {i}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn sharded_boot_distrusts_every_shard_file_when_the_full_snapshot_fails() {
     let _guard = serial();
@@ -358,49 +216,6 @@ fn sharded_boot_distrusts_every_shard_file_when_the_full_snapshot_fails() {
     assert_eq!(
         boot.rebuilt_cold, 4,
         "gather corpus + 3 shards rebuilt: {boot:?}"
-    );
-    for (i, req) in probe_requests().iter().enumerate() {
-        assert_eq!(
-            essence(&booted.expand(req)),
-            essence(&reference.expand(req)),
-            "request {i}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_stale_shard_file_from_another_generation_is_refused_by_fingerprint() {
-    let _guard = serial();
-    let dir = temp_dir("stale");
-    let reference = fresh();
-    let source = ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .build();
-    source.save_snapshot(&dir).expect("save generation 2");
-
-    // Overwrite shard 2's file with a snapshot of a *different* corpus
-    // (another dictionary): internally valid, wrong generation. The
-    // fingerprint check must refuse it rather than serve mixed indexes.
-    let stale = EngineBuilder::new()
-        .document(DocumentSpec::text("stale", "totally different vocabulary"))
-        .build();
-    stale
-        .save_snapshot(dir.join("shard-2-of-3.qsnap"))
-        .expect("stale overwrite");
-
-    let booted = ShardedEngineBuilder::new()
-        .num_shards(3)
-        .load_snapshots(&dir)
-        .build();
-    let boot = booted.boot_stats();
-    assert_eq!(boot.snapshots_loaded, 3, "{boot:?}");
-    assert_eq!(boot.snapshot_fallbacks, 1, "{boot:?}");
-    assert!(
-        boot.errors[0].contains("generation") || boot.errors[0].contains("fingerprint"),
-        "the refusal says why: {:?}",
-        boot.errors
     );
     for (i, req) in probe_requests().iter().enumerate() {
         assert_eq!(

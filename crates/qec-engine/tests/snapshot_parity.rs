@@ -194,6 +194,36 @@ fn sharded_snapshot_set_boots_bit_identical_across_shard_counts() {
     }
 }
 
+/// What a segment file adds besides its postings: header and trailer
+/// (24 bytes), the SEGM section (12 bytes of framing, 36 of range and
+/// fingerprint) and the POST section's framing (16); its df column, one
+/// `u32` per term slot, comes on top.
+const SEGMENT_OVERHEAD: u64 = 24 + 12 + 36 + 16;
+
+#[test]
+fn a_snapshot_set_stores_each_document_and_posting_once() {
+    let dir = temp_dir("bytes");
+    let single = baseline()
+        .save_snapshot(dir.join("single.qsnap"))
+        .expect("save single file");
+    for n in [2usize, 3, 8] {
+        let summaries = ShardedEngineBuilder::new()
+            .documents(corpus_docs())
+            .num_shards(n)
+            .build()
+            .save_snapshot(dir.join(format!("set-{n}")))
+            .expect("save set");
+        let total: u64 = summaries.iter().map(|s| s.bytes).sum();
+        let per_file = SEGMENT_OVERHEAD + 4 * single.index_terms;
+        assert!(
+            total <= single.bytes + (1 + n as u64) * per_file,
+            "n={n}: the set takes {total} bytes; one file takes {} plus {per_file} per file",
+            single.bytes
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn snapshot_booted_pagination_pages_match_the_fresh_engine() {
     let dir = temp_dir("pages");

@@ -12,6 +12,7 @@
 //! assigned in first-occurrence order and the builder holds no document
 //! body past its own call.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::doc::{DocId, DocumentSpec, Feature};
@@ -129,12 +130,33 @@ fn freeze(rows: &[Vec<(TermId, u32)>]) -> InvertedIndex {
         .expect("rows transposed in document order")
 }
 
+/// The `n` contiguous, near-even document-id ranges that cover
+/// `num_docs` documents in order: the first `num_docs % n` ranges hold
+/// one document more than the rest (`n = 0` is taken as 1). With fewer
+/// documents than ranges the trailing ranges are empty.
+///
+/// The one definition of a shard's documents: a sharded deployment
+/// serves range `i` as shard `i`, its snapshot set stores range `i`'s
+/// postings as segment `i`, and [`Corpus::split`] copies range `i` out.
+pub fn doc_ranges(num_docs: usize, n: usize) -> Vec<Range<u32>> {
+    let n = n.max(1);
+    let (base, extra) = (num_docs / n, num_docs % n);
+    let mut start = 0;
+    (0..n)
+        .map(|i| {
+            let end = start + base + usize::from(i < extra);
+            let range = start as u32..end as u32;
+            start = end;
+            range
+        })
+        .collect()
+}
+
 /// An immutable, fully indexed document collection.
 ///
 /// The analyzer (and its term dictionary) lives behind an [`Arc`] so that
-/// shards produced by [`split`](Corpus::split) share one dictionary with the
-/// parent corpus: a `TermId` means the same thing in every shard, which is
-/// what lets a gather engine analyse a query once and scatter raw term ids.
+/// corpora produced by [`split`](Corpus::split) share one dictionary with
+/// the parent corpus: a `TermId` means the same thing in every part.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     analyzer: Arc<Analyzer>,
@@ -326,40 +348,34 @@ impl Corpus {
         self.docs[doc.index()].label
     }
 
-    /// Splits the corpus into `n` contiguous-`DocId` shards.
+    /// Copies the corpus out into `n` corpora, one per [`doc_ranges`]
+    /// range, each renumbered from local `DocId(0)`.
     ///
-    /// Shard `i` holds global documents `[base(i), base(i)+len(i))` renumbered
-    /// from local `DocId(0)`; shard sizes differ by at most one (earlier
-    /// shards take the remainder). Each shard gets its own
-    /// [`InvertedIndex`] frozen over its slice, while the analyzer — and
-    /// with it the term dictionary, so `TermId`s stay globally valid — is
-    /// shared via `Arc`. With fewer documents than shards the trailing
-    /// shards are empty, which downstream retrieval treats as "no matches".
+    /// Serving never calls this: a sharded engine's shards are ranges of
+    /// its one corpus ([`Searcher::within`](crate::Searcher::within)).
+    /// It stays for replaying the shard ranges as stand-alone corpora
+    /// (a benchmark's staged replay does). Each part gets its own
+    /// [`InvertedIndex`] frozen over its range and shares the analyzer —
+    /// and with it the term dictionary, so `TermId`s stay valid — through
+    /// the `Arc`. With fewer documents than parts the trailing parts are
+    /// empty.
     ///
-    /// Note that a shard's *statistics* (`idf`, `num_docs`) are shard-local;
-    /// callers that need corpus-wide scoring across shards must supply
-    /// global statistics themselves (see `TfIdfRanker::rank_with_idf_into`
-    /// in this crate's `rank` module).
+    /// A part's *statistics* (`idf`, `num_docs`) are its own; a caller
+    /// scoring across parts must supply the whole corpus's (see
+    /// `TfIdfRanker::rank_with_idf_into` in this crate's `rank` module).
     pub fn split(&self, n: usize) -> Vec<Corpus> {
-        let n = n.max(1);
-        let total = self.docs.len();
-        let base_len = total / n;
-        let remainder = total % n;
-        let mut shards = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for i in 0..n {
-            let len = base_len + usize::from(i < remainder);
-            let end = start + len;
-            shards.push(Corpus {
-                index: freeze(&self.doc_terms[start..end]),
-                analyzer: Arc::clone(&self.analyzer),
-                docs: self.docs[start..end].to_vec(),
-                doc_terms: self.doc_terms[start..end].to_vec(),
-            });
-            start = end;
-        }
-        debug_assert_eq!(start, total);
-        shards
+        doc_ranges(self.docs.len(), n)
+            .into_iter()
+            .map(|range| {
+                let range = range.start as usize..range.end as usize;
+                Corpus {
+                    index: freeze(&self.doc_terms[range.clone()]),
+                    analyzer: Arc::clone(&self.analyzer),
+                    docs: self.docs[range.clone()].to_vec(),
+                    doc_terms: self.doc_terms[range].to_vec(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -470,6 +486,26 @@ mod tests {
         // Shard-local doc 0 of shard 1 is global doc 4.
         assert_eq!(shards[1].doc(DocId(0)).len, c.doc(DocId(4)).len);
         assert_eq!(shards[1].doc_terms(DocId(0)), c.doc_terms(DocId(4)));
+    }
+
+    #[test]
+    fn doc_ranges_cover_the_corpus_contiguously() {
+        for total in [0usize, 1, 7, 90, 91] {
+            for n in 1..=total.max(1) + 1 {
+                let ranges = doc_ranges(total, n);
+                assert_eq!(ranges.len(), n);
+                let mut next = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, next, "total {total} n {n}: no gap, no overlap");
+                    next = r.end;
+                }
+                assert_eq!(next as usize, total, "total {total} n {n}");
+                let lens: Vec<u32> = ranges.iter().map(|r| r.end - r.start).collect();
+                assert!(lens.windows(2).all(|w| w[0] >= w[1]), "extras lead");
+                assert!(lens[0] - lens[n - 1] <= 1, "near-even: {lens:?}");
+            }
+        }
+        assert_eq!(doc_ranges(10, 0), vec![0..10], "n = 0 is one range");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`InvertedIndex`] — the inverted index (term → posting list), frozen
 //!   by [`InvertedIndex::from_lists`] with an idf table and a membership
 //!   probe per dense term.
-//! * [`Searcher`] — boolean retrieval with AND and OR semantics.
+//! * [`Searcher`] — boolean retrieval with AND and OR semantics, over
+//!   the whole corpus or one [`doc_ranges`] range of it (a shard).
 //! * [`TfIdfRanker`] — TF-IDF ranking and top-k selection.
 //! * [`TermMatrix`] — a result list's term occurrences gathered once, by
 //!   result and by term, for the cold build's two consumers.
@@ -29,7 +30,7 @@ mod rank;
 mod search;
 mod term_matrix;
 
-pub use corpus::{Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
+pub use corpus::{doc_ranges, Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{InvertedIndex, Posting, PostingListError};
 pub use postings::GALLOP_RATIO;

@@ -29,6 +29,16 @@
 //!
 //! The join writes nothing itself: its callback does, into
 //! caller-supplied buffers, so query loops run allocation-free.
+//!
+//! Document ranges
+//! ---------------
+//! A posting list is sorted by document, so the postings of a document
+//! range `[lo, hi)` are one contiguous run of it, found by two binary
+//! searches ([`span`]). A shard's retrieval joins and merges those runs
+//! of the one global list; ranking joins only the run between its first
+//! and last result.
+
+use std::ops::Range;
 
 use crate::doc::DocId;
 use crate::inverted::Posting;
@@ -76,6 +86,13 @@ impl ByDoc for Hit {
 pub(crate) fn dense_probe(num_docs: usize, list: &[Posting]) -> Option<Bitset> {
     (num_docs > 0 && list.len() * 64 >= num_docs)
         .then(|| Bitset::from_indices(num_docs, list.iter().map(|p| p.doc.index())))
+}
+
+/// The positions in `list` of the postings whose documents lie in
+/// `docs`.
+pub(crate) fn span(list: &[Posting], docs: Range<u32>) -> Range<usize> {
+    let lo = list.partition_point(|p| p.doc.0 < docs.start);
+    lo..lo + list[lo..].partition_point(|p| p.doc.0 < docs.end)
 }
 
 /// Calls `on_match(x, p)` for every `x` of `left` whose document has a
@@ -185,6 +202,16 @@ mod tests {
 
     fn naive(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
         a.iter().filter(|x| b.contains(x)).copied().collect()
+    }
+
+    #[test]
+    fn span_cuts_the_run_of_a_document_range() {
+        let list = postings(&ids(&[2, 5, 9, 11, 30]));
+        assert_eq!(span(&list, 0..100), 0..5);
+        assert_eq!(span(&list, 5..11), 1..3, "lo inclusive, hi exclusive");
+        assert_eq!(span(&list, 6..9), 2..2, "no posting in range");
+        assert_eq!(span(&list, 31..40), 5..5);
+        assert_eq!(span(&[], 0..10), 0..0);
     }
 
     #[test]

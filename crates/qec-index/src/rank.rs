@@ -9,7 +9,7 @@
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::postings::join;
+use crate::postings::{join, span};
 use qec_text::TermId;
 
 /// A retrieved document with its ranking score.
@@ -77,11 +77,14 @@ impl<'c> TfIdfRanker<'c> {
     ///   term's posting list — the adaptive linear/galloping join AND
     ///   retrieval runs, instead of a per-document binary search —
     ///   accumulating `tf·idf` contributions in term order, i.e. the exact
-    ///   floating-point addition order of [`score`](Self::score). A
-    ///   doc-partitioned shard passing the *parent* corpus's idf values
-    ///   therefore reproduces the global scores **bit-for-bit**, so a
-    ///   gather-side merge of per-shard top-k lists equals the
-    ///   single-engine ranking exactly.
+    ///   floating-point addition order of [`score`](Self::score). Each
+    ///   list is first cut to its run between `docs`' first and last
+    ///   document, so a shard ranking its range of the corpus walks only
+    ///   that range's postings; the matches, and so the bits, are those
+    ///   of the whole list. A shard passing the idf values of the corpus
+    ///   it was cut from therefore reproduces the global scores
+    ///   **bit-for-bit**, so a gather-side merge of per-shard top-k lists
+    ///   equals the single-engine ranking exactly.
     /// * **Selection is bounded**: with `top_k > 0` the kernel partitions
     ///   with `select_nth_unstable_by` and sorts only the winners —
     ///   O(matches + k·log k) instead of the full O(matches·log matches)
@@ -100,10 +103,13 @@ impl<'c> TfIdfRanker<'c> {
         out.clear();
         out.extend(docs.iter().map(|&doc| Hit { doc, score: 0.0 }));
         let index = self.corpus.index();
-        for (&t, &idf) in terms.iter().zip(idfs) {
-            join(out, index.postings(t), |hit, p| {
-                hit.score += p.tf as f64 * idf
-            });
+        if let (Some(first), Some(last)) = (docs.first(), docs.last()) {
+            for (&t, &idf) in terms.iter().zip(idfs) {
+                let list = index.postings(t);
+                join(out, &list[span(list, first.0..last.0 + 1)], |hit, p| {
+                    hit.score += p.tf as f64 * idf
+                });
+            }
         }
         for hit in out.iter_mut() {
             let len = self.corpus.doc(hit.doc).len.max(1) as f64;
@@ -220,22 +226,19 @@ mod tests {
 
     #[test]
     fn rank_with_idf_into_scores_with_the_supplied_statistics() {
-        // A shard seeing only half the corpus still produces global scores
-        // when handed the parent's idf values.
+        // A shard retrieving only documents 2..4 ranks them with the
+        // corpus's idfs through lists cut to that range; the scores are
+        // the whole corpus's, bit for bit.
         let c = corpus();
-        let java = c.keyword_term("java").unwrap();
-        let idfs = vec![c.index().idf(java)];
-        let shards = c.split(2);
-        let shard = &shards[0]; // holds global docs 0 and 1
-        let docs: Vec<DocId> = Searcher::new(shard).and_query(&[java]);
+        let terms = c.query_terms("java island");
+        let idfs: Vec<f64> = terms.iter().map(|&t| c.index().idf(t)).collect();
+        let docs: Vec<DocId> = Searcher::within(&c, 2..4).or_query(&terms);
+        assert_eq!(docs, vec![DocId(2), DocId(3)]);
+        let r = TfIdfRanker::new(&c);
         let mut out = Vec::new();
-        TfIdfRanker::new(shard).rank_with_idf_into(&docs, &[java], &idfs, 0, &mut out);
-        let global = TfIdfRanker::new(&c);
-        for hit in &out {
-            assert_eq!(hit.score, global.score(hit.doc, &[java]));
-        }
-        // Shard-local idf would differ: both shard docs contain java.
-        assert_ne!(shard.index().idf(java), c.index().idf(java));
+        r.rank_with_idf_into(&docs, &terms, &idfs, 0, &mut out);
+        assert_eq!(out, r.rank(&docs, &terms));
+        assert!(out.iter().all(|h| h.score > 0.0));
     }
 
     #[test]

@@ -24,13 +24,25 @@
 //! and the list selection all live in [`SearchScratch`], so a warmed
 //! scratch makes OR evaluation allocation-free too (asserted by the
 //! `zero_alloc` integration test in `qec-core`).
+//!
+//! Document ranges
+//! ---------------
+//! A searcher covers a contiguous document range of its corpus
+//! ([`Searcher::within`]; [`Searcher::new`] is the whole corpus). Both
+//! strategies read each term's run of postings inside the range, cut
+//! from the corpus's one list by two binary searches, so a shard of a
+//! sharded deployment is a range of the gather corpus, not a copy of
+//! it. A dense term's probe covers the whole corpus and is read as is:
+//! it is only asked about ids already in the range.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::postings::join;
+use crate::inverted::Posting;
+use crate::postings::{join, span};
 use qec_text::TermId;
 
 /// Which boolean semantics a query uses.
@@ -58,8 +70,9 @@ pub struct SearchScratch {
     or_terms: Vec<TermId>,
     /// OR: k-way merge frontier, `(next doc, index into `or_terms`)`.
     or_heap: BinaryHeap<Reverse<(DocId, u32)>>,
-    /// OR: per-list cursor (next unread position).
-    or_pos: Vec<u32>,
+    /// OR: per-list cursor (next unread position) and the end of the
+    /// list's run inside the searched range.
+    or_pos: Vec<(u32, u32)>,
 }
 
 impl SearchScratch {
@@ -74,16 +87,48 @@ impl SearchScratch {
     }
 }
 
-/// Boolean searcher over a frozen [`Corpus`].
+/// Boolean searcher over a contiguous document range of a frozen
+/// [`Corpus`].
 #[derive(Debug, Clone, Copy)]
 pub struct Searcher<'c> {
     corpus: &'c Corpus,
+    /// The searched range `[lo, hi)` of document ids.
+    lo: u32,
+    hi: u32,
+    /// The range covers every document, so no list needs cutting.
+    whole: bool,
 }
 
 impl<'c> Searcher<'c> {
-    /// Creates a searcher over `corpus`.
+    /// Creates a searcher over the whole of `corpus`.
     pub fn new(corpus: &'c Corpus) -> Self {
-        Self { corpus }
+        Self::within(corpus, 0..corpus.num_docs() as u32)
+    }
+
+    /// Creates a searcher over the documents `docs` of `corpus`: results
+    /// are the whole-corpus results that lie in `docs`, in the corpus's
+    /// own ids.
+    pub fn within(corpus: &'c Corpus, docs: Range<u32>) -> Self {
+        Self {
+            corpus,
+            lo: docs.start,
+            hi: docs.end,
+            whole: docs.start == 0 && docs.end as usize >= corpus.num_docs(),
+        }
+    }
+
+    /// The positions of `list`'s postings inside the searched range.
+    fn span(&self, list: &[Posting]) -> Range<usize> {
+        if self.whole {
+            0..list.len()
+        } else {
+            span(list, self.lo..self.hi)
+        }
+    }
+
+    /// `list`'s run of postings inside the searched range.
+    fn run<'l>(&self, list: &'l [Posting]) -> &'l [Posting] {
+        &list[self.span(list)]
     }
 
     /// The corpus being searched.
@@ -127,7 +172,7 @@ impl<'c> Searcher<'c> {
         scratch.terms.dedup();
         scratch.terms.sort_by_key(|&t| index.df(t));
 
-        let seed = index.postings(scratch.terms[0]);
+        let seed = self.run(index.postings(scratch.terms[0]));
         scratch.cur.extend(seed.iter().map(|p| p.doc));
         for &term in &scratch.terms[1..] {
             if scratch.cur.is_empty() {
@@ -137,9 +182,11 @@ impl<'c> Searcher<'c> {
                 scratch.cur.retain(|d| probe.contains(d.index()));
             } else {
                 scratch.next.clear();
-                join(&mut scratch.cur, index.postings(term), |&mut d, _| {
-                    scratch.next.push(d)
-                });
+                join(
+                    &mut scratch.cur,
+                    self.run(index.postings(term)),
+                    |&mut d, _| scratch.next.push(d),
+                );
                 std::mem::swap(&mut scratch.cur, &mut scratch.next);
             }
         }
@@ -170,11 +217,13 @@ impl<'c> Searcher<'c> {
         scratch.or_heap.clear();
         scratch.or_pos.clear();
         for &t in &scratch.terms {
-            if let Some(first) = index.postings(t).first() {
+            let list = index.postings(t);
+            let run = self.span(list);
+            if !run.is_empty() {
                 let li = scratch.or_terms.len() as u32;
                 scratch.or_terms.push(t);
-                scratch.or_heap.push(Reverse((first.doc, li)));
-                scratch.or_pos.push(1);
+                scratch.or_heap.push(Reverse((list[run.start].doc, li)));
+                scratch.or_pos.push((run.start as u32 + 1, run.end as u32));
             }
         }
         while let Some(Reverse((doc, li))) = scratch.or_heap.pop() {
@@ -182,10 +231,12 @@ impl<'c> Searcher<'c> {
                 scratch.cur.push(doc);
             }
             let list = index.postings(scratch.or_terms[li as usize]);
-            let p = scratch.or_pos[li as usize] as usize;
-            if p < list.len() {
-                scratch.or_heap.push(Reverse((list[p].doc, li)));
-                scratch.or_pos[li as usize] += 1;
+            let (next, end) = &mut scratch.or_pos[li as usize];
+            if *next < *end {
+                scratch
+                    .or_heap
+                    .push(Reverse((list[*next as usize].doc, li)));
+                *next += 1;
             }
         }
     }
@@ -355,6 +406,39 @@ mod tests {
                 .filter(|&d| terms.iter().any(|&tm| c.doc_contains(d, tm)))
                 .collect();
             assert_eq!(s.or_query(&terms), expect, "{terms:?}");
+        }
+    }
+
+    #[test]
+    fn a_range_searcher_returns_the_whole_results_inside_its_range() {
+        let c = hybrid_corpus();
+        let whole = Searcher::new(&c);
+        let t = |name: &str| c.keyword_term(name).unwrap();
+        let mut scratch = SearchScratch::new();
+        for range in [0..400, 0..1, 129..258, 150..151, 399..400, 200..200] {
+            let s = Searcher::within(&c, range.clone());
+            let inside = |docs: Vec<DocId>| -> Vec<DocId> {
+                docs.into_iter().filter(|d| range.contains(&d.0)).collect()
+            };
+            for terms in [
+                vec![t("sparse129"), t("sparse150")],
+                vec![t("even"), t("sparse129")],
+                vec![t("common"), t("even")],
+                vec![t("common")],
+            ] {
+                s.and_query_into(&terms, &mut scratch);
+                assert_eq!(
+                    scratch.results(),
+                    inside(whole.and_query(&terms)),
+                    "{range:?} {terms:?}"
+                );
+                s.or_query_into(&terms, &mut scratch);
+                assert_eq!(
+                    scratch.results(),
+                    inside(whole.or_query(&terms)),
+                    "{range:?} {terms:?}"
+                );
+            }
         }
     }
 

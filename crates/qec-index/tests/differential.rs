@@ -11,13 +11,18 @@
 //!   and the full ranking;
 //! * a tally, by the documented selection rules, of which join arm or
 //!   dense probe each narrowing and each ranked term takes, so the run
-//!   provably reaches every one of them.
+//!   provably reaches every one of them;
+//! * range searchers (`Searcher::within`) over random document ranges
+//!   and over the shard ranges of `doc_ranges`, against the whole
+//!   corpus's results filtered to the range, and their ranking — whose
+//!   lists are cut to the range's results — against `TfIdfRanker::rank`,
+//!   bit for bit.
 
 use std::collections::BTreeSet;
 
 use qec_index::{
-    Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher,
-    TfIdfRanker, GALLOP_RATIO,
+    doc_ranges, Corpus, CorpusBuilder, DocId, DocumentSpec, Hit, QuerySemantics, SearchScratch,
+    Searcher, TfIdfRanker, GALLOP_RATIO,
 };
 use qec_text::{AnalyzerConfig, TermId};
 
@@ -114,6 +119,28 @@ fn join_arm(m: usize, n: usize) -> Option<Arm> {
     } else {
         Some(Arm::GallopLeft)
     }
+}
+
+/// The length of `t`'s posting list cut to the span between the first
+/// and last of `docs`: what ranking `docs` joins.
+fn run_between(corpus: &Corpus, t: TermId, docs: &[DocId]) -> usize {
+    let (Some(&first), Some(&last)) = (docs.first(), docs.last()) else {
+        return 0;
+    };
+    let list = corpus.index().postings(t);
+    list.iter()
+        .filter(|p| p.doc >= first && p.doc <= last)
+        .count()
+}
+
+/// A random query of 0–4 terms (duplicates and unseen terms included).
+fn random_query(rng: &mut SplitMix64, words: &[Word], unseen: TermId) -> Vec<TermId> {
+    (0..rng.below(5))
+        .map(|_| match rng.below(10) {
+            0 => unseen,
+            _ => words[rng.below(VOCAB as u64) as usize].0.unwrap_or(unseen),
+        })
+        .collect()
 }
 
 /// Bit-level equality of two rankings.
@@ -213,7 +240,7 @@ fn retrieval_and_ranking_match_naive_references_on_random_corpora() {
 
                 let docs = scratch.results();
                 for &t in &terms {
-                    if let Some(arm) = join_arm(docs.len(), index.df(t) as usize) {
+                    if let Some(arm) = join_arm(docs.len(), run_between(&corpus, t, docs)) {
                         tally[arm as usize] += 1;
                     }
                 }
@@ -252,4 +279,72 @@ fn retrieval_and_ranking_match_naive_references_on_random_corpora() {
             "{name} taken {runs} times, want ≥ {MIN_ARM_RUNS}"
         );
     }
+}
+
+#[test]
+fn range_retrieval_is_the_whole_retrieval_inside_the_range() {
+    let unseen = TermId(1_000_000);
+    let mut scratch = SearchScratch::new();
+    let mut out = Vec::new();
+    let mut checked = 0usize;
+    let mut nonempty = 0usize;
+    for seed in 0..CORPORA {
+        let mut rng = SplitMix64(0x5EED_1000 + seed);
+        let n = 300 + rng.below(2700) as usize;
+        let (corpus, words) = random_corpus(&mut rng, n);
+        let index = corpus.index();
+        let whole = Searcher::new(&corpus);
+        let ranker = TfIdfRanker::new(&corpus);
+        // Random ranges (empty, one document and whole-corpus ones
+        // included), then every range of a 2-, 3- and 8-way split.
+        let mut ranges: Vec<std::ops::Range<u32>> = (0..12)
+            .map(|_| {
+                let a = rng.below(n as u64 + 1) as u32;
+                let b = rng.below(n as u64 + 1) as u32;
+                a.min(b)..a.max(b)
+            })
+            .collect();
+        ranges.extend([0..0, 0..1, n as u32 - 1..n as u32, 0..n as u32]);
+        for shards in [2, 3, 8] {
+            ranges.extend(doc_ranges(n, shards));
+        }
+        for _ in 0..QUERIES {
+            let terms = random_query(&mut rng, &words, unseen);
+            let idfs: Vec<f64> = terms.iter().map(|&t| index.idf(t)).collect();
+            for semantics in [QuerySemantics::And, QuerySemantics::Or] {
+                let all = whole.search(&terms, semantics);
+                for range in &ranges {
+                    let searcher = Searcher::within(&corpus, range.clone());
+                    match semantics {
+                        QuerySemantics::And => searcher.and_query_into(&terms, &mut scratch),
+                        QuerySemantics::Or => searcher.or_query_into(&terms, &mut scratch),
+                    }
+                    let expected: Vec<DocId> = all
+                        .iter()
+                        .copied()
+                        .filter(|d| range.contains(&d.0))
+                        .collect();
+                    let ctx =
+                        format!("corpus {seed} (n {n}), {terms:?} {semantics:?} in {range:?}");
+                    assert_eq!(scratch.results(), expected, "{ctx}");
+                    let docs = scratch.results();
+                    nonempty += usize::from(!docs.is_empty());
+                    let reference = ranker.rank(docs, &terms);
+                    for top_k in [0, 1, 7, docs.len()] {
+                        ranker.rank_with_idf_into(docs, &terms, &idfs, top_k, &mut out);
+                        let want = match top_k {
+                            0 => &reference[..],
+                            k => &reference[..k.min(docs.len())],
+                        };
+                        assert!(same_bits(&out, want), "{ctx}, top_k {top_k}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        nonempty * 4 >= checked,
+        "{nonempty} of {checked} range queries matched anything"
+    );
 }

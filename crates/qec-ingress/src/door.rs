@@ -140,6 +140,7 @@ impl Ticket {
 /// Queue state behind the mutex.
 struct State {
     queue: VecDeque<Pending>,
+    /// Set by `Drop`: the collector drains the queue and exits.
     shutdown: bool,
 }
 
@@ -234,7 +235,7 @@ impl Ingress {
         {
             let mut st = lock(&self.shared.state);
             let cap = self.shared.config.queue_cap;
-            if st.shutdown || (cap > 0 && st.queue.len() >= cap) {
+            if cap > 0 && st.queue.len() >= cap {
                 let depth = st.queue.len();
                 drop(st);
                 StatsCells::bump(&self.shared.stats.queue_sheds);
@@ -280,9 +281,10 @@ impl Ingress {
 }
 
 impl Drop for Ingress {
-    /// Graceful shutdown: refuses new submissions, lets the collector
-    /// drain and dispatch everything still queued (so no submitter is
-    /// left parked on a slot), then joins it.
+    /// Graceful shutdown: lets the collector drain and dispatch
+    /// everything still queued (so no submitter is left parked on a
+    /// slot), then joins it. `drop` holds the door exclusively, so no
+    /// `submit` can run once shutdown begins.
     fn drop(&mut self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.arrived.notify_all();

@@ -30,7 +30,7 @@ pub enum SnapshotError {
     /// a torn write inside the section, or deliberate tampering.
     ChecksumMismatch {
         /// The section whose checksum failed (`"header"`, `"meta"`,
-        /// `"dict"`, `"docs"`, `"post"`, `"trailer"`).
+        /// `"dict"`, `"docs"`, `"segment"`, `"post"`, `"trailer"`).
         section: &'static str,
     },
     /// A section tag is not the one the fixed layout requires here.
@@ -42,8 +42,9 @@ pub enum SnapshotError {
     },
     /// The bytes decode but describe an impossible index: the semantic
     /// validation pass (dictionary density, posting order and range,
-    /// zero tfs, posting total, document-length sums) rejected
-    /// them even though every checksum passed.
+    /// zero tfs, posting total, document-length sums; a set segment's
+    /// range and dictionary fingerprint) rejected them even though every
+    /// checksum passed.
     Corrupt {
         /// The section whose contents are inconsistent.
         section: &'static str,

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! offset 0      "QECSNAP1"                 8-byte magic
-//!        8      version      u32 LE        format version (currently 2)
+//!        8      version      u32 LE        2: single file; 3: a file of a set
 //!        12     header_crc   u32 LE        CRC32 of bytes [0, 12)
-//!        16     section × 4, fixed order META, DICT, DOCS, POST:
+//!        16     sections, in the fixed order of the file's kind:
 //!                   tag          4 ASCII bytes
 //!                   payload_len  u64 LE
 //!                   payload      payload_len bytes
@@ -12,6 +12,23 @@
 //!        …      "TRLR"                     trailer tag
 //!               file_crc     u32 LE        CRC32 of every byte before "TRLR"
 //!        EOF    (anything after the trailer is an error)
+//! ```
+//!
+//! The three kinds of file and their sections:
+//!
+//! ```text
+//! single file   (VERSION)       META · DICT · DOCS · POST
+//! doc store     (SET_VERSION)   META · DICT · DOCS            full.qsnap
+//! segment       (SET_VERSION)   SEGM · POST                   shard-i-of-n.qsnap
+//! ```
+//!
+//! META counts the whole corpus in every kind. A segment's POST has one
+//! list per term slot, like the single file's, holding only the
+//! postings of the segment's document range; SEGM names that range and
+//! the dictionary fingerprint of the doc store it belongs to:
+//!
+//! ```text
+//! SEGM payload  lo u32 · hi u32 · vocab u64 · dict_crc u32 · index_terms u64 · postings u64
 //! ```
 //!
 //! Every multi-byte integer in the file is little-endian. The reader
@@ -29,6 +46,11 @@ pub const MAGIC: [u8; 8] = *b"QECSNAP1";
 /// also stored the dense terms' bitmaps (a `BITS` section after POST);
 /// version 2 derives them on load.
 pub const VERSION: u32 = 2;
+/// Format version of the files of a sharded snapshot set (doc store and
+/// segments). A set loader refuses any other version, so a version-2
+/// set — a full single-file snapshot beside per-shard sub-corpus files —
+/// is refused by its `full.qsnap`.
+pub const SET_VERSION: u32 = 3;
 
 /// Corpus-wide counts and the analyzer configuration.
 pub const TAG_META: [u8; 4] = *b"META";
@@ -38,6 +60,8 @@ pub const TAG_DICT: [u8; 4] = *b"DICT";
 pub const TAG_DOCS: [u8; 4] = *b"DOCS";
 /// Per-term posting lists `(doc, tf)`; doc-term rows are its transpose.
 pub const TAG_POST: [u8; 4] = *b"POST";
+/// A segment's range and dictionary fingerprint.
+pub const TAG_SEGM: [u8; 4] = *b"SEGM";
 /// Trailer: whole-file CRC.
 pub const TAG_TRLR: [u8; 4] = *b"TRLR";
 

@@ -19,6 +19,7 @@
 //! `InvertedIndex::from_lists` exactly as a build freezes them, so no two
 //! views of the corpus can disagree.
 
+use std::ops::Range;
 use std::path::Path;
 
 use qec_index::{Corpus, DocId, Feature, InvertedIndex, Posting, StoredDoc};
@@ -26,16 +27,16 @@ use qec_text::{Analyzer, AnalyzerConfig, TermId};
 
 use crate::crc::crc32;
 use crate::error::SnapshotError;
+use crate::failpoint;
 use crate::format::{Reader, MAGIC, TAG_DICT, TAG_DOCS, TAG_META, TAG_POST, TAG_TRLR, VERSION};
-use crate::{failpoint, SnapshotSummary};
 
-fn load_failpoint(site: &'static str) -> Result<(), SnapshotError> {
+pub(crate) fn load_failpoint(site: &'static str) -> Result<(), SnapshotError> {
     failpoint(site).map_err(SnapshotError::Io)
 }
 
 /// Reads one framed section: tag must match, payload must verify against
 /// its stored CRC. Returns the payload and its CRC.
-fn section<'a>(
+pub(crate) fn section<'a>(
     r: &mut Reader<'a>,
     tag: [u8; 4],
     name: &'static str,
@@ -57,7 +58,7 @@ fn section<'a>(
     Ok((payload, stored))
 }
 
-fn corrupt(section: &'static str, detail: impl std::fmt::Display) -> SnapshotError {
+pub(crate) fn corrupt(section: &'static str, detail: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt {
         section,
         detail: detail.to_string(),
@@ -74,7 +75,7 @@ fn capped(count: usize, min_bytes_each: usize, remaining: usize) -> usize {
 }
 
 /// Checks a section's payload reader consumed every byte.
-fn drained(r: &Reader<'_>, name: &'static str) -> Result<(), SnapshotError> {
+pub(crate) fn drained(r: &Reader<'_>, name: &'static str) -> Result<(), SnapshotError> {
     if r.remaining() != 0 {
         return Err(corrupt(
             name,
@@ -84,11 +85,11 @@ fn drained(r: &Reader<'_>, name: &'static str) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-struct Meta {
-    num_docs: u64,
-    vocab: u64,
-    index_terms: u64,
-    total_postings: u64,
+pub(crate) struct Meta {
+    pub(crate) num_docs: u64,
+    pub(crate) vocab: u64,
+    pub(crate) index_terms: u64,
+    pub(crate) total_postings: u64,
     config: AnalyzerConfig,
 }
 
@@ -185,17 +186,31 @@ fn parse_docs(payload: &[u8], meta: &Meta) -> Result<Vec<StoredDoc>, SnapshotErr
     Ok(docs)
 }
 
-/// Decodes POST into posting lists. Order and range are left to
-/// `InvertedIndex::from_lists`; what it does not check is checked here:
-/// a zero tf, and the posting total against META's.
-fn parse_post(payload: &[u8], meta: &Meta) -> Result<Vec<Vec<Posting>>, SnapshotError> {
+/// Decodes a POST payload of `slots` posting lists, appending list `i`
+/// to `lists[i]` (created when missing) at exactly its new length, and
+/// returns the postings decoded. A zero tf is refused here. Order and
+/// range are left to `InvertedIndex::from_lists`, except in a segment
+/// (`segment` = its documents): a segment's lists are appended to the
+/// lists of the segments before it, so each posting must ascend inside
+/// the segment's range, and a refusal names the segment's file rather
+/// than the assembled index.
+pub(crate) fn parse_post_into(
+    payload: &[u8],
+    slots: u64,
+    segment: Option<Range<u32>>,
+    lists: &mut Vec<Vec<Posting>>,
+) -> Result<u64, SnapshotError> {
     let mut r = Reader::new(payload);
     r.set_context("post");
-    let mut lists = Vec::with_capacity(capped(meta.index_terms as usize, 4, r.remaining()));
     let mut total = 0u64;
-    for slot in 0..meta.index_terms as u32 {
+    for slot in 0..slots as u32 {
         let df = r.u32()? as usize;
-        let mut list = Vec::with_capacity(capped(df, 8, r.remaining()));
+        if lists.len() == slot as usize {
+            lists.push(Vec::new());
+        }
+        let list = &mut lists[slot as usize];
+        list.reserve_exact(capped(df, 8, r.remaining()));
+        let mut next = segment.as_ref().map_or(0, |s| s.start);
         for _ in 0..df {
             let doc = r.u32()?;
             let tf = r.u32()?;
@@ -205,25 +220,43 @@ fn parse_post(payload: &[u8], meta: &Meta) -> Result<Vec<Vec<Posting>>, Snapshot
                     format!("zero term frequency for term {slot} in doc {doc}"),
                 ));
             }
+            if let Some(range) = &segment {
+                if !range.contains(&doc) {
+                    return Err(corrupt(
+                        "post",
+                        format!(
+                            "term {slot} names doc {doc}, outside the segment's documents {range:?}"
+                        ),
+                    ));
+                }
+                if doc < next {
+                    return Err(corrupt(
+                        "post",
+                        format!("posting list of term {slot} is not strictly sorted"),
+                    ));
+                }
+                next = doc + 1;
+            }
             list.push(Posting {
                 doc: DocId(doc),
                 tf,
             });
         }
         total += df as u64;
-        lists.push(list);
     }
     drained(&r, "post")?;
-    if total != meta.total_postings {
+    Ok(total)
+}
+
+/// Refuses a posting total that disagrees with the count `what` stored.
+pub(crate) fn check_total(total: u64, stored: u64, what: &str) -> Result<(), SnapshotError> {
+    if total != stored {
         return Err(corrupt(
             "post",
-            format!(
-                "posting count {total} disagrees with meta's {}",
-                meta.total_postings
-            ),
+            format!("posting count {total} disagrees with {what}'s {stored}"),
         ));
     }
-    Ok(lists)
+    Ok(())
 }
 
 /// Rebuilds the per-document term rows as the transpose of the posting
@@ -246,57 +279,33 @@ fn transpose(index: &InvertedIndex) -> Vec<Vec<(TermId, u32)>> {
     rows
 }
 
-/// Loads and validates the snapshot at `path`. See
-/// [`load_corpus_with_summary`] for the summary-returning variant.
-pub fn load_corpus(path: &Path) -> Result<Corpus, SnapshotError> {
-    load_corpus_with_summary(path).map(|(corpus, _)| corpus)
+/// Reads the file at `path` whole.
+pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
+    load_failpoint("snapshot.load.header")?;
+    Ok(std::fs::read(path)?)
 }
 
-/// Loads and validates the snapshot at `path`, returning the corpus and
-/// a [`SnapshotSummary`] (byte size, counts, dictionary fingerprint —
-/// what sharded loads use to verify that a set of files belongs to one
-/// generation).
-///
-/// Failpoint sites (chaos tests): `snapshot.load.header`,
-/// `snapshot.load.meta`, `.dict`, `.docs`, `.post`, `.trailer` — each
-/// fires before its section is touched.
-pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary), SnapshotError> {
-    load_failpoint("snapshot.load.header")?;
-    let buf = std::fs::read(path)?;
-    let mut r = Reader::new(&buf);
-
-    // Header: magic, version, header CRC.
+/// Checks the header of the file image `buf` at `r`: magic, header CRC,
+/// then `version`.
+pub(crate) fn header(r: &mut Reader<'_>, buf: &[u8], version: u32) -> Result<(), SnapshotError> {
     let magic = r.bytes(8)?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u32()?;
+    let found = r.u32()?;
     let header_crc = r.u32()?;
     if crc32(&buf[..12]) != header_crc {
         return Err(SnapshotError::ChecksumMismatch { section: "header" });
     }
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
+    if found != version {
+        return Err(SnapshotError::UnsupportedVersion { found });
     }
+    Ok(())
+}
 
-    load_failpoint("snapshot.load.meta")?;
-    let (meta_payload, _) = section(&mut r, TAG_META, "meta")?;
-    let meta = parse_meta(meta_payload)?;
-
-    load_failpoint("snapshot.load.dict")?;
-    let (dict_payload, dict_crc) = section(&mut r, TAG_DICT, "dict")?;
-    let analyzer = parse_dict(dict_payload, &meta)?;
-
-    load_failpoint("snapshot.load.docs")?;
-    let (docs_payload, _) = section(&mut r, TAG_DOCS, "docs")?;
-    let docs = parse_docs(docs_payload, &meta)?;
-
-    load_failpoint("snapshot.load.post")?;
-    let (post_payload, _) = section(&mut r, TAG_POST, "post")?;
-    let lists = parse_post(post_payload, &meta)?;
-
-    // Trailer: whole-file CRC over everything before the trailer tag,
-    // then exact EOF.
+/// Checks the trailer: its tag, the CRC32 of every byte before it, and
+/// exact EOF.
+pub(crate) fn trailer(r: &mut Reader<'_>, buf: &[u8]) -> Result<(), SnapshotError> {
     load_failpoint("snapshot.load.trailer")?;
     r.set_context("trailer");
     let body_end = r.pos();
@@ -316,22 +325,72 @@ pub fn load_corpus_with_summary(path: &Path) -> Result<(Corpus, SnapshotSummary)
             extra: r.remaining(),
         });
     }
+    Ok(())
+}
 
-    // Assembly through the validating constructors. The index is frozen
-    // first: it proves every posting in range, which the transpose needs.
-    let index =
-        InvertedIndex::from_lists(meta.num_docs as u32, lists).map_err(|e| corrupt("post", e))?;
-    let rows = transpose(&index);
-    let corpus =
-        Corpus::from_frozen_parts(analyzer, docs, rows, index).map_err(|e| corrupt("docs", e))?;
+/// What the META, DICT and DOCS sections hold: everything of a corpus
+/// but its postings.
+pub(crate) struct DocStore {
+    pub(crate) meta: Meta,
+    /// CRC32 of the DICT payload: the dictionary fingerprint.
+    pub(crate) dict_crc: u32,
+    analyzer: Analyzer,
+    docs: Vec<StoredDoc>,
+}
 
-    let summary = SnapshotSummary {
-        bytes: buf.len() as u64,
-        num_docs: meta.num_docs,
-        vocab: meta.vocab,
-        index_terms: meta.index_terms,
-        total_postings: meta.total_postings,
+/// Decodes the META, DICT and DOCS sections at `r`.
+pub(crate) fn doc_store(r: &mut Reader<'_>) -> Result<DocStore, SnapshotError> {
+    load_failpoint("snapshot.load.meta")?;
+    let (meta_payload, _) = section(r, TAG_META, "meta")?;
+    let meta = parse_meta(meta_payload)?;
+
+    load_failpoint("snapshot.load.dict")?;
+    let (dict_payload, dict_crc) = section(r, TAG_DICT, "dict")?;
+    let analyzer = parse_dict(dict_payload, &meta)?;
+
+    load_failpoint("snapshot.load.docs")?;
+    let (docs_payload, _) = section(r, TAG_DOCS, "docs")?;
+    let docs = parse_docs(docs_payload, &meta)?;
+    Ok(DocStore {
+        meta,
         dict_crc,
-    };
-    Ok((corpus, summary))
+        analyzer,
+        docs,
+    })
+}
+
+/// Assembles the corpus through the validating constructors. The index
+/// is frozen first: it proves every posting in range, which the
+/// transpose needs.
+pub(crate) fn assemble(store: DocStore, lists: Vec<Vec<Posting>>) -> Result<Corpus, SnapshotError> {
+    let index = InvertedIndex::from_lists(store.meta.num_docs as u32, lists)
+        .map_err(|e| corrupt("post", e))?;
+    let rows = transpose(&index);
+    Corpus::from_frozen_parts(store.analyzer, store.docs, rows, index)
+        .map_err(|e| corrupt("docs", e))
+}
+
+/// Loads and validates the single-file snapshot at `path`.
+///
+/// Failpoint sites (chaos tests): `snapshot.load.header`,
+/// `snapshot.load.meta`, `.dict`, `.docs`, `.post`, `.trailer` — each
+/// fires before its section is touched.
+pub fn load_corpus(path: &Path) -> Result<Corpus, SnapshotError> {
+    let buf = read_file(path)?;
+    let mut r = Reader::new(&buf);
+    header(&mut r, &buf, VERSION)?;
+    let store = doc_store(&mut r)?;
+
+    load_failpoint("snapshot.load.post")?;
+    let (post_payload, _) = section(&mut r, TAG_POST, "post")?;
+    let mut lists = Vec::with_capacity(capped(
+        store.meta.index_terms as usize,
+        4,
+        post_payload.len(),
+    ));
+    let total = parse_post_into(post_payload, store.meta.index_terms, None, &mut lists)?;
+    check_total(total, store.meta.total_postings, "meta")?;
+
+    trailer(&mut r, &buf)?;
+    assemble(store, lists)
 }

@@ -16,11 +16,17 @@
 //! boundary: header magic, version (a future one, and generation 1,
 //! which stored bitmaps this format derives), section tags/lengths/
 //! checksums of dictionary and postings, and the trailer CRC.
+//!
+//! The files of a snapshot set — its doc store and a posting segment —
+//! take the bit-flip and truncation sweeps too: every mutation refuses
+//! the whole set with a typed error naming the mutated file.
 
 use std::path::{Path, PathBuf};
 
 use qec_index::{Corpus, CorpusBuilder, DocumentSpec, Feature};
-use qec_snapshot::{crc32, load_corpus, save_corpus, SnapshotError};
+use qec_snapshot::{
+    crc32, load_corpus, load_corpus_set, save_corpus, save_corpus_set, SnapshotError, FULL_SNAPSHOT,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qec-snap-fuzz-{tag}-{}", std::process::id()));
@@ -164,6 +170,54 @@ fn semantic_tier_survives_crc_fixed_payload_flips_without_panicking() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every single-bit flip and every truncation of `file` in a 2-segment
+/// set refuses the set with a typed error that names `file`.
+fn sweep_set_file(tag: &str, file: &str) {
+    let dir = temp_dir(tag);
+    save_corpus_set(&corpus(), &dir, 2).expect("save set");
+    let path = dir.join(file);
+    let bytes = std::fs::read(&path).unwrap();
+    let load = |mutated: &[u8]| -> SnapshotError {
+        std::fs::write(&path, mutated).unwrap();
+        let (at, err) = load_corpus_set(&dir, 2).map(|_| ()).unwrap_err();
+        assert_eq!(at, path, "the refusal names the mutated file: {err}");
+        err
+    };
+    let mut mutated = bytes.clone();
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            mutated[byte] ^= 1 << bit;
+            load(&mutated);
+            mutated[byte] ^= 1 << bit;
+        }
+    }
+    for len in 0..bytes.len() {
+        let err = load(&bytes[..len]);
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Truncated { .. }
+                    | SnapshotError::ChecksumMismatch { .. }
+                    | SnapshotError::BadMagic
+            ),
+            "{file}: prefix of {len} bytes: unexpected {err}"
+        );
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(load_corpus_set(&dir, 2).is_ok(), "the restored set loads");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_bit_flip_and_truncation_of_a_doc_store_is_a_typed_error() {
+    sweep_set_file("set-store", FULL_SNAPSHOT);
+}
+
+#[test]
+fn every_bit_flip_and_truncation_of_a_segment_is_a_typed_error() {
+    sweep_set_file("set-segment", "shard-1-of-2.qsnap");
 }
 
 #[test]

@@ -1,12 +1,15 @@
-//! Round-trip equality: a corpus saved and loaded back must be
-//! indistinguishable from the original — same dictionary, same stored
-//! documents, same term rows, same posting lists, same idf table — across
-//! text, structured, labeled, empty, and stopword-only shapes.
+//! Round-trip equality: a corpus saved and loaded back — as one file or
+//! as a snapshot set of any segment count — must be indistinguishable
+//! from the original — same dictionary, same stored documents, same term
+//! rows, same posting lists, same idf table — across text, structured,
+//! labeled, empty, and stopword-only shapes.
 
 use std::path::PathBuf;
 
 use qec_index::{Corpus, CorpusBuilder, DocumentSpec, Feature};
-use qec_snapshot::{load_corpus, load_corpus_with_summary, save_corpus, SnapshotError};
+use qec_snapshot::{
+    load_corpus, load_corpus_set, save_corpus, save_corpus_set, SnapshotError, FULL_SNAPSHOT,
+};
 use qec_text::TermId;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -81,8 +84,7 @@ fn mixed_corpus_roundtrips_bit_identically() {
         "summary byte count is the file size"
     );
 
-    let (loaded, summary) = load_corpus_with_summary(&path).expect("load");
-    assert_eq!(summary, saved, "save and load report the same summary");
+    let loaded = load_corpus(&path).expect("load");
     assert_corpora_equal(&corpus, &loaded);
 
     // The loaded corpus serves query analysis identically.
@@ -93,6 +95,49 @@ fn mixed_corpus_roundtrips_bit_identically() {
         corpus.query_terms("java island")
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_snapshot_set_roundtrips_bit_identically_for_every_segment_count() {
+    let corpus = mixed_corpus();
+    let dir = temp_dir("set");
+    let single = save_corpus(&corpus, &dir.join("single.qsnap")).expect("save single");
+    for n in [1usize, 2, 3, 8, corpus.num_docs()] {
+        let set = dir.join(format!("set-{n}"));
+        std::fs::create_dir_all(&set).unwrap();
+        let summaries = save_corpus_set(&corpus, &set, n).expect("save set");
+        assert_eq!(
+            summaries.len(),
+            1 + n,
+            "the doc store and one segment per range"
+        );
+        let (store, segments) = (&summaries[0], &summaries[1..]);
+        assert_eq!(
+            store.bytes,
+            std::fs::metadata(set.join(FULL_SNAPSHOT)).unwrap().len()
+        );
+        assert_eq!(store.total_postings, corpus.index().total_postings());
+        assert!(segments.iter().all(|s| s.dict_crc == single.dict_crc));
+        assert_eq!(
+            segments.iter().map(|s| s.num_docs).sum::<u64>(),
+            corpus.num_docs() as u64,
+            "n={n}: every document in one segment"
+        );
+        assert_eq!(
+            segments.iter().map(|s| s.total_postings).sum::<u64>(),
+            corpus.index().total_postings(),
+            "n={n}: every posting in one segment"
+        );
+        let loaded = load_corpus_set(&set, n).expect("load set");
+        assert_corpora_equal(&corpus, &loaded);
+    }
+
+    // The empty corpus: one empty range, and back.
+    let empty = dir.join("set-empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    save_corpus_set(&CorpusBuilder::new().build(), &empty, 1).expect("save empty set");
+    assert_eq!(load_corpus_set(&empty, 1).expect("load").num_docs(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
