@@ -33,7 +33,7 @@ mod term_matrix;
 pub use corpus::{doc_ranges, Corpus, CorpusBuilder, CorpusPartsError, StoredDoc};
 pub use doc::{DocId, DocumentSpec, Feature};
 pub use inverted::{InvertedIndex, Posting, PostingListError};
-pub use postings::GALLOP_RATIO;
+pub use postings::{posting_span, GALLOP_RATIO};
 pub use rank::{Hit, TfIdfRanker};
 pub use search::{QuerySemantics, SearchScratch, Searcher};
 pub use term_matrix::TermMatrix;

@@ -34,7 +34,7 @@
 //! ---------------
 //! A posting list is sorted by document, so the postings of a document
 //! range `[lo, hi)` are one contiguous run of it, found by two binary
-//! searches ([`span`]). A shard's retrieval joins and merges those runs
+//! searches ([`posting_span`]). A shard's retrieval joins and merges those runs
 //! of the one global list; ranking joins only the run between its first
 //! and last result.
 
@@ -89,8 +89,9 @@ pub(crate) fn dense_probe(num_docs: usize, list: &[Posting]) -> Option<Bitset> {
 }
 
 /// The positions in `list` of the postings whose documents lie in
-/// `docs`.
-pub(crate) fn span(list: &[Posting], docs: Range<u32>) -> Range<usize> {
+/// `docs`: the one definition of a document range's run of a list, for
+/// retrieval, ranking and the snapshot writer.
+pub fn posting_span(list: &[Posting], docs: Range<u32>) -> Range<usize> {
     let lo = list.partition_point(|p| p.doc.0 < docs.start);
     lo..lo + list[lo..].partition_point(|p| p.doc.0 < docs.end)
 }
@@ -205,13 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn span_cuts_the_run_of_a_document_range() {
+    fn posting_span_cuts_the_run_of_a_document_range() {
         let list = postings(&ids(&[2, 5, 9, 11, 30]));
-        assert_eq!(span(&list, 0..100), 0..5);
-        assert_eq!(span(&list, 5..11), 1..3, "lo inclusive, hi exclusive");
-        assert_eq!(span(&list, 6..9), 2..2, "no posting in range");
-        assert_eq!(span(&list, 31..40), 5..5);
-        assert_eq!(span(&[], 0..10), 0..0);
+        assert_eq!(posting_span(&list, 0..100), 0..5);
+        assert_eq!(
+            posting_span(&list, 5..11),
+            1..3,
+            "lo inclusive, hi exclusive"
+        );
+        assert_eq!(posting_span(&list, 6..9), 2..2, "no posting in range");
+        assert_eq!(posting_span(&list, 31..40), 5..5);
+        assert_eq!(posting_span(&[], 0..10), 0..0);
     }
 
     #[test]

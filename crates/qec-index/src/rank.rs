@@ -9,7 +9,7 @@
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::postings::{join, span};
+use crate::postings::{join, posting_span};
 use qec_text::TermId;
 
 /// A retrieved document with its ranking score.
@@ -106,9 +106,11 @@ impl<'c> TfIdfRanker<'c> {
         if let (Some(first), Some(last)) = (docs.first(), docs.last()) {
             for (&t, &idf) in terms.iter().zip(idfs) {
                 let list = index.postings(t);
-                join(out, &list[span(list, first.0..last.0 + 1)], |hit, p| {
-                    hit.score += p.tf as f64 * idf
-                });
+                join(
+                    out,
+                    &list[posting_span(list, first.0..last.0 + 1)],
+                    |hit, p| hit.score += p.tf as f64 * idf,
+                );
             }
         }
         for hit in out.iter_mut() {
@@ -226,6 +228,26 @@ mod tests {
 
     #[test]
     fn rank_with_idf_into_scores_with_the_supplied_statistics() {
+        // A split-off shard seeing only half the corpus still produces
+        // global scores when handed the parent's idf values.
+        let c = corpus();
+        let java = c.keyword_term("java").unwrap();
+        let idfs = vec![c.index().idf(java)];
+        let shards = c.split(2);
+        let shard = &shards[0]; // holds global docs 0 and 1
+        let docs: Vec<DocId> = Searcher::new(shard).and_query(&[java]);
+        let mut out = Vec::new();
+        TfIdfRanker::new(shard).rank_with_idf_into(&docs, &[java], &idfs, 0, &mut out);
+        let global = TfIdfRanker::new(&c);
+        for hit in &out {
+            assert_eq!(hit.score, global.score(hit.doc, &[java]));
+        }
+        // Shard-local idf would differ: both shard docs contain java.
+        assert_ne!(shard.index().idf(java), c.index().idf(java));
+    }
+
+    #[test]
+    fn rank_with_idf_into_scores_a_range_through_cut_lists() {
         // A shard retrieving only documents 2..4 ranks them with the
         // corpus's idfs through lists cut to that range; the scores are
         // the whole corpus's, bit for bit.

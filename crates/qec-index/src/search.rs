@@ -42,7 +42,7 @@ use std::ops::Range;
 use crate::corpus::Corpus;
 use crate::doc::DocId;
 use crate::inverted::Posting;
-use crate::postings::{join, span};
+use crate::postings::{join, posting_span};
 use qec_text::TermId;
 
 /// Which boolean semantics a query uses.
@@ -95,8 +95,6 @@ pub struct Searcher<'c> {
     /// The searched range `[lo, hi)` of document ids.
     lo: u32,
     hi: u32,
-    /// The range covers every document, so no list needs cutting.
-    whole: bool,
 }
 
 impl<'c> Searcher<'c> {
@@ -113,17 +111,12 @@ impl<'c> Searcher<'c> {
             corpus,
             lo: docs.start,
             hi: docs.end,
-            whole: docs.start == 0 && docs.end as usize >= corpus.num_docs(),
         }
     }
 
     /// The positions of `list`'s postings inside the searched range.
     fn span(&self, list: &[Posting]) -> Range<usize> {
-        if self.whole {
-            0..list.len()
-        } else {
-            span(list, self.lo..self.hi)
-        }
+        posting_span(list, self.lo..self.hi)
     }
 
     /// `list`'s run of postings inside the searched range.

@@ -14,7 +14,7 @@ use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use qec_index::{Corpus, Posting};
+use qec_index::{posting_span, Corpus, Posting};
 use qec_text::TermId;
 
 use crate::crc::crc32;
@@ -111,8 +111,7 @@ pub(crate) fn post_payload(corpus: &Corpus, docs: Range<u32>) -> (Vec<u8>, u64) 
     let runs: Vec<&[Posting]> = (0..index.num_terms() as u32)
         .map(|slot| {
             let list = index.postings(TermId(slot));
-            let lo = list.partition_point(|p| p.doc.0 < docs.start);
-            &list[lo..lo + list[lo..].partition_point(|p| p.doc.0 < docs.end)]
+            &list[posting_span(list, docs.clone())]
         })
         .collect();
     let postings: usize = runs.iter().map(|run| run.len()).sum();
