@@ -29,8 +29,8 @@
 //!   [`DisjointSlots`] (one output slot per task index).
 //! * the long-lived [`WorkerPool`] every fan-out runs on (the
 //!   offline-build substitute for rayon): fixed workers over one shared
-//!   FIFO queue of spawned jobs and indexed batches, whose indices are
-//!   claimed under the queue lock; scheduling a batch allocates nothing.
+//!   FIFO queue of indexed batches, whose indices are claimed under the
+//!   queue lock; scheduling a batch allocates nothing.
 //! * [`MergeScratch`] — the gather primitive of shard-partitioned
 //!   serving: a reusable k-way merge scratch for per-shard sorted lists.
 //! * [`Backoff`] — deadline-aware capped exponential backoff with

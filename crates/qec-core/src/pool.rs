@@ -14,17 +14,16 @@
 //!   `Mutex<{ VecDeque<Task>, shutdown }>` and wait on one condvar **under
 //!   that mutex** — a submission cannot slip between a worker's "queue is
 //!   empty" and its wait, so no wake-up is ever lost.
-//! * [`spawn`](WorkerPool::spawn) queues a boxed job; jobs run in FIFO
-//!   order, in line with batches.
-//! * [`run_indexed`](WorkerPool::run_indexed) queues **one entry** for a
-//!   whole batch of *`n` indices plus one shared closure*. A worker that
-//!   finds the batch at the front claims its next index under the lock and
-//!   pops the entry with the last claim; the batch descriptor lives on the
-//!   submitter's stack. The queue's capacity persists, so scheduling a
+//! * [`run_indexed`](WorkerPool::run_indexed), the one way in, queues
+//!   **one entry** for a whole batch of *`n` indices plus one shared
+//!   closure*. A worker that finds the batch at the front claims its next
+//!   index under the lock and pops the entry with the last claim; the
+//!   batch descriptor lives on the submitter's stack, and batches are
+//!   served in FIFO order. The queue's capacity persists, so scheduling a
 //!   batch of any `n` on a warm pool performs **zero heap allocations**.
 //! * Dropping the pool flags shutdown under the lock, wakes every worker
-//!   and **joins them**; workers exit only on an empty queue, so queued
-//!   work is drained, never stranded.
+//!   and **joins them**. A queued batch has a submitter blocked on it, so
+//!   none is queued while the pool drops.
 //!
 //! The one invariant
 //! -----------------
@@ -41,9 +40,8 @@
 //!
 //! No nested waits
 //! ---------------
-//! A pool task must not wait on its own pool — neither `run_indexed` nor
-//! blocking on the completion of a job it `spawn`ed: when every worker does
-//! so, nobody is left to run the work they wait for.
+//! A pool task must not call `run_indexed` on its own pool: when every
+//! worker does so, nobody is left to run the indices they wait for.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,9 +62,6 @@ pub fn default_parallelism() -> usize {
             .unwrap_or(1)
     })
 }
-
-/// A boxed fire-and-forget job for [`WorkerPool::spawn`].
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// The type-erased batch closure of [`WorkerPool::run_indexed`]. The
 /// `'static` here is a lie told only inside the pool: `run_indexed` blocks
@@ -90,27 +85,23 @@ struct Batch {
     panicked: AtomicBool,
 }
 
-/// One queue entry. **Invariant** (the module's only one): a `Batch`
-/// pointer is queued exactly while its batch has unclaimed indices — hence
-/// `pending > 0`, hence its submitter is still blocked in `run_indexed`,
-/// hence the pointee is alive.
-enum Task {
-    /// A [`WorkerPool::spawn`]ed job.
-    Spawned(Job),
-    /// An in-flight batch with indices left to claim.
-    Batch(*const Batch),
-}
+/// One queue entry: an in-flight batch with indices left to claim.
+/// **Invariant** (the module's only one): a `Batch` pointer is queued
+/// exactly while its batch has unclaimed indices — hence `pending > 0`,
+/// hence its submitter is still blocked in `run_indexed`, hence the
+/// pointee is alive.
+struct Task(*const Batch);
 
-// SAFETY: `Spawned` is `Send` by construction. A queued `Batch` pointer
-// targets a live `Batch` (the invariant on `Task`) whose fields are atomics
-// plus a pointer to a `Sync` closure, so any thread may use it.
+// SAFETY: a queued `Batch` pointer targets a live `Batch` (the invariant
+// on `Task`) whose fields are atomics plus a pointer to a `Sync` closure,
+// so any thread may use it.
 unsafe impl Send for Task {}
 
 /// The queue and its shutdown flag, under one lock so a worker decides
 /// "nothing to do, not shutting down, wait" atomically.
 struct Queue {
     tasks: VecDeque<Task>,
-    /// Set by `Drop`; workers drain remaining tasks, then exit.
+    /// Set by `Drop`; workers exit once the queue is empty.
     shutdown: bool,
 }
 
@@ -136,7 +127,7 @@ impl PoolShared {
             match q.tasks.front() {
                 None if q.shutdown => return,
                 None => q = self.work_cv.wait(q).unwrap_or_else(|e| e.into_inner()),
-                Some(&Task::Batch(batch)) => {
+                Some(&Task(batch)) => {
                     // SAFETY: the pointer is queued, so the batch is alive
                     // (invariant on `Task`).
                     let b = unsafe { &*batch };
@@ -147,16 +138,6 @@ impl PoolShared {
                     }
                     drop(q);
                     self.run_index(batch, i);
-                    q = self.lock(&self.queue);
-                }
-                Some(Task::Spawned(_)) => {
-                    let Some(Task::Spawned(job)) = q.tasks.pop_front() else {
-                        unreachable!("the front was just seen to be a spawned job")
-                    };
-                    drop(q);
-                    // A spawned job has no submitter to re-panic in; swallow
-                    // so one bad job cannot take a worker down.
-                    let _ = catch_unwind(AssertUnwindSafe(job));
                     q = self.lock(&self.queue);
                 }
             }
@@ -210,10 +191,9 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
-            // Pre-sized: the queue holds one entry per in-flight batch or
-            // pending spawned job, so 64 slots cover serving without a
-            // growth reallocation — the warmed zero-allocation discipline
-            // of `run_indexed`.
+            // Pre-sized: the queue holds one entry per in-flight batch, so
+            // 64 slots cover serving without a growth reallocation — the
+            // warmed zero-allocation discipline of `run_indexed`.
             queue: Mutex::new(Queue {
                 tasks: VecDeque::with_capacity(64),
                 shutdown: false,
@@ -237,18 +217,6 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Queues a fire-and-forget job behind everything already queued.
-    /// Panics inside the job are caught and discarded; the worker survives.
-    /// Jobs still queued when the pool is dropped run during shutdown drain.
-    pub fn spawn(&self, job: Job) {
-        let shared = &*self.shared;
-        shared
-            .lock(&shared.queue)
-            .tasks
-            .push_back(Task::Spawned(job));
-        shared.work_cv.notify_one();
     }
 
     /// Runs `f(i)` for every `i in 0..n` across the pool and blocks until
@@ -284,10 +252,7 @@ impl WorkerPool {
             panicked: AtomicBool::new(false),
         };
         let shared = &*self.shared;
-        shared
-            .lock(&shared.queue)
-            .tasks
-            .push_back(Task::Batch(&batch));
+        shared.lock(&shared.queue).tasks.push_back(Task(&batch));
         shared.work_cv.notify_all();
 
         let mut g = shared.lock(&shared.done_mutex);
@@ -302,9 +267,9 @@ impl WorkerPool {
 }
 
 impl Drop for WorkerPool {
-    /// Flags shutdown, wakes every worker, and joins all of them. Workers
-    /// drain any still-queued tasks before exiting, so no submitted work
-    /// is lost.
+    /// Flags shutdown, wakes every worker, and joins all of them. No batch
+    /// is queued by then: each has a submitter blocked on it, borrowing
+    /// the pool.
     fn drop(&mut self) {
         self.shared.lock(&self.shared.queue).shutdown = true;
         self.shared.work_cv.notify_all();

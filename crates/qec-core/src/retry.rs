@@ -1,14 +1,16 @@
 //! Deadline-aware retry backoff for the replicated scatter path.
 //!
-//! [`Backoff`] produces the wait before each retry attempt: capped
+//! [`Backoff`] produces the wait before each retry round: capped
 //! exponential growth with full-range jitter (uniform in `[delay/2,
 //! delay]`, a seeded xorshift64 — no `rand` dependency), and a
 //! deadline-aware gate ([`next_before`](Backoff::next_before)) that
 //! refuses to schedule a retry whose wait alone would outlive the
-//! request's effective deadline. The serving layer uses that refusal as
-//! its "stop retrying, omit the shard" signal, which is what keeps retry
-//! storms from eating a request's whole budget: backoff never sleeps past
-//! the point where the retry could still matter.
+//! request's effective deadline. A sharded scatter retries its failed
+//! shards in rounds, the submitter sleeping one step before each; it
+//! uses that refusal as its "stop retrying, omit the shards" signal,
+//! which is what keeps retry storms from eating a request's whole
+//! budget: backoff never sleeps past the point where the retry could
+//! still matter.
 
 use std::time::{Duration, Instant};
 

@@ -2,8 +2,9 @@
 //! [`MergeScratch`] / [`MergeScratch::merge_into`], a k-way merge of
 //! per-shard sorted lists into one globally sorted prefix, with a reusable
 //! cursor frontier so warmed gather paths stay allocation-free. (The
-//! scatter itself is the sharded engine's own: per-replica tasks spawned
-//! on the [`WorkerPool`](crate::pool::WorkerPool).)
+//! scatter itself is the sharded engine's own: one
+//! [`run_indexed`](crate::pool::WorkerPool::run_indexed) batch of shard
+//! tasks per retry round.)
 
 /// Reusable cursor frontier for [`merge_into`](Self::merge_into). One
 /// `usize` cursor per input list; the buffer is kept across calls so a

@@ -1,14 +1,13 @@
 //! Integration tests of the persistent worker pool, stated as behaviour:
 //! a batch's indices each run exactly once on whichever worker is free, a
-//! blocked index strands nothing, spawned jobs and batches are served in
-//! FIFO order, drop drains and joins, and nothing is lost under concurrent
-//! submission — plus a pooled expansion fan-out's parity with a sequential
+//! blocked index strands nothing, batches are served whole in FIFO order,
+//! and nothing is lost under concurrent submission — plus a pooled expansion fan-out's parity with a sequential
 //! `Expander::expand_into` loop. (The fault-accounting proof is
 //! `pool_fault.rs`, alone in its process; the zero-allocation dispatch
 //! proof is a section of `zero_alloc.rs`.)
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use qec_core::{
@@ -74,31 +73,22 @@ fn work_spreads_across_workers() {
 
 #[test]
 fn no_task_lost_under_concurrent_submitters() {
-    // 4 submitter threads race batches (and spawned jobs) into one
-    // 3-worker pool; every index of every batch must run exactly once.
+    // 4 submitter threads race batches into one 3-worker pool; every
+    // index of every batch must run exactly once.
     let pool = Arc::new(WorkerPool::new(3));
     const SUBMITTERS: usize = 4;
     const BATCHES: usize = 8;
     const N: usize = 97;
     let counts: Arc<Vec<AtomicUsize>> =
         Arc::new((0..SUBMITTERS * N).map(|_| AtomicUsize::new(0)).collect());
-    let spawned = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(SUBMITTERS));
     let mut handles = Vec::new();
     for s in 0..SUBMITTERS {
-        let (pool, counts, spawned, barrier) = (
-            Arc::clone(&pool),
-            Arc::clone(&counts),
-            Arc::clone(&spawned),
-            Arc::clone(&barrier),
-        );
+        let (pool, counts, barrier) =
+            (Arc::clone(&pool), Arc::clone(&counts), Arc::clone(&barrier));
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             for _ in 0..BATCHES {
-                let sp = Arc::clone(&spawned);
-                pool.spawn(Box::new(move || {
-                    sp.fetch_add(1, Ordering::SeqCst);
-                }));
                 pool.run_indexed(N, &|i| {
                     counts[s * N + i].fetch_add(1, Ordering::SeqCst);
                 });
@@ -115,86 +105,39 @@ fn no_task_lost_under_concurrent_submitters() {
             "index {i} ran a wrong number of times"
         );
     }
-    // Spawned jobs are fire-and-forget: give the drain a bounded moment.
-    wait_until(Duration::from_secs(10), "spawned jobs to drain", || {
-        spawned.load(Ordering::SeqCst) == SUBMITTERS * BATCHES
-    });
 }
 
 #[test]
 fn one_worker_serves_jobs_and_batches_in_fifo_order() {
-    // One worker, two submitters interleaving `spawn` and `run_indexed`.
-    // A job spawned before a batch was submitted is ahead of it in the
-    // queue, so it must have run before the batch's first index does —
-    // whatever the other submitter queued in between.
+    // One worker, two submitters racing batches (the queue's only jobs).
+    // The worker claims the front batch's indices in ascending order and
+    // unqueues it with the last claim, so a batch queued behind it cannot
+    // start before it is fully claimed: on one worker every batch runs
+    // whole, in index order, never interleaved with another.
     let pool = WorkerPool::new(1);
     const SUBMITTERS: usize = 2;
     const ROUNDS: usize = 50;
     const N: usize = 5;
-    let counts: Vec<AtomicUsize> = (0..SUBMITTERS * ROUNDS * N)
-        .map(|_| AtomicUsize::new(0))
-        .collect();
+    let log = Mutex::new(Vec::with_capacity(SUBMITTERS * ROUNDS * N));
     let barrier = Barrier::new(SUBMITTERS);
     std::thread::scope(|scope| {
         for s in 0..SUBMITTERS {
-            let (pool, counts, barrier) = (&pool, &counts, &barrier);
+            let (pool, log, barrier) = (&pool, &log, &barrier);
             scope.spawn(move || {
                 barrier.wait();
                 for r in 0..ROUNDS {
-                    let job_ran = Arc::new(AtomicBool::new(false));
-                    let flag = Arc::clone(&job_ran);
-                    pool.spawn(Box::new(move || flag.store(true, Ordering::SeqCst)));
-                    pool.run_indexed(N, &|i| {
-                        assert!(
-                            job_ran.load(Ordering::SeqCst),
-                            "index {i} of submitter {s} round {r} overtook an earlier job"
-                        );
-                        counts[(s * ROUNDS + r) * N + i].fetch_add(1, Ordering::SeqCst);
-                    });
+                    pool.run_indexed(N, &|i| log.lock().unwrap().push((s, r, i)));
                 }
             });
         }
     });
-    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-}
-
-#[test]
-fn drop_joins_all_workers_and_strands_no_job() {
-    // Queue fire-and-forget jobs, drop the pool immediately: shutdown
-    // must drain every queued job before the workers exit, and `drop`
-    // must not return until all workers joined.
-    let ran = Arc::new(AtomicUsize::new(0));
-    let exited = Arc::new(AtomicUsize::new(0));
-    const JOBS: usize = 32;
-    {
-        let pool = WorkerPool::new(3);
-        for _ in 0..JOBS {
-            let ran = Arc::clone(&ran);
-            let exited = Arc::clone(&exited);
-            pool.spawn(Box::new(move || {
-                std::thread::sleep(Duration::from_micros(100));
-                ran.fetch_add(1, Ordering::SeqCst);
-                drop(exited); // each job holds a clone until it runs
-            }));
-        }
-        // `pool` drops here: clean shutdown.
+    let log = log.into_inner().unwrap();
+    assert_eq!(log.len(), SUBMITTERS * ROUNDS * N);
+    for run in log.chunks(N) {
+        let (s, r, _) = run[0];
+        let expected: Vec<_> = (0..N).map(|i| (s, r, i)).collect();
+        assert_eq!(run, &expected[..], "a batch was interleaved or reordered");
     }
-    // After drop returns every worker has joined, so all queued jobs have
-    // run and released their Arc clones — no polling needed.
-    assert_eq!(ran.load(Ordering::SeqCst), JOBS, "no queued job stranded");
-    assert_eq!(Arc::strong_count(&exited), 1, "all job closures dropped");
-}
-
-#[test]
-fn spawned_job_panic_does_not_kill_the_pool() {
-    let pool = WorkerPool::new(1);
-    let after = Arc::new(AtomicBool::new(false));
-    pool.spawn(Box::new(|| panic!("bad job")));
-    let flag = Arc::clone(&after);
-    pool.spawn(Box::new(move || flag.store(true, Ordering::SeqCst)));
-    wait_until(Duration::from_secs(10), "job after panic to run", || {
-        after.load(Ordering::SeqCst)
-    });
 }
 
 /// Deterministic structured arena + contiguous clusters (the shape the

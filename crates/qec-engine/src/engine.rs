@@ -617,10 +617,9 @@ impl QecEngine {
                 }
             };
             // Sharded cold builds must stay on the submitter: each one
-            // `spawn`s its shard attempts on the pool and waits for their
-            // completions, and a pool task that waits on the pool can
-            // starve it (every worker waiting, none left to run the
-            // attempts).
+            // scatters its shard attempts as a `run_indexed` batch, and a
+            // pool task must not wait on its own pool (every worker
+            // waiting, none left to run the attempts).
             if cold.len() >= 2 && self.shards.is_none() {
                 let n = cold.len();
                 let slots = DisjointSlots::new(&mut cold[..]);

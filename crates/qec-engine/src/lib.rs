@@ -75,7 +75,7 @@
 //! batching, deadlines, degradation — is the single engine's machinery.
 //! With [`replicas(n)`](ShardedEngineBuilder::replicas) each shard sits
 //! behind `n` interchangeable replica slots and the scatter path adds
-//! retry on a sibling replica and hedging. The `shard` module docs
+//! retry on a sibling replica. The `shard` module docs
 //! (`src/shard.rs`) draw the architecture.
 //!
 //! # Snapshot boot
@@ -124,8 +124,8 @@
 //! [`EngineError::Overloaded`].
 //!
 //! On the replicated scatter path a failed shard attempt is retried
-//! (sibling replica, deadline-aware backoff) and a slow one is hedged;
-//! only when a shard's retries are spent does the response go
+//! (sibling replica, deadline-aware backoff) and a slow one is waited
+//! out; only when a shard's retries are spent does the response go
 //! explicitly **partial** — `Ok` with
 //! [`ExpandStats::shards_omitted`] counting the missing shards,
 //! [`ExpandResponse::omitted_shards`] naming them, and the merged ranking

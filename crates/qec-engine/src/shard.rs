@@ -8,7 +8,8 @@
 //! document longer). The gather engine's cold retrieval path scatters
 //! one retrieve+rank task per shard across the engine's [`WorkerPool`] —
 //! the kernel the flat engine runs over the range `0..N` — each walking
-//! only its range's run of every posting list, then k-way merges the
+//! only its range's run of every posting list, as one
+//! [`run_indexed`](WorkerPool::run_indexed) batch, then k-way merges the
 //! per-shard top-K lists into the global ranking:
 //!
 //! ```text
@@ -40,31 +41,30 @@
 //! Replication and failover
 //! ------------------------
 //! A shard is its document range plus warmed retrieval scratches;
-//! [`replicas(n)`](ShardedEngineBuilder::replicas) points `n`
-//! interchangeable replica slots (latency EWMA, counters) at that one
-//! shard, so replication copies no corpus and builds no engine. Scatter
-//! rotates across the replicas, and failures meet two escalating
-//! defenses — **retry** on the next replica with deadline-aware capped
-//! exponential backoff, and a **hedged** duplicate dispatched on an
-//! untried replica when a task outlives its replica's expected latency
-//! (first completion wins, bit-identical either way). Every replica runs
-//! the same code over the same range, so none is singled out as sick:
-//! each first attempt and retry simply takes the rotation's next one. A
-//! shard whose retries are spent is **omitted explicitly**: the response
-//! stays `Ok` with [`ExpandStats::shards_omitted`](crate::ExpandStats::shards_omitted)
+//! [`replicas(n)`](ShardedEngineBuilder::replicas) gives that one shard
+//! `n` interchangeable replica slots (attempt counters), so replication
+//! copies no corpus and builds no engine. Scatter rotates across the
+//! replicas, and a failed attempt meets one defense: **retry**. A scatter
+//! runs in rounds, each one pool batch over the shards that have no list
+//! yet; a shard that failed moves to its next replica, and the next round
+//! starts after a deadline-aware capped exponential backoff step. Every
+//! replica runs the same code over the same range on the same pool, so
+//! none is singled out as sick or slow, and a slow attempt is waited out,
+//! never duplicated. A shard whose retries are spent is **omitted
+//! explicitly**: the response stays `Ok` with
+//! [`ExpandStats::shards_omitted`](crate::ExpandStats::shards_omitted)
 //! set and the merged ranking over the surviving shards intact — never a
 //! silently wrong ranking. `tests/replication_chaos.rs` drives fail-over,
-//! explicit omission and hedging through injected faults.
+//! explicit omission and a slow replica through injected faults.
 
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qec_core::{Backoff, CancelSignal, CancelToken, MergeScratch, ScratchPool, WorkerPool};
+use qec_core::{Backoff, DisjointSlots, MergeScratch, ScratchPool, WorkerPool};
 use qec_index::{
     doc_ranges, Corpus, DocumentSpec, Hit, QuerySemantics, SearchScratch, Searcher, TfIdfRanker,
 };
@@ -178,11 +178,12 @@ pub struct ShardStats {
     /// Documents in this shard's range of the corpus.
     pub docs: usize,
     /// Scattered retrievals this shard has **resolved** (one per cold
-    /// pipeline build of the gather engine, counted on the first replica
-    /// success — retries and hedges never double-count).
+    /// pipeline build of the gather engine, counted on the replica
+    /// success — retries never double-count).
     pub scattered_retrievals: u64,
-    /// Hedged duplicates this shard has dispatched (a second replica
-    /// racing a slow first attempt).
+    /// Always `0`: the scatter no longer hedges. Kept because the
+    /// benchmark reads it, until the benchmark stops mirroring these
+    /// stats.
     pub hedges: u64,
     /// Scatters that omitted this shard because its retries were spent —
     /// each one produced an explicitly partial response.
@@ -194,14 +195,12 @@ pub struct ShardStats {
 /// One replica's health within a [`ShardStats`] entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStats {
-    /// Successful retrieval attempts served by this replica (including
-    /// late hedge losers that completed after the shard resolved).
+    /// Successful retrieval attempts served by this replica.
     pub retrievals: u64,
-    /// Failed attempts (panics and injected errors; cancelled hedges are
-    /// neither success nor failure).
+    /// Failed attempts (panics and injected errors).
     pub failures: u64,
-    /// EWMA of this replica's attempt latency (`ZERO` before the first
-    /// sample); the adaptive hedge delay derives from it.
+    /// Mean wall-clock time of this replica's successful attempts
+    /// (`ZERO` before the first).
     pub mean_latency: Duration,
 }
 
@@ -262,11 +261,9 @@ impl std::error::Error for ShardedBuildError {}
 /// | [`pool_threads`](Self::pool_threads) | `0` (auto) | size of the gather engine's [`WorkerPool`], which all scatter tasks run on |
 ///
 /// A failed shard attempt is retried twice on the next replica (capped
-/// exponential backoff from 500 µs) before the shard is omitted, and an
-/// attempt that outlives ~3× its replica's mean latency (EWMA, clamped to
-/// 200 µs–100 ms; 2 ms before the first sample) is hedged on an untried
-/// one. Clustering and expansion run on the gather side (shards only
-/// retrieve and rank).
+/// exponential backoff from 500 µs) before the shard is omitted; a slow
+/// attempt is waited out. Clustering and expansion run on the gather side
+/// (shards only retrieve and rank).
 #[must_use = "builder setters return the updated builder; finish with build()"]
 pub struct ShardedEngineBuilder {
     gather: EngineBuilder,
@@ -453,20 +450,17 @@ impl ShardedEngineBuilder {
 /// every scatter ([`ShardSet::retrieve`]).
 /// Held by the gather [`QecEngine`]; assembled by [`ShardedEngineBuilder`].
 pub(crate) struct ShardSet {
-    /// One replica group per shard, in document order.
-    shards: Vec<ShardReplicas>,
+    /// One entry per shard, in document order.
+    shards: Vec<Shard>,
 }
 
-/// What a shard *is*: its document range of the gather corpus plus warmed
-/// retrieval scratches. One per shard, however many replicas point at it.
-struct ShardSlice {
+/// What a shard *is* — its document range of the gather corpus plus
+/// warmed retrieval scratches — and the replica slots every attempt on it
+/// is counted against, with its rotation cursor and shard-level counters.
+/// However many replicas a shard has, it holds its range once.
+struct Shard {
     docs: Range<u32>,
     scratches: ScratchPool<SearchScratch>,
-}
-
-/// One shard's interchangeable replicas plus its rotation cursor and
-/// shard-level counters.
-struct ShardReplicas {
     replicas: Vec<ReplicaSlot>,
     /// Rotation cursor: each scatter starts its replica selection at the
     /// next position, spreading load across the replicas.
@@ -474,98 +468,40 @@ struct ShardReplicas {
     /// Scattered retrievals resolved by this shard (one per request that
     /// got this shard's list, however many attempts that took).
     retrievals: AtomicU64,
-    /// Hedged duplicate tasks dispatched for this shard.
-    hedges: AtomicU64,
     /// Requests that gave up on this shard (retries spent, or the next
     /// backoff would outlive the deadline) and served partial.
     omissions: AtomicU64,
 }
 
-/// One replica: a pointer at its shard plus its own latency EWMA (feeds
-/// the adaptive hedge delay) and attempt counters.
+/// One replica position of a shard: its attempt counters.
+#[derive(Default)]
 struct ReplicaSlot {
-    /// The shard's one slice, shared by every replica of the shard.
-    /// `Arc`d because hedged/retried attempts run as fire-and-forget pool
-    /// jobs that may outlive the request that spawned them.
-    slice: Arc<ShardSlice>,
-    /// EWMA of successful attempt latency, stored as `f64` bits (`0.0` =
-    /// no samples yet).
-    ewma_nanos: AtomicU64,
     /// Successful retrieval attempts served by this replica.
     retrievals: AtomicU64,
+    /// Wall-clock nanoseconds of those successful attempts, summed.
+    nanos: AtomicU64,
     /// Failed retrieval attempts (panics and injected faults).
     failures: AtomicU64,
 }
 
-/// EWMA smoothing factor for per-replica latency.
-const EWMA_ALPHA: f64 = 0.2;
-/// Bounds of the adaptive hedge delay (≈3× EWMA mean, clamped).
-const MIN_HEDGE: Duration = Duration::from_micros(200);
-const MAX_HEDGE: Duration = Duration::from_millis(100);
-/// Hedge delay before any latency sample exists.
-const DEFAULT_HEDGE: Duration = Duration::from_millis(2);
-/// Retries after a shard task's first failed attempt before the shard is
-/// omitted. Each retry waits a capped-exponential [`Backoff`] step and
-/// targets the rotation's next replica; a retry whose wait alone
-/// would outlive the request's effective deadline is skipped (the shard is
-/// omitted instead — backoff never sleeps into a guaranteed miss).
+/// Retry rounds after a scatter's first before its still-failing shards
+/// are omitted. Each round waits one capped-exponential [`Backoff`] step
+/// and sends every failed shard to the rotation's next replica; a round
+/// whose wait alone would outlive the request's effective deadline is
+/// skipped (its shards are omitted instead — backoff never sleeps into a
+/// guaranteed miss).
 const RETRY_MAX: usize = 2;
-/// First backoff step (doubles per retry, jittered into `[step/2, step]`).
+/// First backoff step (doubles per round, jittered into `[step/2, step]`).
 const RETRY_BASE: Duration = Duration::from_micros(500);
-/// Backoff delays double per retry up to `RETRY_BASE ×` this cap.
+/// Backoff delays double per round up to `RETRY_BASE ×` this cap.
 const BACKOFF_CAP_FACTOR: u32 = 16;
 
 impl ReplicaSlot {
-    fn new(slice: Arc<ShardSlice>) -> Self {
-        Self {
-            slice,
-            ewma_nanos: AtomicU64::new(0),
-            retrievals: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-        }
-    }
-
-    /// Folds a successful attempt's latency into the EWMA (CAS loop —
-    /// concurrent observers both land, last writer's blend wins the race
-    /// harmlessly).
-    fn observe_latency(&self, nanos: u64) {
-        let mut cur = self.ewma_nanos.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(cur);
-            let new = if old == 0.0 {
-                nanos as f64
-            } else {
-                old + EWMA_ALPHA * (nanos as f64 - old)
-            };
-            match self.ewma_nanos.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The replica's observed mean attempt latency (zero before any
-    /// sample).
+    /// The replica's mean successful-attempt latency (zero before the
+    /// first success).
     fn mean_latency(&self) -> Duration {
-        Duration::from_nanos(f64::from_bits(self.ewma_nanos.load(Ordering::Relaxed)) as u64)
-    }
-
-    /// How long a task on this replica may run before a hedged duplicate
-    /// is dispatched: ~3× the replica's EWMA mean — roughly the tail
-    /// beyond p95 for well-behaved latency distributions — clamped to sane
-    /// bounds.
-    fn hedge_delay(&self) -> Duration {
-        let mean = self.mean_latency();
-        if mean.is_zero() {
-            DEFAULT_HEDGE
-        } else {
-            (mean * 3).clamp(MIN_HEDGE, MAX_HEDGE)
-        }
+        let retrievals = self.retrievals.load(Ordering::Relaxed);
+        Duration::from_nanos(self.nanos.load(Ordering::Relaxed) / retrievals.max(1))
     }
 }
 
@@ -575,20 +511,15 @@ impl ShardSet {
     fn new(num_docs: usize, n: usize, replicas: usize) -> Self {
         let shards = doc_ranges(num_docs, n)
             .into_iter()
-            .map(|docs| {
-                let slice = Arc::new(ShardSlice {
-                    docs,
-                    scratches: ScratchPool::new(),
-                });
-                ShardReplicas {
-                    replicas: (0..replicas.max(1))
-                        .map(|_| ReplicaSlot::new(Arc::clone(&slice)))
-                        .collect(),
-                    rotation: AtomicUsize::new(0),
-                    retrievals: AtomicU64::new(0),
-                    hedges: AtomicU64::new(0),
-                    omissions: AtomicU64::new(0),
-                }
+            .map(|docs| Shard {
+                docs,
+                scratches: ScratchPool::new(),
+                replicas: (0..replicas.max(1))
+                    .map(|_| ReplicaSlot::default())
+                    .collect(),
+                rotation: AtomicUsize::new(0),
+                retrievals: AtomicU64::new(0),
+                omissions: AtomicU64::new(0),
             })
             .collect();
         Self { shards }
@@ -604,9 +535,9 @@ impl ShardSet {
         self.shards
             .iter()
             .map(|shard| ShardStats {
-                docs: shard.replicas[0].slice.docs.len(),
+                docs: shard.docs.len(),
                 scattered_retrievals: shard.retrievals.load(Ordering::Relaxed),
-                hedges: shard.hedges.load(Ordering::Relaxed),
+                hedges: 0,
                 omissions: shard.omissions.load(Ordering::Relaxed),
                 replicas: shard
                     .replicas
@@ -656,76 +587,6 @@ fn replica_site(replica: usize) -> &'static str {
         .unwrap_or("shard.replica.retrieve.rest")
 }
 
-/// The read-only half of one scatter, shared by every attempt job of the
-/// request: the gather engine's corpus and owned copies of the query
-/// (pool jobs are `'static` — they may outlive the request as cancelled
-/// losers) plus the completion channel back to the coordinator.
-struct ScatterShared {
-    corpus: Arc<Corpus>,
-    terms: Vec<TermId>,
-    idfs: Vec<f64>,
-    semantics: QuerySemantics,
-    top_k: usize,
-    completions: Mutex<Vec<Completion>>,
-    arrived: Condvar,
-}
-
-/// One attempt's report back to the scatter coordinator.
-struct Completion {
-    shard: u32,
-    replica: u32,
-    /// `Ok(hits)` on success; `Err(true)` when the attempt was cancelled
-    /// before it started (its shard already resolved); `Err(false)` on
-    /// failure (panic or injected fault).
-    outcome: Result<Vec<Hit>, bool>,
-    /// Wall-clock nanoseconds the successful attempt took (EWMA input).
-    nanos: u64,
-}
-
-/// The coordinator's per-shard progress while a scatter is in flight.
-struct ShardProgress {
-    /// The shard's top-K list once a replica delivered it.
-    done: Option<Vec<Hit>>,
-    /// The shard gave up: its retries were spent, or the next backoff
-    /// would outlive the deadline.
-    omitted: bool,
-    /// Attempts currently dispatched and unreported.
-    in_flight: u32,
-    /// Retries dispatched so far (hedges don't count).
-    retries: usize,
-    /// A hedged duplicate was dispatched (at most one per shard).
-    hedged: bool,
-    /// Bitmask of replica indices already attempted — the hedge target
-    /// must be an *untried* replica. (Indices ≥ 64 never mark the mask;
-    /// hedging may then re-pick a tried replica, which is harmless.)
-    tried: u64,
-    /// Next replica index the selection scan starts from.
-    cursor: usize,
-    /// When to dispatch the hedged duplicate (set at dispatch; `None`
-    /// when hedging is off, spent, or moot).
-    hedge_at: Option<Instant>,
-    /// When to dispatch the next retry (set when all attempts failed).
-    retry_at: Option<Instant>,
-    backoff: Backoff,
-    /// Cancellation handles of the shard's outstanding attempts; fired
-    /// when the shard resolves so queued losers bail without running.
-    cancels: Vec<CancelSignal>,
-}
-
-fn replica_bit(replica: usize) -> u64 {
-    1u64.checked_shl(replica as u32).unwrap_or(0)
-}
-
-impl ShardProgress {
-    /// The hedge target among `n` replicas: the first one in rotation
-    /// order from the cursor that no attempt of this scatter has tried.
-    fn untried_replica(&self, n: usize) -> Option<usize> {
-        (0..n)
-            .map(|off| (self.cursor + off) % n)
-            .find(|&ri| self.tried & replica_bit(ri) == 0)
-    }
-}
-
 /// The one retrieve + rank kernel of every serving path: evaluates `terms`
 /// under `semantics` over the document range of `searcher` into `search`,
 /// scores the matches with the **caller-supplied** `idfs` (one per term)
@@ -758,103 +619,61 @@ pub(crate) fn retrieve_ranked(
 }
 
 /// One retrieval attempt against one replica, behind a panic boundary so
-/// a poisoned replica reports `Err` instead of tearing down its worker.
-/// Checks the legacy whole-scatter site, the per-shard site, and the
-/// per-replica site (in that order) so chaos tests can target any
+/// a poisoned replica reports `Err` instead of failing the scatter's
+/// batch. Checks the legacy whole-scatter site, the per-shard site, and
+/// the per-replica site (in that order) so chaos tests can target any
 /// granularity. Scores with the **gather** corpus's idf (`idfs`), which is
 /// what keeps merged rankings bit-identical to the flat engine regardless
 /// of which replica answers.
 fn replica_attempt(
-    slice: &ShardSlice,
-    shard: usize,
+    corpus: &Corpus,
+    shard: &Shard,
+    si: usize,
     replica: usize,
-    query: &ScatterShared,
+    key: KeyRef<'_>,
+    idfs: &[f64],
 ) -> Result<Vec<Hit>, ()> {
     #[cfg(not(feature = "failpoints"))]
-    let _ = (shard, replica);
+    let _ = (si, replica);
     catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "failpoints")]
         {
             if qec_failpoint::check("shard.retrieve").is_err()
-                || qec_failpoint::check(shard_site(shard)).is_err()
+                || qec_failpoint::check(shard_site(si)).is_err()
                 || qec_failpoint::check(replica_site(replica)).is_err()
             {
                 return Err(());
             }
         }
-        let mut search = slice.scratches.acquire();
+        let mut search = shard.scratches.acquire();
         let mut hits = Vec::new();
         retrieve_ranked(
-            Searcher::within(&query.corpus, slice.docs.clone()),
-            &query.terms,
-            &query.idfs,
-            query.semantics,
-            query.top_k,
+            Searcher::within(corpus, shard.docs.clone()),
+            key.terms,
+            idfs,
+            key.semantics,
+            key.top_k,
             &mut search,
             &mut hits,
         );
-        slice.scratches.release(search);
+        shard.scratches.release(search);
         Ok(hits)
     }))
     .unwrap_or(Err(()))
 }
 
 impl ShardSet {
-    /// Dispatches one attempt of shard `si` against replica `ri` as a
-    /// fire-and-forget pool job and moves the rotation cursor past it. A
-    /// first attempt or a retry takes the replica at `sp.cursor`; a hedge
-    /// takes [`ShardProgress::untried_replica`].
-    fn dispatch_attempt(
-        &self,
-        pool: &WorkerPool,
-        shared: &Arc<ScatterShared>,
-        si: usize,
-        sp: &mut ShardProgress,
-        ri: usize,
-    ) {
-        let shard = &self.shards[si];
-        let n = shard.replicas.len();
-        sp.cursor = (ri + 1) % n;
-        sp.tried |= replica_bit(ri);
-        sp.in_flight += 1;
-        sp.hedge_at =
-            (!sp.hedged && n > 1).then(|| Instant::now() + shard.replicas[ri].hedge_delay());
-        let (token, signal) = CancelToken::manual();
-        sp.cancels.push(signal);
-        let slice = Arc::clone(&shard.replicas[ri].slice);
-        let sh = Arc::clone(shared);
-        pool.spawn(Box::new(move || {
-            // A queued loser whose shard already resolved bails here; an
-            // attempt already *running* when its shard resolves runs to
-            // completion and reports as a late duplicate instead (the
-            // retrieval kernels are not interruptible mid-flight).
-            let (outcome, nanos) = if token.is_cancelled() {
-                (Err(true), 0)
-            } else {
-                let t0 = Instant::now();
-                let result = replica_attempt(&slice, si, ri, &sh);
-                let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                (result.map_err(|()| false), nanos)
-            };
-            let mut queue = sh.completions.lock().unwrap_or_else(|e| e.into_inner());
-            queue.push(Completion {
-                shard: si as u32,
-                replica: ri as u32,
-                outcome,
-                nanos,
-            });
-            drop(queue);
-            sh.arrived.notify_all();
-        }));
-    }
-
     /// Sharded retrieval + ranking of `key`'s terms over `corpus` — the
-    /// gather engine's own, lent to every attempt — with failover:
-    /// scatters one [`retrieve_ranked`] attempt per shard (each against a
-    /// rotation-picked replica), retries, hedges or omits as the `shard`
-    /// module docs describe, and k-way merges the delivered per-shard
-    /// top-K lists into one globally ranked prefix. The second return
-    /// value names the shards that had to be given up (ascending).
+    /// gather engine's own, lent to every attempt — with failover, in
+    /// rounds. Each round is one [`WorkerPool::run_indexed`] batch of one
+    /// [`retrieve_ranked`] attempt per shard that has no list yet, each on
+    /// its shard's rotation replica. A failed shard moves to the next
+    /// replica, the submitter waits one [`Backoff`] step and runs the next
+    /// round; a shard still failing after [`RETRY_MAX`] retries, or when
+    /// the next step would outlive `deadline`, is omitted. The delivered
+    /// per-shard top-K lists are then k-way merged into one globally
+    /// ranked prefix. The second return value names the omitted shards
+    /// (ascending).
     ///
     /// Bit-parity with the flat path holds over the delivered shards
     /// because (a) every replica reads `corpus` — the gather engine's own
@@ -866,210 +685,80 @@ impl ShardSet {
     /// global doc ids. Replicas of one shard read the same range, so
     /// *which* replica answers cannot change the bits.
     ///
-    /// The coordinator runs on the submitting thread: it dispatches one
-    /// attempt per shard, then reacts to completions and timers (retry
-    /// backoff, hedge delays) until every shard either delivered its list
-    /// or was explicitly omitted. Attempts are fire-and-forget pool jobs,
-    /// so a stalled replica never wedges a worker the coordinator is
-    /// waiting on.
-    ///
     /// The request's `deadline` bounds retry *scheduling* (a backoff wait
     /// that would outlive it omits the shard instead), but never truncates
     /// an attempt already in flight — a deadline-shaped result here would
-    /// get cached and served to requests with laxer deadlines.
+    /// get cached and served to requests with laxer deadlines. Runs on
+    /// the submitting thread, never inside a pool task: a round waits on
+    /// the pool.
     pub(crate) fn retrieve(
         &self,
-        corpus: &Arc<Corpus>,
+        corpus: &Corpus,
         pool: &WorkerPool,
         key: KeyRef<'_>,
         idfs: &[f64],
         deadline: Option<Instant>,
     ) -> (Vec<Hit>, Vec<u32>) {
         let n = self.shards.len();
-        let top_k = key.top_k;
-        let shared = Arc::new(ScatterShared {
-            corpus: Arc::clone(corpus),
-            terms: key.terms.to_vec(),
-            idfs: idfs.to_vec(),
-            semantics: key.semantics,
-            top_k,
-            completions: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-        });
-        let mut progress: Vec<ShardProgress> = (0..n)
-            .map(|si| {
-                let replicas = self.shards[si].replicas.len();
-                ShardProgress {
-                    done: None,
-                    omitted: false,
-                    in_flight: 0,
-                    retries: 0,
-                    hedged: false,
-                    tried: 0,
-                    cursor: self.shards[si].rotation.fetch_add(1, Ordering::Relaxed) % replicas,
-                    hedge_at: None,
-                    retry_at: None,
-                    backoff: Backoff::new(
-                        RETRY_BASE,
-                        RETRY_BASE.saturating_mul(BACKOFF_CAP_FACTOR),
-                        0x9E37_79B9_7F4A_7C15u64.wrapping_mul(si as u64 + 1),
-                    ),
-                    cancels: Vec::new(),
-                }
-            })
+        let mut lists: Vec<Option<Vec<Hit>>> = vec![None; n];
+        let mut cursors: Vec<usize> = self
+            .shards
+            .iter()
+            .map(|shard| shard.rotation.fetch_add(1, Ordering::Relaxed) % shard.replicas.len())
             .collect();
-        let mut unresolved = n;
-        for (si, sp) in progress.iter_mut().enumerate() {
-            let ri = sp.cursor;
-            self.dispatch_attempt(pool, &shared, si, sp, ri);
-        }
-        while unresolved > 0 {
-            // Fire due timers and find the earliest pending one.
-            let now = Instant::now();
-            let mut wake: Option<Instant> = None;
-            for (si, sp) in progress.iter_mut().enumerate() {
-                if sp.done.is_some() || sp.omitted {
-                    continue;
-                }
-                if let Some(at) = sp.retry_at {
-                    if at <= now {
-                        sp.retry_at = None;
-                        sp.retries += 1;
-                        let ri = sp.cursor;
-                        self.dispatch_attempt(pool, &shared, si, sp, ri);
-                    } else {
-                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
+        let mut pending: Vec<usize> = (0..n).collect();
+        let mut backoff = Backoff::new(
+            RETRY_BASE,
+            RETRY_BASE.saturating_mul(BACKOFF_CAP_FACTOR),
+            0x9E37_79B9_7F4A_7C15,
+        );
+        for round in 0..=RETRY_MAX {
+            let slots = DisjointSlots::new(&mut lists);
+            pool.run_indexed(pending.len(), &|i| {
+                let si = pending[i];
+                let shard = &self.shards[si];
+                let slot = &shard.replicas[cursors[si]];
+                let t0 = Instant::now();
+                match replica_attempt(corpus, shard, si, cursors[si], key, idfs) {
+                    Ok(hits) => {
+                        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                        slot.nanos.fetch_add(nanos, Ordering::Relaxed);
+                        slot.retrievals.fetch_add(1, Ordering::Relaxed);
+                        shard.retrievals.fetch_add(1, Ordering::Relaxed);
+                        // SAFETY: `pending` holds distinct shard indices, so
+                        // slot `si` belongs to this task alone.
+                        *unsafe { slots.get(si) } = Some(hits);
+                    }
+                    Err(()) => {
+                        slot.failures.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                if let Some(at) = sp.hedge_at {
-                    if sp.hedged || sp.in_flight != 1 {
-                        sp.hedge_at = None;
-                    } else if at <= now {
-                        sp.hedge_at = None;
-                        if let Some(ri) = sp.untried_replica(self.shards[si].replicas.len()) {
-                            self.dispatch_attempt(pool, &shared, si, sp, ri);
-                            sp.hedged = true;
-                            self.shards[si].hedges.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
-                    }
-                }
-            }
-            if unresolved == 0 {
+            });
+            pending.retain(|&si| lists[si].is_none());
+            if pending.is_empty() {
                 break;
             }
-            // Wait for completions (or the next timer). The lock is held
-            // from the emptiness check into the wait, so a completion
-            // arriving in between cannot be missed.
-            let mut queue = shared.completions.lock().unwrap_or_else(|e| e.into_inner());
-            if queue.is_empty() {
-                queue = match wake {
-                    Some(at) if at > now => {
-                        shared
-                            .arrived
-                            .wait_timeout(queue, at - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                    }
-                    // A timer is already due: loop back and fire it.
-                    Some(_) => queue,
-                    None => shared
-                        .arrived
-                        .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner()),
-                };
+            for &si in &pending {
+                cursors[si] = (cursors[si] + 1) % self.shards[si].replicas.len();
             }
-            let batch = std::mem::take(&mut *queue);
-            drop(queue);
-            for c in batch {
-                self.absorb_completion(c, &mut progress, &mut unresolved, deadline);
+            // Retries spent, or the wait alone would outlive the request's
+            // deadline: give the shards up now instead of sleeping into a
+            // guaranteed miss.
+            if round == RETRY_MAX {
+                break;
             }
+            let Some(delay) = backoff.next_before(Instant::now(), deadline) else {
+                break;
+            };
+            std::thread::sleep(delay);
         }
-        let mut lists: Vec<&[Hit]> = Vec::new();
-        let mut omitted = Vec::new();
-        for (si, sp) in progress.iter().enumerate() {
-            match &sp.done {
-                Some(hits) => lists.push(hits),
-                None => {
-                    debug_assert!(sp.omitted);
-                    omitted.push(si as u32);
-                }
-            }
+        for &si in &pending {
+            self.shards[si].omissions.fetch_add(1, Ordering::Relaxed);
         }
+        let delivered: Vec<&[Hit]> = lists.iter().flatten().map(Vec::as_slice).collect();
         let mut merged = Vec::new();
-        MergeScratch::new().merge_into(&lists, hit_before, top_k, &mut merged);
-        (merged, omitted)
-    }
-
-    /// Folds one attempt report into the coordinator state: updates the
-    /// replica's EWMA and counters, resolves the shard on first
-    /// success (late duplicates are checked for bit-parity and dropped),
-    /// and schedules a retry — or omits the shard — when its last
-    /// in-flight attempt failed.
-    fn absorb_completion(
-        &self,
-        c: Completion,
-        progress: &mut [ShardProgress],
-        unresolved: &mut usize,
-        deadline: Option<Instant>,
-    ) {
-        let si = c.shard as usize;
-        let sp = &mut progress[si];
-        let shard = &self.shards[si];
-        let slot = &shard.replicas[c.replica as usize];
-        sp.in_flight -= 1;
-        match c.outcome {
-            Ok(hits) => {
-                slot.observe_latency(c.nanos);
-                slot.retrievals.fetch_add(1, Ordering::Relaxed);
-                if let Some(first) = &sp.done {
-                    // A hedge's loser finished anyway: both replicas read
-                    // the same range of the same corpus and scored with
-                    // the same global idf, so their lists must agree bit
-                    // for bit.
-                    debug_assert_eq!(
-                        first, &hits,
-                        "replicas of one shard returned diverging rankings"
-                    );
-                } else if !sp.omitted {
-                    sp.done = Some(hits);
-                    shard.retrievals.fetch_add(1, Ordering::Relaxed);
-                    *unresolved -= 1;
-                    for sig in sp.cancels.drain(..) {
-                        sig.cancel();
-                    }
-                }
-            }
-            Err(skipped) => {
-                if !skipped {
-                    slot.failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if sp.done.is_none() && !sp.omitted && sp.in_flight == 0 && sp.retry_at.is_none() {
-                    if sp.retries >= RETRY_MAX {
-                        Self::omit(shard, sp, unresolved);
-                    } else {
-                        let now = Instant::now();
-                        match sp.backoff.next_before(now, deadline) {
-                            Some(delay) => sp.retry_at = Some(now + delay),
-                            // The backoff wait alone would outlive the
-                            // request's deadline: give the shard up now
-                            // instead of sleeping into a guaranteed miss.
-                            None => Self::omit(shard, sp, unresolved),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn omit(shard: &ShardReplicas, sp: &mut ShardProgress, unresolved: &mut usize) {
-        sp.omitted = true;
-        shard.omissions.fetch_add(1, Ordering::Relaxed);
-        *unresolved -= 1;
-        for sig in sp.cancels.drain(..) {
-            sig.cancel();
-        }
+        MergeScratch::new().merge_into(&delivered, hit_before, key.top_k, &mut merged);
+        (merged, pending.into_iter().map(|si| si as u32).collect())
     }
 }
 
@@ -1085,6 +774,7 @@ fn hit_before(a: &Hit, b: &Hit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn replicas_of_a_shard_share_one_corpus_slice() {
@@ -1097,16 +787,13 @@ mod tests {
         assert_eq!(set.num_shards(), 2);
         let mut next = 0;
         for shard in &set.shards {
+            // `replicas(3)` gave the shard three replica slots over its one
+            // range, not three copies of it.
             assert_eq!(shard.replicas.len(), 3);
-            let first = &shard.replicas[0].slice;
-            assert!(shard.replicas.iter().all(|r| Arc::ptr_eq(&r.slice, first)));
-            // The replicas are the slice's only holders at rest: `replicas(3)`
-            // built one slice per shard, not one per replica.
-            assert_eq!(Arc::strong_count(first), 3);
             // A shard is a document range of the gather corpus, and the
             // ranges tile it in order.
-            assert_eq!(first.docs.start, next);
-            next = first.docs.end;
+            assert_eq!(shard.docs.start, next);
+            next = shard.docs.end;
         }
         assert_eq!(next as usize, engine.corpus().num_docs());
         // The deployment holds one corpus: at rest the gather engine's

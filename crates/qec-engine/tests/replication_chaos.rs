@@ -12,9 +12,9 @@
 //!    partial: `shards_omitted` counts it, `omitted_shards()` names it,
 //!    the merged ranking over the surviving shards is intact, and the
 //!    partial pipeline is never cached — the next clean build heals.
-//! 3. **Stall a replica** → a hedged duplicate races it on the sibling
-//!    (after the adaptive hedge delay) and the request completes well
-//!    inside its deadline, undegraded.
+//! 3. **Slow a replica** → the slow attempt is waited out, not
+//!    duplicated: the response is whole and bit-identical, and the
+//!    sibling never ran.
 //! 4. **A spent outage leaves no trace** → once a shard's failures stop,
 //!    the very next request is served whole: no replica is held out of
 //!    selection by the failures that came before.
@@ -23,7 +23,7 @@
 //! for its whole body.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qec_engine::{
     ClusterExpansion, DocumentSpec, EngineBuilder, ExpandRequest, ExpandResponse, QecEngine,
@@ -123,9 +123,13 @@ fn killed_replica_fails_over_bit_identically() {
             shard.replicas[0].failures, 1,
             "shard {si}: exactly the injected replica-0 fault"
         );
-        assert!(
-            shard.replicas[1].retrievals >= 1,
+        assert_eq!(
+            shard.replicas[1].retrievals, 1,
             "shard {si}: the sibling served the retry"
+        );
+        assert_eq!(
+            shard.scattered_retrievals, 1,
+            "shard {si} resolved exactly once"
         );
     }
 }
@@ -180,47 +184,38 @@ fn whole_shard_outage_is_explicitly_partial_and_never_cached() {
 }
 
 #[test]
-fn stalled_replica_is_hedged_within_the_deadline() {
+fn a_slow_attempt_is_waited_out_not_duplicated() {
     let _s = serial();
     let clean = baseline().expand(&request());
-    let engine = ShardedEngineBuilder::new()
-        .documents(corpus_docs())
-        .num_shards(3)
-        .replicas(2)
-        // Headroom: three stalled attempts must not starve their hedges.
-        .pool_threads(8)
-        .build();
+    let engine = replicated();
 
-    // Replica 0 of every shard stalls far past the request deadline. A
-    // fresh replica has no latency sample yet, so after the adaptive
-    // delay's 2 ms default each shard hedges a duplicate onto its sibling;
-    // the duplicate wins and the response lands undegraded, long before both the stall
-    // and the deadline. (If hedging failed, the coordinator would wait
-    // out the stall and the deadline would degrade the response.)
-    let t0 = Instant::now();
-    let hedged = {
+    // Replica 0 of every shard is slow once each (a fresh engine's
+    // rotation starts every shard on replica 0). A slow attempt is not a
+    // failed one: the scatter waits for it, and no second replica runs
+    // the same shard.
+    let slow = {
         let _g = arm_times(
             "shard.replica.retrieve.0",
-            FailAction::Delay(Duration::from_millis(800)),
+            FailAction::Delay(Duration::from_millis(30)),
             3,
         );
         engine
-            .try_expand(&ExpandRequest {
-                timeout: Some(Duration::from_millis(400)),
-                ..request()
-            })
-            .expect("hedging turns a stall into a fast answer")
+            .try_expand(&request())
+            .expect("a slow replica still answers")
     };
-    let elapsed = t0.elapsed();
-    assert!(!hedged.stats.degraded, "hedged, not degraded");
-    assert_eq!(hedged.stats.shards_omitted, 0);
-    assert_eq!(essence(&hedged), essence(&clean));
-    assert!(
-        elapsed < Duration::from_millis(600),
-        "hedged response must beat the 800ms stall (took {elapsed:?})"
-    );
-    let hedges: u64 = engine.stats().shards.iter().map(|s| s.hedges).sum();
-    assert!(hedges >= 1, "at least one hedge was dispatched");
+    assert!(!slow.stats.degraded);
+    assert_eq!(slow.stats.shards_omitted, 0);
+    assert_eq!(essence(&slow), essence(&clean));
+
+    for (si, shard) in engine.stats().shards.iter().enumerate() {
+        assert_eq!(shard.hedges, 0, "shard {si}: nothing hedged");
+        assert_eq!(shard.scattered_retrievals, 1, "shard {si}");
+        assert_eq!(shard.replicas[0].retrievals, 1, "shard {si}");
+        assert_eq!(
+            shard.replicas[1].retrievals, 0,
+            "shard {si}: the sibling never duplicated the slow attempt"
+        );
+    }
 }
 
 #[test]

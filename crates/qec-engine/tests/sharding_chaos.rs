@@ -126,6 +126,10 @@ fn single_panicked_attempt_heals_via_retry() {
         .flat_map(|s| s.replicas.iter().map(|r| r.failures))
         .sum();
     assert_eq!(failures, 1, "exactly the injected fault was recorded");
+    // Only the failed shard ran again: every shard resolved exactly once.
+    for (si, shard) in engine.stats().shards.iter().enumerate() {
+        assert_eq!(shard.scattered_retrievals, 1, "shard {si}");
+    }
 }
 
 #[test]

@@ -271,9 +271,9 @@ fn warmed_engine_expand_performs_zero_heap_allocations() {
     }
 
     // Replication doesn't change the story: warmed serving over 3 shards
-    // × 2 replicas is the same cache-hit hot path — the replica rotation,
-    // retries and hedge timers all live on the cold scatter, which a warm
-    // loop never touches.
+    // × 2 replicas is the same cache-hit hot path — the replica rotation
+    // and retry rounds all live on the cold scatter, which a warm loop
+    // never touches.
     let replicated = qec_engine::ShardedEngineBuilder::new()
         .documents((0..60).map(|i| {
             let body = if i % 2 == 0 {

@@ -12,11 +12,6 @@
 //! `n` times before going inert, so "panic the *first* build, let the
 //! retry succeed" is one line of test setup.
 //!
-//! Every site also keeps cumulative [`SiteStats`] — arms, disarms, and
-//! fires — that survive disarming, so a chaos suite can assert "this
-//! fault actually triggered k times across the run" after its guards
-//! have dropped.
-//!
 //! Cost discipline
 //! ---------------
 //! The hot path of an unarmed process is a single relaxed atomic load
@@ -100,23 +95,9 @@ struct Armed {
     hits: u64,
 }
 
-/// Cumulative per-site counters that survive disarming (unlike
-/// [`hits`], which resets with each arm). `fires` counts actual
-/// triggers — inert hits don't count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteStats {
-    /// Times the site was armed (re-arms included).
-    pub arms: u64,
-    /// Times the site was disarmed (guard drops on an armed site).
-    pub disarms: u64,
-    /// Times the site fired an action since process start.
-    pub fires: u64,
-}
-
 #[derive(Debug, Default)]
 struct Registry {
     armed: HashMap<&'static str, Armed>,
-    stats: HashMap<&'static str, SiteStats>,
 }
 
 /// Number of armed entries, mirrored out of the registry so [`check`] can
@@ -159,7 +140,6 @@ fn arm_inner(name: &'static str, action: FailAction, remaining: Option<usize>) -
             hits: 0,
         },
     );
-    reg.stats.entry(name).or_default().arms += 1;
     sync_active(&reg);
     FailGuard { name }
 }
@@ -168,23 +148,13 @@ fn arm_inner(name: &'static str, action: FailAction, remaining: Option<usize>) -
 /// [`FailGuard`] does.
 fn disarm(name: &str) {
     let mut reg = registry();
-    if reg.armed.remove(name).is_some() {
-        if let Some(stats) = reg.stats.get_mut(name) {
-            stats.disarms += 1;
-        }
-    }
+    reg.armed.remove(name);
     sync_active(&reg);
 }
 
 /// Times `name` fired since it was last armed (`0` when never armed).
 pub fn hits(name: &str) -> u64 {
     registry().armed.get(name).map_or(0, |a| a.hits)
-}
-
-/// Cumulative arm/disarm/fire counters for `name` since process start.
-/// Unlike [`hits`], these survive disarming and re-arming.
-pub fn site_stats(name: &str) -> SiteStats {
-    registry().stats.get(name).copied().unwrap_or_default()
 }
 
 /// The trigger point call production code places at a named site.
@@ -211,9 +181,7 @@ pub fn check(name: &'static str) -> Result<(), InjectedFailure> {
             None => {}
         }
         armed.hits += 1;
-        let action = armed.action;
-        reg.stats.entry(name).or_default().fires += 1;
-        action
+        armed.action
     };
     // Act outside the registry lock so a panicking or sleeping site never
     // blocks other threads' checks.
@@ -339,7 +307,6 @@ mod tests {
     fn return_err_carries_an_io_kind_without_unwinding() {
         let _s = serial();
         use std::io::ErrorKind;
-        let before = site_stats("tests.io");
         {
             let _g = arm("tests.io", FailAction::ReturnErr(ErrorKind::WouldBlock));
             let failure = check("tests.io").unwrap_err();
@@ -352,40 +319,11 @@ mod tests {
             assert_eq!(io.kind(), ErrorKind::WouldBlock);
         }
         assert_eq!(check("tests.io"), Ok(()), "guard drop disarms");
-        // Per-site stats cover ReturnErr fires exactly like other actions.
-        let after = site_stats("tests.io");
-        assert_eq!(after.arms, before.arms + 1);
-        assert_eq!(after.disarms, before.disarms + 1);
-        assert_eq!(after.fires, before.fires + 1);
     }
 
     #[test]
     fn plain_error_converts_to_an_other_io_error() {
         let io: std::io::Error = InjectedFailure::at("tests.convert").into();
         assert_eq!(io.kind(), std::io::ErrorKind::Other);
-    }
-
-    #[test]
-    fn site_stats_survive_disarm_and_rearm() {
-        let _s = serial();
-        let before = site_stats("tests.stats");
-        {
-            let _g = arm("tests.stats", FailAction::Error);
-            assert!(check("tests.stats").is_err());
-            assert!(check("tests.stats").is_err());
-        }
-        assert_eq!(hits("tests.stats"), 0, "per-arming hits reset on disarm");
-        {
-            let _g = arm_times("tests.stats", FailAction::Error, 1);
-            assert!(check("tests.stats").is_err());
-            assert!(check("tests.stats").is_ok(), "inert hits don't fire");
-        }
-        let after = site_stats("tests.stats");
-        assert_eq!(after.arms, before.arms + 2);
-        assert_eq!(after.disarms, before.disarms + 2);
-        assert_eq!(after.fires, before.fires + 3);
-        // Disarming an unarmed site is not counted.
-        disarm("tests.stats");
-        assert_eq!(site_stats("tests.stats").disarms, after.disarms);
     }
 }
